@@ -106,7 +106,7 @@ def run_skew_sweep(skew, observe, operations=20, seed=5):
         # catch up (every attempt aborts meanwhile); with observation
         # it learns the bar from the first rejection.
         pid = 1 if tag < operations // 2 else 2
-        register = cluster.register(0, coordinator_pid=pid)
+        register = cluster.register(0, route=pid)
         if register.write_stripe(stripe_of(M, B, tag)) is ABORT:
             aborted += 1
     return aborted / operations

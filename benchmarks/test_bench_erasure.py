@@ -6,22 +6,21 @@ and replication codes at realistic block sizes.  pytest-benchmark's
 timing is the artifact here; assertions pin correctness and the
 expected performance ordering (XOR beats field arithmetic).
 
-The backend sweep additionally compares the GF(2^8) kernel backends
-(``masked`` reference vs the ``table`` gather kernel vs the pure-Python
-``bytes`` kernel) across (m, n) and block sizes, writes
-``benchmarks/out/BENCH_erasure.json`` + a text report, and pins the
-headline: the table kernel encodes >= 5x faster than masked at
-(m=4, n=8, 64 KiB).
+The block-size sweep times the two implementations inside
+:mod:`repro.erasure.kernels` (``translate`` and ``gather``) against each
+other from 64 B to 64 KiB, which is how ``kernels.CROSSOVER_BYTES`` is
+derived: it writes ``benchmarks/out/erasure_kernels.txt`` and pins the
+reason both exist — translate wins on the paper's small blocks, gather
+on large ones.
 """
 
-import json
+import time
 
 import pytest
 
-from repro.analysis import erasure_bench
-from repro.erasure import make_code
+from repro.erasure import kernels, make_code
 
-from .conftest import OUT_DIR, write_artifact
+from .conftest import write_artifact
 
 BLOCK = 64 * 1024  # 64 KiB stripe units
 
@@ -87,41 +86,88 @@ def test_bench_delta_apply(benchmark):
     assert result == expected
 
 
-@pytest.mark.parametrize("backend", ["masked", "table", "bytes"])
-def test_bench_encode_backend(benchmark, backend):
-    """Per-backend encode timing at the headline geometry."""
-    code = make_code(4, 8, "reed-solomon", backend=backend)
-    stripe = make_stripe(4)
-    encoded = benchmark(code.encode, stripe)
-    assert encoded[:4] == stripe
+#: ``CROSSOVER_BYTES`` values that force one implementation everywhere.
+IMPLEMENTATIONS = {"translate": 1 << 62, "gather": 0}
+SWEEP_PAIRS = [(2, 4), (4, 8), (8, 16)]
+SWEEP_SIZES = [64, 256, 512, 1024, 2048, 4096, 16384, 65536]
 
 
-def run_backend_sweep():
-    return erasure_bench.run_bench(budget_mib=4.0)
+def us_per_call(fn):
+    """Best-of-nine microseconds per call of ``fn`` (~20 ms samples)."""
+    start = time.perf_counter()
+    fn()
+    once = max(time.perf_counter() - start, 1e-7)
+    reps = max(3, int(0.02 / once))
+    best = float("inf")
+    for _ in range(9):
+        start = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        best = min(best, (time.perf_counter() - start) / reps)
+    return best * 1e6
 
 
-def test_bench_erasure_backends(benchmark):
-    """The backend sweep: artifacts plus the >= 5x encode headline."""
-    results = benchmark.pedantic(run_backend_sweep, rounds=1, iterations=1)
-    write_artifact("erasure_kernels", erasure_bench.render_report(results))
-    json_path = OUT_DIR / "BENCH_erasure.json"
-    json_path.write_text(erasure_bench.to_json(results) + "\n")
-
-    # The acceptance headline: table >= 5x masked on encode MiB/s at
-    # (m=4, n=8, 64 KiB stripe units).
-    speedup = erasure_bench.headline_speedup(results)
-    assert speedup is not None
-    assert speedup >= 5.0, (
-        f"table-kernel encode speedup regressed: {speedup:.1f}x < 5x"
+def sweep_point(m, n, size):
+    """(encode, decode with one data block lost, modify) µs per call."""
+    code = make_code(m, n, "reed-solomon")
+    stripe = make_stripe(m, size)
+    encoded = code.encode(stripe)
+    survivors = {i: encoded[i - 1] for i in range(2, m + 2)}
+    assert code.decode(survivors) == stripe
+    new_block = bytes(size)
+    return (
+        us_per_call(lambda: code.encode(stripe)),
+        us_per_call(lambda: code.decode(survivors)),
+        us_per_call(
+            lambda: code.modify(1, m + 1, stripe[0], new_block, encoded[m])
+        ),
     )
 
-    # Every backend produced identical decode results by construction
-    # (run_case asserts round-trips); here pin the artifact's shape.
-    payload = json.loads(json_path.read_text())
-    assert payload["benchmark"] == "erasure"
-    assert payload["headline"]["encode_speedup_table_over_masked"] == speedup
-    assert set(payload["backends"]) == {"masked", "table", "bytes"}
-    assert len(payload["cases"]) == len(results)
-    for row in payload["cases"]:
-        assert row["encode_mib_s"] > 0
-        assert row["decode"][0]["mib_s"] > 0
+
+def run_block_size_sweep(monkeypatch):
+    """{(m, n, size): {implementation: (encode, decode, modify) µs}}."""
+    results = {}
+    for m, n in SWEEP_PAIRS:
+        for size in SWEEP_SIZES:
+            point = results[(m, n, size)] = {}
+            for name, forced in IMPLEMENTATIONS.items():
+                monkeypatch.setattr(kernels, "CROSSOVER_BYTES", forced)
+                point[name] = sweep_point(m, n, size)
+    return results
+
+
+def render_sweep(results, crossover):
+    lines = [
+        "Erasure-kernel block-size sweep - us per call, translate / gather",
+        "(Reed-Solomon; decode reconstructs with one data block lost;",
+        f" kernels.CROSSOVER_BYTES = {crossover}: shorter blocks take"
+        " translate, the rest gather)",
+        "",
+        f"{'(m,n)':>7} {'block':>6}  {'encode':>19}  {'decode':>19}"
+        f"  {'modify':>19}",
+    ]
+    for (m, n, size), point in results.items():
+        cells = []
+        for op in range(3):
+            translate, gather = point["translate"][op], point["gather"][op]
+            mark = "t" if translate < gather else "g"
+            cells.append(f"{translate:8.1f} /{gather:8.1f} {mark}")
+        lines.append(
+            f"{f'({m},{n})':>7} {size:>6}  " + "  ".join(cells)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_bench_kernel_block_size_sweep(benchmark, monkeypatch):
+    """The sweep ``kernels.CROSSOVER_BYTES`` is set from."""
+    crossover = kernels.CROSSOVER_BYTES
+    results = benchmark.pedantic(
+        run_block_size_sweep, args=(monkeypatch,), rounds=1, iterations=1
+    )
+    write_artifact("erasure_kernels", render_sweep(results, crossover))
+    # Why both implementations stay: each wins an end of the range.
+    for m, n in SWEEP_PAIRS:
+        small = results[(m, n, SWEEP_SIZES[0])]
+        large = results[(m, n, SWEEP_SIZES[-1])]
+        assert small["translate"][0] < small["gather"][0], (m, n, small)
+        assert large["gather"][0] < large["translate"][0], (m, n, large)

@@ -29,7 +29,7 @@ def run(gc_enabled):
         node.stable.size_bytes() for node in cluster.nodes.values()
     )
     last = stripe_of(M, B, WRITES - 1)
-    assert cluster.register(0, coordinator_pid=2).read_stripe() == last
+    assert cluster.register(0, route=2).read_stripe() == last
     return high_water, footprint
 
 

@@ -25,7 +25,7 @@ def run_size(n):
     writes = reads = 0
     for register_id in range(6):
         pid = (register_id % n) + 1  # spread coordination over bricks
-        register = cluster.register(register_id, coordinator_pid=pid)
+        register = cluster.register(register_id, route=pid)
         assert register.write_stripe(stripe_of(m, B, tag=register_id)) == "OK"
         assert register.read_stripe() is not None
     summary = cluster.metrics.summary()

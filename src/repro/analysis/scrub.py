@@ -270,12 +270,8 @@ def run_scrub_run(
             if register_id in replica.quarantined:
                 result.clean_after = False
                 continue
-            for key in (
-                replica._journal_key(register_id),
-                replica._log_key(register_id),
-            ):
-                if key in node.stable and not node.stable.verify(key):
-                    result.clean_after = False
+            if not node.stable.verify(replica.log_key(register_id)):
+                result.clean_after = False
     return result
 
 
@@ -503,14 +499,7 @@ def run_sampling_sweep(
     def pair_dirty(register_id: int, pid: int) -> bool:
         node = cluster.nodes[pid]
         replica = cluster.replicas[pid]
-        return not all(
-            node.stable.verify(key)
-            for key in (
-                replica._journal_key(register_id),
-                replica._log_key(register_id),
-            )
-            if key in node.stable
-        )
+        return not node.stable.verify(replica.log_key(register_id))
 
     actual_fraction = len(corrupt) / len(pairs)
     for rate_index, rate in enumerate(sample_rates):

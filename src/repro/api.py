@@ -74,11 +74,10 @@ def open_cluster(m: int = 3, n: int = 5, **knobs) -> FabCluster:
     Args:
         m / n: erasure-code parameters (m data blocks, n bricks).
         **knobs: any field of :class:`ClusterConfig` (``block_size``,
-            ``seed``, ``f``, ``code_kind``, ``erasure_backend``,
-            ``clock_skews``, disk latencies, ``transport``),
-            :class:`NetworkConfig` (``min_latency``, ``max_latency``,
-            ``drop_probability``, ``delivery_sweeps``, ...), or
-            :class:`CoordinatorConfig` (``gc_enabled``,
+            ``seed``, ``f``, ``code_kind``, ``clock_skews``, disk
+            latencies, ``transport``), :class:`NetworkConfig`
+            (``min_latency``, ``max_latency``, ``drop_probability``,
+            ...), or :class:`CoordinatorConfig` (``gc_enabled``,
             ``op_timeout``, ``delta_updates``, ...), routed
             automatically.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.routing import RouteOptions, resolve_route
+from ..core.routing import resolve_route
 from ..errors import ConfigurationError
 from ..sim.monitor import Metrics
 from ..sim.network import NetworkConfig
@@ -95,19 +95,11 @@ class AbdCluster:
         process = coordinator.node.spawn(coordinator.write(register_id, value))
         return self.transport.run_until_complete(process)
 
-    def read(
-        self,
-        register_id: int,
-        route=None,
-        *,
-        coordinator_pid: Optional[ProcessId] = None,
-    ):
+    def read(self, register_id: int, route=None):
         """Blocking read from any process (``route`` picks it)."""
-        resolved = resolve_route(
-            route, coordinator_pid,
-            default=RouteOptions(coordinator=1), stacklevel=3,
-        )
-        pid = resolved.coordinator if resolved.coordinator is not None else 1
+        pid = resolve_route(route).coordinator
+        if pid is None:
+            pid = 1
         if pid not in self.coordinators:
             raise ConfigurationError(f"no process {pid}")
         coordinator = self.coordinators[pid]

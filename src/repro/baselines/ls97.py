@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.routing import RouteOptions, resolve_route
+from ..core.routing import resolve_route
 from ..sim.monitor import Metrics
 from ..sim.network import NetworkConfig
 from ..sim.node import Node
@@ -255,36 +255,19 @@ class Ls97Cluster:
                 node, cfg.n, TimestampSource(pid, clock=self.transport.now)
             )
 
-    def _coordinator(self, route, coordinator_pid) -> _Ls97Coordinator:
-        resolved = resolve_route(
-            route, coordinator_pid,
-            default=RouteOptions(coordinator=1), stacklevel=4,
-        )
-        pid = resolved.coordinator if resolved.coordinator is not None else 1
-        return self.coordinators[pid]
+    def _coordinator(self, route) -> _Ls97Coordinator:
+        pid = resolve_route(route).coordinator
+        return self.coordinators[1 if pid is None else pid]
 
-    def read(
-        self,
-        register_id: int,
-        route=None,
-        *,
-        coordinator_pid: Optional[ProcessId] = None,
-    ):
+    def read(self, register_id: int, route=None):
         """Blocking read via ``route``'s coordinator (default brick 1)."""
-        coordinator = self._coordinator(route, coordinator_pid)
+        coordinator = self._coordinator(route)
         process = coordinator.node.spawn(coordinator.read(register_id))
         return self.transport.run_until_complete(process)
 
-    def write(
-        self,
-        register_id: int,
-        value: Block,
-        route=None,
-        *,
-        coordinator_pid: Optional[ProcessId] = None,
-    ):
+    def write(self, register_id: int, value: Block, route=None):
         """Blocking write via ``route``'s coordinator (default brick 1)."""
-        coordinator = self._coordinator(route, coordinator_pid)
+        coordinator = self._coordinator(route)
         process = coordinator.node.spawn(coordinator.write(register_id, value))
         return self.transport.run_until_complete(process)
 

@@ -61,10 +61,9 @@ class CampaignConfig:
 
     Attributes:
         m / n / f: cluster shape; ``f=None`` takes the Theorem 2 maximum.
-        code_kind / erasure_backend: stripe code and GF(2^8) kernel,
-            forwarded to the cluster — the campaign and its invariants
-            run unchanged over any registered code (the sharded LRC
-            campaign relies on this).
+        code_kind: stripe code, forwarded to the cluster — the campaign
+            and its invariants run unchanged over any registered code
+            (the sharded LRC campaign relies on this).
         allow_unsafe_f: permit ``f`` beyond the bound — the deliberately
             broken mode used to validate that the invariant checks fire.
         registers / clients / ops_per_client: workload shape; clients
@@ -95,11 +94,6 @@ class CampaignConfig:
             The sampler is seeded from ``seed``, so campaign
             determinism and the corruption invariants hold unchanged
             in every mode.
-        delivery_sweeps: batch same-(time, destination) message
-            deliveries into per-tick sweeps (the network fast path,
-            default) or schedule one kernel event per message.  The
-            determinism regression test runs the same seed both ways
-            and requires bit-identical counters.
     """
 
     m: int = 3
@@ -108,7 +102,6 @@ class CampaignConfig:
     allow_unsafe_f: bool = False
     block_size: int = 32
     code_kind: str = "auto"
-    erasure_backend: str = "auto"
     seed: int = 0
     registers: int = 4
     clients: int = 3
@@ -133,7 +126,6 @@ class CampaignConfig:
     scrub_enabled: bool = False
     scrub_interval: float = 20.0
     scrub_mode: str = "auto"
-    delivery_sweeps: bool = True
 
     @property
     def effective_f(self) -> int:
@@ -353,7 +345,6 @@ class _Engine:
                 allow_unsafe_f=config.allow_unsafe_f,
                 block_size=config.block_size,
                 code_kind=config.code_kind,
-                erasure_backend=config.erasure_backend,
                 verify_checksums=config.verify_checksums,
                 seed=config.seed,
                 clock_skews=dict(schedule.clock_skews),
@@ -361,7 +352,6 @@ class _Engine:
                     min_latency=1.0,
                     max_latency=3.0,
                     jitter_seed=config.seed,
-                    delivery_sweeps=config.delivery_sweeps,
                 ),
                 coordinator=CoordinatorConfig(
                     op_timeout=config.op_timeout,

@@ -13,8 +13,8 @@ log analysis):
    the replica's volatile mirror, which the ``store(var)`` discipline
    guarantees matches stable storage; after the matching recovery the
    freshly reloaded state must compare bit-for-bit equal.  This is the
-   log/journal persistence paths' "both yield identical recovered
-   state" contract, enforced under real crash schedules.
+   journal's "replay reconstructs exactly the log the mutations
+   produced" contract, enforced under real crash schedules.
 3. **Timestamp monotonicity** — per (replica, register), the observed
    ``ord-ts`` and ``max-ts(log)`` never decrease across samples (taken
    after every fault event and on a periodic timer).  Stable storage

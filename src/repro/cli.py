@@ -10,8 +10,6 @@ Regenerates the paper's artifacts without going through pytest::
     python -m repro.cli scrub --ops 500 --corrupt-rate 0.01
                                                # scrub-daemon experiment
     python -m repro.cli pipeline               # pipelined session throughput
-    python -m repro.cli simcore                # simulator-core events/sec profile
-    python -m repro.cli erasure-bench          # GF(2^8) kernel MiB/s per backend
     python -m repro.cli placement              # LRC vs RS rebuild cost
     python -m repro.cli campaign --seeds 25    # randomized fault campaign
 
@@ -224,84 +222,6 @@ def _pipeline(args: argparse.Namespace) -> int:
         with open(args.out, "w") as handle:
             handle.write(report + "\n")
         print(f"\nwritten to {args.out}")
-    return 0
-
-
-def _simcore(args: argparse.Namespace) -> int:
-    from .analysis.simcore import render_report, run_profile, to_json
-
-    grid = []
-    for pair in args.pairs:
-        m_text, n_text = pair.split(",")
-        grid.append((int(m_text), int(n_text), args.ops))
-    results = run_profile(
-        grid=grid,
-        headline=None,
-        paths=tuple(args.paths),
-        registers=args.registers,
-        block_size=args.block_size,
-    )
-    report = render_report(results)
-    print(report)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(to_json(results) + "\n")
-        print(f"JSON written to {args.json_out}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report)
-        print(f"report written to {args.out}")
-    return 0
-
-
-def _erasure_bench(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from .analysis.erasure_bench import (
-        HEADLINE,
-        headline_speedup,
-        render_report,
-        run_bench,
-        to_json,
-    )
-
-    pairs = []
-    for pair in args.pairs:
-        m_text, n_text = pair.split(",")
-        pairs.append((int(m_text), int(n_text)))
-    results = run_bench(
-        pairs=pairs,
-        block_sizes=tuple(args.block_sizes),
-        backends=tuple(args.backends),
-        budget_mib=args.budget_mib,
-    )
-    report = render_report(results)
-    print(report)
-    json_path = pathlib.Path(args.json_out)
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(to_json(results) + "\n")
-    print(f"JSON artifact written to {json_path}")
-    if args.out:
-        path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report)
-        print(f"report written to {path}")
-    if args.min_speedup is not None:
-        speedup = headline_speedup(results)
-        if speedup is None:
-            print(
-                f"headline cell {HEADLINE} not measured for both table "
-                "and masked backends; cannot check --min-speedup"
-            )
-            return 1
-        ok = speedup >= args.min_speedup
-        verdict = "OK" if ok else "FAIL"
-        print(
-            f"headline encode speedup (table/masked at "
-            f"m={HEADLINE[0]}, n={HEADLINE[1]}, block={HEADLINE[2]}): "
-            f"{speedup:.1f}x >= {args.min_speedup:g}x ... {verdict}"
-        )
-        return 0 if ok else 1
     return 0
 
 
@@ -546,69 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the report to this file",
     )
     pipeline.set_defaults(func=_pipeline)
-
-    simcore = subparsers.add_parser(
-        "simcore",
-        help="simulator-core throughput profile (seed vs fast path)",
-    )
-    simcore.add_argument(
-        "--pairs", type=str, nargs="+", default=["4,8"],
-        help="m,n pairs to run, e.g. --pairs 2,4 4,8",
-    )
-    simcore.add_argument("--ops", type=int, default=1000)
-    simcore.add_argument(
-        "--paths", type=str, nargs="+", default=["seed", "fast"],
-        choices=["seed", "fast"],
-    )
-    simcore.add_argument("--registers", type=int, default=50)
-    simcore.add_argument("--block-size", type=int, default=64)
-    simcore.add_argument(
-        "--json", dest="json_out", type=str, default=None,
-        help="write the machine-readable results to this file",
-    )
-    simcore.add_argument(
-        "--out", type=str, default=None,
-        help="also write the report to this file",
-    )
-    simcore.set_defaults(func=_simcore)
-
-    erasure = subparsers.add_parser(
-        "erasure-bench",
-        help="GF(2^8) erasure-kernel throughput per backend "
-             "(encode/decode/delta MiB/s)",
-    )
-    erasure.add_argument(
-        "--pairs", type=str, nargs="+", default=["2,4", "4,8", "8,16"],
-        help="m,n pairs to sweep, e.g. --pairs 2,4 4,8",
-    )
-    erasure.add_argument(
-        "--block-sizes", type=int, nargs="+", default=[4096, 65536],
-        help="stripe-unit sizes in bytes",
-    )
-    erasure.add_argument(
-        "--backends", type=str, nargs="+",
-        default=["masked", "table", "bytes"],
-        help="kernel backends to compare (see repro.erasure.kernels)",
-    )
-    erasure.add_argument(
-        "--budget-mib", type=float, default=8.0,
-        help="approximate data volume per measurement in MiB",
-    )
-    erasure.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="exit 1 unless table beats masked by this factor on encode "
-             "at the headline cell (m=4, n=8, 64 KiB)",
-    )
-    erasure.add_argument(
-        "--json", dest="json_out", type=str,
-        default="benchmarks/out/BENCH_erasure.json",
-        help="path for the machine-readable JSON artifact",
-    )
-    erasure.add_argument(
-        "--out", type=str, default=None,
-        help="also write the text report to this file",
-    )
-    erasure.set_defaults(func=_erasure_bench)
 
     placement = subparsers.add_parser(
         "placement",

@@ -37,7 +37,7 @@ from .coordinator import Coordinator, CoordinatorConfig
 from .gc import GarbageCollector
 from .register import StorageRegister
 from .replica import Replica
-from .routing import RouteOptions, resolve_route
+from .routing import resolve_route
 
 __all__ = ["ClusterConfig", "FabCluster"]
 
@@ -52,12 +52,6 @@ class ClusterConfig:
         f: tolerated faults; defaults to the maximum ``floor((n-m)/2)``.
         code_kind: erasure-code implementation (see
             :func:`repro.erasure.registry.make_code`).
-        erasure_backend: GF(2^8) kernel for the coding hot path —
-            ``"auto"`` (default: the table kernel when numpy is
-            available, else the pure-``bytes`` kernel), ``"table"``,
-            ``"masked"`` (the reference implementation), or
-            ``"bytes"``.  All backends are byte-identical; see
-            :mod:`repro.erasure.kernels`.
         network: network behaviour (latency, drops, ...).
         coordinator: protocol knobs (retransmission, grace, GC, ...).
         clock_skews: per-process clock skew in time units (index by
@@ -66,12 +60,6 @@ class ClusterConfig:
         disk_read_latency / disk_write_latency: simulated time per log
             block read/write at replicas (0 = the paper's free-disk
             cost model).
-        store_mode: stable-store copy discipline — ``"cow"``
-            (copy-on-write, default) or ``"deepcopy"`` (the seed
-            baseline the simcore benchmark measures against).
-        persistence: replica log persistence — ``"journal"`` (O(1)
-            delta records per mutation, default) or ``"full"``
-            (re-store the whole log per mutation, the seed baseline).
         verify_checksums: verify stable-store CRC envelopes on every
             read (default True).  ``False`` is the escape hatch that
             lets injected corruption thaw into garbage — only for
@@ -96,14 +84,11 @@ class ClusterConfig:
     block_size: int = 1024
     f: Optional[int] = None
     code_kind: str = "auto"
-    erasure_backend: str = "auto"
     network: NetworkConfig = field(default_factory=NetworkConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     clock_skews: Dict[int, float] = field(default_factory=dict)
     disk_read_latency: float = 0.0
     disk_write_latency: float = 0.0
-    store_mode: str = "cow"
-    persistence: str = "journal"
     transport: str = "sim"
     verify_checksums: bool = True
     metrics_history_limit: Optional[int] = None
@@ -138,9 +123,7 @@ class FabCluster:
         self.transport = transport
         self.env = transport.env
         self.network = getattr(transport, "network", None)
-        self.code = make_code(
-            cfg.m, cfg.n, cfg.code_kind, backend=cfg.erasure_backend
-        )
+        self.code = make_code(cfg.m, cfg.n, cfg.code_kind)
         self.quorum_system = MajorityMQuorumSystem(
             cfg.n, cfg.m, cfg.f, enforce_bound=not cfg.allow_unsafe_f
         )
@@ -153,14 +136,12 @@ class FabCluster:
                 transport=self.transport,
                 process_id=pid,
                 metrics=self.metrics,
-                store_mode=cfg.store_mode,
                 verify_checksums=cfg.verify_checksums,
             )
             replica = Replica(
                 node, self.code, pid,
                 disk_read_latency=cfg.disk_read_latency,
                 disk_write_latency=cfg.disk_write_latency,
-                persistence=cfg.persistence,
             )
             ts_source = TimestampSource(
                 pid,
@@ -191,25 +172,17 @@ class FabCluster:
         """The coordinator running on brick ``pid``."""
         return self.coordinators[pid]
 
-    def register(
-        self,
-        register_id: int,
-        route=None,
-        *,
-        coordinator_pid: Optional[ProcessId] = None,
-    ) -> StorageRegister:
+    def register(self, register_id: int, route=None) -> StorageRegister:
         """A register handle for stripe ``register_id``.
 
         Any brick can coordinate; pass ``route=RouteOptions(
         coordinator=...)`` (or a bare pid) to exercise multi-controller
-        access to the same stripe.  Defaults to brick 1.  The keyword
-        ``coordinator_pid=`` is deprecated.
+        access to the same stripe.  Defaults to brick 1.
         """
-        resolved = resolve_route(
-            route, coordinator_pid, default=RouteOptions(coordinator=1)
+        pid = resolve_route(route).coordinator
+        return StorageRegister(
+            self.coordinators[1 if pid is None else pid], register_id
         )
-        pid = resolved.coordinator if resolved.coordinator is not None else 1
-        return StorageRegister(self.coordinators[pid], register_id)
 
     def register_ids(self) -> list:
         """Ids of every register with state anywhere in the cluster.

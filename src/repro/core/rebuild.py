@@ -31,7 +31,7 @@ from ..errors import CorruptionDetected
 from ..timestamps import Timestamp
 from ..types import ABORT, ProcessId
 from .cluster import FabCluster
-from .routing import RouteOptions, resolve_route
+from .routing import resolve_route
 
 __all__ = ["ScrubReport", "Scrubber", "RebuildReport", "Rebuilder"]
 
@@ -157,25 +157,12 @@ class Rebuilder:
         cluster: the cluster to repair.
         route: where to coordinate rebuild operations —
             ``RouteOptions(coordinator=pid)`` or a bare pid; the brick
-            must be up (pick any survivor).  Defaults to brick 1.  The
-            keyword ``coordinator_pid=`` is deprecated.
+            must be up (pick any survivor).  Defaults to brick 1.
     """
 
-    def __init__(
-        self,
-        cluster: FabCluster,
-        route=None,
-        *,
-        coordinator_pid: Optional[ProcessId] = None,
-    ) -> None:
+    def __init__(self, cluster: FabCluster, route=None) -> None:
         self.cluster = cluster
-        resolved = resolve_route(
-            route, coordinator_pid, default=RouteOptions(coordinator=1)
-        )
-        self.route = resolved
-        self.coordinator_pid = (
-            resolved.coordinator if resolved.coordinator is not None else 1
-        )
+        self.route = resolve_route(route)
         self.scrubber = Scrubber(cluster)
 
     def rebuild_register(self, register_id: int) -> str:
@@ -191,8 +178,8 @@ class Rebuilder:
         report = self.scrubber.scrub_register(register_id)
         if report.fully_redundant:
             return "current"
-        coordinator = self.cluster.coordinators[self.coordinator_pid]
-        process = self.cluster.nodes[self.coordinator_pid].spawn(
+        coordinator = self.cluster.register(register_id, self.route).coordinator
+        process = coordinator.node.spawn(
             self._recover_everywhere(coordinator, register_id, self.cluster)
         )
         result = self.cluster.transport.run_until_complete(process)

@@ -10,7 +10,9 @@ Persistence follows the paper's ``store(var)`` discipline: every
 mutation of ``ord-ts`` or the log is pushed to the node's stable store
 before the reply is sent; on recovery the replica reloads exactly those
 values, so a crash between mutation and reply is equivalent to the
-reply being lost in the network.
+reply being lost in the network.  The log is persisted as a journal:
+one O(1) delta record per mutation, replayed on recovery and compacted
+to a base snapshot once it outgrows the live log.
 
 Retransmission handling: the coordinator's quorum primitive resends
 requests until enough replies arrive (fair-loss channels).  A replica
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from ..errors import ConfigurationError, CorruptionDetected
+from ..errors import CorruptionDetected
 from ..erasure.interface import ErasureCode
 from ..sim.freeze import estimate_size
 from ..sim.node import Node
@@ -97,29 +99,16 @@ class Replica:
             latency in δ units; non-zero values let the latency
             benchmarks study disk-bound regimes (replies are delayed by
             the request's accumulated disk time).
-        persistence: ``"journal"`` (default) persists O(1) delta
-            records per log mutation and replays them on recovery, with
-            compaction once the journal outgrows the live log;
-            ``"full"`` re-stores the whole serialized log per mutation
-            (the seed behaviour, kept as the benchmark baseline).  Both
-            paths yield bit-for-bit identical recovered state.
     """
 
     def __init__(self, node: Node, code: ErasureCode, process_index: int,
                  disk_read_latency: float = 0.0,
-                 disk_write_latency: float = 0.0,
-                 persistence: str = "journal") -> None:
-        if persistence not in ("journal", "full"):
-            raise ConfigurationError(
-                f"unknown persistence mode {persistence!r}; "
-                "want 'journal' or 'full'"
-            )
+                 disk_write_latency: float = 0.0) -> None:
         self.node = node
         self.code = code
         self.i = process_index
         self.disk_read_latency = disk_read_latency
         self.disk_write_latency = disk_write_latency
-        self.persistence = persistence
         self._busy = 0.0
         self._registers: Dict[int, RegisterState] = {}
         #: Registers whose persistent log failed its checksum on load.
@@ -147,7 +136,7 @@ class Replica:
         if register_id in self.quarantined:
             raise CorruptionDetected(
                 f"register {register_id} quarantined on replica {self.i}",
-                key=self._journal_key(register_id),
+                key=self.log_key(register_id),
                 process_id=self.i,
             )
         found = self._registers.get(register_id)
@@ -191,8 +180,7 @@ class Replica:
             return True
         stable = self.node.stable
         return (
-            self._log_key(register_id) in stable
-            or self._journal_key(register_id) in stable
+            self.log_key(register_id) in stable
             or self._ord_key(register_id) in stable
         )
 
@@ -215,14 +203,18 @@ class Replica:
         seen = set(self._registers)
         for key in self.node.stable.keys():
             prefix, _, tail = key.partition(":")
-            if prefix in ("log", "logj", "ordts") and tail.isdigit():
+            if prefix in ("logj", "ordts") and tail.isdigit():
                 seen.add(int(tail))
         return sorted(seen)
 
-    def _log_key(self, register_id: int) -> str:
-        return f"log:{register_id}"
+    def log_key(self, register_id: int) -> str:
+        """The stable-store key holding the register's persisted log.
 
-    def _journal_key(self, register_id: int) -> str:
+        Scrubbers pass it to ``node.stable.verify`` to ask whether the
+        log on this brick is clean.  (The corruption injector in
+        :mod:`repro.sim.failures` sits below this layer and repeats the
+        format to damage the same cell.)
+        """
         return f"logj:{register_id}"
 
     def _ord_key(self, register_id: int) -> str:
@@ -231,18 +223,7 @@ class Replica:
     def _load(self, register_id: int) -> RegisterState:
         stable = self.node.stable
         stored_ord = stable.load(self._ord_key(register_id), LOW_TS)
-        log: Optional[ReplicaLog] = None
-        if self.persistence == "journal":
-            records = stable.load_journal(self._journal_key(register_id))
-            if records:
-                log = replay_journal(records)
-        if log is None:
-            stored_log = stable.load(self._log_key(register_id))
-            log = (
-                ReplicaLog.from_state(stored_log)
-                if stored_log is not None
-                else ReplicaLog()
-            )
+        log = replay_journal(stable.load_journal(self.log_key(register_id)))
         return RegisterState(log=log, ord_ts=stored_ord)
 
     def _reload(self) -> None:
@@ -255,40 +236,30 @@ class Replica:
         # but not counted as disk I/O.
         self.node.stable.store(self._ord_key(register_id), state.ord_ts)
 
-    def _store_log(self, register_id: int, state: RegisterState) -> None:
-        """Persist the full serialized log (the seed's only path)."""
-        self.node.stable.store(self._log_key(register_id), state.log.to_state())
-
-    def persist_append(self, register_id: int, state: RegisterState,
-                       ts: Timestamp, block: object) -> None:
+    def persist_append(self, register_id: int, ts: Timestamp,
+                       block: object) -> None:
         """Persist one ``log.append(ts, block)`` that was just applied."""
-        if self.persistence == "journal":
-            self.node.stable.append(
-                self._journal_key(register_id), append_record(ts, block)
-            )
-        else:
-            self._store_log(register_id, state)
+        self.node.stable.append(
+            self.log_key(register_id), append_record(ts, block)
+        )
 
     def persist_trim(self, register_id: int, state: RegisterState,
                      ts: Timestamp) -> None:
         """Persist one ``log.trim_below(ts)`` that was just applied.
 
-        On the journal path this is also the compaction hook: trims are
-        when the journal outgrows the live log, so GC triggers a base
-        snapshot that resets the journal to O(len(log)).
+        This is also the compaction hook: trims are when the journal
+        outgrows the live log, so GC triggers a base snapshot that
+        resets the journal to O(len(log)).
         """
-        if self.persistence == "journal":
-            key = self._journal_key(register_id)
-            stable = self.node.stable
-            stable.append(key, trim_record(ts))
-            threshold = max(_JOURNAL_MIN, _JOURNAL_FACTOR * len(state.log))
-            if (
-                stable.journal_len(key) > threshold
-                or self._journal_oversized(key, state)
-            ):
-                stable.reset_journal(key, (snapshot_record(state.log),))
-        else:
-            self._store_log(register_id, state)
+        key = self.log_key(register_id)
+        stable = self.node.stable
+        stable.append(key, trim_record(ts))
+        threshold = max(_JOURNAL_MIN, _JOURNAL_FACTOR * len(state.log))
+        if (
+            stable.journal_len(key) > threshold
+            or self._journal_oversized(key, state)
+        ):
+            stable.reset_journal(key, (snapshot_record(state.log),))
 
     def _journal_oversized(self, key: str, state: RegisterState) -> bool:
         """True when the journal's bytes dwarf the live state it encodes.
@@ -459,7 +430,7 @@ class Replica:
         status = req.ts > state.log.max_ts() and req.ts >= state.ord_ts
         if status:
             state.log.append(req.ts, req.block)
-            self.persist_append(req.register_id, state, req.ts, req.block)
+            self.persist_append(req.register_id, req.ts, req.block)
             if req.block is not None:
                 self._disk_write()
         reply = WriteReply(
@@ -488,13 +459,9 @@ class Replica:
             log = ReplicaLog()
             log.append(req.ts, req.block)
             state = RegisterState(log=log, ord_ts=ord_ts)
-            if self.persistence == "journal":
-                self.node.stable.reset_journal(
-                    self._journal_key(req.register_id),
-                    (snapshot_record(log),),
-                )
-            else:
-                self._store_log(req.register_id, state)
+            self.node.stable.reset_journal(
+                self.log_key(req.register_id), (snapshot_record(log),)
+            )
             if req.block is not None:
                 self._disk_write()
             self._registers[req.register_id] = state
@@ -553,7 +520,7 @@ class Replica:
                 block = BOTTOM
         if status:
             state.log.append(req.ts, block)
-            self.persist_append(req.register_id, state, req.ts, block)
+            self.persist_append(req.register_id, req.ts, block)
             if isinstance(block, (bytes, bytearray)):
                 self._disk_write()
         reply = ModifyReply(

@@ -2,19 +2,14 @@
 
 FAB is fully decentralized — any brick can coordinate any operation
 (paper Section 1.1), and a multipathed client whose coordinator crashes
-simply reissues the request through another brick.  Historically every
-volume operation took an ad-hoc ``coordinator_pid=`` keyword; the
-:class:`RouteOptions` dataclass unifies that into a single ``route=``
-parameter carrying both the pinned coordinator (if any) and whether
-automatic failover is allowed.
-
-The legacy ``coordinator_pid=`` keywords still work but emit
-:class:`DeprecationWarning` via :func:`resolve_route`.
+simply reissues the request through another brick.  Every operation
+takes one ``route=`` parameter: a :class:`RouteOptions` carrying both
+the pinned coordinator (if any) and whether automatic failover is
+allowed, or a bare process id as shorthand for a pinned coordinator.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -53,32 +48,16 @@ DEFAULT_ROUTE = RouteOptions()
 
 def resolve_route(
     route: Union[RouteOptions, ProcessId, None] = None,
-    coordinator_pid: Optional[ProcessId] = None,
     default: Optional[RouteOptions] = None,
-    stacklevel: int = 3,
 ) -> RouteOptions:
-    """Normalize the (route, legacy coordinator_pid) pair to RouteOptions.
+    """Normalize a ``route=`` argument to :class:`RouteOptions`.
 
-    Accepts, in priority order:
+    Accepts:
 
-    * ``route=RouteOptions(...)`` — the modern form, returned as-is;
-    * ``route=<int>`` — shorthand for a pinned coordinator;
-    * ``coordinator_pid=<int>`` — the deprecated keyword; converted to a
-      pinned route and flagged with a :class:`DeprecationWarning`;
-    * neither — ``default`` (or :data:`DEFAULT_ROUTE`).
+    * ``RouteOptions(...)`` — returned as-is;
+    * an ``int`` — shorthand for a pinned coordinator;
+    * ``None`` — ``default`` (or :data:`DEFAULT_ROUTE`).
     """
-    if coordinator_pid is not None:
-        if route is not None:
-            raise ConfigurationError(
-                "pass either route= or coordinator_pid=, not both"
-            )
-        warnings.warn(
-            "coordinator_pid= is deprecated; use "
-            "route=RouteOptions(coordinator=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return RouteOptions(coordinator=coordinator_pid)
     if route is None:
         return default if default is not None else DEFAULT_ROUTE
     if isinstance(route, RouteOptions):

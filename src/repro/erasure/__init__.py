@@ -15,16 +15,13 @@ This subpackage implements the three primitives the protocol relies on —
 
 All codes share the :class:`~repro.erasure.interface.ErasureCode`
 interface.  Use :func:`~repro.erasure.registry.make_code` to construct a
-suitable code from ``(m, n)``; its ``backend=`` parameter selects the
-GF(2^8) bulk-arithmetic kernel (:mod:`repro.erasure.kernels`) — the
-table-gather, masked-reference, or pure-``bytes`` implementation, all
-byte-identical.
+suitable code from ``(m, n)``.  Block-size arithmetic runs through the
+GF(2^8) bulk kernels in :mod:`repro.erasure.kernels`.
 """
 
 from .cauchy import CauchyReedSolomonCode
 from .gf256 import GF256
 from .interface import ErasureCode
-from .kernels import available_kernels, get_kernel, register_kernel
 from .lrc import LRCCode, split_parity
 from .parity import SingleParityCode
 from .reed_solomon import ReedSolomonCode
@@ -42,7 +39,4 @@ __all__ = [
     "make_code",
     "split_parity",
     "available_codes",
-    "available_kernels",
-    "get_kernel",
-    "register_kernel",
 ]

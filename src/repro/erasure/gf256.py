@@ -48,7 +48,7 @@ def _build_tables():
 _EXP, _LOG = _build_tables()
 
 #: Lazily built full 256x256 multiplication table (64 KiB) shared by
-#: the table kernel and any caller that wants gather-based products.
+#: the bulk kernels and any caller that wants gather-based products.
 _MUL_TABLE = None
 
 
@@ -187,8 +187,8 @@ class GF256:
         """The full 256x256 multiplication table ``T[a, b] = a * b``.
 
         64 KiB, built on first use and shared process-wide.  This is
-        what turns ``scalar * vec`` into a single gather (see
-        :class:`repro.erasure.kernels.TableKernel`).
+        what turns ``scalar * vec`` into a single gather or translate
+        (see :mod:`repro.erasure.kernels`).
         """
         return _mul_table()
 

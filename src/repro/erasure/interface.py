@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Sequence
 
 from ..errors import CodingError
 from ..types import Block
-from .kernels import get_kernel
 
 __all__ = ["ErasureCode"]
 
@@ -31,25 +30,15 @@ class ErasureCode(abc.ABC):
 
     Args:
         m / n: code geometry (m data blocks, n total).
-        backend: bulk-arithmetic kernel for the block-size hot path —
-            one of :func:`repro.erasure.kernels.available_kernels`
-            (``"auto"`` picks the fastest available).  All kernels are
-            byte-identical; the knob trades dependencies for speed.
     """
 
-    def __init__(self, m: int, n: int, backend: str = "auto") -> None:
+    def __init__(self, m: int, n: int) -> None:
         if m < 1:
             raise CodingError(f"m must be >= 1, got {m}")
         if n < m:
             raise CodingError(f"n must be >= m, got n={n} m={m}")
         self._m = m
         self._n = n
-        self._kernel = get_kernel(backend)
-
-    @property
-    def backend(self) -> str:
-        """Resolved kernel-backend name (``"table"``/``"masked"``/...)."""
-        return self._kernel.name
 
     @property
     def m(self) -> int:

@@ -38,6 +38,7 @@ import numpy as np
 
 from ..errors import CodingError
 from ..types import Block
+from . import kernels
 from .cache import BoundedLRU
 from .gf256 import GF256
 from .matrix import cauchy, identity, invert, rank, submatrix
@@ -70,7 +71,6 @@ class LRCCode(ReedSolomonCode):
         m: data blocks per stripe.
         n: total blocks (``m`` data + ``local_groups`` local parities +
             ``global_parities`` global parities).
-        backend: GF(2^8) kernel backend (shared with every other coder).
         local_groups: number of local parity groups ``L``; defaults to
             :func:`split_parity` of the parity budget.
         global_parities: number of global parities ``g``; must satisfy
@@ -81,7 +81,6 @@ class LRCCode(ReedSolomonCode):
         self,
         m: int,
         n: int,
-        backend: str = "auto",
         *,
         local_groups: Optional[int] = None,
         global_parities: Optional[int] = None,
@@ -110,9 +109,9 @@ class LRCCode(ReedSolomonCode):
             raise CodingError(
                 f"cannot split m={m} data blocks into L={local_groups} groups"
             )
-        # Run the grandparent's validation/kernel setup, then build the
-        # LRC generator instead of the Vandermonde one.
-        super(ReedSolomonCode, self).__init__(m, n, backend)
+        # Run the grandparent's validation, then build the LRC
+        # generator instead of the Vandermonde one.
+        super(ReedSolomonCode, self).__init__(m, n)
         self._local_groups_count = local_groups
         self._global_parities = global_parities
         self._groups = self._balanced_groups(m, local_groups)
@@ -250,14 +249,14 @@ class LRCCode(ReedSolomonCode):
                     result = (
                         bytes(block)
                         if result is None
-                        else self._kernel.xor(result, block)
+                        else kernels.xor(result, block)
                     )
                 return result
         data = self.decode(sources)
         if failed <= self.m:
             return data[failed - 1]
         row = self._generator[failed - 1 : failed, :]
-        return self._kernel.matmul(row, data)[0]
+        return kernels.matmul(row, data)[0]
 
     def verify_tolerance(self, failures: int) -> None:
         """Exhaustively check all ``<= failures`` erasure patterns decode.
@@ -301,7 +300,7 @@ class LRCCode(ReedSolomonCode):
         if all(index in blocks for index in range(1, self.m + 1)):
             return [bytes(blocks[index]) for index in range(1, self.m + 1)]
         chosen, decode_matrix = self._decode_plan(frozenset(blocks))
-        return self._kernel.matmul(decode_matrix, [blocks[i] for i in chosen])
+        return kernels.matmul(decode_matrix, [blocks[i] for i in chosen])
 
     def _decode_plan(
         self, survivors: frozenset

@@ -10,10 +10,9 @@ Because the code is linear, the paper's ``modify`` primitive is a
 one-coefficient update: if data block ``i`` changes by ``delta = b_i ^
 b'_i``, parity block ``j`` changes by ``G[j-1, i-1] * delta``.
 
-All block-size arithmetic runs through the pluggable kernel layer
-(:mod:`repro.erasure.kernels`): the coder holds coefficient matrices and
-hands blocks to ``kernel.matmul`` / ``kernel.addmul``, so swapping the
-``backend=`` changes throughput but never a single output byte.
+All block-size arithmetic runs through :mod:`repro.erasure.kernels`:
+the coder holds coefficient matrices and hands blocks to
+``kernels.matmul`` / ``kernels.addmul``.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import numpy as np
 
 from ..errors import CodingError
 from ..types import Block
+from . import kernels
 from .cache import BoundedLRU
 from .gf256 import GF256
 from .interface import ErasureCode
@@ -48,8 +48,8 @@ class ReedSolomonCode(ErasureCode):
     #: entry is an m x m matrix that would otherwise live forever.
     DECODE_CACHE_SIZE = 64
 
-    def __init__(self, m: int, n: int, backend: str = "auto") -> None:
-        super().__init__(m, n, backend)
+    def __init__(self, m: int, n: int) -> None:
+        super().__init__(m, n)
         if n > GF256.ORDER:
             raise CodingError(f"Reed-Solomon over GF(2^8) requires n <= 256, got {n}")
         self._generator = systematic_from_vandermonde(m, n)
@@ -76,7 +76,7 @@ class ReedSolomonCode(ErasureCode):
         encoded = [bytes(block) for block in data_blocks]
         if self.parity_count:
             parity_rows = self._generator[self.m :, :]
-            encoded.extend(self._kernel.matmul(parity_rows, encoded))
+            encoded.extend(kernels.matmul(parity_rows, encoded))
         return encoded
 
     def decode(self, blocks: Dict[int, Block]) -> List[Block]:
@@ -86,7 +86,7 @@ class ReedSolomonCode(ErasureCode):
         if indices == list(range(1, self.m + 1)):
             return [bytes(blocks[i]) for i in indices]
         decode_matrix = self._decode_matrix(frozenset(indices))
-        return self._kernel.matmul(
+        return kernels.matmul(
             decode_matrix, [blocks[i] for i in indices]
         )
 
@@ -102,8 +102,8 @@ class ReedSolomonCode(ErasureCode):
     ) -> Block:
         self._check_modify_args(i, j, old_data, new_data, old_parity)
         coeff = int(self._generator[j - 1, i - 1])
-        delta = self._kernel.xor(old_data, new_data)
-        return self._kernel.addmul(old_parity, coeff, delta)
+        delta = kernels.xor(old_data, new_data)
+        return kernels.addmul(old_parity, coeff, delta)
 
     def encode_delta(self, i: int, old_data: Block, new_data: Block) -> Block:
         """The Section 5.2 optimization: one coded delta for all parities.
@@ -117,7 +117,7 @@ class ReedSolomonCode(ErasureCode):
             raise CodingError(f"data index i={i} out of range 1..{self.m}")
         if len(old_data) != len(new_data):
             raise CodingError("delta requires equal-size blocks")
-        return self._kernel.xor(old_data, new_data)
+        return kernels.xor(old_data, new_data)
 
     def apply_delta(self, i: int, j: int, delta: Block, old_parity: Block) -> Block:
         """Apply a coded delta from :meth:`encode_delta` to parity ``j``."""
@@ -126,4 +126,4 @@ class ReedSolomonCode(ErasureCode):
                 f"parity index j={j} out of range {self.m + 1}..{self.n}"
             )
         coeff = int(self._generator[j - 1, i - 1])
-        return self._kernel.addmul(old_parity, coeff, delta)
+        return kernels.addmul(old_parity, coeff, delta)

@@ -41,9 +41,7 @@ def available_codes() -> List[str]:
     return sorted(_REGISTRY) + ["auto"]
 
 
-def make_code(
-    m: int, n: int, kind: str = "auto", backend: str = "auto"
-) -> ErasureCode:
+def make_code(m: int, n: int, kind: str = "auto") -> ErasureCode:
     """Construct an m-out-of-n erasure code.
 
     Args:
@@ -52,25 +50,20 @@ def make_code(
         kind: one of :func:`available_codes`.  With ``"auto"`` the
             factory picks replication for ``m == 1``, XOR parity for
             ``n == m + 1``, and Reed-Solomon otherwise.
-        backend: GF(2^8) kernel backend for the block-arithmetic hot
-            path — one of
-            :func:`repro.erasure.kernels.available_kernels`
-            (``"auto"``/``"table"``/``"masked"``/``"bytes"``).  Every
-            backend produces byte-identical blocks.
 
     Raises:
-        ConfigurationError: on an unknown ``kind`` or ``backend``.
+        ConfigurationError: on an unknown ``kind``.
     """
     if kind == "auto":
         if m == 1:
-            return ReplicationCode(m, n, backend)
+            return ReplicationCode(m, n)
         if n == m + 1:
-            return SingleParityCode(m, n, backend)
-        return ReedSolomonCode(m, n, backend)
+            return SingleParityCode(m, n)
+        return ReedSolomonCode(m, n)
     try:
         cls = _REGISTRY[kind]
     except KeyError:
         raise ConfigurationError(
             f"unknown code kind {kind!r}; available: {available_codes()}"
         ) from None
-    return cls(m, n, backend)
+    return cls(m, n)

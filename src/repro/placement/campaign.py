@@ -54,9 +54,8 @@ class ShardedCampaignConfig:
             workload — they exist so the placement matches production
             layouts; promotion is exercised by the placement tests, not
             mid-campaign).
-        m / block_size / code_kind / erasure_backend: per-group stripe
-            geometry and code (default LRC — the layout this layer
-            exists for).
+        m / block_size / code_kind: per-group stripe geometry and code
+            (default LRC — the layout this layer exists for).
         seed: master seed; the fleet schedule, per-group cluster seeds,
             and register routing all derive from it.
         registers: fleet-wide register count; ids are routed to groups
@@ -76,7 +75,6 @@ class ShardedCampaignConfig:
     m: int = 4
     block_size: int = 32
     code_kind: str = "lrc"
-    erasure_backend: str = "auto"
     seed: int = 0
     registers: int = 16
     clients_per_group: int = 2
@@ -209,7 +207,6 @@ def run_sharded_campaign(
             n=group_size,
             block_size=config.block_size,
             code_kind=config.code_kind,
-            erasure_backend=config.erasure_backend,
             # Same derivation ShardedCluster uses for per-group seeds.
             seed=config.seed * 8191 + gid,
             registers=max(1, len(share)),

@@ -59,12 +59,11 @@ class ShardedConfig:
         block_size: stripe-unit size in bytes.
         code_kind: per-group erasure code (default ``"lrc"`` — the
             locality the layer exists for; any registered kind works).
-        erasure_backend: GF(2^8) kernel backend.
         domains: failure domains for balanced placement.
         seed: master seed — placement, routing, and every group's
             cluster derive determinism from it.
         cluster: template for per-group cluster configuration (network,
-            coordinator knobs, persistence, ...); ``m``/``n``/
+            coordinator knobs, disk latencies, ...); ``m``/``n``/
             ``code_kind``/``seed`` are overridden per group.
     """
 
@@ -74,7 +73,6 @@ class ShardedConfig:
     m: int = 2
     block_size: int = 1024
     code_kind: str = "lrc"
-    erasure_backend: str = "auto"
     domains: int = 1
     seed: int = 0
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
@@ -123,7 +121,6 @@ class ShardedCluster:
                 n=group_size,
                 block_size=cfg.block_size,
                 code_kind=cfg.code_kind,
-                erasure_backend=cfg.erasure_backend,
                 # Distinct per-group seeds, all derived from the master.
                 seed=cfg.seed * 8191 + gid,
             )
@@ -224,8 +221,7 @@ class ShardedCluster:
             )
         spare = self.spare_pool.pop(0)
         node.stable = StableStore(
-            mode=node.stable.mode,
-            verify_checksums=node.stable.verify_checksums,
+            verify_checksums=node.stable.verify_checksums
         )
         del self._slot_of[failed_brick]
         self._slot_of[spare] = (gid, lpid)
@@ -374,7 +370,7 @@ class ShardedCluster:
         if state is None:
             state = target.state(register_id)
         state.log.append(version, fragment)
-        target.persist_append(register_id, state, version, fragment)
+        target.persist_append(register_id, version, fragment)
         cluster.metrics.count_disk_write()
         return True
 

@@ -324,7 +324,7 @@ class ScrubDaemon:
             self._mark_dirty(pid, register_id)
             self._offer_repair(register_id)
             return
-        if self._verify_brick(node, replica, register_id):
+        if node.stable.verify(replica.log_key(register_id)):
             # Clean — possibly repaired by a client write since we last
             # marked it.  Clearing here is what keeps the mark map from
             # leaking in audit mode (repair=False never reaches
@@ -371,18 +371,6 @@ class ScrubDaemon:
         )
         return max(quarantined, marked)
 
-    @staticmethod
-    def _verify_brick(node, replica, register_id: int) -> bool:
-        """True iff the register's persistent log on this brick is clean."""
-        clean = True
-        for key in (
-            replica._journal_key(register_id),
-            replica._log_key(register_id),
-        ):
-            if key in node.stable:
-                clean = clean and node.stable.verify(key)
-        return clean
-
     # -- repair --------------------------------------------------------------
 
     def _offer_repair(self, register_id: int) -> None:
@@ -414,17 +402,17 @@ class ScrubDaemon:
         # pinned coordinator while it is live, and fail over (or, with
         # failover disabled, stand down until a later scan) when not.
         route = self.config.route or DEFAULT_ROUTE
-        coordinator_pid = route.coordinator
-        if coordinator_pid is None or coordinator_pid not in live:
-            if coordinator_pid is not None and not route.failover:
+        pid = route.coordinator
+        if pid is None or pid not in live:
+            if pid is not None and not route.failover:
                 return False
-            coordinator_pid = live[0]
-        coordinator = self.cluster.coordinators[coordinator_pid]
+            pid = live[0]
+        coordinator = self.cluster.coordinators[pid]
         generator = Rebuilder._recover_everywhere(
             coordinator, register_id, self.cluster
         )
         try:
-            process = self.cluster.nodes[coordinator_pid].spawn(generator)
+            process = self.cluster.nodes[pid].spawn(generator)
         except StorageError:
             generator.close()
             return False

@@ -175,6 +175,12 @@ class RandomFailures:
         self._down_by_us.clear()
 
 
+#: The stable-store key of a register's persisted log, as named by
+#: :meth:`repro.core.replica.Replica.log_key` (this layer sits below
+#: the replica and sees only nodes).
+_LOG_KEY = "logj:{}"
+
+
 class CorruptionInjector:
     """Inject silent at-rest corruption into node stable stores.
 
@@ -187,10 +193,6 @@ class CorruptionInjector:
     Args:
         nodes: process id -> node map (a crashed node's store is still
             injectable; the damage surfaces at its next read).
-        key_patterns: stable-store key templates tried in order for a
-            register's persistent log (``{register}`` placeholder);
-            the defaults match the replica layer's journal and full-log
-            keys.
         on_corrupt: callback ``(pid, register_id)`` run after a
             successful bit flip — the campaign engine uses it to drop
             the replica's volatile mirror (so the damage is not masked
@@ -200,17 +202,12 @@ class CorruptionInjector:
     def __init__(
         self,
         nodes: Dict[ProcessId, Node],
-        key_patterns: Sequence[str] = ("logj:{register}", "log:{register}"),
         on_corrupt: Optional[Callable[[ProcessId, int], None]] = None,
     ) -> None:
         self.nodes = nodes
-        self.key_patterns = tuple(key_patterns)
         self.on_corrupt = on_corrupt
         self.corruptions_injected = 0
         self.torn_injected = 0
-
-    def _keys(self, register_id: int) -> List[str]:
-        return [p.format(register=register_id) for p in self.key_patterns]
 
     def corrupt(self, pid: ProcessId, register_id: int, seed: int = 0) -> bool:
         """Flip one bit in ``register_id``'s stored log on brick ``pid``.
@@ -221,12 +218,11 @@ class CorruptionInjector:
         node = self.nodes.get(pid)
         if node is None:
             return False
-        for key in self._keys(register_id):
-            if key in node.stable and node.stable.corrupt(key, seed):
-                self.corruptions_injected += 1
-                if self.on_corrupt is not None:
-                    self.on_corrupt(pid, register_id)
-                return True
+        if node.stable.corrupt(_LOG_KEY.format(register_id), seed):
+            self.corruptions_injected += 1
+            if self.on_corrupt is not None:
+                self.on_corrupt(pid, register_id)
+            return True
         return False
 
     def tear(self, pid: ProcessId, register_id: int) -> bool:
@@ -239,10 +235,9 @@ class CorruptionInjector:
         node = self.nodes.get(pid)
         if node is None:
             return False
-        for key in self._keys(register_id):
-            if node.stable.tear_journal(key):
-                self.torn_injected += 1
-                return True
+        if node.stable.tear_journal(_LOG_KEY.format(register_id)):
+            self.torn_injected += 1
+            return True
         return False
 
 

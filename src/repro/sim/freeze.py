@@ -22,7 +22,7 @@ This module provides the cheap equivalent:
 ``freeze`` also returns an approximate persisted size and the number of
 payload bytes that were *physically copied* (buffer duplication or
 pickling), which the stable store aggregates into the ``size_bytes`` /
-``bytes_copied`` counters used by the simcore benchmark.
+``bytes_copied`` counters.
 """
 
 from __future__ import annotations

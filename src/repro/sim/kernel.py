@@ -360,7 +360,7 @@ class Environment:
 
     @property
     def events_processed(self) -> int:
-        """Kernel events processed so far — the simcore bench's events/sec."""
+        """Kernel events processed so far."""
         return self._events_processed
 
     @property
@@ -369,8 +369,7 @@ class Environment:
 
         Every schedule is one O(log q) push, so this is the kernel's
         heap-traffic axis: the network's batched delivery sweeps show up
-        here as fewer pushes per fan-out round (see
-        ``NetworkConfig.delivery_sweeps``).
+        here as fewer pushes per fan-out round.
         """
         return self._seq
 

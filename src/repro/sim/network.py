@@ -14,7 +14,7 @@ crashed simply lose the message, which is indistinguishable from a drop
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..errors import ConfigurationError, SimulationError
@@ -38,14 +38,6 @@ class NetworkConfig:
             delivered twice.
         jitter_seed: seed for the network's private RNG, making runs
             reproducible.
-        delivery_sweeps: batch all messages due at the same (time,
-            destination) into one kernel heap entry (a *delivery
-            sweep*) instead of one per message.  On quorum fan-in —
-            n replies converging on a coordinator in the same tick —
-            this collapses n heap pushes/pops into one.  Per-batch
-            delivery order is the per-destination send order, so any
-            run remains deterministic; ``False`` restores the seed's
-            one-event-per-message scheduling.
     """
 
     min_latency: float = 1.0
@@ -53,7 +45,6 @@ class NetworkConfig:
     drop_probability: float = 0.0
     duplicate_probability: float = 0.0
     jitter_seed: int = 0
-    delivery_sweeps: bool = True
 
     def __post_init__(self) -> None:
         if self.min_latency < 0 or self.max_latency < self.min_latency:
@@ -115,25 +106,6 @@ class Message:
         )
 
 
-class _Delivery(Event):
-    """A scheduled message delivery.
-
-    Replaces the seed's per-message ``Timeout`` + closure pair with a
-    single slotted event whose callback is the network's bound
-    ``_on_delivery`` — one allocation and one heap push per message.
-    Used when ``delivery_sweeps`` is off.
-    """
-
-    __slots__ = ("message",)
-
-    def __init__(self, network: "Network", message: Message, delay: float) -> None:
-        super().__init__(network.env)
-        self.message = message
-        self._value = None
-        network.env._schedule(self, delay)
-        self.callbacks.append(network._on_delivery)
-
-
 class _DeliverySweep(Event):
     """All messages bound for one destination at one instant.
 
@@ -141,7 +113,7 @@ class _DeliverySweep(Event):
     creates and schedules the sweep, later same-key sends just append.
     On a quorum round's reply fan-in this turns n pushes + n pops into
     one of each, while keeping per-destination delivery order exactly
-    the send order.
+    the send order, so any run remains deterministic.
     """
 
     __slots__ = ("key", "messages")
@@ -162,7 +134,9 @@ class Network:
 
     Args:
         env: the simulation environment.
-        config: network behaviour knobs.
+        config: network behaviour knobs; copied, so mid-run changes
+            (:meth:`set_drop_probability`) never reach the caller's
+            instance or another network built from it.
         metrics: optional metric sink for message/bandwidth counting.
     """
 
@@ -173,7 +147,7 @@ class Network:
         metrics: Optional[Metrics] = None,
     ) -> None:
         self.env = env
-        self.config = config or NetworkConfig()
+        self.config = replace(config) if config else NetworkConfig()
         self.metrics = metrics or Metrics()
         self._rng = random.Random(self.config.jitter_seed)
         #: Open (due-time, dst) sweep batches; entries leave on firing.
@@ -300,9 +274,6 @@ class Network:
         latency = self._rng.uniform(
             self.config.min_latency, self.config.max_latency
         )
-        if not self.config.delivery_sweeps:
-            _Delivery(self, message, latency)
-            return
         # The kernel schedules at now + delay with the same float
         # arithmetic, so messages sharing (due, dst) land in one sweep.
         key = (self.env.now + latency, message.dst)
@@ -311,9 +282,6 @@ class Network:
             sweep = _DeliverySweep(self, key, latency)
             self._sweeps[key] = sweep
         sweep.messages.append(message)
-
-    def _on_delivery(self, event: Event) -> None:
-        self._deliver(event.message)
 
     def _on_sweep(self, event: Event) -> None:
         # Detach before delivering: a handler may send again with zero

@@ -10,14 +10,13 @@ recovery.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, List, Optional, Set
 
 from ..errors import ConfigurationError, CorruptionDetected
 from ..transport.base import Endpoint, Transport
 from ..transport.sim import SimTransport
 from ..types import ProcessId
-from .freeze import estimate_size, fingerprint, flip_bit, freeze, thaw
+from .freeze import fingerprint, flip_bit, freeze, thaw
 from .kernel import Environment
 from .monitor import Metrics
 from .network import Network
@@ -60,31 +59,24 @@ class StableStore:
 
     Values must not alias live memory: later in-memory mutation cannot
     retroactively change "disk" contents — the classic aliasing bug in
-    storage simulators.  Two modes provide that guarantee:
-
-    * ``"cow"`` (default): copy-on-write.  ``store`` freezes the value
-      into an immutable structural-sharing snapshot (zero copies for
-      ``bytes`` blocks, timestamps, and log-entry tuples; a pickle
-      round-trip only for unknown mutable types) and ``load`` rebuilds a
-      fresh value from the snapshot.
-    * ``"deepcopy"``: the seed-era behaviour — ``copy.deepcopy`` on
-      every store and load.  Kept as the baseline the simcore benchmark
-      measures against.
+    storage simulators.  The store is copy-on-write: ``store`` freezes
+    the value into an immutable structural-sharing snapshot (zero copies
+    for ``bytes`` blocks, timestamps, and log-entry tuples; a pickle
+    round-trip only for unknown mutable types) and ``load`` rebuilds a
+    fresh value from the snapshot.
 
     Journalled keys (:meth:`append` / :meth:`load_journal`) hold an
     append-only list of small delta records, letting the replica log
     persist O(1) per mutation instead of rewriting its full state.
 
-    ``size_bytes`` is maintained incrementally on every mutation — the
-    seed re-pickled the entire store per call, which made GC accounting
-    itself O(store).  ``store_count`` / ``load_count`` / ``bytes_copied``
-    expose the store's churn to the simcore benchmark: ``bytes_copied``
-    counts payload bytes physically duplicated (buffer copies and pickle
-    blobs), which the copy-on-write path drives to near zero.
+    ``size_bytes`` is maintained incrementally on every mutation, so
+    GC accounting is not itself O(store).  ``store_count`` /
+    ``load_count`` / ``bytes_copied`` expose the store's churn:
+    ``bytes_copied`` counts payload bytes physically duplicated (buffer
+    copies and pickle blobs), which copy-on-write keeps near zero.
 
-    **Corruption envelope** (``"cow"`` mode only): every stored value
-    and journal record carries a CRC32 fingerprint computed at write
-    time.  Reads re-verify when ``verify_checksums`` is true (default):
+    **Corruption envelope**: every stored value and journal record
+    carries a CRC32 fingerprint computed at write time.  Reads re-verify when ``verify_checksums`` is true (default):
     a mismatch quarantines the key and raises
     :class:`~repro.errors.CorruptionDetected` instead of thawing
     garbage.  A torn trailing journal record (:meth:`tear_journal`) is
@@ -100,7 +92,6 @@ class StableStore:
     """
 
     __slots__ = (
-        "mode",
         "verify_checksums",
         "_data",
         "_crcs",
@@ -114,12 +105,7 @@ class StableStore:
         "quarantined",
     )
 
-    def __init__(self, mode: str = "cow", verify_checksums: bool = True) -> None:
-        if mode not in ("cow", "deepcopy"):
-            raise ConfigurationError(
-                f"unknown StableStore mode {mode!r}; want 'cow' or 'deepcopy'"
-            )
-        self.mode = mode
+    def __init__(self, verify_checksums: bool = True) -> None:
         self.verify_checksums = verify_checksums
         self._data: Dict[str, Any] = {}
         self._crcs: Dict[str, int] = {}
@@ -144,16 +130,10 @@ class StableStore:
         """Atomically persist ``value`` under ``key`` (replacing it)."""
         self.store_count += 1
         self.quarantined.discard(key)  # overwrite repairs a bad cell
-        if self.mode == "deepcopy":
-            size = estimate_size(value)
-            self._data[key] = copy.deepcopy(value)
-            self._crcs.pop(key, None)
-            self.bytes_copied += size
-        else:
-            frozen, size, copied = freeze(value)
-            self._data[key] = frozen
-            self._crcs[key] = fingerprint(frozen)
-            self.bytes_copied += copied
+        frozen, size, copied = freeze(value)
+        self._data[key] = frozen
+        self._crcs[key] = fingerprint(frozen)
+        self.bytes_copied += copied
         self._account(key, size)
 
     def load(self, key: str, default: Any = None) -> Any:
@@ -168,17 +148,12 @@ class StableStore:
         stored = self._data[key]
         if type(stored) is _JournalCell:
             return self._read_journal(key, stored)
-        if self.mode == "deepcopy":
-            self.bytes_copied += self._sizes.get(key, 0)
-            return copy.deepcopy(stored)
-        if self.verify_checksums:
-            crc = self._crcs.get(key)
-            if crc is not None and fingerprint(stored) != crc:
-                self.checksum_failures += 1
-                self.quarantined.add(key)
-                raise CorruptionDetected(
-                    f"checksum mismatch loading key {key!r}", key=key
-                )
+        if self.verify_checksums and fingerprint(stored) != self._crcs[key]:
+            self.checksum_failures += 1
+            self.quarantined.add(key)
+            raise CorruptionDetected(
+                f"checksum mismatch loading key {key!r}", key=key
+            )
         return thaw(stored)
 
     # -- journalled keys ---------------------------------------------------
@@ -204,7 +179,7 @@ class StableStore:
             cell.crcs.pop()
         frozen, size, copied = freeze(record)
         cell.records.append(frozen)
-        cell.crcs.append(fingerprint(frozen) if self.mode == "cow" else None)
+        cell.crcs.append(fingerprint(frozen))
         self.bytes_copied += copied
         self._account(key, self._sizes.get(key, 0) + size)
 
@@ -231,7 +206,7 @@ class StableStore:
             self.torn_dropped += 1
         if self.verify_checksums:
             for record, crc in zip(cell.records, cell.crcs):
-                if crc is not None and fingerprint(record) != crc:
+                if fingerprint(record) != crc:
                     self.checksum_failures += 1
                     self.quarantined.add(key)
                     raise CorruptionDetected(
@@ -258,9 +233,7 @@ class StableStore:
             self.store_count += 1
             frozen, record_size, copied = freeze(record)
             cell.records.append(frozen)
-            cell.crcs.append(
-                fingerprint(frozen) if self.mode == "cow" else None
-            )
+            cell.crcs.append(fingerprint(frozen))
             self.bytes_copied += copied
             size += record_size
         self._account(key, size)
@@ -270,8 +243,8 @@ class StableStore:
     def verify(self, key: str) -> bool:
         """Check ``key``'s envelope without loading or raising.
 
-        True for absent keys, unchecksummed (deepcopy-mode) cells, and
-        clean cells; False exactly when a checksum mismatch exists.  A
+        True for absent keys and clean cells; False exactly when a
+        checksum mismatch exists.  A
         torn tail is not corruption (it self-truncates on read).  The
         scrubber's detection primitive: cheap, side-effect-free.
         """
@@ -283,11 +256,10 @@ class StableStore:
             if records and type(records[-1]) is _TornRecord:
                 records, crcs = records[:-1], crcs[:-1]
             return all(
-                crc is None or fingerprint(record) == crc
+                fingerprint(record) == crc
                 for record, crc in zip(records, crcs)
             )
-        crc = self._crcs.get(key)
-        return crc is None or fingerprint(stored) == crc
+        return fingerprint(stored) == self._crcs[key]
 
     def corrupt(self, key: str, seed: int = 0) -> bool:
         """Inject a silent bit flip into ``key``'s stored payload.
@@ -391,8 +363,6 @@ class Node(Endpoint):
         network: the network to register with (legacy form).
         process_id: this node's id in ``1..n``.
         metrics: metric sink; defaults to the transport's.
-        store_mode: :class:`StableStore` mode (``"cow"`` or the seed's
-            ``"deepcopy"``).
         verify_checksums: verify stable-store envelopes on read
             (default True; False is the corruption escape hatch).
         transport: substrate for the keyword form.
@@ -404,7 +374,6 @@ class Node(Endpoint):
         network: Optional[Network] = None,
         process_id: Optional[ProcessId] = None,
         metrics: Optional[Metrics] = None,
-        store_mode: str = "cow",
         verify_checksums: bool = True,
         *,
         transport: Optional[Transport] = None,
@@ -423,6 +392,4 @@ class Node(Endpoint):
         if process_id is None:
             raise ConfigurationError("Node requires a process_id")
         super().__init__(transport, process_id, metrics)
-        self.stable = StableStore(
-            mode=store_mode, verify_checksums=verify_checksums
-        )
+        self.stable = StableStore(verify_checksums=verify_checksums)

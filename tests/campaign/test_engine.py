@@ -2,6 +2,9 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from repro.campaign import (
     CampaignConfig,
@@ -28,21 +31,6 @@ class TestCorrectConfig:
         second = run_campaign(replace(QUICK, seed=11))
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
         assert first.schedule.to_dict() == second.schedule.to_dict()
-
-    def test_deterministic_across_delivery_sweeps(self):
-        """Batched delivery sweeps are a pure scheduling optimization:
-        every counter of a fixed-seed campaign is bit-identical with
-        sweeps on and off."""
-        for seed in range(3):
-            swept = run_campaign(
-                replace(QUICK, seed=seed, delivery_sweeps=True)
-            )
-            unswept = run_campaign(
-                replace(QUICK, seed=seed, delivery_sweeps=False)
-            )
-            assert json.dumps(swept.to_dict()) == json.dumps(
-                unswept.to_dict()
-            ), f"sweeps changed campaign outcome at seed {seed}"
 
     def test_campaign_exercises_faults_and_recoveries(self):
         result = run_campaign(replace(QUICK, seed=0))
@@ -83,3 +71,21 @@ class TestBrokenConfig:
         result = run_campaign(cfg, schedule=CampaignSchedule())
         assert not result.ok
         assert result.violations[0].time == 0.0
+
+
+class TestKnownFindings:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open finding: seed 8010 reads v35 on register 3 block 1 "
+        "after the write of v39 completed; root cause not yet fixed",
+    )
+    def test_seed8010_shrunk_schedule_is_linearizable(self):
+        """The 18-event schedule of ``CampaignConfig(seed=8010)``,
+        shrunk to 10 events by ``shrink_schedule`` (57 runs).  The fix
+        flips this test; until then nothing may mask or move it."""
+        schedule = CampaignSchedule.from_json(
+            (Path(__file__).parent / "reproducers" / "seed8010.json")
+            .read_text()
+        )
+        result = run_campaign(CampaignConfig(seed=8010), schedule=schedule)
+        assert result.ok, [v.detail for v in result.violations]

@@ -35,6 +35,17 @@ class TestConstruction:
         normal = cluster.coordinators[1].ts_source
         assert skewed.new_ts().time > normal.new_ts().time
 
+    def test_clusters_from_one_config_do_not_share_network_state(self):
+        """A mid-run drop window on one cluster must not leak into its
+        config, nor into a sibling built from the same config (sharded
+        groups all derive from one ``ClusterConfig``)."""
+        config = ClusterConfig()
+        a, b = FabCluster(config), FabCluster(config)
+        a.network.set_drop_probability(0.5)
+        assert a.network.config.drop_probability == 0.5
+        assert b.network.config.drop_probability == 0.0
+        assert config.network.drop_probability == 0.0
+
     def test_live_processes(self):
         cluster = make_cluster()
         assert cluster.live_processes() == [1, 2, 3, 4, 5]

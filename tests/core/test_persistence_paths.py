@@ -1,154 +1,28 @@
-"""Seed-vs-fast simulator path equivalence.
+"""The copy-on-write store + journal persistence path, pinned.
 
-The copy-on-write stable store and the journal log persistence are pure
-performance work: for identical seeds, the seed path (``deepcopy`` +
-full-log re-store) and the fast path (``cow`` + journal) must produce
-identical operation histories, identical metric totals, and identical
-recovered replica state — including runs with crashes, GC, and message
-drops.  These tests pin that equivalence so future fast-path work
-cannot silently change protocol behaviour.
+The copy-on-write stable store and the journal log persistence replaced
+the seed's ``deepcopy`` store and full-log re-store as pure performance
+work.  That they changed no operation history, metric total or
+recovered replica state — including under crashes, GC and message
+drops — is pinned by the ``crash-gc-drop/*`` cases of the fixed-seed
+golden (:mod:`tests.golden.record`, recorded while both paths still
+existed and agreed).  This module keeps what a recorded value cannot
+say: the path reproduces itself, and journal compaction loses nothing.
 """
 
-import pytest
-
-from repro.core.cluster import ClusterConfig, FabCluster
-from repro.core.coordinator import CoordinatorConfig
-from repro.sim.network import NetworkConfig
-
-#: path name -> (store_mode, persistence), mirroring analysis.simcore.
-PATHS = {
-    "seed": ("deepcopy", "full"),
-    "fast": ("cow", "journal"),
-}
-
-M, N = 2, 4
-BLOCK = 32
-REGISTERS = 4
+from tests.golden.record import (
+    make_cluster,
+    metric_totals,
+    recovered_states,
+    run_workload,
+    stripe_for,
+)
 
 
-def make_cluster(path, drop=0.0, gc=False, seed=7):
-    store_mode, persistence = PATHS[path]
-    return FabCluster(
-        ClusterConfig(
-            m=M,
-            n=N,
-            block_size=BLOCK,
-            seed=seed,
-            store_mode=store_mode,
-            persistence=persistence,
-            network=NetworkConfig(jitter_seed=seed, drop_probability=drop),
-            coordinator=CoordinatorConfig(gc_enabled=gc),
-        )
-    )
-
-
-def stripe_for(rid, version):
-    return [
-        bytes([65 + (rid + version + j) % 26]) * BLOCK for j in range(M)
-    ]
-
-
-def run_workload(cluster, crash_pid=None):
-    """A deterministic mixed workload; returns the visible op history.
-
-    Writes and reads round-robin over registers; midway, brick
-    ``crash_pid`` crashes (missing several writes, which forces the
-    slow-path recovery read on it later) and then recovers, exercising
-    the stable-storage reload on whichever persistence path is active.
-    """
-    handles = [cluster.register(rid) for rid in range(REGISTERS)]
-    history = []
-    for step in range(40):
-        rid = step % REGISTERS
-        if crash_pid is not None and step == 12:
-            cluster.crash(crash_pid)
-        if crash_pid is not None and step == 28:
-            cluster.recover(crash_pid)
-        if step % 5 == 4:
-            history.append(("read", rid, handles[rid].read_stripe()))
-        elif step % 7 == 6:
-            block = bytes([97 + step % 26]) * BLOCK
-            history.append(
-                ("write-block", rid, handles[rid].write_block(0, block))
-            )
-        else:
-            history.append(
-                ("write", rid, handles[rid].write_stripe(stripe_for(rid, step)))
-            )
-    return history
-
-
-def metric_totals(cluster):
-    metrics = cluster.metrics
-    return {
-        "messages": metrics.total_messages,
-        "bytes": metrics.total_bytes,
-        "disk_reads": metrics.total_disk_reads,
-        "disk_writes": metrics.total_disk_writes,
-        "dropped": metrics.dropped_messages,
-        "retransmissions": metrics.total_retransmissions,
-        "ops": (metrics.ops_started, metrics.ops_finished),
-        "now": cluster.env.now,
-        "events": cluster.env.events_processed,
-    }
-
-
-def recovered_states(cluster):
-    """Every replica's state as observed after a crash + recovery.
-
-    Crashing first forces the reload path, so on the journal path this
-    checks what ``replay_journal`` actually reconstructs from stable
-    storage, not the volatile mirror.
-    """
-    states = {}
-    for pid, node in cluster.nodes.items():
-        if not node.is_up:
-            node.recover()
-        node.crash()
-        node.recover()
-        replica = cluster.replicas[pid]
-        for rid in range(REGISTERS):
-            state = replica.state(rid)
-            states[(pid, rid)] = (state.ord_ts, state.log.to_state())
-    return states
-
-
-def assert_equivalent(seed_cluster, fast_cluster, seed_hist, fast_hist):
-    assert seed_hist == fast_hist
-    assert metric_totals(seed_cluster) == metric_totals(fast_cluster)
-    assert recovered_states(seed_cluster) == recovered_states(fast_cluster)
-
-
-class TestPathEquivalence:
-    def test_plain_run(self):
-        seed_cluster, fast_cluster = make_cluster("seed"), make_cluster("fast")
-        assert_equivalent(
-            seed_cluster, fast_cluster,
-            run_workload(seed_cluster), run_workload(fast_cluster),
-        )
-
-    def test_with_crash_and_gc(self):
-        seed_cluster = make_cluster("seed", gc=True)
-        fast_cluster = make_cluster("fast", gc=True)
-        assert_equivalent(
-            seed_cluster, fast_cluster,
-            run_workload(seed_cluster, crash_pid=3),
-            run_workload(fast_cluster, crash_pid=3),
-        )
-
-    def test_with_drops_and_crash(self):
-        seed_cluster = make_cluster("seed", drop=0.05, gc=True)
-        fast_cluster = make_cluster("fast", drop=0.05, gc=True)
-        assert_equivalent(
-            seed_cluster, fast_cluster,
-            run_workload(seed_cluster, crash_pid=4),
-            run_workload(fast_cluster, crash_pid=4),
-        )
-
-    @pytest.mark.parametrize("path", sorted(PATHS))
-    def test_same_seed_reproduces_itself(self, path):
-        first = make_cluster(path, drop=0.05, gc=True)
-        second = make_cluster(path, drop=0.05, gc=True)
+class TestJournalPath:
+    def test_same_seed_reproduces_itself(self):
+        first = make_cluster(drop=0.05, gc=True)
+        second = make_cluster(drop=0.05, gc=True)
         assert run_workload(first, crash_pid=2) == run_workload(
             second, crash_pid=2
         )
@@ -158,7 +32,7 @@ class TestPathEquivalence:
     def test_journal_compaction_preserves_state(self):
         """GC-heavy runs compact the journal; recovered state must match
         the live log exactly afterwards."""
-        cluster = make_cluster("fast", gc=True)
+        cluster = make_cluster(gc=True)
         handle = cluster.register(0)
         for version in range(60):
             handle.write_stripe(stripe_for(0, version))
@@ -172,4 +46,4 @@ class TestPathEquivalence:
         # Compaction actually happened: the journal is bounded well
         # below one record per historical mutation.
         journal = cluster.nodes[1].stable
-        assert journal.journal_len("logj:0") < 60
+        assert journal.journal_len(replica.log_key(0)) < 60

@@ -319,7 +319,7 @@ class TestJournalByteBudget:
 
         h = Harness()
         block = b"x" * 512  # one append record dwarfs the byte budget
-        key = h.replica._journal_key(0)
+        key = h.replica.log_key(0)
         for t in range(1, 31):
             h.send(WriteReq(
                 register_id=0, request_id=t, block=block, ts=ts(t)
@@ -346,7 +346,7 @@ class TestJournalByteBudget:
         from repro.core.replica import _JOURNAL_MIN_BYTES
 
         h = Harness()
-        key = h.replica._journal_key(0)
+        key = h.replica.log_key(0)
         lengths = []
         for t in range(1, 9):
             h.send(WriteReq(

@@ -32,14 +32,7 @@ def brick_is_clean(cluster, pid, register_id):
     node = cluster.nodes[pid]
     if register_id in replica.quarantined:
         return False
-    return all(
-        node.stable.verify(key)
-        for key in (
-            replica._journal_key(register_id),
-            replica._log_key(register_id),
-        )
-        if key in node.stable
-    )
+    return node.stable.verify(replica.log_key(register_id))
 
 
 class TestDegradedReads:

@@ -1,31 +1,22 @@
-"""GF(2^8) kernel backends: registry, primitives, cross-backend identity.
+"""GF(2^8) bulk kernels: primitives and coders against the masked oracle.
 
-The kernels are only allowed to differ in speed — every backend must be
-bit-for-bit identical to the masked reference on every operation of
-every registered coder.  The property tests here drive random
-encode/decode/modify/delta round-trips through all three backends and
-compare outputs byte for byte.
+The two implementations behind :mod:`repro.erasure.kernels` are only
+allowed to differ in speed — on either side of the length crossover,
+every operation of every registered coder must be bit-for-bit identical
+to the masked reference in :mod:`tests.erasure.oracle`.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.erasure import make_code
-from repro.erasure.interface import ErasureCode
-from repro.erasure.kernels import (
-    BytesKernel,
-    Kernel,
-    MaskedKernel,
-    TableKernel,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-)
-from repro.erasure import kernels as kernels_module
-from repro.errors import CodingError, ConfigurationError
-
-BACKENDS = ["masked", "table", "bytes"]
+from repro.erasure import kernels, make_code
+from repro.erasure.kernels import CROSSOVER_BYTES
+from repro.errors import CodingError
+from tests.erasure import oracle
 
 #: Every registered coder kind at a representative geometry.
 CODER_GEOMETRIES = [
@@ -34,6 +25,12 @@ CODER_GEOMETRIES = [
     ("lrc", 4, 8),
     ("parity", 3, 4),
     ("replication", 1, 3),
+]
+
+#: Block lengths around the dispatch boundary.
+BOUNDARY_WIDTHS = [
+    1, CROSSOVER_BYTES - 1, CROSSOVER_BYTES, CROSSOVER_BYTES + 1,
+    4 * CROSSOVER_BYTES,
 ]
 
 
@@ -46,180 +43,98 @@ def tolerated_erasures(kind: str, m: int, n: int) -> int:
     return (n - m) // 2 if kind == "lrc" else n - m
 
 
-class TestRegistry:
-    def test_available_kernels(self):
-        names = available_kernels()
-        for name in ("auto", "table", "masked", "bytes"):
-            assert name in names
-
-    def test_unknown_kernel_raises(self):
-        with pytest.raises(ConfigurationError):
-            get_kernel("simd")
-
-    def test_instances_are_shared(self):
-        assert get_kernel("table") is get_kernel("table")
-        assert get_kernel("bytes") is get_kernel("bytes")
-
-    def test_auto_prefers_table_with_numpy(self):
-        assert get_kernel("auto").name == "table"
-
-    def test_auto_falls_back_to_bytes_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "np", None)
-        assert get_kernel("auto").name == "bytes"
-
-    def test_numpy_kernels_refuse_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "np", None)
-        with pytest.raises(ConfigurationError):
-            TableKernel()
-        with pytest.raises(ConfigurationError):
-            MaskedKernel()
-
-    def test_register_custom_kernel(self):
-        class MyKernel(BytesKernel):
-            name = "my-kernel"
-
-        register_kernel("my-kernel", MyKernel)
-        assert isinstance(get_kernel("my-kernel"), MyKernel)
-        assert "my-kernel" in available_kernels()
-
-    def test_register_rejects_non_kernel(self):
-        with pytest.raises(ConfigurationError):
-            register_kernel("bogus", dict)
-
-    def test_code_reports_resolved_backend(self):
-        assert make_code(3, 6, backend="auto").backend == "table"
-        assert make_code(3, 6, backend="bytes").backend == "bytes"
-
-    def test_code_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            make_code(3, 6, backend="simd")
+def oracle_kernels():
+    """Context manager: the coders' kernel calls go to the oracle."""
+    return mock.patch.multiple(
+        kernels, **{name: getattr(oracle, name) for name in oracle.FUNCTIONS}
+    )
 
 
 class TestKernelPrimitives:
-    """matmul/scale/addmul/xor agree across backends on random inputs."""
+    """matmul/scale/addmul/xor agree with the oracle on random inputs."""
 
     def _random_blocks(self, rng, count, width):
-        return [
-            bytes(rng.randrange(256) for _ in range(width))
-            for _ in range(count)
-        ]
+        return [rng.randbytes(width) for _ in range(count)]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matmul_matches_masked(self, backend):
+    def test_matmul_matches_oracle(self):
         rng = random.Random(7)
-        reference = get_kernel("masked")
-        kernel = get_kernel(backend)
-        for _ in range(15):
+        for _ in range(25):
             rows = rng.randrange(0, 5)
             cols = rng.randrange(1, 5)
-            width = rng.choice([1, 7, 64, 257])
+            width = rng.choice([7, 64, 257] + BOUNDARY_WIDTHS)
             coeffs = [
                 [rng.randrange(256) for _ in range(cols)]
                 for _ in range(rows)
             ]
             blocks = self._random_blocks(rng, cols, width)
-            assert kernel.matmul(coeffs, blocks) == reference.matmul(
+            assert kernels.matmul(coeffs, blocks) == oracle.matmul(
                 coeffs, blocks
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_scale_addmul_xor_match_masked(self, backend):
+    @pytest.mark.parametrize("width", [64, 113] + BOUNDARY_WIDTHS)
+    def test_scale_addmul_xor_match_oracle(self, width):
         rng = random.Random(11)
-        reference = get_kernel("masked")
-        kernel = get_kernel(backend)
         for scalar in [0, 1, 2, 255] + [rng.randrange(256) for _ in range(8)]:
-            a, b = self._random_blocks(rng, 2, 113)
-            assert kernel.scale(scalar, a) == reference.scale(scalar, a)
-            assert kernel.addmul(a, scalar, b) == reference.addmul(
-                a, scalar, b
-            )
-            assert kernel.xor(a, b) == reference.xor(a, b)
-        blocks = self._random_blocks(rng, 5, 64)
-        assert kernel.xor_all(blocks) == reference.xor_all(blocks)
+            a, b = self._random_blocks(rng, 2, width)
+            assert kernels.scale(scalar, a) == oracle.scale(scalar, a)
+            assert kernels.addmul(a, scalar, b) == oracle.addmul(a, scalar, b)
+            assert kernels.xor(a, b) == oracle.xor(a, b)
+        blocks = self._random_blocks(rng, 5, width)
+        assert kernels.xor_all(blocks) == oracle.xor_all(blocks)
+        assert kernels.xor_all(blocks[:1]) == blocks[0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matmul_dimension_mismatch(self, backend):
-        kernel = get_kernel(backend)
+    def test_matmul_dimension_mismatch(self):
         with pytest.raises(CodingError):
-            kernel.matmul([[1, 2]], [b"xy"])
+            kernels.matmul([[1, 2]], [b"xy"])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matmul_zero_rows(self, backend):
-        kernel = get_kernel(backend)
-        assert kernel.matmul([], [b"xy", b"ab"]) == []
+    def test_matmul_zero_rows(self):
+        assert kernels.matmul([], [b"xy", b"ab"]) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matmul_zero_row_output_is_zero(self, backend):
-        kernel = get_kernel(backend)
-        assert kernel.matmul([[0, 0]], [b"xy", b"ab"]) == [b"\x00\x00"]
+    @pytest.mark.parametrize("width", [2, CROSSOVER_BYTES])
+    def test_matmul_zero_row_output_is_zero(self, width):
+        blocks = [b"x" * width, b"a" * width]
+        assert kernels.matmul([[0, 0]], blocks) == [bytes(width)]
 
 
-class TestCrossBackendCoders:
-    """Every registered coder is byte-identical across all backends."""
+class TestCodersMatchOracle:
+    """Every coder, on both sides of the crossover, equals the oracle."""
 
-    def _stripe(self, rng, m, width):
-        return [
-            bytes(rng.randrange(256) for _ in range(width))
-            for _ in range(m)
-        ]
-
-    @pytest.mark.parametrize("kind,m,n", CODER_GEOMETRIES)
-    def test_encode_decode_identical(self, kind, m, n):
-        rng = random.Random(sum(kind.encode()))
-        codes = {b: make_code(m, n, kind, backend=b) for b in BACKENDS}
-        for trial in range(5):
-            width = rng.choice([1, 16, 129])
-            stripe = self._stripe(rng, m, width)
-            encodings = {
-                b: code.encode(stripe) for b, code in codes.items()
-            }
-            reference = encodings["masked"]
-            assert all(enc == reference for enc in encodings.values())
-            keep = n - tolerated_erasures(kind, m, n)
-            survivors = rng.sample(range(1, n + 1), keep)
-            blocks = {i: reference[i - 1] for i in survivors}
-            for backend, code in codes.items():
-                assert code.decode(blocks) == stripe, backend
-
-    @pytest.mark.parametrize("kind,m,n", CODER_GEOMETRIES)
-    def test_modify_and_delta_identical(self, kind, m, n):
-        rng = random.Random(1 + sum(kind.encode()))
-        codes = {b: make_code(m, n, kind, backend=b) for b in BACKENDS}
-        width = 33
-        stripe = self._stripe(rng, m, width)
-        encoded = codes["masked"].encode(stripe)
-        new_block = bytes(rng.randrange(256) for _ in range(width))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometry=st.sampled_from(CODER_GEOMETRIES),
+        width=st.sampled_from(BOUNDARY_WIDTHS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_every_operation_is_byte_identical(self, geometry, width, seed):
+        kind, m, n = geometry
+        rng = random.Random(seed)
+        code = make_code(m, n, kind)
+        stripe = [rng.randbytes(width) for _ in range(m)]
+        new_block = rng.randbytes(width)
         index = rng.randrange(1, m + 1)
-        for j in range(m + 1, n + 1):
-            modified = {
-                b: code.modify(
+        erasures = rng.randrange(tolerated_erasures(kind, m, n) + 1)
+        survivors = rng.sample(range(1, n + 1), n - erasures)
+
+        def run():
+            encoded = code.encode(stripe)
+            decoded = code.decode({i: encoded[i - 1] for i in survivors})
+            modified, via_delta = [], []
+            for j in range(m + 1, n + 1):
+                modified.append(code.modify(
                     index, j, stripe[index - 1], new_block, encoded[j - 1]
-                )
-                for b, code in codes.items()
-            }
-            reference = modified["masked"]
-            assert all(out == reference for out in modified.values())
-            deltas = {
-                b: code.encode_delta(index, stripe[index - 1], new_block)
-                for b, code in codes.items()
-                if hasattr(code, "encode_delta")
-            }
-            for backend, delta in deltas.items():
-                applied = codes[backend].apply_delta(
-                    index, j, delta, encoded[j - 1]
-                )
-                assert applied == reference, backend
+                ))
+                if hasattr(code, "encode_delta"):
+                    delta = code.encode_delta(
+                        index, stripe[index - 1], new_block
+                    )
+                    via_delta.append(
+                        code.apply_delta(index, j, delta, encoded[j - 1])
+                    )
+            return encoded, decoded, modified, via_delta
 
-    def test_bytes_backend_works_without_numpy(self, monkeypatch):
-        """The pure-bytes coder path must never touch numpy."""
-        monkeypatch.setattr(kernels_module, "np", None)
-        kernel = get_kernel("bytes")
-        assert isinstance(kernel, BytesKernel)
-        blocks = [b"\x01\x02\x03", b"\x04\x05\x06"]
-        out = kernel.matmul([[3, 7], [1, 1]], blocks)
-        assert len(out) == 2 and len(out[0]) == 3
-
-    def test_kernel_base_class_contract(self):
-        assert issubclass(TableKernel, Kernel)
-        assert issubclass(MaskedKernel, Kernel)
-        assert issubclass(BytesKernel, Kernel)
+        result = run()
+        with oracle_kernels():
+            expected = run()
+        assert result == expected
+        assert result[1] == stripe
+        assert not result[3] or result[3] == result[2]

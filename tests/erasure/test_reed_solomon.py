@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.erasure.kernels import CROSSOVER_BYTES
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.errors import CodingError
 
@@ -67,6 +68,14 @@ class TestEncodeDecode:
         code = ReedSolomonCode(2, 3)
         with pytest.raises(CodingError):
             code.encode([b"aa", b"bbb"])
+        # The kernels pick an implementation from the first block's
+        # length, which is sound only because stripes straddling the
+        # crossover never reach them.
+        short, long = bytes(CROSSOVER_BYTES - 1), bytes(CROSSOVER_BYTES + 1)
+        with pytest.raises(CodingError):
+            code.encode([short, long])
+        with pytest.raises(CodingError):
+            code.decode({1: short, 3: long})
 
     def test_decode_from_data_blocks(self):
         code = ReedSolomonCode(3, 5)
@@ -208,6 +217,9 @@ class TestModify:
         code = ReedSolomonCode(2, 4)
         with pytest.raises(CodingError):
             code.modify(1, 3, b"aa", b"b", b"cc")
+        short, long = bytes(CROSSOVER_BYTES - 1), bytes(CROSSOVER_BYTES + 1)
+        with pytest.raises(CodingError):
+            code.modify(1, 3, short, short, long)
 
 
 class TestDeltaOptimization:

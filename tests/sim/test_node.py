@@ -58,19 +58,12 @@ class TestStableStore:
         store.store("a", b"x" * 10)
         assert store.size_bytes() < big
 
-    def test_unknown_mode_rejected(self):
-        from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            StableStore(mode="magnetic-tape")
-
-
-@pytest.mark.parametrize("mode", ["cow", "deepcopy"])
 class TestStableStoreAliasing:
-    """Stored values must be detached from live memory in both modes."""
+    """Stored values must be detached from live memory."""
 
-    def test_mutating_after_store_does_not_change_disk(self, mode):
-        store = StableStore(mode=mode)
+    def test_mutating_after_store_does_not_change_disk(self):
+        store = StableStore()
         block = bytearray(b"v1" * 16)
         state = [(1, block), (2, None)]
         store.store("log:0", state)
@@ -78,20 +71,20 @@ class TestStableStoreAliasing:
         state.append((3, b"late"))
         assert store.load("log:0") == [(1, bytearray(b"v1" * 16)), (2, None)]
 
-    def test_mutating_after_load_does_not_change_disk(self, mode):
-        store = StableStore(mode=mode)
+    def test_mutating_after_load_does_not_change_disk(self):
+        store = StableStore()
         store.store("log:0", [(1, bytearray(b"abc"))])
         loaded = store.load("log:0")
         loaded[0][1][0:1] = b"Z"
         loaded.append((9, b"junk"))
         assert store.load("log:0") == [(1, bytearray(b"abc"))]
 
-    def test_post_crash_recovery_observes_stored_snapshot(self, mode):
+    def test_post_crash_recovery_observes_stored_snapshot(self):
         """The satellite regression: mutation after store()/load() must
         not change what a post-crash recover() observes."""
         env = Environment()
         network = Network(env, NetworkConfig())
-        node = Node(env, network, 1, store_mode=mode)
+        node = Node(env, network, 1)
         block = bytearray(b"durable!")
         node.stable.store("log:7", [(5, block)])
         leaked = node.stable.load("log:7")
@@ -101,8 +94,8 @@ class TestStableStoreAliasing:
         node.recover()
         assert node.stable.load("log:7") == [(5, bytearray(b"durable!"))]
 
-    def test_journal_records_are_detached(self, mode):
-        store = StableStore(mode=mode)
+    def test_journal_records_are_detached(self):
+        store = StableStore()
         record = ["a", 1, bytearray(b"block")]
         store.append("logj:0", record)
         record[2][:] = b"XXXXX"
@@ -124,24 +117,16 @@ class TestStableStoreCounters:
 
     def test_cow_shares_immutable_payloads(self):
         """bytes blocks and atom tuples are snapshotted without copying."""
-        store = StableStore(mode="cow")
+        store = StableStore()
         store.store("block", b"x" * 4096)
         store.store("state", [(1, b"y" * 4096), (2, None)])
         store.load("block")
         store.load("state")
         assert store.bytes_copied == 0
 
-    def test_deepcopy_pays_per_access(self):
-        store = StableStore(mode="deepcopy")
-        store.store("block", [b"x" * 4096])
-        first = store.bytes_copied
-        assert first >= 4096
-        store.load("block")
-        assert store.bytes_copied >= 2 * 4096
-
     def test_journal_append_is_incremental(self):
         """Appending to a journal accounts only the new record's size."""
-        store = StableStore(mode="cow")
+        store = StableStore()
         store.append("logj:0", ("a", 1, b"x" * 1024))
         one = store.size_bytes()
         store.append("logj:0", ("a", 2, b"x" * 1024))

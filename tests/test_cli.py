@@ -45,58 +45,6 @@ class TestCli:
         assert "scripted coordinator crash" in out
         assert "throughput vs max_inflight" in out_file.read_text()
 
-    def test_simcore(self, capsys, tmp_path):
-        import json
-
-        json_file = tmp_path / "simcore.json"
-        out_file = tmp_path / "simcore.txt"
-        assert main([
-            "simcore", "--pairs", "2,4", "--ops", "40",
-            "--json", str(json_file), "--out", str(out_file),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "Simulator-core profile" in out
-        assert "fast-vs-seed ops/sec speedup" in out
-        payload = json.loads(json_file.read_text())
-        assert payload["benchmark"] == "simcore"
-        assert {case["path"] for case in payload["cases"]} == {"seed", "fast"}
-        assert "(2,4)x40" in payload["speedup_fast_over_seed"]
-        assert "Simulator-core profile" in out_file.read_text()
-
-    def test_erasure_bench(self, capsys, tmp_path):
-        import json
-
-        json_file = tmp_path / "erasure.json"
-        out_file = tmp_path / "erasure.txt"
-        assert main([
-            "erasure-bench", "--pairs", "2,4", "--block-sizes", "1024",
-            "--budget-mib", "0.25",
-            "--json", str(json_file), "--out", str(out_file),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "Erasure-kernel throughput" in out
-        assert "table-vs-masked encode speedup" in out
-        payload = json.loads(json_file.read_text())
-        assert payload["benchmark"] == "erasure"
-        assert {case["backend"] for case in payload["cases"]} == {
-            "masked", "table", "bytes"
-        }
-        assert "reed-solomon(2,4)x1024" in payload[
-            "speedup_table_over_masked"
-        ]
-        assert "Erasure-kernel throughput" in out_file.read_text()
-
-    def test_erasure_bench_min_speedup_gate(self, capsys, tmp_path):
-        json_file = tmp_path / "erasure.json"
-        # An impossible bar exits 1; the headline cell is auto-appended.
-        assert main([
-            "erasure-bench", "--pairs", "2,4", "--block-sizes", "1024",
-            "--budget-mib", "0.25", "--min-speedup", "1e9",
-            "--json", str(json_file),
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
@@ -106,6 +54,5 @@ class TestCli:
         help_text = parser.format_help()
         for command in (
             "figure2", "figure3", "table1", "demo", "scrub", "pipeline",
-            "simcore", "erasure-bench",
         ):
             assert command in help_text
