@@ -35,7 +35,7 @@ from ..quorum.strategy import QuorumStrategy, RandomQuorumStrategy
 from ..quorum.system import MajorityMQuorumSystem
 from ..sim.monitor import Metrics
 from ..sim.node import Node
-from ..transport.base import Transport
+from ..transport.base import TimerHandle, Transport
 from ..timestamps import HIGH_TS, LOW_TS, Timestamp, TimestampSource
 from ..types import ABORT, Block, ProcessId
 from .messages import (
@@ -122,6 +122,14 @@ class _PendingCall:
         self.finished = False
         self.expired = False
         self._grace_started = False
+        #: Retransmit / op_timeout / grace timers still armed for this
+        #: phase; cancelled on completion so the kernel heap stops
+        #: pinning the call, its reply map and the request closures.
+        self._timers: Dict[str, TimerHandle] = {}
+
+    def arm(self, role: str, delay: float, callback: Callable[[], None]) -> None:
+        """Arm this phase's ``role`` timer (replacing its previous one)."""
+        self._timers[role] = self.transport.set_timer(delay, callback)
 
     def on_reply(self, src: ProcessId, reply: object) -> None:
         if self.finished or src in self.replies:
@@ -140,12 +148,15 @@ class _PendingCall:
                 self._finish()
             elif not self._grace_started:
                 self._grace_started = True
-                self.transport.set_timer(self.grace, self._finish)
+                self.arm("grace", self.grace, self._finish)
 
     def _finish(self) -> None:
         if self.finished:
             return
         self.finished = True
+        for handle in self._timers.values():
+            handle.cancel()
+        self._timers.clear()
         self.complete.succeed(dict(self.replies))
 
     def expire(self) -> None:
@@ -240,14 +251,14 @@ class QuorumRpc:
                 return
             self.node.metrics.count_retransmission()
             transmit()
-            self.transport.set_timer(
-                self.config.retransmit_interval, retransmit_loop
+            call.arm(
+                "retransmit", self.config.retransmit_interval, retransmit_loop
             )
 
         transmit()
-        self.transport.set_timer(self.config.retransmit_interval, retransmit_loop)
+        call.arm("retransmit", self.config.retransmit_interval, retransmit_loop)
         if self.config.op_timeout is not None:
-            self.transport.set_timer(self.config.op_timeout, call.expire)
+            call.arm("op_timeout", self.config.op_timeout, call.expire)
 
         replies = yield call.complete
         del self._pending[request_id]

@@ -10,7 +10,7 @@ The FAB coordinator/replica/session code speaks only the
   (:class:`AsyncioTransport`); hosts real concurrent clients
   (``repro serve``).
 * ``"asyncio-tcp"`` — same, but messages travel as length-prefixed
-  JSON frames over real TCP sockets.
+  binary frames over real TCP sockets.
 
 Any substrate can additionally be wrapped in a
 :class:`~repro.transport.chaos.ChaosTransport` — seeded fault injection

@@ -13,9 +13,12 @@ Two delivery modes:
   queue (one process, no sockets).  This is what ``repro serve`` uses
   to host a cluster plus thousands of concurrent sessions.
 * ``tcp`` — every process id gets its own listening socket at
-  ``base_port + pid - 1``; messages travel as length-prefixed JSON
-  frames (:mod:`repro.transport.wire`) over per-destination
-  connections with a writer task each.
+  ``base_port + pid - 1``; messages travel as length-prefixed
+  binary frames (:mod:`repro.transport.wire`) over per-destination
+  connections with a writer task each.  Both per-connection loops pay
+  asyncio per socket wakeup, not per frame: the writer sends everything
+  queued in one ``write``, the reader parses every frame one ``read``
+  completed.
 
 The TCP path has a hardened connection lifecycle:
 
@@ -80,6 +83,8 @@ _IDLE_POLL_S = 0.25
 _STEPS_PER_YIELD = 200
 #: How long ``stop()`` waits for writer tasks to drain before cancelling.
 _DRAIN_TIMEOUT_S = 2.0
+#: Most bytes one socket wakeup hands the frame parser.
+_READ_CHUNK = 256 * 1024
 
 
 class AsyncioTransport(Transport):
@@ -239,9 +244,7 @@ class AsyncioTransport(Transport):
     ) -> TimerHandle:
         self._raise_if_pump_dead()
         self._advance_clock()
-        handle = TimerHandle(callback)
-        timer = Timeout(self.env, delay)
-        timer._add_callback(handle._fire)
+        handle = TimerHandle(callback, Timeout(self.env, delay))
         self._kick()
         return handle
 
@@ -427,39 +430,86 @@ class AsyncioTransport(Transport):
             self._note_peer_up(dst)
             attempt = 0
             try:
-                while True:
-                    frame = await outbox.get()
-                    if frame is None:
-                        return
-                    try:
-                        writer.write(frame)
-                        await asyncio.wait_for(
-                            writer.drain(), timeout=self.write_timeout_s
-                        )
-                    except asyncio.CancelledError:
-                        raise
-                    except (ConnectionError, OSError, asyncio.TimeoutError):
-                        # The in-flight frame is lost with the
-                        # connection; the supervisor loop reconnects.
-                        self._count_frame_drop(dst)
-                        attempt = 1
-                        self._note_peer_failure(dst)
-                        break
+                if not await self._drain_outbox(dst, outbox, writer):
+                    return
             finally:
                 writer.close()
+            attempt = 1
+            self._note_peer_failure(dst)
+
+    async def _drain_outbox(self, dst: ProcessId, outbox, writer) -> bool:
+        """Write ``outbox`` to one live connection, a batch per wakeup.
+
+        Everything queued goes out in a single ``write``, so asyncio is
+        paid per socket wakeup rather than per frame.  ``drain()`` is
+        always awaited — it is where a lost connection surfaces — but
+        only a write buffer above its high-water mark can block, so only
+        then does it run under the ``write_timeout_s`` deadline (a task,
+        a timer and a cancel).  Returns False on the stop sentinel, True
+        when the connection was lost; every frame of the failed batch is
+        a counted drop.
+        """
+        import asyncio
+
+        stream = writer.transport
+        _low, high_water = stream.get_write_buffer_limits()
+        while True:
+            batch = [await outbox.get()]
+            while not outbox.empty():
+                batch.append(outbox.get_nowait())
+            stopping = None in batch
+            if stopping:
+                batch = batch[:batch.index(None)]
+            try:
+                writer.write(b"".join(batch))
+                if stream.get_write_buffer_size() > high_water:
+                    await asyncio.wait_for(
+                        writer.drain(), timeout=self.write_timeout_s
+                    )
+                else:
+                    await writer.drain()
+            except asyncio.CancelledError:
+                raise
+            except (ConnectionError, OSError, asyncio.TimeoutError):
+                # The in-flight batch is lost with the connection; the
+                # supervisor loop reconnects.
+                for _frame in batch:
+                    self._count_frame_drop(dst)
+                return True
+            if stopping:
+                return False
 
     async def _serve_connection(self, reader, writer) -> None:
+        """Deliver one accepted connection's frames, a batch per wakeup.
+
+        One ``read`` per socket wakeup; every frame it completed is
+        queued for the pump, which is kicked once per batch.  Garbage on
+        the port (an undecodable body, an implausible length) is one
+        counted drop and the end of that connection.
+        """
         self._conn_writers.append(writer)
+        parser = wire.FrameParser()
         try:
             while True:
-                frame = await wire.read_frame(reader)
-                if frame is None:
+                try:
+                    chunk = await reader.read(_READ_CHUNK)
+                except ConnectionError:
                     return
-                src, dst, payload, size = frame
-                message = Message(src, dst, payload, size)
+                if not chunk:
+                    return
                 self._advance_clock()
-                self.env._call_soon(lambda m=message: self._deliver(m))
-                self._kick()
+                try:
+                    for src, dst, payload, size in parser.feed(chunk):
+                        message = Message(src, dst, payload, size)
+                        self.env._call_soon(
+                            lambda m=message: self._deliver(m)
+                        )
+                except ConfigurationError:
+                    if self.metrics is not None:
+                        self.metrics.count_drop()
+                    return
+                finally:
+                    self._kick()
         finally:
             try:
                 self._conn_writers.remove(writer)

@@ -38,24 +38,34 @@ class TimerHandle:
     """A cancellable timer armed via :meth:`Transport.set_timer`.
 
     The sim kernel cannot remove entries from its heap, so cancellation
-    is a tombstone: the underlying event still fires, but a cancelled
-    handle swallows the callback.  Both substrates share this shape, so
-    protocol code cancels timers identically everywhere.
+    is a tombstone: the underlying event still pops at its due time, but
+    a cancelled handle has already let go of its callback and detached
+    from the event, so whatever the callback closed over is free at
+    once rather than when the timer would have fired.  Both substrates
+    share this shape, so protocol code cancels timers identically
+    everywhere.
     """
 
-    __slots__ = ("_callback", "cancelled")
+    __slots__ = ("_callback", "_timer", "cancelled")
 
-    def __init__(self, callback: Callable[[], None]) -> None:
-        self._callback = callback
+    def __init__(self, callback: Callable[[], None], timer: Timeout) -> None:
+        self._callback: Optional[Callable[[], None]] = callback
+        self._timer: Optional[Timeout] = timer
         self.cancelled = False
+        timer._add_callback(self._fire)
 
     def cancel(self) -> None:
         """Disarm the timer (idempotent; a fired timer stays fired)."""
         self.cancelled = True
+        self._callback = None
+        timer, self._timer = self._timer, None
+        if timer is not None and timer.callbacks:
+            timer.callbacks.remove(self._fire)
 
     def _fire(self, _event: Optional[Event] = None) -> None:
-        if not self.cancelled:
-            self._callback()
+        callback, self._callback, self._timer = self._callback, None, None
+        if callback is not None:
+            callback()
 
 
 class Transport(ABC):
@@ -127,9 +137,7 @@ class Transport(ABC):
         Returns a :class:`TimerHandle`; :meth:`cancel_timer` (or
         ``handle.cancel()``) disarms it.
         """
-        handle = TimerHandle(callback)
-        timer = Timeout(self.env, delay)
-        timer._add_callback(handle._fire)
+        handle = TimerHandle(callback, Timeout(self.env, delay))
         self._kick()
         return handle
 

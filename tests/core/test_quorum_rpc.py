@@ -1,5 +1,8 @@
 """The quorum() primitive: gathering, grace, retransmission, expiry."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.coordinator import CoordinatorConfig, QuorumRpc, _PendingCall
@@ -169,6 +172,59 @@ class TestExpiry:
         )
         replies = run_call(env, node, rpc)
         assert replies is not None
+
+
+class TestTimerRelease:
+    """A finished phase must not stay reachable through its timers."""
+
+    def test_finished_phase_is_freed_before_its_timers_fire(self):
+        # Retransmit, op_timeout and (via prefer) grace timers all
+        # outlive the phase by far; none may pin the _PendingCall.
+        env, node, rpc, _nodes = build_rpc(
+            n=4, quorum=3, delays={4: 50.0},
+            config=CoordinatorConfig(
+                retransmit_interval=200.0, grace=100.0, op_timeout=300.0
+            ),
+        )
+        process = node.spawn(
+            rpc.call(
+                lambda dst, rid: ReadReq(0, rid, frozenset()),
+                prefer=lambda replies: len(replies) == 4,
+            )
+        )
+        env.step()  # the coroutine starts: requests out, timers armed
+        (call,) = rpc._pending.values()
+        call_ref = weakref.ref(call)
+        del call
+        gc.collect()
+        gc.disable()
+        try:
+            replies = env.run_until_complete(process)
+            assert len(replies) == 4 and env.now < 100.0
+            del process
+            # One pass for the retransmit_loop closure, which refers to
+            # itself; nothing else may need the collector.
+            gc.collect()
+            assert call_ref() is None
+        finally:
+            gc.enable()
+        # The tombstoned heap entries still pop, as no-ops.
+        events_before = env.events_processed
+        env.run()
+        assert env.events_processed > events_before
+
+    def test_cancelled_handle_holds_no_callback(self):
+        _env, node, _rpc, _nodes = build_rpc()
+        fired = []
+        handle = node.transport.set_timer(5.0, lambda: fired.append(1))
+        timer = handle._timer
+        handle.cancel()
+        handle.cancel()  # idempotent
+        assert handle.cancelled
+        assert handle._callback is None and handle._timer is None
+        assert timer.callbacks == []
+        node.transport.run()
+        assert fired == []
 
 
 class TestRequestIds:

@@ -118,6 +118,62 @@ def test_outbox_overflow_and_unregister_account_drops():
     asyncio.run(drive())
 
 
+def test_garbage_on_a_brick_port_is_a_counted_drop():
+    """Bytes that are no frame cost the sender its connection and the
+    books one drop; the brick keeps serving everyone else, and nothing
+    escapes as an unretrieved task exception."""
+    import random
+
+    from repro.core.cluster import ClusterConfig, FabCluster
+    from repro.core.volume import LogicalVolume
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport(mode="tcp", base_port=7791)
+    cluster = FabCluster(
+        ClusterConfig(m=3, n=5, block_size=64, transport="asyncio"),
+        transport=transport,
+    )
+    volume = LogicalVolume(cluster, num_stripes=1)
+    loop_errors = []
+
+    async def vandalize(port, junk):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(junk)
+        await writer.drain()
+        # The brick hangs up on us rather than waiting for more.
+        assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+        writer.close()
+
+    async def drive():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: loop_errors.append(context)
+        )
+        try:
+            await transport.start()
+        except OSError as error:  # pragma: no cover - sandboxed envs
+            pytest.skip(f"cannot bind TCP ports: {error}")
+        try:
+            noise = random.Random(5).randbytes(512)
+            # A plausible length, then a body that decodes to nothing.
+            await vandalize(7791, b"\x00\x00\x00\x40" + noise)
+            # A length beyond the frame bound.
+            await vandalize(7792, b"\xff\xff\xff\xff" + noise)
+            drops = cluster.metrics.dropped_messages
+            session = volume.session(max_inflight=1)
+            data = bytes(range(64))
+            session.submit_write(0, data)
+            session.submit_read(0)
+            return drops, data, await session.drain_async()
+        finally:
+            await transport.stop()
+
+    drops, data, ops = asyncio.run(drive())
+    assert drops == 2
+    assert [op.ok for op in ops] == [True, True]
+    assert ops[1].value == data
+    assert loop_errors == []
+
+
 def test_pump_death_surfaces_instead_of_hanging():
     """Once the pump dies, send/set_timer/stop raise the failure as a
     TerminalTransportError rather than silently queueing work that no

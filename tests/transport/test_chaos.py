@@ -201,6 +201,47 @@ def test_corruption_is_detected_and_becomes_erasure():
     # excludes them by construction, and results above verified clean.
 
 
+def test_bit_flip_inside_a_block_field_is_detected():
+    """Blocks ride the binary frame raw (no text armour around them),
+    so a flip there changes no framing at all — the frame CRC alone
+    must catch it: counted as corrupted, never delivered."""
+    from repro.core.messages import WriteReq
+    from repro.timestamps import Timestamp
+    from repro.transport import wire
+
+    block = bytes(range(64))
+    request = WriteReq(0, 1, block=block, ts=Timestamp(5, 1))
+    frame = wire.encode_frame(1, 2, request, request.size)
+    at = frame.index(block)
+
+    class AimedRng:
+        """Always corrupt, and always at the chosen bit."""
+
+        def __init__(self, bit):
+            self.bit = bit
+
+        def random(self):
+            return 0.0
+
+        def randrange(self, stop):
+            assert stop == len(frame) * 8
+            return self.bit
+
+    policy = ChaosPolicy(seed=1, default=LinkChaos(corrupt=0.5))
+    transport = ChaosTransport(SimTransport(), policy)
+    delivered = []
+    transport.register(1, delivered.append)
+    transport.register(2, delivered.append)
+    bits = [at * 8, (at + 31) * 8 + 4, (at + len(block)) * 8 - 1]
+    for bit in bits:
+        transport._rng = AimedRng(bit)
+        transport.send(1, 2, request, request.size)
+    transport.run()
+    assert transport.stats.corrupted == len(bits)
+    assert transport.stats.forwarded == 0
+    assert delivered == []
+
+
 def test_duplicate_and_reorder_are_absorbed():
     """Duplicated and reordered deliveries are protocol no-ops (the
     reply cache and timestamp order absorb them)."""

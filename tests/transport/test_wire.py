@@ -1,12 +1,17 @@
 """Wire-format round trips for the asyncio transport."""
 
 import dataclasses
+import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import messages
 from repro.errors import ConfigurationError
 from repro.timestamps import HIGH_TS, LOW_TS, Timestamp
+from repro.transport import wire
 from repro.transport.wire import (
     decode_frame,
     encode_frame,
@@ -98,13 +103,26 @@ def test_register_wire_type_decorator():
         register_wire_type(object)
 
 
-def test_unknown_message_name_rejected_on_decode():
-    import json
+def test_one_field_and_fieldless_messages_roundtrip():
+    @register_wire_type
+    @dataclasses.dataclass(frozen=True)
+    class Lone:
+        block: bytes = b""
 
-    body = json.dumps({
-        "src": 1, "dst": 2, "size": 0,
-        "payload": {"__msg__": "NoSuchMsg", "f": {}},
-    }).encode()
+    @register_wire_type
+    @dataclasses.dataclass(frozen=True)
+    class Bare:
+        pass
+
+    assert roundtrip(Lone(b"only")) == Lone(b"only")
+    assert roundtrip([Bare(), Lone()]) == [Bare(), Lone()]
+
+
+def test_unknown_message_name_rejected_on_decode():
+    # A hand-built body: the (src, dst, size) envelope, then an ``M``
+    # value naming a class nobody registered.
+    name = b"NoSuchMsg"
+    body = struct.pack(">iiI", 1, 2, 0) + b"M" + bytes([len(name)]) + name
     with pytest.raises(ConfigurationError, match="unknown wire message"):
         decode_frame(body)
 
@@ -112,3 +130,149 @@ def test_unknown_message_name_rejected_on_decode():
 def test_unencodable_value_rejected():
     with pytest.raises(ConfigurationError, match="cannot wire-encode"):
         encode_frame(1, 2, object())
+
+
+# -- generated round trips ---------------------------------------------------
+
+_BLOCKS = st.one_of(
+    st.binary(max_size=96),
+    st.sampled_from([b"", bytes(4096), bytes(range(256)) * 256]),  # 64 KiB
+)
+_TIMESTAMPS = st.one_of(
+    st.sampled_from([LOW_TS, HIGH_TS]),
+    st.builds(Timestamp, st.integers(0, 2**62), st.integers(1, 10_000)),
+    # Off the 64-bit fast path: fractional and oversized clock readings.
+    st.builds(Timestamp, st.floats(0, 1e12), st.integers(1, 10_000)),
+    st.builds(Timestamp, st.integers(2**64, 2**80), st.integers(1, 9)),
+)
+_FIELDS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**33), 2**33),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    _BLOCKS,
+    _TIMESTAMPS,
+    st.frozensets(st.integers(1, 2**40), max_size=6),
+    st.lists(st.integers(-5, 5), max_size=4),
+)
+
+
+def _same_types(left, right):
+    """``==`` lets True pass for 1; the wire must not."""
+    assert type(left) is type(right), (left, right)
+    if dataclasses.is_dataclass(left) and not isinstance(left, Timestamp):
+        for field in dataclasses.fields(left):
+            _same_types(getattr(left, field.name), getattr(right, field.name))
+
+
+@pytest.mark.parametrize("name", sorted(wire._REGISTRY))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_registered_class_roundtrips_generated_fields(name, data):
+    cls = wire._REGISTRY[name]
+    message = cls(**{
+        field.name: data.draw(_FIELDS, label=field.name)
+        for field in dataclasses.fields(cls)
+    })
+    src, dst = data.draw(st.integers(-(2**31), 2**31 - 1)), 7
+    size = data.draw(st.integers(0, 2**32 - 1))
+    back = roundtrip(message, src=src, dst=dst, size=size)
+    assert back == message
+    _same_types(back, message)
+
+
+def test_bytes_fields_decode_as_real_bytes_from_any_buffer():
+    """No memoryview or bytearray may reach a handler or the store."""
+    message = messages.WriteReq(0, 1, block=b"v" * 32, ts=TS)
+    body = encode_frame(1, 2, message)[4:]
+    for buffer in (bytearray(body), memoryview(body)):
+        assert type(decode_frame(buffer)[2].block) is bytes
+    assert type(roundtrip(bytearray(b"raw"))) is bytes
+
+
+# -- malformed bodies -----------------------------------------------------
+
+_ENVELOPE = struct.pack(">iiI", 1, 2, 0)
+
+
+@pytest.mark.parametrize("body, complaint", [
+    (_ENVELOPE + b"?", "unknown wire tag"),
+    (_ENVELOPE + b"b" + struct.pack(">I", 9) + b"short", "truncated"),
+    (_ENVELOPE + b"i" + b"\x00" * 3, "malformed"),
+    (_ENVELOPE + b"NN", "trailing bytes"),
+    (_ENVELOPE, "malformed"),
+    (b"\x00" * 5, "malformed"),
+    (_ENVELOPE + b"s" + struct.pack(">I", 1) + b"\xff", "malformed"),
+    (_ENVELOPE + b"S" + struct.pack(">I", 1) + b"L" + bytes(4), "malformed"),
+    (_ENVELOPE + b"L" + struct.pack(">I", 2**32 - 1), "malformed"),
+    (_ENVELOPE + b"M\x07ReadReq" + b"i" + bytes(8), "malformed"),
+])
+def test_malformed_bodies_raise_configuration_error(body, complaint):
+    with pytest.raises(ConfigurationError, match=complaint):
+        decode_frame(body)
+
+
+# -- reassembly ---------------------------------------------------------------
+
+
+def _mixed_frames(count=50, seed=11):
+    rng = random.Random(seed)
+    makers = [
+        lambda i: messages.ReadReq(i, i + 1, targets=frozenset({1, 3, 5})),
+        lambda i: messages.ReadReply(i, i, True, val_ts=TS,
+                                     block=rng.randbytes(rng.randrange(24))),
+        lambda i: messages.OrderReq(i, i, ts=Timestamp(i * 1000, 2)),
+        lambda i: messages.WriteReq(i, i, block=rng.randbytes(16), ts=TS),
+        lambda i: messages.ModifyReq(i, i, j=1, old_block=b"o" * 8,
+                                     new_block=b"n" * 8, ts_j=LOW_TS, ts=TS),
+        lambda i: messages.ModifyReply(i, i, False),
+        lambda i: messages.GcReq(i, i, ts=HIGH_TS),
+    ]
+    sent = [
+        (1 + i % 5, 1 + (i * 3) % 5, rng.choice(makers)(i), i)
+        for i in range(count)
+    ]
+    stream = b"".join(
+        encode_frame(src, dst, message, size)
+        for src, dst, message, size in sent
+    )
+    return sent, stream
+
+
+def test_parser_reassembles_frames_split_at_every_byte_offset():
+    sent, stream = _mixed_frames()
+    for cut in range(len(stream) + 1):
+        parser = wire.FrameParser()
+        got = list(parser.feed(stream[:cut]))
+        got += parser.feed(stream[cut:])
+        assert got == sent, cut
+
+
+def test_parser_reassembles_frames_fed_one_byte_at_a_time():
+    sent, stream = _mixed_frames()
+    parser = wire.FrameParser()
+    got = []
+    for index in range(len(stream)):
+        got += parser.feed(stream[index:index + 1])
+    assert got == sent
+    # Nothing is left over, and more frames may follow.
+    assert list(parser.feed(stream)) == sent
+
+
+def test_parser_yields_the_frames_before_a_bad_one():
+    sent, stream = _mixed_frames(count=3)
+    parser = wire.FrameParser()
+    got = []
+    with pytest.raises(ConfigurationError, match="unknown wire tag"):
+        for frame in parser.feed(stream + struct.pack(">I", 13)
+                                 + _ENVELOPE + b"?"):
+            got.append(frame)
+    assert got == sent
+
+
+def test_parser_refuses_an_implausible_length():
+    parser = wire.FrameParser()
+    with pytest.raises(ConfigurationError, match="exceeds bound"):
+        list(parser.feed(struct.pack(">I", wire._MAX_FRAME + 1)))
