@@ -21,7 +21,7 @@ from repro.core.coordinator import CoordinatorConfig
 from repro.sim.network import NetworkConfig
 from repro.types import OpKind
 from repro.verify import HistoryRecorder, check_strict_linearizability
-from tests.conftest import make_cluster, stripe_of
+from tests.conftest import fault, make_cluster, stripe_of
 
 from .conftest import write_artifact
 
@@ -73,11 +73,11 @@ def figure5_with(one_phase: bool):
     recorder.track(process, OpKind.WRITE_STRIPE, value=V2, coordinator=1)
     # One-phase writes have no Order round: partition earlier.
     env.run(until=env.now + (0.5 if one_phase else 2.5))
-    cluster.network.partition({1}, {2, 3})
+    fault(cluster, "partition", 1)
     env.run(until=env.now + 2.0)
     cluster.nodes[1].crash()
     env.run(until=env.now + 1.0)
-    cluster.network.heal_partition()
+    fault(cluster, "heal")
 
     read2 = cluster.register(0, route=3).read_stripe_async()
     recorder.track(read2, OpKind.READ_STRIPE, coordinator=3)

@@ -12,7 +12,7 @@ cliff.
 import pytest
 
 from repro import LogicalVolume
-from repro.sim.failures import RandomFailures
+from repro.campaign.schedule import apply_schedule, generate_schedule
 from repro.types import ABORT
 from repro.workloads import TraceReplayer, synthesize_trace
 from tests.conftest import make_cluster
@@ -31,11 +31,12 @@ def run_environment(name, drop=0.0, crashed=(), churn=False, seed=13):
     for pid in crashed:
         cluster.crash(pid)
     if churn:
-        RandomFailures(
-            cluster.env, cluster.nodes, max_down=cluster.quorum_system.f,
-            crash_probability=0.08, recovery_probability=0.5,
-            check_interval=20.0, horizon=1e9, seed=seed,
-        )
+        apply_schedule(cluster, generate_schedule(
+            seed=seed, n=N, duration=1000.0,
+            max_down=cluster.quorum_system.f,
+            partition_weight=0.0, drop_weight=0.0,
+            event_gap=(10.0, 90.0), down_time=(20.0, 60.0),
+        ))
     volume = LogicalVolume(cluster, num_stripes=12)
     trace = synthesize_trace(OPS, volume.num_blocks, read_fraction=0.7,
                              mean_interarrival=4.0, seed=seed)

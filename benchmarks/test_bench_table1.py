@@ -21,8 +21,7 @@ from repro.analysis.compare import MEASURED_TO_ANALYTIC, compare_table1
 from repro.analysis.costs import ls97_costs, our_costs
 from repro.baselines.ls97 import Ls97Cluster, Ls97Config
 from repro.core.messages import WriteReq
-from repro.sim.failures import MessageCountTrigger
-from tests.conftest import block_of, make_cluster, stripe_of
+from tests.conftest import block_of, crash_after, make_cluster, stripe_of
 
 from .conftest import write_artifact
 
@@ -46,14 +45,14 @@ def run_slow_reads():
     cluster = make_cluster(m=M, n=N, block_size=B)
     seed_register = cluster.register(0, route=2)
     seed_register.write_stripe(stripe_of(M, B, tag=1))
-    MessageCountTrigger(cluster.network, cluster.nodes[1], 4, WriteReq)
+    crash_after(cluster, 1, WriteReq, 4)
     coordinator = cluster.coordinators[1]
     cluster.nodes[1].spawn(coordinator.write_stripe(0, stripe_of(M, B, tag=2)))
     cluster.env.run()
     cluster.recover(1)
     seed_register.read_stripe()  # slow: rolls the partial write forward
     # A second partial write so the block read also recovers.
-    MessageCountTrigger(cluster.network, cluster.nodes[1], 4, WriteReq)
+    crash_after(cluster, 1, WriteReq, 4)
     cluster.nodes[1].spawn(coordinator.write_stripe(0, stripe_of(M, B, tag=3)))
     cluster.env.run()
     cluster.recover(1)

@@ -14,13 +14,23 @@ Run:  python examples/failure_drama.py
 
 from repro import ClusterConfig, FabCluster
 from repro.baselines.ls97 import Ls97Cluster, Ls97Config
-from repro.core.messages import WriteReq
-from repro.sim.failures import MessageCountTrigger
+from repro.campaign import FaultEvent, apply_event
 from repro.types import OpKind
 from repro.verify import HistoryRecorder, check_strict_linearizability
 
 V1 = [b"v1......" * 4]
 V2 = [b"v2......" * 4]
+
+
+def cut_off_and_crash(cluster, pid: int) -> None:
+    """Isolate ``pid`` after its Order phase, crash it, then heal."""
+    env = cluster.env
+    env.run(until=env.now + 2.5)
+    apply_event(cluster, FaultEvent(env.now, "partition", (pid,)))
+    env.run(until=env.now + 2.0)
+    apply_event(cluster, FaultEvent(env.now, "crash", (pid,)))
+    env.run(until=env.now + 1.0)
+    apply_event(cluster, FaultEvent(env.now, "heal"))
 
 
 def our_protocol() -> None:
@@ -40,12 +50,7 @@ def our_protocol() -> None:
     writer = cluster.coordinators[1]
     process = cluster.nodes[1].spawn(writer.write_stripe(0, V2))
     recorder.track(process, OpKind.WRITE_STRIPE, value=V2, coordinator=1)
-    env.run(until=env.now + 2.5)
-    cluster.network.partition({1}, {2, 3})
-    env.run(until=env.now + 2.0)
-    cluster.nodes[1].crash()
-    env.run(until=env.now + 1.0)
-    cluster.network.heal_partition()
+    cut_off_and_crash(cluster, 1)
     print("write2(v2): coordinator crashed mid-write (partial)")
 
     read_process = cluster.register(0, route=3).read_stripe_async()
@@ -75,13 +80,8 @@ def ls97_baseline() -> None:
     print("write1(v1): OK")
 
     writer = cluster.coordinators[1]
-    process = cluster.nodes[1].spawn(writer.write(0, V2[0]))
-    env.run(until=env.now + 2.5)
-    cluster.network.partition({1}, {2, 3})
-    env.run(until=env.now + 2.0)
-    cluster.nodes[1].crash()
-    env.run(until=env.now + 1.0)
-    cluster.network.heal_partition()
+    cluster.nodes[1].spawn(writer.write(0, V2[0]))
+    cut_off_and_crash(cluster, 1)
     print("write2(v2): coordinator crashed mid-write (partial)")
 
     print("read after crash:", cluster.read(0, route=3)[:8])

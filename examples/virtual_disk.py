@@ -13,7 +13,7 @@ Run:  python examples/virtual_disk.py
 """
 
 from repro import open_volume
-from repro.sim.failures import RandomFailures
+from repro.campaign import apply_schedule, generate_schedule
 from repro.workloads import TraceReplayer, ZipfPattern, synthesize_trace
 
 
@@ -31,18 +31,18 @@ def main() -> None:
     print(f"volume: {volume}")
     print(f"cluster: {cluster}  (tolerates f={cluster.quorum_system.f} faults)")
 
-    # Background failure churn: at most f bricks down at once, so the
-    # volume stays available throughout.
-    churn = RandomFailures(
-        cluster.env,
-        cluster.nodes,
-        max_down=cluster.quorum_system.f,
-        crash_probability=0.05,
-        recovery_probability=0.5,
-        check_interval=25.0,
-        horizon=100_000.0,
+    # Background failure churn — a crash-only fault plan: at most f
+    # bricks down at once, so the volume stays available throughout.
+    churn = apply_schedule(cluster, generate_schedule(
         seed=7,
-    )
+        n=8,
+        duration=3000.0,
+        max_down=cluster.quorum_system.f,
+        partition_weight=0.0,
+        drop_weight=0.0,
+        event_gap=(10.0, 115.0),
+        down_time=(25.0, 75.0),
+    ))
 
     trace = synthesize_trace(
         num_ops=400,
@@ -59,8 +59,8 @@ def main() -> None:
           f"({stats.reads} reads, {stats.writes} writes)")
     print(f"  aborts     : {stats.aborts} (rate {stats.abort_rate:.4f})")
     print(f"  throughput : {stats.throughput:.3f} ops per time unit")
-    print(f"  crashes injected   : {churn.crashes_injected}")
-    print(f"  recoveries injected: {churn.recoveries_injected}")
+    print(f"  crashes injected   : {churn['crash']}")
+    print(f"  recoveries injected: {churn['recover']}")
 
     # Verify integrity with a pipelined bulk readback: the last write
     # to each block must be visible.  The session keeps many reads in

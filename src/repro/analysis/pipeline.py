@@ -27,7 +27,12 @@ from typing import List, Optional, Sequence
 
 from ..api import open_volume
 from ..core.routing import RouteOptions
-from ..sim.failures import RandomFailures
+from ..campaign.schedule import (
+    CampaignSchedule,
+    FaultEvent,
+    apply_schedule,
+    generate_schedule,
+)
 
 __all__ = [
     "PipelineResult",
@@ -98,26 +103,25 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the seeded workload through one session at ``max_inflight``.
 
-    With ``crash_probability > 0`` a :class:`RandomFailures` injector
-    churns bricks underneath (never more than ``f`` down at once, so
-    the volume stays available and every error is the session's fault).
+    With ``crash_probability > 0`` a crash-only fault plan churns
+    bricks underneath — on average ``crash_probability`` crashes per
+    brick per 10 time units, each down for 5-35, never more than ``f``
+    down at once, so the volume stays available and every error is the
+    session's fault.
     """
     volume = open_volume(
         m=m, n=n, stripes=num_stripes, block_size=block_size, seed=seed,
     )
     cluster = volume.cluster
-    churn = None
+    churn = {}
     if crash_probability > 0.0:
-        churn = RandomFailures(
-            cluster.env,
-            cluster.nodes,
+        mean_gap = 10.0 / (crash_probability * n)
+        churn = apply_schedule(cluster, generate_schedule(
+            seed=seed + 1, n=n, duration=10.0 * num_ops,
             max_down=cluster.quorum_system.f,
-            crash_probability=crash_probability,
-            recovery_probability=0.5,
-            check_interval=10.0,
-            horizon=1_000_000.0,
-            seed=seed + 1,
-        )
+            partition_weight=0.0, drop_weight=0.0,
+            event_gap=(0.0, 2 * mean_gap), down_time=(5.0, 35.0),
+        ))
     workload = _seeded_workload(
         volume.num_blocks, num_ops, block_size, workload_seed
     )
@@ -140,7 +144,7 @@ def run_pipeline(
         coalesced_writes=stats.coalesced_writes,
         peak_inflight=stats.peak_inflight,
         crash_probability=crash_probability,
-        crashes_injected=churn.crashes_injected if churn else 0,
+        crashes_injected=churn.get("crash", 0),
     )
 
 
@@ -181,13 +185,10 @@ def crash_failover_run(
     cluster = volume.cluster
     victim = 2
 
-    def scripted_crash(env):
-        yield env.timeout(crash_at)
-        cluster.crash(victim)
-        yield env.timeout(10 * crash_at)
-        cluster.recover(victim)
-
-    cluster.env.process(scripted_crash(cluster.env))
+    apply_schedule(cluster, CampaignSchedule(events=[
+        FaultEvent(time=crash_at, kind="crash", targets=(victim,)),
+        FaultEvent(time=11 * crash_at, kind="recover", targets=(victim,)),
+    ]))
     workload = _seeded_workload(volume.num_blocks, num_ops, 64, seed)
     start = cluster.env.now
     with volume.session(

@@ -38,11 +38,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..campaign.schedule import FaultEvent, apply_event
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
 from ..scrub.daemon import ScrubConfig, ScrubDaemon
 from ..scrub.sampler import PairSampler, detection_confidence, required_samples
-from ..sim.failures import CorruptionInjector
 
 __all__ = [
     "ScrubRunResult",
@@ -124,6 +124,22 @@ class ScrubRunResult:
         }
 
 
+def _corrupt(cluster, pid: int, register_id: int, seed: int) -> bool:
+    """Flip one bit of ``register_id``'s log on brick ``pid`` now.
+
+    Drops the replica's volatile mirror so the damage is not masked by
+    caching.  True iff a bit was flipped.
+    """
+    event = FaultEvent(
+        time=cluster.env.now, kind="corrupt", targets=(pid, register_id),
+        value=float(seed),
+    )
+    if not apply_event(cluster, event):
+        return False
+    cluster.replicas[pid].drop_mirror(register_id)
+    return True
+
+
 def run_scrub_run(
     ops: int = 300,
     corrupt_rate: float = 0.0,
@@ -162,7 +178,6 @@ def run_scrub_run(
         metrics_history_limit=256,
     ))
     rng = random.Random(seed ^ 0x5C4B)
-    injector = CorruptionInjector(cluster.nodes)
     #: register -> bricks ever corrupted there.  Bounded by f: with
     #: more than f corrupt fragments a clean quorum no longer exists
     #: and the register is *designed* to be unrecoverable — the
@@ -206,10 +221,10 @@ def run_scrub_run(
                 pid = rng.randint(1, n)
             else:  # budget spent: re-corrupt an already-dirty brick
                 pid = rng.choice(bricks)
-            if injector.corrupt(pid, register_id, seed=rng.randrange(1 << 16)):
+            if _corrupt(cluster, pid, register_id, rng.randrange(1 << 16)):
+                result.injected += 1
                 if pid not in bricks:
                     bricks.append(pid)
-                cluster.replicas[pid].drop_mirror(register_id)
                 inject_log.append((cluster.env.now, pid, register_id))
         register_id = rng.randrange(active)
         handle = cluster.register(register_id)
@@ -239,7 +254,6 @@ def run_scrub_run(
 
     metrics = cluster.metrics
     result.sim_time = cluster.env.now
-    result.injected = injector.corruptions_injected
     result.checksum_failures = metrics.checksum_failures
     result.degraded_reads = metrics.degraded_reads
     result.scrub_scans = metrics.scrub_scans
@@ -488,11 +502,9 @@ def run_sampling_sweep(
         for register_id in range(registers)
         for pid in range(1, n + 1)
     ]
-    injector = CorruptionInjector(cluster.nodes)
     corrupt: set = set()
     for register_id, pid in rng.sample(pairs, result.corrupt_pairs):
-        if injector.corrupt(pid, register_id, seed=rng.randrange(1 << 16)):
-            cluster.replicas[pid].drop_mirror(register_id)
+        if _corrupt(cluster, pid, register_id, rng.randrange(1 << 16)):
             corrupt.add((register_id, pid))
     result.corrupt_pairs = len(corrupt)
 

@@ -16,19 +16,22 @@ wrote.
 **Chaos mode** wraps the transport in a
 :class:`~repro.transport.chaos.ChaosTransport`: a seeded
 :class:`~repro.transport.chaos.ChaosPolicy` drops / duplicates /
-corrupts frames and installs timed partitions on the *wall-clock* path,
-while sessions run with a chaos-tolerant retry policy (attempt
+corrupts frames on the *wall-clock* path, and an optional timed
+partition is a two-event fault plan applied once the transport runs
+(clients keep re-reading their blocks until the plan's last event), while
+sessions run with a chaos-tolerant retry policy (attempt
 timeouts, generous failover budget).  The run must still finish with
 **zero failed sessions** and a **strictly linearizable** per-client
 history — losing up to ~10% of messages merely costs latency, because
 retransmission and retry heal every injected fault.  The chaos counters
-(delivered/dropped/corrupted/…), the policy itself, and the
+(delivered/dropped/corrupted/…), the policy and plan themselves, and the
 linearizability verdict land in the result as first-class axes, so
 ``BENCH_serve.json`` artifacts are self-describing reproducers.
 
 Results land in ``benchmarks/out/BENCH_serve.json``: ops/s plus p50/p99
 operation latency in milliseconds (one transport time unit is one
-millisecond at the default ``time_scale``).
+millisecond at the default ``time_scale``), interpolated by
+:func:`repro.analysis.latency.percentile`.
 """
 
 from __future__ import annotations
@@ -39,21 +42,18 @@ import pathlib
 import time
 from typing import Optional, Sequence, Tuple
 
+from ..campaign.schedule import CampaignSchedule, FaultEvent, apply_schedule
 from ..core.client import RetryPolicy
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
 from ..core.volume import LogicalVolume
 from ..errors import ConfigurationError
 from ..transport.aio import AsyncioTransport
-from ..transport.chaos import (
-    ChaosPolicy,
-    ChaosTransport,
-    LinkChaos,
-    PartitionWindow,
-)
+from ..transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
 from ..verify.linearizability import check_strict_linearizability
+from .latency import percentile
 
-__all__ = ["run_serve", "build_chaos_policy"]
+__all__ = ["run_serve"]
 
 #: Chaos-tolerant session policy: attempts sized for sustained ~10%
 #: loss, attempt timeouts so a coordinator stranded in a partition is
@@ -77,42 +77,6 @@ CHAOS_SESSION_RETRY = RetryPolicy(
 #: session's 400 ms attempt timeout turns a stalled phase into a clean
 #: retryable abort first.
 SERVE_OP_TIMEOUT = 300.0
-
-
-def build_chaos_policy(
-    drop_rate: float = 0.0,
-    duplicate_rate: float = 0.0,
-    corrupt_rate: float = 0.0,
-    partition: Optional[Tuple[float, float, Tuple[int, ...]]] = None,
-    seed: int = 0,
-) -> ChaosPolicy:
-    """Assemble the serve-level chaos plan from CLI-shaped knobs.
-
-    ``partition`` is ``(start_ms, end_ms, group)`` — the group is cut
-    off from the rest of the cluster for that wall-clock window (one
-    transport unit is one millisecond at the default time scale).
-    """
-    return ChaosPolicy(
-        seed=seed,
-        default=LinkChaos(
-            drop=drop_rate,
-            duplicate=duplicate_rate,
-            corrupt=corrupt_rate,
-        ),
-        partitions=(
-            [PartitionWindow(
-                start=partition[0], end=partition[1],
-                group=tuple(partition[2]),
-            )] if partition is not None else []
-        ),
-    )
-
-
-def _percentile(sorted_values, q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
 
 
 def _client_payload(client: int, op_index: int, block_size: int) -> bytes:
@@ -152,6 +116,7 @@ async def _serve(
     max_inflight: int,
     base_port: int,
     chaos_policy: Optional[ChaosPolicy],
+    plan: Optional[CampaignSchedule],
 ) -> dict:
     inner = AsyncioTransport(mode=mode, base_port=base_port)
     if chaos_policy is not None:
@@ -170,8 +135,11 @@ async def _serve(
     await transport.start()
     start = time.monotonic()
     try:
+        if plan is not None:
+            apply_schedule(cluster, plan)
         sessions = []
         expected = []
+        written = []
         for client in range(clients):
             session = volume.session(
                 max_inflight=max_inflight, seed=client, retry=retry
@@ -190,9 +158,24 @@ async def _serve(
                     reads.append((session.submit_read(block), last_value[block]))
             sessions.append(session)
             expected.append(reads)
+            written.append(last_value)
         await asyncio.gather(
             *(session.drain_async() for session in sessions)
         )
+        # Like a campaign, a run outlasts its fault plan: until the last
+        # event has fired, every client re-reads (and verifies) what it
+        # wrote, so the plan always acts on live traffic.
+        horizon = max((e.time for e in plan.events), default=0.0) \
+            if plan is not None else 0.0
+        while transport.now() < horizon:
+            for session, reads, last_value in zip(sessions, expected, written):
+                reads.extend(
+                    (session.submit_read(block), value)
+                    for block, value in last_value.items()
+                )
+            await asyncio.gather(
+                *(session.drain_async() for session in sessions)
+            )
     finally:
         wall = time.monotonic() - start
         await transport.stop()
@@ -219,7 +202,6 @@ async def _serve(
         if not session_ok:
             failed_sessions += 1
     linearizable, blocks_checked = _verify_linearizable(sessions)
-    latencies.sort()
     chaos_axes = {
         "enabled": chaos_policy is not None,
         "linearizable": linearizable,
@@ -230,6 +212,8 @@ async def _serve(
     }
     if chaos_policy is not None:
         chaos_axes["policy"] = chaos_policy.to_dict()
+        if plan is not None:
+            chaos_axes["plan"] = plan.to_dict()
         chaos_axes.update(transport.stats.to_dict())
     return {
         "benchmark": "serve",
@@ -243,8 +227,8 @@ async def _serve(
         "max_inflight": max_inflight,
         "wall_seconds": round(wall, 3),
         "ops_per_sec": round(total_ops / wall, 1) if wall > 0 else 0.0,
-        "p50_ms": round(_percentile(latencies, 0.50), 3),
-        "p99_ms": round(_percentile(latencies, 0.99), 3),
+        "p50_ms": round(percentile(latencies, 50), 3) if latencies else 0.0,
+        "p99_ms": round(percentile(latencies, 99), 3) if latencies else 0.0,
         "failed_sessions": failed_sessions,
         "failed_ops": failed_ops,
         "chaos": chaos_axes,
@@ -272,7 +256,10 @@ def run_serve(
 
     With ``chaos=True`` (or any non-zero fault knob) the transport is
     wrapped in a seeded :class:`~repro.transport.chaos.ChaosTransport`
-    and sessions run with the chaos-tolerant retry policy.  Returns the
+    and sessions run with the chaos-tolerant retry policy.
+    ``partition`` is ``(start_ms, end_ms, group)``: the group is cut off
+    from the rest of the cluster for that window (one transport unit is
+    one millisecond at the default time scale).  Returns the
     result dict (also written to ``json_out`` when given).
     ``failed_sessions`` must be zero — on healthy *and* chaos runs: the
     protocol is expected to mask injected transport faults completely.
@@ -285,13 +272,19 @@ def run_serve(
         )
     chaos = chaos or drop_rate > 0 or duplicate_rate > 0 \
         or corrupt_rate > 0 or partition is not None
-    chaos_policy = build_chaos_policy(
-        drop_rate=drop_rate,
-        duplicate_rate=duplicate_rate,
-        corrupt_rate=corrupt_rate,
-        partition=partition,
+    chaos_policy = ChaosPolicy(
         seed=chaos_seed,
+        default=LinkChaos(
+            drop=drop_rate, duplicate=duplicate_rate, corrupt=corrupt_rate,
+        ),
     ) if chaos else None
+    plan = None
+    if partition is not None:
+        start, end, group = partition
+        plan = CampaignSchedule(events=[
+            FaultEvent(time=start, kind="partition", targets=tuple(group)),
+            FaultEvent(time=end, kind="heal"),
+        ], seed=chaos_seed)
     result = asyncio.run(
         _serve(
             clients=clients,
@@ -303,6 +296,7 @@ def run_serve(
             max_inflight=max_inflight,
             base_port=base_port,
             chaos_policy=chaos_policy,
+            plan=plan,
         )
     )
     if json_out is not None:

@@ -18,7 +18,13 @@ Entry points: :func:`run_campaign` for one seed,
 
 from .engine import CampaignConfig, CampaignResult, broken_config, run_campaign
 from .invariants import CampaignMonitor, Violation
-from .schedule import CampaignSchedule, FaultEvent, generate_schedule
+from .schedule import (
+    CampaignSchedule,
+    FaultEvent,
+    apply_event,
+    apply_schedule,
+    generate_schedule,
+)
 from .shrinker import ShrinkResult, ddmin, shrink_schedule
 
 __all__ = [
@@ -29,6 +35,8 @@ __all__ = [
     "FaultEvent",
     "ShrinkResult",
     "Violation",
+    "apply_event",
+    "apply_schedule",
     "broken_config",
     "ddmin",
     "generate_schedule",

@@ -9,8 +9,8 @@ One campaign run = one seeded, fully deterministic experiment:
 3. drive a mixed read/write/block workload from several client drivers
    on different coordinator bricks, recording every operation in the
    verify layer's history recorders;
-4. apply the schedule's crashes, recoveries, partitions, heals, and
-   drop windows via timers, sampling the timestamp monitor after each;
+4. apply the schedule with :func:`~repro.campaign.schedule.
+   apply_schedule`, sampling the timestamp monitor after each event;
 5. drain (all faults withdrawn by the schedule generator, in-flight
    operations finish or time out), then check strict linearizability
    of every register's history.
@@ -32,12 +32,11 @@ import random
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
 from ..errors import StorageError
-from ..sim.failures import CorruptionInjector
 from ..sim.network import NetworkConfig
 from ..types import OpKind
 from ..verify.history import HistoryRecorder
 from .invariants import CampaignMonitor, Violation
-from .schedule import CampaignSchedule, generate_schedule
+from .schedule import CampaignSchedule, apply_schedule, generate_schedule
 
 __all__ = [
     "CampaignConfig",
@@ -189,62 +188,6 @@ class CampaignResult:
             "reads_verified": self.reads_verified,
             "corruption": dict(self.corruption),
         }
-
-
-class _ScheduleApplier:
-    """Fires a schedule's events against the cluster at their times."""
-
-    def __init__(
-        self,
-        cluster: FabCluster,
-        schedule: CampaignSchedule,
-        monitor: CampaignMonitor,
-    ) -> None:
-        self.cluster = cluster
-        self.monitor = monitor
-        self._base_drop = cluster.network.config.drop_probability
-        self.injector = CorruptionInjector(
-            cluster.nodes, on_corrupt=self._on_corrupt
-        )
-        env = cluster.env
-        for event in schedule.sorted_events():
-            timer = env.timeout(max(0.0, event.time - env.now))
-            timer._add_callback(lambda _t, e=event: self._apply(e))
-
-    def _on_corrupt(self, pid: int, register_id: int) -> None:
-        # Drop the replica's volatile mirror so the damage is not
-        # masked by caching, and stand the monitor down for this pair.
-        self.cluster.replicas[pid].drop_mirror(register_id)
-        self.monitor.note_corruption(pid, register_id)
-
-    def _apply(self, event) -> None:
-        cluster = self.cluster
-        if event.kind == "crash":
-            for pid in event.targets:
-                cluster.nodes[pid].crash()
-        elif event.kind == "recover":
-            for pid in event.targets:
-                cluster.nodes[pid].recover()
-        elif event.kind == "corrupt":
-            if len(event.targets) == 2:
-                pid, register_id = event.targets
-                self.injector.corrupt(pid, register_id, seed=int(event.value))
-        elif event.kind == "torn_write":
-            if len(event.targets) == 2:
-                pid, register_id = event.targets
-                self.injector.tear(pid, register_id)
-        elif event.kind == "partition":
-            group = {p for p in event.targets if 1 <= p <= cluster.config.n}
-            rest = set(range(1, cluster.config.n + 1)) - group
-            if group and rest:
-                cluster.network.partition(group, rest)
-        elif event.kind == "heal":
-            cluster.network.heal_partition()
-        elif event.kind == "drop_start":
-            cluster.network.set_drop_probability(event.value)
-        elif event.kind == "drop_stop":
-            cluster.network.set_drop_probability(self._base_drop)
-        self.monitor.sample()
 
 
 class _Client:
@@ -408,7 +351,17 @@ def run_campaign(
         )
     engine = _Engine(config, schedule)
     monitor = CampaignMonitor(engine.cluster)
-    applier = _ScheduleApplier(engine.cluster, schedule, monitor)
+
+    def on_event(event, took_effect: bool) -> None:
+        if event.kind == "corrupt" and took_effect:
+            # Drop the replica's volatile mirror so the damage is not
+            # masked by caching, and stand the monitor down for it.
+            pid, register_id = event.targets
+            engine.cluster.replicas[pid].drop_mirror(register_id)
+            monitor.note_corruption(pid, register_id)
+        monitor.sample()
+
+    applied = apply_schedule(engine.cluster, schedule, on_event)
 
     daemon = None
     if config.scrub_enabled:
@@ -464,8 +417,8 @@ def run_campaign(
 
     metrics = engine.cluster.metrics
     corruption = {
-        "corruptions_injected": applier.injector.corruptions_injected,
-        "torn_injected": applier.injector.torn_injected,
+        "corruptions_injected": applied["corrupt"],
+        "torn_injected": applied["torn_write"],
         "checksum_failures": metrics.checksum_failures,
         "degraded_reads": metrics.degraded_reads,
         "scrub_scans": metrics.scrub_scans,

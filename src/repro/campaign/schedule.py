@@ -1,10 +1,11 @@
-"""Seeded fault schedules: explicit, serializable, shrinkable.
+"""The fault plan: explicit, serializable, shrinkable — and its applier.
 
-A campaign never improvises faults at run time.  Every crash, recovery,
-partition, heal, and message-drop window is generated *up front* from
-the campaign seed into a :class:`CampaignSchedule` — a flat list of
-:class:`FaultEvent` — and then applied by timers against the cluster.
-That makes three things possible:
+Every fault is a :class:`FaultEvent` in a :class:`CampaignSchedule`,
+generated up front from a seed (:func:`generate_schedule`) or built by
+hand, and injected by one applier (:func:`apply_schedule`,
+:func:`apply_event`) on the cluster's transport — so one plan means the
+same faults in virtual time and in wall time.  That makes three things
+possible:
 
 * determinism: the same seed always yields the same schedule, and the
   same schedule always yields the same run;
@@ -14,22 +15,28 @@ That makes three things possible:
   subsets of the event list — only possible because the events are
   explicit data, not callbacks buried in an injector.
 
-Paired events (crash/recover, partition/heal, drop window start/stop)
-are generated so that everything injected is also withdrawn by the end
-of the schedule: no node stays down, no partition stays installed, and
-the drop probability returns to baseline before the drain phase.
+Generated paired events (crash/recover, partition/heal, drop window
+start/stop) withdraw everything they inject by the end of the
+schedule; an unpaired one stays in force for the rest of the run.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
-__all__ = ["FaultEvent", "CampaignSchedule", "generate_schedule"]
+__all__ = [
+    "FaultEvent",
+    "CampaignSchedule",
+    "generate_schedule",
+    "apply_schedule",
+    "apply_event",
+]
 
 #: Recognized fault-event kinds.
 KINDS = (
@@ -43,55 +50,101 @@ KINDS = (
     "torn_write",
 )
 
+#: The stable-store key of a register's persisted log, as named by
+#: :meth:`repro.core.replica.Replica.log_key` (store faults land below
+#: the replica and see only nodes).
+_LOG_KEY = "logj:{}"
+
 
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault action.
 
     Attributes:
-        time: simulated time the event fires.
+        time: transport time the event fires.
         kind: one of :data:`KINDS`.
-        targets: process ids the event acts on — the crashed/recovered
-            node, or the minority group a partition cuts off.  Empty for
-            ``heal`` (heals everything) and drop-window events.  For
-            ``corrupt`` / ``torn_write``: ``(pid, register_id)``.
+        targets: ``crash`` / ``recover``: the bricks; ``partition``: the
+            group cut off from everyone else.  Empty for ``heal`` (heals
+            everything) and drop-window events.  ``corrupt`` /
+            ``torn_write``: ``(pid, register_id)``.
         value: the drop probability for ``drop_start``; the
             deterministic bit-flip seed for ``corrupt``; unused
             otherwise.
+        after: ``crash`` only, optional ``(message type name, k)``: from
+            ``time`` on, crash the one target right after its k-th send
+            of that type — the way to cut a coordinator mid-protocol.
     """
 
     time: float
     kind: str
     targets: Tuple[int, ...] = ()
     value: float = 0.0
+    after: Optional[Tuple[str, int]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        kind, targets = self.kind, self.targets
+        if kind not in KINDS:
             raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; want one of {KINDS}"
+                f"unknown fault kind {kind!r}; want one of {KINDS}"
+            )
+        if kind in ("corrupt", "torn_write"):
+            want = "(pid >= 1, register >= 0)"
+            ok = len(targets) == 2 and targets[0] >= 1 and targets[1] >= 0
+        elif kind in ("crash", "recover", "partition"):
+            want = "at least one pid, each >= 1"
+            ok = bool(targets) and min(targets) >= 1
+        else:
+            want, ok = "no targets", not targets
+        if not ok:
+            raise ConfigurationError(
+                f"{kind} wants targets {want}, got {targets!r}"
+            )
+        if kind == "drop_start" and not 0.0 <= self.value < 1.0:
+            raise ConfigurationError(
+                f"drop_start probability must be in [0, 1), got {self.value}"
+            )
+        if self.after is not None and not (
+            kind == "crash" and len(targets) == 1
+            and self.after[0] and self.after[1] >= 1
+        ):
+            raise ConfigurationError(
+                f"after= needs a one-target crash and (type name, k >= 1), "
+                f"got {kind} {targets!r} after={self.after!r}"
             )
 
     def to_dict(self) -> Dict:
-        return {
+        data = {
             "time": self.time,
             "kind": self.kind,
             "targets": list(self.targets),
             "value": self.value,
         }
+        if self.after is not None:
+            data["after"] = list(self.after)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultEvent":
-        return cls(
-            time=float(data["time"]),
-            kind=str(data["kind"]),
-            targets=tuple(int(t) for t in data.get("targets", ())),
-            value=float(data.get("value", 0.0)),
-        )
+        try:
+            fields = dict(
+                time=float(data["time"]),
+                kind=str(data["kind"]),
+                targets=tuple(int(t) for t in data.get("targets", ())),
+                value=float(data.get("value", 0.0)),
+            )
+            if data.get("after") is not None:
+                name, count = data["after"]
+                fields["after"] = (str(name), int(count))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"malformed fault event {data!r}: {exc!r}"
+            ) from None
+        return cls(**fields)
 
 
 @dataclass
 class CampaignSchedule:
-    """A complete failure pattern for one campaign run.
+    """A complete failure pattern for one run.
 
     Attributes:
         events: time-ordered fault events.
@@ -144,49 +197,146 @@ class CampaignSchedule:
             seed=self.seed,
         )
 
-    def link_windows(self) -> Tuple[List[Tuple[float, float, Tuple[int, ...]]],
-                                    List[Tuple[float, float, float]]]:
-        """Project the schedule's *link-level* faults into timed windows.
 
-        Returns ``(partitions, drops)`` where each partition window is
-        ``(start, end, group)`` — the minority group cut off from the
-        rest between ``start`` and ``end`` — and each drop window is
-        ``(start, end, probability)``.  This is the bridge that lets a
-        :class:`~repro.transport.chaos.ChaosTransport` replay the same
-        failure pattern the sim campaign applied, on *any* substrate:
-        crash/recover/corrupt events stay endpoint-level (the campaign
-        applier owns those), but partitions and drop windows are pure
-        link behaviour, which is exactly what the chaos layer models.
+# -- the applier ---------------------------------------------------------------
 
-        Unclosed windows (a schedule truncated by the shrinker can lose
-        a ``heal``/``drop_stop``) are closed at the last event time, so
-        the projection always withdraws what it injects.
-        """
-        partitions: List[Tuple[float, float, Tuple[int, ...]]] = []
-        drops: List[Tuple[float, float, float]] = []
-        ordered = self.sorted_events()
-        horizon = ordered[-1].time if ordered else 0.0
-        open_partitions: List[Tuple[float, Tuple[int, ...]]] = []
-        open_drop: Optional[Tuple[float, float]] = None  # (start, prob)
-        for event in ordered:
-            if event.kind == "partition" and event.targets:
-                open_partitions.append((event.time, event.targets))
-            elif event.kind == "heal":
-                # A schedule heal heals everything.
-                for start, group in open_partitions:
-                    partitions.append((start, event.time, group))
-                open_partitions = []
-            elif event.kind == "drop_start":
-                open_drop = (event.time, event.value)
-            elif event.kind == "drop_stop" and open_drop is not None:
-                start, probability = open_drop
-                drops.append((start, event.time, probability))
-                open_drop = None
-        for start, group in open_partitions:
-            partitions.append((start, horizon, group))
-        if open_drop is not None:
-            drops.append((open_drop[0], horizon, open_drop[1]))
-        return partitions, drops
+#: ``on_event(event, took_effect)``, run after each event takes effect.
+EventHook = Callable[[FaultEvent, bool], None]
+
+
+def apply_event(
+    cluster, event: FaultEvent, on_event: Optional[EventHook] = None
+) -> bool:
+    """Apply ``event`` to ``cluster`` (anything with ``transport`` and
+    ``nodes``) now.
+
+    Crash/recover go through the endpoints, link events through the
+    transport's ``partition`` / ``heal`` / ``set_drop_probability``,
+    corrupt/torn_write to the brick's stable store.  A crash with
+    ``after`` is only armed here, and reaches ``on_event`` when it
+    fires.  Returns whether the event took effect: False for an armed
+    crash, or a store fault that found nothing to damage.  Raises
+    :class:`ConfigurationError` on a pid outside the cluster.
+    """
+    _check_targets(cluster, event)
+    if event.after is not None:
+        def fire() -> None:
+            cluster.nodes[event.targets[0]].crash()
+            if on_event is not None:
+                on_event(event, True)
+
+        _arm_send_trigger(cluster.nodes[event.targets[0]], event.after, fire)
+        return False
+    kind, targets, transport = event.kind, event.targets, cluster.transport
+    took_effect = True
+    if kind == "crash":
+        for pid in targets:
+            cluster.nodes[pid].crash()
+    elif kind == "recover":
+        for pid in targets:
+            cluster.nodes[pid].recover()
+    elif kind == "partition":
+        transport.partition(set(targets))
+    elif kind == "heal":
+        transport.heal()
+    elif kind in ("drop_start", "drop_stop"):
+        transport.set_drop_probability(
+            event.value if kind == "drop_start" else 0.0
+        )
+    else:
+        pid, register_id = targets
+        store, key = cluster.nodes[pid].stable, _LOG_KEY.format(register_id)
+        if kind == "corrupt":
+            took_effect = store.corrupt(key, int(event.value))
+        else:
+            took_effect = store.tear_journal(key)
+    if on_event is not None:
+        on_event(event, took_effect)
+    return took_effect
+
+
+def apply_schedule(
+    cluster, schedule: CampaignSchedule, on_event: Optional[EventHook] = None
+) -> Counter:
+    """Arm every event of ``schedule`` on ``cluster``'s transport timers.
+
+    Events fire at their ``time`` (same-time events in list order) via
+    :func:`apply_event`; ``on_event`` runs after each.  Every target is
+    checked against the cluster before anything is armed.  Returns a
+    live :class:`~collections.Counter` of events that took effect, by
+    kind (``applied["corrupt"]`` counts the bits actually flipped).
+    """
+    applied: Counter = Counter()
+
+    def note(event: FaultEvent, took_effect: bool) -> None:
+        applied[event.kind] += took_effect
+        if on_event is not None:
+            on_event(event, took_effect)
+
+    events = schedule.sorted_events()
+    for event in events:
+        _check_targets(cluster, event)
+    transport = cluster.transport
+    for event in events:
+        transport.set_timer(
+            max(0.0, event.time - transport.now()),
+            lambda e=event: apply_event(cluster, e, note),
+        )
+    return applied
+
+
+def _check_targets(cluster, event: FaultEvent) -> None:
+    pids = event.targets[:1] if event.kind in ("corrupt", "torn_write") \
+        else event.targets
+    for pid in pids:
+        if pid not in cluster.nodes:
+            raise ConfigurationError(
+                f"{event.kind} at t={event.time} targets pid {pid}, "
+                f"not in the cluster {sorted(cluster.nodes)}"
+            )
+
+
+def _arm_send_trigger(node, after: Tuple[str, int], fire) -> None:
+    """Run ``fire`` right after ``node``'s k-th send of a message type.
+
+    While any trigger is armed on a node its instance ``send`` is a
+    counting wrapper; triggers sit in one list, so they fire in any
+    order, and the last one to fire restores the class method — a node
+    with nothing armed pays nothing per send.
+    """
+    if "send" not in vars(node):
+        triggers: list = []
+
+        def send(dst, payload, size=0) -> None:
+            fired = []
+            if node.is_up:
+                for trigger in list(triggers):
+                    if trigger[0] == type(payload).__name__:
+                        trigger[1] -= 1
+                        if trigger[1] == 0:
+                            triggers.remove(trigger)
+                            fired.append(trigger[2])
+                if not triggers:
+                    del node.send
+            # Deliver this message, then crash: the trigger cuts the
+            # sender between two protocol messages, not mid-message.
+            type(node).send(node, dst, payload, size)
+            for callback in fired:
+                callback()
+
+        send.triggers = triggers
+        node.send = send
+    node.send.triggers.append([after[0], after[1], fire])
+
+
+# -- generation ----------------------------------------------------------------
+
+
+def _within_budget(down, pid: int, corrupted, max_down: int) -> bool:
+    """True iff ``pid`` joining ``down`` keeps every register's
+    ``|down ∪ corrupted_ever[r]|`` within ``max_down``."""
+    faulty = set(down) | {pid}
+    return all(len(faulty | bricks) <= max_down for bricks in corrupted)
 
 
 def generate_schedule(
@@ -215,13 +365,15 @@ def generate_schedule(
     minority group of at most ``max_down`` bricks, and every injected
     fault carries a matching withdrawal (recover / heal / drop_stop) no
     later than ``duration``.  A zero or negative weight disables that
-    fault class entirely.
+    fault class entirely; ``partition_weight=0, drop_weight=0`` gives
+    crash/recover churn only.
 
     ``corrupt_weight > 0`` (with ``registers > 0``) adds silent
     bit-flip events: each targets one ``(brick, register)`` pair with a
-    deterministic bit seed in ``value``.  Corruption counts against the
-    fault budget like a crash does — over the whole run at most
-    ``max_down`` distinct bricks are ever corrupted per register, so a
+    deterministic bit seed in ``value``.  Corruption and crashes share
+    one budget: at every instant, for every register r, the bricks down
+    plus the bricks ever corrupted at r number at most ``max_down`` —
+    a crash or corruption that would exceed it is not scheduled — so a
     sound configuration (``n >= 2f + m``) always retains a clean
     ordering quorum and recoverability.  When corruption is enabled,
     each scheduled crash is also followed (with
@@ -233,8 +385,8 @@ def generate_schedule(
     down_until: Dict[int, float] = {}  # pid -> scheduled recovery time
     partition_open_until = 0.0
     drop_open_until = 0.0
-    #: register -> bricks ever corrupted there (budget: max_down each).
-    corrupted_bricks: Dict[int, set] = {}
+    #: register -> bricks ever corrupted there.
+    corrupted: Dict[int, set] = {}
     corruption_on = corrupt_weight > 0 and registers > 0
 
     kinds: List[str] = []
@@ -258,7 +410,10 @@ def generate_schedule(
         down_until = {p: t for p, t in down_until.items() if t > now}
         kind = rng.choices(kinds, weights=weights, k=1)[0]
         if kind == "crash":
-            candidates = [p for p in range(1, n + 1) if p not in down_until]
+            candidates = [
+                p for p in range(1, n + 1) if p not in down_until
+                and _within_budget(down_until, p, corrupted.values(), max_down)
+            ]
             if len(down_until) >= max_down or not candidates:
                 continue
             pid = rng.choice(candidates)
@@ -276,11 +431,11 @@ def generate_schedule(
             down_until[pid] = back
         elif kind == "corrupt":
             register = rng.randrange(registers)
-            bricks = corrupted_bricks.setdefault(register, set())
-            if len(bricks) < max_down:
-                candidates = list(range(1, n + 1))
-            else:  # budget spent: only re-corrupt already-dirty bricks
-                candidates = sorted(bricks)
+            bricks = corrupted.setdefault(register, set())
+            candidates = [
+                p for p in range(1, n + 1)
+                if _within_budget(down_until, p, [bricks], max_down)
+            ]
             if not candidates:
                 continue
             pid = rng.choice(candidates)

@@ -211,9 +211,9 @@ class Replica:
         """The stable-store key holding the register's persisted log.
 
         Scrubbers pass it to ``node.stable.verify`` to ask whether the
-        log on this brick is clean.  (The corruption injector in
-        :mod:`repro.sim.failures` sits below this layer and repeats the
-        format to damage the same cell.)
+        log on this brick is clean.  (The fault applier in
+        :mod:`repro.campaign.schedule` sits below this layer and repeats
+        the format to damage the same cell.)
         """
         return f"logj:{register_id}"
 

@@ -29,7 +29,7 @@ survive over-budget damage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 from ..campaign.engine import CampaignConfig, CampaignResult, run_campaign
@@ -151,10 +151,7 @@ def project_schedule(
                 sorted(local[t] for t in event.targets if t in members)
             )
             if kept:
-                events.append(
-                    FaultEvent(time=event.time, kind=event.kind,
-                               targets=kept, value=event.value)
-                )
+                events.append(replace(event, targets=kept))
         elif event.kind in ("heal", "drop_start", "drop_stop"):
             events.append(event)
         # corrupt / torn_write target (brick, register) pairs whose

@@ -4,9 +4,9 @@ The paper's model (Section 2) is an asynchronous message-passing system:
 no bound on message delay or processing time, crash-recovery processes,
 fair-loss channels that may drop and reorder messages.  This subpackage
 implements exactly that model as a deterministic discrete-event
-simulator, so protocol runs are reproducible from a seed and failure
-schedules can be scripted precisely (e.g. "crash the coordinator after
-its second Write message").
+simulator, so protocol runs are reproducible from a seed and fault
+plans (:mod:`repro.campaign.schedule`) can be scripted precisely (e.g.
+"crash the coordinator after its second Write message").
 
 Layers:
 
@@ -16,8 +16,6 @@ Layers:
   distributions, drop/duplicate probabilities, and partitions.
 * :mod:`repro.sim.node` — crash-recovery nodes with persistent stable
   storage and a disk model.
-* :mod:`repro.sim.failures` — failure injectors (scheduled and random
-  crash/recovery, message-count triggers).
 * :mod:`repro.sim.monitor` — metric counters (messages, bytes, disk
   I/O, latency) backing the Table 1 measurements.
 """

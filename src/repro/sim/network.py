@@ -205,17 +205,9 @@ class Network:
             for b in group_b:
                 self._partitions.add(frozenset((a, b)))
 
-    def heal_partition(
-        self, group_a: Optional[Set[ProcessId]] = None,
-        group_b: Optional[Set[ProcessId]] = None,
-    ) -> None:
-        """Remove partitions; with no arguments, heal everything."""
-        if group_a is None or group_b is None:
-            self._partitions.clear()
-            return
-        for a in group_a:
-            for b in group_b:
-                self._partitions.discard(frozenset((a, b)))
+    def heal_partition(self) -> None:
+        """Remove every partition."""
+        self._partitions.clear()
 
     def is_partitioned(self, a: ProcessId, b: ProcessId) -> bool:
         """True iff a partition separates ``a`` and ``b``."""
@@ -224,9 +216,9 @@ class Network:
     def set_drop_probability(self, probability: float) -> None:
         """Change the per-message loss probability mid-run (validated).
 
-        Fault injectors use this for message-drop windows; assigning
-        ``config.drop_probability`` directly would skip the config's
-        range validation.
+        :class:`~repro.transport.sim.SimTransport` uses this for a fault
+        plan's drop windows; assigning ``config.drop_probability``
+        directly would skip the config's range validation.
         """
         if not 0.0 <= probability < 1.0:
             raise ConfigurationError(

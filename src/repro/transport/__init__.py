@@ -14,9 +14,10 @@ The FAB coordinator/replica/session code speaks only the
 
 Any substrate can additionally be wrapped in a
 :class:`~repro.transport.chaos.ChaosTransport` — seeded fault injection
-(drop/delay/duplicate/reorder/corrupt, timed partitions and drop
-windows) at the transport boundary — either explicitly or by passing
-``chaos_policy=`` to :func:`make_transport`.
+(drop/delay/duplicate/reorder/corrupt) at the transport boundary —
+either explicitly or by passing ``chaos_policy=`` to
+:func:`make_transport`; it also hosts a fault plan's partitions and
+drop windows, which a bare asyncio transport refuses.
 
 ``AsyncioTransport`` (and the wire codec) import lazily: the wire
 module depends on :mod:`repro.core.messages`, which would make the
@@ -29,14 +30,7 @@ from typing import Any, Optional
 
 from ..errors import ConfigurationError
 from .base import Endpoint, TimerHandle, Transport
-from .chaos import (
-    ChaosPolicy,
-    ChaosStats,
-    ChaosTransport,
-    DropWindow,
-    LinkChaos,
-    PartitionWindow,
-)
+from .chaos import ChaosPolicy, ChaosStats, ChaosTransport, LinkChaos
 from .sim import SimTransport
 
 __all__ = [
@@ -49,8 +43,6 @@ __all__ = [
     "ChaosPolicy",
     "ChaosStats",
     "LinkChaos",
-    "PartitionWindow",
-    "DropWindow",
     "make_transport",
     "TRANSPORT_KINDS",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
-from ..errors import SimulationError, StorageError
+from ..errors import ConfigurationError, SimulationError, StorageError
 from ..types import ProcessId
 from ..sim.kernel import AllOf, AnyOf, Environment, Event, Process, Timeout
 
@@ -122,6 +122,26 @@ class Transport(ABC):
         coordinators, tolerate ``"suspect"``, avoid ``"down"``.
         """
         return "up"
+
+    # -- link faults (driven by repro.campaign.schedule.apply_event) --------
+
+    def partition(self, group: Iterable[ProcessId]) -> None:
+        """Cut ``group`` off from every other endpoint until :meth:`heal`."""
+        self._no_link_faults()
+
+    def heal(self) -> None:
+        """Withdraw every partition."""
+        self._no_link_faults()
+
+    def set_drop_probability(self, probability: float) -> None:
+        """Lose each message with at least ``probability`` (0 withdraws)."""
+        self._no_link_faults()
+
+    def _no_link_faults(self) -> None:
+        raise ConfigurationError(
+            f"{type(self).__name__} cannot inject link faults; wrap it in "
+            f"a ChaosTransport"
+        )
 
     # -- time --------------------------------------------------------------
 

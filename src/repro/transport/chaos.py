@@ -17,10 +17,12 @@ seeded, serializable :class:`ChaosPolicy`:
   becomes an erasure*, exactly the corrupt-as-erasure discipline the
   stable store applies to on-disk rot (PR 5) and the fair-loss channel
   model requires (channels never *undetectably* corrupt);
-* timed **partition** and **drop-rate windows**, so a
-  :class:`~repro.campaign.schedule.CampaignSchedule`'s link-level fault
-  pattern projects onto real sockets via :meth:`ChaosPolicy.
-  from_schedule`.
+* **partitions** and a **plan-wide loss probability**, installed by
+  :meth:`ChaosTransport.partition` / :meth:`~ChaosTransport.heal` /
+  :meth:`~ChaosTransport.set_drop_probability` — the link events of a
+  :class:`~repro.campaign.schedule.CampaignSchedule`, which
+  :func:`~repro.campaign.schedule.apply_schedule` arms on this
+  transport's timers exactly as it does on the sim network.
 
 All randomness derives from ``policy.seed`` through a private RNG, and
 delayed/reordered re-deliveries are scheduled on the inner transport's
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -47,8 +49,6 @@ from .base import TimerHandle, Transport
 
 __all__ = [
     "LinkChaos",
-    "PartitionWindow",
-    "DropWindow",
     "ChaosPolicy",
     "ChaosStats",
     "ChaosTransport",
@@ -136,82 +136,6 @@ class LinkChaos:
         )
 
 
-@dataclass(frozen=True)
-class PartitionWindow:
-    """A timed partition: ``group`` is cut off from everyone else.
-
-    Messages crossing the group boundary while ``start <= now < end``
-    are dropped in both directions; traffic inside the group (and
-    inside its complement) flows normally — the same semantics as the
-    sim network's :meth:`~repro.sim.network.Network.partition`, but
-    expressed in time so it works on a wall clock.
-    """
-
-    start: float
-    end: float
-    group: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ConfigurationError(
-                f"partition window must have end >= start, "
-                f"got [{self.start}, {self.end})"
-            )
-
-    def cuts(self, src: ProcessId, dst: ProcessId, now: float) -> bool:
-        """True iff this window separates ``src`` and ``dst`` at ``now``."""
-        if not self.start <= now < self.end:
-            return False
-        return (src in self.group) != (dst in self.group)
-
-    def to_dict(self) -> Dict:
-        return {
-            "start": self.start, "end": self.end, "group": list(self.group),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PartitionWindow":
-        return cls(
-            start=float(data["start"]),
-            end=float(data["end"]),
-            group=tuple(int(p) for p in data.get("group", ())),
-        )
-
-
-@dataclass(frozen=True)
-class DropWindow:
-    """A timed loss-rate elevation: extra drop probability in a window."""
-
-    start: float
-    end: float
-    probability: float
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ConfigurationError(
-                f"drop window must have end >= start, "
-                f"got [{self.start}, {self.end})"
-            )
-        _check_probability("probability", self.probability)
-
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
-
-    def to_dict(self) -> Dict:
-        return {
-            "start": self.start, "end": self.end,
-            "probability": self.probability,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DropWindow":
-        return cls(
-            start=float(data["start"]),
-            end=float(data["end"]),
-            probability=float(data["probability"]),
-        )
-
-
 @dataclass
 class ChaosPolicy:
     """A complete, serializable chaos plan for one run.
@@ -221,10 +145,9 @@ class ChaosPolicy:
         default: link behaviour for every (src, dst) pair without an
             explicit override.
         links: per-directed-link overrides, keyed ``(src, dst)``.
-        partitions: timed partition windows.
-        drop_windows: timed loss-rate windows; while one is active the
-            effective drop probability on a link is
-            ``max(link.drop, window.probability)``.
+
+    Timed link faults (partitions, drop windows) are not part of a
+    policy: they are events of a fault plan, applied to the wrapper.
 
     A policy round-trips through JSON (:meth:`to_json` /
     :meth:`from_json`), so a chaos run's artifact carries its own
@@ -234,8 +157,6 @@ class ChaosPolicy:
     seed: int = 0
     default: LinkChaos = field(default_factory=LinkChaos)
     links: Dict[Tuple[int, int], LinkChaos] = field(default_factory=dict)
-    partitions: List[PartitionWindow] = field(default_factory=list)
-    drop_windows: List[DropWindow] = field(default_factory=list)
 
     def link(self, src: ProcessId, dst: ProcessId) -> LinkChaos:
         """The effective link behaviour for one directed pair."""
@@ -249,8 +170,6 @@ class ChaosPolicy:
                 f"{src}->{dst}": chaos.to_dict()
                 for (src, dst), chaos in sorted(self.links.items())
             },
-            "partitions": [w.to_dict() for w in self.partitions],
-            "drop_windows": [w.to_dict() for w in self.drop_windows],
         }
 
     def to_json(self) -> str:
@@ -266,71 +185,11 @@ class ChaosPolicy:
             seed=int(data.get("seed", 0)),
             default=LinkChaos.from_dict(data.get("default", {})),
             links=links,
-            partitions=[
-                PartitionWindow.from_dict(w)
-                for w in data.get("partitions", ())
-            ],
-            drop_windows=[
-                DropWindow.from_dict(w) for w in data.get("drop_windows", ())
-            ],
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ChaosPolicy":
         return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_schedule(
-        cls,
-        schedule,
-        seed: Optional[int] = None,
-        default: Optional[LinkChaos] = None,
-    ) -> "ChaosPolicy":
-        """Project a campaign schedule's link faults into a policy.
-
-        Partitions/heals become :class:`PartitionWindow` entries and
-        drop windows become :class:`DropWindow` entries (via
-        :meth:`~repro.campaign.schedule.CampaignSchedule.link_windows`),
-        so the same seeded failure pattern the deterministic campaign
-        replays in virtual time can be applied to real sockets in wall
-        time — one time unit is one millisecond at the asyncio
-        transport's default ``time_scale``.  Endpoint-level events
-        (crash/recover/corrupt/torn_write) are out of scope here; they
-        remain the campaign applier's job.
-        """
-        partitions, drops = schedule.link_windows()
-        return cls(
-            seed=schedule.seed if seed is None else seed,
-            default=default if default is not None else LinkChaos(),
-            partitions=[
-                PartitionWindow(start=s, end=e, group=g)
-                for s, e, g in partitions
-            ],
-            drop_windows=[
-                DropWindow(start=s, end=e, probability=p)
-                for s, e, p in drops
-            ],
-        )
-
-    def scaled(self, factor: float) -> "ChaosPolicy":
-        """A copy with every window time multiplied by ``factor``.
-
-        Lets a schedule authored in sim units be stretched or shrunk
-        for a wall-clock replay without regenerating it.
-        """
-        return ChaosPolicy(
-            seed=self.seed,
-            default=self.default,
-            links=dict(self.links),
-            partitions=[
-                replace(w, start=w.start * factor, end=w.end * factor)
-                for w in self.partitions
-            ],
-            drop_windows=[
-                replace(w, start=w.start * factor, end=w.end * factor)
-                for w in self.drop_windows
-            ],
-        )
 
 
 class ChaosStats:
@@ -376,9 +235,9 @@ class ChaosStats:
 class ChaosTransport(Transport):
     """Wrap any transport and perturb its send path per a seeded policy.
 
-    Everything except ``send`` delegates to the inner transport, so a
-    cluster built on a wrapped transport behaves identically modulo the
-    injected faults: timers, clocks, spawn, the async lifecycle
+    Everything except ``send`` and the link-fault surface delegates to
+    the inner transport, so a cluster built on a wrapped transport
+    behaves identically modulo the injected faults: timers, clocks, spawn, the async lifecycle
     (``start``/``stop``/``wait_for``), and the sim's synchronous
     driving all pass straight through.  In particular the *inbound*
     path is untouched — chaos is applied once per send, like the sim
@@ -402,6 +261,10 @@ class ChaosTransport(Transport):
         self._rng = random.Random(self.policy.seed)
         #: Messages held back for guaranteed reordering, per destination.
         self._held: Dict[ProcessId, List[Tuple[ProcessId, Any, int]]] = {}
+        #: Link faults a fault plan installed: the groups cut off, and
+        #: the loss probability of an open drop window.
+        self._cut: List[frozenset] = []
+        self._window_drop = 0.0
 
     # -- delegation --------------------------------------------------------
 
@@ -483,30 +346,40 @@ class ChaosTransport(Transport):
     async def wait_for(self, event) -> Any:
         return await self.inner.wait_for(event)
 
+    # -- link faults: send-time state, on any inner substrate --------------
+
+    def partition(self, group) -> None:
+        """Drop every message crossing ``group``'s boundary until healed."""
+        self._cut.append(frozenset(group))
+
+    def heal(self) -> None:
+        self._cut = []
+
+    def set_drop_probability(self, probability: float) -> None:
+        """Open (``probability > 0``) or close a drop window; while open,
+        each link loses ``max(link.drop, probability)``."""
+        _check_probability("drop probability", probability)
+        self._window_drop = probability
+
     # -- the chaotic send path ---------------------------------------------
 
     def send(
         self, src: ProcessId, dst: ProcessId, payload: Any, size: int = 0
     ) -> None:
-        now = self.inner.now()
         metrics = self.inner.metrics
-        for window in self.policy.partitions:
-            if window.cuts(src, dst, now):
+        for group in self._cut:
+            if (src in group) != (dst in group):
                 self.stats.partition_dropped += 1
                 self._count_killed(metrics, size)
                 return
         link = self.policy.link(src, dst)
-        drop_p = link.drop
-        in_window = False
-        for window in self.policy.drop_windows:
-            if window.active(now):
-                in_window = True
-                drop_p = max(drop_p, window.probability)
-        if link.quiet and not in_window:
+        window = self._window_drop
+        if link.quiet and not window:
             self._forward(src, dst, payload, size)
             return
+        drop_p = max(link.drop, window)
         if drop_p > 0.0 and self._rng.random() < drop_p:
-            if in_window and drop_p > link.drop:
+            if window > link.drop:
                 self.stats.window_dropped += 1
             else:
                 self.stats.dropped += 1

@@ -9,7 +9,7 @@ bit-identical violation/ops counters before and after the refactor.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..types import ProcessId
 from ..sim.kernel import Environment
@@ -45,6 +45,8 @@ class SimTransport(Transport):
         else:
             self.network = Network(self.env, config, metrics)
         self.metrics = self.network.metrics
+        #: The network's configured loss: the floor a drop window sits on.
+        self._base_drop = self.network.config.drop_probability
 
     # -- messaging ---------------------------------------------------------
 
@@ -72,6 +74,18 @@ class SimTransport(Transport):
         signal it can give is the crash marker.
         """
         return "down" if process_id in self.network._down else "up"
+
+    # -- link faults: the network's own partition and loss setters ---------
+
+    def partition(self, group: Iterable[ProcessId]) -> None:
+        group = set(group)
+        self.network.partition(group, set(self.network._endpoints) - group)
+
+    def heal(self) -> None:
+        self.network.heal_partition()
+
+    def set_drop_probability(self, probability: float) -> None:
+        self.network.set_drop_probability(max(probability, self._base_drop))
 
     # -- async bridge ------------------------------------------------------
 

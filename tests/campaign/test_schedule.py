@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import CampaignConfig
 from repro.campaign.schedule import (
     CampaignSchedule,
     FaultEvent,
@@ -60,6 +61,33 @@ class TestGeneration:
                     assert len(down) <= 2
                 elif event.kind == "recover":
                     down.difference_update(event.targets)
+
+    def test_joint_fault_budget_per_register(self):
+        """Down bricks plus bricks ever corrupted on a register never
+        exceed max_down, at any instant, for any register (the default
+        campaign's schedules at corrupt_weight=1, seeds 0-199)."""
+        config = CampaignConfig(corrupt_weight=1.0)
+        max_down = config.effective_max_down
+        corrupted_runs = 0
+        for seed in range(200):
+            schedule = gen(
+                seed=seed, n=config.n, duration=config.duration,
+                max_down=max_down, corrupt_weight=1.0,
+                registers=config.registers,
+            )
+            down, corrupted = set(), {}
+            for event in schedule.sorted_events():
+                if event.kind == "crash":
+                    down.update(event.targets)
+                elif event.kind == "recover":
+                    down.difference_update(event.targets)
+                elif event.kind == "corrupt":
+                    pid, register = event.targets
+                    corrupted.setdefault(register, set()).add(pid)
+                for bricks in [set()] + list(corrupted.values()):
+                    assert len(down | bricks) <= max_down, (seed, event)
+            corrupted_runs += bool(corrupted)
+        assert corrupted_runs > 150  # the budget constrains, not disables
 
     def test_zero_weight_disables_fault_class(self):
         schedule = gen(seed=2, partition_weight=0.0, drop_weight=0.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ClusterConfig, FabCluster
+from repro.campaign.schedule import FaultEvent, apply_event
 from repro.core.coordinator import CoordinatorConfig
 from repro.sim.network import NetworkConfig
 
@@ -54,3 +55,16 @@ def stripe_of(m: int, block_size: int, tag: int) -> list:
 def block_of(block_size: int, tag: int) -> bytes:
     """A unique block value for tests."""
     return (f"blk{tag}".encode() * block_size)[:block_size]
+
+
+def fault(cluster, kind: str, *targets: int, value: float = 0.0) -> None:
+    """Apply one fault-plan event to ``cluster`` now."""
+    apply_event(cluster, FaultEvent(cluster.env.now, kind, targets, value))
+
+
+def crash_after(cluster, pid: int, message: type, count: int) -> None:
+    """Crash brick ``pid`` right after its ``count``-th ``message`` send."""
+    apply_event(cluster, FaultEvent(
+        time=cluster.env.now, kind="crash", targets=(pid,),
+        after=(message.__name__, count),
+    ))

@@ -9,7 +9,7 @@ to the Appendix-B checker.
 
 import pytest
 
-from repro.sim.failures import RandomFailures
+from repro.campaign.schedule import apply_schedule, generate_schedule
 from repro.types import ABORT, OpKind
 from repro.verify import (
     HistoryRecorder,
@@ -121,13 +121,12 @@ class TestRandomizedHistories:
 
         rng = random.Random(seed)
         recorder = HistoryRecorder(cluster.env)
-        injector = None
         if with_crashes:
-            injector = RandomFailures(
-                cluster.env, cluster.nodes, max_down=1,
-                crash_probability=0.2, recovery_probability=0.8,
-                check_interval=5.0, horizon=400.0, seed=seed,
-            )
+            apply_schedule(cluster, generate_schedule(
+                seed=seed, n=4, duration=400.0, max_down=1,
+                partition_weight=0.0, drop_weight=0.0,
+                event_gap=(1.0, 12.0), down_time=(2.0, 10.0),
+            ))
         tag = 0
         for _round in range(8):
             # Launch 1-3 concurrent ops from random live coordinators.

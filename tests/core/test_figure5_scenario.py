@@ -18,7 +18,7 @@ import pytest
 
 from repro.baselines.ls97 import Ls97Cluster, Ls97Config, StoreReq
 from repro.sim.network import NetworkConfig
-from tests.conftest import make_cluster
+from tests.conftest import fault, make_cluster
 
 V_OLD = [b"v" * 32]
 V_NEW = [b"w" * 32]
@@ -38,12 +38,12 @@ def run_figure5_on_our_protocol():
     writer = cluster.coordinators[1]
     process = cluster.nodes[1].spawn(writer.write_stripe(0, V_NEW))
     env.run(until=env.now + 2.5)  # Order done, Write messages in flight
-    cluster.network.partition({1}, {2, 3})
+    fault(cluster, "partition", 1)
     env.run(until=env.now + 2.0)  # a's self-Write lands; others dropped
     cluster.nodes[1].crash()      # write1 dies: partial write
     env.run(until=env.now + 1.0)
     assert not process.ok
-    cluster.network.heal_partition()
+    fault(cluster, "heal")
 
     # Verify the partial state is as in the figure.
     assert cluster.replicas[1].state(0).log.max_block()[1] == V_NEW[0]
@@ -78,12 +78,12 @@ class TestFigure5Ls97Anomaly:
         writer = cluster.coordinators[1]
         process = cluster.nodes[1].spawn(writer.write(0, V_NEW[0]))
         env.run(until=env.now + 2.5)  # query phase done, stores in flight
-        cluster.network.partition({1}, {2, 3})
+        fault(cluster, "partition", 1)
         env.run(until=env.now + 2.0)  # self-store lands on a only
         cluster.nodes[1].crash()
         env.run(until=env.now + 1.0)
         assert not process.ok
-        cluster.network.heal_partition()
+        fault(cluster, "heal")
 
         assert cluster.nodes[1].stable.load("reg:0")[1] == V_NEW[0]
         assert cluster.nodes[2].stable.load("reg:0")[1] == V_OLD[0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import make_cluster, stripe_of
+from tests.conftest import crash_after, make_cluster, stripe_of
 
 
 class TestOnlineGc:
@@ -140,7 +140,6 @@ class TestGcRecoveryInterplay:
     def test_recovery_after_aggressive_gc(self):
         """GC trims history; recovery must still find the kept version."""
         from repro.core.messages import WriteReq
-        from repro.sim.failures import MessageCountTrigger
 
         cluster = make_cluster(m=3, n=5, gc_enabled=True)
         register = cluster.register(0, route=2)
@@ -151,7 +150,7 @@ class TestGcRecoveryInterplay:
 
         # Now a partial write with too few blocks must roll back to the
         # GC-trimmed-but-kept committed version, not to nil.
-        MessageCountTrigger(cluster.network, cluster.nodes[1], 2, WriteReq)
+        crash_after(cluster, 1, WriteReq, 2)
         coordinator = cluster.coordinators[1]
         cluster.nodes[1].spawn(
             coordinator.write_stripe(0, stripe_of(3, 32, tag=2))
@@ -161,7 +160,6 @@ class TestGcRecoveryInterplay:
 
     def test_gc_then_roll_forward(self):
         from repro.core.messages import WriteReq
-        from repro.sim.failures import MessageCountTrigger
 
         cluster = make_cluster(m=3, n=5, gc_enabled=True)
         register = cluster.register(0, route=2)
@@ -169,7 +167,7 @@ class TestGcRecoveryInterplay:
         cluster.run(until=cluster.env.now + 30)
 
         new = stripe_of(3, 32, tag=2)
-        MessageCountTrigger(cluster.network, cluster.nodes[1], 4, WriteReq)
+        crash_after(cluster, 1, WriteReq, 4)
         coordinator = cluster.coordinators[1]
         cluster.nodes[1].spawn(coordinator.write_stripe(0, new))
         cluster.env.run()

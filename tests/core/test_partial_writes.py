@@ -1,23 +1,21 @@
 """Partial writes: roll-back and roll-forward (paper Sections 4.1.1-4.1.2).
 
-These tests crash coordinators at precise points mid-protocol using
-MessageCountTrigger and verify the recovery semantics: a partial write
-takes effect before the crash or not at all, decided by the next read.
+These tests crash coordinators at precise points mid-protocol with
+send-count triggered crash events (``FaultEvent(after=...)``) and
+verify the recovery semantics: a partial write takes effect before the
+crash or not at all, decided by the next read.
 """
 
 import pytest
 
 from repro.core.messages import OrderReq, WriteReq
-from repro.sim.failures import MessageCountTrigger
 from repro.types import ABORT
-from tests.conftest import make_cluster, stripe_of
+from tests.conftest import crash_after, make_cluster, stripe_of
 
 
 def crash_writer_after(cluster, writer_pid, count, payload_type):
     """Arm a crash of `writer_pid` after its count-th payload_type message."""
-    return MessageCountTrigger(
-        cluster.network, cluster.nodes[writer_pid], count, payload_type
-    )
+    crash_after(cluster, writer_pid, payload_type, count)
 
 
 def start_write(cluster, writer_pid, register_id, stripe):
@@ -36,11 +34,11 @@ class TestRollBack:
         old = stripe_of(3, 32, tag=1)
         register.write_stripe(old)
 
-        trigger = crash_writer_after(cluster, 1, count=3, payload_type=OrderReq)
+        crash_writer_after(cluster, 1, count=3, payload_type=OrderReq)
         process = start_write(cluster, 1, 0, stripe_of(3, 32, tag=2))
         cluster.env.run()
         assert not process.ok  # interrupted
-        assert trigger.fired
+        assert not cluster.nodes[1].is_up
 
         assert register.read_stripe() == old
         # And the decision is stable: repeated reads agree.
@@ -56,10 +54,10 @@ class TestRollBack:
         register.write_stripe(old)
 
         # Crash after 5 Orders + 2 Writes: only 2 < m new blocks land.
-        trigger = crash_writer_after(cluster, 1, count=2, payload_type=WriteReq)
+        crash_writer_after(cluster, 1, count=2, payload_type=WriteReq)
         process = start_write(cluster, 1, 0, stripe_of(3, 32, tag=2))
         cluster.env.run()
-        assert trigger.fired
+        assert not cluster.nodes[1].is_up
         assert not process.ok
 
         assert register.read_stripe() == old
@@ -104,10 +102,10 @@ class TestRollForward:
         # first sends is the coordinator's message to its own replica,
         # which dies with the crash — so 4 sends leave exactly m = 3
         # new blocks on surviving bricks.
-        trigger = crash_writer_after(cluster, 1, count=4, payload_type=WriteReq)
+        crash_writer_after(cluster, 1, count=4, payload_type=WriteReq)
         process = start_write(cluster, 1, 0, new)
         cluster.env.run()
-        assert trigger.fired
+        assert not cluster.nodes[1].is_up
         assert not process.ok
 
         value = register.read_stripe()
@@ -152,10 +150,10 @@ class TestPaperSection411Example:
 
         # Coordinator 1 crashes after 5 Write sends; its self-send dies
         # with it, leaving the new value on exactly 4 survivors.
-        trigger = crash_writer_after(cluster, 1, count=5, payload_type=WriteReq)
+        crash_writer_after(cluster, 1, count=5, payload_type=WriteReq)
         process = start_write(cluster, 1, 0, stripe_of(5, 16, tag=2))
         cluster.env.run()
-        assert trigger.fired
+        assert not cluster.nodes[1].is_up
         assert not process.ok
 
         old_version = cluster.replicas[7].state(0).log.max_block()[0]

@@ -9,7 +9,7 @@ reconciles through timestamps.
 import pytest
 
 from repro.types import ABORT
-from tests.conftest import make_cluster, stripe_of
+from tests.conftest import fault, make_cluster, stripe_of
 
 
 class TestPartitionSemantics:
@@ -18,7 +18,7 @@ class TestPartitionSemantics:
         register = cluster.register(0, route=1)
         stripe = stripe_of(3, 32, tag=1)
         register.write_stripe(stripe)
-        cluster.network.partition({5}, {1, 2, 3, 4})
+        fault(cluster, "partition", 5)
         assert register.read_stripe() == stripe
         newer = stripe_of(3, 32, tag=2)
         assert register.write_stripe(newer) == "OK"
@@ -28,7 +28,7 @@ class TestPartitionSemantics:
         cluster = make_cluster(m=3, n=5, op_timeout=40.0)
         register_majority = cluster.register(0, route=1)
         register_majority.write_stripe(stripe_of(3, 32, tag=1))
-        cluster.network.partition({4, 5}, {1, 2, 3})
+        fault(cluster, "partition", 4, 5)
         minority = cluster.register(0, route=4)
         assert minority.read_stripe() is ABORT  # cannot reach a quorum
 
@@ -38,7 +38,7 @@ class TestPartitionSemantics:
         cluster.register(0, route=1).write_stripe(
             stripe_of(3, 32, tag=1)
         )
-        cluster.network.partition({1, 2}, {3, 4, 5})
+        fault(cluster, "partition", 1, 2)
         side_a = cluster.register(0, route=1).write_stripe(
             stripe_of(3, 32, tag=2)
         )
@@ -48,7 +48,7 @@ class TestPartitionSemantics:
         # Neither side has 4 bricks: both abort; no divergence possible.
         assert side_a is ABORT
         assert side_b is ABORT
-        cluster.network.heal_partition()
+        fault(cluster, "heal")
         value = cluster.register(0, route=2).read_stripe()
         # Aborted writes may or may not have taken effect, but all
         # readers agree after healing.
@@ -59,10 +59,10 @@ class TestPartitionSemantics:
         cluster = make_cluster(m=3, n=5)
         register = cluster.register(0, route=1)
         register.write_stripe(stripe_of(3, 32, tag=1))
-        cluster.network.partition({5}, {1, 2, 3, 4})
+        fault(cluster, "partition", 5)
         newer = stripe_of(3, 32, tag=2)
         register.write_stripe(newer)
-        cluster.network.heal_partition()
+        fault(cluster, "heal")
         # Brick 5 missed the write; a coordinator ON brick 5 still
         # reads the new value (its quorum overlaps the write quorum).
         assert cluster.register(0, route=5).read_stripe() == newer
@@ -73,7 +73,7 @@ class TestPartitionSemantics:
         register = cluster.register(0, route=1)
         last = None
         for cycle in range(4):
-            cluster.network.partition({(cycle % 5) + 1}, set(range(1, 6)) - {(cycle % 5) + 1})
+            fault(cluster, "partition", (cycle % 5) + 1)
             coordinator_pid = ((cycle + 1) % 5) + 1
             if coordinator_pid == (cycle % 5) + 1:
                 coordinator_pid = ((cycle + 2) % 5) + 1
@@ -81,7 +81,7 @@ class TestPartitionSemantics:
             register_cycle = cluster.register(0, route=coordinator_pid)
             if register_cycle.write_stripe(stripe) == "OK":
                 last = stripe
-            cluster.network.heal_partition()
+            fault(cluster, "heal")
         assert cluster.register(0, route=1).read_stripe() == last
 
     def test_partition_during_write_partial_handled(self):
@@ -96,11 +96,11 @@ class TestPartitionSemantics:
         new = stripe_of(3, 32, tag=2)
         process = cluster.nodes[1].spawn(writer.write_stripe(0, new))
         cluster.env.run(until=cluster.env.now + 2.5)  # Order done
-        cluster.network.partition({1, 2}, {3, 4, 5})
+        fault(cluster, "partition", 1, 2)
         cluster.env.run(until=cluster.env.now + 30)
         assert not process.triggered  # write stuck below quorum
         cluster.nodes[1].crash()  # coordinator dies while partitioned
-        cluster.network.heal_partition()
+        fault(cluster, "heal")
         cluster.env.run()
 
         value = cluster.register(0, route=3).read_stripe()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CorruptionDetected
 from repro.scrub import ScrubConfig, ScrubDaemon
-from repro.sim.failures import CorruptionInjector
+from repro.campaign.schedule import FaultEvent, apply_event
 from tests.conftest import make_cluster, stripe_of
 
 REGISTERS = 4
@@ -22,8 +22,8 @@ def populated_cluster(**kwargs):
 
 
 def corrupt_on(cluster, pid, register_id, seed=0):
-    injector = CorruptionInjector(cluster.nodes)
-    assert injector.corrupt(pid, register_id, seed=seed)
+    event = FaultEvent(0.0, "corrupt", (pid, register_id), value=seed)
+    assert apply_event(cluster, event)
     cluster.replicas[pid].drop_mirror(register_id)
 
 

@@ -5,8 +5,7 @@ import pytest
 from repro import LogicalVolume
 from repro.core.messages import OrderReadReq, WriteReq
 from repro.errors import StorageError
-from repro.sim.failures import MessageCountTrigger
-from tests.conftest import block_of, make_cluster, stripe_of
+from tests.conftest import block_of, crash_after, make_cluster, stripe_of
 
 
 class TestFailover:
@@ -16,7 +15,7 @@ class TestFailover:
         data = block_of(32, tag=1)
         volume.write(0, data)
         # Crash coordinator 1 after its next Order&Read fan-out begins.
-        MessageCountTrigger(cluster.network, cluster.nodes[1], 2, OrderReadReq)
+        crash_after(cluster, 1, OrderReadReq, 2)
         # A write via brick 1 dies mid-operation; the volume must retry
         # through another brick and still succeed.
         result = volume.write(0, block_of(32, tag=2))
@@ -45,7 +44,7 @@ class TestFailover:
         volume = LogicalVolume(cluster, num_stripes=1, route=1)
         original = block_of(32, tag=5)
         volume.write(0, original)
-        MessageCountTrigger(cluster.network, cluster.nodes[1], 2, WriteReq)
+        crash_after(cluster, 1, WriteReq, 2)
         replacement = block_of(32, tag=6)
         result = volume.write(0, replacement)
         assert result == "OK"

@@ -23,15 +23,17 @@ import json
 import subprocess
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict
 
-from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign import CampaignConfig, FaultEvent, apply_event, run_campaign
 from repro.core.cluster import ClusterConfig, FabCluster
 from repro.core.coordinator import CoordinatorConfig
 from repro.placement import ShardedCampaignConfig, run_sharded_campaign
 from repro.sim.kernel import Environment
 from repro.sim.monitor import Metrics
 from repro.sim.network import Network, NetworkConfig
+from repro.transport.sim import SimTransport
 from tests.campaign.test_engine import QUICK
 
 GOLDEN_PATH = Path(__file__).with_name("fixed_seed_counters.json")
@@ -50,16 +52,19 @@ REGISTERS = 4
 
 
 def make_cluster(drop=0.0, gc=False, seed=7):
-    return FabCluster(
+    cluster = FabCluster(
         ClusterConfig(
             m=M,
             n=N,
             block_size=BLOCK,
             seed=seed,
-            network=NetworkConfig(jitter_seed=seed, drop_probability=drop),
+            network=NetworkConfig(jitter_seed=seed),
             coordinator=CoordinatorConfig(gc_enabled=gc),
         )
     )
+    if drop:
+        apply_event(cluster, FaultEvent(0.0, "drop_start", value=drop))
+    return cluster
 
 
 def stripe_for(rid, version):
@@ -80,10 +85,11 @@ def run_workload(cluster, crash_pid=None):
     history = []
     for step in range(40):
         rid = step % REGISTERS
-        if crash_pid is not None and step == 12:
-            cluster.crash(crash_pid)
-        if crash_pid is not None and step == 28:
-            cluster.recover(crash_pid)
+        if crash_pid is not None and step in (12, 28):
+            kind = "crash" if step == 12 else "recover"
+            apply_event(
+                cluster, FaultEvent(cluster.env.now, kind, (crash_pid,))
+            )
         if step % 5 == 4:
             history.append(("read", rid, handles[rid].read_stripe()))
         elif step % 7 == 6:
@@ -155,13 +161,11 @@ def _crash_case(crash_pid=None, **cluster_kwargs):
 def _delivery_case():
     env = Environment()
     network = Network(
-        env,
-        NetworkConfig(
-            min_latency=1.0, max_latency=4.0, jitter_seed=13,
-            drop_probability=0.1,
-        ),
+        env, NetworkConfig(min_latency=1.0, max_latency=4.0, jitter_seed=13),
         Metrics(),
     )
+    bare = SimpleNamespace(transport=SimTransport(env, network), nodes={})
+    apply_event(bare, FaultEvent(0.0, "drop_start", value=0.1))
     log = []
     for pid in (1, 2, 3):
         network.register(

@@ -197,7 +197,7 @@ class TestFailuresAndPartitions:
         received = []
         network.register(2, received.append)
         network.partition({1}, {2})
-        network.heal_partition({1}, {2})
+        network.heal_partition()
         network.send(1, 2, "x")
         env.run()
         assert len(received) == 1

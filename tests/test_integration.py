@@ -5,7 +5,7 @@ import pytest
 from repro import ClusterConfig, FabCluster, LogicalVolume
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.rebuild import Rebuilder, Scrubber
-from repro.sim.failures import RandomFailures
+from repro.campaign.schedule import apply_schedule, generate_schedule
 from repro.sim.network import NetworkConfig
 from repro.types import ABORT
 from repro.workloads import TraceReplayer, ZipfPattern, synthesize_trace
@@ -32,11 +32,11 @@ class TestSoak:
         """300 ops; f-bounded churn; 5% loss; GC on; verify every block."""
         cluster = build_cluster(seed=21, drop=0.05)
         volume = LogicalVolume(cluster, num_stripes=20)
-        churn = RandomFailures(
-            cluster.env, cluster.nodes, max_down=cluster.quorum_system.f,
-            crash_probability=0.06, recovery_probability=0.5,
-            check_interval=30.0, horizon=1e9, seed=5,
-        )
+        churn = apply_schedule(cluster, generate_schedule(
+            seed=5, n=6, duration=2000.0, max_down=cluster.quorum_system.f,
+            partition_weight=0.0, drop_weight=0.0,
+            event_gap=(20.0, 150.0), down_time=(30.0, 90.0),
+        ))
         trace = synthesize_trace(
             300, volume.num_blocks, read_fraction=0.6,
             mean_interarrival=4.0, pattern=ZipfPattern(1.0, seed=2), seed=9,
@@ -46,7 +46,7 @@ class TestSoak:
 
         assert stats.operations == 300
         assert stats.abort_rate < 0.2
-        assert churn.crashes_injected > 0
+        assert churn["crash"] > 0
 
         # Recover everyone and verify the final value of every block
         # that had a successful write.

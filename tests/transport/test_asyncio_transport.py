@@ -43,6 +43,18 @@ def test_tcp_serve_smoke(tmp_path):
     assert result["mode"] == "tcp"
 
 
+def test_serve_partition_plan_acts_on_live_traffic():
+    """``partition=`` is a two-event plan; the run holds its clients
+    (re-reading their blocks) until the heal, however fast the
+    workload itself finishes."""
+    result = run_serve(clients=3, ops_per_client=2, partition=(5.0, 60.0, (2,)))
+    chaos = result["chaos"]
+    assert result["failed_sessions"] == 0 and chaos["linearizable"]
+    assert chaos["partition_dropped"] > 0
+    assert result["wall_seconds"] >= 0.05  # held open until the heal
+    assert [e["kind"] for e in chaos["plan"]["events"]] == ["partition", "heal"]
+
+
 def test_serve_validates_inputs():
     with pytest.raises(ConfigurationError, match="clients"):
         run_serve(clients=0)

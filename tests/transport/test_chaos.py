@@ -6,15 +6,9 @@ from repro.core.client import RetryPolicy
 from repro.core.cluster import ClusterConfig, FabCluster
 from repro.core.volume import LogicalVolume
 from repro.errors import ConfigurationError
-from repro.campaign.schedule import CampaignSchedule, FaultEvent
+from repro.campaign.schedule import CampaignSchedule, FaultEvent, apply_schedule
 from repro.transport import make_transport
-from repro.transport.chaos import (
-    ChaosPolicy,
-    ChaosTransport,
-    DropWindow,
-    LinkChaos,
-    PartitionWindow,
-)
+from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
 from repro.transport.sim import SimTransport
 
 
@@ -54,15 +48,9 @@ def test_policy_json_round_trip():
         seed=42,
         default=LinkChaos(drop=0.05, delay=0.1, delay_range=(2.0, 6.0)),
         links={(1, 2): LinkChaos(drop=0.5, corrupt=0.1)},
-        partitions=[PartitionWindow(start=10.0, end=50.0, group=(2, 3))],
-        drop_windows=[DropWindow(start=5.0, end=25.0, probability=0.3)],
     )
     restored = ChaosPolicy.from_json(policy.to_json())
-    assert restored.seed == 42
-    assert restored.default == policy.default
-    assert restored.links == policy.links
-    assert restored.partitions == policy.partitions
-    assert restored.drop_windows == policy.drop_windows
+    assert restored == policy
     assert restored.link(1, 2).drop == 0.5
     assert restored.link(2, 1) == restored.default
 
@@ -72,49 +60,86 @@ def test_policy_validates_probabilities():
         LinkChaos(drop=1.5)
     with pytest.raises(ConfigurationError, match="delay_range"):
         LinkChaos(delay_range=(5.0, 1.0))
-    with pytest.raises(ConfigurationError, match="end >= start"):
-        PartitionWindow(start=10.0, end=5.0, group=(1,))
-    with pytest.raises(ConfigurationError, match="probability"):
-        DropWindow(start=0.0, end=1.0, probability=2.0)
+    with pytest.raises(ConfigurationError, match="drop probability"):
+        ChaosTransport(SimTransport()).set_drop_probability(2.0)
 
 
 def test_partition_window_cuts_only_across_group():
-    window = PartitionWindow(start=0.0, end=100.0, group=(1, 2))
-    assert window.cuts(1, 3, now=50.0)
-    assert window.cuts(3, 1, now=50.0)
-    assert not window.cuts(1, 2, now=50.0)  # inside the group
-    assert not window.cuts(3, 4, now=50.0)  # inside the complement
-    assert not window.cuts(1, 3, now=100.0)  # window over
+    transport = ChaosTransport(SimTransport())
+    delivered = []
+    for pid in (1, 2, 3, 4):
+        transport.register(pid, lambda m: delivered.append((m.src, m.dst)))
+    transport.partition((1, 2))
+    for src, dst in ((1, 3), (3, 1), (1, 2), (3, 4)):
+        transport.send(src, dst, "x")
+    transport.heal()
+    transport.send(1, 3, "x")  # window over
+    transport.run()
+    assert transport.stats.partition_dropped == 2
+    assert sorted(delivered) == [(1, 2), (1, 3), (3, 4)]
 
 
-def test_from_schedule_projects_link_faults():
-    schedule = CampaignSchedule(events=[
-        FaultEvent(time=10.0, kind="partition", targets=(2,)),
-        FaultEvent(time=20.0, kind="drop_start", value=0.25),
-        FaultEvent(time=50.0, kind="heal"),
-        FaultEvent(time=60.0, kind="drop_stop"),
-        FaultEvent(time=70.0, kind="crash", targets=(1,)),
-    ], seed=9)
-    policy = ChaosPolicy.from_schedule(schedule)
-    assert policy.seed == 9
-    assert policy.partitions == [
-        PartitionWindow(start=10.0, end=50.0, group=(2,))
-    ]
-    assert policy.drop_windows == [
-        DropWindow(start=20.0, end=60.0, probability=0.25)
-    ]
-    scaled = policy.scaled(2.0)
-    assert scaled.partitions[0].end == 100.0
-    assert scaled.drop_windows[0].start == 40.0
+def test_bare_asyncio_transport_refuses_link_faults():
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport()
+    for inject in (
+        lambda: transport.partition({1}),
+        transport.heal,
+        lambda: transport.set_drop_probability(0.1),
+    ):
+        with pytest.raises(ConfigurationError, match="ChaosTransport"):
+            inject()
 
 
-def test_unclosed_schedule_windows_close_at_horizon():
-    schedule = CampaignSchedule(events=[
-        FaultEvent(time=10.0, kind="partition", targets=(3,)),
-        FaultEvent(time=40.0, kind="crash", targets=(1,)),
-    ])
-    partitions, _drops = schedule.link_windows()
-    assert partitions == [(10.0, 40.0, (3,))]
+#: One hand-built plan, applied unchanged to both substrates.
+TWO_SUBSTRATE_PLAN = CampaignSchedule(events=[
+    FaultEvent(time=10.0, kind="partition", targets=(2,)),
+    FaultEvent(time=20.0, kind="drop_start", value=0.3),
+    FaultEvent(time=50.0, kind="heal"),
+    FaultEvent(time=60.0, kind="drop_stop"),
+    FaultEvent(time=70.0, kind="crash", targets=(1,)),
+    FaultEvent(time=90.0, kind="recover", targets=(1,)),
+], seed=9)
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["sim", "chaos"])
+def test_one_plan_two_substrates(wrapped):
+    """The same plan through the one applier: every op completes with
+    the right value, and only sends inside [10, 50) hit the partition."""
+    inner = SimTransport()
+    transport = ChaosTransport(inner, ChaosPolicy(seed=9)) if wrapped \
+        else inner
+    cluster = FabCluster(ClusterConfig(m=3, n=5, seed=11), transport=transport)
+    cut_at = []  # when each partition-dropped send happened
+    if wrapped:
+        real_send = transport.send
+
+        def send(src, dst, payload, size=0):
+            before = transport.stats.partition_dropped
+            real_send(src, dst, payload, size)
+            if transport.stats.partition_dropped > before:
+                cut_at.append(cluster.env.now)
+
+        transport.send = send
+    else:
+        network = inner.network
+        network.add_send_observer(
+            lambda m: cut_at.append(cluster.env.now)
+            if network.is_partitioned(m.src, m.dst) else None
+        )
+    applied = apply_schedule(cluster, TWO_SUBSTRATE_PLAN)
+    _run_workload(LogicalVolume(cluster, num_stripes=4), rounds=6)
+    assert cluster.env.now > 90.0  # the workload outlived the plan
+    assert applied == {
+        "partition": 1, "drop_start": 1, "heal": 1, "drop_stop": 1,
+        "crash": 1, "recover": 1,
+    }
+    assert cut_at and all(10.0 <= t < 50.0 for t in cut_at)
+    assert all(node.is_up for node in cluster.nodes.values())
+    if wrapped:
+        assert transport.stats.window_dropped > 0
+        assert transport.stats.partition_dropped == len(cut_at)
 
 
 def test_make_transport_wraps_with_chaos_policy():
@@ -169,22 +194,22 @@ def test_drop_rate_heals_via_retransmission():
 def test_partition_window_masked_by_quorum():
     """Cutting one brick (f=1) for a window still completes every op;
     the window's kills are accounted separately from random drops."""
-    policy = ChaosPolicy(
-        seed=5,
-        partitions=[PartitionWindow(start=0.0, end=150.0, group=(2,))],
-    )
-    _cluster, volume, transport = _chaos_cluster(policy)
+    cluster, volume, transport = _chaos_cluster(ChaosPolicy(seed=5))
+    apply_schedule(cluster, CampaignSchedule(events=[
+        FaultEvent(time=0.0, kind="partition", targets=(2,)),
+        FaultEvent(time=150.0, kind="heal"),
+    ]))
     _run_workload(volume)
     assert transport.stats.partition_dropped > 0
     assert transport.stats.dropped == 0
 
 
 def test_drop_window_elevates_loss_temporarily():
-    policy = ChaosPolicy(
-        seed=17,
-        drop_windows=[DropWindow(start=0.0, end=100.0, probability=0.3)],
-    )
-    _cluster, volume, transport = _chaos_cluster(policy)
+    cluster, volume, transport = _chaos_cluster(ChaosPolicy(seed=17))
+    apply_schedule(cluster, CampaignSchedule(events=[
+        FaultEvent(time=0.0, kind="drop_start", value=0.3),
+        FaultEvent(time=100.0, kind="drop_stop"),
+    ]))
     _run_workload(volume)
     assert transport.stats.window_dropped > 0
 

@@ -12,10 +12,9 @@ import random
 import pytest
 
 from repro.core.messages import ModifyReq, WriteReq
-from repro.sim.failures import MessageCountTrigger
 from repro.types import OpKind
 from repro.verify import HistoryRecorder, check_strict_linearizability
-from tests.conftest import make_cluster
+from tests.conftest import crash_after, make_cluster
 
 M, N, B = 3, 5, 16
 
@@ -88,7 +87,7 @@ class TestMixedProjection:
         recorder = HistoryRecorder(cluster.env)
         # Seed, then crash coordinator 1 mid stripe-write, then keep going.
         drive(cluster, recorder, [("ws", 2, 1)])
-        MessageCountTrigger(cluster.network, cluster.nodes[1], 3, WriteReq)
+        crash_after(cluster, 1, WriteReq, 3)
         stripe = stripe_payload(2)
         process = cluster.nodes[1].spawn(
             cluster.coordinators[1].write_stripe(0, stripe)
@@ -108,7 +107,7 @@ class TestMixedProjection:
         cluster = make_cluster(m=M, n=N, block_size=B)
         recorder = HistoryRecorder(cluster.env)
         drive(cluster, recorder, [("ws", 2, 1)])
-        MessageCountTrigger(cluster.network, cluster.nodes[1], 2, ModifyReq)
+        crash_after(cluster, 1, ModifyReq, 2)
         block = payload("doomed")
         process = cluster.nodes[1].spawn(
             cluster.coordinators[1].write_block(0, 2, block)
