@@ -646,8 +646,21 @@ class Coordinator:
     # Algorithm 3 — block access
     # ------------------------------------------------------------------
 
+    def _check_block_indices(self, js) -> None:
+        """Refuse a block index outside ``1..m``.
+
+        Without this an index of 0 would read or overwrite block ``m``
+        through the recovery path's ``stripe[j - 1]``.
+        """
+        for j in js:
+            if not 1 <= j <= self.m:
+                raise ProtocolInvariantError(
+                    f"block index {j} outside 1..{self.m}"
+                )
+
     def read_block(self, register_id: int, j: int):
         """``read-block(j)``: returns the block, None for nil, or ABORT."""
+        self._check_block_indices((j,))
         op = self.metrics.begin_op("read-block", self.transport.now())
         targets = frozenset({j})
 
@@ -682,6 +695,7 @@ class Coordinator:
 
     def write_block(self, register_id: int, j: int, block: Block):
         """``write-block(j, b)``: fast Modify path, else full recovery."""
+        self._check_block_indices((j,))
         op = self.metrics.begin_op("write-block", self.transport.now())
         ts = self._new_ts()
         result, modify_sent = yield from self._fast_write_block(
@@ -794,8 +808,9 @@ class Coordinator:
         recovery path reconstructs the whole stripe.  Returns a dict
         ``{j: block}`` (values ``None`` for a nil stripe) or ABORT.
         """
-        op = self.metrics.begin_op("read-blocks", self.transport.now())
         targets = frozenset(js)
+        self._check_block_indices(targets)
+        op = self.metrics.begin_op("read-blocks", self.transport.now())
 
         def good(replies: Dict[ProcessId, ReadReply]) -> bool:
             if len(replies) < self.quorum_system.quorum_size:
@@ -837,11 +852,7 @@ class Coordinator:
         """
         if not updates:
             return OK
-        for j in updates:
-            if not 1 <= j <= self.m:
-                raise ProtocolInvariantError(
-                    f"block index {j} outside 1..{self.m}"
-                )
+        self._check_block_indices(updates)
         op = self.metrics.begin_op("write-blocks", self.transport.now())
         ts = self._new_ts()
         replies = yield from self.rpc.call(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ProtocolInvariantError
 from repro.types import ABORT
 from tests.conftest import block_of, make_cluster, stripe_of
 
@@ -150,3 +151,30 @@ class TestWriteBlock:
             expected[j - 1] = block
             assert register.read_block(j) == block
         assert register.read_stripe() == expected
+
+
+class TestBlockIndexValidation:
+    """Block indices are 1..m; 0 used to alias block m on recovery."""
+
+    @pytest.fixture
+    def loaded(self, cluster):
+        register = cluster.register(0)
+        register.write_stripe(stripe_of(3, 32, tag=1))
+        return register
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_read_block_rejects_out_of_range(self, loaded, j):
+        with pytest.raises(ProtocolInvariantError):
+            loaded.read_block(j)
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_write_block_rejects_out_of_range(self, loaded, j):
+        stripe = loaded.read_stripe()
+        with pytest.raises(ProtocolInvariantError):
+            loaded.write_block(j, block_of(32, tag=2))
+        assert loaded.read_stripe() == stripe
+
+    @pytest.mark.parametrize("js", [[0], [1, 4]])
+    def test_read_blocks_rejects_out_of_range(self, loaded, js):
+        with pytest.raises(ProtocolInvariantError):
+            loaded.read_blocks(js)

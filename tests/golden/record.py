@@ -95,7 +95,7 @@ def run_workload(cluster, crash_pid=None):
         elif step % 7 == 6:
             block = bytes([97 + step % 26]) * BLOCK
             history.append(
-                ("write-block", rid, handles[rid].write_block(0, block))
+                ("write-block", rid, handles[rid].write_block(M, block))
             )
         else:
             history.append(
