@@ -7,7 +7,10 @@ message count, disk I/Os, and network bytes, and lines them up against
 the paper's analytic formulas.
 
 Fast-path rows must match the formulas *exactly* — the simulator and
-the paper count the same events.  Slow-path rows depend on which
+the paper count the same events.  The one formula that is not the
+paper's printed value is block-write/F bandwidth: the protocol ships
+the Section 5.2 (b) Modify, (k + 2)B instead of (2n + 1)B (see
+:func:`repro.analysis.costs.our_costs`).  Slow-path rows depend on which
 replicas participate in the recovery; the paper "pessimistically
 assumes all replicas are involved" and charges the block-write slow
 path for a failed Modify round we abort before sending, so measured

@@ -44,6 +44,11 @@ def our_costs(n: int, m: int, block_size: int) -> Dict[str, CostRow]:
     Keys: ``stripe-read/F``, ``stripe-write``, ``stripe-read/S``,
     ``block-read/F``, ``block-write/F``, ``block-read/S``,
     ``block-write/S``.
+
+    ``block-write/F`` bandwidth is the Section 5.2 (b) figure the
+    protocol ships, ``(k + 2)B``: ``b_j`` back from ``p_j``, the new
+    block to ``p_j``, one coded delta per parity.  The paper's Table 1
+    prints the unoptimised ``(2n + 1)B`` (old and new block to all n).
     """
     if not 1 <= m <= n:
         raise ConfigurationError(f"need 1 <= m <= n, got m={m} n={n}")
@@ -57,7 +62,7 @@ def our_costs(n: int, m: int, block_size: int) -> Dict[str, CostRow]:
         ),
         "block-read/F": CostRow("block-read/F", 2, 2 * n, 1, 0, B),
         "block-write/F": CostRow(
-            "block-write/F", 4, 4 * n, k + 1, k + 1, (2 * n + 1) * B
+            "block-write/F", 4, 4 * n, k + 1, k + 1, (k + 2) * B
         ),
         "block-read/S": CostRow(
             "block-read/S", 6, 6 * n, n + 1, n, (2 * n + 1) * B

@@ -78,8 +78,7 @@ def open_cluster(m: int = 3, n: int = 5, **knobs) -> FabCluster:
             latencies, ``transport``), :class:`NetworkConfig`
             (``min_latency``, ``max_latency``, ``drop_probability``,
             ...), or :class:`CoordinatorConfig` (``gc_enabled``,
-            ``op_timeout``, ``delta_updates``, ...), routed
-            automatically.
+            ``op_timeout``, ...), routed automatically.
 
     ``transport`` selects the substrate — ``"sim"`` (deterministic
     discrete-event kernel, default), ``"asyncio"`` (wall-clock loopback,

@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ProtocolInvariantError
 from ..erasure.interface import ErasureCode
-from ..erasure.reed_solomon import ReedSolomonCode
 from ..quorum.strategy import QuorumStrategy, RandomQuorumStrategy
 from ..quorum.system import MajorityMQuorumSystem
 from ..sim.monitor import Metrics
@@ -77,9 +76,6 @@ class CoordinatorConfig:
         observe_timestamps: adopt timestamps seen in replies into the
             local clock (reduces aborts under clock skew; never affects
             safety).
-        delta_updates: ship a single coded delta to parity processes in
-            Modify instead of old+new blocks (Section 5.2 optimization
-            (b); requires a ReedSolomonCode).
         gc_enabled: send asynchronous garbage-collection notices after
             every complete write (Section 5.1).
         disable_fast_read: ablation switch — skip the optimistic
@@ -97,7 +93,6 @@ class CoordinatorConfig:
     grace: float = 2.0
     op_timeout: Optional[float] = None
     observe_timestamps: bool = True
-    delta_updates: bool = False
     gc_enabled: bool = False
     disable_fast_read: bool = False
     unsafe_one_phase_writes: bool = False
@@ -647,11 +642,7 @@ class Coordinator:
     # ------------------------------------------------------------------
 
     def _check_block_indices(self, js) -> None:
-        """Refuse a block index outside ``1..m``.
-
-        Without this an index of 0 would read or overwrite block ``m``
-        through the recovery path's ``stripe[j - 1]``.
-        """
+        """Refuse an index outside ``1..m`` (0 would alias block ``m``)."""
         for j in js:
             if not 1 <= j <= self.m:
                 raise ProtocolInvariantError(
@@ -747,43 +738,24 @@ class Coordinator:
             for reply in replies.values():
                 self._observe(reply.lts)
             return ABORT, False
-        old_block = replies[j].block
+        b_j = replies[j].block
         ts_j = replies[j].lts
-        if old_block is None:
+        if b_j is None:
             # p_j holds no base value (never-written register, or a
             # recovery stored nil): the incremental Modify path has
             # nothing to modify.  Abort *before* sending Modify so the
             # slow path can reuse this operation's timestamp cleanly.
             return ABORT, False
 
-        use_delta = self.config.delta_updates and isinstance(
-            self.code, ReedSolomonCode
-        ) and old_block is not None
-        delta = (
-            self.code.encode_delta(j, old_block, block)  # type: ignore[attr-defined]
-            if use_delta
-            else None
-        )
+        delta = self.code.encode_delta(j, b_j, block)
 
         def make_modify(dst: ProcessId, rid: int) -> ModifyReq:
-            if use_delta:
-                return ModifyReq(
-                    register_id=register_id,
-                    request_id=rid,
-                    j=j,
-                    old_block=None,
-                    new_block=block if dst == j else None,
-                    delta=delta,
-                    ts_j=ts_j,
-                    ts=ts,
-                )
             return ModifyReq(
                 register_id=register_id,
                 request_id=rid,
                 j=j,
-                old_block=old_block,
-                new_block=block,
-                delta=None,
+                new_block=block if dst == j else None,
+                delta=delta if dst > self.m else None,
                 ts_j=ts_j,
                 ts=ts,
             )

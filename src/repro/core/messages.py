@@ -13,7 +13,8 @@ Request               Paper form
                       destination's own block, the paper's stated
                       bandwidth optimization (Section 5.2 / Table 1
                       accounting of ``nB``)
-:class:`ModifyReq`    ``[Modify, j, b_j, b, ts_j, ts]``
+:class:`ModifyReq`    ``[Modify, j, b_j, b, ts_j, ts]``, one view
+                      per destination (Section 5.2 (b))
 ====================  =============================================
 
 Every request carries ``register_id`` (which stripe) and ``request_id``
@@ -172,14 +173,15 @@ class WriteReply(_Base):
 class ModifyReq(_Base):
     """``[Modify, j, b_j, b, ts_j, ts]`` — block-write fast path.
 
-    Carries the old value ``old_block`` of block ``j`` and the new value
-    ``new_block`` so parity processes can apply ``modify_{j,i}``.  When
-    the cluster enables delta shipping (Section 5.2 optimization (b)),
-    ``old_block`` is ``None`` and ``delta`` carries the coded delta.
+    The paper's message carries the old and new values of block ``j``
+    to everyone; each destination here gets only what it uses (Section
+    5.2 optimizations (a) and (b)): ``p_j`` gets ``new_block``, every
+    parity process gets the coded ``delta`` (``encode_delta(j, b_j,
+    b)``, which it applies with ``apply_delta``), and any other data
+    process gets neither and only logs ``ts``.
     """
 
     j: int = 0
-    old_block: Optional[Block] = None
     new_block: Optional[Block] = None
     delta: Optional[Block] = None
     ts_j: Timestamp = None  # type: ignore[assignment]
@@ -188,7 +190,7 @@ class ModifyReq(_Base):
     @property
     def size(self) -> int:
         total = 0
-        for blob in (self.old_block, self.new_block, self.delta):
+        for blob in (self.new_block, self.delta):
             if blob is not None:
                 total += len(blob)
         return total

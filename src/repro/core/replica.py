@@ -502,15 +502,9 @@ class Replica:
                 _ts, current = state.log.max_block()
                 if isinstance(current, (bytes, bytearray)):
                     self._disk_read()
-                    if req.delta is not None:
-                        block = self.code.apply_delta(  # type: ignore[attr-defined]
-                            req.j, self.i, req.delta, bytes(current)
-                        )
-                    else:
-                        block = self.code.modify(
-                            req.j, self.i, req.old_block, req.new_block,
-                            bytes(current),
-                        )
+                    block = self.code.apply_delta(
+                        req.j, self.i, req.delta, bytes(current)
+                    )
                 else:
                     # No parity value yet (register never written): the
                     # fast path cannot produce a consistent parity block.

@@ -10,6 +10,10 @@ Every code exposes the paper's three primitives:
   parity block ``j`` after data block ``i`` changed, without touching
   the other data blocks.
 
+``modify`` composes the pair the protocol ships (Section 5.2 (b)):
+``encode_delta(i, old_bi, new_bi) -> delta`` once at the writer, then
+``apply_delta(i, j, delta, old_cj) -> new_cj`` at each parity process.
+
 Indices are **1-based** throughout, matching the paper's ``p_1 .. p_n``
 numbering (process ``j`` stores block ``j``).
 """
@@ -21,6 +25,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from ..errors import CodingError
 from ..types import Block
+from . import kernels
 
 __all__ = ["ErasureCode"]
 
@@ -99,7 +104,23 @@ class ErasureCode(abc.ABC):
                 size.
         """
 
+    def encode_delta(self, i: int, old_data: Block, new_data: Block) -> Block:
+        """``b_i ^ b'_i``: one delta every parity applies via :meth:`apply_delta`."""
+        if not 1 <= i <= self._m:
+            raise CodingError(f"data index i={i} out of range 1..{self._m}")
+        if len(old_data) != len(new_data):
+            raise CodingError("delta requires equal-size blocks")
+        return kernels.xor(old_data, new_data)
+
     @abc.abstractmethod
+    def apply_delta(self, i: int, j: int, delta: Block, old_parity: Block) -> Block:
+        """New parity block ``j`` from :meth:`encode_delta`'s ``delta``.
+
+        Args:
+            i: 1-based data block index (``1 <= i <= m``).
+            j: 1-based parity block index (``m+1 <= j <= n``).
+        """
+
     def modify(
         self, i: int, j: int, old_data: Block, new_data: Block, old_parity: Block
     ) -> Block:
@@ -113,6 +134,9 @@ class ErasureCode(abc.ABC):
             i: 1-based data block index (``1 <= i <= m``).
             j: 1-based parity block index (``m+1 <= j <= n``).
         """
+        self._check_modify_args(i, j, old_data, new_data, old_parity)
+        delta = self.encode_delta(i, old_data, new_data)
+        return self.apply_delta(i, j, delta, old_parity)
 
     # -- shared validation helpers -------------------------------------
 

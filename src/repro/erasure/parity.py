@@ -2,8 +2,9 @@
 
 The paper notes that parity codes are the ``m = n - 1`` special case of
 erasure coding (RAID-5).  XOR parity is worth a dedicated implementation
-because it avoids all field multiplications: encode, decode, and modify
-are pure XOR, matching what a real brick's parity engine would do.
+because it avoids all field multiplications: encode, decode, and the
+parity delta are pure XOR, matching what a real brick's parity engine
+would do.
 """
 
 from __future__ import annotations
@@ -59,8 +60,5 @@ class SingleParityCode(ErasureCode):
             data.append(reconstructed if i == missing_index else bytes(blocks[i]))
         return data
 
-    def modify(
-        self, i: int, j: int, old_data: Block, new_data: Block, old_parity: Block
-    ) -> Block:
-        self._check_modify_args(i, j, old_data, new_data, old_parity)
-        return kernels.xor_all([old_data, new_data, old_parity])
+    def apply_delta(self, i: int, j: int, delta: Block, old_parity: Block) -> Block:
+        return kernels.xor(old_parity, delta)

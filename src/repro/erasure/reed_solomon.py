@@ -8,7 +8,8 @@ matching the surviving blocks, inverts that square matrix, and multiplies.
 
 Because the code is linear, the paper's ``modify`` primitive is a
 one-coefficient update: if data block ``i`` changes by ``delta = b_i ^
-b'_i``, parity block ``j`` changes by ``G[j-1, i-1] * delta``.
+b'_i``, parity block ``j`` changes by ``G[j-1, i-1] * delta``
+(:meth:`ReedSolomonCode.apply_delta`).
 
 All block-size arithmetic runs through :mod:`repro.erasure.kernels`:
 the coder holds coefficient matrices and hands blocks to
@@ -97,30 +98,14 @@ class ReedSolomonCode(ErasureCode):
 
         return self._decode_cache.get_or_compute(survivor_set, build)
 
-    def modify(
-        self, i: int, j: int, old_data: Block, new_data: Block, old_parity: Block
-    ) -> Block:
-        self._check_modify_args(i, j, old_data, new_data, old_parity)
-        coeff = int(self._generator[j - 1, i - 1])
-        delta = kernels.xor(old_data, new_data)
-        return kernels.addmul(old_parity, coeff, delta)
-
-    def encode_delta(self, i: int, old_data: Block, new_data: Block) -> Block:
-        """The Section 5.2 optimization: one coded delta for all parities.
-
-        Returns ``delta = b_i ^ b'_i``; each parity process ``j`` then
-        applies ``c'_j = c_j ^ g[j][i] * delta`` locally via
-        :meth:`apply_delta`.  This halves the payload shipped to parity
-        processes relative to sending both old and new block values.
-        """
-        if not 1 <= i <= self.m:
-            raise CodingError(f"data index i={i} out of range 1..{self.m}")
-        if len(old_data) != len(new_data):
-            raise CodingError("delta requires equal-size blocks")
-        return kernels.xor(old_data, new_data)
+    # Inherited, but also bound in this class body: benchmarks/e2e/trace.py
+    # wraps encode/decode/modify/encode_delta/apply_delta through
+    # vars(ReedSolomonCode) until ROADMAP 5(a) moves it to public names.
+    modify = ErasureCode.modify
+    encode_delta = ErasureCode.encode_delta
 
     def apply_delta(self, i: int, j: int, delta: Block, old_parity: Block) -> Block:
-        """Apply a coded delta from :meth:`encode_delta` to parity ``j``."""
+        """``c'_j = c_j ^ g[j][i] * delta`` for a delta from :meth:`encode_delta`."""
         if not self.m + 1 <= j <= self.n:
             raise CodingError(
                 f"parity index j={j} out of range {self.m + 1}..{self.n}"

@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence
 
 from ..errors import CodingError
 from ..types import Block
+from . import kernels
 from .interface import ErasureCode
 
 __all__ = ["ReplicationCode"]
@@ -42,8 +43,5 @@ class ReplicationCode(ErasureCode):
             )
         return [values.pop()]
 
-    def modify(
-        self, i: int, j: int, old_data: Block, new_data: Block, old_parity: Block
-    ) -> Block:
-        self._check_modify_args(i, j, old_data, new_data, old_parity)
-        return bytes(new_data)
+    def apply_delta(self, i: int, j: int, delta: Block, old_parity: Block) -> Block:
+        return kernels.xor(old_parity, delta)

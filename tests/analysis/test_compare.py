@@ -44,6 +44,9 @@ class TestMeasuredMatchesAnalytic:
             register = cluster.register(0)
             register.write_stripe(stripe_of(m, B, tag=1))
             register.read_stripe()
-            rows = compare_table1(our_costs(n, m, B), cluster.metrics.summary())
+            register.write_block(min(2, m), block_of(B, tag=2))
+            summary = cluster.metrics.summary()
+            assert "write-block/fast" in summary
+            rows = compare_table1(our_costs(n, m, B), summary)
             for row in rows:
                 assert row.deviation == 0.0, (m, n, str(row))

@@ -22,9 +22,10 @@ class TestOurCosts:
         row = costs["block-read/F"]
         assert (row.latency_delta, row.messages, row.disk_reads,
                 row.disk_writes, row.bandwidth) == (2, 10, 1, 0, 1)
+        # Bandwidth is Section 5.2 (b)'s (k + 2)B; the paper prints 11.
         row = costs["block-write/F"]
         assert (row.latency_delta, row.messages, row.disk_reads,
-                row.disk_writes, row.bandwidth) == (4, 20, 3, 3, 11)
+                row.disk_writes, row.bandwidth) == (4, 20, 3, 3, 4)
         row = costs["block-read/S"]
         assert (row.latency_delta, row.messages, row.disk_reads,
                 row.disk_writes, row.bandwidth) == (6, 30, 6, 5, 11)

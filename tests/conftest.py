@@ -18,6 +18,7 @@ def make_cluster(
     drop: float = 0.0,
     min_latency: float = 1.0,
     max_latency: float = 1.0,
+    code_kind: str = "auto",
     **coordinator_kwargs,
 ) -> FabCluster:
     """A small cluster with test-friendly defaults."""
@@ -27,6 +28,7 @@ def make_cluster(
             n=n,
             block_size=block_size,
             seed=seed,
+            code_kind=code_kind,
             network=NetworkConfig(
                 min_latency=min_latency,
                 max_latency=max_latency,

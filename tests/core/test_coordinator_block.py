@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.messages import ModifyReq
 from repro.errors import ProtocolInvariantError
 from repro.types import ABORT
 from tests.conftest import block_of, make_cluster, stripe_of
@@ -76,7 +77,11 @@ class TestWriteBlock:
         assert register.read_stripe() == expected
 
     def test_write_block_fast_costs(self):
-        """Block write/F: 4δ, 4n msgs, k+1 reads, k+1 writes, (2n+1)B."""
+        """Block write/F: 4δ, 4n msgs, k+1 reads, k+1 writes, (k+2)B.
+
+        The bytes are Section 5.2 (b)'s: b_j back from p_j, the new
+        block to p_j, one coded delta to each of the k parities.
+        """
         cluster = make_cluster(m=3, n=5, block_size=32)
         register = cluster.register(0)
         register.write_stripe(stripe_of(3, 32, tag=1))
@@ -87,7 +92,7 @@ class TestWriteBlock:
         assert row["messages"] == 20
         assert row["disk_reads"] == k + 1
         assert row["disk_writes"] == k + 1
-        assert row["bytes"] == (2 * 5 + 1) * 32
+        assert row["bytes"] == (k + 2) * 32
 
     def test_write_block_on_virgin_register(self, cluster):
         """No base value: the fast path aborts cleanly, the slow path
@@ -99,21 +104,6 @@ class TestWriteBlock:
         assert stripe[1] == new_block
         assert stripe[0] == bytes(32)
         assert stripe[2] == bytes(32)
-
-    def test_write_block_delta_updates(self):
-        """Section 5.2 (b): shipping one coded delta, not old+new."""
-        cluster = make_cluster(m=3, n=5, block_size=32, delta_updates=True)
-        # force Reed-Solomon so deltas apply (auto picks parity for n=m+1)
-        assert type(cluster.code).__name__ == "ReedSolomonCode"
-        register = cluster.register(0)
-        stripe = stripe_of(3, 32, tag=1)
-        register.write_stripe(stripe)
-        new_block = block_of(32, tag=2)
-        assert register.write_block(2, new_block) == "OK"
-        assert register.read_stripe() == [stripe[0], new_block, stripe[2]]
-        # Bandwidth shrinks: parity processes got B (delta) instead of 2B.
-        row = cluster.metrics.summary()["write-block/fast"]
-        assert row["bytes"] < (2 * 5 + 1) * 32
 
     def test_write_block_survives_parity_crash(self):
         cluster = make_cluster(m=3, n=5)
@@ -178,3 +168,75 @@ class TestBlockIndexValidation:
     def test_read_blocks_rejects_out_of_range(self, loaded, js):
         with pytest.raises(ProtocolInvariantError):
             loaded.read_blocks(js)
+
+
+#: One geometry per built-in erasure.registry kind.  The LRC(4, 7) has
+#: two local groups, so writing block 2 also reaches the local parity
+#: of the other group (generator coefficient 0).
+KIND_GEOMETRY = {
+    "reed-solomon": (3, 5),
+    "cauchy": (3, 5),
+    "lrc": (4, 7),
+    "parity": (3, 4),
+    "replication": (1, 3),
+}
+
+
+class TestModifyShape:
+    """Modify is one view per destination, for every code."""
+
+    @pytest.fixture(params=sorted(KIND_GEOMETRY))
+    def written(self, request):
+        kind = request.param
+        m, n = KIND_GEOMETRY[kind]
+        cluster = make_cluster(m=m, n=n, block_size=32, code_kind=kind)
+        register = cluster.register(0)
+        stripe = stripe_of(m, 32, tag=1)
+        register.write_stripe(stripe)
+        modifies = {}
+
+        def observe(msg):
+            if isinstance(msg.payload, ModifyReq):
+                modifies[msg.dst] = msg.payload
+
+        cluster.network.add_send_observer(observe)
+        j = min(2, m)
+        new_block = block_of(32, tag=2)
+        assert register.write_block(j, new_block) == "OK"
+        stripe[j - 1] = new_block
+        return cluster, register, stripe, modifies, j
+
+    def test_each_destination_gets_only_what_it_uses(self, written):
+        cluster, _register, _stripe, modifies, j = written
+        m, n = cluster.code.m, cluster.code.n
+        assert sorted(modifies) == list(range(1, n + 1))
+        deltas = set()
+        for dst, request in modifies.items():
+            if dst == j:
+                assert request.new_block is not None
+                assert request.delta is None
+            elif dst > m:
+                assert request.new_block is None
+                assert request.delta is not None
+                deltas.add(request.delta)
+            else:
+                assert request.new_block is None
+                assert request.delta is None
+        assert len(deltas) == 1  # every parity gets the same delta
+
+    def test_fast_costs_and_parity(self, written):
+        """4δ, 4n messages, k+1 disk I/Os each way, (n-m+2)B bytes."""
+        cluster, register, stripe, _modifies, _j = written
+        m, n = cluster.code.m, cluster.code.n
+        row = cluster.metrics.summary()["write-block/fast"]
+        assert row["latency_delta"] == 4
+        assert row["messages"] == 4 * n
+        assert row["disk_reads"] == n - m + 1
+        assert row["disk_writes"] == n - m + 1
+        assert row["bytes"] == (n - m + 2) * 32
+        # Every stored parity equals a fresh encode of the new stripe.
+        encoded = cluster.code.encode(stripe)
+        for pid in range(m + 1, n + 1):
+            _ts, block = cluster.replicas[pid].state(0).log.max_block()
+            assert block == encoded[pid - 1]
+        assert register.read_stripe() == stripe

@@ -37,19 +37,18 @@ class TestSizes:
             register_id=0, request_id=1, status=True, lts=ts(1), block=b"z" * 16
         ).size == 16
 
-    def test_modify_counts_old_and_new(self):
+    def test_modify_counts_new_block(self):
+        """p_j's view: the new block only."""
         request = ModifyReq(
             register_id=0, request_id=1, j=1,
-            old_block=b"a" * 8, new_block=b"b" * 8, delta=None,
-            ts_j=ts(1), ts=ts(2),
+            new_block=b"b" * 8, delta=None, ts_j=ts(1), ts=ts(2),
         )
-        assert request.size == 16
+        assert request.size == 8
 
     def test_modify_delta_counts_once(self):
         request = ModifyReq(
             register_id=0, request_id=1, j=1,
-            old_block=None, new_block=None, delta=b"d" * 8,
-            ts_j=ts(1), ts=ts(2),
+            new_block=None, delta=b"d" * 8, ts_j=ts(1), ts=ts(2),
         )
         assert request.size == 8
 

@@ -221,7 +221,7 @@ class TestModifyHandler:
         reply = h.send(
             ModifyReq(
                 register_id=0, request_id=99, j=1,
-                old_block=b"old", new_block=b"new", ts_j=ts(1), ts=ts(2),
+                new_block=b"new", ts_j=ts(1), ts=ts(2),
             )
         )
         assert reply.status
@@ -232,11 +232,11 @@ class TestModifyHandler:
         stripe = [b"a", b"b"]
         parity = h.code.encode(stripe)[2]
         self._prime(h, parity, ts(1))
-        new_block = b"z"
         reply = h.send(
             ModifyReq(
                 register_id=0, request_id=99, j=1,
-                old_block=b"a", new_block=new_block, ts_j=ts(1), ts=ts(2),
+                delta=h.code.encode_delta(1, b"a", b"z"),
+                ts_j=ts(1), ts=ts(2),
             )
         )
         assert reply.status
@@ -244,13 +244,11 @@ class TestModifyHandler:
         assert h.replica.state(0).log.max_block() == (ts(2), expected)
 
     def test_other_data_process_logs_bottom(self):
+        """A ts-only Modify: the process logs ⊥ at ts."""
         h = Harness(process_index=2, m=2, n=3)
         self._prime(h, b"b", ts(1))
         reply = h.send(
-            ModifyReq(
-                register_id=0, request_id=99, j=1,
-                old_block=b"a", new_block=b"z", ts_j=ts(1), ts=ts(2),
-            )
+            ModifyReq(register_id=0, request_id=99, j=1, ts_j=ts(1), ts=ts(2))
         )
         assert reply.status
         entry = h.replica.state(0).log.entry_at(ts(2))
@@ -265,7 +263,7 @@ class TestModifyHandler:
         reply = h.send(
             ModifyReq(
                 register_id=0, request_id=99, j=1,
-                old_block=b"v1", new_block=b"z", ts_j=ts(1), ts=ts(3),
+                new_block=b"z", ts_j=ts(1), ts=ts(3),
             )
         )
         assert not reply.status
@@ -276,7 +274,7 @@ class TestModifyHandler:
         reply = h.send(
             ModifyReq(
                 register_id=0, request_id=99, j=1,
-                old_block=None, new_block=b"z", ts_j=LOW_TS, ts=ts(1),
+                delta=b"z", ts_j=LOW_TS, ts=ts(1),
             )
         )
         assert not reply.status

@@ -78,8 +78,10 @@ class TestInterfaceContract:
         new_block = b"\x99" * 8
         new_stripe = [new_block] + stripe[1:]
         reencoded = code.encode(new_stripe)
+        delta = code.encode_delta(1, stripe[0], new_block)
         for j in range(code.m + 1, code.n + 1):
             assert (
                 code.modify(1, j, stripe[0], new_block, encoded[j - 1])
                 == reencoded[j - 1]
             )
+            assert code.apply_delta(1, j, delta, encoded[j - 1]) == reencoded[j - 1]

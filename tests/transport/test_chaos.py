@@ -229,27 +229,31 @@ def test_corruption_is_detected_and_becomes_erasure():
 def test_bit_flip_inside_a_block_field_is_detected():
     """Blocks ride the binary frame raw (no text armour around them),
     so a flip there changes no framing at all — the frame CRC alone
-    must catch it: counted as corrupted, never delivered."""
-    from repro.core.messages import WriteReq
+    must catch it: counted as corrupted, never delivered.  That holds
+    for a Write's block and for a Modify's coded delta alike."""
+    from repro.core.messages import ModifyReq, WriteReq
     from repro.timestamps import Timestamp
     from repro.transport import wire
 
     block = bytes(range(64))
-    request = WriteReq(0, 1, block=block, ts=Timestamp(5, 1))
-    frame = wire.encode_frame(1, 2, request, request.size)
-    at = frame.index(block)
+    requests = [
+        WriteReq(0, 1, block=block, ts=Timestamp(5, 1)),
+        ModifyReq(0, 2, j=1, delta=block, ts_j=Timestamp(4, 1),
+                  ts=Timestamp(5, 1)),
+    ]
 
     class AimedRng:
         """Always corrupt, and always at the chosen bit."""
 
-        def __init__(self, bit):
+        def __init__(self, bit, frame):
             self.bit = bit
+            self.frame = frame
 
         def random(self):
             return 0.0
 
         def randrange(self, stop):
-            assert stop == len(frame) * 8
+            assert stop == len(self.frame) * 8
             return self.bit
 
     policy = ChaosPolicy(seed=1, default=LinkChaos(corrupt=0.5))
@@ -257,12 +261,16 @@ def test_bit_flip_inside_a_block_field_is_detected():
     delivered = []
     transport.register(1, delivered.append)
     transport.register(2, delivered.append)
-    bits = [at * 8, (at + 31) * 8 + 4, (at + len(block)) * 8 - 1]
-    for bit in bits:
-        transport._rng = AimedRng(bit)
-        transport.send(1, 2, request, request.size)
+    flips = 0
+    for request in requests:
+        frame = wire.encode_frame(1, 2, request, request.size)
+        at = frame.index(block)
+        for bit in (at * 8, (at + 31) * 8 + 4, (at + len(block)) * 8 - 1):
+            transport._rng = AimedRng(bit, frame)
+            transport.send(1, 2, request, request.size)
+            flips += 1
     transport.run()
-    assert transport.stats.corrupted == len(bits)
+    assert transport.stats.corrupted == flips
     assert transport.stats.forwarded == 0
     assert delivered == []
 

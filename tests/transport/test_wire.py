@@ -56,8 +56,10 @@ def test_every_protocol_message_roundtrips():
                                 corrupt=False),
         messages.WriteReq(3, 10, block=b"x" * 16, ts=TS),
         messages.WriteReply(3, 10, "OK", max_seen=TS),
-        messages.ModifyReq(4, 11, j=2, old_block=b"old", new_block=b"new",
-                           delta=None, ts_j=LOW_TS, ts=TS),
+        messages.ModifyReq(4, 11, j=2, new_block=b"new", delta=None,
+                           ts_j=LOW_TS, ts=TS),
+        messages.ModifyReq(4, 11, j=2, new_block=None, delta=b"delta",
+                           ts_j=LOW_TS, ts=TS),
         messages.ModifyReply(4, 11, "OK"),
         messages.GcReq(5, 12, ts=TS),
     ]
@@ -225,8 +227,8 @@ def _mixed_frames(count=50, seed=11):
                                      block=rng.randbytes(rng.randrange(24))),
         lambda i: messages.OrderReq(i, i, ts=Timestamp(i * 1000, 2)),
         lambda i: messages.WriteReq(i, i, block=rng.randbytes(16), ts=TS),
-        lambda i: messages.ModifyReq(i, i, j=1, old_block=b"o" * 8,
-                                     new_block=b"n" * 8, ts_j=LOW_TS, ts=TS),
+        lambda i: messages.ModifyReq(i, i, j=1, delta=b"d" * 8,
+                                     ts_j=LOW_TS, ts=TS),
         lambda i: messages.ModifyReply(i, i, False),
         lambda i: messages.GcReq(i, i, ts=HIGH_TS),
     ]
