@@ -8,8 +8,7 @@ Also runs the deliberately broken ``n < 2f + m`` configuration and
 asserts the harness catches it and shrinks the schedule to a small
 reproducer — i.e. the detector itself is alive, not vacuously green.
 
-Artifacts: ``benchmarks/out/campaign_smoke.txt`` (sweep report) and
-``benchmarks/out/BENCH_campaign.json`` (machine-readable results).
+Artifact: ``benchmarks/out/campaign_smoke.txt`` (sweep report).
 """
 
 import json
@@ -17,7 +16,7 @@ import json
 from repro.analysis import campaign as campaign_analysis
 from repro.campaign.engine import CampaignConfig, broken_config
 
-from .conftest import OUT_DIR, write_artifact
+from .conftest import write_artifact
 
 #: Small but representative: a few seeds, full fault mix, short horizon.
 SMOKE_SEEDS = range(5)
@@ -31,8 +30,6 @@ def run_smoke():
 def test_bench_campaign(benchmark):
     suite = benchmark.pedantic(run_smoke, rounds=1, iterations=1)
     write_artifact("campaign_smoke", campaign_analysis.render_report(suite))
-    json_path = OUT_DIR / "BENCH_campaign.json"
-    json_path.write_text(campaign_analysis.to_json(suite) + "\n")
 
     # The headline: every seed ran its whole schedule with faults
     # injected and recovered, and no invariant was violated.
@@ -43,7 +40,7 @@ def test_bench_campaign(benchmark):
         assert result.recoveries_checked > 0  # crashes actually recovered
         assert result.ops.get("ok", 0) > 0  # the workload made progress
 
-    payload = json.loads(json_path.read_text())
+    payload = json.loads(campaign_analysis.to_json(suite))
     assert payload["benchmark"] == "campaign"
     assert payload["ok"] is True
     assert len(payload["results"]) == len(list(SMOKE_SEEDS))

@@ -31,7 +31,7 @@ Subpackages:
 * :mod:`repro.sim` — event loop, fair-loss network, crash-recovery nodes.
 * :mod:`repro.transport` — the substrate API: deterministic sim or
   asyncio sockets behind one protocol-facing interface.
-* :mod:`repro.baselines` — LS97-style replication, centralized RAID.
+* :mod:`repro.baselines` — LS97-style and ABD replication.
 * :mod:`repro.verify` — (strict) linearizability checking.
 * :mod:`repro.reliability` — MTTDL / storage-overhead models (Figs 2-3).
 * :mod:`repro.analysis` — Table 1 cost model, analytic vs measured.
@@ -45,7 +45,6 @@ from .core import (
     FabCluster,
     LogicalVolume,
     Replica,
-    RetryingClient,
     RetryPolicy,
     RouteOptions,
     SessionOp,
@@ -56,7 +55,7 @@ from .erasure import ErasureCode, make_code
 from .transport import Endpoint, SimTransport, Transport, make_transport
 from .quorum import MajorityMQuorumSystem, mquorum_exists
 from .timestamps import HIGH_TS, LOW_TS, Timestamp, TimestampSource
-from .types import ABORT, NIL, Block, StripeConfig
+from .types import ABORT, NIL, Block
 
 __version__ = "1.0.0"
 
@@ -69,7 +68,6 @@ __all__ = [
     "LogicalVolume",
     "VolumeSession",
     "SessionOp",
-    "RetryingClient",
     "RetryPolicy",
     "RouteOptions",
     "Coordinator",
@@ -89,6 +87,5 @@ __all__ = [
     "ABORT",
     "NIL",
     "Block",
-    "StripeConfig",
     "__version__",
 ]

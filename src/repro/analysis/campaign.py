@@ -3,7 +3,7 @@
 Drives :func:`repro.campaign.run_campaign` over a list of seeds,
 shrinks any violating schedule to a reproducer, and renders the whole
 sweep as a text report plus a machine-readable JSON artifact (written
-by the CLI and the campaign smoke bench to ``benchmarks/out/``).
+by ``repro campaign --json PATH``).
 
 The JSON payload is a pure function of the configuration and seeds —
 no wall-clock times — so repeated runs produce byte-identical

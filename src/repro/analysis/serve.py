@@ -13,8 +13,8 @@ or protocol defect, not workload-induced aborts.  Clients alternate
 writes and read-backs and verify every read against the last value they
 wrote.
 
-**Chaos mode** wraps the transport in a
-:class:`~repro.transport.chaos.ChaosTransport`: a seeded
+**Chaos mode** (any non-zero fault knob, or a partition) wraps the
+transport in a :class:`~repro.transport.chaos.ChaosTransport`: a seeded
 :class:`~repro.transport.chaos.ChaosPolicy` drops / duplicates /
 corrupts frames on the *wall-clock* path, and an optional timed
 partition is a two-event fault plan applied once the transport runs
@@ -25,40 +25,37 @@ timeouts, generous failover budget).  The run must still finish with
 history — losing up to ~10% of messages merely costs latency, because
 retransmission and retry heal every injected fault.  The chaos counters
 (delivered/dropped/corrupted/…), the policy and plan themselves, and the
-linearizability verdict land in the result as first-class axes, so
-``BENCH_serve.json`` artifacts are self-describing reproducers.
+linearizability verdict land in the result as first-class axes, so a
+saved result is a self-describing reproducer.
 
-Results land in ``benchmarks/out/BENCH_serve.json``: ops/s plus p50/p99
-operation latency in milliseconds (one transport time unit is one
-millisecond at the default ``time_scale``), interpolated by
-:func:`repro.analysis.latency.percentile`.
+The result is that verdict, not a throughput figure: throughput and
+latency under a stated offered load are measured by ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import pathlib
 import time
 from typing import Optional, Sequence, Tuple
 
 from ..campaign.schedule import CampaignSchedule, FaultEvent, apply_schedule
-from ..core.client import RetryPolicy
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
+from ..core.session import RetryPolicy
 from ..core.volume import LogicalVolume
 from ..errors import ConfigurationError
 from ..transport.aio import AsyncioTransport
 from ..transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
 from ..verify.linearizability import check_strict_linearizability
-from .latency import percentile
 
 __all__ = ["run_serve"]
 
 #: Chaos-tolerant session policy: attempts sized for sustained ~10%
 #: loss, attempt timeouts so a coordinator stranded in a partition is
-#: abandoned (the abandoned attempt is a harmless same-value rewrite),
-#: and a failover budget wide enough to rotate past a minority group.
+#: abandoned, and a failover budget wide enough to rotate past a
+#: minority group.  An abandoned or aborted attempt may still land and
+#: be rolled forward by a reader, so each retry is a new write of the
+#: same value (Section 4), not a replay of the old one.
 CHAOS_SESSION_RETRY = RetryPolicy(
     attempts=12,
     backoff=4.0,
@@ -182,7 +179,6 @@ async def _serve(
 
     failed_sessions = 0
     failed_ops = 0
-    latencies = []
     total_ops = 0
     transport_retries = 0
     for session, reads in zip(sessions, expected):
@@ -193,8 +189,6 @@ async def _serve(
             if not op.ok:
                 failed_ops += 1
                 session_ok = False
-            if op.finished_at is not None:
-                latencies.append(op.finished_at - op.submitted_at)
         for op, value in reads:
             if op.ok and op.value != value:
                 failed_ops += 1
@@ -226,9 +220,6 @@ async def _serve(
         "block_size": block_size,
         "max_inflight": max_inflight,
         "wall_seconds": round(wall, 3),
-        "ops_per_sec": round(total_ops / wall, 1) if wall > 0 else 0.0,
-        "p50_ms": round(percentile(latencies, 50), 3) if latencies else 0.0,
-        "p99_ms": round(percentile(latencies, 99), 3) if latencies else 0.0,
         "failed_sessions": failed_sessions,
         "failed_ops": failed_ops,
         "chaos": chaos_axes,
@@ -244,8 +235,6 @@ def run_serve(
     block_size: int = 64,
     max_inflight: int = 4,
     base_port: int = 7420,
-    json_out: Optional[str] = None,
-    chaos: bool = False,
     drop_rate: float = 0.0,
     duplicate_rate: float = 0.0,
     corrupt_rate: float = 0.0,
@@ -254,15 +243,15 @@ def run_serve(
 ) -> dict:
     """Host a cluster on the asyncio transport and load it with clients.
 
-    With ``chaos=True`` (or any non-zero fault knob) the transport is
-    wrapped in a seeded :class:`~repro.transport.chaos.ChaosTransport`
-    and sessions run with the chaos-tolerant retry policy.
+    Any non-zero fault knob (or a ``partition``) wraps the transport in
+    a seeded :class:`~repro.transport.chaos.ChaosTransport` and runs the
+    sessions with the chaos-tolerant retry policy.
     ``partition`` is ``(start_ms, end_ms, group)``: the group is cut off
     from the rest of the cluster for that window (one transport unit is
-    one millisecond at the default time scale).  Returns the
-    result dict (also written to ``json_out`` when given).
-    ``failed_sessions`` must be zero — on healthy *and* chaos runs: the
-    protocol is expected to mask injected transport faults completely.
+    one millisecond at the default time scale).  Returns the result
+    dict.  ``failed_sessions`` must be zero — on healthy *and* chaos
+    runs: the protocol is expected to mask injected transport faults
+    completely.
     """
     if clients < 1:
         raise ConfigurationError(f"clients must be >= 1, got {clients}")
@@ -270,7 +259,7 @@ def run_serve(
         raise ConfigurationError(
             f"ops per client must be >= 1, got {ops_per_client}"
         )
-    chaos = chaos or drop_rate > 0 or duplicate_rate > 0 \
+    chaos = drop_rate > 0 or duplicate_rate > 0 \
         or corrupt_rate > 0 or partition is not None
     chaos_policy = ChaosPolicy(
         seed=chaos_seed,
@@ -285,7 +274,7 @@ def run_serve(
             FaultEvent(time=start, kind="partition", targets=tuple(group)),
             FaultEvent(time=end, kind="heal"),
         ], seed=chaos_seed)
-    result = asyncio.run(
+    return asyncio.run(
         _serve(
             clients=clients,
             ops_per_client=ops_per_client,
@@ -299,8 +288,3 @@ def run_serve(
             plan=plan,
         )
     )
-    if json_out is not None:
-        path = pathlib.Path(json_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-    return result

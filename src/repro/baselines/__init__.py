@@ -7,19 +7,13 @@
 * :mod:`repro.baselines.abd` — the Attiya-Bar-Noy-Dolev single-writer
   variant (writes skip the query phase), the classic lower-cost point
   when concurrency is restricted.
-* :mod:`repro.baselines.central` — a centralized erasure-coding
-  controller with oracle failure detection, i.e. a traditional disk
-  array controller transplanted onto the network.  Cheap (one round
-  trip) but: a single point of failure, and unsafe exactly when failure
-  detection is wrong — the comparison motivating the paper's Section 1.3.
 
-All baselines run on the same simulation substrate and report into the
+Both baselines run on the same simulation substrate and report into the
 same :class:`~repro.sim.monitor.Metrics`, so cost comparisons are
 apples-to-apples.
 """
 
 from .abd import AbdCluster
-from .central import CentralController
 from .ls97 import Ls97Cluster
 
-__all__ = ["Ls97Cluster", "AbdCluster", "CentralController"]
+__all__ = ["Ls97Cluster", "AbdCluster"]

@@ -9,17 +9,19 @@ Regenerates the paper's artifacts without going through pytest::
     python -m repro.cli scrub --stripes 8      # scrub/rebuild walkthrough
     python -m repro.cli scrub --ops 500 --corrupt-rate 0.01
                                                # scrub-daemon experiment
-    python -m repro.cli pipeline               # pipelined session throughput
     python -m repro.cli placement              # LRC vs RS rebuild cost
     python -m repro.cli campaign --seeds 25    # randomized fault campaign
+    python -m repro.cli serve --clients 1000   # asyncio cluster verdict
 
-Each subcommand prints the same rows the corresponding benchmark writes
-to ``benchmarks/out/``.
+Each subcommand prints its report to stdout and writes files only where
+``--out`` / ``--json`` ask for them.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 import sys
 from typing import List, Optional
 
@@ -36,6 +38,14 @@ from .reliability import (
 )
 
 __all__ = ["main"]
+
+
+def _write_artifact(path: str, text: str) -> None:
+    """Write one requested report/JSON artifact, creating its directory."""
+    target = pathlib.Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text)
+    print(f"written to {target}")
 
 
 def _figure2(args: argparse.Namespace) -> int:
@@ -158,8 +168,6 @@ def _scrub(args: argparse.Namespace) -> int:
 
 
 def _scrub_daemon(args: argparse.Namespace) -> int:
-    import pathlib
-
     from .analysis.scrub import (
         render_report,
         render_sampling_report,
@@ -186,15 +194,11 @@ def _scrub_daemon(args: argparse.Namespace) -> int:
         report += "\n" + render_sampling_report(sampling)
     print(report)
     if args.out:
-        path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report)
-        print(f"report written to {path}")
+        _write_artifact(args.out, report)
     if args.json_out:
-        path = pathlib.Path(args.json_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(to_json(experiment, sampling=sampling) + "\n")
-        print(f"JSON artifact written to {path}")
+        _write_artifact(
+            args.json_out, to_json(experiment, sampling=sampling) + "\n"
+        )
     # Success = every corrupting run ended fully repaired and no client
     # read ever returned wrong data.
     healthy = all(
@@ -204,30 +208,7 @@ def _scrub_daemon(args: argparse.Namespace) -> int:
     return 0 if healthy else 1
 
 
-def _pipeline(args: argparse.Namespace) -> int:
-    from .analysis.pipeline import (
-        crash_failover_run,
-        render_report,
-        sweep_crash_rate,
-        sweep_inflight,
-    )
-
-    report = render_report(
-        sweep_inflight(tuple(args.inflights), num_ops=args.ops),
-        sweep_crash_rate(num_ops=args.ops),
-        crash_failover_run(),
-    )
-    print(report)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report + "\n")
-        print(f"\nwritten to {args.out}")
-    return 0
-
-
 def _placement(args: argparse.Namespace) -> int:
-    import pathlib
-
     from .analysis.placement import (
         render_report,
         run_placement_bench,
@@ -245,15 +226,10 @@ def _placement(args: argparse.Namespace) -> int:
     )
     report = render_report(result)
     print(report)
-    json_path = pathlib.Path(args.json_out)
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(to_json(result) + "\n")
-    print(f"JSON artifact written to {json_path}")
+    if args.json_out:
+        _write_artifact(args.json_out, to_json(result) + "\n")
     if args.out:
-        path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report)
-        print(f"report written to {path}")
+        _write_artifact(args.out, report)
     if args.min_ratio is not None:
         ratio = result.min_fragment_ratio
         ok = ratio >= args.min_ratio
@@ -267,8 +243,6 @@ def _placement(args: argparse.Namespace) -> int:
 
 
 def _campaign(args: argparse.Namespace) -> int:
-    import pathlib
-
     from .analysis.campaign import render_report, run_suite, to_json
     from .campaign.engine import CampaignConfig, broken_config
 
@@ -294,14 +268,10 @@ def _campaign(args: argparse.Namespace) -> int:
     suite = run_suite(config, seeds=range(args.seeds))
     report = render_report(suite)
     print(report)
-    json_path = pathlib.Path(args.json_out)
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(to_json(suite) + "\n")
-    print(f"JSON artifact written to {json_path}")
+    if args.json_out:
+        _write_artifact(args.json_out, to_json(suite) + "\n")
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report)
-        print(f"report written to {args.out}")
+        _write_artifact(args.out, report)
     if args.broken:
         # Broken mode succeeds when the harness caught the unsound
         # config and produced a small reproducer for every violation.
@@ -314,13 +284,19 @@ def _campaign(args: argparse.Namespace) -> int:
 
 
 def _parse_partition(spec: Optional[str]):
-    """Parse ``start:end:p1,p2`` into a partition window tuple."""
+    """Parse ``start:end:p1,p2`` into a partition window tuple.
+
+    The window must open before it heals and name at least one pid.
+    """
     if spec is None:
         return None
     try:
         start, end, pids = spec.split(":")
+        start, end = float(start), float(end)
         group = tuple(int(p) for p in pids.split(",") if p)
-        return (float(start), float(end), group)
+        if not group or not 0 <= start < end:
+            raise ValueError(spec)
+        return (start, end, group)
     except ValueError:
         raise SystemExit(
             f"--partition wants start_ms:end_ms:pid[,pid...], got {spec!r}"
@@ -339,8 +315,6 @@ def _serve(args: argparse.Namespace) -> int:
         block_size=args.block_size,
         max_inflight=args.inflight,
         base_port=args.port,
-        json_out=args.json_out,
-        chaos=args.chaos,
         drop_rate=args.drop_rate,
         duplicate_rate=args.duplicate_rate,
         corrupt_rate=args.corrupt_rate,
@@ -349,11 +323,7 @@ def _serve(args: argparse.Namespace) -> int:
     )
     print(
         f"serve[{result['mode']}]: {result['clients']} clients x "
-        f"{result['ops_per_client']} ops: {result['total_ops']} ops "
-        f"in {result['wall_seconds']}s ({result['ops_per_sec']} ops/s)"
-    )
-    print(
-        f"latency: p50={result['p50_ms']}ms p99={result['p99_ms']}ms; "
+        f"{result['ops_per_client']} ops: {result['total_ops']} ops; "
         f"failed sessions: {result['failed_sessions']}, "
         f"failed ops: {result['failed_ops']}"
     )
@@ -368,7 +338,8 @@ def _serve(args: argparse.Namespace) -> int:
             f"linearizable={chaos['linearizable']} "
             f"({chaos['blocks_checked']} blocks checked)"
         )
-    print(f"JSON artifact written to {args.json_out}")
+    if args.json_out:
+        _write_artifact(args.json_out, json.dumps(result, indent=2) + "\n")
     ok = result["failed_sessions"] == 0 and chaos["linearizable"]
     return 0 if ok else 1
 
@@ -447,19 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scrub.set_defaults(func=_scrub)
 
-    pipeline = subparsers.add_parser(
-        "pipeline", help="pipelined session throughput sweeps"
-    )
-    pipeline.add_argument(
-        "--inflights", type=int, nargs="+", default=[1, 4, 16, 64],
-    )
-    pipeline.add_argument("--ops", type=int, default=120)
-    pipeline.add_argument(
-        "--out", type=str, default=None,
-        help="also write the report to this file",
-    )
-    pipeline.set_defaults(func=_pipeline)
-
     placement = subparsers.add_parser(
         "placement",
         help="placement-group rebuild economics: LRC group-local vs "
@@ -484,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
              "fragments than LRC at every sweep point",
     )
     placement.add_argument(
-        "--json", dest="json_out", type=str,
-        default="benchmarks/out/BENCH_placement.json",
-        help="path for the machine-readable JSON artifact",
+        "--json", dest="json_out", type=str, default=None,
+        help="also write the machine-readable results to this file",
     )
     placement.add_argument(
         "--out", type=str, default=None,
@@ -546,9 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
              "exit 0 iff the violation is caught and shrunk",
     )
     campaign.add_argument(
-        "--json", dest="json_out", type=str,
-        default="benchmarks/out/campaign.json",
-        help="path for the machine-readable JSON artifact",
+        "--json", dest="json_out", type=str, default=None,
+        help="also write the machine-readable results to this file",
     )
     campaign.add_argument(
         "--out", type=str, default=None,
@@ -584,19 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="base TCP port (brick pid p listens on port + p - 1)",
     )
     serve.add_argument(
-        "--json", dest="json_out", type=str,
-        default="benchmarks/out/BENCH_serve.json",
-        help="path for the machine-readable JSON artifact",
-    )
-    serve.add_argument(
-        "--chaos", action="store_true",
-        help="wrap the transport in seeded fault injection (any non-"
-             "zero fault knob below implies this)",
+        "--json", dest="json_out", type=str, default=None,
+        help="also write the machine-readable results to this file",
     )
     serve.add_argument(
         "--drop-rate", type=float, default=0.0,
         help="per-message drop probability injected at the transport "
-             "boundary (chaos mode)",
+             "boundary (any non-zero fault knob enables chaos mode)",
     )
     serve.add_argument(
         "--duplicate-rate", type=float, default=0.0,

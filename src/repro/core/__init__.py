@@ -20,20 +20,18 @@ Module map (paper section → module):
 * pipelined session engine         → :mod:`repro.core.session`
 """
 
-from .client import RetryingClient, RetryPolicy
 from .cluster import ClusterConfig, FabCluster
 from .coordinator import Coordinator
 from .log import LogEntry, ReplicaLog
 from .register import StorageRegister
 from .replica import Replica
 from .routing import RouteOptions
-from .session import SessionOp, VolumeSession
+from .session import RetryPolicy, SessionOp, VolumeSession
 from .volume import LogicalVolume
 
 __all__ = [
     "FabCluster",
     "ClusterConfig",
-    "RetryingClient",
     "RetryPolicy",
     "RouteOptions",
     "SessionOp",

@@ -18,8 +18,10 @@ without it, a fast path would spuriously fail whenever one of its
 targets happened to reply just after the quorum filled.
 
 Abort semantics follow the paper: conflicting concurrent operations or
-stale timestamps make an operation return ⊥ (:data:`~repro.types.ABORT`),
-which is always safe; callers may retry with a fresh timestamp.
+stale timestamps make an operation return ⊥ (:data:`~repro.types.ABORT`).
+An aborted ``Write``/``Modify`` may still have landed at a minority of
+replicas, and a later reader can roll it forward, so a caller's retry is
+a new operation (Section 4), not a replay of the aborted one.
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ that client — a pipelined I/O engine over one
   land in the same stripe into a single ``write-stripe`` (full stripe)
   or atomic ``write-blocks`` (partial stripe) operation — the paper's
   large-write fast path, applied automatically;
-* wraps every operation in a :class:`~repro.core.client.RetryPolicy`:
-  aborts (the paper's ⊥, always safe to retry with a fresh timestamp —
-  Section 4) are retried with exponential backoff and deterministic
+* wraps every operation in a :class:`RetryPolicy`: aborts (the
+  paper's ⊥) are retried with exponential backoff and deterministic
   jitter, a crashed or timed-out coordinator triggers failover to the
   next live brick, and an optional per-op deadline bounds the total
   wait;
@@ -26,6 +25,14 @@ and run when the simulation advances; :meth:`VolumeSession.drain` runs
 the event loop until every submitted operation has finished.  Several
 sessions may be live on one cluster — draining any of them advances
 them all, which is how multi-client pipelined histories are produced.
+
+A retry is a new operation (the paper's Section 4), not a replay of
+the old one: an aborted ``Write``/``Modify`` may have landed at a
+minority of bricks, and a later reader can roll it forward.  Konwar et
+al.'s SODA likewise states atomicity per write *invocation*.  The
+session nevertheless records one history op spanning all attempts; the
+known consequence is the strict xfail on campaign seed 8010
+(``tests/campaign/test_engine.py``).
 
 Typical use::
 
@@ -41,6 +48,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
@@ -53,10 +61,76 @@ from ..sim.kernel import Event, Interrupt, Process
 from ..sim.monitor import SessionStats
 from ..types import ABORT, Block, OpKind, OpStatus, ProcessId
 from ..verify.history import OpRecord
-from .client import RetryPolicy
 from .routing import RouteOptions, resolve_route
 
-__all__ = ["SessionOp", "VolumeSession", "DEFAULT_SESSION_RETRY"]
+__all__ = ["RetryPolicy", "SessionOp", "VolumeSession", "DEFAULT_SESSION_RETRY"]
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded retry with exponential backoff, jitter, and deadlines.
+
+    Attributes:
+        attempts: total tries (first attempt included); must be >= 1.
+        backoff: simulated time to wait between tries.  Backoff matters:
+            conflicting coordinators that retry in lockstep re-collide,
+            while even a small stagger lets one of them win.
+        backoff_growth: multiplier applied to the backoff after each
+            failed try (1.0 = constant).
+        jitter: fraction of the current backoff added as deterministic
+            jitter (drawn from the session's seeded RNG): the actual
+            wait is uniform in ``[backoff, backoff * (1 + jitter)]``.
+            Zero keeps the legacy fixed-backoff behaviour.
+        deadline: cap on one operation's total simulated time across
+            every retry and failover; exceeding it finishes the
+            operation with status ``"timeout"``.  ``None`` = no cap.
+        attempt_timeout: cap on a *single* attempt; an attempt that
+            exceeds it is abandoned and the operation fails over to the
+            next live brick.  The abandoned attempt keeps running and
+            may still land after the retry, so it is a concurrent write
+            of the same value, not a no-op.  ``None`` = wait for the
+            attempt forever.
+        max_failovers: bound on coordinator rotations per operation
+            (crash- or timeout-driven) before giving up.
+        transport_attempts: separate budget for *transport-level*
+            unreachability: how many times one operation may be
+            re-routed because the chosen coordinator's transport peer
+            state is ``"down"`` (connection lost, reconnect probing in
+            progress) before the operation gives up with ⊥.  Distinct
+            from ``attempts`` because a flapping link can burn routing
+            attempts far faster than protocol aborts and should not
+            starve the abort-retry budget.
+    """
+
+    attempts: int = 3
+    backoff: float = 5.0
+    backoff_growth: float = 2.0
+    jitter: float = 0.0
+    deadline: Optional[float] = None
+    attempt_timeout: Optional[float] = None
+    max_failovers: int = 16
+    transport_attempts: int = 8
+
+    def __post_init__(self) -> None:
+        if self.attempts < 1:
+            raise ConfigurationError(f"attempts must be >= 1, got {self.attempts}")
+        if self.backoff < 0 or self.backoff_growth < 1.0:
+            raise ConfigurationError(
+                "need backoff >= 0 and backoff_growth >= 1"
+            )
+        if self.jitter < 0:
+            raise ConfigurationError(f"jitter must be >= 0, got {self.jitter}")
+        if self.deadline is not None and self.deadline <= 0:
+            raise ConfigurationError("deadline must be positive when set")
+        if self.attempt_timeout is not None and self.attempt_timeout <= 0:
+            raise ConfigurationError("attempt_timeout must be positive when set")
+        if self.max_failovers < 0:
+            raise ConfigurationError("max_failovers must be >= 0")
+        if self.transport_attempts < 1:
+            raise ConfigurationError(
+                f"transport_attempts must be >= 1, got {self.transport_attempts}"
+            )
+
 
 #: The session default: persistent enough to ride out abort storms and
 #: brief quorum loss, with jitter so colliding pipelines de-synchronize.
@@ -335,10 +409,10 @@ class VolumeSession:
         unit (atomic within the operation's invocation/response
         window); full-stripe writes stay single ``WRITE_STRIPE``
         records.  Feed the per-register projection to the Appendix-B
-        checkers — an operation's window spans all its retries, which
-        is the correct client-visible granularity: retried attempts
-        rewrite the same value, so a partial earlier attempt that
-        recovery rolls forward is indistinguishable from the final one.
+        checkers.  An operation's window spans all its retries, so an
+        earlier partial attempt that a reader rolls forward counts as
+        part of the final one; a third party's write in between can
+        then make the value come back (see the module docstring).
         """
         status_map = {
             "ok": OpStatus.OK,
@@ -560,9 +634,9 @@ class VolumeSession:
                         timer = self.transport.timer(policy.attempt_timeout)
                         event, _value = yield self.transport.any_of([attempt, timer])
                         if event is timer and not attempt.triggered:
-                            # Abandon the slow attempt (it stays
-                            # harmless: linearizability makes a same-
-                            # value rewrite safe) and fail over.
+                            # Abandon the slow attempt and fail over.
+                            # It is not cancelled: it may still land,
+                            # after the retry, as a second write.
                             if not self._note_failover(op):
                                 return
                             avoid = pid
@@ -597,7 +671,9 @@ class VolumeSession:
                 if result is not ABORT:
                     self._finalize_ok(op, result)
                     return
-                # ⊥: safe to retry with a fresh timestamp (Section 4).
+                # ⊥: the attempt may have landed at a minority that a
+                # reader can roll forward; the retry is a new operation
+                # (Section 4).
                 if op.attempts >= policy.attempts:
                     op.status = "aborted"
                     op.value = ABORT

@@ -60,7 +60,7 @@ class RetryableTransportError(TransportError):
     (its reconnect prober may yet resurrect it), or a bounded outbox
     rejected a frame under backlog.  Sessions count these against a
     dedicated transport retry budget
-    (:attr:`~repro.core.client.RetryPolicy.transport_attempts`) and
+    (:attr:`~repro.core.session.RetryPolicy.transport_attempts`) and
     fall back to a different coordinator, degrading gracefully while
     at most ``f`` bricks are unreachable.
 

@@ -14,8 +14,7 @@ the protocol layer, and the verification layer all agree on them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 #: Type alias for the unit of data storage (the paper's "block").
 Block = bytes
@@ -74,84 +73,3 @@ class OpStatus(enum.Enum):
     ABORTED = "aborted"  # returned ⊥
     CRASHED = "crashed"  # coordinator crashed mid-operation (partial op)
     PENDING = "pending"  # still running when the history was closed
-
-
-@dataclass(frozen=True)
-class StripeConfig:
-    """Static parameters of one erasure-coded stripe.
-
-    Attributes:
-        m: number of data blocks per stripe.
-        n: total number of blocks (data + parity) per stripe.
-        block_size: size of each block in bytes.
-    """
-
-    m: int
-    n: int
-    block_size: int
-
-    def __post_init__(self) -> None:
-        from .errors import ConfigurationError
-
-        if self.m < 1:
-            raise ConfigurationError(f"m must be >= 1, got {self.m}")
-        if self.n < self.m:
-            raise ConfigurationError(f"n must be >= m, got n={self.n} m={self.m}")
-        if self.block_size < 1:
-            raise ConfigurationError(
-                f"block_size must be >= 1, got {self.block_size}"
-            )
-
-    @property
-    def parity_count(self) -> int:
-        """Number of parity blocks (the paper's ``k = n - m``)."""
-        return self.n - self.m
-
-    @property
-    def fault_tolerance(self) -> int:
-        """Maximum faulty processes ``f = floor((n - m) / 2)`` (Section 2.2)."""
-        return (self.n - self.m) // 2
-
-    @property
-    def quorum_size(self) -> int:
-        """Size of an m-quorum in the canonical construction: ``n - f``."""
-        return self.n - self.fault_tolerance
-
-    @property
-    def stripe_size(self) -> int:
-        """Total user-visible bytes per stripe (``m * block_size``)."""
-        return self.m * self.block_size
-
-    def data_processes(self) -> Tuple[ProcessId, ...]:
-        """Process ids storing data blocks (``p_1 .. p_m``)."""
-        return tuple(range(1, self.m + 1))
-
-    def parity_processes(self) -> Tuple[ProcessId, ...]:
-        """Process ids storing parity blocks (``p_{m+1} .. p_n``)."""
-        return tuple(range(self.m + 1, self.n + 1))
-
-    def all_processes(self) -> Tuple[ProcessId, ...]:
-        """All process ids (``p_1 .. p_n``)."""
-        return tuple(range(1, self.n + 1))
-
-
-def validate_stripe(stripe: Sequence[Block], config: StripeConfig) -> None:
-    """Check that ``stripe`` is a well-formed stripe value for ``config``.
-
-    Raises:
-        CodingError: if the stripe has the wrong arity or block sizes.
-    """
-    from .errors import CodingError
-
-    if len(stripe) != config.m:
-        raise CodingError(
-            f"stripe must contain m={config.m} blocks, got {len(stripe)}"
-        )
-    for index, block in enumerate(stripe):
-        if not isinstance(block, (bytes, bytearray)):
-            raise CodingError(f"block {index} is not bytes: {type(block)!r}")
-        if len(block) != config.block_size:
-            raise CodingError(
-                f"block {index} has size {len(block)}, expected "
-                f"{config.block_size}"
-            )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import RouteOptions, VolumeSession, open_volume
-from repro.core.client import RetryPolicy
+from repro.core.session import RetryPolicy
 from repro.errors import ConfigurationError, CorruptionDetected, StorageError
 from repro.types import ABORT
 
@@ -142,6 +142,21 @@ def test_read_range_coalesces_and_orders_values():
 
 
 # -- retry under aborts -------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("attempts", 0),
+    ("backoff", -1),
+    ("backoff_growth", 0.5),
+    ("jitter", -0.1),
+    ("deadline", 0),
+    ("attempt_timeout", 0),
+    ("max_failovers", -1),
+    ("transport_attempts", 0),
+])
+def test_retry_policy_rejects_bad_values(field, bad):
+    with pytest.raises(ConfigurationError):
+        RetryPolicy(**{field: bad})
 
 
 def test_retries_forced_aborts_until_success(monkeypatch):

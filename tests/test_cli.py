@@ -1,8 +1,10 @@
 """The command-line experiment runner."""
 
+import json
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _parse_partition, build_parser, main
 
 
 class TestCli:
@@ -34,17 +36,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "stale after rebuild: 0" in out
 
-    def test_pipeline(self, capsys, tmp_path):
-        out_file = tmp_path / "pipeline.txt"
-        assert main([
-            "pipeline", "--inflights", "1", "8", "--ops", "30",
-            "--out", str(out_file),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "throughput vs max_inflight" in out
-        assert "scripted coordinator crash" in out
-        assert "throughput vs max_inflight" in out_file.read_text()
-
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
@@ -53,6 +44,44 @@ class TestCli:
         parser = build_parser()
         help_text = parser.format_help()
         for command in (
-            "figure2", "figure3", "table1", "demo", "scrub", "pipeline",
+            "figure2", "figure3", "table1", "demo", "scrub", "placement",
+            "campaign", "serve",
         ):
             assert command in help_text
+        assert "pipeline" not in help_text
+        with pytest.raises(SystemExit):
+            main(["pipeline"])
+
+    def test_default_run_writes_no_artifact(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign", "--seeds", "1", "--duration", "100",
+                     "--ops", "3"]) == 0
+        assert not (tmp_path / "benchmarks").exists()
+
+    def test_json_is_written_where_asked(self, capsys, tmp_path):
+        path = tmp_path / "nested" / "campaign.json"
+        assert main(["campaign", "--seeds", "1", "--duration", "100",
+                     "--ops", "3", "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["benchmark"] == "campaign" and payload["ok"] is True
+        assert f"written to {path}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", [
+    "400:50:2",    # heals before it starts
+    "50:50:2",     # empty window
+    "10:50:",      # no pids
+    "10:50:,",     # no pids, only separators
+    "-5:50:2",     # starts before the run
+    "10:50",       # missing field
+    "a:50:2",      # not a number
+    "10:50:x",     # not a pid
+])
+def test_partition_rejects_malformed_windows(spec):
+    with pytest.raises(SystemExit, match="--partition wants"):
+        _parse_partition(spec)
+
+
+def test_partition_parses_a_window():
+    assert _parse_partition("50:400:2,3") == (50.0, 400.0, (2, 3))
+    assert _parse_partition(None) is None

@@ -1,11 +1,8 @@
-"""Shared types: ABORT sentinel, stripe configuration."""
+"""Shared types: the ABORT sentinel."""
 
 import pickle
 
-import pytest
-
-from repro.errors import CodingError, ConfigurationError
-from repro.types import ABORT, NIL, StripeConfig, validate_stripe
+from repro.types import ABORT, NIL
 from repro.types import _AbortType
 
 
@@ -26,52 +23,3 @@ class TestAbortSentinel:
         assert ABORT is not None
         assert NIL is None
 
-
-class TestStripeConfig:
-    def test_basic(self):
-        config = StripeConfig(m=3, n=5, block_size=512)
-        assert config.parity_count == 2
-        assert config.fault_tolerance == 1
-        assert config.quorum_size == 4
-        assert config.stripe_size == 1536
-
-    def test_paper_example(self):
-        """The Section 4.1.1 example: m=5, n=7 gives quorum size 6."""
-        config = StripeConfig(m=5, n=7, block_size=1)
-        assert config.fault_tolerance == 1
-        assert config.quorum_size == 6
-
-    def test_process_partitions(self):
-        config = StripeConfig(m=2, n=4, block_size=1)
-        assert config.data_processes() == (1, 2)
-        assert config.parity_processes() == (3, 4)
-        assert config.all_processes() == (1, 2, 3, 4)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            StripeConfig(m=0, n=3, block_size=1)
-        with pytest.raises(ConfigurationError):
-            StripeConfig(m=4, n=3, block_size=1)
-        with pytest.raises(ConfigurationError):
-            StripeConfig(m=2, n=3, block_size=0)
-
-
-class TestValidateStripe:
-    def test_accepts_good_stripe(self):
-        config = StripeConfig(m=2, n=3, block_size=4)
-        validate_stripe([b"aaaa", b"bbbb"], config)
-
-    def test_rejects_wrong_arity(self):
-        config = StripeConfig(m=2, n=3, block_size=4)
-        with pytest.raises(CodingError):
-            validate_stripe([b"aaaa"], config)
-
-    def test_rejects_wrong_size(self):
-        config = StripeConfig(m=2, n=3, block_size=4)
-        with pytest.raises(CodingError):
-            validate_stripe([b"aaaa", b"bb"], config)
-
-    def test_rejects_non_bytes(self):
-        config = StripeConfig(m=1, n=2, block_size=4)
-        with pytest.raises(CodingError):
-            validate_stripe(["aaaa"], config)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.client import RetryPolicy
+from repro.core.session import RetryPolicy
 from repro.core.cluster import ClusterConfig, FabCluster
 from repro.core.volume import LogicalVolume
 from repro.errors import ConfigurationError

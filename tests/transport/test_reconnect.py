@@ -17,7 +17,7 @@ import asyncio
 
 import pytest
 
-from repro.core.client import RetryPolicy
+from repro.core.session import RetryPolicy
 from repro.core.cluster import ClusterConfig, FabCluster
 from repro.core.volume import LogicalVolume
 from repro.transport.aio import AsyncioTransport
