@@ -11,11 +11,10 @@ headline numbers:
 * no client read ever returns wrong data while all this is happening;
 * the scrub daemon costs a corruption-free workload < 15% ops/s.
 
-The sampling sweep then measures the sampled scheduler's economics at
-fleet scale (1000 registers), asserting the headline the ROADMAP asks
-for: >= 95% per-cycle detection confidence at <= 25% of the full-sweep
-scan cost — and that fixed-seed corruption campaigns stay bit-identical
-with sampling enabled.
+The sampling sweep then measures the scheduler's economics at fleet
+scale (1000 registers), asserting >= 95% per-cycle detection confidence
+at <= 25% of the full-sweep scan cost — and that fixed-seed corruption
+campaigns stay bit-identical with the seeded sampler running.
 
 Artifacts: ``benchmarks/out/scrub_daemon.txt`` (report) and
 ``benchmarks/out/BENCH_scrub.json`` (detection latency and repair
@@ -122,7 +121,8 @@ def test_bench_scrub(benchmark):
 
 
 def test_sampling_campaigns_deterministic():
-    """Fixed-seed corruption campaigns are bit-identical with sampling."""
+    """Fixed-seed corruption campaigns are bit-identical with the seeded
+    scrub sampler running."""
     config = CampaignConfig(
         seed=7,
         registers=6,
@@ -131,7 +131,6 @@ def test_sampling_campaigns_deterministic():
         duration=250.0,
         corrupt_weight=2.0,
         scrub_enabled=True,
-        scrub_mode="sample",
     )
     first = run_campaign(config)
     second = run_campaign(config)

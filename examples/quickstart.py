@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Quickstart: an erasure-coded virtual disk in three lines.
+"""Quickstart: an erasure-coded virtual disk in four lines.
 
 Opens a 3-of-5 volume through the :mod:`repro.api` facade, round-trips
-a block, kills a brick to show the data survives, then drops down to
+a block through a session, kills a brick to show the data survives, then drops down to
 the register layer and prints the measured protocol costs, which match
 Table 1 of the paper.
 
@@ -15,14 +15,15 @@ BLOCK = 1024
 
 
 def main() -> None:
-    # The whole API, in three lines:
+    # The whole API: open a volume, open its client, write, read.
     volume = open_volume(m=3, n=5, blocks=12, block_size=BLOCK)
-    print("write:", volume.write(0, b"alpha--!" * 128))
-    print("read matches:", volume.read(0) == b"alpha--!" * 128)
+    client = volume.session()
+    print("write:", client.write(0, b"alpha--!" * 128))
+    print("read matches:", client.read(0) == b"alpha--!" * 128)
 
     print("\ncrashing brick 5 (an m-quorum of 4 remains)...")
     volume.cluster.crash(5)
-    print("read still matches:", volume.read(0) == b"alpha--!" * 128)
+    print("read still matches:", client.read(0) == b"alpha--!" * 128)
 
     print("\npipelining a batch through a session...")
     payloads = [bytes([i]) * BLOCK for i in range(volume.num_blocks)]

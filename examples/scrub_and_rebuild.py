@@ -14,34 +14,43 @@ for a distributed rebuild).  This example walks the operational loop:
 Run:  python examples/scrub_and_rebuild.py
 """
 
-from repro import ClusterConfig, FabCluster, LogicalVolume
+from repro import ClusterConfig, FabCluster, LogicalVolume, VolumeSession
 from repro.core.rebuild import Rebuilder, Scrubber
 
 BLOCK = 256
 STRIPES = 12
 
 
-def fill(volume: LogicalVolume, tag: str) -> None:
-    for block in range(volume.num_blocks):
-        payload = (f"{tag}:{block}:".encode() * BLOCK)[:BLOCK]
-        assert volume.write(block, payload) == "OK"
+def payloads(volume: LogicalVolume, tag: str) -> list:
+    return [
+        (f"{tag}:{block}:".encode() * BLOCK)[:BLOCK]
+        for block in range(volume.num_blocks)
+    ]
+
+
+def fill(session: VolumeSession, tag: str) -> None:
+    """Write every block; the session coalesces them into stripe writes."""
+    ops = session.submit_write_range(0, payloads(session.volume, tag))
+    session.drain()
+    assert all(op.result == "OK" for op in ops)
 
 
 def main() -> None:
     cluster = FabCluster(ClusterConfig(m=3, n=5, block_size=BLOCK))
     volume = LogicalVolume(cluster, num_stripes=STRIPES)
+    session = volume.session()
     scrubber = Scrubber(cluster)
     print(f"cluster {cluster}")
 
     print("\n[1] filling the volume...")
-    fill(volume, "gen1")
+    fill(session, "gen1")
     reports = scrubber.scrub(range(STRIPES))
     print(f"    scrub: {sum(r.fully_redundant for r in reports)}/{STRIPES} "
           f"stripes fully redundant")
 
     print("\n[2] brick 4 dies; writes continue...")
     cluster.crash(4)
-    fill(volume, "gen2")
+    fill(session, "gen2")
 
     print("\n[3] brick 4 returns; scrubbing...")
     cluster.recover(4)
@@ -61,11 +70,12 @@ def main() -> None:
 
     print("\n[5] proving the margin: failing brick 5 instead...")
     cluster.crash(5)
-    sample = [0, STRIPES - 1, volume.num_blocks - 1]
-    ok = all(
-        volume.read(block) is not None for block in
-        range(volume.num_blocks)
-    )
+    reads = session.submit_read_range(0, volume.num_blocks)
+    session.drain()
+    values = {
+        block: value for op in reads for block, value in zip(op.blocks, op.result)
+    }
+    ok = values == dict(enumerate(payloads(volume, "gen2")))
     print(f"    all {volume.num_blocks} blocks readable with brick 5 down: {ok}")
     print("\ndone: the rebuilt brick 4 carries the load brick 5 left behind.")
 

@@ -15,13 +15,16 @@ Quickstart::
     from repro import open_volume
 
     volume = open_volume(m=3, n=5, blocks=48, block_size=512)
-    volume.write(0, b"x" * 512)
+    session = volume.session()
+    session.write(0, b"x" * 512)
     volume.cluster.crash(4)                 # a brick fails...
-    assert volume.read(0) == b"x" * 512     # ...data survives
+    assert session.read(0) == b"x" * 512    # ...data survives
 
 (:func:`open_cluster` / :func:`open_volume` live in :mod:`repro.api`;
 the layered ``ClusterConfig`` → ``FabCluster`` → ``LogicalVolume``
-construction remains available for fine-grained control.)
+construction remains available for fine-grained control.  A
+``LogicalVolume`` is the address map; :class:`VolumeSession` is the
+one client that does I/O on it.)
 
 Subpackages:
 

@@ -13,7 +13,6 @@ benchmark validates the implementation against the paper.
 
 from .compare import ComparisonRow, compare_table1
 from .costs import CostRow, ls97_costs, our_costs, table1
-from .latency import LatencyStats, latency_by_group, latency_stats, percentile
 
 __all__ = [
     "CostRow",
@@ -22,8 +21,4 @@ __all__ = [
     "table1",
     "ComparisonRow",
     "compare_table1",
-    "LatencyStats",
-    "latency_stats",
-    "latency_by_group",
-    "percentile",
 ]

@@ -66,7 +66,6 @@ class ScrubRunResult:
     corrupt_rate: float
     scrub_enabled: bool
     seed: int
-    scrub_mode: str = "sweep"
     sim_time: float = 0.0
     wall_seconds: float = 0.0
     #: CPU seconds spent in the op loop — unlike wall time, immune to
@@ -103,7 +102,6 @@ class ScrubRunResult:
             "ops": self.ops,
             "corrupt_rate": self.corrupt_rate,
             "scrub_enabled": self.scrub_enabled,
-            "scrub_mode": self.scrub_mode,
             "seed": self.seed,
             "sim_time": self.sim_time,
             "wall_seconds": round(self.wall_seconds, 4),
@@ -150,10 +148,9 @@ def run_scrub_run(
     registers: int = 8,
     block_size: int = 64,
     scrub_interval: float = 12.0,
-    bricks_per_step: int = 2,
+    samples_per_tick: int = 2,
     think_time: float = 2.0,
     drain: float = 400.0,
-    scrub_mode: str = "sweep",
 ) -> ScrubRunResult:
     """One mixed read/write workload with corruption and (maybe) scrub.
 
@@ -162,15 +159,14 @@ def run_scrub_run(
     — over *all* registers, while the clients only ever touch the first
     half.  Detection latency is measured for the scrubber's finds.
 
-    ``scrub_mode`` selects the daemon's scheduler.  At this run's small
-    register counts the sampled scheduler's confidence-derived budget
-    clamps to the full pair space (sampling only pays at fleet scale —
-    that economics question is :func:`run_sampling_sweep`'s), so the
-    mode here mainly exercises the sampled scheduler end to end.
+    ``samples_per_tick`` fixes the daemon's scan budget: at this run's
+    small register counts the confidence-derived budget would clamp to
+    the full pair space every wake-up (sampling only pays at fleet
+    scale — that economics question is :func:`run_sampling_sweep`'s).
     """
     result = ScrubRunResult(
         ops=ops, corrupt_rate=corrupt_rate,
-        scrub_enabled=scrub_enabled, seed=seed, scrub_mode=scrub_mode,
+        scrub_enabled=scrub_enabled, seed=seed,
     )
     cluster = FabCluster(ClusterConfig(
         m=m, n=n, block_size=block_size, seed=seed,
@@ -188,8 +184,8 @@ def run_scrub_run(
         cluster,
         registers=range(registers),
         config=ScrubConfig(
-            mode=scrub_mode, interval=scrub_interval,
-            bricks_per_step=bricks_per_step, seed=seed,
+            interval=scrub_interval, samples_per_tick=samples_per_tick,
+            seed=seed,
         ),
     )
     if scrub_enabled:

@@ -11,8 +11,9 @@ call each and routes keyword knobs to wherever they belong
     from repro import api
 
     volume = api.open_volume(m=3, n=5, blocks=48, drop_probability=0.02)
-    volume.write(0, b"x" * 1024)
-    assert volume.read(0) == b"x" * 1024
+    session = volume.session()
+    session.write(0, b"x" * 1024)
+    assert session.read(0) == b"x" * 1024
 
 or, sharing one cluster between volumes::
 
@@ -32,7 +33,6 @@ from typing import Optional
 
 from .core.cluster import ClusterConfig, FabCluster
 from .core.coordinator import CoordinatorConfig
-from .core.routing import RouteOptions
 from .core.volume import LogicalVolume
 from .errors import ConfigurationError
 from .sim.network import NetworkConfig
@@ -112,7 +112,6 @@ def open_volume(
     n: int = 5,
     base_register_id: int = 0,
     stripe_shuffle: bool = True,
-    route: Optional[RouteOptions] = None,
     **knobs,
 ) -> LogicalVolume:
     """Open a virtual disk, building a cluster on the way if needed.
@@ -124,16 +123,17 @@ def open_volume(
             stripes.  Mutually exclusive with ``stripes``.
         stripes: exact stripe count (one storage register each).
             Defaults to 16 stripes when neither is given.
-        base_register_id / stripe_shuffle / route: forwarded to
+        base_register_id / stripe_shuffle: forwarded to
             :class:`LogicalVolume`.
         **knobs: cluster construction knobs (only valid when
             ``cluster`` is omitted).
 
+    Routing is chosen per session (``volume.session(route=...)``).
     Round-trips in three lines::
 
-        volume = api.open_volume(m=3, n=5, blocks=48)
-        volume.write(0, b"x" * volume.block_size)
-        assert volume.read(0) == b"x" * volume.block_size
+        session = api.open_volume(m=3, n=5, blocks=48).session()
+        session.write(0, b"x" * 1024)
+        assert session.read(0) == b"x" * 1024
     """
     if cluster is None:
         cluster = open_cluster(m, n, **knobs)
@@ -156,5 +156,4 @@ def open_volume(
         num_stripes=stripes,
         base_register_id=base_register_id,
         stripe_shuffle=stripe_shuffle,
-        route=route,
     )

@@ -31,7 +31,7 @@ import random
 
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
-from ..errors import StorageError
+from ..errors import ConfigurationError, StorageError
 from ..sim.network import NetworkConfig
 from ..types import OpKind
 from ..verify.history import HistoryRecorder
@@ -43,15 +43,7 @@ __all__ = [
     "CampaignResult",
     "run_campaign",
     "broken_config",
-    "SCRUB_SAMPLE_THRESHOLD",
 ]
-
-#: Register count at which ``scrub_mode="auto"`` switches the campaign
-#: scrub daemon from the exhaustive sweep to the sampling scheduler.
-#: Below it a sweep cycle is only a few hundred scans and exhaustive
-#: coverage is cheap; above it the sweep is O(fleet) per cycle while
-#: the sampler's confidence-derived budget stays flat.
-SCRUB_SAMPLE_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
@@ -86,13 +78,9 @@ class CampaignConfig:
             into garbage and the read-verification invariant fires.
         scrub_enabled / scrub_interval: run the background
             scrub-and-repair daemon during the campaign, verifying
-            checksums brick-by-brick every ``scrub_interval`` sim-time.
-        scrub_mode: the daemon's scheduler — ``"sweep"``, ``"sample"``,
-            or ``"auto"`` (default: sample at or above
-            :data:`SCRUB_SAMPLE_THRESHOLD` registers, sweep below).
-            The sampler is seeded from ``seed``, so campaign
-            determinism and the corruption invariants hold unchanged
-            in every mode.
+            checksums every ``scrub_interval`` sim-time.  Its sampler
+            is seeded from ``seed``, so campaign determinism and the
+            corruption invariants hold unchanged.
     """
 
     m: int = 3
@@ -124,19 +112,16 @@ class CampaignConfig:
     verify_checksums: bool = True
     scrub_enabled: bool = False
     scrub_interval: float = 20.0
-    scrub_mode: str = "auto"
+
+    def __post_init__(self) -> None:
+        if self.scrub_enabled and self.scrub_interval <= 0:
+            raise ConfigurationError(
+                f"scrub_interval must be > 0, got {self.scrub_interval}"
+            )
 
     @property
     def effective_f(self) -> int:
         return (self.n - self.m) // 2 if self.f is None else self.f
-
-    @property
-    def effective_scrub_mode(self) -> str:
-        if self.scrub_mode != "auto":
-            return self.scrub_mode
-        return (
-            "sample" if self.registers >= SCRUB_SAMPLE_THRESHOLD else "sweep"
-        )
 
     @property
     def effective_max_down(self) -> int:
@@ -373,9 +358,7 @@ def run_campaign(
             engine.cluster,
             registers=range(config.registers),
             config=ScrubConfig(
-                mode=config.effective_scrub_mode,
-                interval=config.scrub_interval,
-                seed=config.seed,
+                interval=config.scrub_interval, seed=config.seed
             ),
             horizon=config.duration + config.drain,
         )

@@ -180,18 +180,14 @@ def _scrub_daemon(args: argparse.Namespace) -> int:
         ops=args.ops,
         corrupt_rates=tuple(args.corrupt_rate),
         seed=args.seed,
-        scrub_mode=args.mode,
     )
-    report = render_report(experiment)
-    sampling = None
-    if args.mode == "sample":
-        sampling = run_sampling_sweep(
-            registers=args.sample_registers,
-            sample_rates=tuple(args.sample_rates),
-            trials=args.trials,
-            seed=args.seed,
-        )
-        report += "\n" + render_sampling_report(sampling)
+    sampling = run_sampling_sweep(
+        registers=args.sample_registers,
+        sample_rates=tuple(args.sample_rates),
+        trials=args.trials,
+        seed=args.seed,
+    )
+    report = render_report(experiment) + "\n" + render_sampling_report(sampling)
     print(report)
     if args.out:
         _write_artifact(args.out, report)
@@ -260,7 +256,6 @@ def _campaign(args: argparse.Namespace) -> int:
         corrupt_weight=args.corrupt_weight,
         verify_checksums=not args.no_verify_checksums,
         scrub_enabled=args.scrub,
-        scrub_mode=args.scrub_mode,
         max_clock_skew=args.max_skew,
     )
     if args.broken:
@@ -391,13 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scrub.add_argument("--seed", type=int, default=0)
     scrub.add_argument(
-        "--mode", choices=("sweep", "sample"), default="sweep",
-        help="daemon scheduler; 'sample' also runs the fleet-scale "
-             "detection-latency-vs-sample-rate sweep",
-    )
-    scrub.add_argument(
         "--sample-registers", type=int, default=1000,
-        help="fleet size for the sampling sweep (sample mode)",
+        help="fleet size for the detection-latency-vs-sample-rate sweep "
+             "(daemon mode)",
     )
     scrub.add_argument(
         "--sample-rates", type=float, nargs="+",
@@ -406,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scrub.add_argument(
         "--trials", type=int, default=32,
-        help="seeded trials per sample rate (sample mode)",
+        help="seeded trials per sample rate (daemon mode)",
     )
     scrub.add_argument(
         "--out", type=str, default=None,
@@ -487,11 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scrub", action="store_true",
         help="run the background scrub-and-repair daemon during the "
              "campaign",
-    )
-    campaign.add_argument(
-        "--scrub-mode", choices=("auto", "sweep", "sample"), default="auto",
-        help="scrub scheduler: exhaustive sweep, confidence-driven "
-             "sampling, or auto (sample at large register counts)",
     )
     campaign.add_argument(
         "--max-skew", type=float, default=0.0,

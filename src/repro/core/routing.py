@@ -2,8 +2,9 @@
 
 FAB is fully decentralized — any brick can coordinate any operation
 (paper Section 1.1), and a multipathed client whose coordinator crashes
-simply reissues the request through another brick.  Every operation
-takes one ``route=`` parameter: a :class:`RouteOptions` carrying both
+simply reissues the request through another brick.  Sessions,
+``FabCluster.register`` and the rebuilder take one ``route=``
+parameter: a :class:`RouteOptions` carrying both
 the pinned coordinator (if any) and whether automatic failover is
 allowed, or a bare process id as shorthand for a pinned coordinator.
 """
@@ -21,12 +22,12 @@ __all__ = ["RouteOptions", "DEFAULT_ROUTE", "resolve_route"]
 
 @dataclass(frozen=True)
 class RouteOptions:
-    """How one operation (or a whole volume/session) picks coordinators.
+    """How one operation (or a whole session) picks coordinators.
 
     Attributes:
         coordinator: preferred coordinating brick, or ``None`` to let
-            the caller spread load (volumes fall back to their default
-            brick; sessions rotate round-robin over live bricks).
+            the caller spread load (sessions rotate round-robin over
+            live bricks).
         failover: reissue through another live brick when the
             coordinator crashes mid-operation (or an attempt times
             out).  With ``False`` a crash surfaces as

@@ -11,24 +11,23 @@ and writing the stripe back (the
 :class:`~repro.core.rebuild.Rebuilder` recovery-with-full-coverage
 primitive, so the repaired brick ends up holding its fragment again).
 
-Two scheduling modes (``ScrubConfig.mode``):
+One scheduler (:mod:`repro.scrub.sampler`).  Each wake-up scans a
+budget of (register, brick) pairs: ``samples_per_tick`` if set, else
+the sample size that detects corruption at the assumed rate with the
+target confidence — independent of fleet size, and clamped to the pair
+space, so a small cluster gets a full pass every wake-up.  The budget
+goes first to a prioritized revisit queue (dirty / quarantined /
+just-repaired registers), then to an aging cursor that visits every
+live pair within a bounded number of wake-ups, then to uniform draws.
+At ``aging_fraction=1`` the cursor takes the whole budget: that is the
+exhaustive round-robin sweep.  A lap of the cursor counts as a
+completed sweep.  All randomness derives from ``ScrubConfig.seed``, so
+fixed-seed campaigns stay deterministic.
 
-* ``"sweep"`` — the exhaustive scheduler: every (register, brick) pair
-  in round-robin order, ``bricks_per_step`` pairs per wake-up.  Simple
-  and airtight, but O(fleet) per cycle: right for small clusters.
-* ``"sample"`` — the confidence-driven scheduler
-  (:mod:`repro.scrub.sampler`): per wake-up it scans a *sample* of the
-  pair space sized so corruption at the assumed rate is detected with
-  the target confidence — a budget independent of fleet size.  A
-  prioritized revisit queue re-scans dirty / quarantined /
-  just-repaired registers ahead of cold ones, and an aging cursor
-  guarantees every live pair is still visited within a bounded number
-  of cycles.  All randomness derives from ``ScrubConfig.seed``, so
-  fixed-seed campaigns stay deterministic with sampling enabled.
-
-In both modes the register set is re-resolved from the cluster at every
-wake-up: registers created after :meth:`ScrubDaemon.start` are scrubbed,
-and registers that no longer exist stop consuming scan budget.  Repair
+The register set is re-resolved from the cluster once per pass-worth
+of scan budget (every wake-up when the budget covers the pair space):
+registers created after :meth:`ScrubDaemon.start` are scrubbed, and
+registers that no longer exist stop consuming scan budget.  Repair
 write-backs flow through a budgeted queue (``max_inflight_repairs``)
 ordered by fragments-lost severity, so a detection burst cannot flood
 the protocol with rebuild traffic.
@@ -70,12 +69,8 @@ class ScrubConfig:
     """Scrub-daemon knobs.
 
     Attributes:
-        mode: ``"sweep"`` (exhaustive round-robin) or ``"sample"``
-            (confidence-driven sampling; see module docs).
         interval: simulated time between daemon wake-ups.  Together
-            with the per-wake-up scan count this is the rate limit.
-        bricks_per_step: (register, brick) pairs verified per wake-up
-            in sweep mode.
+            with the per-wake-up scan budget this is the rate limit.
         repair: issue repair write-backs for detected damage (False =
             detect-and-report only, an audit mode).
         route: where repair write-backs coordinate, with the same
@@ -83,30 +78,29 @@ class ScrubConfig:
             while live; ``failover=False`` skips the repair entirely
             when the pinned brick is down (a later scan retries).
             The default unpinned route picks the first live brick.
-        seed: sampling RNG seed (sample mode); fixed seeds reproduce
-            identical scan sequences.
+        seed: sampling RNG seed; fixed seeds reproduce identical scan
+            sequences.
         target_confidence: per-wake-up probability of detecting
             corruption at ``assumed_corrupt_rate``, used to derive the
-            sample-mode scan budget via
+            scan budget via
             :func:`~repro.scrub.sampler.required_samples`.
         assumed_corrupt_rate: assumed corrupt fraction of the
             (register, brick) pair space for the budget derivation.
-        samples_per_tick: explicit sample-mode budget override (None =
+        samples_per_tick: explicit scan budget per wake-up (None =
             derive from the confidence target; the derived budget is
-            clamped to the pair-space size, so tiny clusters degenerate
-            into full sweeps).
-        revisit_fraction: share of each sample-mode wake-up reserved
-            for the prioritized revisit queue.
+            clamped to the pair-space size, so tiny clusters get a full
+            pass every wake-up).
+        revisit_fraction: share of each wake-up reserved for the
+            prioritized revisit queue.
         aging_fraction: share of the remaining budget drawn round-robin
-            from the aging cursor (the eventual-coverage guarantee).
+            from the aging cursor (the eventual-coverage guarantee);
+            1.0 makes the scheduler an exhaustive sweep.
         max_inflight_repairs: concurrent repair write-back budget.
         detected_limit: bound on retained first-detection marks (the
             MTTR accounting map); oldest marks are evicted beyond it.
     """
 
-    mode: str = "sweep"
     interval: float = 20.0
-    bricks_per_step: int = 2
     repair: bool = True
     route: Optional[RouteOptions] = None
     seed: int = 0
@@ -119,19 +113,24 @@ class ScrubConfig:
     detected_limit: int = 4096
 
     def __post_init__(self) -> None:
-        if self.mode not in ("sweep", "sample"):
-            raise ConfigurationError(
-                f"unknown scrub mode {self.mode!r}; want 'sweep' or 'sample'"
-            )
-        if not 0.0 <= self.revisit_fraction <= 1.0:
-            raise ConfigurationError(
-                f"revisit_fraction must be in [0, 1], got "
-                f"{self.revisit_fraction}"
-            )
-        if self.detected_limit < 1:
-            raise ConfigurationError(
-                f"detected_limit must be >= 1, got {self.detected_limit}"
-            )
+        # A zero interval re-arms the tick at the same instant (the
+        # simulation never advances); the rest would fail late, inside
+        # the first tick, or silently scan nothing.
+        for name, ok, want in (
+            ("interval", self.interval > 0, "> 0"),
+            ("target_confidence", 0 < self.target_confidence < 1, "in (0, 1)"),
+            ("assumed_corrupt_rate", 0 < self.assumed_corrupt_rate < 1, "in (0, 1)"),
+            ("samples_per_tick", self.samples_per_tick is None
+             or self.samples_per_tick >= 1, ">= 1 when set"),
+            ("revisit_fraction", 0 <= self.revisit_fraction <= 1, "in [0, 1]"),
+            ("aging_fraction", 0 <= self.aging_fraction <= 1, "in [0, 1]"),
+            ("max_inflight_repairs", self.max_inflight_repairs >= 1, ">= 1"),
+            ("detected_limit", self.detected_limit >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ConfigurationError(
+                    f"{name} must be {want}, got {getattr(self, name)!r}"
+                )
 
 
 class ScrubDaemon:
@@ -141,11 +140,12 @@ class ScrubDaemon:
         cluster: the cluster to scrub (its metrics sink absorbs all
             scrub counters).
         registers: optional register-id filter.  ``None`` (recommended)
-            scrubs every register the cluster holds, re-resolved at
-            each wake-up; an explicit iterable restricts scanning to
-            those ids (still intersected with what actually exists, so
-            ids never written — or GC'd away — cost no scan budget).
-        config: scheduling mode, rate limit, and repair policy.
+            scrubs every register the cluster holds, re-resolved once
+            per pass-worth of scans; an explicit iterable restricts
+            scanning to those ids (still intersected with what actually
+            exists, so ids never written — or GC'd away — cost no scan
+            budget).
+        config: scan budget, rate limit, and repair policy.
         horizon: simulated time after which the daemon stops itself
             (None = run until :meth:`stop`).
 
@@ -175,12 +175,11 @@ class ScrubDaemon:
         self.repair_aborts = 0
         #: (time, pid, register_id) for every scrub-detected corruption.
         self.detections: List[Tuple[float, int, int]] = []
-        #: Sweep-mode work list: the pair snapshot being drained, and
-        #: the drain position.  Re-snapshotted (from the *current*
-        #: register set) every time it empties, so sweep-completion
-        #: accounting survives register creation and deletion.
-        self._sweep_pairs: List[Tuple[int, int]] = []
-        self._sweep_pos = 0
+        #: The pair space the scheduler draws from, its registers, and
+        #: the scan budget spent since it was resolved.
+        self._snapshot: List[Tuple[int, int]] = []
+        self._snapshot_registers: Set[int] = set()
+        self._since_resolve = 0
         #: (pid, register_id) -> sim time the daemon first saw it dirty.
         #: Bounded by ``config.detected_limit``; marks clear when a
         #: repair lands *or a later scan verifies the pair clean* (a
@@ -219,11 +218,7 @@ class ScrubDaemon:
         ):
             self.stop()
             return
-        if self.config.mode == "sample":
-            self._sample_step()
-        else:
-            for _ in range(self.config.bricks_per_step):
-                self._scan_next()
+        self._step()
         self._pump_repairs()
         self._arm_timer()
 
@@ -241,57 +236,60 @@ class ScrubDaemon:
             ids = [r for r in ids if r in self._register_filter]
         return ids
 
-    def _live_pairs(self) -> List[Tuple[int, int]]:
+    def _pairs(self, registers: List[int]) -> List[Tuple[int, int]]:
         n = self.cluster.config.n
         return [
             (register_id, pid)
-            for register_id in self.registers
+            for register_id in registers
             for pid in range(1, n + 1)
         ]
 
-    # -- sweep-mode scanning -------------------------------------------------
+    # -- scheduling ----------------------------------------------------------
 
-    def _scan_next(self) -> None:
-        """Verify the next (register, brick) pair in round-robin order."""
-        if self._sweep_pos >= len(self._sweep_pairs):
-            # Drained (or first run): count the completed pass and take
-            # a fresh snapshot of the *current* pair space.
-            if self._sweep_pairs:
-                self.sweeps_completed += 1
-            self._sweep_pairs = self._live_pairs()
-            self._sweep_pos = 0
-            if not self._sweep_pairs:
-                return
-        register_id, pid = self._sweep_pairs[self._sweep_pos]
-        self._sweep_pos += 1
-        self._scan_one(pid, register_id)
-
-    # -- sample-mode scanning ------------------------------------------------
-
-    def _sample_budget(self, total_pairs: int) -> int:
+    def _budget(self, total_pairs: int) -> int:
         if self.config.samples_per_tick is not None:
-            return max(0, min(self.config.samples_per_tick, total_pairs))
+            return min(self.config.samples_per_tick, total_pairs)
         return required_samples(
             self.config.target_confidence,
             self.config.assumed_corrupt_rate,
             total_pairs,
         )
 
-    def _sample_step(self) -> None:
-        """One sampling wake-up: revisits first, then seeded draws."""
-        pairs = self._live_pairs()
-        if not pairs:
-            return
+    def _step(self) -> None:
+        """One wake-up: revisits first, then the sampler's draw.
+
+        A budget covering the whole pair space is a full pass, which
+        re-verifies every revisit candidate anyway.
+        """
+        if self._since_resolve >= len(self._snapshot):
+            # Resolving walks every brick's store, so it happens once
+            # per pass-worth of budget, not every wake-up.
+            registers = self.registers
+            self._snapshot = self._pairs(registers)
+            self._snapshot_registers = set(registers)
+            self._since_resolve = 0
+        pairs = self._snapshot
+        budget = self._budget(len(pairs))
+        self._since_resolve += budget
+        scanned = 0
+        if budget < len(pairs):
+            scanned = self._scan_revisits(budget, self._snapshot_registers)
+        laps = self._sampler.laps
+        for register_id, pid in self._sampler.draw(pairs, budget - scanned):
+            self._scan_one(pid, register_id)
+        self.sweeps_completed += self._sampler.laps - laps
+
+    def _scan_revisits(self, budget: int, live_registers: Set[int]) -> int:
+        """Re-verify queued registers; returns the pairs scanned.
+
+        Priority revisits: dirty / quarantined / just-repaired
+        registers, highest severity first.  Each revisit re-verifies
+        the whole register (all n bricks) — damage severity is a
+        per-register property.  A register found still dirty
+        re-enqueues itself via the detection path, for the *next*
+        wake-up (popped ids are deduped within this one).
+        """
         n = self.cluster.config.n
-        budget = self._sample_budget(len(pairs))
-        if budget <= 0:
-            return
-        # Priority revisits: dirty / quarantined / just-repaired
-        # registers, highest severity first.  Each revisit re-verifies
-        # the whole register (all n bricks) — damage severity is a
-        # per-register property.  A register found still dirty
-        # re-enqueues itself via the detection path, for the *next*
-        # wake-up (popped ids are deduped within this one).
         revisit_budget = int(budget * self.config.revisit_fraction)
         popped: List[int] = []
         while revisit_budget >= n:
@@ -300,7 +298,6 @@ class ScrubDaemon:
                 break
             popped.append(register_id)
             revisit_budget -= n
-        live_registers = set(self.registers)
         scanned = 0
         for register_id in popped:
             if register_id not in live_registers:
@@ -308,8 +305,7 @@ class ScrubDaemon:
             for pid in range(1, n + 1):
                 self._scan_one(pid, register_id)
                 scanned += 1
-        for register_id, pid in self._sampler.draw(pairs, budget - scanned):
-            self._scan_one(pid, register_id)
+        return scanned
 
     # -- the scan primitive --------------------------------------------------
 
@@ -354,10 +350,7 @@ class ScrubDaemon:
             # Evict the oldest mark (dict preserves insertion order) —
             # its repair, if any, just loses MTTR attribution.
             self._detected_at.pop(next(iter(self._detected_at)))
-        if self.config.mode == "sample":
-            self._revisit.push(
-                register_id, 1.0 + self._fragments_lost(register_id)
-            )
+        self._revisit.push(register_id, 1.0 + self._fragments_lost(register_id))
 
     def _fragments_lost(self, register_id: int) -> int:
         """Bricks whose copy of the register is known dirty."""
@@ -440,9 +433,8 @@ class ScrubDaemon:
         self.metrics.count_scrub_repair(
             self.cluster.transport.now() - detected
         )
-        if self.config.mode == "sample":
-            # Re-verify the write-back ahead of cold registers.
-            self._revisit.push(register_id, _REVISIT_REPAIRED)
+        # Re-verify the write-back ahead of cold registers.
+        self._revisit.push(register_id, _REVISIT_REPAIRED)
         self._pump_repairs()
 
     # -- synchronous use ------------------------------------------------------
@@ -450,27 +442,23 @@ class ScrubDaemon:
     def sweep_now(self) -> int:
         """One full verification pass, right now; returns pairs scanned.
 
-        Scans a fresh snapshot of the current pair space regardless of
-        mode (the point of the synchronous form is *complete* coverage).
-        Repairs found along the way are *scheduled* (they run through
-        the protocol); advance the simulation to let them complete.
+        Scans a fresh snapshot of the current pair space, whatever the
+        budget (the point of the synchronous form is *complete*
+        coverage).  Repairs found along the way are *scheduled* (they
+        run through the protocol); advance the simulation to let them
+        complete.
         """
-        pairs = self._live_pairs()
+        pairs = self._pairs(self.registers)
         for register_id, pid in pairs:
             self._scan_one(pid, register_id)
         if pairs:
             self.sweeps_completed += 1
-        # Restart any in-progress timer sweep from a fresh snapshot —
-        # everything current was just covered.
-        self._sweep_pairs = []
-        self._sweep_pos = 0
         self._pump_repairs()
         return len(pairs)
 
     def summary(self) -> Dict[str, float]:
         """Daemon-local progress counters (metrics hold the totals)."""
         return {
-            "mode": self.config.mode,
             "sweeps_completed": self.sweeps_completed,
             "detections": len(self.detections),
             "repairs_done": self.repairs_done,

@@ -107,7 +107,13 @@ class PairSampler:
             eventual-coverage guarantee: with a stable pair list of
             ``P`` pairs and a per-cycle budget ``b``, every pair is
             visited within ``ceil(P / max(1, aging_fraction * b))``
-            cycles, regardless of how the uniform draws fall.
+            cycles, regardless of how the uniform draws fall.  At 1.0
+            every draw comes from the cursor: an exhaustive round-robin
+            sweep.
+
+    ``laps`` counts completed passes over the pair space: one per
+    cumulative cursor advance of one pair-list length, and one per
+    draw whose budget covers every pair.
     """
 
     def __init__(self, seed: int = 0, aging_fraction: float = 0.25) -> None:
@@ -122,6 +128,8 @@ class PairSampler:
         #: prefix first, correlating daemons fleet-wide.  The phase
         #: shifts, not weakens, the coverage bound.
         self._cursor: Optional[int] = None
+        self.laps = 0
+        self._lap_progress = 0
 
     def draw(self, pairs: Sequence[Pair], count: int) -> List[Pair]:
         """Up to ``count`` distinct pairs to scan this cycle.
@@ -132,14 +140,17 @@ class PairSampler:
         coverage bound to hold.  The aging share comes first, then
         uniform draws without replacement; duplicates between the two
         shares are dropped rather than topped up, so ``count`` is an
-        upper bound on scan cost.
+        upper bound on scan cost.  A ``count`` covering every pair is a
+        full pass, in cursor order.
         """
         total = len(pairs)
         if total == 0 or count <= 0:
             return []
         if self._cursor is None:
             self._cursor = self._rng.randrange(total)
-        count = min(count, total)
+        if count >= total:
+            self.laps += 1
+            return [pairs[(self._cursor + i) % total] for i in range(total)]
         aging = min(count, max(1, int(count * self.aging_fraction))) \
             if self.aging_fraction > 0 else 0
         drawn: List[Pair] = []
@@ -150,6 +161,9 @@ class PairSampler:
                 seen.add(pair)
                 drawn.append(pair)
         self._cursor = (self._cursor + aging) % total
+        self._lap_progress += aging
+        self.laps += self._lap_progress // total
+        self._lap_progress %= total
         uniform = count - aging
         if uniform > 0:
             for pair in self._rng.sample(list(pairs), min(uniform, total)):

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.session import RetryPolicy
 from ..core.volume import LogicalVolume
 from ..errors import ConfigurationError
 from ..types import ABORT
@@ -91,12 +92,18 @@ class TraceReplayer:
     """Replays a trace against a logical volume.
 
     Operations are issued sequentially from trace order (the replayer
-    is a single client); the trace timestamps pace the issue times, so
-    a dense trace stresses the cluster and a sparse one idles it.
+    is a single client: one session with one operation in flight); the
+    trace timestamps pace the issue times, so a dense trace stresses
+    the cluster and a sparse one idles it.  The session makes one
+    attempt per operation, so a ⊥ is counted as an abort, not retried;
+    a crashed coordinator still fails over.
     """
 
     def __init__(self, volume: LogicalVolume) -> None:
         self.volume = volume
+        self.session = volume.session(
+            max_inflight=1, retry=RetryPolicy(attempts=1)
+        )
 
     def _payload(self, op: TraceOp) -> bytes:
         body = f"trace-{op.tag}-{op.block}".encode()
@@ -114,10 +121,10 @@ class TraceReplayer:
             stats.operations += 1
             if op.op == "read":
                 stats.reads += 1
-                result = self.volume.read(op.block)
+                result = self.session.read(op.block)
             else:
                 stats.writes += 1
-                result = self.volume.write(op.block, self._payload(op))
+                result = self.session.write(op.block, self._payload(op))
                 stats.by_block_writes[op.block] = (
                     stats.by_block_writes.get(op.block, 0) + 1
                 )

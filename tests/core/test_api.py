@@ -9,9 +9,9 @@ from repro.errors import ConfigurationError
 
 
 def test_three_line_roundtrip():
-    volume = open_volume(m=3, n=5, blocks=48, block_size=64)
-    volume.write(0, b"x" * 64)
-    assert volume.read(0) == b"x" * 64
+    session = open_volume(m=3, n=5, blocks=48, block_size=64).session()
+    session.write(0, b"x" * 64)
+    assert session.read(0) == b"x" * 64
 
 
 def test_open_cluster_defaults():
@@ -88,10 +88,11 @@ def test_existing_cluster_is_reused():
     a = open_volume(cluster, stripes=4)
     b = open_volume(cluster, stripes=4, base_register_id=100)
     assert a.cluster is b.cluster is cluster
-    a.write(0, b"a" * 64)
-    b.write(0, b"b" * 64)
-    assert a.read(0) == b"a" * 64
-    assert b.read(0) == b"b" * 64
+    a_io, b_io = a.session(), b.session()
+    a_io.write(0, b"a" * 64)
+    b_io.write(0, b"b" * 64)
+    assert a_io.read(0) == b"a" * 64
+    assert b_io.read(0) == b"b" * 64
 
 
 def test_cluster_knobs_rejected_with_existing_cluster():

@@ -30,22 +30,11 @@ def test_resolve_route_forms():
 def test_volume_ops_accept_route(cluster):
     volume = LogicalVolume(cluster, num_stripes=4)
     data = block_of(32, 1)
-    assert volume.write(0, route=RouteOptions(coordinator=2), data=data) == "OK"
-    assert volume.read(0, route=3) == data
-    assert volume.read(0, RouteOptions(coordinator=4)) == data
-
-
-def test_volume_default_route_from_constructor(cluster):
-    volume = LogicalVolume(
-        cluster, num_stripes=4, route=RouteOptions(coordinator=3)
-    )
-    assert volume.route.coordinator == 3
-    assert volume.write(0, block_of(32, 3)) == "OK"
-    assert LogicalVolume(cluster, num_stripes=4, route=2).route.coordinator == 2
-    unpinned = LogicalVolume(
-        cluster, num_stripes=4, route=RouteOptions(failover=False)
-    )
-    assert unpinned.route == RouteOptions(coordinator=1, failover=False)
+    writer = volume.session(route=RouteOptions(coordinator=2))
+    assert writer.write(0, data) == "OK"
+    assert writer.ops[0].coordinator == 2
+    assert volume.session(route=3).read(0) == data
+    assert volume.session(route=3).route == RouteOptions(coordinator=3)
 
 
 def test_cluster_register_accepts_route(cluster):
@@ -58,15 +47,16 @@ def test_cluster_register_accepts_route(cluster):
 def test_failover_disabled_surfaces_crash_on_sync_ops():
     cluster = make_cluster()
     volume = LogicalVolume(cluster, num_stripes=2)
-    volume.write(0, block_of(32, 5))
+    volume.session().write(0, block_of(32, 5))
 
     def crash_soon(env):
         yield env.timeout(1.0)
         cluster.crash(2)
 
     cluster.env.process(crash_soon(cluster.env))
-    pinned = RouteOptions(coordinator=2, failover=False)
+    pinned = volume.session(route=RouteOptions(coordinator=2, failover=False))
     with pytest.raises(StorageError, match="failover is disabled"):
-        volume.read(0, route=pinned)
+        pinned.read(0)
     # With failover back on, the same read succeeds elsewhere.
-    assert volume.read(0, route=RouteOptions(coordinator=2)) == block_of(32, 5)
+    rerouted = volume.session(route=RouteOptions(coordinator=2))
+    assert rerouted.read(0) == block_of(32, 5)

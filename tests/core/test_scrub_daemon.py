@@ -92,7 +92,10 @@ class TestScrubDaemon:
         daemon = ScrubDaemon(
             cluster,
             registers=range(REGISTERS),
-            config=ScrubConfig(interval=5.0, bricks_per_step=4),
+            # aging_fraction=1: the budget is all cursor, a plain sweep.
+            config=ScrubConfig(
+                interval=5.0, samples_per_tick=4, aging_fraction=1.0
+            ),
         )
         daemon.start()
         cluster.run(until=cluster.env.now + 300.0)

@@ -13,6 +13,7 @@ daemon regressions fixed alongside them:
 
 import pytest
 
+from repro.campaign.engine import CampaignConfig
 from repro.errors import ConfigurationError
 from repro.scrub import (
     PairSampler,
@@ -106,6 +107,17 @@ class TestPairSampler:
             seen.update(sampler.draw(pairs, budget))
         assert seen == set(pairs)
 
+    def test_laps_count_full_cursor_passes(self):
+        sampler = PairSampler(seed=5, aging_fraction=1.0)
+        seen = set()
+        for _ in range(len(self.PAIRS) // 8):  # 40 pairs, 8 per draw
+            assert sampler.laps == 0
+            seen.update(sampler.draw(self.PAIRS, 8))
+        assert sampler.laps == 1 and seen == set(self.PAIRS)
+        # A budget covering the pair space is one full pass, one lap.
+        assert sorted(sampler.draw(self.PAIRS, 99)) == sorted(self.PAIRS)
+        assert sampler.laps == 2
+
     def test_zero_aging_disables_cursor(self):
         sampler = PairSampler(seed=0, aging_fraction=0.0)
         drawn = sampler.draw(self.PAIRS, 5)
@@ -174,7 +186,10 @@ class TestLiveRegisterResolution:
     def test_new_register_is_scrubbed_sweep_mode(self):
         cluster, _stripes = populated_cluster()
         daemon = ScrubDaemon(
-            cluster, config=ScrubConfig(interval=5.0, bricks_per_step=4)
+            cluster,
+            config=ScrubConfig(
+                interval=5.0, samples_per_tick=4, aging_fraction=1.0
+            ),
         )
         daemon.start()
         cluster.run(until=cluster.env.now + 50.0)
@@ -197,7 +212,7 @@ class TestLiveRegisterResolution:
         cluster, _stripes = populated_cluster()
         daemon = ScrubDaemon(
             cluster,
-            config=ScrubConfig(mode="sample", interval=5.0, seed=3),
+            config=ScrubConfig(interval=5.0, seed=3),
         )
         daemon.start()
         cluster.run(until=cluster.env.now + 50.0)
@@ -219,7 +234,10 @@ class TestLiveRegisterResolution:
         # passes still complete and count.
         cluster, _stripes = populated_cluster()
         daemon = ScrubDaemon(
-            cluster, config=ScrubConfig(interval=5.0, bricks_per_step=3)
+            cluster,
+            config=ScrubConfig(
+                interval=5.0, samples_per_tick=3, aging_fraction=1.0
+            ),
         )
         daemon.start()
         for extra in range(3):
@@ -271,7 +289,7 @@ class TestSampledDaemon:
         corrupt_on(cluster, pid=1, register_id=2)
         daemon = ScrubDaemon(
             cluster,
-            config=ScrubConfig(mode="sample", interval=5.0, seed=0),
+            config=ScrubConfig(interval=5.0, seed=0),
         )
         daemon.start()
         cluster.run(until=cluster.env.now + 600.0)
@@ -279,7 +297,9 @@ class TestSampledDaemon:
         assert daemon.detections
         assert daemon.repairs_done >= 1
         assert brick_is_clean(cluster, 1, 2)
-        assert daemon.summary()["mode"] == "sample"
+        # 20 pairs: the derived budget clamps to a full pass per tick.
+        assert daemon.sweeps_completed > 0
+        assert cluster.metrics.scrub_scans == 20 * daemon.sweeps_completed
 
     def test_fixed_seed_scan_order_is_identical(self):
         order = []
@@ -287,10 +307,7 @@ class TestSampledDaemon:
             cluster, _stripes = populated_cluster()
             daemon = ScrubDaemon(
                 cluster,
-                config=ScrubConfig(
-                    mode="sample", interval=5.0, seed=11,
-                    samples_per_tick=6,
-                ),
+                config=ScrubConfig(interval=5.0, seed=11, samples_per_tick=6),
             )
             scans = []
             original = daemon._scan_one
@@ -304,6 +321,21 @@ class TestSampledDaemon:
         assert order[0] == order[1]
         assert order[0]  # the schedule actually scanned something
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            ScrubConfig(mode="adaptive")
+    @pytest.mark.parametrize("field, bad", [
+        ("interval", 0.0),  # re-armed at the same instant: run() hung
+        ("target_confidence", 1.5),  # raised only inside the first tick
+        ("assumed_corrupt_rate", 0.0),
+        ("samples_per_tick", -1),  # scanned nothing, silently
+        ("revisit_fraction", 1.5),
+        ("aging_fraction", -0.1),
+        ("max_inflight_repairs", 0),
+        ("detected_limit", 0),
+    ])
+    def test_rejects_bad_config(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            ScrubConfig(**{field: bad})
+
+    def test_campaign_rejects_zero_scrub_interval(self):
+        with pytest.raises(ConfigurationError, match="scrub_interval"):
+            CampaignConfig(scrub_enabled=True, scrub_interval=0.0)
+        CampaignConfig(scrub_interval=0.0)  # scrub off: the knob is unused

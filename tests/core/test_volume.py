@@ -1,4 +1,4 @@
-"""Logical volumes: address translation and block I/O."""
+"""Logical volumes: address translation, and block I/O through a session."""
 
 import pytest
 
@@ -11,6 +11,11 @@ from tests.conftest import block_of, make_cluster, stripe_of
 def volume():
     cluster = make_cluster(m=3, n=5, block_size=32)
     return LogicalVolume(cluster, num_stripes=4)
+
+
+@pytest.fixture
+def session(volume):
+    return volume.session()
 
 
 class TestGeometry:
@@ -49,79 +54,103 @@ class TestGeometry:
         cluster = make_cluster(m=3, n=5, block_size=32)
         vol_a = LogicalVolume(cluster, num_stripes=2, base_register_id=0)
         vol_b = LogicalVolume(cluster, num_stripes=2, base_register_id=100)
-        vol_a.write(0, b"A" * 32)
-        vol_b.write(0, b"B" * 32)
-        assert vol_a.read(0) == b"A" * 32
-        assert vol_b.read(0) == b"B" * 32
+        a, b = vol_a.session(), vol_b.session()
+        a.write(0, b"A" * 32)
+        b.write(0, b"B" * 32)
+        assert a.read(0) == b"A" * 32
+        assert b.read(0) == b"B" * 32
 
 
 class TestBlockIO:
-    def test_read_unwritten_is_zeros(self, volume):
-        assert volume.read(5) == bytes(32)
+    def test_read_unwritten_is_zeros(self, session):
+        assert session.read(5) == bytes(32)
 
-    def test_write_read_roundtrip(self, volume):
+    def test_write_read_roundtrip(self, session):
         data = block_of(32, tag=1)
-        assert volume.write(3, data) == "OK"
-        assert volume.read(3) == data
+        assert session.write(3, data) == "OK"
+        assert session.read(3) == data
 
-    def test_write_wrong_size_rejected(self, volume):
+    def test_write_wrong_size_rejected(self, session):
         with pytest.raises(ConfigurationError):
-            volume.write(0, b"short")
+            session.write(0, b"short")
 
-    def test_all_blocks_independent(self, volume):
+    def test_all_blocks_independent(self, volume, session):
         for block in range(volume.num_blocks):
-            volume.write(block, block_of(32, tag=block))
+            session.write(block, block_of(32, tag=block))
         for block in range(volume.num_blocks):
-            assert volume.read(block) == block_of(32, tag=block)
+            assert session.read(block) == block_of(32, tag=block)
 
-    def test_write_survives_crash(self, volume):
+    def test_write_survives_crash(self, volume, session):
         data = block_of(32, tag=1)
-        volume.write(0, data)
+        session.write(0, data)
         volume.cluster.crash(5)
-        assert volume.read(0) == data
+        assert session.read(0) == data
 
     def test_read_via_other_coordinator(self, volume):
         data = block_of(32, tag=2)
-        volume.write(7, data, route=1)
-        assert volume.read(7, route=4) == data
+        assert volume.session(route=1).write(7, data) == "OK"
+        assert volume.session(route=4).read(7) == data
+
+
+def read_range(session, start, count):
+    """Values of ``count`` blocks from ``start``, in block order."""
+    ops = session.submit_read_range(start, count)
+    session.drain()
+    values = {}
+    for op in ops:
+        results = op.result if op.kind == "read-blocks" else [op.result]
+        values.update(zip(op.blocks, results))
+    return [values[block] for block in range(start, start + count)]
 
 
 class TestRangeIO:
-    def test_range_roundtrip(self, volume):
+    def test_range_roundtrip(self, session):
         blocks = [block_of(32, tag=10 + i) for i in range(5)]
-        assert volume.write_range(2, blocks) == "OK"
-        assert volume.read_range(2, 5) == blocks
+        session.submit_write_range(2, blocks)
+        session.drain()
+        assert read_range(session, 2, 5) == blocks
 
-    def test_range_mixes_written_and_zeros(self, volume):
-        volume.write(1, block_of(32, tag=1))
-        values = volume.read_range(0, 3)
-        assert values[0] == bytes(32)
-        assert values[1] == block_of(32, tag=1)
-        assert values[2] == bytes(32)
+    def test_range_mixes_written_and_zeros(self, session):
+        session.write(1, block_of(32, tag=1))
+        assert read_range(session, 0, 3) == [
+            bytes(32), block_of(32, tag=1), bytes(32)
+        ]
 
 
 class TestStripeAlignedIO:
-    def test_stripe_write_visible_blockwise(self, volume):
-        stripe = stripe_of(3, 32, tag=5)
-        assert volume.write_stripe_aligned(1, stripe) == "OK"
-        # Stripe 1, units 1..3 correspond to logical blocks 1, 5, 9
-        # under the shuffled layout (block % 4 == 1).
-        for unit, logical in enumerate([1, 5, 9]):
-            assert volume.read(logical) == stripe[unit]
+    """A range covering a whole stripe becomes one ``write-stripe``."""
 
-    def test_stripe_write_validations(self, volume):
-        with pytest.raises(ConfigurationError):
-            volume.write_stripe_aligned(9, stripe_of(3, 32, tag=1))
-        with pytest.raises(ConfigurationError):
-            volume.write_stripe_aligned(0, stripe_of(2, 32, tag=1))
-
-    def test_stripe_write_cheaper_than_block_writes(self):
+    @pytest.fixture
+    def linear(self):
         cluster = make_cluster(m=3, n=5, block_size=32)
-        volume = LogicalVolume(cluster, num_stripes=2)
-        volume.write_stripe_aligned(0, stripe_of(3, 32, tag=1))
+        return LogicalVolume(cluster, num_stripes=4, stripe_shuffle=False)
+
+    def test_stripe_write_visible_blockwise(self, linear):
+        stripe = stripe_of(3, 32, tag=5)
+        session = linear.session()
+        # Logical blocks 3..5 are stripe 1, units 1..3, in the linear
+        # layout.
+        (op,) = session.submit_write_range(3, stripe)
+        session.drain()
+        assert (op.kind, op.result) == ("write-stripe", "OK")
+        for unit, logical in enumerate([3, 4, 5]):
+            assert session.read(logical) == stripe[unit]
+
+    def test_stripe_write_validations(self, linear):
+        session = linear.session()
+        with pytest.raises(ConfigurationError):
+            session.submit_write_range(10, stripe_of(3, 32, tag=1))
+        with pytest.raises(ConfigurationError):
+            session.submit_write_range(0, [b"short"] * 3)
+
+    def test_stripe_write_cheaper_than_block_writes(self, linear):
+        cluster = linear.cluster
+        session = linear.session()
+        session.submit_write_range(0, stripe_of(3, 32, tag=1))
+        session.drain()
         stripe_msgs = cluster.metrics.summary()["write-stripe/fast"]["messages"]
         for i in range(3):
-            volume.write(i, block_of(32, tag=i))
+            session.write(i, block_of(32, tag=i))
         block_msgs = sum(
             row["messages"] * row["count"]
             for label, row in cluster.metrics.summary().items()

@@ -59,10 +59,11 @@ class TestSoak:
         # Replay the volume's abort decisions: a block whose last write
         # aborted may hold either value; just require reads to be
         # stable and non-corrupt.
+        session = volume.session()
         for block, payload in sorted(last_payload.items()):
-            value = volume.read(block)
+            value = session.read(block)
             assert value is not ABORT
-            again = volume.read(block)
+            again = session.read(block)
             assert again == value  # stability
         # GC kept logs bounded.
         assert cluster.gc.high_water_mark(0) <= 5
@@ -71,11 +72,12 @@ class TestSoak:
         """Brick dies, misses writes, is rebuilt; redundancy restored."""
         cluster = build_cluster(seed=3)
         volume = LogicalVolume(cluster, num_stripes=10)
+        session = volume.session()
         for block in range(volume.num_blocks):
-            assert volume.write(block, bytes([block % 256]) * 128) == "OK"
+            assert session.write(block, bytes([block % 256]) * 128) == "OK"
         cluster.crash(6)
         for block in range(0, volume.num_blocks, 2):
-            assert volume.write(block, bytes([(block + 7) % 256]) * 128) == "OK"
+            assert session.write(block, bytes([(block + 7) % 256]) * 128) == "OK"
         report = Rebuilder(cluster, route=1).rebuild_brick(
             6, range(10)
         )
@@ -88,7 +90,7 @@ class TestSoak:
         # minimum the original fault bound still holds:
         cluster.crash(2)
         for block in range(volume.num_blocks):
-            assert volume.read(block) is not ABORT
+            assert session.read(block) is not ABORT
 
     def test_duplicating_network(self):
         """Message duplication (at-most-once layer) does not break ops."""
@@ -134,15 +136,16 @@ class TestSoak:
         volume_b = LogicalVolume(
             cluster, num_stripes=5, base_register_id=1000, stripe_shuffle=False
         )
+        session_a, session_b = volume_a.session(), volume_b.session()
         for block in range(volume_a.num_blocks):
-            volume_a.write(block, b"A" * 128)
-            volume_b.write(block, b"B" * 128)
+            session_a.write(block, b"A" * 128)
+            session_b.write(block, b"B" * 128)
         cluster.crash(4)
         assert all(
-            volume_a.read(block) == b"A" * 128
+            session_a.read(block) == b"A" * 128
             for block in range(volume_a.num_blocks)
         )
         assert all(
-            volume_b.read(block) == b"B" * 128
+            session_b.read(block) == b"B" * 128
             for block in range(volume_b.num_blocks)
         )

@@ -89,10 +89,10 @@ def test_endpoints_exchange_messages_and_respect_down():
 def test_open_cluster_sim_is_the_default_path():
     cluster = api.open_cluster(m=3, n=5, transport="sim")
     assert isinstance(cluster.transport, SimTransport)
-    volume = api.open_volume(cluster, blocks=3)
+    session = api.open_volume(cluster, blocks=3).session()
     data = b"t" * cluster.config.block_size
-    assert volume.write(0, data) == "OK"
-    assert volume.read(0) == data
+    assert session.write(0, data) == "OK"
+    assert session.read(0) == data
 
 
 def test_open_cluster_asyncio_refuses_sync_run():

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import LogicalVolume
+from repro import LogicalVolume, VolumeSession
 from repro.errors import ConfigurationError
+from repro.types import ABORT
 from repro.workloads.traces import TraceOp, TraceReplayer, synthesize_trace
 from tests.conftest import make_cluster
 
@@ -66,7 +67,7 @@ class TestReplay:
             TraceOp(time=2.0, op="read", block=3),
         ]
         replayer.replay(trace)
-        assert volume.read(3) == replayer._payload(trace[0])
+        assert volume.session().read(3) == replayer._payload(trace[0])
 
     def test_empty_trace(self):
         cluster = make_cluster(m=2, n=4, block_size=16)
@@ -74,3 +75,27 @@ class TestReplay:
         stats = TraceReplayer(volume).replay([])
         assert stats.operations == 0
         assert stats.throughput == 0
+
+    def test_abort_is_counted_not_retried(self, monkeypatch):
+        cluster = make_cluster(m=2, n=4, block_size=16)
+        replayer = TraceReplayer(LogicalVolume(cluster, num_stripes=2))
+        attempts = []
+
+        def always_abort(self, op, pid):
+            attempts.append(op)
+
+            def aborter():
+                yield self.env.timeout(1.0)
+                return ABORT
+
+            return self.env.process(aborter())
+
+        monkeypatch.setattr(VolumeSession, "_spawn_attempt", always_abort)
+        trace = [
+            TraceOp(time=1.0, op="write", block=0, tag=1),
+            TraceOp(time=2.0, op="read", block=1),
+        ]
+        stats = replayer.replay(trace)
+        assert stats.aborts == 2
+        assert len(attempts) == 2  # one attempt per op: ⊥ is final
+        assert replayer.session.stats.retries == 0
