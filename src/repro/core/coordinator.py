@@ -36,7 +36,7 @@ from ..quorum.strategy import QuorumStrategy, RandomQuorumStrategy
 from ..quorum.system import MajorityMQuorumSystem
 from ..sim.monitor import Metrics
 from ..sim.node import Node
-from ..transport.base import TimerHandle, Transport
+from ..transport.base import TimerHandle
 from ..timestamps import HIGH_TS, LOW_TS, Timestamp, TimestampSource
 from ..types import ABORT, Block, ProcessId
 from .messages import (
@@ -101,21 +101,33 @@ class CoordinatorConfig:
 
 
 class _PendingCall:
-    """Book-keeping for one in-flight quorum phase."""
+    """Book-keeping for one in-flight quorum phase.
+
+    The phase owns its sends (:meth:`transmit` / :meth:`retransmit`)
+    rather than closing over itself in a retransmit closure: its only
+    reference cycle is call → armed timer → bound method → call, which
+    :meth:`_finish` breaks by cancelling every timer and a fired timer
+    breaks by dropping its callback.  A finished phase, or an abandoned
+    one whose timers have fired, is freed by reference counting alone —
+    the cyclic collector never has to find it.
+    """
 
     def __init__(
         self,
-        transport: Transport,
+        rpc: "QuorumRpc",
+        request_id: int,
+        make_request: Callable[[ProcessId, int], object],
         min_count: int,
         prefer: Optional[Callable[[Dict[ProcessId, object]], bool]],
-        grace: float,
     ) -> None:
-        self.transport = transport
+        self.rpc = rpc
+        self.transport = rpc.transport
+        self.request_id = request_id
+        self.make_request = make_request
         self.min_count = min_count
         self.prefer = prefer
-        self.grace = grace
         self.replies: Dict[ProcessId, object] = {}
-        self.complete = transport.event()
+        self.complete = self.transport.event()
         self.finished = False
         self.expired = False
         self._grace_started = False
@@ -127,6 +139,31 @@ class _PendingCall:
     def arm(self, role: str, delay: float, callback: Callable[[], None]) -> None:
         """Arm this phase's ``role`` timer (replacing its previous one)."""
         self._timers[role] = self.transport.set_timer(delay, callback)
+
+    def transmit(self) -> None:
+        """Send the request to every process that has not replied."""
+        node = self.rpc.node
+        for destination in self.rpc.universe:
+            if destination in self.replies:
+                continue
+            request = self.make_request(destination, self.request_id)
+            node.send(destination, request, size=request.size)
+
+    def retransmit(self) -> None:
+        """Retransmit timer: resend to non-responders and re-arm."""
+        rpc = self.rpc
+        # Stop when the phase finished, the call was abandoned (the
+        # coordinator crashed and its pending table was cleared on
+        # recovery), or the node is down — otherwise a crashed
+        # coordinator would retransmit forever and the simulation
+        # would never drain.
+        if self.finished or rpc._pending.get(self.request_id) is not self:
+            return
+        if not rpc.node.is_up:
+            return
+        rpc.node.metrics.count_retransmission()
+        self.transmit()
+        self.arm("retransmit", rpc.config.retransmit_interval, self.retransmit)
 
     def on_reply(self, src: ProcessId, reply: object) -> None:
         if self.finished or src in self.replies:
@@ -145,7 +182,7 @@ class _PendingCall:
                 self._finish()
             elif not self._grace_started:
                 self._grace_started = True
-                self.arm("grace", self.grace, self._finish)
+                self.arm("grace", self.rpc.config.grace, self._finish)
 
     def _finish(self) -> None:
         if self.finished:
@@ -226,34 +263,10 @@ class QuorumRpc:
         """
         request_id = self.next_request_id()
         needed = self.quorum_size if min_count is None else min_count
-        call = _PendingCall(self.transport, needed, prefer, self.config.grace)
+        call = _PendingCall(self, request_id, make_request, needed, prefer)
         self._pending[request_id] = call
-
-        def transmit() -> None:
-            for destination in self.universe:
-                if destination in call.replies:
-                    continue
-                request = make_request(destination, request_id)
-                self.node.send(destination, request, size=request.size)
-
-        def retransmit_loop() -> None:
-            # Stop when the phase finished, the call was abandoned (the
-            # coordinator crashed and its pending table was cleared on
-            # recovery), or the node is down — otherwise a crashed
-            # coordinator would retransmit forever and the simulation
-            # would never drain.
-            if call.finished or self._pending.get(request_id) is not call:
-                return
-            if not self.node.is_up:
-                return
-            self.node.metrics.count_retransmission()
-            transmit()
-            call.arm(
-                "retransmit", self.config.retransmit_interval, retransmit_loop
-            )
-
-        transmit()
-        call.arm("retransmit", self.config.retransmit_interval, retransmit_loop)
+        call.transmit()
+        call.arm("retransmit", self.config.retransmit_interval, call.retransmit)
         if self.config.op_timeout is not None:
             call.arm("op_timeout", self.config.op_timeout, call.expire)
 

@@ -57,7 +57,7 @@ from ..errors import (
     StorageError,
     TerminalTransportError,
 )
-from ..sim.kernel import Event, Interrupt, Process
+from ..sim.kernel import Interrupt, Process
 from ..sim.monitor import SessionStats
 from ..types import ABORT, Block, OpKind, OpStatus, ProcessId
 from ..verify.history import OpRecord
@@ -163,7 +163,7 @@ class SessionOp:
     __slots__ = (
         "kind", "register_id", "blocks", "units", "payload", "status",
         "value", "error", "attempts", "retries", "failovers",
-        "submitted_at", "finished_at", "coordinator", "event",
+        "submitted_at", "finished_at", "coordinator",
     )
 
     def __init__(
@@ -173,7 +173,6 @@ class SessionOp:
         blocks: Tuple[int, ...],
         units: Tuple[int, ...],
         payload,
-        event: Event,
         submitted_at: float,
     ) -> None:
         self.kind = kind
@@ -181,7 +180,6 @@ class SessionOp:
         self.blocks = blocks
         self.units = units
         self.payload = payload
-        self.event = event
         self.submitted_at = submitted_at
         self.status = "pending"
         self.value = None
@@ -488,7 +486,7 @@ class VolumeSession:
     def _enqueue(self, kind, register_id, blocks, units, payload) -> SessionOp:
         op = SessionOp(
             kind, register_id, blocks, units, payload,
-            event=self.transport.event(), submitted_at=self.transport.now(),
+            submitted_at=self.transport.now(),
         )
         self.ops.append(op)
         self._queue.append(op)
@@ -755,7 +753,6 @@ class VolumeSession:
         op.finished_at = self.transport.now()
         if completed:
             self.stats.ops_completed += 1
-        op.event.succeed(op)
 
     def __repr__(self) -> str:
         return (

@@ -87,6 +87,23 @@ _DRAIN_TIMEOUT_S = 2.0
 _READ_CHUNK = 256 * 1024
 
 
+class _Delivery(Event):
+    """One message handed to the pump: the message rides in ``_value``.
+
+    Exactly one heap entry at the current instant, so messages are
+    delivered in send order; a slotted event and a bound callback are
+    all it allocates besides the heap tuple.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, transport: "AsyncioTransport", message: Message) -> None:
+        super().__init__(transport.env)
+        self._value = message
+        self.callbacks.append(transport._on_delivery)
+        transport.env._queue_event(self)
+
+
 class AsyncioTransport(Transport):
     """Wall-clock transport over asyncio, loopback or TCP framing.
 
@@ -170,6 +187,9 @@ class AsyncioTransport(Transport):
         self._pump_task = None
         self._pump_error: Optional[BaseException] = None
         self._wake = None  # asyncio.Event, created on the running loop
+        #: One asyncio future per pending ``wait_for``; failed on pump
+        #: death or ``stop()`` so no waiter outlives the pump.
+        self._waiters: set = set()
         self._servers: Dict[ProcessId, Any] = {}
         self._conn_writers: List[Any] = []
         self._outboxes: Dict[ProcessId, Any] = {}
@@ -322,8 +342,11 @@ class AsyncioTransport(Transport):
         # Loopback (and pre-start tcp, e.g. setup writes): inject into
         # the shared queue; the pump dispatches it next cycle.
         self._advance_clock()
-        self.env._call_soon(lambda: self._deliver(message))
+        _Delivery(self, message)
         self._kick()
+
+    def _on_delivery(self, delivery: _Delivery) -> None:
+        self._deliver(delivery._value)
 
     def _deliver(self, message: Message) -> None:
         # Down/registration state may have changed in flight.
@@ -500,10 +523,7 @@ class AsyncioTransport(Transport):
                 self._advance_clock()
                 try:
                     for src, dst, payload, size in parser.feed(chunk):
-                        message = Message(src, dst, payload, size)
-                        self.env._call_soon(
-                            lambda m=message: self._deliver(m)
-                        )
+                        _Delivery(self, Message(src, dst, payload, size))
                 except ConfigurationError:
                     if self.metrics is not None:
                         self.metrics.count_drop()
@@ -608,6 +628,9 @@ class AsyncioTransport(Transport):
             self._raise_if_pump_dead()
             return
         self._running = False
+        self._fail_waiters(
+            TerminalTransportError("transport stopped while waiting")
+        )
         self._kick()
         if self._pump_task is not None:
             try:
@@ -678,6 +701,13 @@ class AsyncioTransport(Transport):
                     pass
         except BaseException as exc:  # surfaced by send/set_timer/stop/wait_for
             self._pump_error = exc
+            self._fail_waiters(exc)
+
+    def _fail_waiters(self, error: BaseException) -> None:
+        """Raise ``error`` in every ``wait_for`` still pending."""
+        for waiter in self._waiters:
+            if not waiter.done():
+                waiter.set_exception(error)
 
     async def wait_for(self, event: Event) -> Any:
         """Await a kernel event from asyncio code.
@@ -685,26 +715,30 @@ class AsyncioTransport(Transport):
         The transport-level twin of ``run_until_complete``: returns the
         event's value, or raises its failure exception.  Also re-raises
         any error that killed the pump (a protocol invariant violation
-        aborts the workload instead of hanging it).
+        aborts the workload instead of hanging it), and raises
+        :class:`TerminalTransportError` if the transport stops first.
+        One asyncio future per wait: the event's kernel callback
+        resolves it, the pump's death or ``stop()`` fails it.
         """
         import asyncio
 
         if not self._running:
             raise SimulationError("transport not started; await start() first")
-        fired = asyncio.Event()
-        event._add_callback(lambda _e: fired.set())
+        if self._pump_error is not None:
+            raise self._pump_error
+        waiter = asyncio.get_running_loop().create_future()
+
+        def resolve(_event: Event) -> None:
+            if not waiter.done():  # cancelled, or failed by stop()/pump death
+                waiter.set_result(None)
+
+        event._add_callback(resolve)
+        self._waiters.add(waiter)
         self._kick()
-        while not fired.is_set():
-            if self._pump_error is not None:
-                raise self._pump_error
-            if not self._running:
-                raise TerminalTransportError(
-                    "transport stopped while waiting"
-                )
-            try:
-                await asyncio.wait_for(fired.wait(), timeout=_IDLE_POLL_S)
-            except asyncio.TimeoutError:
-                pass
+        try:
+            await waiter
+        finally:
+            self._waiters.discard(waiter)
         if event._failed:
             event._defused = True
             value = event.value

@@ -202,9 +202,7 @@ class TestTimerRelease:
             replies = env.run_until_complete(process)
             assert len(replies) == 4 and env.now < 100.0
             del process
-            # One pass for the retransmit_loop closure, which refers to
-            # itself; nothing else may need the collector.
-            gc.collect()
+            # Freed by reference counting: the collector stays off.
             assert call_ref() is None
         finally:
             gc.enable()

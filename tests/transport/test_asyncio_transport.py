@@ -212,6 +212,103 @@ def _boom() -> None:
     raise RuntimeError("injected pump failure")
 
 
+def _stalled_session():
+    """A loopback cluster (not yet started) on which no op can finish:
+    two of five bricks are down, one short of a quorum."""
+    from repro.core.cluster import ClusterConfig, FabCluster
+    from repro.core.volume import LogicalVolume
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport(mode="loopback")
+    cluster = FabCluster(
+        ClusterConfig(m=3, n=5, block_size=64, transport="asyncio"),
+        transport=transport,
+    )
+    cluster.crash(1)
+    cluster.crash(2)
+    session = LogicalVolume(cluster, num_stripes=1).session(max_inflight=1)
+    return transport, session
+
+
+def test_pump_death_wakes_a_blocked_drain_promptly():
+    """A task parked in ``drain_async`` gets the pump's own exception
+    within 50 ms of the pump dying, not at its next poll."""
+    import time
+
+    from repro.errors import TerminalTransportError
+
+    transport, session = _stalled_session()
+    died_at = []
+
+    def boom() -> None:
+        died_at.append(time.monotonic())
+        _boom()
+
+    async def drive():
+        await transport.start()
+        session.submit_read(0)
+        drain = asyncio.ensure_future(session.drain_async())
+        await asyncio.sleep(0.02)
+        assert not drain.done()
+        transport.set_timer(1.0, boom)
+        with pytest.raises(RuntimeError, match="injected pump failure"):
+            await asyncio.wait_for(drain, timeout=2.0)
+        woke_at = time.monotonic()
+        with pytest.raises(TerminalTransportError, match="pump died"):
+            await transport.stop()
+        return woke_at - died_at[0]
+
+    assert asyncio.run(drive()) < 0.05
+
+
+def test_stop_fails_a_pending_waiter():
+    """``stop()`` raises TerminalTransportError in every pending
+    ``wait_for`` at once."""
+    from repro.errors import TerminalTransportError
+
+    transport, session = _stalled_session()
+
+    async def drive():
+        await transport.start()
+        session.submit_read(0)
+        drain = asyncio.ensure_future(session.drain_async())
+        await asyncio.sleep(0.02)
+        await transport.stop()
+        with pytest.raises(TerminalTransportError, match="stopped while waiting"):
+            await asyncio.wait_for(drain, timeout=0.05)
+
+    asyncio.run(drive())
+
+
+def test_cancelled_waiter_is_skipped_when_its_event_fires():
+    """Cancelling a task inside ``wait_for`` and then letting the event
+    fire neither kills the pump nor reaches the loop's exception
+    handler (no InvalidStateError from resolving a cancelled future)."""
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport(mode="loopback")
+    loop_errors = []
+
+    async def drive():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: loop_errors.append(context)
+        )
+        await transport.start()
+        timer = transport.timer(20.0)
+        waiting = asyncio.ensure_future(transport.wait_for(timer))
+        await asyncio.sleep(0.005)
+        waiting.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await waiting
+        await asyncio.sleep(0.05)
+        assert timer.triggered
+        assert transport._pump_error is None
+        await transport.stop()
+
+    asyncio.run(drive())
+    assert loop_errors == []
+
+
 def test_timer_handles_cancel_before_start():
     """Timers armed before start() fire once the pump runs; cancelled
     ones never do."""
