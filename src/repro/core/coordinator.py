@@ -702,6 +702,9 @@ class Coordinator:
     def write_block(self, register_id: int, j: int, block: Block):
         """``write-block(j, b)``: fast Modify path, else full recovery."""
         self._check_block_indices((j,))
+        # p_j logs the Modify's block object itself: a caller's mutable
+        # buffer must not become replica state.
+        block = bytes(block)
         op = self.metrics.begin_op("write-block", self.transport.now())
         ts = self._new_ts()
         result, modify_sent = yield from self._fast_write_block(

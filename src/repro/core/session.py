@@ -295,7 +295,7 @@ class VolumeSession:
         self._check_block(data)
         register_id, unit = self.volume.locate(logical_block)
         return self._enqueue(
-            "write-block", register_id, (logical_block,), (unit,), data
+            "write-block", register_id, (logical_block,), (unit,), bytes(data)
         )
 
     def submit_read_range(self, start_block: int, count: int) -> List[SessionOp]:
@@ -323,6 +323,9 @@ class VolumeSession:
         """
         for data in data_blocks:
             self._check_block(data)
+        # Snapshot the payloads: a reused buffer must not rewrite what
+        # history() reports as written.
+        data_blocks = [bytes(data) for data in data_blocks]
         blocks = range(start_block, start_block + len(data_blocks))
         ops = []
         for register_id, items in self._stripe_groups(blocks, data_blocks):

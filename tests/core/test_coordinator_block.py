@@ -142,6 +142,18 @@ class TestWriteBlock:
             assert register.read_block(j) == block
         assert register.read_stripe() == expected
 
+    def test_caller_buffer_does_not_alias_replica_state(self):
+        """Reusing the written buffer must not rewrite p_j's log."""
+        cluster = make_cluster(m=3, n=5, block_size=8)
+        register = cluster.register(0)
+        register.write_stripe([b"a" * 8, b"b" * 8, b"c" * 8])
+        buf = bytearray(b"X" * 8)
+        assert register.write_block(1, buf) == "OK"
+        assert cluster.metrics.summary()["write-block/fast"]["count"] == 1
+        buf[:] = b"Z" * 8
+        assert register.read_block(1) == b"X" * 8
+        assert register.read_stripe() == [b"X" * 8, b"b" * 8, b"c" * 8]
+
 
 class TestBlockIndexValidation:
     """Block indices are 1..m; 0 used to alias block m on recovery."""

@@ -141,6 +141,24 @@ def test_read_range_coalesces_and_orders_values():
     assert flat == data
 
 
+def test_reused_buffer_does_not_rewrite_submitted_writes():
+    """Writes carry the bytes the buffer held at submit time."""
+    volume = open_volume(m=3, n=5, stripes=4, block_size=32, seed=12)
+    volume.stripe_shuffle = False
+    buf = bytearray(b"\x01" * 32)
+    with volume.session() as session:
+        session.submit_write(0, buf)
+        buf[:] = b"\x02" * 32
+        session.submit_write_range(3, [buf, buf])  # one write-blocks op
+        buf[:] = b"\x03" * 32
+    assert all(op.ok for op in session.ops)
+    expected = [b"\x01" * 32, b"\x02" * 32, b"\x02" * 32]
+    assert [record.value for record in session.history()] == expected
+    with volume.session() as session:
+        reads = [session.submit_read(block) for block in (0, 3, 4)]
+    assert [op.result for op in reads] == expected
+
+
 # -- retry under aborts -------------------------------------------------------
 
 
