@@ -74,8 +74,8 @@ class CampaignConfig:
         torn_write_probability: chance each scheduled crash also leaves
             a torn journal tail (only when corruption is enabled).
         verify_checksums: verify stable-store CRC envelopes (default).
-            ``False`` is the negative mode: injected corruption thaws
-            into garbage and the read-verification invariant fires.
+            ``False`` is the negative mode: injected corruption loads
+            as garbage and the read-verification invariant fires.
         scrub_enabled / scrub_interval: run the background
             scrub-and-repair daemon during the campaign, verifying
             checksums every ``scrub_interval`` sim-time.  Its sampler

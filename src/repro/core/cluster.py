@@ -57,12 +57,9 @@ class ClusterConfig:
         clock_skews: per-process clock skew in time units (index by
             process id); missing ids default to zero.  Used by the
             abort-rate ablation.
-        disk_read_latency / disk_write_latency: simulated time per log
-            block read/write at replicas (0 = the paper's free-disk
-            cost model).
         verify_checksums: verify stable-store CRC envelopes on every
             read (default True).  ``False`` is the escape hatch that
-            lets injected corruption thaw into garbage — only for
+            lets injected corruption load as garbage — only for
             demonstrating that the detector is load-bearing.
         metrics_history_limit: cap on retained per-operation metric
             records (None = unlimited); long benchmark runs set a limit
@@ -87,8 +84,6 @@ class ClusterConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     clock_skews: Dict[int, float] = field(default_factory=dict)
-    disk_read_latency: float = 0.0
-    disk_write_latency: float = 0.0
     transport: str = "sim"
     verify_checksums: bool = True
     metrics_history_limit: Optional[int] = None
@@ -138,11 +133,7 @@ class FabCluster:
                 metrics=self.metrics,
                 verify_checksums=cfg.verify_checksums,
             )
-            replica = Replica(
-                node, self.code, pid,
-                disk_read_latency=cfg.disk_read_latency,
-                disk_write_latency=cfg.disk_write_latency,
-            )
+            replica = Replica(node, self.code, pid)
             ts_source = TimestampSource(
                 pid,
                 clock=self.transport.now,

@@ -35,8 +35,8 @@ import bisect
 from typing import Any, List, Optional, Tuple
 
 from ..errors import ProtocolInvariantError
-from ..sim.freeze import register_immutable
 from ..timestamps import LOW_TS, Timestamp
+from ..types import BOTTOM
 
 __all__ = [
     "LogEntry",
@@ -47,32 +47,6 @@ __all__ = [
     "snapshot_record",
     "replay_journal",
 ]
-
-
-class _BottomType:
-    """Sentinel for ``⊥`` block entries (timestamp recorded, no value)."""
-
-    _instance: Optional["_BottomType"] = None
-
-    def __new__(cls) -> "_BottomType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "⊥"
-
-    def __reduce__(self):
-        return (_BottomType, ())
-
-
-#: The ⊥ marker stored in timestamp-only log entries.
-BOTTOM = _BottomType()
-
-# ⊥ is a stateless singleton: the copy-on-write stable store may share
-# it by reference (identity must survive persistence — handlers compare
-# with ``is``).
-register_immutable(_BottomType)
 
 
 class LogEntry:

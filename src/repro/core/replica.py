@@ -30,8 +30,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..errors import CorruptionDetected
 from ..erasure.interface import ErasureCode
-from ..sim.freeze import estimate_size
-from ..sim.node import Node
+from ..sim.node import Node, record_size
 from ..timestamps import LOW_TS, Timestamp
 from ..types import ProcessId
 from .log import (
@@ -93,23 +92,16 @@ class Replica:
             run ``modify_{j,i}`` locally).
         process_index: this process's 1-based index ``i`` — which block
             of each stripe it stores.
-        disk_read_latency / disk_write_latency: simulated time per
-            block read/write from the log.  The default (0) matches the
-            paper's cost model, which counts disk operations but keeps
-            latency in δ units; non-zero values let the latency
-            benchmarks study disk-bound regimes (replies are delayed by
-            the request's accumulated disk time).
+
+    Log block reads and writes are counted, not timed: the paper's cost
+    model keeps latency in δ units, so every reply leaves at once.
     """
 
-    def __init__(self, node: Node, code: ErasureCode, process_index: int,
-                 disk_read_latency: float = 0.0,
-                 disk_write_latency: float = 0.0) -> None:
+    def __init__(self, node: Node, code: ErasureCode,
+                 process_index: int) -> None:
         self.node = node
         self.code = code
         self.i = process_index
-        self.disk_read_latency = disk_read_latency
-        self.disk_write_latency = disk_write_latency
-        self._busy = 0.0
         self._registers: Dict[int, RegisterState] = {}
         #: Registers whose persistent log failed its checksum on load.
         #: A quarantined register answers protocol requests with
@@ -274,7 +266,7 @@ class Replica:
         journal_bytes = self.node.stable.size_of(key)
         if journal_bytes <= _JOURNAL_MIN_BYTES:
             return False
-        live_bytes = estimate_size(snapshot_record(state.log))
+        live_bytes = record_size(snapshot_record(state.log))
         return journal_bytes > _JOURNAL_FACTOR * live_bytes
 
     # -- duplicate suppression -------------------------------------------------
@@ -290,24 +282,16 @@ class Replica:
                 del self._reply_cache[key]
 
     def _disk_read(self, blocks: int = 1) -> None:
-        """Count a log block read and accrue its service time."""
+        """Count a log block read."""
         self.node.metrics.count_disk_read(blocks)
-        self._busy += blocks * self.disk_read_latency
 
     def _disk_write(self, blocks: int = 1) -> None:
-        """Count a log block write and accrue its service time."""
+        """Count a log block write."""
         self.node.metrics.count_disk_write(blocks)
-        self._busy += blocks * self.disk_write_latency
 
     def _reply(self, src: ProcessId, request_id: int, reply) -> None:
         self._remember_reply(src, request_id, reply)
-        delay, self._busy = self._busy, 0.0
-        if delay > 0:
-            self.node.transport.set_timer(
-                delay, lambda: self.node.send(src, reply, size=reply.size)
-            )
-        else:
-            self.node.send(src, reply, size=reply.size)
+        self.node.send(src, reply, size=reply.size)
 
     def _resend_if_duplicate(self, src: ProcessId, request) -> bool:
         cached = self._cached_reply(src, request.request_id)

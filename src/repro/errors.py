@@ -93,7 +93,7 @@ class CorruptionDetected(StorageError):
     The stable store wraps every value and journal record in a CRC
     envelope; a mismatch means the bits on "disk" were silently
     altered (injected bit flip, torn write).  Callers treat the
-    affected fragment as an erasure (``⊥``) rather than thawing
+    affected fragment as an erasure (``⊥``) rather than serving
     garbage — see Konwar et al., arXiv:1605.01748.
     """
 

@@ -14,8 +14,8 @@ Layers:
   generators, timeouts, composite events, interrupts.
 * :mod:`repro.sim.network` — fair-loss network with configurable delay
   distributions, drop/duplicate probabilities, and partitions.
-* :mod:`repro.sim.node` — crash-recovery nodes with persistent stable
-  storage and a disk model.
+* :mod:`repro.sim.node` — crash-recovery nodes with a checksummed
+  stable store of immutable records.
 * :mod:`repro.sim.monitor` — metric counters (messages, bytes, disk
   I/O, latency) backing the Table 1 measurements.
 """

@@ -6,26 +6,145 @@ and a deliver hook wired into the network.  Crashing a node drops its
 volatile state, interrupts every in-flight coordinator process it owns
 (producing partial operations), and silences its message handling until
 recovery.
+
+The module also owns the persisted-record format: what a record is and
+how big it is (:func:`record_size`), its checksum (:func:`fingerprint`)
+and its fault-injected bit rot (:func:`flip_bit`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+import zlib
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..errors import ConfigurationError, CorruptionDetected
+from ..errors import CorruptionDetected
+from ..timestamps import Timestamp
 from ..transport.base import Endpoint, Transport
-from ..transport.sim import SimTransport
-from ..types import ProcessId
-from .freeze import fingerprint, flip_bit, freeze, thaw
-from .kernel import Environment
+from ..types import BOTTOM, ProcessId
 from .monitor import Metrics
-from .network import Network
 
-__all__ = ["StableStore", "Node"]
+__all__ = ["StableStore", "Node", "record_size", "fingerprint", "flip_bit"]
+
+
+# -- the persisted-record format ------------------------------------------
+#
+# A record is an atom -- None, bool, int, float, str, bytes, a Timestamp
+# or ⊥ -- or a tuple of records: immutable all the way down.  That is
+# every value the protocol persists (ord-ts, journal records, LS97's
+# (ts, value) pairs), and it lets the store keep the caller's object
+# itself: nothing is copied on store or load, and no later mutation of
+# live memory can reach "disk".
+
+#: Approximate persisted size of each fixed-size atom type.
+_ATOM_SIZES = {
+    type(None): 4,
+    bool: 4,
+    int: 12,
+    float: 16,
+    Timestamp: 48,
+    type(BOTTOM): 8,
+}
+_BYTES_OVERHEAD = 33  # per str/bytes leaf, on top of its length
+_TUPLE_OVERHEAD = 8
+
+#: CRC type tags of the atoms whose content is their ``repr``.
+_REPR_TAGS = {int: b"i", float: b"f", Timestamp: b"t"}
+
+
+def record_size(record: Any) -> int:
+    """Approximate persisted size of ``record``.
+
+    Raises :class:`TypeError`, naming the offending type, for anything
+    that is not a record (a list, dict, set, bytearray, ... anywhere
+    inside it).
+    """
+    tp = type(record)
+    if tp is bytes or tp is str:
+        return len(record) + _BYTES_OVERHEAD
+    if tp is tuple:
+        size = _TUPLE_OVERHEAD
+        for item in record:
+            size += record_size(item)
+        return size
+    size = _ATOM_SIZES.get(tp)
+    if size is None:
+        raise TypeError(
+            "stable-store records are immutable atoms or tuples of "
+            f"records, not {tp.__name__}"
+        )
+    return size
+
+
+def _crc_feed(crc: int, record: Any) -> int:
+    """Fold one record node (type tag + content) into a running CRC32."""
+    tp = type(record)
+    if tp is bytes:
+        return zlib.crc32(record, zlib.crc32(b"b", crc))
+    if tp is tuple:
+        crc = zlib.crc32(b"(", crc)
+        for item in record:
+            crc = _crc_feed(crc, item)
+        return zlib.crc32(b")", crc)
+    if tp is str:
+        return zlib.crc32(b"s" + record.encode("utf-8", "surrogatepass"), crc)
+    if record is None:
+        return zlib.crc32(b"N", crc)
+    if record is BOTTOM:
+        return zlib.crc32(b"R", crc)
+    if tp is bool:
+        return zlib.crc32(b"T" if record else b"F", crc)
+    return zlib.crc32(_REPR_TAGS[tp] + repr(record).encode(), crc)
+
+
+def fingerprint(record: Any) -> int:
+    """CRC32 of a record's logical content.
+
+    Deterministic across runs (no ``id()``/hash-seed dependence) and
+    sensitive to any bit-level change in stored payload bytes — the
+    checksum the store's corruption envelope is built on.
+    """
+    return _crc_feed(0, record)
+
+
+def flip_bit(record: Any, seed: int) -> Tuple[Any, bool]:
+    """Rebuild ``record`` with one bit flipped in one ``bytes`` leaf.
+
+    ``seed`` deterministically picks the leaf (depth-first order) and
+    the bit.  Returns ``(mutated, True)``, or ``(record, False)`` when
+    the record holds no non-empty ``bytes``.  Fault injection's latent
+    sector error: only data payloads rot, never record tags — a damaged
+    tag is a framing error, which is not the silent corruption this
+    models.
+    """
+    leaves: List[Tuple[int, ...]] = []
+
+    def collect(node: Any, path: Tuple[int, ...]) -> None:
+        if type(node) is bytes:
+            if node:
+                leaves.append(path)
+        elif type(node) is tuple:
+            for index, item in enumerate(node):
+                collect(item, path + (index,))
+
+    collect(record, ())
+    if not leaves:
+        return record, False
+
+    def rebuild(node: Any, at: Tuple[int, ...]) -> Any:
+        if not at:
+            data = bytearray(node)
+            bit = seed % (len(data) * 8)
+            data[bit // 8] ^= 1 << (bit % 8)
+            return bytes(data)
+        items = list(node)
+        items[at[0]] = rebuild(items[at[0]], at[1:])
+        return tuple(items)
+
+    return rebuild(record, leaves[seed % len(leaves)]), True
 
 
 class _JournalCell:
-    """A journalled key: an append-only list of frozen delta records.
+    """A journalled key: an append-only list of delta records.
 
     ``crcs`` runs parallel to ``records``: the CRC32 envelope of each
     record at append time (``None`` for a torn tail, which carries no
@@ -44,8 +163,8 @@ class _TornRecord:
 
     Appended when a crash lands mid-append: the record was never
     acknowledged, its framing is incomplete, and recovery detects and
-    truncates it by length/framing alone — no checksum needed.  Its
-    payload is never thawed.
+    truncates it by length/framing alone — no checksum needed.  It is
+    never returned by a read.
     """
 
     __slots__ = ()
@@ -57,13 +176,13 @@ _TORN = _TornRecord()
 class StableStore:
     """Per-node persistent key-value storage (the ``store`` primitive).
 
-    Values must not alias live memory: later in-memory mutation cannot
+    Values are *records* (see :func:`record_size`): immutable atoms and
+    tuples of them.  Later in-memory mutation can therefore never
     retroactively change "disk" contents — the classic aliasing bug in
-    storage simulators.  The store is copy-on-write: ``store`` freezes
-    the value into an immutable structural-sharing snapshot (zero copies
-    for ``bytes`` blocks, timestamps, and log-entry tuples; a pickle
-    round-trip only for unknown mutable types) and ``load`` rebuilds a
-    fresh value from the snapshot.
+    storage simulators is impossible by construction, so the store
+    keeps the caller's object and ``load`` returns it as is.  Anything
+    else (a list, dict, set, bytearray) is refused with
+    :class:`TypeError` before the store changes.
 
     Journalled keys (:meth:`append` / :meth:`load_journal`) hold an
     append-only list of small delta records, letting the replica log
@@ -71,14 +190,13 @@ class StableStore:
 
     ``size_bytes`` is maintained incrementally on every mutation, so
     GC accounting is not itself O(store).  ``store_count`` /
-    ``load_count`` / ``bytes_copied`` expose the store's churn:
-    ``bytes_copied`` counts payload bytes physically duplicated (buffer
-    copies and pickle blobs), which copy-on-write keeps near zero.
+    ``load_count`` expose the store's churn.
 
     **Corruption envelope**: every stored value and journal record
-    carries a CRC32 fingerprint computed at write time.  Reads re-verify when ``verify_checksums`` is true (default):
-    a mismatch quarantines the key and raises
-    :class:`~repro.errors.CorruptionDetected` instead of thawing
+    carries a CRC32 fingerprint computed at write time.  Reads
+    re-verify when ``verify_checksums`` is true (default): a mismatch
+    quarantines the key and raises
+    :class:`~repro.errors.CorruptionDetected` instead of returning
     garbage.  A torn trailing journal record (:meth:`tear_journal`) is
     detected by framing and silently truncated at the next read or
     append — the paper's recovery path never sees it.  The
@@ -99,7 +217,6 @@ class StableStore:
         "_size_bytes",
         "store_count",
         "load_count",
-        "bytes_copied",
         "checksum_failures",
         "torn_dropped",
         "quarantined",
@@ -113,7 +230,6 @@ class StableStore:
         self._size_bytes = 0
         self.store_count = 0
         self.load_count = 0
-        self.bytes_copied = 0
         self.checksum_failures = 0
         self.torn_dropped = 0
         self.quarantined: Set[str] = set()
@@ -127,17 +243,16 @@ class StableStore:
     # -- the store primitive ----------------------------------------------
 
     def store(self, key: str, value: Any) -> None:
-        """Atomically persist ``value`` under ``key`` (replacing it)."""
+        """Atomically persist record ``value`` under ``key`` (replacing it)."""
+        size = record_size(value)
         self.store_count += 1
         self.quarantined.discard(key)  # overwrite repairs a bad cell
-        frozen, size, copied = freeze(value)
-        self._data[key] = frozen
-        self._crcs[key] = fingerprint(frozen)
-        self.bytes_copied += copied
+        self._data[key] = value
+        self._crcs[key] = fingerprint(value)
         self._account(key, size)
 
     def load(self, key: str, default: Any = None) -> Any:
-        """Recover the most recently stored value (detached from disk).
+        """Recover the most recently stored value.
 
         Raises :class:`CorruptionDetected` if the stored envelope fails
         its checksum and ``verify_checksums`` is on.
@@ -154,7 +269,7 @@ class StableStore:
             raise CorruptionDetected(
                 f"checksum mismatch loading key {key!r}", key=key
             )
-        return thaw(stored)
+        return stored
 
     # -- journalled keys ---------------------------------------------------
 
@@ -165,6 +280,7 @@ class StableStore:
         records since the last :meth:`reset_journal`.  Storing a plain
         value under the same key discards the journal.
         """
+        size = record_size(record)
         self.store_count += 1
         self.quarantined.discard(key)
         cell = self._data.get(key)
@@ -177,10 +293,8 @@ class StableStore:
             # A fresh append overwrites the torn tail on disk.
             cell.records.pop()
             cell.crcs.pop()
-        frozen, size, copied = freeze(record)
-        cell.records.append(frozen)
-        cell.crcs.append(fingerprint(frozen))
-        self.bytes_copied += copied
+        cell.records.append(record)
+        cell.crcs.append(fingerprint(record))
         self._account(key, self._sizes.get(key, 0) + size)
 
     def load_journal(self, key: str) -> List[Any]:
@@ -212,7 +326,7 @@ class StableStore:
                     raise CorruptionDetected(
                         f"checksum mismatch in journal {key!r}", key=key
                     )
-        return [thaw(record) for record in cell.records]
+        return list(cell.records)
 
     def journal_len(self, key: str) -> int:
         """Number of records in the journal under ``key`` (0 if none)."""
@@ -223,19 +337,15 @@ class StableStore:
 
     def reset_journal(self, key: str, records: Any = ()) -> None:
         """Atomically replace the journal with ``records`` (compaction)."""
+        records = list(records)
+        size = sum(record_size(record) for record in records)
+        self.store_count += len(records)
         self.quarantined.discard(key)
         cell = _JournalCell()
+        cell.records = records
+        cell.crcs = [fingerprint(record) for record in records]
         self._data[key] = cell
         self._crcs.pop(key, None)
-        self._account(key, 0)  # release the journal being replaced
-        size = 0
-        for record in records:
-            self.store_count += 1
-            frozen, record_size, copied = freeze(record)
-            cell.records.append(frozen)
-            cell.crcs.append(fingerprint(frozen))
-            self.bytes_copied += copied
-            size += record_size
         self._account(key, size)
 
     # -- corruption: verification and fault injection ----------------------
@@ -267,33 +377,20 @@ class StableStore:
         Deterministically (by ``seed``) picks a payload leaf and flips
         one bit *without* updating the envelope, modelling a latent
         sector error.  Returns True if a bit was flipped (False when the
-        key is absent or holds no flippable payload).
+        key is absent or holds no ``bytes`` payload).
         """
         stored = self._data.get(key)
-        if stored is None:
-            return False
         if type(stored) is _JournalCell:
-            real = [
-                i
-                for i, record in enumerate(stored.records)
-                if type(record) is not _TornRecord
-            ]
-            if not real:
-                return False
-            # Only records with byte payloads (data blocks) are
-            # flippable: damaging a record *tag* makes the journal
-            # malformed — a framing error, not the silent rot this
-            # models — and with verification disabled it would surface
-            # as a replay exception instead of garbage data.  Newest
-            # first, so the damage lands in the record reads actually
-            # decode (detection doesn't care — the whole cell is
-            # verified — but the escape-hatch demonstration does).
-            for index in reversed(real):
-                mutated, flipped = flip_bit(
-                    stored.records[index], seed, bytes_only=True
-                )
+            # Newest record with a byte payload first, so the damage
+            # lands in the record reads actually decode (detection
+            # doesn't care — the whole cell is verified — but the
+            # escape-hatch demonstration does).  A torn tail holds no
+            # payload and is skipped.
+            records = stored.records
+            for index in reversed(range(len(records))):
+                mutated, flipped = flip_bit(records[index], seed)
                 if flipped:
-                    stored.records[index] = mutated
+                    records[index] = mutated
                     return True
             return False
         mutated, flipped = flip_bit(stored, seed)
@@ -347,49 +444,23 @@ class Node(Endpoint):
     :class:`~repro.transport.base.Endpoint`; this class adds the
     :class:`StableStore` that survives crashes.
 
-    Two construction forms:
-
-    * ``Node(transport=t, process_id=pid, ...)`` — the endpoint rides
-      on any :class:`~repro.transport.base.Transport` (what
-      :class:`~repro.core.cluster.FabCluster` uses).
-    * ``Node(env, network, pid, ...)`` — the legacy sim form; a
-      :class:`~repro.transport.sim.SimTransport` is wrapped around the
-      given kernel/network pair.  Delegation is stateless, so per-node
-      wrappers over a shared network behave identically to a shared
-      transport.
-
     Args:
-        env: simulation environment (legacy form).
-        network: the network to register with (legacy form).
+        transport: the substrate the endpoint rides on, e.g. a
+            :class:`~repro.transport.sim.SimTransport` over a kernel
+            and network.
         process_id: this node's id in ``1..n``.
         metrics: metric sink; defaults to the transport's.
         verify_checksums: verify stable-store envelopes on read
             (default True; False is the corruption escape hatch).
-        transport: substrate for the keyword form.
     """
 
     def __init__(
         self,
-        env: Optional[Environment] = None,
-        network: Optional[Network] = None,
-        process_id: Optional[ProcessId] = None,
+        *,
+        transport: Transport,
+        process_id: ProcessId,
         metrics: Optional[Metrics] = None,
         verify_checksums: bool = True,
-        *,
-        transport: Optional[Transport] = None,
     ) -> None:
-        if transport is None:
-            if env is None or network is None:
-                raise ConfigurationError(
-                    "Node needs either transport= or the legacy "
-                    "(env, network) pair"
-                )
-            transport = SimTransport(env=env, network=network)
-        elif env is not None or network is not None:
-            raise ConfigurationError(
-                "pass either transport= or (env, network), not both"
-            )
-        if process_id is None:
-            raise ConfigurationError("Node requires a process_id")
         super().__init__(transport, process_id, metrics)
         self.stable = StableStore(verify_checksums=verify_checksums)

@@ -4,7 +4,8 @@ The paper works with three primitive notions that cut across every layer:
 
 * **blocks** — fixed-size byte strings, the unit of storage;
 * **status values** — success (``OK``) versus abort (``⊥``, rendered here
-  as :data:`ABORT`);
+  as :data:`ABORT`), and the log's timestamp-only ``⊥`` entry
+  (:data:`BOTTOM`);
 * **process identifiers** — small integers ``1..n`` naming the bricks.
 
 This module defines those notions once so that the erasure-coding layer,
@@ -52,6 +53,26 @@ class _AbortType:
 
 #: The abort sentinel (the paper's ``⊥``).  Falsy, singleton, picklable.
 ABORT = _AbortType()
+
+
+class _BottomType:
+    """Singleton sentinel for ``⊥`` log entries (timestamp, no value)."""
+
+    _instance: Optional["_BottomType"] = None
+
+    def __new__(cls) -> "_BottomType":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "⊥"
+
+
+#: The ⊥ marker a replica logs for a timestamp that carries no block
+#: (paper Section 4.2).  Stateless and compared with ``is``, so it is a
+#: stable-store atom like ``None``.
+BOTTOM = _BottomType()
 
 #: The initial value of every register block (the paper's ``nil``).
 NIL: Optional[Block] = None

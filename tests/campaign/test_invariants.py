@@ -54,7 +54,7 @@ class TestRecoveryEquivalence:
         state = replica.state(0)
         state.log.trim_below(state.log.max_ts())
         cluster.nodes[2].stable.reset_journal("logj:0")
-        cluster.nodes[2].stable.store("log:0", state.log.to_state())
+        cluster.nodes[2].stable.store("log:0", tuple(state.log.to_state()))
         cluster.recover(2)
         assert any(
             v.invariant == "recovery-equivalence" for v in monitor.violations

@@ -47,9 +47,10 @@ def test_unknown_knob_fails_loudly():
         open_cluster(block_size=64, blok_size=64)
     with pytest.raises(ConfigurationError, match="valid knobs"):
         open_volume(m=3, n=5, not_a_knob=1)
-    # Retired seed-baseline knobs are unknown like any other name.
+    # Retired knobs are unknown like any other name.
     for removed in (
-        "store_mode", "persistence", "delivery_sweeps", "erasure_backend"
+        "store_mode", "persistence", "delivery_sweeps", "erasure_backend",
+        "disk_read_latency", "disk_write_latency",
     ):
         with pytest.raises(ConfigurationError, match=removed):
             open_cluster(**{removed: "anything"})

@@ -10,6 +10,7 @@ from repro.core.messages import ReadReply, ReadReq
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
+from repro.transport.sim import SimTransport
 from tests.conftest import make_cluster, stripe_of
 
 
@@ -39,8 +40,11 @@ class EchoReplica:
 
 def build_rpc(n=4, quorum=3, config=None, delays=None, statuses=None):
     env = Environment()
-    network = Network(env, NetworkConfig())
-    nodes = {pid: Node(env, network, pid) for pid in range(1, n + 1)}
+    transport = SimTransport(env=env, network=Network(env, NetworkConfig()))
+    nodes = {
+        pid: Node(transport=transport, process_id=pid)
+        for pid in range(1, n + 1)
+    }
     replicas = {
         pid: EchoReplica(
             nodes[pid],
@@ -49,7 +53,7 @@ def build_rpc(n=4, quorum=3, config=None, delays=None, statuses=None):
         )
         for pid in nodes
     }
-    coordinator_node = Node(env, network, 100)
+    coordinator_node = Node(transport=transport, process_id=100)
     rpc = QuorumRpc(
         coordinator_node,
         universe=list(range(1, n + 1)),
@@ -142,10 +146,13 @@ class TestRetransmission:
     def test_duplicate_replies_counted_once(self):
         env = Environment()
         network = Network(env, NetworkConfig(duplicate_probability=1.0))
-        nodes = {pid: Node(env, network, pid) for pid in (1, 2, 3)}
+        transport = SimTransport(env=env, network=network)
+        nodes = {
+            pid: Node(transport=transport, process_id=pid) for pid in (1, 2, 3)
+        }
         for pid in nodes:
             EchoReplica(nodes[pid])
-        coordinator = Node(env, network, 100)
+        coordinator = Node(transport=transport, process_id=100)
         rpc = QuorumRpc(coordinator, [1, 2, 3], 3, CoordinatorConfig())
         replies = env.run_until_complete(
             coordinator.spawn(

@@ -23,6 +23,7 @@ from repro.sim.kernel import Environment
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.timestamps import HIGH_TS, LOW_TS, Timestamp
+from repro.transport.sim import SimTransport
 
 
 def ts(time, pid=9):
@@ -35,11 +36,12 @@ class Harness:
     def __init__(self, process_index=1, m=2, n=3):
         self.env = Environment()
         self.network = Network(self.env, NetworkConfig())
-        self.node = Node(self.env, self.network, process_index)
+        transport = SimTransport(env=self.env, network=self.network)
+        self.node = Node(transport=transport, process_id=process_index)
         self.code = make_code(m, n)
         self.replica = Replica(self.node, self.code, process_index)
         self.replies = []
-        self.coordinator = Node(self.env, self.network, 100)
+        self.coordinator = Node(transport=transport, process_id=100)
         for reply_type in (
             ReadReply, OrderReply, OrderReadReply, WriteReply, ModifyReply
         ):

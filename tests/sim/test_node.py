@@ -1,41 +1,35 @@
 """Crash-recovery nodes and stable storage."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.errors import StorageError
+from repro.errors import CorruptionDetected, StorageError
 from repro.sim.kernel import Environment, Interrupt
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node, StableStore
+from repro.timestamps import Timestamp
+from repro.transport.sim import SimTransport
+from repro.types import BOTTOM
+
+TS = Timestamp(5, 2)
 
 
 def make_node(pid=1):
     env = Environment()
     network = Network(env, NetworkConfig())
-    return env, network, Node(env, network, pid)
+    transport = SimTransport(env=env, network=network)
+    return env, transport, Node(transport=transport, process_id=pid)
 
 
 class TestStableStore:
     def test_roundtrip(self):
         store = StableStore()
-        store.store("k", [1, 2, 3])
-        assert store.load("k") == [1, 2, 3]
+        store.store("k", ("a", 1, b"x"))
+        assert store.load("k") == ("a", 1, b"x")
 
     def test_default(self):
         assert StableStore().load("missing", "fallback") == "fallback"
-
-    def test_deep_copy_on_store(self):
-        store = StableStore()
-        value = {"nested": [1]}
-        store.store("k", value)
-        value["nested"].append(2)
-        assert store.load("k") == {"nested": [1]}
-
-    def test_deep_copy_on_load(self):
-        store = StableStore()
-        store.store("k", [1])
-        loaded = store.load("k")
-        loaded.append(2)
-        assert store.load("k") == [1]
 
     def test_contains_and_keys(self):
         store = StableStore()
@@ -59,51 +53,101 @@ class TestStableStore:
         assert store.size_bytes() < big
 
 
+#: Every value shape the protocol persists, with its pinned size_of:
+#: 8 per tuple, len + 33 per str/bytes, 48 per Timestamp, 4 for None,
+#: 8 for ⊥.
+CENSUS = [
+    ("ord-ts", TS, 48),
+    ("append", ("a", TS, b"x" * 1024), 8 + 34 + 48 + 1057),
+    ("append nil", ("a", TS, None), 8 + 34 + 48 + 4),
+    ("append ⊥", ("a", TS, BOTTOM), 8 + 34 + 48 + 8),
+    ("trim", ("t", TS), 8 + 34 + 48),
+    (
+        "snapshot",
+        ("s", ((TS, b"y" * 16), (Timestamp(6, 1), None))),
+        8 + 34 + (8 + (8 + 48 + 49) + (8 + 48 + 4)),
+    ),
+    ("ls97", (TS, b"v" * 8), 8 + 48 + 41),
+]
+
+
+class TestRecordContract:
+    """Values are immutable records, kept as is and refused otherwise."""
+
+    @pytest.mark.parametrize("name, record, size", CENSUS)
+    def test_census_shapes_roundtrip_by_reference(self, name, record, size):
+        store = StableStore()
+        store.store("k", record)
+        store.append("j", record)
+        assert store.size_of("k") == store.size_of("j") == size
+        assert store.load("k") is record
+        assert store.load_journal("j")[0] is record
+        assert store.verify("k") and store.verify("j")
+
+    @pytest.mark.parametrize("method", ["store", "append", "reset_journal"])
+    @pytest.mark.parametrize("bad, type_name", [
+        ([1, 2], "list"),
+        ({"k": 1}, "dict"),
+        ({1}, "set"),
+        (bytearray(b"block"), "bytearray"),
+        (("a", TS, bytearray(b"block")), "bytearray"),
+    ])
+    def test_refuses_non_records(self, method, bad, type_name):
+        store = StableStore()
+        store.store("k", b"old")
+        store.append("j", ("a", TS, b"old"))
+        keys, size = store.keys(), store.size_bytes()
+        key = "k" if method == "store" else "j"
+        arg = (bad,) if method == "reset_journal" else bad
+        with pytest.raises(TypeError, match=f"not {type_name}$"):
+            getattr(store, method)(key, arg)
+        assert store.keys() == keys
+        assert store.size_bytes() == size
+        assert store.load("k") == b"old"
+        assert store.load_journal("j") == [("a", TS, b"old")]
+
+
 class TestStableStoreAliasing:
-    """Stored values must be detached from live memory."""
+    """Live memory can never reach "disk": records are immutable."""
 
     def test_mutating_after_store_does_not_change_disk(self):
         store = StableStore()
         block = bytearray(b"v1" * 16)
-        state = [(1, block), (2, None)]
-        store.store("log:0", state)
+        store.store("log:0", ((1, bytes(block)), (2, None)))
         block[:2] = b"XX"
-        state.append((3, b"late"))
-        assert store.load("log:0") == [(1, bytearray(b"v1" * 16)), (2, None)]
+        assert store.load("log:0") == ((1, b"v1" * 16), (2, None))
+        with pytest.raises(TypeError, match="bytearray"):
+            store.store("log:0", ((1, block),))
+        assert store.load("log:0") == ((1, b"v1" * 16), (2, None))
 
     def test_mutating_after_load_does_not_change_disk(self):
         store = StableStore()
-        store.store("log:0", [(1, bytearray(b"abc"))])
-        loaded = store.load("log:0")
-        loaded[0][1][0:1] = b"Z"
-        loaded.append((9, b"junk"))
-        assert store.load("log:0") == [(1, bytearray(b"abc"))]
+        store.append("logj:0", ("a", 1, b"abc"))
+        loaded = store.load_journal("logj:0")
+        loaded.append(("a", 9, b"junk"))
+        loaded[0] = ("a", 1, b"Zbc")
+        assert store.load_journal("logj:0") == [("a", 1, b"abc")]
 
     def test_post_crash_recovery_observes_stored_snapshot(self):
-        """The satellite regression: mutation after store()/load() must
-        not change what a post-crash recover() observes."""
-        env = Environment()
-        network = Network(env, NetworkConfig())
-        node = Node(env, network, 1)
+        """Mutating the caller's buffer after store() must not change
+        what a post-crash recover() observes."""
+        _env, _transport, node = make_node()
         block = bytearray(b"durable!")
-        node.stable.store("log:7", [(5, block)])
-        leaked = node.stable.load("log:7")
-        block[:] = b"mutated!"          # after store()
-        leaked[0][1][:] = b"mutated!"   # after load()
+        node.stable.store("log:7", ((5, bytes(block)),))
+        block[:] = b"mutated!"
         node.crash()
         node.recover()
-        assert node.stable.load("log:7") == [(5, bytearray(b"durable!"))]
+        assert node.stable.load("log:7") == ((5, b"durable!"),)
 
     def test_journal_records_are_detached(self):
         store = StableStore()
         record = ["a", 1, bytearray(b"block")]
-        store.append("logj:0", record)
+        with pytest.raises(TypeError, match="list"):
+            store.append("logj:0", record)
+        store.append("logj:0", ("a", 1, bytes(record[2])))
         record[2][:] = b"XXXXX"
-        record.append("extra")
-        replayed = store.load_journal("logj:0")
-        assert replayed == [["a", 1, bytearray(b"block")]]
-        replayed[0][2][:] = b"YYYYY"
-        assert store.load_journal("logj:0") == [["a", 1, bytearray(b"block")]]
+        assert store.load_journal("logj:0") == [("a", 1, b"block")]
+        assert store.load_journal("logj:0") is not store.load_journal("logj:0")
 
 
 class TestStableStoreCounters:
@@ -116,13 +160,14 @@ class TestStableStoreCounters:
         assert store.load_count == 2
 
     def test_cow_shares_immutable_payloads(self):
-        """bytes blocks and atom tuples are snapshotted without copying."""
+        """Records are kept by reference: no copy on store or load."""
         store = StableStore()
-        store.store("block", b"x" * 4096)
-        store.store("state", [(1, b"y" * 4096), (2, None)])
-        store.load("block")
-        store.load("state")
-        assert store.bytes_copied == 0
+        block = b"x" * 4096
+        state = ((TS, b"y" * 4096), (TS, None))
+        store.store("block", block)
+        store.append("state", state)
+        assert store.load("block") is block
+        assert store.load_journal("state")[0] is state
 
     def test_journal_append_is_incremental(self):
         """Appending to a journal accounts only the new record's size."""
@@ -137,14 +182,65 @@ class TestStableStoreCounters:
         assert store.journal_len("logj:0") == 1
 
 
+def payloads(min_size=1):
+    return st.binary(min_size=min_size, max_size=48)
+
+
+timestamps = st.builds(
+    Timestamp, st.integers(0, 10**6), st.integers(1, 9)
+)
+
+#: Census-shaped records that carry at least one non-empty byte payload.
+records_with_payload = st.one_of(
+    st.tuples(st.just("a"), timestamps, payloads()),
+    st.tuples(timestamps, payloads()),
+    st.tuples(
+        st.just("s"),
+        st.tuples(
+            st.tuples(timestamps, payloads()),
+            st.tuples(timestamps, st.one_of(st.none(), payloads(0))),
+        ),
+    ),
+)
+
+
+def bit_distance(a, b):
+    """Number of differing bits between two same-shaped records."""
+    if type(a) is tuple:
+        assert type(b) is tuple and len(a) == len(b)
+        return sum(bit_distance(x, y) for x, y in zip(a, b))
+    if type(a) is bytes:
+        assert len(a) == len(b)
+        return sum(bin(x ^ y).count("1") for x, y in zip(a, b))
+    assert a == b
+    return 0
+
+
+class TestCorruptionProperty:
+    @given(record=records_with_payload, seed=st.integers(0, 2**32))
+    def test_corrupt_flips_one_bit_and_is_detected(self, record, seed):
+        store = StableStore(verify_checksums=False)
+        store.store("k", record)
+        store.append("j", record)
+        assert store.corrupt("k", seed) and store.corrupt("j", seed)
+        assert bit_distance(record, store.load("k")) == 1
+        assert bit_distance(record, store.load_journal("j")[0]) == 1
+        assert not store.verify("k") and not store.verify("j")
+        store.verify_checksums = True
+        with pytest.raises(CorruptionDetected):
+            store.load("k")
+        with pytest.raises(CorruptionDetected):
+            store.load_journal("j")
+
+
 class TestNodeLifecycle:
     def test_starts_up(self):
-        _env, _network, node = make_node()
+        _env, _transport, node = make_node()
         assert node.is_up
         assert node.crash_count == 0
 
     def test_crash_and_recover(self):
-        _env, network, node = make_node()
+        _env, _transport, node = make_node()
         node.crash()
         assert not node.is_up
         assert node.crash_count == 1
@@ -152,25 +248,25 @@ class TestNodeLifecycle:
         assert node.is_up
 
     def test_crash_idempotent(self):
-        _env, _network, node = make_node()
+        _env, _transport, node = make_node()
         node.crash()
         node.crash()
         assert node.crash_count == 1
 
     def test_recover_when_up_is_noop(self):
-        _env, _network, node = make_node()
+        _env, _transport, node = make_node()
         node.recover()
         assert node.crash_count == 0
 
     def test_stable_storage_survives_crash(self):
-        _env, _network, node = make_node()
+        _env, _transport, node = make_node()
         node.stable.store("data", b"persisted")
         node.crash()
         node.recover()
         assert node.stable.load("data") == b"persisted"
 
     def test_recovery_hooks_run(self):
-        _env, _network, node = make_node()
+        _env, _transport, node = make_node()
         calls = []
         node.on_recovery(lambda: calls.append("hook"))
         node.crash()
@@ -181,8 +277,8 @@ class TestNodeLifecycle:
 
 class TestNodeMessaging:
     def test_handler_dispatch_by_type(self):
-        env, network, node = make_node(pid=1)
-        other = Node(env, network, 2)
+        env, transport, node = make_node(pid=1)
+        other = Node(transport=transport, process_id=2)
         seen = []
         other.register_handler(str, lambda src, payload: seen.append((src, payload)))
         other.register_handler(int, lambda src, payload: seen.append("int"))
@@ -191,8 +287,8 @@ class TestNodeMessaging:
         assert seen == [(1, "text")]
 
     def test_down_node_ignores_messages(self):
-        env, network, node = make_node(pid=1)
-        other = Node(env, network, 2)
+        env, transport, node = make_node(pid=1)
+        other = Node(transport=transport, process_id=2)
         seen = []
         other.register_handler(str, lambda src, payload: seen.append(payload))
         other.crash()
@@ -201,8 +297,8 @@ class TestNodeMessaging:
         assert seen == []
 
     def test_down_node_cannot_send(self):
-        env, network, node = make_node(pid=1)
-        other = Node(env, network, 2)
+        env, transport, node = make_node(pid=1)
+        other = Node(transport=transport, process_id=2)
         seen = []
         other.register_handler(str, lambda src, payload: seen.append(payload))
         node.crash()
@@ -211,15 +307,15 @@ class TestNodeMessaging:
         assert seen == []
 
     def test_unhandled_type_ignored(self):
-        env, network, node = make_node(pid=1)
-        other = Node(env, network, 2)
+        env, transport, node = make_node(pid=1)
+        other = Node(transport=transport, process_id=2)
         node.send(2, 3.14)  # no float handler registered
         env.run()  # must not raise
 
 
 class TestProcessOwnership:
     def test_spawn_runs(self):
-        env, _network, node = make_node()
+        env, _transport, node = make_node()
 
         def task():
             yield env.timeout(1)
@@ -229,7 +325,7 @@ class TestProcessOwnership:
         assert env.run_until_complete(process) == "done"
 
     def test_crash_interrupts_owned_processes(self):
-        env, _network, node = make_node()
+        env, _transport, node = make_node()
         outcomes = []
 
         def task():
@@ -246,7 +342,7 @@ class TestProcessOwnership:
         assert outcomes == ["killed:crash"]
 
     def test_crash_spares_finished_processes(self):
-        env, _network, node = make_node()
+        env, _transport, node = make_node()
 
         def quick():
             yield env.timeout(1)
@@ -258,7 +354,7 @@ class TestProcessOwnership:
         assert process.value == "ok"
 
     def test_spawn_on_down_node_rejected(self):
-        env, _network, node = make_node()
+        env, _transport, node = make_node()
         node.crash()
 
         def task():
@@ -271,7 +367,7 @@ class TestProcessOwnership:
         """The satellite regression: a 10k-op run must not accumulate
         finished processes — each is reaped on completion, so the list
         stays bounded by genuine concurrency, not run length."""
-        env, _network, node = make_node()
+        env, _transport, node = make_node()
 
         def task():
             yield env.timeout(1)
@@ -284,7 +380,7 @@ class TestProcessOwnership:
             assert node._owned_processes == []  # reaped on completion
 
     def test_recovery_does_not_revive_processes(self):
-        env, _network, node = make_node()
+        env, _transport, node = make_node()
         outcomes = []
 
         def task():
