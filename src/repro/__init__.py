@@ -34,7 +34,7 @@ Subpackages:
 * :mod:`repro.sim` — event loop, fair-loss network, crash-recovery nodes.
 * :mod:`repro.transport` — the substrate API: deterministic sim or
   asyncio sockets behind one protocol-facing interface.
-* :mod:`repro.baselines` — LS97-style and ABD replication.
+* :mod:`repro.baselines` — LS97-style replication.
 * :mod:`repro.verify` — (strict) linearizability checking.
 * :mod:`repro.reliability` — MTTDL / storage-overhead models (Figs 2-3).
 * :mod:`repro.analysis` — Table 1 cost model, analytic vs measured.

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..errors import ConfigurationError
 from ..placement import ShardedCluster, ShardedConfig
@@ -125,12 +125,6 @@ class PlacementBenchResult:
     seed: int
     points: List[PlacementPoint] = field(default_factory=list)
     wall_seconds: float = 0.0
-
-    def point_at(self, groups: int) -> Optional[PlacementPoint]:
-        for point in self.points:
-            if point.groups == groups:
-                return point
-        return None
 
     @property
     def min_fragment_ratio(self) -> float:

@@ -4,16 +4,12 @@
   the style of Lynch & Shvartsman [9] (two-phase reads *and* writes over
   majority quorums of full replicas).  This is the right-hand column of
   Table 1.
-* :mod:`repro.baselines.abd` — the Attiya-Bar-Noy-Dolev single-writer
-  variant (writes skip the query phase), the classic lower-cost point
-  when concurrency is restricted.
 
-Both baselines run on the same simulation substrate and report into the
+The baseline runs on the same simulation substrate and reports into the
 same :class:`~repro.sim.monitor.Metrics`, so cost comparisons are
 apples-to-apples.
 """
 
-from .abd import AbdCluster
 from .ls97 import Ls97Cluster
 
-__all__ = ["Ls97Cluster", "AbdCluster"]
+__all__ = ["Ls97Cluster"]

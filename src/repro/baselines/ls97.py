@@ -241,7 +241,6 @@ class Ls97Cluster:
         self.metrics = Metrics()
         self.transport = SimTransport(config=cfg.network, metrics=self.metrics)
         self.env = self.transport.env
-        self.network = self.transport.network
         self.nodes: Dict[ProcessId, Node] = {}
         self.replicas: Dict[ProcessId, _Ls97Replica] = {}
         self.coordinators: Dict[ProcessId, _Ls97Coordinator] = {}

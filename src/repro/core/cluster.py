@@ -117,7 +117,6 @@ class FabCluster:
             transport.metrics = self.metrics
         self.transport = transport
         self.env = transport.env
-        self.network = getattr(transport, "network", None)
         self.code = make_code(cfg.m, cfg.n, cfg.code_kind)
         self.quorum_system = MajorityMQuorumSystem(
             cfg.n, cfg.m, cfg.f, enforce_bound=not cfg.allow_unsafe_f
@@ -195,21 +194,6 @@ class FabCluster:
     def live_processes(self) -> list:
         """Ids of currently-up bricks."""
         return [pid for pid, node in self.nodes.items() if node.is_up]
-
-    def reachable_processes(self) -> list:
-        """Ids of up bricks the transport does not report ``"down"``.
-
-        Degraded-mode routing input: with at most ``f`` bricks
-        unreachable a quorum of ``n - f`` remains, so sessions that
-        route around transport-down peers keep completing operations
-        while the reconnect prober works the dead links.  May be empty
-        even when :meth:`live_processes` is not (e.g. a full partition);
-        callers must fall back rather than stall forever.
-        """
-        return [
-            pid for pid, node in self.nodes.items()
-            if node.is_up and self.transport.peer_state(pid) != "down"
-        ]
 
     def crash(self, pid: ProcessId) -> None:
         """Crash brick ``pid``."""

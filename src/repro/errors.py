@@ -48,29 +48,9 @@ class TransportError(ReproError):
     The transport surface is fire-and-forget (``send`` may silently
     lose a message — the paper's fair-loss model), so transport errors
     are reserved for conditions the *caller* must react to rather than
-    per-message loss.  The taxonomy below splits them by what a sane
-    reaction is; sessions key their retry budgets off it.
+    per-message loss.  Unreachable peers are not errors either: the
+    transport reports them through ``peer_state``.
     """
-
-
-class RetryableTransportError(TransportError):
-    """A transport failure that backoff-and-retry can mask.
-
-    Examples: the destination peer is in the ``"down"`` health state
-    (its reconnect prober may yet resurrect it), or a bounded outbox
-    rejected a frame under backlog.  Sessions count these against a
-    dedicated transport retry budget
-    (:attr:`~repro.core.session.RetryPolicy.transport_attempts`) and
-    fall back to a different coordinator, degrading gracefully while
-    at most ``f`` bricks are unreachable.
-
-    Attributes:
-        peer: the unreachable process id, when one is known.
-    """
-
-    def __init__(self, message: str, peer: int = -1):
-        super().__init__(message)
-        self.peer = peer
 
 
 class TerminalTransportError(TransportError, SimulationError):

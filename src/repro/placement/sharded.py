@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.cluster import ClusterConfig, FabCluster
-from ..core.rebuild import Rebuilder, Scrubber
+from ..core.rebuild import Rebuilder
 from ..core.register import StorageRegister
 from ..erasure.lrc import LRCCode
 from ..errors import CodingError, ConfigurationError, CorruptionDetected
@@ -155,9 +155,6 @@ class ShardedCluster:
 
     def cluster_of_group(self, group: int) -> FabCluster:
         return self.group_clusters[group]
-
-    def cluster_of_brick(self, brick: int) -> FabCluster:
-        return self.group_clusters[self.slot_of(brick)[0]]
 
     def live_bricks(self) -> List[int]:
         """Global ids of seated, currently-up bricks."""
@@ -375,12 +372,6 @@ class ShardedCluster:
         return True
 
     # -- diagnostics ----------------------------------------------------
-
-    def scrub_brick(self, brick: int) -> List:
-        """Scrub every register of a brick's group (operator audit)."""
-        gid, _ = self.slot_of(brick)
-        cluster = self.group_clusters[gid]
-        return Scrubber(cluster).scrub(cluster.register_ids())
 
     def total_disk_reads(self) -> int:
         return sum(c.metrics.total_disk_reads for c in self.group_clusters)

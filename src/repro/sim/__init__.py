@@ -12,8 +12,9 @@ Layers:
 
 * :mod:`repro.sim.kernel` — the event loop: processes as Python
   generators, timeouts, composite events, interrupts.
-* :mod:`repro.sim.network` — fair-loss network with configurable delay
-  distributions, drop/duplicate probabilities, and partitions.
+* :mod:`repro.sim.network` — the network's configuration (delay window,
+  loss probability, jitter seed) and message record; the fair-loss
+  channel itself is :class:`~repro.transport.sim.SimTransport`.
 * :mod:`repro.sim.node` — crash-recovery nodes with a checksummed
   stable store of immutable records.
 * :mod:`repro.sim.monitor` — metric counters (messages, bytes, disk
@@ -30,7 +31,7 @@ from .kernel import (
     Timeout,
 )
 from .monitor import Metrics, OpMetrics
-from .network import Message, Network, NetworkConfig
+from .network import Message, NetworkConfig
 from .node import Node, StableStore
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Interrupt",
-    "Network",
     "NetworkConfig",
     "Message",
     "Node",

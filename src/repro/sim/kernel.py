@@ -238,11 +238,6 @@ class Process(Event):
         env._schedule(start, 0)
         start._add_callback(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its next resume.
 

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from ..errors import ConfigurationError, SimulationError, StorageError
 from ..types import ProcessId
-from ..sim.kernel import AllOf, AnyOf, Environment, Event, Process, Timeout
+from ..sim.kernel import AnyOf, Environment, Event, Process, Timeout
 
 __all__ = ["Transport", "TimerHandle", "Endpoint"]
 
@@ -181,10 +181,6 @@ class Transport(ABC):
         """Composite event: any child triggered."""
         return self.env.any_of(events)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event: all children triggered."""
-        return self.env.all_of(events)
-
     def spawn(self, generator: Generator) -> Process:
         """Start a protocol coroutine; returns its Process event.
 
@@ -252,11 +248,6 @@ class Endpoint:
     def env(self) -> Environment:
         """The transport's event substrate (legacy accessor)."""
         return self.transport.env
-
-    @property
-    def network(self):
-        """The sim network, when this endpoint rides on one (else None)."""
-        return getattr(self.transport, "network", None)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -278,11 +278,6 @@ class ChaosTransport(Transport):
         # route the assignment to the inner substrate that counts.
         self.inner.metrics = sink
 
-    @property
-    def network(self):
-        """The sim network when the inner substrate has one (else None)."""
-        return getattr(self.inner, "network", None)
-
     def register(
         self, process_id: ProcessId, deliver: Callable[[Any], None]
     ) -> None:
@@ -313,9 +308,6 @@ class ChaosTransport(Transport):
 
     def any_of(self, events):
         return self.inner.any_of(events)
-
-    def all_of(self, events):
-        return self.inner.all_of(events)
 
     def spawn(self, generator):
         return self.inner.spawn(generator)

@@ -299,7 +299,9 @@ class TestSendCountTrigger:
         """Count only WriteReq sends while Order retransmits interleave."""
         from repro.core.messages import OrderReq, WriteReq
 
-        from tests.conftest import crash_after, make_cluster, stripe_of
+        from tests.conftest import (
+            crash_after, make_cluster, stripe_of, watch_sends,
+        )
 
         # Heavy drops force the quorum layer to retransmit Order and
         # Write requests; the trigger must count only WriteReq sends
@@ -310,9 +312,10 @@ class TestSendCountTrigger:
 
         crash_after(cluster, 1, WriteReq, 3)
         sends = []
-        cluster.network.add_send_observer(
-            lambda msg: sends.append(type(msg.payload))
-            if msg.src == 1 else None
+        watch_sends(
+            cluster.transport,
+            lambda src, _dst, payload: sends.append(type(payload))
+            if src == 1 else None,
         )
         coordinator = cluster.coordinators[1]
         cluster.nodes[1].spawn(

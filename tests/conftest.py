@@ -64,6 +64,21 @@ def fault(cluster, kind: str, *targets: int, value: float = 0.0) -> None:
     apply_event(cluster, FaultEvent(cluster.env.now, kind, targets, value))
 
 
+def watch_sends(transport, observer) -> None:
+    """Call ``observer(src, dst, payload)`` after each ``transport.send``.
+
+    Shadows ``send`` on this one transport instance; endpoints look the
+    method up on every send, so every protocol message passes through.
+    """
+    send = transport.send
+
+    def watched(src, dst, payload, size=0):
+        send(src, dst, payload, size)
+        observer(src, dst, payload)
+
+    transport.send = watched
+
+
 def crash_after(cluster, pid: int, message: type, count: int) -> None:
     """Crash brick ``pid`` right after its ``count``-th ``message`` send."""
     apply_event(cluster, FaultEvent(

@@ -32,14 +32,14 @@ def test_knobs_route_to_the_right_config():
     assert cluster.config.m == 5 and cluster.config.n == 8
     assert cluster.config.block_size == 256
     assert cluster.config.seed == 9
-    assert cluster.config.network.drop_probability == 0.25
-    assert cluster.config.network.min_latency == 0.5
+    assert cluster.transport.config.drop_probability == 0.25
+    assert cluster.transport.config.min_latency == 0.5
     assert cluster.config.coordinator.gc_enabled is False
 
 
 def test_jitter_seed_defaults_to_cluster_seed():
-    assert open_cluster(seed=7).config.network.jitter_seed == 7
-    assert open_cluster(seed=7, jitter_seed=3).config.network.jitter_seed == 3
+    assert open_cluster(seed=7).transport.config.jitter_seed == 7
+    assert open_cluster(seed=7, jitter_seed=3).transport.config.jitter_seed == 3
 
 
 def test_unknown_knob_fails_loudly():
@@ -50,7 +50,7 @@ def test_unknown_knob_fails_loudly():
     # Retired knobs are unknown like any other name.
     for removed in (
         "store_mode", "persistence", "delivery_sweeps", "erasure_backend",
-        "disk_read_latency", "disk_write_latency",
+        "disk_read_latency", "disk_write_latency", "duplicate_probability",
     ):
         with pytest.raises(ConfigurationError, match=removed):
             open_cluster(**{removed: "anything"})

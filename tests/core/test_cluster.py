@@ -5,6 +5,7 @@ import pytest
 from repro import ClusterConfig, FabCluster
 from repro.erasure import ReedSolomonCode, ReplicationCode, SingleParityCode
 from repro.errors import ConfigurationError
+from repro.sim.network import NetworkConfig
 from tests.conftest import make_cluster, stripe_of
 
 
@@ -39,12 +40,13 @@ class TestConstruction:
         """A mid-run drop window on one cluster must not leak into its
         config, nor into a sibling built from the same config (sharded
         groups all derive from one ``ClusterConfig``)."""
-        config = ClusterConfig()
+        network = NetworkConfig()
+        config = ClusterConfig(network=network)
         a, b = FabCluster(config), FabCluster(config)
-        a.network.set_drop_probability(0.5)
-        assert a.network.config.drop_probability == 0.5
-        assert b.network.config.drop_probability == 0.0
-        assert config.network.drop_probability == 0.0
+        a.transport.set_drop_probability(0.5)
+        assert a.transport.config.drop_probability == 0.5
+        assert b.transport.config.drop_probability == 0.0
+        assert network.drop_probability == 0.0
 
     def test_live_processes(self):
         cluster = make_cluster()

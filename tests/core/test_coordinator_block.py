@@ -5,7 +5,7 @@ import pytest
 from repro.core.messages import ModifyReq
 from repro.errors import ProtocolInvariantError
 from repro.types import ABORT
-from tests.conftest import block_of, make_cluster, stripe_of
+from tests.conftest import block_of, make_cluster, stripe_of, watch_sends
 
 
 class TestReadBlock:
@@ -207,11 +207,11 @@ class TestModifyShape:
         register.write_stripe(stripe)
         modifies = {}
 
-        def observe(msg):
-            if isinstance(msg.payload, ModifyReq):
-                modifies[msg.dst] = msg.payload
+        def observe(_src, dst, payload):
+            if isinstance(payload, ModifyReq):
+                modifies[dst] = payload
 
-        cluster.network.add_send_observer(observe)
+        watch_sends(cluster.transport, observe)
         j = min(2, m)
         new_block = block_of(32, tag=2)
         assert register.write_block(j, new_block) == "OK"

@@ -8,8 +8,8 @@ import pytest
 from repro.core.coordinator import CoordinatorConfig, QuorumRpc, _PendingCall
 from repro.core.messages import ReadReply, ReadReq
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
+from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
 from repro.transport.sim import SimTransport
 from tests.conftest import make_cluster, stripe_of
 
@@ -40,7 +40,7 @@ class EchoReplica:
 
 def build_rpc(n=4, quorum=3, config=None, delays=None, statuses=None):
     env = Environment()
-    transport = SimTransport(env=env, network=Network(env, NetworkConfig()))
+    transport = SimTransport(env=env)
     nodes = {
         pid: Node(transport=transport, process_id=pid)
         for pid in range(1, n + 1)
@@ -145,8 +145,10 @@ class TestRetransmission:
 
     def test_duplicate_replies_counted_once(self):
         env = Environment()
-        network = Network(env, NetworkConfig(duplicate_probability=1.0))
-        transport = SimTransport(env=env, network=network)
+        transport = ChaosTransport(
+            SimTransport(env=env),
+            ChaosPolicy(default=LinkChaos(duplicate=0.9)),
+        )
         nodes = {
             pid: Node(transport=transport, process_id=pid) for pid in (1, 2, 3)
         }
@@ -160,6 +162,7 @@ class TestRetransmission:
             )
         )
         assert len(replies) == 3
+        assert transport.stats.duplicated > 0
 
 
 class TestExpiry:

@@ -20,7 +20,6 @@ from repro.core.messages import (
 from repro.core.replica import Replica
 from repro.erasure import make_code
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.timestamps import HIGH_TS, LOW_TS, Timestamp
 from repro.transport.sim import SimTransport
@@ -35,8 +34,7 @@ class Harness:
 
     def __init__(self, process_index=1, m=2, n=3):
         self.env = Environment()
-        self.network = Network(self.env, NetworkConfig())
-        transport = SimTransport(env=self.env, network=self.network)
+        transport = SimTransport(env=self.env)
         self.node = Node(transport=transport, process_id=process_index)
         self.code = make_code(m, n)
         self.replica = Replica(self.node, self.code, process_index)

@@ -32,7 +32,7 @@ from repro.core.coordinator import CoordinatorConfig
 from repro.placement import ShardedCampaignConfig, run_sharded_campaign
 from repro.sim.kernel import Environment
 from repro.sim.monitor import Metrics
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import NetworkConfig
 from repro.transport.sim import SimTransport
 from tests.campaign.test_engine import QUICK
 
@@ -160,19 +160,19 @@ def _crash_case(crash_pid=None, **cluster_kwargs):
 
 def _delivery_case():
     env = Environment()
-    network = Network(
+    transport = SimTransport(
         env, NetworkConfig(min_latency=1.0, max_latency=4.0, jitter_seed=13),
         Metrics(),
     )
-    bare = SimpleNamespace(transport=SimTransport(env, network), nodes={})
+    bare = SimpleNamespace(transport=transport, nodes={})
     apply_event(bare, FaultEvent(0.0, "drop_start", value=0.1))
     log = []
     for pid in (1, 2, 3):
-        network.register(
+        transport.register(
             pid, lambda m, pid=pid: log.append([env.now, pid, m.payload])
         )
     for i in range(40):
-        network.send(1 + i % 3, 1 + (i + 1) % 3, f"m{i}")
+        transport.send(1 + i % 3, 1 + (i + 1) % 3, f"m{i}")
     env.run()
     return {"log": log, "events_scheduled": env.events_scheduled}
 

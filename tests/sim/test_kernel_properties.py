@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import NetworkConfig
+from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
+from repro.transport.sim import SimTransport
 
 
 class TestKernelProperties:
@@ -82,7 +84,7 @@ class TestNetworkProperties:
         self, count, drop, seed
     ):
         env = Environment()
-        network = Network(
+        network = SimTransport(
             env, NetworkConfig(drop_probability=drop, jitter_seed=seed)
         )
         received = []
@@ -102,7 +104,7 @@ class TestNetworkProperties:
     )
     def test_delivery_times_within_latency_bounds(self, low, extra, seed):
         env = Environment()
-        network = Network(
+        network = SimTransport(
             env,
             NetworkConfig(
                 min_latency=low, max_latency=low + extra, jitter_seed=seed
@@ -120,13 +122,15 @@ class TestNetworkProperties:
     def test_payloads_never_corrupted(self, seed):
         """Channels may drop or reorder but never corrupt (Section 2)."""
         env = Environment()
-        network = Network(
-            env,
-            NetworkConfig(
-                min_latency=0.1, max_latency=5.0,
-                drop_probability=0.2, duplicate_probability=0.2,
-                jitter_seed=seed,
+        network = ChaosTransport(
+            SimTransport(
+                env,
+                NetworkConfig(
+                    min_latency=0.1, max_latency=5.0,
+                    drop_probability=0.2, jitter_seed=seed,
+                ),
             ),
+            ChaosPolicy(seed=seed, default=LinkChaos(duplicate=0.2)),
         )
         sent = [bytes([i, i ^ 0xFF]) for i in range(40)]
         received = []

@@ -1,16 +1,18 @@
-"""Fair-loss network: delivery, drops, duplicates, partitions."""
+"""The sim substrate's fair-loss channel: delivery, drops, partitions."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.kernel import Environment
 from repro.sim.monitor import Metrics
-from repro.sim.network import Message, Network, NetworkConfig
+from repro.sim.network import NetworkConfig
+from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
+from repro.transport.sim import SimTransport
 
 
 def make_net(**kwargs):
     env = Environment()
-    network = Network(env, NetworkConfig(**kwargs), Metrics())
+    network = SimTransport(env, NetworkConfig(**kwargs), Metrics())
     return env, network
 
 
@@ -122,12 +124,18 @@ class TestLossAndDuplication:
         assert len(received) >= 1
 
     def test_duplicates(self):
-        env, network = make_net(duplicate_probability=1.0)
+        """Duplication is a chaos link fault layered over the channel."""
+        env, network = make_net()
+        chaos = ChaosTransport(
+            network, ChaosPolicy(seed=1, default=LinkChaos(duplicate=0.5))
+        )
         received = []
-        network.register(2, received.append)
-        network.send(1, 2, "x")
+        chaos.register(2, received.append)
+        for _ in range(20):
+            chaos.send(1, 2, "x")
         env.run()
-        assert len(received) == 2
+        assert chaos.stats.duplicated > 0
+        assert len(received) == 20 + chaos.stats.duplicated
 
     def test_metrics_count_messages_and_bytes(self):
         env, network = make_net()
@@ -136,6 +144,15 @@ class TestLossAndDuplication:
         network.send(1, 2, "y", size=32)
         assert network.metrics.total_messages == 2
         assert network.metrics.total_bytes == 42
+
+    def test_drop_window_never_goes_below_configured_loss(self):
+        _env, network = make_net(drop_probability=0.2)
+        network.set_drop_probability(0.5)
+        assert network.config.drop_probability == 0.5
+        network.set_drop_probability(0.0)
+        assert network.config.drop_probability == 0.2
+        with pytest.raises(ConfigurationError):
+            network.set_drop_probability(1.0)
 
 
 class TestFailuresAndPartitions:
@@ -177,42 +194,58 @@ class TestFailuresAndPartitions:
         received = []
         network.register(1, received.append)
         network.register(2, received.append)
-        network.partition({1}, {2})
+        network.partition({1})
         network.send(1, 2, "a")
         network.send(2, 1, "b")
         env.run()
         assert received == []
 
     def test_partition_only_affects_pairs(self):
+        """Only pairs across the cut-off group's boundary are cut."""
         env, network = make_net()
         received = []
         network.register(3, received.append)
-        network.partition({1}, {2})
-        network.send(1, 3, "ok")
+        network.register(4, received.append)
+        network.partition({1, 4})
+        network.send(2, 3, "outside")
+        network.send(1, 4, "inside")
         env.run()
-        assert len(received) == 1
+        assert sorted(m.payload for m in received) == ["inside", "outside"]
+
+    def test_partition_appearing_in_flight_drops(self):
+        env, network = make_net(min_latency=5.0, max_latency=5.0)
+        received = []
+        network.register(2, received.append)
+        network.send(1, 2, "x")
+        env.run(until=1)
+        network.partition({2})
+        env.run()
+        assert received == []
 
     def test_heal_partition(self):
         env, network = make_net()
         received = []
         network.register(2, received.append)
-        network.partition({1}, {2})
-        network.heal_partition()
+        network.partition({1})
+        network.heal()
         network.send(1, 2, "x")
         env.run()
         assert len(received) == 1
 
     def test_heal_all(self):
-        env, network = make_net()
-        network.partition({1, 2}, {3, 4})
-        network.heal_partition()
+        _env, network = make_net()
+        network.partition({1, 2})
+        network.partition({3})
+        network.heal()
         assert not network.is_partitioned(1, 3)
+        assert not network.is_partitioned(3, 4)
 
     def test_is_partitioned_symmetric(self):
         _env, network = make_net()
-        network.partition({1}, {2})
+        network.partition({1})
         assert network.is_partitioned(1, 2)
         assert network.is_partitioned(2, 1)
+        assert not network.is_partitioned(2, 3)
 
 
 class TestDeliverySweeps:

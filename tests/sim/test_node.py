@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import CorruptionDetected, StorageError
 from repro.sim.kernel import Environment, Interrupt
-from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node, StableStore
 from repro.timestamps import Timestamp
 from repro.transport.sim import SimTransport
@@ -17,8 +16,7 @@ TS = Timestamp(5, 2)
 
 def make_node(pid=1):
     env = Environment()
-    network = Network(env, NetworkConfig())
-    transport = SimTransport(env=env, network=network)
+    transport = SimTransport(env=env)
     return env, transport, Node(transport=transport, process_id=pid)
 
 

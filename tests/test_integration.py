@@ -7,6 +7,8 @@ from repro.core.coordinator import CoordinatorConfig
 from repro.core.rebuild import Rebuilder, Scrubber
 from repro.campaign.schedule import apply_schedule, generate_schedule
 from repro.sim.network import NetworkConfig
+from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
+from repro.transport.sim import SimTransport
 from repro.types import ABORT
 from repro.workloads import TraceReplayer, ZipfPattern, synthesize_trace
 
@@ -94,18 +96,20 @@ class TestSoak:
 
     def test_duplicating_network(self):
         """Message duplication (at-most-once layer) does not break ops."""
+        transport = ChaosTransport(
+            SimTransport(config=NetworkConfig(jitter_seed=7)),
+            ChaosPolicy(seed=7, default=LinkChaos(duplicate=0.5)),
+        )
         cluster = FabCluster(
-            ClusterConfig(
-                m=2, n=4, block_size=64,
-                network=NetworkConfig(duplicate_probability=0.5, jitter_seed=7),
-                seed=7,
-            )
+            ClusterConfig(m=2, n=4, block_size=64, seed=7),
+            transport=transport,
         )
         register = cluster.register(0)
         for tag in range(10):
             stripe = [bytes([tag, i]) * 32 for i in range(2)]
             assert register.write_stripe(stripe) == "OK"
             assert register.read_stripe() == stripe
+        assert transport.stats.duplicated > 0
 
     def test_every_code_kind_end_to_end(self):
         for kind, m, n in [

@@ -10,6 +10,7 @@ from repro.campaign.schedule import CampaignSchedule, FaultEvent, apply_schedule
 from repro.transport import make_transport
 from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
 from repro.transport.sim import SimTransport
+from tests.conftest import watch_sends
 
 
 def _chaos_cluster(policy, m=3, n=5, stripes=4, seed=11):
@@ -112,22 +113,16 @@ def test_one_plan_two_substrates(wrapped):
         else inner
     cluster = FabCluster(ClusterConfig(m=3, n=5, seed=11), transport=transport)
     cut_at = []  # when each partition-dropped send happened
-    if wrapped:
-        real_send = transport.send
 
-        def send(src, dst, payload, size=0):
-            before = transport.stats.partition_dropped
-            real_send(src, dst, payload, size)
-            if transport.stats.partition_dropped > before:
-                cut_at.append(cluster.env.now)
+    def on_send(src, dst, _payload):
+        if wrapped:
+            cut = transport.stats.partition_dropped > len(cut_at)
+        else:
+            cut = inner.is_partitioned(src, dst)
+        if cut:
+            cut_at.append(cluster.env.now)
 
-        transport.send = send
-    else:
-        network = inner.network
-        network.add_send_observer(
-            lambda m: cut_at.append(cluster.env.now)
-            if network.is_partitioned(m.src, m.dst) else None
-        )
+    watch_sends(transport, on_send)
     applied = apply_schedule(cluster, TWO_SUBSTRATE_PLAN)
     _run_workload(LogicalVolume(cluster, num_stripes=4), rounds=6)
     assert cluster.env.now > 90.0  # the workload outlived the plan
@@ -288,14 +283,13 @@ def test_duplicate_and_reorder_are_absorbed():
 
 
 def test_chaos_transport_delegates_surface():
-    """The wrapper is a faithful Transport: clock, peer state, network
-    accessor, and metrics adoption all reach the inner substrate."""
+    """The wrapper is a faithful Transport: clock, peer state and
+    metrics adoption all reach the inner substrate."""
     inner = SimTransport()
     transport = ChaosTransport(inner, ChaosPolicy())
     assert transport.env is inner.env
     assert transport.now() == inner.now()
     assert transport.peer_state(1) == "up"
-    assert transport.network is inner.network
     sink = object()
     transport.metrics = sink
     assert inner.metrics is sink
@@ -309,7 +303,7 @@ def test_session_transport_budget_aborts_cleanly():
 
     cluster, volume, transport = _chaos_cluster(ChaosPolicy())
     for pid in list(cluster.nodes):
-        transport.inner.network._down.add(pid)
+        transport.set_down(pid, True)
         # Nodes stay formally up: only the transport says "down".
     retry = RetryPolicy(attempts=3, backoff=1.0, transport_attempts=3)
     session = volume.session(max_inflight=1, retry=retry)

@@ -12,6 +12,7 @@ from repro.transport import (
     make_transport,
 )
 from repro.transport.base import Endpoint
+from repro.transport.chaos import ChaosTransport
 
 
 def test_factory_default_is_sim():
@@ -19,7 +20,7 @@ def test_factory_default_is_sim():
     assert isinstance(transport, SimTransport)
     assert isinstance(transport, Transport)
     assert transport.env is not None
-    assert transport.network is not None
+    assert transport.config == NetworkConfig()
 
 
 def test_factory_unknown_kind_lists_valid_kinds():
@@ -106,3 +107,34 @@ def test_open_cluster_asyncio_refuses_sync_run():
 def test_unknown_transport_knob_error_mentions_transport():
     with pytest.raises(ConfigurationError, match="transport"):
         api.open_cluster(transporte="sim")
+
+
+def _partition_losses(transport):
+    """The (src, dst) pairs ``transport`` loses under two partitions,
+    one endpoint joining only after both were installed."""
+    delivered = set()
+
+    def deliver(message):
+        delivered.add((message.src, message.dst))
+
+    for pid in (1, 2, 3, 4):
+        transport.register(pid, deliver)
+    transport.partition({1, 2})
+    transport.partition({2, 3})
+    transport.register(5, deliver)
+    pairs = {(src, dst) for src in range(1, 6) for dst in range(1, 6)}
+    for src, dst in sorted(pairs):
+        transport.send(src, dst, "x")
+    transport.run()
+    return pairs - delivered
+
+
+def test_partition_drops_the_same_pairs_on_both_substrates():
+    bare = _partition_losses(SimTransport())
+    wrapped = _partition_losses(ChaosTransport(SimTransport()))
+    assert bare == wrapped
+    # Everything crossing a cut is lost, the late endpoint 5 included;
+    # only self-sends and the pair outside both groups get through.
+    assert len(bare) == 25 - 7
+    assert {(1, 5), (5, 1), (1, 2), (3, 4)} <= bare
+    assert (4, 5) not in bare and (5, 4) not in bare
