@@ -1,9 +1,13 @@
 """Coordinator-side protocol (paper Algorithms 1 and 3).
 
 Any brick can coordinate any operation.  A :class:`Coordinator` lives on
-one :class:`~repro.sim.node.Node` and exposes the four register methods
-— ``read_stripe``, ``write_stripe``, ``read_block``, ``write_block`` —
-as simulation coroutines (generators).  Spawn them with
+one :class:`~repro.sim.node.Node` and exposes the register methods —
+``read_stripe``, ``write_stripe``, ``read_block``, ``write_block`` and
+their multi-block forms ``read_blocks``, ``write_blocks`` — as
+simulation coroutines (generators).  Each phase kind of the paper is
+sent from one place: the fast read (``_fast_read``), the recovery
+(``_recover``) and the overlay write (``_overlay_write``) serve every
+method that needs them.  Spawn them with
 ``node.spawn(...)`` so a node crash interrupts them mid-protocol,
 producing exactly the partial operations the paper's recovery path must
 handle.
@@ -32,7 +36,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ProtocolInvariantError
 from ..erasure.interface import ErasureCode
-from ..quorum.strategy import QuorumStrategy, RandomQuorumStrategy
 from ..quorum.system import MajorityMQuorumSystem
 from ..sim.monitor import Metrics
 from ..sim.node import Node
@@ -292,8 +295,6 @@ class Coordinator:
         config: behaviour knobs.
         rng: randomness for fast-read target selection (seed for
             reproducibility).
-        strategy: quorum selection policy for fast-read targets;
-            defaults to the paper's uniform-random choice.
     """
 
     def __init__(
@@ -305,7 +306,6 @@ class Coordinator:
         block_size: int,
         config: Optional[CoordinatorConfig] = None,
         rng: Optional[random.Random] = None,
-        strategy: Optional[QuorumStrategy] = None,
     ) -> None:
         self.node = node
         self.transport = node.transport
@@ -316,15 +316,6 @@ class Coordinator:
         self.config = config or CoordinatorConfig()
         self.metrics: Metrics = node.metrics
         self._rng = rng or random.Random()
-        #: Policy choosing which bricks the fast read targets first.
-        #: The paper's line 6 is "Pick m random processes"; other
-        #: strategies (preferred order, suspicion-aware) trade load
-        #: spreading for locality — see repro.quorum.strategy.
-        self.strategy = strategy or RandomQuorumStrategy(self._rng)
-        #: Whether the most recent _read_prev_stripe routed around
-        #: corrupt fragments (read between the generator resumptions of
-        #: one operation, so never racy across interleaved ops).
-        self._last_prev_degraded = False
         self.rpc = QuorumRpc(
             node,
             universe=quorum_system.universe,
@@ -399,27 +390,34 @@ class Coordinator:
         """``read-stripe()``: returns the stripe (list of m blocks),
         ``None`` for a never-written stripe, or ABORT."""
         op = self.metrics.begin_op("read-stripe", self.transport.now())
-        if self.config.disable_fast_read:
+        value = ABORT
+        if not self.config.disable_fast_read:
+            targets = self._pick_read_targets()
+            replies = yield from self._fast_read(register_id, targets)
+            if replies is not None:
+                value = self._decode_stripe(
+                    {i: replies[i].block for i in targets}
+                )
+        if value is ABORT:
             op.path = "slow"
             value = yield from self._recover(register_id)
-        else:
-            value = yield from self._fast_read_stripe(register_id)
-            if value is ABORT:
-                op.path = "slow"
-                value = yield from self._recover(register_id)
         self.metrics.end_op(op, self.transport.now(), aborted=value is ABORT)
         return value
 
-    def _fast_read_stripe(self, register_id: int):
-        """``fast-read-stripe()``: one round, no replica state change."""
-        targets = self._pick_read_targets()
+    def _fast_read(self, register_id: int, targets: frozenset):
+        """``[Read, targets]``: one round, no replica state change.
+
+        Returns the reply map when the fast-read condition (line 8)
+        holds, else ``None`` — a refused, inconsistent or expired round
+        alike, each of which the caller answers with ``recover()``.
+        """
+        quorum_size = self.quorum_system.quorum_size
 
         def good(replies: Dict[ProcessId, ReadReply]) -> bool:
-            if len(replies) < self.quorum_system.quorum_size:
-                return False
-            if not targets <= set(replies):
-                return False
-            return self._fast_read_condition(replies, targets)
+            return (
+                len(replies) >= quorum_size
+                and self._fast_read_condition(replies, targets)
+            )
 
         replies = yield from self.rpc.call(
             lambda dst, rid: ReadReq(
@@ -428,17 +426,15 @@ class Coordinator:
             prefer=good,
         )
         if replies is None:
-            return ABORT
+            return None
         for reply in replies.values():
             self._observe(reply.val_ts)
         if not self._fast_read_condition(replies, targets):
-            return ABORT
-        blocks = {i: replies[i].block for i in targets}
-        stripe = self._decode_stripe(blocks)
-        return stripe
+            return None
+        return replies
 
     def _pick_read_targets(self) -> frozenset:
-        """Pick ``m`` read targets whose blocks jointly decode.
+        """Pick ``m`` random read targets whose blocks jointly decode.
 
         The paper's line 6 ("pick m random processes") is sound for MDS
         codes, where every ``m``-subset decodes.  Non-MDS codes (LRC)
@@ -446,9 +442,10 @@ class Coordinator:
         plus its own parity — so redraw until the code accepts the set,
         falling back to the systematic data blocks, which always span.
         """
-        universe = self.quorum_system.universe
         for _ in range(8):
-            targets = frozenset(self.strategy.pick(universe, self.m))
+            order = list(self.quorum_system.universe)
+            self._rng.shuffle(order)
+            targets = frozenset(order[:self.m])
             if self.code.is_decodable(targets):
                 return targets
         return frozenset(range(1, self.m + 1))
@@ -489,41 +486,51 @@ class Coordinator:
         self.metrics.end_op(op, self.transport.now(), aborted=result is ABORT)
         return result
 
-    def _recover(self, register_id: int):
+    def _recover(self, register_id: int, prefer=None):
         """``recover()``: re-establish and write back the latest value.
 
-        When the preceding read had to route around checksum-failed
-        fragments, the successful recovery is a degraded read — and its
-        write-back is precisely what repairs the quarantined replicas
-        (they accept the fresh fragment via the repair-write path).
+        Returns the stripe, ``None`` for nil, or ABORT.  When the walk
+        had to route around checksum-failed fragments, a client read's
+        recovery is a degraded read (counted) — and its write-back is
+        precisely what repairs the quarantined replicas (they accept
+        the fresh fragment via the repair-write path).
+
+        ``prefer`` is forwarded to the write-back's quorum call: the
+        rebuilder and the scrub daemon pass every-live-brick coverage.
+        Such a recovery is a repair, not a client read, and is not
+        counted as a degraded read.
         """
         ts = self._new_ts()
-        stripe = yield from self._read_prev_stripe(register_id, ts)
+        stripe, degraded, _rounds = yield from self._read_prev_stripe(
+            register_id, ts
+        )
         if stripe is ABORT:
             return ABORT
-        degraded = self._last_prev_degraded
-        stored = yield from self._store_stripe(register_id, stripe, ts)
-        if stored is OK:
-            if degraded:
-                self.metrics.count_degraded_read()
-            return stripe
-        return ABORT
+        stored = yield from self._store_stripe(
+            register_id, stripe, ts, prefer=prefer
+        )
+        if stored is not OK:
+            return ABORT
+        if degraded and prefer is None:
+            self.metrics.count_degraded_read()
+        return stripe
 
     def _read_prev_stripe(self, register_id: int, ts: Timestamp):
         """``read-prev-stripe(ts)``: newest version with >= m blocks.
 
-        Returns the stripe (list of blocks), ``None`` for nil, or ABORT.
+        Returns ``(value, degraded, rounds)``: the stripe (list of
+        blocks), ``None`` for nil, or ABORT; whether corrupt fragments
+        were routed around; and the ``Order&Read`` rounds taken (one
+        when the newest version decided).
 
         Corrupt-flagged replies (checksum-failed fragments) are treated
         as erasures: they never contribute blocks or ordering
         certificates, and the quorum conditions are evaluated over the
-        clean replies only.  A read that succeeds despite corrupt
-        fragments is a *degraded read* (counted); the caller's
-        write-back then repairs the quarantined replicas.
+        clean replies only.
         """
         max_ts = HIGH_TS
         degraded = False
-        self._last_prev_degraded = False
+        rounds = 0
         widen_next = False
         widened_at: Optional[Timestamp] = None
         # Fragments seen per version across rounds of this walk.  A
@@ -548,15 +555,17 @@ class Coordinator:
                 ),
                 prefer=prefer,
             )
+            rounds += 1
             if replies is None:
-                return ABORT
+                return ABORT, degraded, rounds
             clean = self._clean(replies)
             if len(clean) < self.quorum_system.quorum_size:
-                return ABORT  # not enough verifiable fragments live
+                # not enough verifiable fragments live
+                return ABORT, degraded, rounds
             if not all(reply.status for reply in clean.values()):
                 for reply in clean.values():
                     self._observe(reply.lts)
-                return ABORT
+                return ABORT, degraded, rounds
             degraded = degraded or len(clean) < len(replies)
             max_ts = max(reply.lts for reply in clean.values())
             blocks = {
@@ -570,18 +579,17 @@ class Coordinator:
                 blocks = dict(pool)
             if len(blocks) >= self.m:
                 if max_ts == LOW_TS:
-                    self._last_prev_degraded = degraded
-                    return None  # nil: never written
+                    return None, degraded, rounds  # nil: never written
                 value_blocks = {
                     i: b for i, b in blocks.items()
                     if isinstance(b, (bytes, bytearray))
                 }
                 if len(value_blocks) >= self.m:
                     if self.code.is_decodable(value_blocks):
-                        self._last_prev_degraded = degraded
-                        return self.code.decode(
+                        stripe = self.code.decode(
                             {i: bytes(b) for i, b in value_blocks.items()}
                         )
+                        return stripe, degraded, rounds
                     # Non-MDS code: >= m blocks that do not span the
                     # stripe.  The version may still be *complete* —
                     # its spanning fragments can live at replicas
@@ -599,8 +607,8 @@ class Coordinator:
                     # heard: a genuinely partial write; keep looking
                     # below, like any other short version.
                 elif all(b is None for b in blocks.values()):
-                    self._last_prev_degraded = degraded
-                    return None  # a complete nil write (recovery stored nil)
+                    # a complete nil write (recovery stored nil)
+                    return None, degraded, rounds
                 else:
                     raise ProtocolInvariantError(
                         f"version {max_ts!r} mixes nil and value blocks: "
@@ -608,14 +616,12 @@ class Coordinator:
                     )
 
     def _store_stripe(self, register_id: int, stripe, ts: Timestamp,
-                      min_count: Optional[int] = None, prefer=None):
+                      prefer=None):
         """``store-stripe(stripe, ts)``: write encoded blocks to a quorum.
 
-        ``min_count`` widens the write-back beyond an m-quorum, and
-        ``prefer`` is forwarded to the quorum call — the rebuilder uses
-        the pair to push the value to every *currently* live brick
-        while still terminating (quorum + grace) if a brick crashes
-        mid-write-back.
+        ``prefer`` is forwarded to the quorum call, so a repair can
+        push the value to every *currently* live brick while still
+        terminating (quorum + grace) if a brick crashes mid-write-back.
         """
         if stripe is None:
             encoded: List[Optional[Block]] = [None] * self.n
@@ -628,7 +634,6 @@ class Coordinator:
                 block=encoded[dst - 1],
                 ts=ts,
             ),
-            min_count=min_count,
             prefer=prefer,
         )
         if replies is not None and all(
@@ -665,42 +670,16 @@ class Coordinator:
                 )
 
     def read_block(self, register_id: int, j: int):
-        """``read-block(j)``: returns the block, None for nil, or ABORT."""
-        self._check_block_indices((j,))
-        op = self.metrics.begin_op("read-block", self.transport.now())
-        targets = frozenset({j})
+        """``read-block(j)``: returns the block, None for nil, or ABORT.
 
-        def good(replies: Dict[ProcessId, ReadReply]) -> bool:
-            if len(replies) < self.quorum_system.quorum_size:
-                return False
-            return self._fast_read_condition(replies, targets)
-
-        replies = yield from self.rpc.call(
-            lambda dst, rid: ReadReq(
-                register_id=register_id, request_id=rid, targets=targets
-            ),
-            prefer=good,
-        )
-        if replies is None:
-            self.metrics.end_op(op, self.transport.now(), aborted=True)
-            return ABORT
-        for reply in replies.values():
-            self._observe(reply.val_ts)
-        if self._fast_read_condition(replies, targets):
-            self.metrics.end_op(op, self.transport.now(), aborted=False)
-            return replies[j].block
-        op.path = "slow"
-        stripe = yield from self._recover(register_id)
-        if stripe is ABORT:
-            self.metrics.end_op(op, self.transport.now(), aborted=True)
-            return ABORT
-        self.metrics.end_op(op, self.transport.now(), aborted=False)
-        if stripe is None:
-            return None
-        return stripe[j - 1]
+        The fast read with ``targets = {j}`` (2δ, one disk read), and
+        ``recover()`` when it fails — :meth:`read_blocks` for one block.
+        """
+        blocks = yield from self._read_blocks(register_id, (j,), "read-block")
+        return ABORT if blocks is ABORT else blocks[j]
 
     def write_block(self, register_id: int, j: int, block: Block):
-        """``write-block(j, b)``: fast Modify path, else full recovery."""
+        """``write-block(j, b)``: fast Modify path, else the overlay write."""
         self._check_block_indices((j,))
         # p_j logs the Modify's block object itself: a caller's mutable
         # buffer must not become replica state.
@@ -720,7 +699,9 @@ class Coordinator:
                 # the recovery write supersedes the incomplete version
                 # instead of colliding with it.
                 ts = self._new_ts()
-            result = yield from self._slow_write_block(register_id, j, block, ts)
+            result, _rounds = yield from self._overlay_write(
+                register_id, {j: block}, ts
+            )
         self.metrics.end_op(op, self.transport.now(), aborted=result is not OK)
         return result
 
@@ -794,121 +775,69 @@ class Coordinator:
         """Read several blocks of one stripe in a single operation.
 
         Fast path: one Read round targeting every requested block (2δ,
-        2n messages, ``len(js)`` disk reads).  On any inconsistency the
-        recovery path reconstructs the whole stripe.  Returns a dict
-        ``{j: block}`` (values ``None`` for a nil stripe) or ABORT.
+        2n messages, ``len(js)`` disk reads).  Any failed fast round
+        recovers the whole stripe.  Returns a dict ``{j: block}``
+        (values ``None`` for a nil stripe) or ABORT.
         """
+        return (yield from self._read_blocks(register_id, js, "read-blocks"))
+
+    def _read_blocks(self, register_id: int, js: Sequence[int], kind: str):
+        """Algorithm 3's ``read-block`` over the targets ``js``."""
         targets = frozenset(js)
         self._check_block_indices(targets)
-        op = self.metrics.begin_op("read-blocks", self.transport.now())
-
-        def good(replies: Dict[ProcessId, ReadReply]) -> bool:
-            if len(replies) < self.quorum_system.quorum_size:
-                return False
-            return self._fast_read_condition(replies, targets)
-
-        replies = yield from self.rpc.call(
-            lambda dst, rid: ReadReq(
-                register_id=register_id, request_id=rid, targets=targets
-            ),
-            prefer=good,
-        )
+        op = self.metrics.begin_op(kind, self.transport.now())
+        replies = yield from self._fast_read(register_id, targets)
         if replies is not None:
-            for reply in replies.values():
-                self._observe(reply.val_ts)
-            if self._fast_read_condition(replies, targets):
-                self.metrics.end_op(op, self.transport.now(), aborted=False)
-                return {j: replies[j].block for j in targets}
-        op.path = "slow"
-        stripe = yield from self._recover(register_id)
-        if stripe is ABORT:
-            self.metrics.end_op(op, self.transport.now(), aborted=True)
-            return ABORT
-        self.metrics.end_op(op, self.transport.now(), aborted=False)
-        if stripe is None:
-            return {j: None for j in targets}
-        return {j: stripe[j - 1] for j in targets}
+            blocks = {j: replies[j].block for j in targets}
+        else:
+            op.path = "slow"
+            stripe = yield from self._recover(register_id)
+            if stripe is ABORT:
+                blocks = ABORT
+            elif stripe is None:
+                blocks = dict.fromkeys(targets)
+            else:
+                blocks = {j: stripe[j - 1] for j in targets}
+        self.metrics.end_op(op, self.transport.now(), aborted=blocks is ABORT)
+        return blocks
 
     def write_blocks(self, register_id: int, updates: Dict[int, Block]):
         """Write several blocks of one stripe atomically.
 
-        One ``Order&Read(ALL)`` round both reserves the timestamp and
-        returns every replica's current block; with a consistent newest
-        version the coordinator decodes the stripe, overlays the
-        updates, and stores the result — 4δ and 4n messages regardless
-        of how many blocks change.  Inconsistent versions (a concurrent
-        partial write) fall back to the recovery-based path with the
-        same timestamp.  Returns OK or ABORT.
+        The overlay write at a fresh timestamp: its first
+        ``Order&Read(ALL)`` round both reserves the timestamp and
+        returns every replica's current block, so with a decodable
+        newest version the operation costs 4δ and 4n messages however
+        many blocks change (labelled fast).  A partial newest version
+        makes the walk descend (labelled slow).  Returns OK or ABORT.
         """
         if not updates:
             return OK
         self._check_block_indices(updates)
         op = self.metrics.begin_op("write-blocks", self.transport.now())
-        ts = self._new_ts()
-        replies = yield from self.rpc.call(
-            lambda dst, rid: OrderReadReq(
-                register_id=register_id,
-                request_id=rid,
-                j=ALL,
-                max_ts=HIGH_TS,
-                ts=ts,
-            ),
-            prefer=self._clean_quorum,
+        result, rounds = yield from self._overlay_write(
+            register_id, updates, self._new_ts()
         )
-        result = None
-        clean = self._clean(replies) if replies is not None else {}
-        if (
-            replies is None
-            or len(clean) < self.quorum_system.quorum_size
-            or not all(reply.status for reply in clean.values())
-        ):
-            if replies is not None:
-                for reply in clean.values():
-                    self._observe(reply.lts)
-            self.metrics.end_op(op, self.transport.now(), aborted=True)
-            return ABORT
-        newest = max(reply.lts for reply in clean.values())
-        blocks = {
-            i: reply.block for i, reply in clean.items()
-            if reply.lts == newest
-        }
-        value_blocks = {
-            i: b for i, b in blocks.items() if isinstance(b, (bytes, bytearray))
-        }
-        if len(value_blocks) >= self.m and self.code.is_decodable(value_blocks):
-            stripe = self.code.decode(
-                {i: bytes(b) for i, b in value_blocks.items()}
-            )
-        elif newest == LOW_TS or all(b is None for b in blocks.values()):
-            if len(blocks) >= self.m:
-                stripe = self._zero_stripe()
-            else:
-                stripe = None  # incomplete version: recover below
-        else:
-            stripe = None
-        if stripe is None:
+        if rounds > 1:
             op.path = "slow"
-            stripe = yield from self._read_prev_stripe(register_id, ts)
-            if stripe is ABORT:
-                self.metrics.end_op(op, self.transport.now(), aborted=True)
-                return ABORT
-            if stripe is None:
-                stripe = self._zero_stripe()
-        stripe = list(stripe)
-        for j, block in updates.items():
-            stripe[j - 1] = block
-        result = yield from self._store_stripe(register_id, stripe, ts)
         self.metrics.end_op(op, self.transport.now(), aborted=result is not OK)
         return result
 
-    def _slow_write_block(self, register_id: int, j: int, block: Block,
-                          ts: Timestamp):
-        stripe = yield from self._read_prev_stripe(register_id, ts)
+    def _overlay_write(self, register_id: int, updates: Dict[int, Block],
+                       ts: Timestamp):
+        """``read-prev-stripe`` + overlay + ``store-stripe`` at ``ts``.
+
+        A nil stripe is overlaid on zeros (standard disk semantics for
+        unwritten space).  Returns ``(result, rounds)``: OK or ABORT,
+        and the ``Order&Read`` rounds the walk took.
+        """
+        stripe, _degraded, rounds = yield from self._read_prev_stripe(
+            register_id, ts
+        )
         if stripe is ABORT:
-            return ABORT
-        if stripe is None:
-            stripe = self._zero_stripe()
-        stripe = list(stripe)
-        stripe[j - 1] = block
+            return ABORT, rounds
+        stripe = self._zero_stripe() if stripe is None else list(stripe)
+        for j, block in updates.items():
+            stripe[j - 1] = block
         result = yield from self._store_stripe(register_id, stripe, ts)
-        return result
+        return result, rounds

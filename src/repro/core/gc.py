@@ -125,10 +125,3 @@ class GarbageCollector:
     def high_water_mark(self, register_id: int) -> int:
         """Largest log (in entries) across replicas — the GC bench metric."""
         return self.stats(register_id).max_entries
-
-    def registers_seen(self) -> List[int]:
-        """All register ids with state on any replica."""
-        seen = set()
-        for replica in self.replicas.values():
-            seen.update(replica.register_ids())
-        return sorted(seen)

@@ -136,6 +136,22 @@ class Scrubber:
         ]
 
 
+def live_coverage(cluster: FabCluster):
+    """Prefer predicate for a repair's write-back: every live brick.
+
+    Coverage is resolved *per reply*, not snapshotted up front: the
+    write-back completes as soon as every currently-live brick has
+    replied.  A brick crashing mid-repair shrinks the live set, so the
+    predicate re-evaluates against the survivors — and even if the last
+    reply never arrives, the quorum + grace fallback in the RPC layer
+    terminates the phase.
+    """
+    def covered(replies) -> bool:
+        return set(cluster.live_processes()) <= set(replies)
+
+    return covered
+
+
 @dataclass
 class RebuildReport:
     """Outcome of a rebuild pass."""
@@ -180,37 +196,10 @@ class Rebuilder:
             return "current"
         coordinator = self.cluster.register(register_id, self.route).coordinator
         process = coordinator.node.spawn(
-            self._recover_everywhere(coordinator, register_id, self.cluster)
+            coordinator._recover(register_id, prefer=live_coverage(self.cluster))
         )
         result = self.cluster.transport.run_until_complete(process)
         return "aborted" if result is ABORT else "repaired"
-
-    @staticmethod
-    def _recover_everywhere(coordinator, register_id: int, cluster):
-        """Recovery whose write-back reaches every live brick.
-
-        Coverage is resolved *per reply*, not snapshotted up front: the
-        write-back completes as soon as every currently-live brick has
-        replied.  A brick crashing mid-rebuild shrinks the live set, so
-        the preference predicate re-evaluates against the survivors —
-        and even if the last reply never arrives, the quorum + grace
-        fallback in the RPC layer terminates the phase.  (The old code
-        froze ``len(live_processes())`` before spawning, so a
-        mid-rebuild crash left the write-back waiting for a reply count
-        that could never be reached.)
-        """
-        ts = coordinator._new_ts()
-        stripe = yield from coordinator._read_prev_stripe(register_id, ts)
-        if stripe is ABORT:
-            return ABORT
-
-        def covered(replies) -> bool:
-            return set(cluster.live_processes()) <= set(replies)
-
-        stored = yield from coordinator._store_stripe(
-            register_id, stripe, ts, prefer=covered
-        )
-        return stored
 
     def rebuild(self, register_ids: Iterable[int],
                 retries: int = 2) -> RebuildReport:

@@ -38,10 +38,6 @@ class RouteOptions:
     coordinator: Optional[ProcessId] = None
     failover: bool = True
 
-    def pinned(self) -> bool:
-        """True when a specific coordinator is requested."""
-        return self.coordinator is not None
-
 
 #: The default route: no pinned coordinator, failover enabled.
 DEFAULT_ROUTE = RouteOptions()

@@ -83,14 +83,6 @@ class CorruptionDetected(StorageError):
         self.process_id = process_id
 
 
-class VerificationError(ReproError):
-    """Raised when a history fails linearizability verification.
-
-    The checker normally *returns* a result object; this exception is
-    used by the ``check_*_or_raise`` convenience wrappers.
-    """
-
-
 class ProtocolInvariantError(ReproError):
     """Raised when an internal protocol invariant is violated.
 

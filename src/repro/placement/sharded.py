@@ -63,7 +63,7 @@ class ShardedConfig:
         seed: master seed — placement, routing, and every group's
             cluster derive determinism from it.
         cluster: template for per-group cluster configuration (network,
-            coordinator knobs, disk latencies, ...); ``m``/``n``/
+            coordinator knobs, ...); ``m``/``n``/
             ``code_kind``/``seed`` are overridden per group.
     """
 

@@ -8,18 +8,10 @@ canonical construction takes all subsets of size ``n - f``.
 
 This subpackage provides the canonical construction
 (:class:`~repro.quorum.system.MajorityMQuorumSystem`), explicit quorum
-systems for verification, existence checks
-(:mod:`repro.quorum.theorems`), and quorum *selection strategies* used
-by coordinators to pick which processes to contact
-(:mod:`repro.quorum.strategy`).
+systems for verification, and existence checks
+(:mod:`repro.quorum.theorems`).
 """
 
-from .strategy import (
-    ExcludeSuspectedStrategy,
-    PreferredQuorumStrategy,
-    QuorumStrategy,
-    RandomQuorumStrategy,
-)
 from .system import ExplicitQuorumSystem, MajorityMQuorumSystem, MQuorumSystem
 from .theorems import (
     canonical_f,
@@ -33,10 +25,6 @@ __all__ = [
     "MQuorumSystem",
     "MajorityMQuorumSystem",
     "ExplicitQuorumSystem",
-    "QuorumStrategy",
-    "RandomQuorumStrategy",
-    "PreferredQuorumStrategy",
-    "ExcludeSuspectedStrategy",
     "mquorum_exists",
     "min_processes",
     "max_fault_tolerance",

@@ -7,9 +7,9 @@ registers would otherwise sit until enough fragments rot to defeat the
 code.  The scrub daemon closes that gap: a rate-limited background
 process that verifies stored envelope checksums brick by brick and
 repairs any damage it finds by erasure-decoding the surviving fragments
-and writing the stripe back (the
-:class:`~repro.core.rebuild.Rebuilder` recovery-with-full-coverage
-primitive, so the repaired brick ends up holding its fragment again).
+and writing the stripe back (the coordinator's recovery with the
+rebuilder's :func:`~repro.core.rebuild.live_coverage` write-back, so
+the repaired brick ends up holding its fragment again).
 
 One scheduler (:mod:`repro.scrub.sampler`).  Each wake-up scans a
 budget of (register, brick) pairs: ``samples_per_tick`` if set, else
@@ -52,7 +52,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..errors import ConfigurationError, CorruptionDetected, StorageError
 from ..types import ABORT, ProcessId
 from ..core.cluster import FabCluster
-from ..core.rebuild import Rebuilder
+from ..core.rebuild import live_coverage
 from ..core.routing import DEFAULT_ROUTE, RouteOptions
 from .sampler import PairSampler, RepairQueue, RevisitQueue, required_samples
 
@@ -401,8 +401,8 @@ class ScrubDaemon:
                 return False
             pid = live[0]
         coordinator = self.cluster.coordinators[pid]
-        generator = Rebuilder._recover_everywhere(
-            coordinator, register_id, self.cluster
+        generator = coordinator._recover(
+            register_id, prefer=live_coverage(self.cluster)
         )
         try:
             process = self.cluster.nodes[pid].spawn(generator)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
-from ..errors import ConfigurationError, SimulationError, StorageError
+from ..errors import ConfigurationError, StorageError
 from ..types import ProcessId
 from ..sim.kernel import AnyOf, Environment, Event, Process, Timeout
 
@@ -349,8 +349,3 @@ class Endpoint:
             self._owned_processes.remove(process)
         except ValueError:
             pass  # already dropped by a crash
-
-
-# Re-exported for substrates that need the error type without importing
-# the kernel module directly.
-_ = SimulationError

@@ -11,26 +11,19 @@ order* over observed values (Definition 5).  Under the unique-value
 assumption the checker in :mod:`repro.verify.linearizability` tests for
 exactly that: it builds the value-precedence constraint graph from the
 recorded history and searches for a cycle.  A brute-force Wing&Gong
-style checker (:mod:`repro.verify.wing_gong`) cross-validates it on
-small histories.
+style oracle in the test suite (``tests/verify/wing_gong.py``)
+cross-validates it on small histories.
 
 :mod:`repro.verify.history` records operations — including coordinator
 crashes — as they run in the simulator.
 """
 
 from .history import HistoryRecorder, OpRecord
-from .linearizability import (
-    CheckResult,
-    check_strict_linearizability,
-    check_strict_linearizability_or_raise,
-)
-from .wing_gong import brute_force_linearizable
+from .linearizability import CheckResult, check_strict_linearizability
 
 __all__ = [
     "HistoryRecorder",
     "OpRecord",
     "CheckResult",
     "check_strict_linearizability",
-    "check_strict_linearizability_or_raise",
-    "brute_force_linearizable",
 ]

@@ -33,15 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import VerificationError
 from ..types import OpStatus
 from .history import OpRecord
 
-__all__ = [
-    "CheckResult",
-    "check_strict_linearizability",
-    "check_strict_linearizability_or_raise",
-]
+__all__ = ["CheckResult", "check_strict_linearizability"]
 
 #: Hashable stand-in for the nil value (None is a legal dict key, but an
 #: explicit sentinel keeps intent clear in graph dumps).
@@ -226,16 +221,6 @@ def check_strict_linearizability(history: Sequence[OpRecord]) -> CheckResult:
     return CheckResult(
         ok=True, order=order, n_ops=len(history), n_values=len(observable)
     )
-
-
-def check_strict_linearizability_or_raise(
-    history: Sequence[OpRecord],
-) -> CheckResult:
-    """Like :func:`check_strict_linearizability` but raises on violation."""
-    result = check_strict_linearizability(history)
-    if not result.ok:
-        raise VerificationError("; ".join(result.violations))
-    return result
 
 
 def _topological_order(

@@ -11,12 +11,9 @@ import pytest
 
 from repro.campaign.schedule import apply_schedule, generate_schedule
 from repro.types import ABORT, OpKind
-from repro.verify import (
-    HistoryRecorder,
-    brute_force_linearizable,
-    check_strict_linearizability,
-)
+from repro.verify import HistoryRecorder, check_strict_linearizability
 from tests.conftest import make_cluster, stripe_of
+from tests.verify.wing_gong import brute_force_linearizable
 
 
 def unique_stripe(m, block_size, tag):

@@ -5,7 +5,13 @@ import pytest
 from repro.core.messages import ModifyReq
 from repro.errors import ProtocolInvariantError
 from repro.types import ABORT
-from tests.conftest import block_of, make_cluster, stripe_of, watch_sends
+from tests.conftest import (
+    block_of,
+    fault,
+    make_cluster,
+    stripe_of,
+    watch_sends,
+)
 
 
 class TestReadBlock:
@@ -41,6 +47,22 @@ class TestReadBlock:
         assert register.read_block(2) == stripe[1]
         row = cluster.metrics.summary()["read-block/slow"]
         assert row["count"] == 1
+
+    @pytest.mark.parametrize("read", [
+        lambda register: register.read_block(2),
+        lambda register: register.read_blocks([2])[2],
+        lambda register: register.read_stripe()[1],
+    ], ids=["read_block", "read_blocks", "read_stripe"])
+    def test_expired_fast_read_recovers(self, read):
+        """An expired fast round falls back to recover(), like any other
+        failed one: the coordinator is cut off past ``op_timeout`` and
+        healed while its recovery retransmits."""
+        cluster = make_cluster(m=3, n=5, op_timeout=20)
+        stripe = stripe_of(3, 32, tag=1)
+        cluster.register(0).write_stripe(stripe)
+        fault(cluster, "partition", 1)
+        cluster.transport.set_timer(25, lambda: fault(cluster, "heal"))
+        assert read(cluster.register(0, route=1)) == stripe[1]
 
 
 class TestWriteBlock:

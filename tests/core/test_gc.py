@@ -123,7 +123,7 @@ class TestOfflineGc:
         cluster = make_cluster(m=3, n=5)
         cluster.register(3).write_stripe(stripe_of(3, 32, 1))
         cluster.register(7).write_stripe(stripe_of(3, 32, 2))
-        seen = cluster.gc.registers_seen()
+        seen = cluster.register_ids()
         assert 3 in seen and 7 in seen
 
     def test_registers_seen_survives_recovery(self):
@@ -133,7 +133,7 @@ class TestOfflineGc:
         cluster.crash(1)
         cluster.recover(1)  # volatile mirrors dropped; state is on disk
         assert 3 in cluster.replicas[1].register_ids()
-        assert 3 in cluster.gc.registers_seen()
+        assert 3 in cluster.register_ids()
 
 
 class TestGcRecoveryInterplay:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.messages import WriteReq
 from repro.errors import ProtocolInvariantError
 from repro.types import ABORT
 from tests.conftest import block_of, make_cluster, stripe_of
@@ -132,6 +133,30 @@ class TestWriteBlocks:
         assert register.read_blocks([1, 2, 3]) == {
             1: expected[0], 2: expected[1], 3: expected[2]
         }
+
+    def test_partial_newest_version_descends_once(self):
+        """A newer version logged on only 2 < m replicas: the overlay
+        write's walk descends from its first Order&Read(ALL) round
+        instead of repeating it — 3 rounds, 6δ and 6n messages."""
+        cluster = make_cluster(m=3, n=5, op_timeout=20)
+        stripe = stripe_of(3, 32, tag=1)
+        cluster.register(0).write_stripe(stripe)
+        send = cluster.transport.send
+
+        def lose_writes_to_data_bricks(src, dst, payload, size=0):
+            if not (isinstance(payload, WriteReq) and dst <= 3):
+                send(src, dst, payload, size)
+
+        cluster.transport.send = lose_writes_to_data_bricks
+        newer = cluster.register(0, route=4).write_stripe(stripe_of(3, 32, tag=2))
+        assert newer is ABORT  # logged on replicas 4 and 5 only
+        del cluster.transport.send
+        x, y = block_of(32, tag=71), block_of(32, tag=72)
+        assert cluster.register(0).write_blocks({1: x, 2: y}) == "OK"
+        row = cluster.metrics.summary()["write-blocks/slow"]
+        assert row["latency_delta"] == 6
+        assert row["messages"] == 30
+        assert cluster.register(0).read_stripe() == [x, y, stripe[2]]
 
     def test_write_blocks_with_brick_down(self, loaded_cluster):
         cluster, stripe = loaded_cluster

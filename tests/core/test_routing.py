@@ -10,8 +10,7 @@ from tests.conftest import block_of, make_cluster
 
 def test_route_options_defaults_and_pinning():
     assert RouteOptions() == RouteOptions(coordinator=None, failover=True)
-    assert not RouteOptions().pinned()
-    assert RouteOptions(coordinator=3).pinned()
+    assert RouteOptions(coordinator=3).coordinator == 3
     with pytest.raises(AttributeError):  # frozen
         RouteOptions().coordinator = 2
 

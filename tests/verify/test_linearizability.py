@@ -1,14 +1,8 @@
 """The strict-linearizability checker against hand-built histories."""
 
-import pytest
-
-from repro.errors import VerificationError
 from repro.types import OpKind, OpStatus
 from repro.verify.history import OpRecord
-from repro.verify.linearizability import (
-    check_strict_linearizability,
-    check_strict_linearizability_or_raise,
-)
+from repro.verify.linearizability import check_strict_linearizability
 
 _ids = iter(range(1, 10_000))
 
@@ -172,11 +166,6 @@ class TestBadHistories:
         result = check_strict_linearizability(history)
         assert not result.ok
         assert any("unique-value" in v for v in result.violations)
-
-    def test_or_raise(self):
-        history = [write(b"a", 0, 1), read(b"ghost", 2, 3)]
-        with pytest.raises(VerificationError):
-            check_strict_linearizability_or_raise(history)
 
 
 class TestStrictnessSpecifics:

@@ -14,7 +14,7 @@ from repro import open_volume
 from repro.types import OpKind
 from repro.verify.history import OpRecord
 from repro.verify.linearizability import check_strict_linearizability
-from repro.verify.wing_gong import brute_force_linearizable
+from tests.verify.wing_gong import brute_force_linearizable
 
 
 def merged_history(*sessions):

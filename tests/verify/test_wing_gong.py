@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.types import OpKind, OpStatus
 from repro.verify.linearizability import check_strict_linearizability
-from repro.verify.wing_gong import brute_force_linearizable
+from tests.verify.wing_gong import brute_force_linearizable
 from tests.verify.test_linearizability import read, write
 
 
