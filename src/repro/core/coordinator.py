@@ -649,13 +649,13 @@ class Coordinator:
 
     def _send_gc(self, register_id: int, ts: Timestamp) -> None:
         """Asynchronous GC notice to all processes (Section 5.1)."""
-        request_id = self.rpc.next_request_id()
+        notice = GcReq(
+            register_id=register_id,
+            request_id=self.rpc.next_request_id(),
+            ts=ts,
+        )
         for destination in self.quorum_system.universe:
-            self.node.send(
-                destination,
-                GcReq(register_id=register_id, request_id=request_id, ts=ts),
-                size=0,
-            )
+            self.node.send(destination, notice, size=0)
 
     # ------------------------------------------------------------------
     # Algorithm 3 — block access
@@ -763,6 +763,8 @@ class Coordinator:
         if replies is not None and all(
             reply.status for reply in replies.values()
         ):
+            if self.config.gc_enabled:
+                self._send_gc(register_id, ts)
             return OK, True
         return ABORT, True
 

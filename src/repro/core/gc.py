@@ -7,10 +7,11 @@ asynchronously, tell all processes to discard log entries older than
 ``ts``.
 
 The online path is built into the protocol: set
-``CoordinatorConfig.gc_enabled`` and every successful ``store-stripe``
-broadcasts a :class:`~repro.core.messages.GcReq`.  This module adds an
-*offline* collector for inspection and batch trimming, plus log-size
-statistics used by the GC benchmark.
+``CoordinatorConfig.gc_enabled`` and every complete write — a
+``store-stripe`` or a fast-path ``Modify`` that reached an all-true
+quorum — broadcasts a :class:`~repro.core.messages.GcReq`.  This
+module adds an *offline* collector for inspection and batch trimming,
+plus log-size statistics used by the GC benchmark.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ class GarbageCollector:
             count = state.log.trim_below(ts)
             if count:
                 # Route through the replica's persistence path so the
-                # journal gets its trim record (and compaction hook)
-                # exactly as the online GC notice would produce.
-                replica.persist_trim(register_id, state, ts)
+                # journal is compacted exactly as the online GC notice
+                # would leave it.
+                replica.persist_trim(register_id, state)
             report.removed[pid] = count
         return report
 

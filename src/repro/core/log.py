@@ -23,10 +23,11 @@ maintains a parallel index of *value* entries (non-⊥), so ``max_block``
 is O(1) and ``max_below`` is a pure bisection — the seed walked the
 entry list backwards past every ⊥ placeholder.  For persistence, the
 log also defines a journal representation (:func:`append_record` /
-:func:`trim_record` / :func:`snapshot_record` + :func:`replay_journal`):
-instead of re-serializing the full entry list on every mutation
-(O(log-length) per write, O(writes²) per run), the replica appends O(1)
-delta records and replays them on recovery.
+:func:`snapshot_record` + :func:`replay_journal`): instead of
+re-serializing the full entry list on every mutation (O(log-length) per
+write, O(writes²) per run), the replica appends O(1) delta records,
+resets the journal to one snapshot of the trimmed log at each GC trim,
+and replays the records on recovery.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "ReplicaLog",
     "BOTTOM",
     "append_record",
-    "trim_record",
     "snapshot_record",
     "replay_journal",
 ]
@@ -202,39 +202,41 @@ class ReplicaLog:
     def trim_below(self, ts: Timestamp) -> int:
         """Garbage-collect entries with timestamps strictly below ``ts``.
 
-        Keeps the entry at ``ts`` itself (the most recent complete
-        write) if present; if no entry at or above ``ts`` holds a value,
-        the newest value entry below is retained instead so ``max_block``
-        remains correct.  Returns the number of entries removed.
+        Keeps every entry at or above ``ts`` (the most recent complete
+        write, and anything newer).  If none of those holds a value, the
+        newest value entry below ``ts`` is retained instead so
+        ``max_block`` remains correct, and — when nothing at all is at
+        or above ``ts`` (this replica missed the write) — so is the
+        newest entry, which carries ``max_ts``.  The ⊥ entries in
+        between describe versions older than a complete write and go.
+        Returns the number of entries removed.
 
         See Section 5.1: after a write completes at a full quorum with
         timestamp ``ts``, older data is no longer needed.
         """
         cut = bisect.bisect_left(self._keys, ts)
-        if cut == 0:
+        if cut == 0 or not self._value_entries:
             return 0
-        # Guarantee a value entry survives (timestamps are unique, so a
-        # value entry survives the cut iff the newest value timestamp is
-        # at or after the first kept key).
-        survives = (
-            cut < len(self._keys)
-            and self._value_keys
-            and self._value_keys[-1] >= self._keys[cut]
-        )
-        if not survives:
-            if not self._value_keys:
-                return 0
-            cut = bisect.bisect_left(self._keys, self._value_keys[-1])
-            if cut == 0:
-                return 0
-        removed = cut
-        first_kept = self._keys[cut]
-        value_cut = bisect.bisect_left(self._value_keys, first_kept)
-        self._entries = self._entries[cut:]
-        self._keys = self._keys[cut:]
-        self._value_keys = self._value_keys[value_cut:]
-        self._value_entries = self._value_entries[value_cut:]
-        return removed
+        entries, keys = self._entries, self._keys
+        before = len(entries)
+        newest = self._value_keys[-1]
+        if cut < before and newest >= keys[cut]:
+            value_cut = bisect.bisect_left(self._value_keys, keys[cut])
+            del self._value_keys[:value_cut]
+            del self._value_entries[:value_cut]
+        else:
+            # Keep the newest value, then what is at or above ``ts`` —
+            # or, if nothing is, the newest entry.  The value index
+            # already holds just what survives: the newest value.
+            value_at = bisect.bisect_left(keys, newest)
+            del entries[value_at + 1:min(cut, before - 1)]
+            del keys[value_at + 1:min(cut, before - 1)]
+            cut = value_at
+            del self._value_keys[:-1]
+            del self._value_entries[:-1]
+        del entries[:cut]
+        del keys[:cut]
+        return before - len(entries)
 
     # -- persistence helpers -------------------------------------------------
 
@@ -253,13 +255,12 @@ class ReplicaLog:
 
 # -- journal records ---------------------------------------------------------
 #
-# The journal-style stable representation: a list of O(1) delta records,
-# each mirroring one ReplicaLog mutation.  Replay applies them in order,
-# so recovery reconstructs exactly the log the mutations produced.
-# Record tuples are (tag, ...); tags:
+# The journal-style stable representation: a snapshot of the log as of
+# its last trim, then one O(1) delta record per append since.  Replay
+# applies them in order, so recovery reconstructs exactly the log the
+# mutations produced.  Record tuples are (tag, ...); tags:
 
 _APPEND = "a"
-_TRIM = "t"
 _SNAPSHOT = "s"
 
 
@@ -268,14 +269,9 @@ def append_record(ts: Timestamp, block: object) -> tuple:
     return (_APPEND, ts, block)
 
 
-def trim_record(ts: Timestamp) -> tuple:
-    """Journal record for ``log.trim_below(ts)``."""
-    return (_TRIM, ts)
-
-
 def snapshot_record(log: ReplicaLog) -> tuple:
-    """A compaction base record holding the log's full state."""
-    return (_SNAPSHOT, tuple(log.to_state()))
+    """A base record holding the log's full state (written at a trim)."""
+    return (_SNAPSHOT, tuple([(e.ts, e.block) for e in log._entries]))
 
 
 def _is_well_formed(record: Any) -> bool:
@@ -283,7 +279,7 @@ def _is_well_formed(record: Any) -> bool:
     if not isinstance(record, tuple) or not record:
         return False
     tag = record[0]
-    if tag == _SNAPSHOT or tag == _TRIM:
+    if tag == _SNAPSHOT:
         return len(record) == 2
     if tag == _APPEND:
         return len(record) == 3
@@ -312,12 +308,8 @@ def replay_journal(records: List[Any]) -> ReplicaLog:
         tag = record[0]
         if tag == _SNAPSHOT:
             log = ReplicaLog.from_state(list(record[1]))
-        elif tag == _APPEND:
+        else:  # _APPEND
             if log is None:
                 log = ReplicaLog()
             log.append(record[1], record[2])
-        else:  # _TRIM
-            if log is None:
-                log = ReplicaLog()
-            log.trim_below(record[1])
     return log if log is not None else ReplicaLog()

@@ -11,8 +11,8 @@ mutation of ``ord-ts`` or the log is pushed to the node's stable store
 before the reply is sent; on recovery the replica reloads exactly those
 values, so a crash between mutation and reply is equivalent to the
 reply being lost in the network.  The log is persisted as a journal:
-one O(1) delta record per mutation, replayed on recovery and compacted
-to a base snapshot once it outgrows the live log.
+one O(1) delta record per append, replayed on recovery, and reset to a
+single snapshot of the trimmed log at every GC trim.
 
 Retransmission handling: the coordinator's quorum primitive resends
 requests until enough replies arrive (fair-loss channels).  A replica
@@ -30,7 +30,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..errors import CorruptionDetected
 from ..erasure.interface import ErasureCode
-from ..sim.node import Node, record_size
+from ..sim.node import Node
 from ..timestamps import LOW_TS, Timestamp
 from ..types import ProcessId
 from .log import (
@@ -39,7 +39,6 @@ from .log import (
     append_record,
     replay_journal,
     snapshot_record,
-    trim_record,
 )
 from .messages import (
     ALL,
@@ -60,18 +59,6 @@ __all__ = ["Replica", "RegisterState"]
 
 #: Bound on the per-coordinator duplicate-reply cache.
 _REPLY_CACHE_LIMIT = 64
-
-#: Compact a register's journal once it holds more than
-#: ``max(_JOURNAL_MIN, _JOURNAL_FACTOR * len(log))`` records **or**
-#: its persisted bytes exceed ``max(_JOURNAL_MIN_BYTES,
-#: _JOURNAL_FACTOR * live-state bytes)``.  The record-count bound keeps
-#: recovery replay O(log); the byte bound keeps the stable-storage
-#: footprint O(live data) — delta records carry full payload blocks, so
-#: a count-only policy let each register retain up to ``_JOURNAL_MIN``
-#: stale blocks that GC had already dropped from the live log.
-_JOURNAL_MIN = 32
-_JOURNAL_FACTOR = 4
-_JOURNAL_MIN_BYTES = 1024
 
 
 class RegisterState:
@@ -235,39 +222,17 @@ class Replica:
             self.log_key(register_id), append_record(ts, block)
         )
 
-    def persist_trim(self, register_id: int, state: RegisterState,
-                     ts: Timestamp) -> None:
-        """Persist one ``log.trim_below(ts)`` that was just applied.
+    def persist_trim(self, register_id: int, state: RegisterState) -> None:
+        """Persist a ``log.trim_below`` that was just applied.
 
-        This is also the compaction hook: trims are when the journal
-        outgrows the live log, so GC triggers a base snapshot that
-        resets the journal to O(len(log)).
+        A trim is the one compaction point: the journal is reset to a
+        single snapshot of the trimmed log, so the bytes at rest are
+        the live log's and recovery replays O(appends since the last
+        trim).
         """
-        key = self.log_key(register_id)
-        stable = self.node.stable
-        stable.append(key, trim_record(ts))
-        threshold = max(_JOURNAL_MIN, _JOURNAL_FACTOR * len(state.log))
-        if (
-            stable.journal_len(key) > threshold
-            or self._journal_oversized(key, state)
-        ):
-            stable.reset_journal(key, (snapshot_record(state.log),))
-
-    def _journal_oversized(self, key: str, state: RegisterState) -> bool:
-        """True when the journal's bytes dwarf the live state it encodes.
-
-        Appended delta records keep their full payload blocks even
-        after GC has trimmed those entries from the live log, so record
-        count alone does not bound the persisted footprint.  Measuring
-        against a fresh snapshot's size (cheap: the live log is O(1)
-        entries whenever trims are flowing) restores the GC guarantee
-        that stable storage is O(live data).
-        """
-        journal_bytes = self.node.stable.size_of(key)
-        if journal_bytes <= _JOURNAL_MIN_BYTES:
-            return False
-        live_bytes = record_size(snapshot_record(state.log))
-        return journal_bytes > _JOURNAL_FACTOR * live_bytes
+        self.node.stable.reset_journal(
+            self.log_key(register_id), (snapshot_record(state.log),)
+        )
 
     # -- duplicate suppression -------------------------------------------------
 
@@ -513,4 +478,4 @@ class Replica:
             return  # never compact a quarantined register
         removed = state.log.trim_below(req.ts)
         if removed:
-            self.persist_trim(req.register_id, state, req.ts)
+            self.persist_trim(req.register_id, state)

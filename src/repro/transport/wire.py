@@ -136,7 +136,7 @@ def _encode_values(values: Iterable, emit: Callable[[bytes], None]) -> None:
     """Emit the pieces of each value's tagged form, in order.
 
     Dispatch is on the exact type (so ``bool`` never reads as ``int``
-    and a Timestamp, itself a frozen dataclass, never as a message);
+    and a Timestamp, itself a tuple, never as a list);
     anything else goes through :func:`_plain` first.
     """
     for value in values:
@@ -192,13 +192,13 @@ def _plain(value: Any) -> Any:
     the exact builtin it extends — or the refusal the caller acts on."""
     if isinstance(value, (bytes, bytearray)):
         return bytes(value)
+    if isinstance(value, Timestamp):
+        return Timestamp(value.time, value.process_id, value.kind)
     if isinstance(value, (list, tuple)):
         return list(value)
     for base in (int, float, str, frozenset):
         if isinstance(value, base):
             return base(value)
-    if isinstance(value, Timestamp):
-        return Timestamp(value.time, value.process_id, value.kind)
     name = type(value).__name__
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         raise ConfigurationError(

@@ -35,16 +35,18 @@ class TestOnlineGc:
     def test_gc_with_block_writes(self):
         cluster = make_cluster(m=3, n=5, gc_enabled=True)
         register = cluster.register(0)
-        register.write_stripe(stripe_of(3, 32, tag=0))
+        expected = stripe_of(3, 32, tag=0)
+        register.write_stripe(expected)
         for tag in range(1, 12):
             block = (f"g{tag}".encode() * 32)[:32]
-            register.write_block((tag % 3) + 1, block)
-        cluster.run(until=cluster.env.now + 50)
-        # Fast block writes do not GC (they do not touch a full quorum
-        # write path in our implementation), so growth is bounded only
-        # by the stripe writes; still, reads must stay correct.
-        value = register.read_stripe()
-        assert value is not None
+            j = (tag % 3) + 1
+            assert register.write_block(j, block) == "OK"
+            expected[j - 1] = block
+            cluster.run(until=cluster.env.now + 10)
+            # A complete Modify sends the notice too: a ts-only brick
+            # keeps its value entry plus the newest ⊥, nothing older.
+            assert cluster.gc.high_water_mark(0) <= 2
+        assert register.read_stripe() == expected
 
     def test_gc_safe_under_crash(self):
         """GC then crash/recover: the surviving entry must suffice."""
@@ -184,3 +186,36 @@ class TestGcRecoveryInterplay:
             log = replica.state(0).log
             assert log.max_block()[1] is not None
         assert register.read_stripe() == stripe
+
+
+class TestBlockWriteGcOnLrc:
+    """GC after fast block writes on a non-MDS code.
+
+    After the notice, a version's spanning fragments may sit outside
+    any one read quorum; the recovery read must widen, not descend
+    below the trimmed floor and fabricate a nil.
+    """
+
+    @pytest.mark.parametrize("disable_fast_read", [False, True])
+    @pytest.mark.parametrize("down", [1, 3, 5, 8])
+    def test_read_stripe_decodes_with_a_brick_down(self, down,
+                                                   disable_fast_read):
+        cluster = make_cluster(
+            m=4, n=8, code_kind="lrc", gc_enabled=True,
+            disable_fast_read=disable_fast_read,
+        )
+        register = cluster.register(0)
+        expected = stripe_of(4, 32, tag=1)
+        assert register.write_stripe(expected) == "OK"
+        for tag in range(2, 8):
+            j = 1 + tag % 4
+            block = bytes([tag]) * 32
+            assert register.write_block(j, block) == "OK"
+            expected[j - 1] = block
+        cluster.run(until=cluster.env.now + 10)  # let the notices land
+        assert cluster.gc.high_water_mark(0) <= 2
+        cluster.crash(down)
+        for route in range(1, 9):
+            if route != down:
+                reader = cluster.register(0, route=route)
+                assert reader.read_stripe() == expected

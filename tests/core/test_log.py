@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.log import BOTTOM, LogEntry, ReplicaLog
-from repro.timestamps import LOW_TS, Timestamp
+from repro.timestamps import HIGH_TS, LOW_TS, Timestamp
 
 
 def ts(time, pid=1):
@@ -118,6 +118,26 @@ class TestTrim:
         removed = log.trim_below(ts(5))
         assert removed == 1  # only LowTS; ts1 kept as the newest value
         assert log.max_block() == (ts(1), b"a")
+
+    def test_trim_drops_bottoms_between_value_and_ts(self):
+        """A ts-only brick keeps its value and the complete version's ⊥;
+        the ⊥ entries of older versions go, so its log stays O(1)."""
+        log = ReplicaLog()
+        log.append(ts(1), b"a")
+        for t in (2, 3, 4):
+            log.append(ts(t), BOTTOM)
+        assert log.trim_below(ts(4)) == 3  # LowTS, ts2, ts3
+        assert log.to_state() == [(ts(1), b"a"), (ts(4), BOTTOM)]
+        assert log.max_ts_below(HIGH_TS) == ts(4)
+
+    def test_trim_keeps_max_ts_on_a_brick_that_missed_the_write(self):
+        log = ReplicaLog()
+        log.append(ts(1), b"a")
+        log.append(ts(2), BOTTOM)
+        log.append(ts(3), BOTTOM)
+        assert log.trim_below(ts(9)) == 2  # LowTS, ts2
+        assert log.to_state() == [(ts(1), b"a"), (ts(3), BOTTOM)]
+        assert log.max_ts() == ts(3)
 
     def test_trim_nothing_below(self):
         log = ReplicaLog()

@@ -59,7 +59,11 @@ CENSUS = [
     ("append", ("a", TS, b"x" * 1024), 8 + 34 + 48 + 1057),
     ("append nil", ("a", TS, None), 8 + 34 + 48 + 4),
     ("append ⊥", ("a", TS, BOTTOM), 8 + 34 + 48 + 8),
-    ("trim", ("t", TS), 8 + 34 + 48),
+    (  # what a GC trim leaves on a ts-only data brick after a Modify
+        "snapshot ⊥",
+        ("s", ((Timestamp(6, 1), b"y" * 16), (TS, BOTTOM))),
+        8 + 34 + (8 + (8 + 48 + 49) + (8 + 48 + 8)),
+    ),
     (
         "snapshot",
         ("s", ((TS, b"y" * 16), (Timestamp(6, 1), None))),

@@ -1,5 +1,8 @@
 """Timestamps: ordering, sentinels, and the Section 2.3 properties."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +51,59 @@ class TestTimestampOrdering:
     def test_total_order(self, t1, p1, t2, p2):
         a, b = Timestamp(t1, p1), Timestamp(t2, p2)
         assert (a < b) + (b < a) + (a == b) == 1
+
+
+class TestTimestampValue:
+    """A Timestamp is the tuple ``(kind, time, process_id)``: ordering,
+    equality and hashing are the tuple's, and the value round-trips
+    through pickle and copy (process pools ship it)."""
+
+    @pytest.mark.parametrize("stamp", [
+        LOW_TS, HIGH_TS, Timestamp(0, 1), Timestamp(10**18, 7),
+        Timestamp(12.5, 3), Timestamp(-4, 2),
+    ])
+    def test_pickle_and_copy_roundtrip(self, stamp):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(stamp, protocol))
+            assert back == stamp and type(back) is Timestamp
+            assert (back.kind, back.time, back.process_id) == (
+                stamp.kind, stamp.time, stamp.process_id
+            )
+        for back in (copy.copy(stamp), copy.deepcopy(stamp)):
+            assert back == stamp and type(back) is Timestamp
+            assert repr(back) == repr(stamp)
+
+    def test_fields_and_keyword_construction(self):
+        stamp = Timestamp(time=5, process_id=3)
+        assert (stamp.time, stamp.process_id, stamp.kind) == (5, 3, 0)
+        assert tuple(stamp) == (0, 5, 3)
+        assert Timestamp(0, 0, kind=-1) == LOW_TS
+        with pytest.raises(AttributeError):
+            stamp.time = 6
+
+    def test_hash_is_the_tuple_hash(self):
+        # Dicts and sets keyed by timestamps keep their layout.
+        assert hash(Timestamp(3, 4)) == hash((0, 3, 4))
+        assert hash(LOW_TS) == hash((-1, 0, 0))
+        assert hash(HIGH_TS) == hash((1, 0, 0))
+
+    def test_order_is_kind_then_time_then_process(self):
+        stamps = [
+            HIGH_TS, Timestamp(2, 1), Timestamp(1, 2), LOW_TS,
+            Timestamp(1, 1), Timestamp(-5, 9),
+        ]
+        assert sorted(stamps) == [
+            LOW_TS, Timestamp(-5, 9), Timestamp(1, 1), Timestamp(1, 2),
+            Timestamp(2, 1), HIGH_TS,
+        ]
+        assert max(Timestamp(1, 2), Timestamp(1, 1)) == Timestamp(1, 2)
+        assert Timestamp(1, 1) <= Timestamp(1, 1) >= Timestamp(1, 1)
+
+    def test_repr_of_generated_and_sentinels(self):
+        assert [repr(s) for s in (LOW_TS, Timestamp(7, 2), HIGH_TS)] == [
+            "LowTS", "TS(7,2)", "HighTS",
+        ]
+        assert str(Timestamp(7, 2)) == "TS(7,2)"
 
 
 class TestTimestampSource:
