@@ -49,7 +49,6 @@ from .core import (
     LogicalVolume,
     Replica,
     RetryPolicy,
-    RouteOptions,
     SessionOp,
     StorageRegister,
     VolumeSession,
@@ -72,7 +71,6 @@ __all__ = [
     "VolumeSession",
     "SessionOp",
     "RetryPolicy",
-    "RouteOptions",
     "Coordinator",
     "Replica",
     "Transport",

@@ -59,8 +59,6 @@ __all__ = ["run_serve"]
 CHAOS_SESSION_RETRY = RetryPolicy(
     attempts=12,
     backoff=4.0,
-    backoff_growth=1.5,
-    jitter=0.5,
     attempt_timeout=400.0,
     max_failovers=64,
 )

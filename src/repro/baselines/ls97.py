@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.routing import resolve_route
 from ..sim.monitor import Metrics
 from ..sim.network import NetworkConfig
-from ..sim.node import Node
 from ..timestamps import LOW_TS, Timestamp, TimestampSource
+from ..transport.base import Node
 from ..transport.sim import SimTransport
 from ..types import Block, ProcessId
 
@@ -254,18 +253,20 @@ class Ls97Cluster:
                 node, cfg.n, TimestampSource(pid, clock=self.transport.now)
             )
 
-    def _coordinator(self, route) -> _Ls97Coordinator:
-        pid = resolve_route(route).coordinator
-        return self.coordinators[1 if pid is None else pid]
+    def _coordinator(self, route: Optional[ProcessId]) -> _Ls97Coordinator:
+        return self.coordinators[1 if route is None else route]
 
-    def read(self, register_id: int, route=None):
-        """Blocking read via ``route``'s coordinator (default brick 1)."""
+    def read(self, register_id: int, route: Optional[ProcessId] = None):
+        """Blocking read coordinated by brick ``route`` (default 1)."""
         coordinator = self._coordinator(route)
         process = coordinator.node.spawn(coordinator.read(register_id))
         return self.transport.run_until_complete(process)
 
-    def write(self, register_id: int, value: Block, route=None):
-        """Blocking write via ``route``'s coordinator (default brick 1)."""
+    def write(
+        self, register_id: int, value: Block,
+        route: Optional[ProcessId] = None,
+    ):
+        """Blocking write coordinated by brick ``route`` (default 1)."""
         coordinator = self._coordinator(route)
         process = coordinator.node.spawn(coordinator.write(register_id, value))
         return self.transport.run_until_complete(process)

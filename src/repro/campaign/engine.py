@@ -31,7 +31,7 @@ import random
 
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
-from ..errors import ConfigurationError, StorageError
+from ..errors import StorageError
 from ..sim.network import NetworkConfig
 from ..types import OpKind
 from ..verify.history import HistoryRecorder
@@ -44,6 +44,17 @@ __all__ = [
     "run_campaign",
     "broken_config",
 ]
+
+#: Operation mix: the chance an op writes, and that it touches one block
+#: rather than the whole stripe.
+_WRITE_FRACTION = 0.5
+_BLOCK_FRACTION = 0.4
+#: Gap between a client's operations.
+_THINK_TIME = 2.0
+#: Period of the timestamp monitor's samples.
+_SAMPLE_INTERVAL = 25.0
+#: Wake-up period of the scrub daemon, when it runs.
+_SCRUB_INTERVAL = 20.0
 
 
 @dataclass(frozen=True)
@@ -58,29 +69,26 @@ class CampaignConfig:
         allow_unsafe_f: permit ``f`` beyond the bound — the deliberately
             broken mode used to validate that the invariant checks fire.
         registers / clients / ops_per_client: workload shape; clients
-            issue operations back-to-back (with ``think_time`` gaps)
-            against random registers through random live coordinators.
-        write_fraction / block_fraction: operation mix.
+            issue operations back-to-back (2 time units apart, half of
+            them writes, 40% single-block) against random registers
+            through random live coordinators, with §5.1 GC on.
         duration: schedule horizon; no fault fires after it.
         drain: extra simulated time after ``duration`` for in-flight
             operations to finish or time out.
         op_timeout: coordinator operation timeout, so operations cut off
             from a quorum abort instead of hanging forever.
         crash_weight / partition_weight / drop_weight / max_down /
-        drop_max / max_clock_skew: fault-mix knobs, passed to
+        max_clock_skew: fault-mix knobs, passed to
             :func:`~repro.campaign.schedule.generate_schedule`.
         corrupt_weight: weight of silent bit-flip faults in the mix
             (0 disables corruption injection entirely).
-        torn_write_probability: chance each scheduled crash also leaves
-            a torn journal tail (only when corruption is enabled).
         verify_checksums: verify stable-store CRC envelopes (default).
             ``False`` is the negative mode: injected corruption loads
             as garbage and the read-verification invariant fires.
-        scrub_enabled / scrub_interval: run the background
-            scrub-and-repair daemon during the campaign, verifying
-            checksums every ``scrub_interval`` sim-time.  Its sampler
-            is seeded from ``seed``, so campaign determinism and the
-            corruption invariants hold unchanged.
+        scrub_enabled: run the background scrub-and-repair daemon
+            during the campaign, verifying checksums every 20 time
+            units.  Its sampler is seeded from ``seed``, so campaign
+            determinism and the corruption invariants hold unchanged.
     """
 
     m: int = 3
@@ -93,31 +101,17 @@ class CampaignConfig:
     registers: int = 4
     clients: int = 3
     ops_per_client: int = 30
-    write_fraction: float = 0.5
-    block_fraction: float = 0.4
-    think_time: float = 2.0
     duration: float = 400.0
     drain: float = 150.0
-    sample_interval: float = 25.0
     op_timeout: float = 120.0
-    gc_enabled: bool = True
     crash_weight: float = 3.0
     partition_weight: float = 1.0
     drop_weight: float = 1.0
     max_down: Optional[int] = None
-    drop_max: float = 0.2
     max_clock_skew: float = 0.0
     corrupt_weight: float = 0.0
-    torn_write_probability: float = 0.5
     verify_checksums: bool = True
     scrub_enabled: bool = False
-    scrub_interval: float = 20.0
-
-    def __post_init__(self) -> None:
-        if self.scrub_enabled and self.scrub_interval <= 0:
-            raise ConfigurationError(
-                f"scrub_interval must be > 0, got {self.scrub_interval}"
-            )
 
     @property
     def effective_f(self) -> int:
@@ -199,7 +193,7 @@ class _Client:
             pid for pid, node in engine.cluster.nodes.items() if node.is_up
         )
         if not live:
-            self._after(engine.config.think_time)
+            self._after(_THINK_TIME)
             return
         pid = self.rng.choice(live)
         register_id = self.rng.randrange(engine.config.registers)
@@ -214,7 +208,7 @@ class _Client:
             # The brick crashed between the liveness check and the
             # spawn (same-timestamp event); retry elsewhere.
             generator.close()
-            self._after(engine.config.think_time)
+            self._after(_THINK_TIME)
             return
         self.remaining -= 1
         engine.recorders[register_id].track(
@@ -225,8 +219,8 @@ class _Client:
 
     def _pick_op(self, coordinator, register_id: int) -> Tuple:
         cfg = self.engine.config
-        writing = self.rng.random() < cfg.write_fraction
-        block_op = self.rng.random() < cfg.block_fraction
+        writing = self.rng.random() < _WRITE_FRACTION
+        block_op = self.rng.random() < _BLOCK_FRACTION
         if writing and block_op:
             j = self.rng.randint(1, cfg.m)
             block = self.engine.fresh_block()
@@ -252,7 +246,7 @@ class _Client:
         )
 
     def _op_done(self) -> None:
-        self._after(self.engine.config.think_time)
+        self._after(_THINK_TIME)
 
     def _after(self, delay: float) -> None:
         timer = self.engine.env.timeout(delay)
@@ -283,7 +277,7 @@ class _Engine:
                 ),
                 coordinator=CoordinatorConfig(
                     op_timeout=config.op_timeout,
-                    gc_enabled=config.gc_enabled,
+                    gc_enabled=True,
                 ),
                 metrics_history_limit=256,
             )
@@ -330,8 +324,6 @@ def run_campaign(
             drop_weight=config.drop_weight,
             corrupt_weight=config.corrupt_weight,
             registers=config.registers,
-            torn_write_probability=config.torn_write_probability,
-            drop_max=config.drop_max,
             max_clock_skew=config.max_clock_skew,
         )
     engine = _Engine(config, schedule)
@@ -358,7 +350,7 @@ def run_campaign(
             engine.cluster,
             registers=range(config.registers),
             config=ScrubConfig(
-                interval=config.scrub_interval, seed=config.seed
+                interval=_SCRUB_INTERVAL, seed=config.seed
             ),
             horizon=config.duration + config.drain,
         )
@@ -369,7 +361,7 @@ def run_campaign(
         if engine.env.now >= config.duration + config.drain:
             return
         monitor.sample()
-        timer = engine.env.timeout(config.sample_interval)
+        timer = engine.env.timeout(_SAMPLE_INTERVAL)
         timer._add_callback(lambda _t: periodic())
 
     periodic()

@@ -332,6 +332,13 @@ def _arm_send_trigger(node, after: Tuple[str, int], fire) -> None:
 # -- generation ----------------------------------------------------------------
 
 
+#: Chance a scheduled crash also leaves a torn journal tail (when
+#: corruption is enabled).
+_TORN_WRITE_PROBABILITY = 0.5
+#: Upper bound of a drop window's loss probability.
+_DROP_MAX = 0.2
+
+
 def _within_budget(down, pid: int, corrupted, max_down: int) -> bool:
     """True iff ``pid`` joining ``down`` keeps every register's
     ``|down ∪ corrupted_ever[r]|`` within ``max_down``."""
@@ -350,12 +357,10 @@ def generate_schedule(
     drop_weight: float = 1.0,
     corrupt_weight: float = 0.0,
     registers: int = 0,
-    torn_write_probability: float = 0.5,
     event_gap: Tuple[float, float] = (10.0, 40.0),
     down_time: Tuple[float, float] = (20.0, 60.0),
     partition_time: Tuple[float, float] = (20.0, 50.0),
     drop_time: Tuple[float, float] = (10.0, 30.0),
-    drop_max: float = 0.2,
     max_clock_skew: float = 0.0,
 ) -> CampaignSchedule:
     """Generate a seeded fault schedule for ``n`` bricks.
@@ -376,9 +381,11 @@ def generate_schedule(
     a crash or corruption that would exceed it is not scheduled — so a
     sound configuration (``n >= 2f + m``) always retains a clean
     ordering quorum and recoverability.  When corruption is enabled,
-    each scheduled crash is also followed (with
-    ``torn_write_probability``) by a ``torn_write`` event at the same
+    each scheduled crash is also followed (with probability
+    ``_TORN_WRITE_PROBABILITY``) by a ``torn_write`` event at the same
     instant, modelling the in-flight journal append the crash cut off.
+    A drop window loses each message with a probability drawn from
+    ``[0.01, _DROP_MAX]``.
     """
     rng = random.Random(seed)
     events: List[FaultEvent] = []
@@ -419,7 +426,7 @@ def generate_schedule(
             pid = rng.choice(candidates)
             back = min(duration, now + rng.uniform(*down_time))
             events.append(FaultEvent(time=now, kind="crash", targets=(pid,)))
-            if corruption_on and rng.random() < torn_write_probability:
+            if corruption_on and rng.random() < _TORN_WRITE_PROBABILITY:
                 # The crash cut an in-flight journal append: leave a
                 # torn tail at the same instant (applied after the
                 # crash — same-time events keep list order).
@@ -462,7 +469,7 @@ def generate_schedule(
             events.append(
                 FaultEvent(
                     time=now, kind="drop_start",
-                    value=round(rng.uniform(0.01, drop_max), 4),
+                    value=round(rng.uniform(0.01, _DROP_MAX), 4),
                 )
             )
             events.append(FaultEvent(time=stop_at, kind="drop_stop"))

@@ -242,6 +242,8 @@ def _campaign(args: argparse.Namespace) -> int:
     from .analysis.campaign import render_report, run_suite, to_json
     from .campaign.engine import CampaignConfig, broken_config
 
+    if args.seeds < 1:
+        raise SystemExit(f"--seeds wants at least 1 seed, got {args.seeds}")
     config = CampaignConfig(
         m=args.m,
         n=args.n,

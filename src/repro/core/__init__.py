@@ -16,7 +16,6 @@ Module map (paper section → module):
 * Section 5.1 garbage collection   → :mod:`repro.core.gc`
 * FAB assembly                     → :mod:`repro.core.cluster`
 * logical volumes                  → :mod:`repro.core.volume`
-* routing / multipathing           → :mod:`repro.core.routing`
 * pipelined session engine         → :mod:`repro.core.session`
 """
 
@@ -25,7 +24,6 @@ from .coordinator import Coordinator
 from .log import LogEntry, ReplicaLog
 from .register import StorageRegister
 from .replica import Replica
-from .routing import RouteOptions
 from .session import RetryPolicy, SessionOp, VolumeSession
 from .volume import LogicalVolume
 
@@ -33,7 +31,6 @@ __all__ = [
     "FabCluster",
     "ClusterConfig",
     "RetryPolicy",
-    "RouteOptions",
     "SessionOp",
     "StorageRegister",
     "VolumeSession",

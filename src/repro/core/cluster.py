@@ -28,16 +28,14 @@ from ..errors import ConfigurationError
 from ..quorum.system import MajorityMQuorumSystem
 from ..sim.monitor import Metrics
 from ..sim.network import NetworkConfig
-from ..sim.node import Node
 from ..timestamps import TimestampSource
 from ..transport import make_transport
-from ..transport.base import Transport
+from ..transport.base import Node, Transport
 from ..types import ProcessId
 from .coordinator import Coordinator, CoordinatorConfig
 from .gc import GarbageCollector
 from .register import StorageRegister
 from .replica import Replica
-from .routing import resolve_route
 
 __all__ = ["ClusterConfig", "FabCluster"]
 
@@ -53,7 +51,7 @@ class ClusterConfig:
         code_kind: erasure-code implementation (see
             :func:`repro.erasure.registry.make_code`).
         network: network behaviour (latency, drops, ...).
-        coordinator: protocol knobs (retransmission, grace, GC, ...).
+        coordinator: protocol knobs (op timeout, GC, ablations).
         clock_skews: per-process clock skew in time units (index by
             process id); missing ids default to zero.  Used by the
             abort-rate ablation.
@@ -162,16 +160,16 @@ class FabCluster:
         """The coordinator running on brick ``pid``."""
         return self.coordinators[pid]
 
-    def register(self, register_id: int, route=None) -> StorageRegister:
+    def register(
+        self, register_id: int, route: Optional[ProcessId] = None
+    ) -> StorageRegister:
         """A register handle for stripe ``register_id``.
 
-        Any brick can coordinate; pass ``route=RouteOptions(
-        coordinator=...)`` (or a bare pid) to exercise multi-controller
-        access to the same stripe.  Defaults to brick 1.
+        Any brick can coordinate; pass ``route=pid`` to exercise
+        multi-controller access to the same stripe.  Defaults to brick 1.
         """
-        pid = resolve_route(route).coordinator
         return StorageRegister(
-            self.coordinators[1 if pid is None else pid], register_id
+            self.coordinators[1 if route is None else route], register_id
         )
 
     def register_ids(self) -> list:

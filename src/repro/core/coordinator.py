@@ -1,7 +1,7 @@
 """Coordinator-side protocol (paper Algorithms 1 and 3).
 
 Any brick can coordinate any operation.  A :class:`Coordinator` lives on
-one :class:`~repro.sim.node.Node` and exposes the register methods —
+one :class:`~repro.transport.base.Node` and exposes the register methods —
 ``read_stripe``, ``write_stripe``, ``read_block``, ``write_block`` and
 their multi-block forms ``read_blocks``, ``write_blocks`` — as
 simulation coroutines (generators).  Each phase kind of the paper is
@@ -38,8 +38,7 @@ from ..errors import ProtocolInvariantError
 from ..erasure.interface import ErasureCode
 from ..quorum.system import MajorityMQuorumSystem
 from ..sim.monitor import Metrics
-from ..sim.node import Node
-from ..transport.base import TimerHandle
+from ..transport.base import Node, TimerHandle
 from ..timestamps import HIGH_TS, LOW_TS, Timestamp, TimestampSource
 from ..types import ABORT, Block, ProcessId
 from .messages import (
@@ -62,18 +61,23 @@ __all__ = ["Coordinator", "CoordinatorConfig", "QuorumRpc"]
 #: Return value of successful writes (the paper's OK).
 OK = "OK"
 
+#: Period between retransmissions to processes that have not replied
+#: (fair-loss handling), in transport time units.
+_RETRANSMIT_INTERVAL = 8.0
+#: Extra time a phase with a ``prefer`` predicate waits after a quorum
+#: has replied for the preferred (block-carrying) replies: 2x the sim's
+#: default maximum one-way delay.
+_GRACE = 2.0
+
 
 @dataclass
 class CoordinatorConfig:
     """Coordinator behaviour knobs.
 
+    Retransmission (every ``_RETRANSMIT_INTERVAL`` units) and the
+    fast path's grace window (``_GRACE`` units past quorum) are fixed.
+
     Attributes:
-        retransmit_interval: period between retransmissions to
-            processes that have not replied (fair-loss handling).
-        grace: extra time to wait after a quorum has replied for the
-            fast path's preferred replies to arrive.  Measured in the
-            same units as network latency; 2x the max one-way delay is
-            a natural choice.
         op_timeout: overall cap on one quorum phase; ``None`` waits
             forever (the paper's model).  When set, an expired phase
             makes the operation abort instead of hanging — useful for
@@ -94,8 +98,6 @@ class CoordinatorConfig:
             outside that experiment.
     """
 
-    retransmit_interval: float = 8.0
-    grace: float = 2.0
     op_timeout: Optional[float] = None
     observe_timestamps: bool = True
     gc_enabled: bool = False
@@ -166,7 +168,7 @@ class _PendingCall:
             return
         rpc.node.metrics.count_retransmission()
         self.transmit()
-        self.arm("retransmit", rpc.config.retransmit_interval, self.retransmit)
+        self.arm("retransmit", _RETRANSMIT_INTERVAL, self.retransmit)
 
     def on_reply(self, src: ProcessId, reply: object) -> None:
         if self.finished or src in self.replies:
@@ -185,7 +187,7 @@ class _PendingCall:
                 self._finish()
             elif not self._grace_started:
                 self._grace_started = True
-                self.arm("grace", self.rpc.config.grace, self._finish)
+                self.arm("grace", _GRACE, self._finish)
 
     def _finish(self) -> None:
         if self.finished:
@@ -269,7 +271,7 @@ class QuorumRpc:
         call = _PendingCall(self, request_id, make_request, needed, prefer)
         self._pending[request_id] = call
         call.transmit()
-        call.arm("retransmit", self.config.retransmit_interval, call.retransmit)
+        call.arm("retransmit", _RETRANSMIT_INTERVAL, call.retransmit)
         if self.config.op_timeout is not None:
             call.arm("op_timeout", self.config.op_timeout, call.expire)
 

@@ -31,7 +31,6 @@ from ..errors import CorruptionDetected
 from ..timestamps import Timestamp
 from ..types import ABORT, ProcessId
 from .cluster import FabCluster
-from .routing import resolve_route
 
 __all__ = ["ScrubReport", "Scrubber", "RebuildReport", "Rebuilder"]
 
@@ -171,14 +170,16 @@ class Rebuilder:
 
     Args:
         cluster: the cluster to repair.
-        route: where to coordinate rebuild operations —
-            ``RouteOptions(coordinator=pid)`` or a bare pid; the brick
-            must be up (pick any survivor).  Defaults to brick 1.
+        route: the pid of the brick that coordinates rebuild
+            operations; it must be up (pick any survivor).  Defaults to
+            brick 1.
     """
 
-    def __init__(self, cluster: FabCluster, route=None) -> None:
+    def __init__(
+        self, cluster: FabCluster, route: Optional[ProcessId] = None
+    ) -> None:
         self.cluster = cluster
-        self.route = resolve_route(route)
+        self.route = route
         self.scrubber = Scrubber(cluster)
 
     def rebuild_register(self, register_id: int) -> str:

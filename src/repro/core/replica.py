@@ -1,6 +1,6 @@
 """Replica message handlers (paper Algorithm 2 + the Modify handler).
 
-A :class:`Replica` runs on a :class:`~repro.sim.node.Node` and manages
+A :class:`Replica` runs on a :class:`~repro.transport.base.Node` and manages
 the per-register persistent state (``ord-ts`` and the log) for every
 register whose stripe places a block on this brick.  Handlers are
 synchronous — Algorithm 2's handlers never block — and reply directly
@@ -30,8 +30,8 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..errors import CorruptionDetected
 from ..erasure.interface import ErasureCode
-from ..sim.node import Node
 from ..timestamps import LOW_TS, Timestamp
+from ..transport.base import Node
 from ..types import ProcessId
 from .log import (
     BOTTOM,

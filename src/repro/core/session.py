@@ -14,9 +14,8 @@ that client — a pipelined I/O engine over one
   large-write fast path, applied automatically;
 * wraps every operation in a :class:`RetryPolicy`: aborts (the
   paper's ⊥) are retried with exponential backoff and deterministic
-  jitter, a crashed or timed-out coordinator triggers failover to the
-  next live brick, and an optional per-op deadline bounds the total
-  wait;
+  jitter, and a crashed or timed-out coordinator triggers failover to
+  the next live brick;
 * reports per-session concurrency/retry/abort/failover counters into
   :class:`~repro.sim.monitor.SessionStats`.
 
@@ -61,29 +60,36 @@ from ..sim.kernel import Interrupt, Process
 from ..sim.monitor import SessionStats
 from ..types import ABORT, Block, OpKind, OpStatus, ProcessId
 from ..verify.history import OpRecord
-from .routing import RouteOptions, resolve_route
 
 __all__ = ["RetryPolicy", "SessionOp", "VolumeSession", "DEFAULT_SESSION_RETRY"]
+
+#: Multiplier applied to the backoff after each failed try.
+_BACKOFF_GROWTH = 1.5
+#: Fraction of the current backoff added as deterministic jitter (drawn
+#: from the session's seeded RNG): the actual wait is uniform in
+#: ``[backoff, backoff * (1 + _JITTER)]``, so colliding pipelines
+#: de-synchronize.
+_JITTER = 0.5
+#: How many times one operation may be re-routed because the chosen
+#: coordinator's transport peer state is ``"down"`` (connection lost,
+#: reconnect probing in progress) before it gives up with ⊥.  Separate
+#: from ``RetryPolicy.attempts``, because a flapping link can burn
+#: routing attempts far faster than protocol aborts and should not
+#: starve the abort-retry budget.
+_TRANSPORT_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with exponential backoff, jitter, and deadlines.
+    """Bounded retry with exponential backoff and jitter.
 
     Attributes:
         attempts: total tries (first attempt included); must be >= 1.
-        backoff: simulated time to wait between tries.  Backoff matters:
-            conflicting coordinators that retry in lockstep re-collide,
-            while even a small stagger lets one of them win.
-        backoff_growth: multiplier applied to the backoff after each
-            failed try (1.0 = constant).
-        jitter: fraction of the current backoff added as deterministic
-            jitter (drawn from the session's seeded RNG): the actual
-            wait is uniform in ``[backoff, backoff * (1 + jitter)]``.
-            Zero keeps the legacy fixed-backoff behaviour.
-        deadline: cap on one operation's total simulated time across
-            every retry and failover; exceeding it finishes the
-            operation with status ``"timeout"``.  ``None`` = no cap.
+        backoff: simulated time to wait before the first retry; each
+            later wait grows by 1.5x, plus up to 50% seeded jitter.
+            Backoff matters: conflicting coordinators that retry in
+            lockstep re-collide, while even a small stagger lets one of
+            them win.
         attempt_timeout: cap on a *single* attempt; an attempt that
             exceeds it is abandoned and the operation fails over to the
             next live brick.  The abandoned attempt keeps running and
@@ -91,52 +97,29 @@ class RetryPolicy:
             of the same value, not a no-op.  ``None`` = wait for the
             attempt forever.
         max_failovers: bound on coordinator rotations per operation
-            (crash- or timeout-driven) before giving up.
-        transport_attempts: separate budget for *transport-level*
-            unreachability: how many times one operation may be
-            re-routed because the chosen coordinator's transport peer
-            state is ``"down"`` (connection lost, reconnect probing in
-            progress) before the operation gives up with ⊥.  Distinct
-            from ``attempts`` because a flapping link can burn routing
-            attempts far faster than protocol aborts and should not
-            starve the abort-retry budget.
+            (crash- or timeout-driven) before giving up; 0 disables
+            failover, so a crashed coordinator fails the operation.
     """
 
     attempts: int = 3
     backoff: float = 5.0
-    backoff_growth: float = 2.0
-    jitter: float = 0.0
-    deadline: Optional[float] = None
     attempt_timeout: Optional[float] = None
     max_failovers: int = 16
-    transport_attempts: int = 8
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ConfigurationError(f"attempts must be >= 1, got {self.attempts}")
-        if self.backoff < 0 or self.backoff_growth < 1.0:
-            raise ConfigurationError(
-                "need backoff >= 0 and backoff_growth >= 1"
-            )
-        if self.jitter < 0:
-            raise ConfigurationError(f"jitter must be >= 0, got {self.jitter}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ConfigurationError("deadline must be positive when set")
+        if self.backoff < 0:
+            raise ConfigurationError(f"backoff must be >= 0, got {self.backoff}")
         if self.attempt_timeout is not None and self.attempt_timeout <= 0:
             raise ConfigurationError("attempt_timeout must be positive when set")
         if self.max_failovers < 0:
             raise ConfigurationError("max_failovers must be >= 0")
-        if self.transport_attempts < 1:
-            raise ConfigurationError(
-                f"transport_attempts must be >= 1, got {self.transport_attempts}"
-            )
 
 
 #: The session default: persistent enough to ride out abort storms and
 #: brief quorum loss, with jitter so colliding pipelines de-synchronize.
-DEFAULT_SESSION_RETRY = RetryPolicy(
-    attempts=10, backoff=2.0, backoff_growth=1.5, jitter=0.5
-)
+DEFAULT_SESSION_RETRY = RetryPolicy(attempts=10, backoff=2.0)
 
 
 class SessionOp:
@@ -154,7 +137,7 @@ class SessionOp:
             "timeout" | "crashed" | "failed"``.
         value: client-visible result (bytes/list for reads, ``"OK"``
             for writes, :data:`~repro.types.ABORT` on exhausted
-            retries/deadline).
+            retries).
         attempts / retries / failovers: per-op retry accounting.
         submitted_at / finished_at: simulated invocation/response times.
         coordinator: brick that served the final attempt.
@@ -209,9 +192,9 @@ class SessionOp:
         """The client-visible outcome.
 
         Reads return bytes (single block) or a list of bytes; writes
-        return ``"OK"``.  Exhausted retries or a missed deadline return
-        :data:`~repro.types.ABORT`.  A hard failure (coordinator crash
-        with failover disabled, or an internal error) raises.
+        return ``"OK"``.  Exhausted retries return
+        :data:`~repro.types.ABORT`.  A hard failure (failovers past the
+        policy's budget, or an internal error) raises.
         """
         if not self.done:
             raise StorageError(
@@ -239,12 +222,14 @@ class VolumeSession:
     Args:
         volume: the :class:`~repro.core.volume.LogicalVolume` to drive.
         max_inflight: operations kept running concurrently (>= 1).
-        retry: retry/backoff/deadline policy; defaults to
+        retry: retry/backoff policy; defaults to
             :data:`DEFAULT_SESSION_RETRY`.
-        route: coordinator routing.  With no pinned coordinator the
-            session rotates round-robin over live bricks (spreading
-            coordination load, as the paper's decentralized design
-            intends); a pinned coordinator is preferred while alive.
+        route: the pid of a preferred coordinator, or ``None``.  A
+            pinned coordinator is preferred while alive; otherwise (and
+            with ``None``) the session rotates round-robin over live
+            bricks, spreading coordination load as the paper's
+            decentralized design intends.  A crashed or timed-out
+            coordinator always fails over to the next live brick.
         seed: jitter RNG seed; defaults to a value derived from the
             cluster seed, so identically-seeded runs are bit-identical.
     """
@@ -254,7 +239,7 @@ class VolumeSession:
         volume,
         max_inflight: int = 8,
         retry: Optional[RetryPolicy] = None,
-        route: Optional[RouteOptions] = None,
+        route: Optional[ProcessId] = None,
         seed: Optional[int] = None,
     ) -> None:
         if max_inflight < 1:
@@ -267,7 +252,7 @@ class VolumeSession:
         self.transport = self.cluster.transport
         self.max_inflight = max_inflight
         self.retry = retry or DEFAULT_SESSION_RETRY
-        self.route = resolve_route(route, default=RouteOptions())
+        self.route = route
         if seed is None:
             seed = (self.cluster.config.seed * 2654435761 + 0x5E5510) % 2**31
         self._rng = random.Random(seed)
@@ -542,8 +527,8 @@ class VolumeSession:
         unreachable this always finds a quorum-capable route, so a
         killed TCP listener degrades throughput rather than stalling
         the session.  When *every* live brick is transport-down, one is
-        returned anyway — the caller charges it against the policy's
-        ``transport_attempts`` budget and backs off, which is what
+        returned anyway — the caller charges it against the
+        ``_TRANSPORT_ATTEMPTS`` budget and backs off, which is what
         bounds the wait for the reconnect prober.  Returns ``None``
         only when no brick is up at all.
         """
@@ -551,7 +536,7 @@ class VolumeSession:
         if not live:
             return None
         state = self.transport.peer_state
-        pinned = self.route.coordinator
+        pinned = self.route
         if (
             pinned is not None and pinned in live and pinned != avoid
             and state(pinned) != "down"
@@ -588,21 +573,16 @@ class VolumeSession:
     def _run_op(self, op: SessionOp):
         """Drive one operation to completion: retry, back off, fail over."""
         policy = self.retry
-        start = self.transport.now()
         delay = policy.backoff
         avoid: Optional[ProcessId] = None
         transport_used = 0
         try:
             while True:
-                if self._past_deadline(start):
-                    self._finalize_timeout(op)
-                    return
                 pid = self._pick_coordinator(op, avoid=avoid)
                 avoid = None
                 if pid is None:
                     # Every brick is down: wait for the failure injector
-                    # (or the caller) to recover one, bounded by the
-                    # deadline if the policy set one.
+                    # (or the caller) to recover one.
                     yield self.transport.timer(max(policy.backoff, 1.0))
                     continue
                 if self.transport.peer_state(pid) == "down":
@@ -613,7 +593,7 @@ class VolumeSession:
                     # — back off, and let the reconnect prober work.
                     transport_used += 1
                     self.stats.transport_retries += 1
-                    if transport_used >= policy.transport_attempts:
+                    if transport_used >= _TRANSPORT_ATTEMPTS:
                         op.status = "timeout"
                         op.value = ABORT
                         op.error = StorageError(
@@ -665,8 +645,8 @@ class VolumeSession:
                     op.retries += 1
                     self.stats.retries += 1
                     avoid = pid
-                    wait = delay * (1.0 + policy.jitter * self._rng.random())
-                    delay *= policy.backoff_growth
+                    wait = delay * (1.0 + _JITTER * self._rng.random())
+                    delay *= _BACKOFF_GROWTH
                     yield self.transport.timer(wait)
                     continue
                 if result is not ABORT:
@@ -683,8 +663,8 @@ class VolumeSession:
                     return
                 op.retries += 1
                 self.stats.retries += 1
-                wait = delay * (1.0 + policy.jitter * self._rng.random())
-                delay *= policy.backoff_growth
+                wait = delay * (1.0 + _JITTER * self._rng.random())
+                delay *= _BACKOFF_GROWTH
                 yield self.transport.timer(wait)
         except TerminalTransportError as error:
             # The substrate itself is gone (pump died / transport
@@ -700,23 +680,10 @@ class VolumeSession:
             self.stats.ops_failed += 1
             self._finish(op, completed=False)
 
-    def _past_deadline(self, start: float) -> bool:
-        deadline = self.retry.deadline
-        return deadline is not None and self.transport.now() - start >= deadline
-
     def _note_failover(self, op: SessionOp) -> bool:
-        """Count a failover; finalize the op if the route/policy forbids it."""
+        """Count a failover; finalize the op past the policy's budget."""
         op.failovers += 1
         self.stats.failovers += 1
-        if not self.route.failover:
-            op.status = "crashed"
-            op.error = StorageError(
-                f"coordinator p{op.coordinator} crashed mid-{op.kind} "
-                "and failover is disabled"
-            )
-            self.stats.ops_failed += 1
-            self._finish(op, completed=False)
-            return False
         if op.failovers > self.retry.max_failovers:
             op.status = "crashed"
             op.error = StorageError(
@@ -727,12 +694,6 @@ class VolumeSession:
             self._finish(op, completed=False)
             return False
         return True
-
-    def _finalize_timeout(self, op: SessionOp) -> None:
-        op.status = "timeout"
-        op.value = ABORT
-        self.stats.timeouts += 1
-        self._finish(op)
 
     def _finalize_ok(self, op: SessionOp, result) -> None:
         op.status = "ok"

@@ -44,6 +44,9 @@ __all__ = [
     "run_sharded_campaign",
 ]
 
+#: Campaign clients driving each placement group.
+_CLIENTS_PER_GROUP = 2
+
 
 @dataclass(frozen=True)
 class ShardedCampaignConfig:
@@ -61,11 +64,11 @@ class ShardedCampaignConfig:
         registers: fleet-wide register count; ids are routed to groups
             by the placement hash, exactly as :class:`~repro.placement.
             sharded.ShardedCluster` routes them.
-        clients_per_group / ops_per_client / write_fraction /
-        block_fraction: workload shape inside each group.
+        ops_per_client: workload inside each group, which runs two
+            campaign clients with the campaign's operation mix.
         duration / drain / op_timeout: schedule horizon and settle time.
-        crash_weight / partition_weight / drop_weight / drop_max: fleet
-            fault mix, forwarded to the schedule generator.
+        crash_weight / partition_weight / drop_weight: fleet fault mix,
+            forwarded to the schedule generator.
     """
 
     bricks: int = 34
@@ -77,17 +80,13 @@ class ShardedCampaignConfig:
     code_kind: str = "lrc"
     seed: int = 0
     registers: int = 16
-    clients_per_group: int = 2
     ops_per_client: int = 20
-    write_fraction: float = 0.5
-    block_fraction: float = 0.4
     duration: float = 300.0
     drain: float = 150.0
     op_timeout: float = 120.0
     crash_weight: float = 3.0
     partition_weight: float = 1.0
     drop_weight: float = 1.0
-    drop_max: float = 0.2
 
 
 @dataclass
@@ -194,7 +193,6 @@ def run_sharded_campaign(
         crash_weight=config.crash_weight,
         partition_weight=config.partition_weight,
         drop_weight=config.drop_weight,
-        drop_max=config.drop_max,
     )
     result = ShardedCampaignResult(seed=config.seed, schedule=fleet_schedule)
     for gid in range(config.groups):
@@ -207,10 +205,8 @@ def run_sharded_campaign(
             # Same derivation ShardedCluster uses for per-group seeds.
             seed=config.seed * 8191 + gid,
             registers=max(1, len(share)),
-            clients=config.clients_per_group,
+            clients=_CLIENTS_PER_GROUP,
             ops_per_client=config.ops_per_client,
-            write_fraction=config.write_fraction,
-            block_fraction=config.block_fraction,
             duration=config.duration,
             drain=config.drain,
             op_timeout=config.op_timeout,

@@ -166,7 +166,9 @@ class ShardedCluster:
 
     # -- register routing -----------------------------------------------
 
-    def register(self, register_id: int, route=None) -> StorageRegister:
+    def register(
+        self, register_id: int, route: Optional[int] = None
+    ) -> StorageRegister:
         """A register handle, routed to its placement group.
 
         With no explicit ``route``, the coordinator is the group's first

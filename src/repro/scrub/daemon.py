@@ -19,18 +19,18 @@ space, so a small cluster gets a full pass every wake-up.  The budget
 goes first to a prioritized revisit queue (dirty / quarantined /
 just-repaired registers), then to an aging cursor that visits every
 live pair within a bounded number of wake-ups, then to uniform draws.
-At ``aging_fraction=1`` the cursor takes the whole budget: that is the
-exhaustive round-robin sweep.  A lap of the cursor counts as a
-completed sweep.  All randomness derives from ``ScrubConfig.seed``, so
-fixed-seed campaigns stay deterministic.
+A budget that covers every pair is the exhaustive round-robin sweep.
+A lap of the cursor counts as a completed sweep.  All randomness
+derives from ``ScrubConfig.seed``, so fixed-seed campaigns stay
+deterministic.
 
 The register set is re-resolved from the cluster once per pass-worth
 of scan budget (every wake-up when the budget covers the pair space):
 registers created after :meth:`ScrubDaemon.start` are scrubbed, and
 registers that no longer exist stop consuming scan budget.  Repair
-write-backs flow through a budgeted queue (``max_inflight_repairs``)
-ordered by fragments-lost severity, so a detection burst cannot flood
-the protocol with rebuild traffic.
+write-backs flow through a budgeted queue (at most
+``_MAX_INFLIGHT_REPAIRS`` at once) ordered by fragments-lost severity,
+so a detection burst cannot flood the protocol with rebuild traffic.
 
 Detection is an *offline* audit — it reads stable storage directly via
 :meth:`StableStore.verify`, costing no protocol messages and never
@@ -53,7 +53,6 @@ from ..errors import ConfigurationError, CorruptionDetected, StorageError
 from ..types import ABORT, ProcessId
 from ..core.cluster import FabCluster
 from ..core.rebuild import live_coverage
-from ..core.routing import DEFAULT_ROUTE, RouteOptions
 from .sampler import PairSampler, RepairQueue, RevisitQueue, required_samples
 
 __all__ = ["ScrubConfig", "ScrubDaemon"]
@@ -62,6 +61,16 @@ __all__ = ["ScrubConfig", "ScrubDaemon"]
 #: write-back); detections enqueue at ``1.0 + fragments lost``, so
 #: known-dirty registers always outrank post-repair re-checks.
 _REVISIT_REPAIRED = 0.5
+#: Assumed corrupt fraction of the (register, brick) pair space, from
+#: which the confidence target derives the per-wake-up scan budget.
+_ASSUMED_CORRUPT_RATE = 0.01
+#: Share of each wake-up's budget reserved for the revisit queue.
+_REVISIT_FRACTION = 0.25
+#: Concurrent repair write-backs.
+_MAX_INFLIGHT_REPAIRS = 4
+#: Bound on retained first-detection marks (the MTTR accounting map);
+#: the oldest marks are evicted beyond it.
+_DETECTED_LIMIT = 4096
 
 
 @dataclass
@@ -71,46 +80,24 @@ class ScrubConfig:
     Attributes:
         interval: simulated time between daemon wake-ups.  Together
             with the per-wake-up scan budget this is the rate limit.
-        repair: issue repair write-backs for detected damage (False =
-            detect-and-report only, an audit mode).
-        route: where repair write-backs coordinate, with the same
-            semantics as client I/O: a pinned coordinator is preferred
-            while live; ``failover=False`` skips the repair entirely
-            when the pinned brick is down (a later scan retries).
-            The default unpinned route picks the first live brick.
         seed: sampling RNG seed; fixed seeds reproduce identical scan
             sequences.
         target_confidence: per-wake-up probability of detecting
-            corruption at ``assumed_corrupt_rate``, used to derive the
-            scan budget via
-            :func:`~repro.scrub.sampler.required_samples`.
-        assumed_corrupt_rate: assumed corrupt fraction of the
-            (register, brick) pair space for the budget derivation.
+            corruption at a 1% corrupt rate, used to derive the scan
+            budget via :func:`~repro.scrub.sampler.required_samples`.
         samples_per_tick: explicit scan budget per wake-up (None =
             derive from the confidence target; the derived budget is
             clamped to the pair-space size, so tiny clusters get a full
-            pass every wake-up).
-        revisit_fraction: share of each wake-up reserved for the
-            prioritized revisit queue.
-        aging_fraction: share of the remaining budget drawn round-robin
-            from the aging cursor (the eventual-coverage guarantee);
-            1.0 makes the scheduler an exhaustive sweep.
-        max_inflight_repairs: concurrent repair write-back budget.
-        detected_limit: bound on retained first-detection marks (the
-            MTTR accounting map); oldest marks are evicted beyond it.
+            pass every wake-up).  A budget of at least the pair count
+            is a full pass every wake-up on any cluster.
+
+    Repair write-backs coordinate on the first live brick.
     """
 
     interval: float = 20.0
-    repair: bool = True
-    route: Optional[RouteOptions] = None
     seed: int = 0
     target_confidence: float = 0.95
-    assumed_corrupt_rate: float = 0.01
     samples_per_tick: Optional[int] = None
-    revisit_fraction: float = 0.25
-    aging_fraction: float = 0.25
-    max_inflight_repairs: int = 4
-    detected_limit: int = 4096
 
     def __post_init__(self) -> None:
         # A zero interval re-arms the tick at the same instant (the
@@ -119,13 +106,8 @@ class ScrubConfig:
         for name, ok, want in (
             ("interval", self.interval > 0, "> 0"),
             ("target_confidence", 0 < self.target_confidence < 1, "in (0, 1)"),
-            ("assumed_corrupt_rate", 0 < self.assumed_corrupt_rate < 1, "in (0, 1)"),
             ("samples_per_tick", self.samples_per_tick is None
              or self.samples_per_tick >= 1, ">= 1 when set"),
-            ("revisit_fraction", 0 <= self.revisit_fraction <= 1, "in [0, 1]"),
-            ("aging_fraction", 0 <= self.aging_fraction <= 1, "in [0, 1]"),
-            ("max_inflight_repairs", self.max_inflight_repairs >= 1, ">= 1"),
-            ("detected_limit", self.detected_limit >= 1, ">= 1"),
         ):
             if not ok:
                 raise ConfigurationError(
@@ -145,7 +127,7 @@ class ScrubDaemon:
             scanning to those ids (still intersected with what actually
             exists, so ids never written — or GC'd away — cost no scan
             budget).
-        config: scan budget, rate limit, and repair policy.
+        config: scan budget and rate limit.
         horizon: simulated time after which the daemon stops itself
             (None = run until :meth:`stop`).
 
@@ -181,17 +163,13 @@ class ScrubDaemon:
         self._snapshot_registers: Set[int] = set()
         self._since_resolve = 0
         #: (pid, register_id) -> sim time the daemon first saw it dirty.
-        #: Bounded by ``config.detected_limit``; marks clear when a
+        #: Bounded by ``_DETECTED_LIMIT``; marks clear when a
         #: repair lands *or a later scan verifies the pair clean* (a
         #: client write may repair it behind the daemon's back).
         self._detected_at: Dict[Tuple[int, int], float] = {}
-        self._sampler = PairSampler(
-            seed=self.config.seed, aging_fraction=self.config.aging_fraction
-        )
+        self._sampler = PairSampler(seed=self.config.seed)
         self._revisit = RevisitQueue()
-        self._repairs = RepairQueue(
-            max_inflight=self.config.max_inflight_repairs
-        )
+        self._repairs = RepairQueue(max_inflight=_MAX_INFLIGHT_REPAIRS)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -251,7 +229,7 @@ class ScrubDaemon:
             return min(self.config.samples_per_tick, total_pairs)
         return required_samples(
             self.config.target_confidence,
-            self.config.assumed_corrupt_rate,
+            _ASSUMED_CORRUPT_RATE,
             total_pairs,
         )
 
@@ -290,7 +268,7 @@ class ScrubDaemon:
         wake-up (popped ids are deduped within this one).
         """
         n = self.cluster.config.n
-        revisit_budget = int(budget * self.config.revisit_fraction)
+        revisit_budget = int(budget * _REVISIT_FRACTION)
         popped: List[int] = []
         while revisit_budget >= n:
             register_id = self._revisit.pop()
@@ -322,9 +300,7 @@ class ScrubDaemon:
             return
         if node.stable.verify(replica.log_key(register_id)):
             # Clean — possibly repaired by a client write since we last
-            # marked it.  Clearing here is what keeps the mark map from
-            # leaking in audit mode (repair=False never reaches
-            # ``_repair_done``).
+            # marked it.
             self._detected_at.pop((pid, register_id), None)
             return
         # The scrubber found latent damage before any client read did.
@@ -346,7 +322,7 @@ class ScrubDaemon:
         self._detected_at.setdefault(
             (pid, register_id), self.cluster.transport.now()
         )
-        while len(self._detected_at) > self.config.detected_limit:
+        while len(self._detected_at) > _DETECTED_LIMIT:
             # Evict the oldest mark (dict preserves insertion order) —
             # its repair, if any, just loses MTTR attribution.
             self._detected_at.pop(next(iter(self._detected_at)))
@@ -367,23 +343,19 @@ class ScrubDaemon:
     # -- repair --------------------------------------------------------------
 
     def _offer_repair(self, register_id: int) -> None:
-        if not self.config.repair:
-            return
         self._repairs.offer(register_id, self._fragments_lost(register_id))
         self._pump_repairs()
 
     def _pump_repairs(self) -> None:
         """Admit queued repairs up to the concurrency budget."""
-        if not self.config.repair:
-            return
         while True:
             register_id = self._repairs.next_ready()
             if register_id is None:
                 return
             if not self._start_repair(register_id):
-                # Could not start (no live coordinator, pinned route
-                # down, crash race): release the slot and stand down —
-                # the register stays dirty, so a later scan re-offers.
+                # Could not start (no live coordinator, crash race):
+                # release the slot and stand down — the register stays
+                # dirty, so a later scan re-offers.
                 self._repairs.finished(register_id)
                 return
 
@@ -391,15 +363,7 @@ class ScrubDaemon:
         live = self.cluster.live_processes()
         if not live:
             return False
-        # Repairs follow the same routing policy as client I/O: honor a
-        # pinned coordinator while it is live, and fail over (or, with
-        # failover disabled, stand down until a later scan) when not.
-        route = self.config.route or DEFAULT_ROUTE
-        pid = route.coordinator
-        if pid is None or pid not in live:
-            if pid is not None and not route.failover:
-                return False
-            pid = live[0]
+        pid = live[0]
         coordinator = self.cluster.coordinators[pid]
         generator = coordinator._recover(
             register_id, prefer=live_coverage(self.cluster)

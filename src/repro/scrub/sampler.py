@@ -18,10 +18,10 @@ is its inverse (the confidence a given budget buys).
 Three scheduling structures turn the math into a scrubber:
 
 * :class:`PairSampler` — seeded uniform draws over the live pair list,
-  with a persistent *aging cursor*: a fixed fraction of every draw is
-  taken round-robin from the cursor, so every live pair is visited
-  within ``ceil(pairs / aging_share)`` cycles even if the uniform draws
-  never land on it.  Pure sampling alone has an unbounded worst case;
+  with a persistent *aging cursor*: a quarter of every draw is taken
+  round-robin from the cursor, so every live pair is visited within
+  ``ceil(pairs / aging_share)`` cycles even if the uniform draws never
+  land on it.  Pure sampling alone has an unbounded worst case;
   the cursor bounds it.
 * :class:`RevisitQueue` — a max-priority queue of registers that
   deserve attention before cold ones: known-dirty, quarantined, or
@@ -55,6 +55,9 @@ __all__ = [
 
 #: A scan target: (register_id, process_id).
 Pair = Tuple[int, int]
+
+#: Share of every draw taken round-robin from the aging cursor.
+_AGING_FRACTION = 0.25
 
 
 def required_samples(
@@ -102,26 +105,20 @@ class PairSampler:
         seed: RNG seed; equal seeds reproduce identical draw sequences
             over identical pair lists (the campaign determinism
             property).
-        aging_fraction: share of every draw taken round-robin from the
-            persistent cursor instead of uniformly.  This is the
-            eventual-coverage guarantee: with a stable pair list of
-            ``P`` pairs and a per-cycle budget ``b``, every pair is
-            visited within ``ceil(P / max(1, aging_fraction * b))``
-            cycles, regardless of how the uniform draws fall.  At 1.0
-            every draw comes from the cursor: an exhaustive round-robin
-            sweep.
+
+    A quarter of every draw (``_AGING_FRACTION``) is taken round-robin
+    from the persistent cursor instead of uniformly.  This is the
+    eventual-coverage guarantee: with a stable pair list of ``P`` pairs
+    and a per-cycle budget ``b``, every pair is visited within
+    ``ceil(P / max(1, b // 4))`` cycles, regardless of how the uniform
+    draws fall.
 
     ``laps`` counts completed passes over the pair space: one per
     cumulative cursor advance of one pair-list length, and one per
     draw whose budget covers every pair.
     """
 
-    def __init__(self, seed: int = 0, aging_fraction: float = 0.25) -> None:
-        if not 0.0 <= aging_fraction <= 1.0:
-            raise ConfigurationError(
-                f"aging_fraction must be in [0, 1], got {aging_fraction}"
-            )
-        self.aging_fraction = aging_fraction
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
         #: Lazily initialised to a seeded random phase on the first
         #: draw: a fixed start would make every sampler scan the same
@@ -151,8 +148,7 @@ class PairSampler:
         if count >= total:
             self.laps += 1
             return [pairs[(self._cursor + i) % total] for i in range(total)]
-        aging = min(count, max(1, int(count * self.aging_fraction))) \
-            if self.aging_fraction > 0 else 0
+        aging = min(count, max(1, int(count * _AGING_FRACTION)))
         drawn: List[Pair] = []
         seen: Set[Pair] = set()
         for offset in range(aging):

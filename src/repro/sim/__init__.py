@@ -15,8 +15,8 @@ Layers:
 * :mod:`repro.sim.network` — the network's configuration (delay window,
   loss probability, jitter seed) and message record; the fair-loss
   channel itself is :class:`~repro.transport.sim.SimTransport`.
-* :mod:`repro.sim.node` — crash-recovery nodes with a checksummed
-  stable store of immutable records.
+* :mod:`repro.sim.node` — the checksummed stable store of immutable
+  records that survives a brick's crash.
 * :mod:`repro.sim.monitor` — metric counters (messages, bytes, disk
   I/O, latency) backing the Table 1 measurements.
 """
@@ -32,7 +32,7 @@ from .kernel import (
 )
 from .monitor import Metrics, OpMetrics
 from .network import Message, NetworkConfig
-from .node import Node, StableStore
+from .node import StableStore
 
 __all__ = [
     "Environment",
@@ -44,7 +44,6 @@ __all__ = [
     "Interrupt",
     "NetworkConfig",
     "Message",
-    "Node",
     "StableStore",
     "Metrics",
     "OpMetrics",

@@ -83,7 +83,8 @@ class SessionStats:
         transport_retries: re-routes forced by transport-level
             unreachability (a chosen coordinator the transport reported
             ``"down"``), as opposed to protocol aborts.
-        timeouts: operations that exceeded their per-op deadline.
+        timeouts: operations that gave up because no coordinator was
+            transport-reachable within the re-route budget.
         coalesced_writes: block writes merged into wider stripe
             operations (each merge of k blocks counts k - 1).
         peak_inflight: maximum simultaneously-running operations.

@@ -1,11 +1,8 @@
-"""Crash-recovery nodes with persistent storage.
+"""Stable storage for crash-recovery bricks.
 
-A node models one brick: volatile state, a :class:`StableStore` that
-survives crashes (the paper's ``store(var)`` primitive, Section 4.2),
-and a deliver hook wired into the network.  Crashing a node drops its
-volatile state, interrupts every in-flight coordinator process it owns
-(producing partial operations), and silences its message handling until
-recovery.
+:class:`StableStore` is the storage that survives a brick's crash (the
+paper's ``store(var)`` primitive, Section 4.2); the brick that owns one
+is :class:`~repro.transport.base.Node`.
 
 The module also owns the persisted-record format: what a record is,
 how big it is and its checksum (one walk, :func:`_seal`, projected by
@@ -21,11 +18,9 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import CorruptionDetected
 from ..timestamps import Timestamp
-from ..transport.base import Endpoint, Transport
-from ..types import BOTTOM, ProcessId
-from .monitor import Metrics
+from ..types import BOTTOM
 
-__all__ = ["StableStore", "Node", "record_size", "fingerprint", "flip_bit"]
+__all__ = ["StableStore", "record_size", "fingerprint", "flip_bit"]
 
 
 # -- the persisted-record format ------------------------------------------
@@ -470,31 +465,3 @@ class StableStore:
         """
         return self._sizes.get(key, 0)
 
-
-class Node(Endpoint):
-    """A brick: transport endpoint + stable storage + crash lifecycle.
-
-    All messaging, timers, and process ownership come from
-    :class:`~repro.transport.base.Endpoint`; this class adds the
-    :class:`StableStore` that survives crashes.
-
-    Args:
-        transport: the substrate the endpoint rides on, e.g. a
-            :class:`~repro.transport.sim.SimTransport` over a kernel
-            and network.
-        process_id: this node's id in ``1..n``.
-        metrics: metric sink; defaults to the transport's.
-        verify_checksums: verify stable-store envelopes on read
-            (default True; False is the corruption escape hatch).
-    """
-
-    def __init__(
-        self,
-        *,
-        transport: Transport,
-        process_id: ProcessId,
-        metrics: Optional[Metrics] = None,
-        verify_checksums: bool = True,
-    ) -> None:
-        super().__init__(transport, process_id, metrics)
-        self.stable = StableStore(verify_checksums=verify_checksums)

@@ -14,10 +14,9 @@ The FAB coordinator/replica/session code speaks only the
 
 Any substrate can additionally be wrapped in a
 :class:`~repro.transport.chaos.ChaosTransport` — seeded fault injection
-(drop/delay/duplicate/reorder/corrupt) at the transport boundary —
-either explicitly or by passing ``chaos_policy=`` to
-:func:`make_transport`; it also hosts a fault plan's partitions and
-drop windows, which a bare asyncio transport refuses.
+(drop/duplicate/corrupt) at the transport boundary; it also hosts a
+fault plan's partitions and drop windows, which a bare asyncio
+transport refuses.
 
 ``AsyncioTransport`` (and the wire codec) import lazily: the wire
 module depends on :mod:`repro.core.messages`, which would make the
@@ -26,7 +25,7 @@ module depends on :mod:`repro.core.messages`, which would make the
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..errors import ConfigurationError
 from .base import Endpoint, TimerHandle, Transport
@@ -54,8 +53,6 @@ def make_transport(
     kind: str = "sim",
     network_config: Any = None,
     metrics: Any = None,
-    chaos_policy: Optional[ChaosPolicy] = None,
-    **kwargs: Any,
 ) -> Transport:
     """Build a transport by name (the ``transport=`` knob's backend).
 
@@ -64,20 +61,18 @@ def make_transport(
         network_config: sim-only :class:`~repro.sim.network.
             NetworkConfig` (latency window, drops, jitter seed).
         metrics: metric sink shared with the owning cluster.
-        chaos_policy: when given, the built substrate is wrapped in a
-            :class:`ChaosTransport` applying this seeded fault plan.
-        **kwargs: substrate-specific extras (e.g. ``time_scale``,
-            ``host``, ``base_port`` for the asyncio substrates).
+
+    A TCP cluster on other than the default host and ports builds its
+    :class:`~repro.transport.aio.AsyncioTransport` directly and hands it
+    to the cluster.
 
     Raises:
         ConfigurationError: unknown ``kind``, or sim-only options passed
             to a wall-clock substrate.
     """
     if kind == "sim":
-        transport: Transport = SimTransport(
-            config=network_config, metrics=metrics, **kwargs
-        )
-    elif kind in ("asyncio", "asyncio-tcp"):
+        return SimTransport(config=network_config, metrics=metrics)
+    if kind in ("asyncio", "asyncio-tcp"):
         if network_config is not None:
             raise ConfigurationError(
                 "network= simulation knobs apply only to transport='sim'"
@@ -85,15 +80,11 @@ def make_transport(
         from .aio import AsyncioTransport
 
         mode = "tcp" if kind == "asyncio-tcp" else "loopback"
-        transport = AsyncioTransport(mode=mode, metrics=metrics, **kwargs)
-    else:
-        raise ConfigurationError(
-            f"unknown transport {kind!r}; "
-            f"valid kinds: {', '.join(TRANSPORT_KINDS)}"
-        )
-    if chaos_policy is not None:
-        transport = ChaosTransport(transport, chaos_policy)
-    return transport
+        return AsyncioTransport(mode=mode, metrics=metrics)
+    raise ConfigurationError(
+        f"unknown transport {kind!r}; "
+        f"valid kinds: {', '.join(TRANSPORT_KINDS)}"
+    )
 
 
 def __getattr__(name: str):

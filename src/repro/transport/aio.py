@@ -4,8 +4,8 @@ The protocol layer is written as sim-kernel generators, and that
 machinery is substrate-independent: an :class:`AsyncioTransport` embeds
 its own :class:`~repro.sim.kernel.Environment` and pumps it from an
 asyncio task in *wall* time.  The kernel's virtual clock is clamped to
-the scaled wall clock — an event armed "8 units out" fires roughly 8 ms
-later (at the default ``time_scale`` of 1000 units per second).
+the scaled wall clock — one unit is one millisecond, so an event armed
+"8 units out" fires roughly 8 ms later.
 
 Two delivery modes:
 
@@ -27,17 +27,17 @@ The TCP path has a hardened connection lifecycle:
 * **Reconnect with backoff**: each destination's writer task is a
   supervisor loop — a failed connect or a connection lost mid-write is
   retried with capped exponential backoff and *full jitter*
-  (``delay = uniform(0, min(cap, base * 2^attempt))``), so a restarted
-  brick is re-adopted without a thundering herd.  Connects and drains
-  are bounded by ``connect_timeout_s`` / ``write_timeout_s``.
-* **Bounded outboxes**: per-destination queues hold at most
-  ``outbox_limit`` frames; overflow while a peer is unreachable is
-  *dropped and counted* (``outbox_drops``), never silently buffered
-  forever — fire-and-forget semantics with honest accounting.
+  (``delay = uniform(0, min(1 s, 50 ms * 2^attempt))``), so a restarted
+  brick is re-adopted without a thundering herd.  One connect attempt
+  and one blocked drain are each bounded by 2 s.
+* **Bounded outboxes**: per-destination queues hold at most 1024
+  frames; overflow while a peer is unreachable is *dropped and
+  counted* (``outbox_drops``), never silently buffered forever —
+  fire-and-forget semantics with honest accounting.
 * **Peer health**: ``up → suspect → down`` per destination.  The first
-  delivery failure marks a peer suspect; ``down_after`` consecutive
-  failed connection attempts mark it down; any successful connect
-  snaps it back to up.  The backoff loop doubles as the probe timer —
+  delivery failure marks a peer suspect; 3 consecutive failed
+  connection attempts mark it down; any successful connect snaps it
+  back to up.  The backoff loop doubles as the probe timer —
   a down peer keeps being probed at the capped interval while the
   transport runs.  :meth:`peer_state` exposes the verdict through the
   :class:`~repro.transport.base.Transport` surface for health-aware
@@ -87,6 +87,27 @@ _STEPS_PER_YIELD = 200
 _DRAIN_TIMEOUT_S = 2.0
 #: Most bytes one socket wakeup hands the frame parser.
 _READ_CHUNK = 256 * 1024
+#: Kernel time units per wall second: one unit is one millisecond, so
+#: protocol tolerances written in sim units become sane socket timings.
+_TIME_SCALE = 1000.0
+#: Most frames queued per unreachable destination; overflow is dropped
+#: and counted (``outbox_drops``).
+_OUTBOX_LIMIT = 1024
+#: Reconnect backoff window: the sleep before attempt k is uniform in
+#: ``[0, min(cap, base * 2^(k-1))]`` (full jitter).
+_RECONNECT_BASE_S = 0.05
+_RECONNECT_CAP_S = 1.0
+#: Deadlines on one connect attempt and on draining one blocked write.
+_CONNECT_TIMEOUT_S = 2.0
+_WRITE_TIMEOUT_S = 2.0
+#: Consecutive failed connection attempts before a suspect peer is down.
+_DOWN_AFTER = 3
+#: Seed of the backoff-jitter RNG: load-shedding randomness, not
+#: protocol randomness, but a seed keeps even chaos runs reproducible
+#: in aggregate.
+_RECONNECT_SEED = 0
+#: Valid TCP ports for a brick's listening socket.
+_PORTS = range(1, 65536)
 
 
 class _Delivery(Event):
@@ -111,76 +132,28 @@ class AsyncioTransport(Transport):
 
     Args:
         mode: ``"loopback"`` (in-process, default) or ``"tcp"``.
-        time_scale: kernel time units per wall second.  The default of
-            1000 makes one unit equal one millisecond, so protocol
-            tolerances written in sim units become sane socket timings.
         host: bind/connect address for ``tcp`` mode.
-        base_port: process ``pid`` listens on ``base_port + pid - 1``.
+        base_port: process ``pid`` listens on ``base_port + pid - 1``;
+            in ``tcp`` mode every such port must lie in 1..65535.
         metrics: optional metric sink (message/drop counting), shared
             with the cluster when one adopts this transport.
-        outbox_limit: max frames queued per unreachable destination;
-            overflow is dropped and counted (``outbox_drops``).
-        reconnect_base_s / reconnect_cap_s: exponential-backoff window
-            for reconnect attempts (full jitter: the actual sleep is
-            uniform in ``[0, min(cap, base * 2^attempt)]``).
-        connect_timeout_s / write_timeout_s: deadlines on one connect
-            attempt and on draining one frame.
-        down_after: consecutive failed connection attempts before a
-            ``suspect`` peer is declared ``down``.
-        reconnect_seed: seed for the backoff-jitter RNG (full jitter is
-            load-shedding randomness, not protocol randomness, but a
-            seed keeps even the chaos harness reproducible in
-            aggregate).
     """
 
     def __init__(
         self,
         mode: str = "loopback",
-        time_scale: float = 1000.0,
         host: str = "127.0.0.1",
         base_port: int = 7420,
         metrics: Any = None,
-        outbox_limit: int = 1024,
-        reconnect_base_s: float = 0.05,
-        reconnect_cap_s: float = 1.0,
-        connect_timeout_s: float = 2.0,
-        write_timeout_s: float = 2.0,
-        down_after: int = 3,
-        reconnect_seed: int = 0,
     ) -> None:
         if mode not in _MODES:
             raise ConfigurationError(
                 f"unknown asyncio transport mode {mode!r}; valid: {_MODES}"
             )
-        if time_scale <= 0:
-            raise ConfigurationError("time_scale must be positive")
-        if outbox_limit < 1:
-            raise ConfigurationError(
-                f"outbox_limit must be >= 1, got {outbox_limit}"
-            )
-        if reconnect_base_s <= 0 or reconnect_cap_s < reconnect_base_s:
-            raise ConfigurationError(
-                "need 0 < reconnect_base_s <= reconnect_cap_s"
-            )
-        if connect_timeout_s <= 0 or write_timeout_s <= 0:
-            raise ConfigurationError(
-                "connect/write timeouts must be positive"
-            )
-        if down_after < 1:
-            raise ConfigurationError(
-                f"down_after must be >= 1, got {down_after}"
-            )
         self.mode = mode
-        self.time_scale = time_scale
         self.host = host
         self.base_port = base_port
         self.metrics = metrics
-        self.outbox_limit = outbox_limit
-        self.reconnect_base_s = reconnect_base_s
-        self.reconnect_cap_s = reconnect_cap_s
-        self.connect_timeout_s = connect_timeout_s
-        self.write_timeout_s = write_timeout_s
-        self.down_after = down_after
         self.env = Environment()
         self._endpoints: Dict[ProcessId, Callable[[Any], None]] = {}
         self._down: Dict[ProcessId, bool] = {}
@@ -196,7 +169,7 @@ class AsyncioTransport(Transport):
         self._conn_writers: List[Any] = []
         self._outboxes: Dict[ProcessId, Any] = {}
         self._writer_tasks: Dict[ProcessId, Any] = {}
-        self._backoff_rng = random.Random(reconnect_seed)
+        self._backoff_rng = random.Random(_RECONNECT_SEED)
         #: Peer health machine state (tcp mode): pid -> up/suspect/down.
         self._peer_health: Dict[ProcessId, str] = {}
         self._peer_failures: Dict[ProcessId, int] = {}
@@ -212,7 +185,7 @@ class AsyncioTransport(Transport):
     def _wall_units(self) -> float:
         if self._origin is None:
             return self.env.now
-        return (time.monotonic() - self._origin) * self.time_scale
+        return (time.monotonic() - self._origin) * _TIME_SCALE
 
     def _advance_clock(self) -> None:
         """Raise the kernel clock toward the wall clock.
@@ -375,7 +348,7 @@ class AsyncioTransport(Transport):
 
         outbox = self._outboxes.get(dst)
         if outbox is None:
-            outbox = asyncio.Queue(maxsize=self.outbox_limit)
+            outbox = asyncio.Queue(maxsize=_OUTBOX_LIMIT)
             self._outboxes[dst] = outbox
             self._writer_tasks[dst] = asyncio.get_event_loop().create_task(
                 self._write_loop(dst, outbox)
@@ -400,7 +373,7 @@ class AsyncioTransport(Transport):
         failures = self._peer_failures.get(dst, 0) + 1
         self._peer_failures[dst] = failures
         self._set_peer_health(
-            dst, "down" if failures >= self.down_after else "suspect"
+            dst, "down" if failures >= _DOWN_AFTER else "suspect"
         )
 
     def _note_peer_up(self, dst: ProcessId) -> None:
@@ -418,8 +391,7 @@ class AsyncioTransport(Transport):
         one restarted brick — the AWS-style herd-avoidance shape.
         """
         cap = min(
-            self.reconnect_cap_s,
-            self.reconnect_base_s * (2 ** max(0, attempt - 1)),
+            _RECONNECT_CAP_S, _RECONNECT_BASE_S * (2 ** max(0, attempt - 1))
         )
         return cap * self._backoff_rng.random()
 
@@ -442,7 +414,7 @@ class AsyncioTransport(Transport):
                 port = self.base_port + dst - 1
                 _reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(self.host, port),
-                    timeout=self.connect_timeout_s,
+                    timeout=_CONNECT_TIMEOUT_S,
                 )
             except asyncio.CancelledError:
                 raise
@@ -471,7 +443,7 @@ class AsyncioTransport(Transport):
         paid per socket wakeup rather than per frame.  ``drain()`` is
         always awaited — it is where a lost connection surfaces — but
         only a write buffer above its high-water mark can block, so only
-        then does it run under the ``write_timeout_s`` deadline (a task,
+        then does it run under the ``_WRITE_TIMEOUT_S`` deadline (a task,
         a timer and a cancel).  Returns False on the stop sentinel, True
         when the connection was lost; every frame of the failed batch is
         a counted drop.
@@ -491,7 +463,7 @@ class AsyncioTransport(Transport):
                 writer.write(b"".join(batch))
                 if stream.get_write_buffer_size() > high_water:
                     await asyncio.wait_for(
-                        writer.drain(), timeout=self.write_timeout_s
+                        writer.drain(), timeout=_WRITE_TIMEOUT_S
                     )
                 else:
                     await writer.drain()
@@ -600,11 +572,13 @@ class AsyncioTransport(Transport):
 
         if self._running:
             return
+        if self.mode == "tcp":
+            self._check_ports()
         self._wake = asyncio.Event()
         self._pump_error = None
         # Align wall time with whatever virtual time already elapsed
         # (e.g. synchronous setup writes before start()).
-        self._origin = time.monotonic() - self.env._now / self.time_scale
+        self._origin = time.monotonic() - self.env._now / _TIME_SCALE
         if self.mode == "tcp":
             for pid in sorted(self._endpoints):
                 server = await asyncio.start_server(
@@ -615,6 +589,23 @@ class AsyncioTransport(Transport):
                 self._servers[pid] = server
         self._running = True
         self._pump_task = asyncio.get_event_loop().create_task(self._pump())
+
+    def _check_ports(self) -> None:
+        """Refuse a port range that cannot hold every brick.
+
+        ``base_port`` comes from outside the program (``repro serve
+        --port``).  Port 0 would bind an ephemeral port no writer can
+        reach, and past 65535 ``bind`` raises a raw ``OverflowError``;
+        both are refused before any socket is opened.
+        """
+        for pid in self._endpoints:
+            port = self.base_port + pid - 1
+            if port not in _PORTS:
+                raise ConfigurationError(
+                    f"tcp transport: brick {pid} would listen on port "
+                    f"{port}; base_port={self.base_port} must keep every "
+                    f"brick in {_PORTS.start}..{_PORTS.stop - 1}"
+                )
 
     async def stop(self) -> None:
         """Stop the pump, drain writers, and close servers.
@@ -694,7 +685,7 @@ class AsyncioTransport(Transport):
                     continue
                 self._advance_clock()
                 if queue:
-                    delay_s = (queue[0][0] - wall) / self.time_scale
+                    delay_s = (queue[0][0] - wall) / _TIME_SCALE
                     delay_s = min(max(delay_s, 0.0), _IDLE_POLL_S)
                 else:
                     delay_s = _IDLE_POLL_S

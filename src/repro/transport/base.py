@@ -18,8 +18,8 @@ session, and daemon code runs unchanged on
 :class:`Endpoint` is the per-process handle on a transport: it owns the
 process id, the inbound dispatch table, the up/down lifecycle with
 crash/recovery hooks, and the set of protocol coroutines whose fate is
-tied to the process (a crash interrupts them mid-operation).  The sim
-layer's :class:`~repro.sim.node.Node` extends it with stable storage.
+tied to the process (a crash interrupts them mid-operation).
+:class:`Node`, a brick, extends it with stable storage.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 from ..errors import ConfigurationError, StorageError
 from ..types import ProcessId
 from ..sim.kernel import AnyOf, Environment, Event, Process, Timeout
+from ..sim.monitor import Metrics
+from ..sim.node import StableStore
 
-__all__ = ["Transport", "TimerHandle", "Endpoint"]
+__all__ = ["Transport", "TimerHandle", "Endpoint", "Node"]
 
 
 class TimerHandle:
@@ -349,3 +351,32 @@ class Endpoint:
             self._owned_processes.remove(process)
         except ValueError:
             pass  # already dropped by a crash
+
+
+class Node(Endpoint):
+    """A brick: transport endpoint + stable storage + crash lifecycle.
+
+    All messaging, timers, and process ownership come from
+    :class:`Endpoint`; this class adds the
+    :class:`~repro.sim.node.StableStore` that survives crashes.
+
+    Args:
+        transport: the substrate the endpoint rides on, e.g. a
+            :class:`~repro.transport.sim.SimTransport` over a kernel
+            and network.
+        process_id: this node's id in ``1..n``.
+        metrics: metric sink; defaults to the transport's.
+        verify_checksums: verify stable-store envelopes on read
+            (default True; False is the corruption escape hatch).
+    """
+
+    def __init__(
+        self,
+        *,
+        transport: Transport,
+        process_id: ProcessId,
+        metrics: Optional[Metrics] = None,
+        verify_checksums: bool = True,
+    ) -> None:
+        super().__init__(transport, process_id, metrics)
+        self.stable = StableStore(verify_checksums=verify_checksums)

@@ -13,7 +13,7 @@ from repro.campaign.schedule import (
     generate_schedule,
 )
 from repro.errors import ConfigurationError
-from repro.sim.node import Node
+from repro.transport.base import Node
 from repro.transport.sim import SimTransport
 
 

@@ -51,6 +51,7 @@ def test_unknown_knob_fails_loudly():
     for removed in (
         "store_mode", "persistence", "delivery_sweeps", "erasure_backend",
         "disk_read_latency", "disk_write_latency", "duplicate_probability",
+        "retransmit_interval", "grace",
     ):
         with pytest.raises(ConfigurationError, match=removed):
             open_cluster(**{removed: "anything"})
@@ -106,8 +107,7 @@ def test_facade_reexported_at_package_root():
     assert repro.open_cluster is open_cluster
     assert repro.open_volume is open_volume
     for name in (
-        "open_cluster", "open_volume", "RouteOptions", "VolumeSession",
-        "SessionOp",
+        "open_cluster", "open_volume", "VolumeSession", "SessionOp",
     ):
         assert name in repro.__all__
         assert hasattr(repro, name)

@@ -5,10 +5,11 @@ import weakref
 
 import pytest
 
+from repro.core import coordinator
 from repro.core.coordinator import CoordinatorConfig, QuorumRpc, _PendingCall
 from repro.core.messages import ReadReply, ReadReq
 from repro.sim.kernel import Environment
-from repro.sim.node import Node
+from repro.transport.base import Node
 from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
 from repro.transport.sim import SimTransport
 from tests.conftest import make_cluster, stripe_of
@@ -88,21 +89,17 @@ class TestGathering:
         assert 4 not in replies
         assert env.now < 10
 
-    def test_prefer_waits_within_grace(self):
-        env, node, rpc, _nodes = build_rpc(
-            n=4, quorum=3, delays={4: 2.5},
-            config=CoordinatorConfig(grace=5.0),
-        )
+    def test_prefer_waits_within_grace(self, monkeypatch):
+        monkeypatch.setattr(coordinator, "_GRACE", 5.0)
+        env, node, rpc, _nodes = build_rpc(n=4, quorum=3, delays={4: 2.5})
         replies = run_call(
             env, node, rpc, prefer=lambda r: 4 in r and len(r) >= 3
         )
         assert 4 in replies
 
-    def test_grace_expiry_returns_quorum_without_preferred(self):
-        env, node, rpc, _nodes = build_rpc(
-            n=4, quorum=3, delays={4: 100.0},
-            config=CoordinatorConfig(grace=2.0, retransmit_interval=500.0),
-        )
+    def test_grace_expiry_returns_quorum_without_preferred(self, monkeypatch):
+        monkeypatch.setattr(coordinator, "_RETRANSMIT_INTERVAL", 500.0)
+        env, node, rpc, _nodes = build_rpc(n=4, quorum=3, delays={4: 100.0})
         replies = run_call(
             env, node, rpc, prefer=lambda r: 4 in r and len(r) >= 3
         )
@@ -116,11 +113,9 @@ class TestGathering:
 
 
 class TestRetransmission:
-    def test_resends_to_nonresponders_until_quorum(self):
-        env, node, rpc, nodes = build_rpc(
-            n=3, quorum=3,
-            config=CoordinatorConfig(retransmit_interval=5.0),
-        )
+    def test_resends_to_nonresponders_until_quorum(self, monkeypatch):
+        monkeypatch.setattr(coordinator, "_RETRANSMIT_INTERVAL", 5.0)
+        env, node, rpc, nodes = build_rpc(n=3, quorum=3)
         nodes[3].crash()
 
         process = node.spawn(
@@ -133,11 +128,9 @@ class TestRetransmission:
         assert process.triggered
         assert len(process.value) == 3
 
-    def test_retransmission_stops_after_completion(self):
-        env, node, rpc, _nodes = build_rpc(
-            n=3, quorum=3,
-            config=CoordinatorConfig(retransmit_interval=3.0),
-        )
+    def test_retransmission_stops_after_completion(self, monkeypatch):
+        monkeypatch.setattr(coordinator, "_RETRANSMIT_INTERVAL", 3.0)
+        env, node, rpc, _nodes = build_rpc(n=3, quorum=3)
         run_call(env, node, rpc)
         sent_after = node.metrics.total_messages
         env.run(until=env.now + 50)
@@ -187,14 +180,14 @@ class TestExpiry:
 class TestTimerRelease:
     """A finished phase must not stay reachable through its timers."""
 
-    def test_finished_phase_is_freed_before_its_timers_fire(self):
+    def test_finished_phase_is_freed_before_its_timers_fire(self, monkeypatch):
         # Retransmit, op_timeout and (via prefer) grace timers all
         # outlive the phase by far; none may pin the _PendingCall.
+        monkeypatch.setattr(coordinator, "_RETRANSMIT_INTERVAL", 200.0)
+        monkeypatch.setattr(coordinator, "_GRACE", 100.0)
         env, node, rpc, _nodes = build_rpc(
             n=4, quorum=3, delays={4: 50.0},
-            config=CoordinatorConfig(
-                retransmit_interval=200.0, grace=100.0, op_timeout=300.0
-            ),
+            config=CoordinatorConfig(op_timeout=300.0),
         )
         process = node.spawn(
             rpc.call(

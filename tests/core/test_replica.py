@@ -20,7 +20,7 @@ from repro.core.messages import (
 from repro.core.replica import Replica
 from repro.erasure import make_code
 from repro.sim.kernel import Environment
-from repro.sim.node import Node
+from repro.transport.base import Node
 from repro.timestamps import HIGH_TS, LOW_TS, Timestamp
 from repro.transport.sim import SimTransport
 

@@ -5,16 +5,16 @@ daemon regressions fixed alongside them:
 
 * the daemon froze its register set at construction, so registers
   created after :meth:`ScrubDaemon.start` were never scrubbed;
-* in audit mode (``repair=False``) the first-detection mark map
-  ``_detected_at`` only shrank on repair completion, so marks for
-  damage repaired behind the daemon's back (by a client's degraded
-  read) accumulated forever.
+* the first-detection mark map ``_detected_at`` only shrank on repair
+  completion, so marks for damage repaired behind the daemon's back
+  (by a client's degraded read) accumulated forever.
 """
 
 import pytest
 
-from repro.campaign.engine import CampaignConfig
 from repro.errors import ConfigurationError
+from repro.scrub import daemon as daemon_module
+from repro.scrub import sampler as sampler_module
 from repro.scrub import (
     PairSampler,
     RepairQueue,
@@ -94,12 +94,12 @@ class TestPairSampler:
 
     def test_eventual_coverage_under_aging(self):
         # The coverage bound: with P pairs, budget b, and aging share
-        # max(1, int(b * aging_fraction)) per draw, every pair is
-        # visited within ceil(P / share) cycles — no matter where the
-        # uniform draws land.
+        # max(1, int(b * 0.25)) per draw, every pair is visited within
+        # ceil(P / share) cycles — no matter where the uniform draws
+        # land.
         pairs = self.PAIRS  # P = 40
         budget = 8
-        sampler = PairSampler(seed=9, aging_fraction=0.25)
+        sampler = PairSampler(seed=9)
         share = max(1, int(budget * 0.25))  # = 2
         bound = -(-len(pairs) // share)  # = 20 cycles
         seen = set()
@@ -107,8 +107,9 @@ class TestPairSampler:
             seen.update(sampler.draw(pairs, budget))
         assert seen == set(pairs)
 
-    def test_laps_count_full_cursor_passes(self):
-        sampler = PairSampler(seed=5, aging_fraction=1.0)
+    def test_laps_count_full_cursor_passes(self, monkeypatch):
+        monkeypatch.setattr(sampler_module, "_AGING_FRACTION", 1.0)
+        sampler = PairSampler(seed=5)
         seen = set()
         for _ in range(len(self.PAIRS) // 8):  # 40 pairs, 8 per draw
             assert sampler.laps == 0
@@ -118,19 +119,10 @@ class TestPairSampler:
         assert sorted(sampler.draw(self.PAIRS, 99)) == sorted(self.PAIRS)
         assert sampler.laps == 2
 
-    def test_zero_aging_disables_cursor(self):
-        sampler = PairSampler(seed=0, aging_fraction=0.0)
-        drawn = sampler.draw(self.PAIRS, 5)
-        assert len(drawn) == 5  # pure uniform draws, no cursor share
-
     def test_empty_inputs(self):
         sampler = PairSampler(seed=0)
         assert sampler.draw([], 10) == []
         assert sampler.draw(self.PAIRS, 0) == []
-
-    def test_rejects_bad_aging_fraction(self):
-        with pytest.raises(ConfigurationError):
-            PairSampler(aging_fraction=1.5)
 
 
 class TestRevisitQueue:
@@ -183,13 +175,12 @@ class TestRepairQueue:
 class TestLiveRegisterResolution:
     """Regression: registers created after start() must get scrubbed."""
 
-    def test_new_register_is_scrubbed_sweep_mode(self):
+    def test_new_register_is_scrubbed_sweep_mode(self, monkeypatch):
+        # The whole budget from the cursor: a round-robin sweep.
+        monkeypatch.setattr(sampler_module, "_AGING_FRACTION", 1.0)
         cluster, _stripes = populated_cluster()
         daemon = ScrubDaemon(
-            cluster,
-            config=ScrubConfig(
-                interval=5.0, samples_per_tick=4, aging_fraction=1.0
-            ),
+            cluster, config=ScrubConfig(interval=5.0, samples_per_tick=4),
         )
         daemon.start()
         cluster.run(until=cluster.env.now + 50.0)
@@ -229,15 +220,13 @@ class TestLiveRegisterResolution:
         )
         assert brick_is_clean(cluster, 4, new_id)
 
-    def test_sweep_accounting_survives_growth(self):
+    def test_sweep_accounting_survives_growth(self, monkeypatch):
         # Adding registers mid-sweep must not wedge the round-robin:
         # passes still complete and count.
+        monkeypatch.setattr(sampler_module, "_AGING_FRACTION", 1.0)
         cluster, _stripes = populated_cluster()
         daemon = ScrubDaemon(
-            cluster,
-            config=ScrubConfig(
-                interval=5.0, samples_per_tick=3, aging_fraction=1.0
-            ),
+            cluster, config=ScrubConfig(interval=5.0, samples_per_tick=3),
         )
         daemon.start()
         for extra in range(3):
@@ -254,29 +243,30 @@ class TestLiveRegisterResolution:
 
 
 class TestAuditModeMarks:
-    """Regression: ``_detected_at`` must not leak in audit mode."""
+    """Regression: ``_detected_at`` must not leak while the daemon only
+    audits (its own repairs cannot start)."""
 
     def test_marks_clear_when_scan_verifies_clean(self):
         cluster, stripes = populated_cluster()
         corrupt_on(cluster, pid=2, register_id=1)
-        daemon = ScrubDaemon(cluster, config=ScrubConfig(repair=False))
+        daemon = ScrubDaemon(cluster)
+        # The repair cannot start (as with no live coordinator).
+        daemon._start_repair = lambda register_id: False
         daemon.sweep_now()
         assert daemon.summary()["tracked_marks"] > 0
-        assert daemon.repairs_done == 0  # audit mode: no write-backs
+        assert daemon.repairs_done == 0
         # A client's degraded read repairs the brick behind the
         # daemon's back...
         assert cluster.register(1).read_stripe() == stripes[1]
         assert brick_is_clean(cluster, 2, 1)
-        # ...and the next audit pass, seeing it clean, drops the mark.
+        # ...and the next pass, seeing it clean, drops the mark.
         daemon.sweep_now()
         assert daemon.summary()["tracked_marks"] == 0
 
-    def test_mark_map_is_bounded(self):
+    def test_mark_map_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "_DETECTED_LIMIT", 3)
         cluster, _stripes = populated_cluster()
-        daemon = ScrubDaemon(
-            cluster,
-            config=ScrubConfig(repair=False, detected_limit=3),
-        )
+        daemon = ScrubDaemon(cluster)
         for pid in (1, 2, 3, 4, 5):
             daemon._mark_dirty(pid, 0)
             daemon._mark_dirty(pid, 1)
@@ -324,18 +314,8 @@ class TestSampledDaemon:
     @pytest.mark.parametrize("field, bad", [
         ("interval", 0.0),  # re-armed at the same instant: run() hung
         ("target_confidence", 1.5),  # raised only inside the first tick
-        ("assumed_corrupt_rate", 0.0),
         ("samples_per_tick", -1),  # scanned nothing, silently
-        ("revisit_fraction", 1.5),
-        ("aging_fraction", -0.1),
-        ("max_inflight_repairs", 0),
-        ("detected_limit", 0),
     ])
     def test_rejects_bad_config(self, field, bad):
         with pytest.raises(ConfigurationError, match=field):
             ScrubConfig(**{field: bad})
-
-    def test_campaign_rejects_zero_scrub_interval(self):
-        with pytest.raises(ConfigurationError, match="scrub_interval"):
-            CampaignConfig(scrub_enabled=True, scrub_interval=0.0)
-        CampaignConfig(scrub_interval=0.0)  # scrub off: the knob is unused

@@ -195,7 +195,7 @@ def _counters(result) -> dict:
 
 
 _SHARDED = ShardedCampaignConfig(
-    seed=3, registers=12, clients_per_group=2, ops_per_client=12,
+    seed=3, registers=12, ops_per_client=12,
     duration=200.0, drain=120.0,
 )
 

@@ -14,7 +14,6 @@ def quick_config(**overrides):
     defaults = dict(
         seed=3,
         registers=12,
-        clients_per_group=2,
         ops_per_client=12,
         duration=200.0,
         drain=120.0,

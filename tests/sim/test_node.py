@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from repro.errors import CorruptionDetected, StorageError
 from repro.sim.kernel import Environment, Interrupt
-from repro.sim.node import Node, StableStore
+from repro.sim.node import StableStore
 from repro.timestamps import Timestamp
+from repro.transport.base import Node
 from repro.transport.sim import SimTransport
 from repro.types import BOTTOM
 

@@ -66,6 +66,14 @@ class TestCli:
         assert payload["benchmark"] == "campaign" and payload["ok"] is True
         assert f"written to {path}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_campaign_refuses_an_empty_sweep(self, capsys, seeds):
+        # No seed run means nothing checked: not a pass.
+        with pytest.raises(SystemExit, match="--seeds") as exit_info:
+            main(["campaign", "--seeds", seeds])
+        assert exit_info.value.code != 0
+        assert "no invariant violations" not in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("spec", [
     "400:50:2",    # heals before it starts

@@ -53,6 +53,21 @@ def test_serve_validates_inputs():
         run_serve(ops_per_client=0)
 
 
+@pytest.mark.parametrize("base_port", [0, 65532, 70000])
+def test_tcp_ports_out_of_range_are_refused_before_binding(base_port):
+    """Port 0 would bind an ephemeral, unreachable port; 65532 + 4 and
+    70000 overflow the port space.  Each is a configuration error, and
+    no brick's socket is opened."""
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport(mode="tcp", base_port=base_port)
+    for pid in range(1, 6):
+        transport.register(pid, lambda message: None)
+    with pytest.raises(ConfigurationError, match="base_port"):
+        asyncio.run(transport.start())
+    assert transport._servers == {}
+
+
 def test_asyncio_cluster_rejects_sync_register_driving():
     cluster = api.open_cluster(m=3, n=5, transport="asyncio")
     register = cluster.register(0)
@@ -77,20 +92,17 @@ def test_drain_async_works_on_sim_transport():
     assert ops[1].value == data
 
 
-def test_outbox_overflow_and_unregister_account_drops():
+def test_outbox_overflow_and_unregister_account_drops(monkeypatch):
     """An unreachable peer's outbox is bounded: overflow is shed as
     counted drops, and unregister reaps the backlog and health state."""
-    from repro.transport.aio import AsyncioTransport
+    from repro.transport import aio
 
-    transport = AsyncioTransport(
-        mode="tcp",
-        base_port=7771,
-        outbox_limit=4,
-        reconnect_base_s=0.01,
-        reconnect_cap_s=0.02,
-        connect_timeout_s=0.2,
-        down_after=2,
-    )
+    monkeypatch.setattr(aio, "_OUTBOX_LIMIT", 4)
+    monkeypatch.setattr(aio, "_RECONNECT_BASE_S", 0.01)
+    monkeypatch.setattr(aio, "_RECONNECT_CAP_S", 0.02)
+    monkeypatch.setattr(aio, "_CONNECT_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(aio, "_DOWN_AFTER", 2)
+    transport = aio.AsyncioTransport(mode="tcp", base_port=7771)
     transport.register(1, lambda message: None)
 
     async def drive():
@@ -314,7 +326,7 @@ def test_timer_handles_cancel_before_start():
     ones never do."""
     from repro.transport.aio import AsyncioTransport
 
-    transport = AsyncioTransport(mode="loopback", time_scale=1000.0)
+    transport = AsyncioTransport(mode="loopback")
     fired = []
 
     async def drive():

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.core import session as session_module
 from repro.core.session import RetryPolicy
 from repro.core.cluster import ClusterConfig, FabCluster
 from repro.core.volume import LogicalVolume
 from repro.errors import ConfigurationError
+from repro.sim.network import NetworkConfig
 from repro.campaign.schedule import CampaignSchedule, FaultEvent, apply_schedule
-from repro.transport import make_transport
 from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
 from repro.transport.sim import SimTransport
 from tests.conftest import watch_sends
@@ -46,21 +47,15 @@ def _run_workload(volume, rounds=3):
 
 def test_policy_json_round_trip():
     policy = ChaosPolicy(
-        seed=42,
-        default=LinkChaos(drop=0.05, delay=0.1, delay_range=(2.0, 6.0)),
-        links={(1, 2): LinkChaos(drop=0.5, corrupt=0.1)},
+        seed=42, default=LinkChaos(drop=0.05, duplicate=0.1, corrupt=0.1),
     )
     restored = ChaosPolicy.from_json(policy.to_json())
     assert restored == policy
-    assert restored.link(1, 2).drop == 0.5
-    assert restored.link(2, 1) == restored.default
 
 
 def test_policy_validates_probabilities():
     with pytest.raises(ConfigurationError, match="drop"):
         LinkChaos(drop=1.5)
-    with pytest.raises(ConfigurationError, match="delay_range"):
-        LinkChaos(delay_range=(5.0, 1.0))
     with pytest.raises(ConfigurationError, match="drop probability"):
         ChaosTransport(SimTransport()).set_drop_probability(2.0)
 
@@ -137,12 +132,6 @@ def test_one_plan_two_substrates(wrapped):
         assert transport.stats.partition_dropped == len(cut_at)
 
 
-def test_make_transport_wraps_with_chaos_policy():
-    transport = make_transport("sim", chaos_policy=ChaosPolicy(seed=1))
-    assert isinstance(transport, ChaosTransport)
-    assert isinstance(transport.inner, SimTransport)
-
-
 # -- behaviour on the sim substrate ---------------------------------------
 
 
@@ -162,9 +151,7 @@ def test_fixed_seed_chaos_run_is_bit_identical():
     def one_run():
         policy = ChaosPolicy(
             seed=21,
-            default=LinkChaos(
-                drop=0.08, delay=0.1, duplicate=0.05, reorder=0.05
-            ),
+            default=LinkChaos(drop=0.08, duplicate=0.05, corrupt=0.05),
         )
         _cluster, volume, transport = _chaos_cluster(policy, seed=13)
         session = _run_workload(volume)
@@ -272,14 +259,14 @@ def test_bit_flip_inside_a_block_field_is_detected():
 
 def test_duplicate_and_reorder_are_absorbed():
     """Duplicated and reordered deliveries are protocol no-ops (the
-    reply cache and timestamp order absorb them)."""
-    policy = ChaosPolicy(
-        seed=31, default=LinkChaos(duplicate=0.2, reorder=0.15)
-    )
-    _cluster, volume, transport = _chaos_cluster(policy)
-    _run_workload(volume)
+    reply cache and timestamp order absorb them).  The wrapper
+    duplicates; the inner network's latency window reorders."""
+    policy = ChaosPolicy(seed=31, default=LinkChaos(duplicate=0.2))
+    inner = SimTransport(config=NetworkConfig(min_latency=1.0, max_latency=4.0))
+    transport = ChaosTransport(inner, policy)
+    cluster = FabCluster(ClusterConfig(m=3, n=5, seed=11), transport=transport)
+    _run_workload(LogicalVolume(cluster, num_stripes=4))
     assert transport.stats.duplicated > 0
-    assert transport.stats.reordered > 0
 
 
 def test_chaos_transport_delegates_surface():
@@ -295,17 +282,18 @@ def test_chaos_transport_delegates_surface():
     assert inner.metrics is sink
 
 
-def test_session_transport_budget_aborts_cleanly():
+def test_session_transport_budget_aborts_cleanly(monkeypatch):
     """When every brick is transport-down, operations burn the separate
-    transport_attempts budget and finish with a clean timeout abort
+    transport re-route budget and finish with a clean timeout abort
     instead of hanging."""
     from repro.types import ABORT
 
+    monkeypatch.setattr(session_module, "_TRANSPORT_ATTEMPTS", 3)
     cluster, volume, transport = _chaos_cluster(ChaosPolicy())
     for pid in list(cluster.nodes):
         transport.set_down(pid, True)
         # Nodes stay formally up: only the transport says "down".
-    retry = RetryPolicy(attempts=3, backoff=1.0, transport_attempts=3)
+    retry = RetryPolicy(attempts=3, backoff=1.0)
     session = volume.session(max_inflight=1, retry=retry)
     op = session.submit_write(0, b"x" * volume.block_size)
     session.drain()

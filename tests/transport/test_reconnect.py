@@ -20,6 +20,7 @@ import pytest
 from repro.core.session import RetryPolicy
 from repro.core.cluster import ClusterConfig, FabCluster
 from repro.core.volume import LogicalVolume
+from repro.transport import aio
 from repro.transport.aio import AsyncioTransport
 from repro.verify.linearizability import check_strict_linearizability
 
@@ -30,8 +31,6 @@ from repro.verify.linearizability import check_strict_linearizability
 OUTAGE_RETRY = RetryPolicy(
     attempts=12,
     backoff=4.0,
-    backoff_growth=1.5,
-    jitter=0.5,
     attempt_timeout=400.0,
     max_failovers=64,
 )
@@ -41,16 +40,15 @@ def _payload(tag: str, block: int, size: int) -> bytes:
     return (f"{tag}b{block}.".encode() * size)[:size]
 
 
-def test_kill_server_mid_run_heals_via_reconnect():
-    transport = AsyncioTransport(
-        mode="tcp",
-        base_port=7751,
-        reconnect_base_s=0.02,
-        reconnect_cap_s=0.1,
-        connect_timeout_s=0.5,
-        write_timeout_s=0.5,
-        down_after=2,
-    )
+def test_kill_server_mid_run_heals_via_reconnect(monkeypatch):
+    # A faster reconnect loop and health machine than the defaults, so
+    # the outage and its healing fit a short test.
+    monkeypatch.setattr(aio, "_RECONNECT_BASE_S", 0.02)
+    monkeypatch.setattr(aio, "_RECONNECT_CAP_S", 0.1)
+    monkeypatch.setattr(aio, "_CONNECT_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(aio, "_WRITE_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(aio, "_DOWN_AFTER", 2)
+    transport = AsyncioTransport(mode="tcp", base_port=7751)
     cluster = FabCluster(
         ClusterConfig(m=3, n=5, block_size=64, transport="asyncio"),
         transport=transport,
