@@ -6,16 +6,19 @@ and replication codes at realistic block sizes.  pytest-benchmark's
 timing is the artifact here; assertions pin correctness and the
 expected performance ordering (XOR beats field arithmetic).
 
-The block-size sweep times the two implementations inside
-:mod:`repro.erasure.kernels` (``translate`` and ``gather``) against each
-other from 64 B to 64 KiB, which is how ``kernels.CROSSOVER_BYTES`` is
+The block-size sweep times the three implementations inside
+:mod:`repro.erasure.kernels` (``translate``, ``word`` and ``gather``)
+against each other from 64 B to 64 KiB, which is how
+``kernels.CROSSOVER_BYTES`` and the word/gather op-count rule are
 derived: it writes ``benchmarks/out/erasure_kernels.txt`` and pins the
-reason both exist — translate wins on the paper's small blocks, gather
-on large ones.
+reason all three exist — translate wins on the paper's small blocks,
+word on large stripes, and gather on single dense rows (one decode row,
+a modify's one coefficient) of a few KiB.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.erasure import kernels, make_code
@@ -86,10 +89,16 @@ def test_bench_delta_apply(benchmark):
     assert result == expected
 
 
-#: ``CROSSOVER_BYTES`` values that force one implementation everywhere.
-IMPLEMENTATIONS = {"translate": 1 << 62, "gather": 0}
+#: (``CROSSOVER_BYTES``, word rule) that force one implementation on
+#: every row; a rule of ``None`` never runs (translate takes all).
+IMPLEMENTATIONS = {
+    "translate": (1 << 62, None),
+    "word": (0, True),
+    "gather": (0, False),
+}
 SWEEP_PAIRS = [(2, 4), (4, 8), (8, 16)]
 SWEEP_SIZES = [64, 256, 512, 1024, 2048, 4096, 16384, 65536]
+OPS = ("encode", "decode-1", "decode-p", "modify")
 
 
 def us_per_call(fn):
@@ -108,16 +117,23 @@ def us_per_call(fn):
 
 
 def sweep_point(m, n, size):
-    """(encode, decode with one data block lost, modify) µs per call."""
+    """µs per call of each of :data:`OPS`.
+
+    ``decode-1`` reconstructs with one data block lost (one dense
+    decode row), ``decode-p`` with every parity pressed into service
+    (with ``n - m >= m`` no data block survives: every row is dense).
+    """
     code = make_code(m, n, "reed-solomon")
     stripe = make_stripe(m, size)
     encoded = code.encode(stripe)
-    survivors = {i: encoded[i - 1] for i in range(2, m + 2)}
-    assert code.decode(survivors) == stripe
+    one_lost = {i: encoded[i - 1] for i in range(2, m + 2)}
+    all_parity = {i: encoded[i - 1] for i in range(n - m + 1, n + 1)}
+    assert code.decode(one_lost) == code.decode(all_parity) == stripe
     new_block = bytes(size)
     return (
         us_per_call(lambda: code.encode(stripe)),
-        us_per_call(lambda: code.decode(survivors)),
+        us_per_call(lambda: code.decode(one_lost)),
+        us_per_call(lambda: code.decode(all_parity)),
         us_per_call(
             lambda: code.modify(1, m + 1, stripe[0], new_block, encoded[m])
         ),
@@ -125,49 +141,117 @@ def sweep_point(m, n, size):
 
 
 def run_block_size_sweep(monkeypatch):
-    """{(m, n, size): {implementation: (encode, decode, modify) µs}}."""
+    """{(m, n, size): {implementation: µs per op, in OPS order}}."""
     results = {}
     for m, n in SWEEP_PAIRS:
         for size in SWEEP_SIZES:
             point = results[(m, n, size)] = {}
-            for name, forced in IMPLEMENTATIONS.items():
-                monkeypatch.setattr(kernels, "CROSSOVER_BYTES", forced)
+            for name, (crossover, word) in IMPLEMENTATIONS.items():
+                monkeypatch.setattr(kernels, "CROSSOVER_BYTES", crossover)
+                monkeypatch.setattr(
+                    kernels, "_word_is_cheaper",
+                    lambda row, width, word=word: word,
+                )
                 point[name] = sweep_point(m, n, size)
     return results
 
 
 def render_sweep(results, crossover):
     lines = [
-        "Erasure-kernel block-size sweep - us per call, translate / gather",
-        "(Reed-Solomon; decode reconstructs with one data block lost;",
+        "Erasure-kernel block-size sweep - us per call, "
+        "translate / word / gather",
+        "(Reed-Solomon; decode-1 reconstructs with one data block lost,",
+        " decode-p with every parity block in use;",
         f" kernels.CROSSOVER_BYTES = {crossover}: shorter blocks take"
-        " translate, the rest gather)",
+        " translate, the rest word or gather by row)",
         "",
-        f"{'(m,n)':>7} {'block':>6}  {'encode':>19}  {'decode':>19}"
-        f"  {'modify':>19}",
+        f"{'(m,n)':>7} {'block':>6}"
+        + "".join(f"  {op:>26}" for op in OPS),
     ]
     for (m, n, size), point in results.items():
         cells = []
-        for op in range(3):
-            translate, gather = point["translate"][op], point["gather"][op]
-            mark = "t" if translate < gather else "g"
-            cells.append(f"{translate:8.1f} /{gather:8.1f} {mark}")
+        for op in range(len(OPS)):
+            times = [point[name][op] for name in IMPLEMENTATIONS]
+            mark = "twg"[times.index(min(times))]
+            cells.append(
+                "/".join(f"{t:7.1f}" for t in times) + f" {mark}"
+            )
         lines.append(
             f"{f'({m},{n})':>7} {size:>6}  " + "  ".join(cells)
         )
     return "\n".join(lines) + "\n"
 
 
+PRIMITIVE_SIZES = [2048, 4096, 16384, 65536]
+
+
+def run_primitive_sweep():
+    """{size: (µs per word operation, µs per take)}.
+
+    What the word/gather rule's weights are fitted to: one in-place
+    ``uint64`` XOR stands for a word operation (an xtime is six), and
+    one ``np.take`` as the gather row issues it.
+    """
+    results = {}
+    for size in PRIMITIVE_SIZES:
+        words = np.frombuffer(make_stripe(1, size)[0], dtype=np.uint64)
+        accum = words.copy()
+        table = kernels._MUL[27]
+        results[size] = (
+            us_per_call(lambda: np.bitwise_xor(accum, words, out=accum)),
+            us_per_call(lambda: np.take(
+                table, words.view(np.uint8), out=accum.view(np.uint8),
+                mode="wrap",
+            )),
+        )
+    return results
+
+
+def render_primitives(results):
+    lines = [
+        "",
+        "Primitives the word/gather rule is fitted to - us per call",
+        f"{'block':>6} {'word op':>8} {'take':>8} {'take/op':>8}"
+        f" {'rule':>8}",
+    ]
+    for size, (word, take) in results.items():
+        rule = (
+            kernels._GATHER_CALL_BYTES + kernels._GATHER_SLOWDOWN * size
+        ) / (kernels._CALL_BYTES + size)
+        lines.append(
+            f"{size:>6} {word:8.2f} {take:8.2f} {take / word:8.1f}"
+            f" {rule:8.1f}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def test_bench_kernel_block_size_sweep(benchmark, monkeypatch):
-    """The sweep ``kernels.CROSSOVER_BYTES`` is set from."""
+    """The sweep ``kernels.CROSSOVER_BYTES`` and the word rule are set
+    from."""
     crossover = kernels.CROSSOVER_BYTES
     results = benchmark.pedantic(
         run_block_size_sweep, args=(monkeypatch,), rounds=1, iterations=1
     )
-    write_artifact("erasure_kernels", render_sweep(results, crossover))
-    # Why both implementations stay: each wins an end of the range.
+    write_artifact(
+        "erasure_kernels",
+        render_sweep(results, crossover)
+        + render_primitives(run_primitive_sweep()),
+    )
+    # Why all three implementations stay: each wins its own range —
+    # translate small blocks, word large stripes, and gather a single
+    # dense coefficient (RS(4,8) and RS(8,16) modify) at 4 KiB.
+    encode, modify = OPS.index("encode"), OPS.index("modify")
     for m, n in SWEEP_PAIRS:
         small = results[(m, n, SWEEP_SIZES[0])]
         large = results[(m, n, SWEEP_SIZES[-1])]
-        assert small["translate"][0] < small["gather"][0], (m, n, small)
-        assert large["gather"][0] < large["translate"][0], (m, n, large)
+        for other in ("word", "gather"):
+            assert small["translate"][encode] < small[other][encode], (
+                m, n, small)
+        for other in ("translate", "gather"):
+            assert large["word"][encode] < large[other][encode], (
+                m, n, large)
+    for m, n in SWEEP_PAIRS[1:]:
+        dense = results[(m, n, 4096)]
+        for other in ("translate", "word"):
+            assert dense["gather"][modify] < dense[other][modify], (
+                m, n, dense)

@@ -22,12 +22,14 @@ Performance notes.  Besides the timestamp-sorted entry list, the log
 maintains a parallel index of *value* entries (non-⊥), so ``max_block``
 is O(1) and ``max_below`` is a pure bisection — the seed walked the
 entry list backwards past every ⊥ placeholder.  For persistence, the
-log also defines a journal representation (:func:`append_record` /
-:func:`snapshot_record` + :func:`replay_journal`): instead of
+log also defines a journal representation (``("a", ts, block)``
+records, :func:`journal_records` + :func:`replay_journal`): instead of
 re-serializing the full entry list on every mutation (O(log-length) per
-write, O(writes²) per run), the replica appends O(1) delta records,
-resets the journal to one snapshot of the trimmed log at each GC trim,
-and replays the records on recovery.
+write, O(writes²) per run), the replica appends one O(1) record per
+append, resets the journal at each GC trim to the surviving entries'
+own records, and replays the records on recovery.  Each entry keeps
+the record that journalled it, so a trim hands the store the very
+objects it already sealed.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ __all__ = [
     "LogEntry",
     "ReplicaLog",
     "BOTTOM",
-    "append_record",
-    "snapshot_record",
+    "INITIAL_RECORD",
+    "journal_records",
     "replay_journal",
 ]
 
@@ -54,15 +56,19 @@ class LogEntry:
 
     ``block`` is ``bytes``, ``None`` (the paper's ``nil`` initial
     value), or :data:`BOTTOM` (the paper's ``⊥`` timestamp-only entry).
-    Entries are treated as immutable and are slotted — one exists per
-    logged write, so per-instance ``__dict__`` overhead matters.
+    ``record`` is the journal record ``("a", ts, block)`` that persists
+    the entry; one is made when none is given.  Entries
+    are treated as immutable and are slotted — one exists per logged
+    write, so per-instance ``__dict__`` overhead matters.
     """
 
-    __slots__ = ("ts", "block")
+    __slots__ = ("ts", "block", "record")
 
-    def __init__(self, ts: Timestamp, block: object) -> None:
+    def __init__(self, ts: Timestamp, block: object,
+                 record: Optional[tuple] = None) -> None:
         self.ts = ts
         self.block = block
+        self.record = (_APPEND, ts, block) if record is None else record
 
     @property
     def has_value(self) -> bool:
@@ -92,7 +98,7 @@ class ReplicaLog:
 
     def __init__(self, entries: Optional[List[LogEntry]] = None) -> None:
         if entries is None:
-            entries = [LogEntry(LOW_TS, None)]
+            entries = [LogEntry(LOW_TS, None, INITIAL_RECORD)]
         self._entries = sorted(entries, key=lambda e: e.ts)
         self._keys = [entry.ts for entry in self._entries]
         if not self._entries:
@@ -173,31 +179,39 @@ class ReplicaLog:
 
     # -- mutation ----------------------------------------------------------
 
-    def append(self, ts: Timestamp, block: object) -> None:
+    def append(self, ts: Timestamp, block: object,
+               record: Optional[tuple] = None) -> tuple:
         """Add ``{[ts, block]}`` to the log (the handler's ``log ∪ {...}``).
 
         Appending an entry whose timestamp already exists replaces it
         only if the old entry was ⊥ and the new one carries a value
         (set-union semantics: the pair is keyed by timestamp; a value
         entry subsumes a ⊥ placeholder for the same write).
+
+        Returns the journal record that persists this append: ``record``
+        when replaying one, else a new ``("a", ts, block)``.  A new
+        entry keeps it.
         """
+        if record is None:
+            record = (_APPEND, ts, block)
         index = bisect.bisect_left(self._keys, ts)
         if index < len(self._keys) and self._keys[index] == ts:
             existing = self._entries[index]
             if existing.block is BOTTOM and block is not BOTTOM:
-                entry = LogEntry(ts, block)
+                entry = LogEntry(ts, block, record)
                 self._entries[index] = entry
                 value_index = bisect.bisect_left(self._value_keys, ts)
                 self._value_keys.insert(value_index, ts)
                 self._value_entries.insert(value_index, entry)
-            return
-        entry = LogEntry(ts, block)
+            return record
+        entry = LogEntry(ts, block, record)
         self._entries.insert(index, entry)
         self._keys.insert(index, ts)
         if block is not BOTTOM:
             value_index = bisect.bisect_left(self._value_keys, ts)
             self._value_keys.insert(value_index, ts)
             self._value_entries.insert(value_index, entry)
+        return record
 
     def trim_below(self, ts: Timestamp) -> int:
         """Garbage-collect entries with timestamps strictly below ``ts``.
@@ -255,39 +269,42 @@ class ReplicaLog:
 
 # -- journal records ---------------------------------------------------------
 #
-# The journal-style stable representation: a snapshot of the log as of
-# its last trim, then one O(1) delta record per append since.  Replay
-# applies them in order, so recovery reconstructs exactly the log the
-# mutations produced.  Record tuples are (tag, ...); tags:
+# The journal holds one record per entry the log has had since its last
+# trim, in the order they were appended, starting with the initial
+# ``[LowTS, nil]`` entry's.  Replay appends them in order, so recovery
+# reconstructs exactly the log the mutations produced.  Record tuples
+# are (tag, ...); the one tag is:
 
 _APPEND = "a"
-_SNAPSHOT = "s"
+
+#: The record of the initial ``[LowTS, nil]`` entry: the first record
+#: of every journal, until a trim drops the entry.
+INITIAL_RECORD = (_APPEND, LOW_TS, None)
 
 
-def append_record(ts: Timestamp, block: object) -> tuple:
-    """Journal record for ``log.append(ts, block)``."""
-    return (_APPEND, ts, block)
+def journal_records(log: ReplicaLog) -> List[tuple]:
+    """The journal that rebuilds exactly ``log``: its entries' records.
 
-
-def snapshot_record(log: ReplicaLog) -> tuple:
-    """A base record holding the log's full state (written at a trim)."""
-    return (_SNAPSHOT, tuple([(e.ts, e.block) for e in log._entries]))
+    Written at a trim, whose survivors keep the records that journalled
+    them — the objects the store already sealed.
+    """
+    return [entry.record for entry in log._entries]
 
 
 def _is_well_formed(record: Any) -> bool:
     """Structural check for one journal record (tag + arity)."""
-    if not isinstance(record, tuple) or not record:
-        return False
-    tag = record[0]
-    if tag == _SNAPSHOT:
-        return len(record) == 2
-    if tag == _APPEND:
-        return len(record) == 3
-    return False
+    return (
+        isinstance(record, tuple) and len(record) == 3
+        and record[0] == _APPEND
+    )
 
 
 def replay_journal(records: List[Any]) -> ReplicaLog:
     """Rebuild a log by replaying journal ``records`` in order.
+
+    Replayed entries keep their record object, so the first trim after
+    recovery reuses the envelopes the store already holds.  An empty
+    journal is a register never written: the initial log.
 
     A malformed *trailing* record is dropped rather than aborting the
     replay: the stable store already truncates framing-detected torn
@@ -305,11 +322,8 @@ def replay_journal(records: List[Any]) -> ReplicaLog:
             raise ProtocolInvariantError(
                 f"malformed journal record {record!r} at index {index}"
             )
-        tag = record[0]
-        if tag == _SNAPSHOT:
-            log = ReplicaLog.from_state(list(record[1]))
-        else:  # _APPEND
-            if log is None:
-                log = ReplicaLog()
-            log.append(record[1], record[2])
+        if log is None:
+            log = ReplicaLog([LogEntry(record[1], record[2], record)])
+        else:
+            log.append(record[1], record[2], record)
     return log if log is not None else ReplicaLog()

@@ -11,8 +11,9 @@ mutation of ``ord-ts`` or the log is pushed to the node's stable store
 before the reply is sent; on recovery the replica reloads exactly those
 values, so a crash between mutation and reply is equivalent to the
 reply being lost in the network.  The log is persisted as a journal:
-one O(1) delta record per append, replayed on recovery, and reset to a
-single snapshot of the trimmed log at every GC trim.
+one O(1) record per append, replayed on recovery.  Every GC trim
+resets it to the surviving entries' own records, so the store re-seals
+none of the blocks it already holds.
 
 Retransmission handling: the coordinator's quorum primitive resends
 requests until enough replies arrive (fair-loss channels).  A replica
@@ -35,10 +36,10 @@ from ..transport.base import Node
 from ..types import ProcessId
 from .log import (
     BOTTOM,
+    INITIAL_RECORD,
     ReplicaLog,
-    append_record,
+    journal_records,
     replay_journal,
-    snapshot_record,
 )
 from .messages import (
     ALL,
@@ -215,23 +216,33 @@ class Replica:
         # but not counted as disk I/O.
         self.node.stable.store(self._ord_key(register_id), state.ord_ts)
 
-    def persist_append(self, register_id: int, ts: Timestamp,
-                       block: object) -> None:
-        """Persist one ``log.append(ts, block)`` that was just applied."""
-        self.node.stable.append(
-            self.log_key(register_id), append_record(ts, block)
-        )
+    def persist_append(self, register_id: int, record: tuple) -> None:
+        """Persist one ``log.append`` that was just applied.
+
+        ``record`` is the journal record the append returned.  A fresh
+        journal first gets the initial ``[LowTS, nil]`` entry's record,
+        so every journal holds one record per live entry.
+        """
+        stable = self.node.stable
+        key = self.log_key(register_id)
+        if not stable.journal_len(key):
+            stable.append(key, INITIAL_RECORD)
+        stable.append(key, record)
 
     def persist_trim(self, register_id: int, state: RegisterState) -> None:
         """Persist a ``log.trim_below`` that was just applied.
 
-        A trim is the one compaction point: the journal is reset to a
-        single snapshot of the trimmed log, so the bytes at rest are
-        the live log's and recovery replays O(appends since the last
-        trim).
+        A trim is the one compaction point: the journal is reset to the
+        surviving entries' records (``journal_records``), so the bytes
+        at rest are the live log's and recovery replays O(appends since
+        the last trim).  The survivors'
+        records are the objects the store already holds, so it keeps
+        their envelopes instead of re-sealing them; one that bit rot
+        replaced on disk is sealed afresh from the volatile log, which
+        heals it.
         """
         self.node.stable.reset_journal(
-            self.log_key(register_id), (snapshot_record(state.log),)
+            self.log_key(register_id), journal_records(state.log)
         )
 
     # -- duplicate suppression -------------------------------------------------
@@ -378,8 +389,9 @@ class Replica:
             return
         status = req.ts > state.log.max_ts() and req.ts >= state.ord_ts
         if status:
-            state.log.append(req.ts, req.block)
-            self.persist_append(req.register_id, req.ts, req.block)
+            self.persist_append(
+                req.register_id, state.log.append(req.ts, req.block)
+            )
             if req.block is not None:
                 self._disk_write()
         reply = WriteReply(
@@ -409,7 +421,7 @@ class Replica:
             log.append(req.ts, req.block)
             state = RegisterState(log=log, ord_ts=ord_ts)
             self.node.stable.reset_journal(
-                self.log_key(req.register_id), (snapshot_record(log),)
+                self.log_key(req.register_id), journal_records(log)
             )
             if req.block is not None:
                 self._disk_write()
@@ -462,8 +474,9 @@ class Replica:
             else:
                 block = BOTTOM
         if status:
-            state.log.append(req.ts, block)
-            self.persist_append(req.register_id, req.ts, block)
+            self.persist_append(
+                req.register_id, state.log.append(req.ts, block)
+            )
             if isinstance(block, (bytes, bytearray)):
                 self._disk_write()
         reply = ModifyReply(

@@ -368,8 +368,9 @@ class ShardedCluster:
             return False
         if state is None:
             state = target.state(register_id)
-        state.log.append(version, fragment)
-        target.persist_append(register_id, version, fragment)
+        target.persist_append(
+            register_id, state.log.append(version, fragment)
+        )
         cluster.metrics.count_disk_write()
         return True
 

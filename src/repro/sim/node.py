@@ -173,16 +173,23 @@ def flip_bit(record: Any, seed: int) -> Tuple[Any, bool]:
 class _JournalCell:
     """A journalled key: an append-only list of delta records.
 
-    ``crcs`` runs parallel to ``records``: the CRC32 envelope of each
-    record at append time (``None`` for a torn tail, which carries no
-    valid envelope by definition).
+    ``crcs`` and ``sizes`` run parallel to ``records``: the CRC32
+    envelope and persisted size of each record as sealed (``None`` and
+    0 for a torn tail, which carries no valid envelope by definition).
     """
 
-    __slots__ = ("records", "crcs")
+    __slots__ = ("records", "crcs", "sizes")
 
     def __init__(self) -> None:
         self.records: List[Any] = []
         self.crcs: List[Optional[int]] = []
+        self.sizes: List[int] = []
+
+    def pop(self) -> None:
+        """Drop the last record (a torn tail) with its envelope."""
+        self.records.pop()
+        self.crcs.pop()
+        self.sizes.pop()
 
 
 class _TornRecord:
@@ -318,10 +325,10 @@ class StableStore:
             self._account(key, 0)  # release any plain value it replaces
         if cell.records and type(cell.records[-1]) is _TornRecord:
             # A fresh append overwrites the torn tail on disk.
-            cell.records.pop()
-            cell.crcs.pop()
+            cell.pop()
         cell.records.append(record)
         cell.crcs.append(crc)
+        cell.sizes.append(size)
         self._account(key, self._sizes.get(key, 0) + size)
 
     def load_journal(self, key: str) -> List[Any]:
@@ -342,8 +349,7 @@ class StableStore:
         if cell.records and type(cell.records[-1]) is _TornRecord:
             # Torn tail: framing is incomplete, so recovery truncates it
             # regardless of checksum verification.
-            cell.records.pop()
-            cell.crcs.pop()
+            cell.pop()
             self.torn_dropped += 1
         if self.verify_checksums:
             for record, crc in zip(cell.records, cell.crcs):
@@ -363,21 +369,43 @@ class StableStore:
         return len(cell.records)
 
     def reset_journal(self, key: str, records: Any = ()) -> None:
-        """Atomically replace the journal with ``records`` (compaction)."""
+        """Atomically replace the journal with ``records`` (compaction).
+
+        A record that is the *identical* object already in this journal
+        keeps its envelope: records are immutable all the way down, so
+        the object is still what was sealed.  Bit rot injected since
+        (:meth:`corrupt`) replaced the stored object, so a caller that
+        passes its own copy gets it sealed afresh.  ``store_count``
+        counts only the records sealed here.
+        """
         records = list(records)
-        seals = [_seal(record) for record in records]
-        self.store_count += len(records)
-        self.quarantined.discard(key)
         cell = self._data.get(key)
-        if type(cell) is not _JournalCell:
-            cell = _JournalCell()
-            self._data[key] = cell
+        if type(cell) is _JournalCell:
+            sealed = {id(record): index
+                      for index, record in enumerate(cell.records)}
+        else:
+            cell, sealed = None, {}
+        crcs, sizes, fresh = [], [], 0
+        for record in records:
+            index = sealed.get(id(record))
+            if index is None:
+                size, crc = _seal(record)
+                fresh += 1
+            else:
+                size, crc = cell.sizes[index], cell.crcs[index]
+            crcs.append(crc)
+            sizes.append(size)
+        self.store_count += fresh
+        self.quarantined.discard(key)
+        if cell is None:
+            cell = self._data[key] = _JournalCell()
             self._crcs.pop(key, None)
         # Refill the cell in place: a compaction per GC notice should
-        # not leave a new cell and two new lists for the collector.
+        # not leave a new cell and new lists for the collector.
         cell.records[:] = records
-        cell.crcs[:] = [crc for _size, crc in seals]
-        self._account(key, sum(size for size, _crc in seals))
+        cell.crcs[:] = crcs
+        cell.sizes[:] = sizes
+        self._account(key, sum(sizes))
 
     # -- corruption: verification and fault injection ----------------------
 
@@ -443,6 +471,7 @@ class StableStore:
             return False  # already torn
         cell.records.append(_TORN)
         cell.crcs.append(None)
+        cell.sizes.append(0)
         return True
 
     # -- inspection --------------------------------------------------------

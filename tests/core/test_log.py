@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.log import BOTTOM, LogEntry, ReplicaLog
+from repro.core.log import (
+    BOTTOM,
+    INITIAL_RECORD,
+    LogEntry,
+    ReplicaLog,
+    journal_records,
+    replay_journal,
+)
 from repro.timestamps import HIGH_TS, LOW_TS, Timestamp
 
 
@@ -178,6 +185,57 @@ class TestPersistenceRoundtrip:
             log.append(ts(time), block)
         restored = ReplicaLog.from_state(log.to_state())
         assert restored.entries() == log.entries()
+
+
+class TestJournalReplay:
+    """The journal a replica keeps replays to exactly its live log."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["v", "bottom", "nil", "trim"]),
+            st.integers(1, 40),
+        ),
+        max_size=40,
+    ))
+    def test_replay_after_appends_and_trims(self, ops):
+        log = ReplicaLog()
+        journal = [INITIAL_RECORD]
+        for kind, time in ops:
+            if kind == "trim":
+                if log.trim_below(ts(time)):
+                    journal = journal_records(log)
+                continue
+            block = {"v": bytes([time]), "bottom": BOTTOM, "nil": None}[kind]
+            journal.append(log.append(ts(time), block))
+        replayed = replay_journal(journal)
+        assert replayed.entries() == log.entries()
+        assert [e.record for e in replayed.entries()] == [
+            e.record for e in log.entries()
+        ]
+
+    def test_initial_entry_survives_a_trim_exactly(self):
+        """Only ⊥ above LowTS: the trim keeps [LowTS, nil] as the
+        newest value, so its record stays in the journal."""
+        log = ReplicaLog()
+        for t in (1, 2, 3):
+            log.append(ts(t), BOTTOM)
+        assert log.trim_below(ts(3))
+        journal = journal_records(log)
+        assert journal == [INITIAL_RECORD, ("a", ts(3), BOTTOM)]
+        assert replay_journal(journal).to_state() == log.to_state() == [
+            (LOW_TS, None), (ts(3), BOTTOM)
+        ]
+
+    def test_survivors_are_the_appended_objects(self):
+        log = ReplicaLog()
+        appended = [log.append(ts(t), bytes([t])) for t in (1, 2, 3)]
+        log.trim_below(ts(2))
+        journal = journal_records(log)
+        assert journal[0] is appended[1] and journal[1] is appended[2]
+
+    def test_empty_journal_is_the_initial_log(self):
+        assert replay_journal([]).to_state() == [(LOW_TS, None)]
 
 
 class TestInvariantsProperty:

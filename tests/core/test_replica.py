@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.log import BOTTOM, snapshot_record
+from repro.core.log import BOTTOM, INITIAL_RECORD, journal_records
 from repro.core.messages import (
     ALL,
     GcReq,
@@ -19,6 +19,7 @@ from repro.core.messages import (
 )
 from repro.core.replica import Replica
 from repro.erasure import make_code
+from repro.sim import node as node_module
 from repro.sim.kernel import Environment
 from repro.transport.base import Node
 from repro.timestamps import HIGH_TS, LOW_TS, Timestamp
@@ -348,28 +349,84 @@ class TestModifyGc:
 
 
 class TestJournalCompaction:
-    def test_every_trim_leaves_one_snapshot_record(self):
-        """A trim resets the journal to one snapshot of the trimmed log,
-        and recovery replays it to exactly the live log."""
+    BLOCK = 4096
+
+    def write(self, h, t):
+        h.send(WriteReq(
+            register_id=0, request_id=t, block=bytes([t]) * self.BLOCK,
+            ts=ts(t),
+        ))
+
+    def gc(self, h, t):
+        h.send(GcReq(register_id=0, request_id=100 + t, ts=ts(t)))
+
+    def test_every_trim_keeps_the_surviving_append_records(self):
+        """A trim resets the journal to the survivors' own append
+        records, and recovery replays it to exactly the live log."""
         h = Harness()
         key = h.replica.log_key(0)
-        for t in range(1, 13):
-            h.send(WriteReq(
-                register_id=0, request_id=t, block=bytes([t]) * 64, ts=ts(t)
-            ))
+        self.write(h, 1)
+        assert h.node.stable.load_journal(key)[0] is INITIAL_RECORD
+        for t in range(2, 13):
+            self.write(h, t)
             if t % 3:
                 continue  # appends pile up between notices
-            h.send(GcReq(register_id=0, request_id=100 + t, ts=ts(t - 1)))
+            appended = h.node.stable.load_journal(key)
+            self.gc(h, t - 1)
             live = h.replica.state(0).log
-            assert h.node.stable.load_journal(key) == [
-                snapshot_record(live)
-            ]
+            journal = h.node.stable.load_journal(key)
+            assert journal == journal_records(live)
+            assert [record[1] for record in journal] == [ts(t - 1), ts(t)]
+            # The survivors are the very objects appended before.
+            assert all(
+                any(record is old for old in appended) for record in journal
+            )
             h.node.crash()
             h.node.recover()
             assert h.replica.state(0).log.to_state() == live.to_state()
         assert h.replica.state(0).log.to_state() == [
-            (ts(11), bytes([11]) * 64), (ts(12), bytes([12]) * 64)
+            (ts(11), bytes([11]) * self.BLOCK),
+            (ts(12), bytes([12]) * self.BLOCK),
         ]
+
+    def test_trim_seals_no_block(self, monkeypatch):
+        """A GC trim re-checksums none of the surviving blocks."""
+        h = Harness()
+        for t in range(1, 4):
+            self.write(h, t)
+        crc_lengths = []
+        crc32 = node_module._crc32
+
+        def counting_crc32(data, value=0):
+            crc_lengths.append(len(data))
+            return crc32(data, value)
+
+        monkeypatch.setattr(node_module, "_crc32", counting_crc32)
+        stores = h.node.stable.store_count
+        self.gc(h, 2)
+        assert [entry.ts for entry in h.replica.state(0).log.entries()] == [
+            ts(2), ts(3)
+        ]
+        assert not [n for n in crc_lengths if n >= self.BLOCK]
+        assert h.node.stable.store_count == stores
+
+    def test_bit_rot_before_a_trim_is_resealed_and_healed(self):
+        """A surviving record that rotted on disk since it was sealed
+        is sealed afresh from the volatile log, so the trim heals it."""
+        h = Harness()
+        key = h.replica.log_key(0)
+        for t in range(1, 4):
+            self.write(h, t)
+        live = h.replica.state(0).log.to_state()
+        assert h.node.stable.corrupt(key, seed=5)  # rots ts(3)'s record
+        assert not h.node.stable.verify(key)
+        stores = h.node.stable.store_count
+        self.gc(h, 2)
+        assert h.node.stable.store_count == stores + 1  # ts(3) resealed
+        assert h.node.stable.verify(key)
+        h.node.crash()
+        h.node.recover()
+        assert h.replica.state(0).log.to_state() == live[2:]
 
 
 class TestDuplicateSuppression:

@@ -84,6 +84,36 @@ class TestJournals:
         assert "j" not in store.quarantined
         assert store.load_journal("j") == records_for(2)
 
+    def test_reset_journal_keeps_envelopes_of_identical_records(self):
+        """Records already in the journal are not sealed again; the
+        size and verification come out as if they were."""
+        store = StableStore()
+        records = records_for(4)
+        for record in records:
+            store.append("j", record)
+        sealed = StableStore()
+        sealed.reset_journal("j", records[2:])
+        stores = store.store_count
+        store.reset_journal("j", records[2:])
+        assert store.store_count == stores
+        assert store.size_of("j") == sealed.size_of("j")
+        assert store.verify("j")
+        assert store.load_journal("j") == records[2:]
+
+    def test_reset_journal_reseals_a_rotted_record(self):
+        """Bit rot replaced the stored object, so the caller's pristine
+        copy is not identical to it: it is sealed afresh and heals."""
+        store = StableStore()
+        records = records_for(4)
+        for record in records:
+            store.append("j", record)
+        assert store.corrupt("j", seed=1)  # rots the newest record
+        stores = store.store_count
+        store.reset_journal("j", records[2:])
+        assert store.store_count == stores + 1
+        assert store.verify("j")
+        assert store.load_journal("j") == records[2:]
+
     def test_torn_tail_is_dropped_not_corruption(self):
         store = StableStore()
         for record in records_for(3):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import CorruptionDetected, StorageError
 from repro.sim.kernel import Environment, Interrupt
 from repro.sim.node import StableStore
-from repro.timestamps import Timestamp
+from repro.timestamps import LOW_TS, Timestamp
 from repro.transport.base import Node
 from repro.transport.sim import SimTransport
 from repro.types import BOTTOM
@@ -60,16 +60,9 @@ CENSUS = [
     ("append", ("a", TS, b"x" * 1024), 8 + 34 + 48 + 1057),
     ("append nil", ("a", TS, None), 8 + 34 + 48 + 4),
     ("append ⊥", ("a", TS, BOTTOM), 8 + 34 + 48 + 8),
-    (  # what a GC trim leaves on a ts-only data brick after a Modify
-        "snapshot ⊥",
-        ("s", ((Timestamp(6, 1), b"y" * 16), (TS, BOTTOM))),
-        8 + 34 + (8 + (8 + 48 + 49) + (8 + 48 + 8)),
-    ),
-    (
-        "snapshot",
-        ("s", ((TS, b"y" * 16), (Timestamp(6, 1), None))),
-        8 + 34 + (8 + (8 + 48 + 49) + (8 + 48 + 4)),
-    ),
+    # Every journal's first record, until a GC trim drops [LowTS, nil]
+    # (a trim writes only the survivors' own append records).
+    ("initial", ("a", LOW_TS, None), 8 + 34 + 48 + 4),
     ("ls97", (TS, b"v" * 8), 8 + 48 + 41),
 ]
 
@@ -180,7 +173,7 @@ class TestStableStoreCounters:
         store.append("logj:0", ("a", 2, b"x" * 1024))
         two = store.size_bytes()
         assert one < two <= 2 * one + 64
-        store.reset_journal("logj:0", [("s", (1, b"x" * 1024))])
+        store.reset_journal("logj:0", [("a", 3, b"x" * 1024)])
         assert store.size_bytes() < two
         assert store.journal_len("logj:0") == 1
 
