@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..campaign.schedule import FaultEvent, apply_event
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
+from ..errors import ConfigurationError
 from ..scrub.daemon import ScrubConfig, ScrubDaemon
 from ..scrub.sampler import PairSampler, detection_confidence, required_samples
 
@@ -468,7 +469,12 @@ def run_sampling_sweep(
     how many cycles until the first hit (detection latency).
 
     Everything derives from ``seed``; repeated calls are bit-identical.
+
+    Raises:
+        ConfigurationError: ``trials < 1`` (no trial, no detection rate).
     """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     result = SamplingSweepResult(
         registers=registers,
         bricks=n,

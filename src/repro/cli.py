@@ -29,6 +29,7 @@ from .analysis.compare import MEASURED_TO_ANALYTIC
 from .analysis.costs import ls97_costs, our_costs
 from .core.cluster import ClusterConfig, FabCluster
 from .core.rebuild import Rebuilder, Scrubber
+from .errors import ConfigurationError
 from .reliability import (
     BrickParams,
     ErasureCodedSystem,
@@ -560,10 +561,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code (1, with one line on
+    stderr, for a bad domain argument)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

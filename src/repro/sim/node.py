@@ -4,133 +4,46 @@
 paper's ``store(var)`` primitive, Section 4.2); the brick that owns one
 is :class:`~repro.transport.base.Node`.
 
-The module also owns the persisted-record format: what a record is,
-how big it is and its checksum (one walk, :func:`_seal`, projected by
-:func:`record_size` and :func:`fingerprint`) and its fault-injected bit
-rot (:func:`flip_bit`).
+A persisted record is what :mod:`repro.codec` encodes — the bytes a
+frame would carry.  The module seals it (:func:`_seal`: its encoded
+length and checksum) and injects its bit rot (:func:`flip_bit`).
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..codec import encode
 from ..errors import CorruptionDetected
-from ..timestamps import Timestamp
-from ..types import BOTTOM
 
-__all__ = ["StableStore", "record_size", "fingerprint", "flip_bit"]
+__all__ = ["StableStore", "flip_bit"]
 
 
 # -- the persisted-record format ------------------------------------------
 #
-# A record is an atom -- None, bool, int, float, str, bytes, a Timestamp
-# or ⊥ -- or a tuple of records: immutable all the way down.  That is
-# every value the protocol persists (ord-ts, journal records, LS97's
-# (ts, value) pairs), and it lets the store keep the caller's object
-# itself: nothing is copied on store or load, and no later mutation of
-# live memory can reach "disk".
+# A record (ord-ts, a journal record, LS97's (ts, value) pair) is an
+# atom or a tuple of records: immutable all the way down, so the store
+# keeps the caller's object itself and nothing in live memory can reach
+# "disk".
 
-_BYTES_OVERHEAD = 33  # per str/bytes leaf, on top of its length
-_TUPLE_OVERHEAD = 8
-_TIMESTAMP_SIZE = 48
-
-#: A Timestamp's CRC content: tag ``t``, then ``(kind, time,
-#: process_id)`` packed; a field that does not fit (a float or oversized
-#: time) is fed as its ``repr`` under tag ``u``.
-_STAMP = struct.Struct(">Bbqq")
-_STAMP_TAG = ord("t")
 _crc32 = zlib.crc32
 
 
-def _leaf(record: Any) -> Tuple[int, bytes]:
-    """``(size, CRC content)`` of one atom other than ``bytes``."""
-    tp = type(record)
-    if tp is Timestamp:
-        try:
-            return _TIMESTAMP_SIZE, _STAMP.pack(
-                _STAMP_TAG, record[0], record[1], record[2]
-            )
-        except struct.error:
-            return _TIMESTAMP_SIZE, b"u" + repr(tuple(record)).encode()
-    if record is None:
-        return 4, b"N"
-    if record is BOTTOM:
-        return 8, b"R"
-    if tp is str:
-        return len(record) + _BYTES_OVERHEAD, b"s" + record.encode(
-            "utf-8", "surrogatepass"
-        )
-    if tp is bool:
-        return 4, b"T" if record else b"F"
-    if tp is int:
-        return 12, b"i" + repr(record).encode()
-    if tp is float:
-        return 16, b"f" + repr(record).encode()
-    raise TypeError(
-        "stable-store records are immutable atoms or tuples of "
-        f"records, not {tp.__name__}"
-    )
-
-
-def _seal_into(record: Any, crc: int) -> Tuple[int, int]:
-    """``(size, crc)`` of one record node, folding into running ``crc``.
-
-    ``bytes`` — every journal record's payload — is fed to the CRC
-    after its tag, never copied, and a tuple's ``bytes`` items are
-    sealed in its loop, without a call each.
-    """
-    tp = type(record)
-    if tp is bytes:
-        size = len(record) + _BYTES_OVERHEAD
-        return size, _crc32(record, _crc32(b"b", crc))
-    if tp is not tuple:
-        size, content = _leaf(record)
-        return size, _crc32(content, crc)
-    size = _TUPLE_OVERHEAD
-    crc = _crc32(b"(", crc)
-    for item in record:
-        tp = type(item)
-        if tp is bytes:
-            size += len(item) + _BYTES_OVERHEAD
-            crc = _crc32(item, _crc32(b"b", crc))
-        elif tp is tuple:
-            item_size, crc = _seal_into(item, crc)
-            size += item_size
-        else:
-            item_size, content = _leaf(item)
-            size += item_size
-            crc = _crc32(content, crc)
-    return size, _crc32(b")", crc)
-
-
 def _seal(record: Any) -> Tuple[int, int]:
-    """Validate, size and checksum ``record`` in one walk.
+    """``(size, crc)`` of ``record``'s encoding, from one encoding.
 
-    Returns ``(size, crc)``: the approximate persisted size (8 per
-    tuple, ``len + 33`` per ``str``/``bytes``, a fixed size per atom)
-    and the CRC32 of its logical content (type tag + content per node).
-    Raises :class:`TypeError`, naming the offending type, for anything
-    that is not a record (a list, dict, set, bytearray, ... anywhere
-    inside it).
+    The CRC32 is folded over the encoded pieces, so a ``bytes`` leaf is
+    checksummed in place, never copied; it is deterministic across runs
+    and sensitive to any bit flip in a stored payload.  Raises
+    :class:`TypeError`, naming the offending type, for anything that is
+    not a record (a list, dict, set, bytearray, ... anywhere inside it).
     """
-    return _seal_into(record, 0)
-
-
-def record_size(record: Any) -> int:
-    """Approximate persisted size of ``record`` (see :func:`_seal`)."""
-    return _seal_into(record, 0)[0]
-
-
-def fingerprint(record: Any) -> int:
-    """CRC32 of a record's logical content (see :func:`_seal`).
-
-    Deterministic across runs (no ``id()``/hash-seed dependence) and
-    sensitive to any bit-level change in stored payload bytes — the
-    checksum the store's corruption envelope is built on.
-    """
-    return _seal_into(record, 0)[1]
+    size = crc = 0
+    for piece in encode(record):
+        size += len(piece)
+        crc = _crc32(piece, crc)
+    return size, crc
 
 
 def flip_bit(record: Any, seed: int) -> Tuple[Any, bool]:
@@ -210,7 +123,7 @@ _TORN = _TornRecord()
 class StableStore:
     """Per-node persistent key-value storage (the ``store`` primitive).
 
-    Values are *records* (see :func:`record_size`): immutable atoms and
+    Values are *records* (see :mod:`repro.codec`): immutable atoms and
     tuples of them.  Later in-memory mutation can therefore never
     retroactively change "disk" contents — the classic aliasing bug in
     storage simulators is impossible by construction, so the store
@@ -297,7 +210,7 @@ class StableStore:
         stored = self._data[key]
         if type(stored) is _JournalCell:
             return self._read_journal(key, stored)
-        if self.verify_checksums and fingerprint(stored) != self._crcs[key]:
+        if self.verify_checksums and _seal(stored)[1] != self._crcs[key]:
             self.checksum_failures += 1
             self.quarantined.add(key)
             raise CorruptionDetected(
@@ -353,7 +266,7 @@ class StableStore:
             self.torn_dropped += 1
         if self.verify_checksums:
             for record, crc in zip(cell.records, cell.crcs):
-                if fingerprint(record) != crc:
+                if _seal(record)[1] != crc:
                     self.checksum_failures += 1
                     self.quarantined.add(key)
                     raise CorruptionDetected(
@@ -425,10 +338,10 @@ class StableStore:
             if records and type(records[-1]) is _TornRecord:
                 records, crcs = records[:-1], crcs[:-1]
             return all(
-                fingerprint(record) == crc
+                _seal(record)[1] == crc
                 for record, crc in zip(records, crcs)
             )
-        return fingerprint(stored) == self._crcs[key]
+        return _seal(stored)[1] == self._crcs[key]
 
     def corrupt(self, key: str, seed: int = 0) -> bool:
         """Inject a silent bit flip into ``key``'s stored payload.
@@ -484,11 +397,11 @@ class StableStore:
         return list(self._data)
 
     def size_bytes(self) -> int:
-        """Approximate persisted size, maintained incrementally."""
+        """Encoded size of every record held, maintained incrementally."""
         return self._size_bytes
 
     def size_of(self, key: str) -> int:
-        """Approximate persisted size of one key (0 if absent).
+        """Encoded size of one key's records (0 if absent).
 
         The per-key share of :meth:`size_bytes`.
         """

@@ -10,7 +10,7 @@ from repro.sim.node import StableStore
 from repro.timestamps import LOW_TS, Timestamp
 from repro.transport.base import Node
 from repro.transport.sim import SimTransport
-from repro.types import BOTTOM
+from repro.types import ABORT, BOTTOM
 
 TS = Timestamp(5, 2)
 
@@ -52,18 +52,18 @@ class TestStableStore:
         assert store.size_bytes() < big
 
 
-#: Every value shape the protocol persists, with its pinned size_of:
-#: 8 per tuple, len + 33 per str/bytes, 48 per Timestamp, 4 for None,
-#: 8 for ⊥.
+#: Every value shape the protocol persists, with its pinned size_of —
+#: its encoded length: 5 per tuple head, 5 + len per str/bytes, 18 per
+#: Timestamp, 1 for None and for ⊥.
 CENSUS = [
-    ("ord-ts", TS, 48),
-    ("append", ("a", TS, b"x" * 1024), 8 + 34 + 48 + 1057),
-    ("append nil", ("a", TS, None), 8 + 34 + 48 + 4),
-    ("append ⊥", ("a", TS, BOTTOM), 8 + 34 + 48 + 8),
+    ("ord-ts", TS, 18),
+    ("append", ("a", TS, b"x" * 1024), 5 + 6 + 18 + 1029),
+    ("append nil", ("a", TS, None), 5 + 6 + 18 + 1),
+    ("append ⊥", ("a", TS, BOTTOM), 5 + 6 + 18 + 1),
     # Every journal's first record, until a GC trim drops [LowTS, nil]
     # (a trim writes only the survivors' own append records).
-    ("initial", ("a", LOW_TS, None), 8 + 34 + 48 + 4),
-    ("ls97", (TS, b"v" * 8), 8 + 48 + 41),
+    ("initial", ("a", LOW_TS, None), 5 + 6 + 18 + 1),
+    ("ls97", (TS, b"v" * 8), 5 + 18 + 13),
 ]
 
 
@@ -87,6 +87,9 @@ class TestRecordContract:
         ({1}, "set"),
         (bytearray(b"block"), "bytearray"),
         (("a", TS, bytearray(b"block")), "bytearray"),
+        # The wire carries a frozenset; the store must not.
+        (frozenset({1}), "frozenset"),
+        (("a", TS, ABORT), "_AbortType"),
     ])
     def test_refuses_non_records(self, method, bad, type_name):
         store = StableStore()

@@ -75,6 +75,25 @@ class TestCli:
         assert "no invariant violations" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, complaint", [
+    (["serve", "--clients", "0", "--ops", "4", "--json", "r.json"],
+     "clients must be >= 1"),
+    (["serve", "--clients", "2", "--ops", "2", "--drop-rate", "1.5"],
+     "drop must be in"),
+    (["scrub", "--ops", "10", "--trials", "0", "--sample-registers", "20",
+      "--out", "r.txt", "--json", "r.json"], "trials must be >= 1"),
+])
+def test_bad_domain_arguments_exit_with_one_line(
+    capsys, monkeypatch, tmp_path, argv, complaint
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"repro {argv[0]}: ") and complaint in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("spec", [
     "400:50:2",    # heals before it starts
     "50:50:2",     # empty window

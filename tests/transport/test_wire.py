@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core import messages
 from repro.errors import ConfigurationError
 from repro.timestamps import HIGH_TS, LOW_TS, Timestamp
+from repro.types import BOTTOM
 from repro.transport import wire
 from repro.transport.wire import (
     decode_frame,
@@ -34,6 +35,22 @@ def test_scalars_bytes_and_none_roundtrip():
     assert roundtrip("status") == "status"
     assert roundtrip(b"\x00\xffpayload") == b"\x00\xffpayload"
     assert roundtrip([1, b"a", None]) == [1, b"a", None]
+
+
+def test_records_roundtrip_as_records():
+    """Tuples and ⊥ have their own tags, so a record comes back as
+    itself, not as a list."""
+    record = ("a", TS, (BOTTOM, b"block", None))
+    back = roundtrip(record)
+    assert back == record and type(back) is tuple
+    assert type(back[2]) is tuple and back[2][0] is BOTTOM
+
+
+def test_lone_surrogate_roundtrips():
+    assert roundtrip("\ud800") == "\ud800"
+    message = messages.ReadReply(0, 7, "a\udfffb", val_ts=TS, block=b"",
+                                 corrupt=False)
+    assert roundtrip(message) == message
 
 
 def test_timestamp_roundtrip_including_sentinels():
