@@ -37,7 +37,6 @@ def make_stripe(m, size=BLOCK, seed=1):
     "kind,m,n",
     [
         ("reed-solomon", 5, 8),
-        ("cauchy", 5, 8),
         ("parity", 4, 5),
         ("replication", 1, 3),
     ],
@@ -52,7 +51,7 @@ def test_bench_encode(benchmark, kind, m, n):
 
 @pytest.mark.parametrize(
     "kind,m,n",
-    [("reed-solomon", 5, 8), ("cauchy", 5, 8), ("parity", 4, 5)],
+    [("reed-solomon", 5, 8), ("parity", 4, 5)],
 )
 def test_bench_decode_worst_case(benchmark, kind, m, n):
     """Decode with the maximum number of data blocks missing."""

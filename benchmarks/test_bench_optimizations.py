@@ -23,7 +23,6 @@ CASES = [
     ("reed-solomon", 3, 6),
     ("reed-solomon", 5, 8),
     ("reed-solomon", 5, 9),
-    ("cauchy", 5, 8),
     ("lrc", 5, 8),
     ("parity", 5, 6),
     ("replication", 1, 3),

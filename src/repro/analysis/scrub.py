@@ -471,10 +471,13 @@ def run_sampling_sweep(
     Everything derives from ``seed``; repeated calls are bit-identical.
 
     Raises:
-        ConfigurationError: ``trials < 1`` (no trial, no detection rate).
+        ConfigurationError: ``trials < 1`` (no trial, no detection rate)
+            or ``registers < 1`` (nothing to sample).
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if registers < 1:
+        raise ConfigurationError(f"registers must be >= 1, got {registers}")
     result = SamplingSweepResult(
         registers=registers,
         bricks=n,

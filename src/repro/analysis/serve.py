@@ -13,10 +13,10 @@ or protocol defect, not workload-induced aborts.  Clients alternate
 writes and read-backs and verify every read against the last value they
 wrote.
 
-**Chaos mode** (any non-zero fault knob, or a partition) wraps the
-transport in a :class:`~repro.transport.chaos.ChaosTransport`: a seeded
-:class:`~repro.transport.chaos.ChaosPolicy` drops / duplicates /
-corrupts frames on the *wall-clock* path, and an optional timed
+**Chaos mode** (any non-zero fault knob, or a partition) installs a
+seeded :class:`~repro.transport.chaos.ChaosPolicy` on the transport
+(``Transport.set_chaos``), which drops / duplicates / corrupts frames
+on the *wall-clock* path, and an optional timed
 partition is a two-event fault plan applied once the transport runs
 (clients keep re-reading their blocks until the plan's last event), while
 sessions run with a chaos-tolerant retry policy (attempt
@@ -45,7 +45,7 @@ from ..core.session import RetryPolicy
 from ..core.volume import LogicalVolume
 from ..errors import ConfigurationError
 from ..transport.aio import AsyncioTransport
-from ..transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
+from ..transport.chaos import ChaosPolicy, LinkChaos
 from ..verify.linearizability import check_strict_linearizability
 
 __all__ = ["run_serve"]
@@ -113,11 +113,9 @@ async def _serve(
     chaos_policy: Optional[ChaosPolicy],
     plan: Optional[CampaignSchedule],
 ) -> dict:
-    inner = AsyncioTransport(mode=mode, base_port=base_port)
+    transport = AsyncioTransport(mode=mode, base_port=base_port)
     if chaos_policy is not None:
-        transport = ChaosTransport(inner, chaos_policy)
-    else:
-        transport = inner
+        transport.set_chaos(chaos_policy)
     cluster = FabCluster(
         ClusterConfig(
             m=m, n=n, block_size=block_size, transport="asyncio",
@@ -199,8 +197,8 @@ async def _serve(
         "linearizable": linearizable,
         "blocks_checked": blocks_checked,
         "transport_retries": transport_retries,
-        "reconnects": inner.reconnects,
-        "outbox_drops": sum(inner.outbox_drops.values()),
+        "reconnects": transport.reconnects,
+        "outbox_drops": sum(transport.outbox_drops.values()),
     }
     if chaos_policy is not None:
         chaos_axes["policy"] = chaos_policy.to_dict()
@@ -241,9 +239,9 @@ def run_serve(
 ) -> dict:
     """Host a cluster on the asyncio transport and load it with clients.
 
-    Any non-zero fault knob (or a ``partition``) wraps the transport in
-    a seeded :class:`~repro.transport.chaos.ChaosTransport` and runs the
-    sessions with the chaos-tolerant retry policy.
+    Any non-zero fault knob (or a ``partition``) installs a seeded
+    :class:`~repro.transport.chaos.ChaosPolicy` on the transport and
+    runs the sessions with the chaos-tolerant retry policy.
     ``partition`` is ``(start_ms, end_ms, group)``: the group is cut off
     from the rest of the cluster for that window (one transport unit is
     one millisecond at the default time scale).  Returns the result

@@ -31,7 +31,7 @@ import random
 
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
-from ..errors import StorageError
+from ..errors import ConfigurationError, StorageError
 from ..sim.network import NetworkConfig
 from ..types import OpKind
 from ..verify.history import HistoryRecorder
@@ -112,6 +112,13 @@ class CampaignConfig:
     corrupt_weight: float = 0.0
     verify_checksums: bool = True
     scrub_enabled: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("registers", "clients", "ops_per_client"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
 
     @property
     def effective_f(self) -> int:

@@ -124,6 +124,13 @@ def _table1(args: argparse.Namespace) -> int:
 
 
 def _demo(args: argparse.Namespace) -> int:
+    if (args.n - args.m) // 2 < 1:
+        # The demo crashes brick n; with f = 0 its read would wait for
+        # all n bricks forever.
+        raise ConfigurationError(
+            f"the demo crashes one brick, which needs f = (n - m) // 2 "
+            f">= 1; got n={args.n}, m={args.m}"
+        )
     cluster = FabCluster(
         ClusterConfig(m=args.m, n=args.n, block_size=args.block_size)
     )

@@ -99,8 +99,14 @@ class FabCluster:
     ) -> None:
         self.config = config or ClusterConfig()
         cfg = self.config
-        if cfg.n < cfg.m:
-            raise ConfigurationError(f"need n >= m, got n={cfg.n}, m={cfg.m}")
+        if cfg.m < 1 or cfg.n < cfg.m:
+            raise ConfigurationError(
+                f"need n >= m >= 1, got n={cfg.n}, m={cfg.m}"
+            )
+        if cfg.block_size < 1:
+            raise ConfigurationError(
+                f"block_size must be >= 1, got {cfg.block_size}"
+            )
         self.metrics = Metrics(history_limit=cfg.metrics_history_limit)
         if transport is None:
             if cfg.transport == "sim":

@@ -19,7 +19,6 @@ suitable code from ``(m, n)``.  Block-size arithmetic runs through the
 GF(2^8) bulk kernels in :mod:`repro.erasure.kernels`.
 """
 
-from .cauchy import CauchyReedSolomonCode
 from .gf256 import GF256
 from .interface import ErasureCode
 from .lrc import LRCCode, split_parity
@@ -30,7 +29,6 @@ from .replication import ReplicationCode
 
 __all__ = [
     "GF256",
-    "CauchyReedSolomonCode",
     "ErasureCode",
     "LRCCode",
     "ReedSolomonCode",

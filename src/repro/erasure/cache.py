@@ -5,7 +5,7 @@ Steady-state workloads decode from a handful of patterns, but fault
 campaigns churn through survivor sets (every crash pattern is a new
 frozenset), so an unbounded cache grows without limit.  PR 7 bounded
 the Reed-Solomon coder's cache inline; this module factors that policy
-into one helper so *every* coder (Reed-Solomon, Cauchy, LRC, and any
+into one helper so *every* coder (Reed-Solomon, LRC, and any
 future registrant) shares the same bounded behaviour instead of
 re-implementing — or forgetting — the eviction logic.
 """

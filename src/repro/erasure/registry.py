@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Type
 
 from ..errors import ConfigurationError
-from .cauchy import CauchyReedSolomonCode
 from .interface import ErasureCode
 from .lrc import LRCCode
 from .parity import SingleParityCode
@@ -22,7 +21,6 @@ __all__ = ["make_code", "available_codes", "register_code"]
 
 _REGISTRY: Dict[str, Type[ErasureCode]] = {
     "reed-solomon": ReedSolomonCode,
-    "cauchy": CauchyReedSolomonCode,
     "lrc": LRCCode,
     "parity": SingleParityCode,
     "replication": ReplicationCode,

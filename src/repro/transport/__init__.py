@@ -12,11 +12,11 @@ The FAB coordinator/replica/session code speaks only the
 * ``"asyncio-tcp"`` — same, but messages travel as length-prefixed
   binary frames over real TCP sockets.
 
-Any substrate can additionally be wrapped in a
-:class:`~repro.transport.chaos.ChaosTransport` — seeded fault injection
-(drop/duplicate/corrupt) at the transport boundary; it also hosts a
-fault plan's partitions and drop windows, which a bare asyncio
-transport refuses.
+Every substrate takes the same link faults, defined once on
+:class:`Transport`: crash markers, a fault plan's partitions and drop
+windows, and seeded per-message chaos (drop/duplicate/corrupt) that
+:meth:`Transport.set_chaos` installs from a
+:class:`~repro.transport.chaos.ChaosPolicy`.
 
 ``AsyncioTransport`` (and the wire codec) import lazily: the wire
 module depends on :mod:`repro.core.messages`, which would make the
@@ -29,7 +29,7 @@ from typing import Any
 
 from ..errors import ConfigurationError
 from .base import Endpoint, TimerHandle, Transport
-from .chaos import ChaosPolicy, ChaosStats, ChaosTransport, LinkChaos
+from .chaos import ChaosPolicy, ChaosStats, LinkChaos
 from .sim import SimTransport
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "Endpoint",
     "SimTransport",
     "AsyncioTransport",
-    "ChaosTransport",
     "ChaosPolicy",
     "ChaosStats",
     "LinkChaos",

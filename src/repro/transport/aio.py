@@ -150,13 +150,13 @@ class AsyncioTransport(Transport):
             raise ConfigurationError(
                 f"unknown asyncio transport mode {mode!r}; valid: {_MODES}"
             )
+        super().__init__()
         self.mode = mode
         self.host = host
         self.base_port = base_port
         self.metrics = metrics
         self.env = Environment()
         self._endpoints: Dict[ProcessId, Callable[[Any], None]] = {}
-        self._down: Dict[ProcessId, bool] = {}
         self._running = False
         self._origin: Optional[float] = None
         self._pump_task = None
@@ -269,7 +269,6 @@ class AsyncioTransport(Transport):
                 "tcp transport: register all endpoints before start()"
             )
         self._endpoints[process_id] = deliver
-        self._down[process_id] = False
 
     def unregister(self, process_id: ProcessId) -> None:
         """Detach an endpoint and reap its connection state.
@@ -279,7 +278,7 @@ class AsyncioTransport(Transport):
         that churns endpoints stays bounded.
         """
         self._endpoints.pop(process_id, None)
-        self._down.pop(process_id, None)
+        self._down.discard(process_id)
         self._peer_health.pop(process_id, None)
         self._peer_failures.pop(process_id, None)
         outbox = self._outboxes.pop(process_id, None)
@@ -291,12 +290,9 @@ class AsyncioTransport(Transport):
         if task is not None and not task.done():
             task.cancel()
 
-    def set_down(self, process_id: ProcessId, down: bool) -> None:
-        self._down[process_id] = down
-
     def peer_state(self, process_id: ProcessId) -> str:
         """Health verdict: the crash marker wins, then the tcp machine."""
-        if self._down.get(process_id, False):
+        if process_id in self._down:
             return "down"
         return self._peer_health.get(process_id, "up")
 
@@ -304,30 +300,46 @@ class AsyncioTransport(Transport):
         self, src: ProcessId, dst: ProcessId, payload: Any, size: int = 0
     ) -> None:
         self._raise_if_pump_dead()
-        if self.metrics is not None:
-            self.metrics.count_message(size)
-        if self._down.get(src, False) or self._down.get(dst, False):
-            if self.metrics is not None:
-                self.metrics.count_drop()
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.count_message(size)
+        if src in self._down or dst in self._down:
+            if metrics is not None:
+                metrics.count_drop()
             return
-        message = Message(src, dst, payload, size)
+        copies = 1
+        if self._faulted:
+            copies = self._link_copies(
+                src, dst, payload, size, self._window_drop
+            )
+            if not copies:
+                return
         if self.mode == "tcp" and self._running and src != dst:
-            self._enqueue_frame(dst, wire.encode_frame(src, dst, payload, size))
+            frame = wire.encode_frame(src, dst, payload, size)
+            self._enqueue_frame(dst, frame)
+            if copies == 2:
+                self._enqueue_frame(dst, frame)
             return
         # Loopback, a process's message to itself (its coordinator and
         # its replica share the host) and pre-start tcp (e.g. setup
         # writes): inject into the shared queue; the pump dispatches it
         # next cycle.
+        message = Message(src, dst, payload, size)
         self._advance_clock()
         _Delivery(self, message)
+        if copies == 2:
+            _Delivery(self, message)
         self._kick()
 
     def _on_delivery(self, delivery: _Delivery) -> None:
         self._deliver(delivery._value)
 
     def _deliver(self, message: Message) -> None:
-        # Down/registration state may have changed in flight.
-        if self._down.get(message.dst, False):
+        # Crash markers and cuts may have changed in flight, on the
+        # socket or in the queue: a message a cut now separates is lost.
+        if message.dst in self._down or (
+            self._cut and self._cut_off(message.src, message.dst)
+        ):
             if self.metrics is not None:
                 self.metrics.count_drop()
             return

@@ -15,6 +15,12 @@ session, and daemon code runs unchanged on
   and length-prefixed frames over an in-process loopback or real TCP
   sockets (the ``repro serve`` mode).
 
+Link faults — crash markers, partitions, drop windows and a seeded
+:class:`~repro.transport.chaos.ChaosPolicy` — are state of the
+:class:`Transport` itself, defined once here and applied by each
+substrate inside its own ``send`` and delivery, so a fault plan means
+the same thing on every substrate.
+
 :class:`Endpoint` is the per-process handle on a transport: it owns the
 process id, the inbound dispatch table, the up/down lifecycle with
 crash/recovery hooks, and the set of protocol coroutines whose fate is
@@ -24,14 +30,21 @@ tied to the process (a crash interrupts them mid-operation).
 
 from __future__ import annotations
 
+import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import (
+    Any, Callable, Dict, Generator, Iterable, List, Optional, Set,
+)
 
-from ..errors import ConfigurationError, StorageError
+from ..errors import StorageError
 from ..types import ProcessId
 from ..sim.kernel import AnyOf, Environment, Event, Process, Timeout
 from ..sim.monitor import Metrics
 from ..sim.node import StableStore
+from .chaos import (
+    ChaosPolicy, ChaosStats, LinkChaos, _check_probability,
+    corruption_detected,
+)
 
 __all__ = ["Transport", "TimerHandle", "Endpoint", "Node"]
 
@@ -78,12 +91,34 @@ class Transport(ABC):
     coroutines run on is substrate-independent — only *when* events are
     pumped differs.  ``SimTransport`` drives it in virtual time;
     ``AsyncioTransport`` pumps it from an asyncio task in wall time.
+
+    The link faults live here too.  A substrate's ``send`` checks the
+    crash markers inline and asks :meth:`_link_copies` only while
+    ``_faulted``; its delivery re-checks crash markers and cuts, so a
+    fault that appears while a message is in flight catches it.
     """
 
     #: The event substrate protocol coroutines run on.
     env: Environment
     #: Shared metric sink (message/bandwidth counting).
     metrics: Any
+
+    def __init__(self) -> None:
+        #: Crash markers: every message to or from these is lost.
+        self._down: Set[ProcessId] = set()
+        #: Groups a fault plan cut off from everyone else, until healed.
+        self._cut: List[frozenset] = []
+        #: Loss probability of an open drop window (0 when closed).
+        self._window_drop = 0.0
+        #: The seeded per-message faults :meth:`set_chaos` installed.
+        self._link = LinkChaos()
+        self._policy: Optional[ChaosPolicy] = None
+        self._chaos_rng = random.Random(ChaosPolicy().seed)
+        #: True while any cut, drop window or policy is installed: the
+        #: one flag a substrate's send reads on the fault-free path.
+        self._faulted = False
+        #: What the link faults did.
+        self.stats = ChaosStats()
 
     # -- messaging ---------------------------------------------------------
 
@@ -103,9 +138,12 @@ class Transport(ABC):
     ) -> None:
         """Send one message (fire-and-forget, may be lost)."""
 
-    @abstractmethod
     def set_down(self, process_id: ProcessId, down: bool) -> None:
         """Mark an endpoint crashed; messages to/from it are lost."""
+        if down:
+            self._down.add(process_id)
+        else:
+            self._down.discard(process_id)
 
     # -- peer health -------------------------------------------------------
 
@@ -123,27 +161,97 @@ class Transport(ABC):
         Sessions use this for health-aware routing: prefer ``"up"``
         coordinators, tolerate ``"suspect"``, avoid ``"down"``.
         """
-        return "up"
+        return "down" if process_id in self._down else "up"
 
     # -- link faults (driven by repro.campaign.schedule.apply_event) --------
 
     def partition(self, group: Iterable[ProcessId]) -> None:
-        """Cut ``group`` off from every other endpoint until :meth:`heal`."""
-        self._no_link_faults()
+        """Drop every message crossing ``group``'s boundary until healed,
+        including messages to endpoints registered later."""
+        self._cut.append(frozenset(group))
+        self._faults_changed()
 
     def heal(self) -> None:
         """Withdraw every partition."""
-        self._no_link_faults()
+        self._cut = []
+        self._faults_changed()
+
+    def is_partitioned(self, a: ProcessId, b: ProcessId) -> bool:
+        """True iff a cut-off group separates ``a`` and ``b``."""
+        for group in self._cut:
+            if (a in group) != (b in group):
+                return True
+        return False
 
     def set_drop_probability(self, probability: float) -> None:
-        """Lose each message with at least ``probability`` (0 withdraws)."""
-        self._no_link_faults()
+        """Open (``probability > 0``) or close a drop window; while open,
+        each message is lost with at least ``probability``."""
+        _check_probability("drop probability", probability)
+        self._window_drop = probability
+        self._faults_changed()
 
-    def _no_link_faults(self) -> None:
-        raise ConfigurationError(
-            f"{type(self).__name__} cannot inject link faults; wrap it in "
-            f"a ChaosTransport"
+    def set_chaos(self, policy: ChaosPolicy) -> None:
+        """Install seeded per-message faults (``policy.default``) on
+        every link, drawn from an RNG seeded by ``policy.seed``."""
+        self._policy = policy
+        self._link = policy.default
+        self._chaos_rng = random.Random(policy.seed)
+        self._faults_changed()
+
+    def _faults_changed(self) -> None:
+        self._faulted = (
+            bool(self._cut) or self._window_drop > 0.0
+            or self._policy is not None
         )
+
+    def _cut_off(self, src: ProcessId, dst: ProcessId) -> bool:
+        """True, counted as a partition drop, iff a cut separates them."""
+        if self.is_partitioned(src, dst):
+            self.stats.partition_dropped += 1
+            return True
+        return False
+
+    def _link_copies(
+        self, src: ProcessId, dst: ProcessId, payload: Any, size: int,
+        window: float,
+    ) -> int:
+        """How many copies of one send the link faults let through: 0-2.
+
+        A cut kills the send; then the policy RNG draws a drop (at least
+        ``window``, the part of the drop window the substrate does not
+        draw itself), a corruption and a duplicate, in that order.  The
+        substrate has counted the send as a message; a kill counts a
+        drop, and a duplicate counts a second message.
+        """
+        link, rng, stats = self._link, self._chaos_rng, self.stats
+        if self._cut and self._cut_off(src, dst):
+            return self._lost()
+        drop = max(link.drop, window)
+        if drop > 0.0 and rng.random() < drop:
+            if window > link.drop:
+                stats.window_dropped += 1
+            else:
+                stats.dropped += 1
+            return self._lost()
+        if (
+            link.corrupt > 0.0 and rng.random() < link.corrupt
+            and corruption_detected(rng, src, dst, payload, size)
+        ):
+            stats.corrupted += 1
+            return self._lost()
+        if link.duplicate > 0.0 and rng.random() < link.duplicate:
+            stats.duplicated += 1
+            stats.forwarded += 2
+            if self.metrics is not None:
+                self.metrics.count_message(size)
+            return 2
+        stats.forwarded += 1
+        return 1
+
+    def _lost(self) -> int:
+        if self.metrics is not None:
+            self.metrics.count_drop()
+        return 0
 
     # -- time --------------------------------------------------------------
 

@@ -4,8 +4,11 @@ The paper's channel model (Section 2) on the kernel
 :class:`Environment`: channels may reorder or drop messages but never
 (undetectably) corrupt them, and they are fair-lossy — a message
 retransmitted forever to a correct process is delivered infinitely
-often.  Each send draws an independent loss and a uniform latency (which
-yields reordering); crashed endpoints and partitions lose messages too.
+often.  Each send draws an independent loss — the configured one, or an
+open drop window's if that is higher — and a uniform latency (which
+yields reordering), both from the jitter RNG; crashed endpoints,
+partitions and a chaos policy (:class:`~repro.transport.base.Transport`)
+lose messages too.
 
 Delivery calls the destination's ``deliver`` hook; a crashed node
 simply loses the message, which is indistinguishable from a drop —
@@ -16,9 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from ..types import ProcessId
 from ..sim.kernel import Environment, Event
 from ..sim.monitor import Metrics
@@ -56,8 +59,8 @@ class SimTransport(Transport):
     Args:
         env: event kernel to ride on; a fresh one is created if omitted.
         config: network behaviour (latency window, loss probability,
-            jitter seed); copied, so a drop window never reaches the
-            caller's instance or another transport built from it.
+            jitter seed); copied, so the caller's instance and another
+            transport built from it stay independent.
         metrics: sink for message/bandwidth counting.
     """
 
@@ -67,18 +70,16 @@ class SimTransport(Transport):
         config: Optional[NetworkConfig] = None,
         metrics: Any = None,
     ) -> None:
+        super().__init__()
         self.env = env if env is not None else Environment()
         self.config = replace(config) if config else NetworkConfig()
         self.metrics = metrics or Metrics()
         self._rng = random.Random(self.config.jitter_seed)
         #: The configured loss: the floor a drop window sits on.
-        self._base_drop = self.config.drop_probability
+        self._loss = self.config.drop_probability
         #: Open (due-time, dst) sweep batches; entries leave on firing.
         self._sweeps: Dict[tuple, _DeliverySweep] = {}
         self._endpoints: Dict[ProcessId, Callable[[Message], None]] = {}
-        self._down: Set[ProcessId] = set()
-        #: Groups a fault plan cut off from everyone else, until healed.
-        self._cut: List[frozenset] = []
 
     # -- membership --------------------------------------------------------
 
@@ -92,47 +93,6 @@ class SimTransport(Transport):
     def unregister(self, process_id: ProcessId) -> None:
         self._endpoints.pop(process_id, None)
 
-    # -- failure surface ---------------------------------------------------
-
-    def set_down(self, process_id: ProcessId, down: bool) -> None:
-        if down:
-            self._down.add(process_id)
-        else:
-            self._down.discard(process_id)
-
-    def peer_state(self, process_id: ProcessId) -> str:
-        """``"down"`` iff the process is marked crashed; never suspect.
-
-        The sim has no connection lifecycle — a message either arrives
-        (after latency) or is fair-lost — so the only health signal it
-        can give is the crash marker.
-        """
-        return "down" if process_id in self._down else "up"
-
-    def partition(self, group: Iterable[ProcessId]) -> None:
-        """Drop every message crossing ``group``'s boundary until healed,
-        including messages to endpoints registered later."""
-        self._cut.append(frozenset(group))
-
-    def heal(self) -> None:
-        self._cut = []
-
-    def is_partitioned(self, a: ProcessId, b: ProcessId) -> bool:
-        """True iff a cut-off group separates ``a`` and ``b``."""
-        for group in self._cut:
-            if (a in group) != (b in group):
-                return True
-        return False
-
-    def set_drop_probability(self, probability: float) -> None:
-        """Open or close a drop window: loss becomes ``max(probability,
-        the configured loss)``."""
-        if not 0.0 <= probability < 1.0:
-            raise ConfigurationError(
-                f"drop_probability must be in [0, 1), got {probability}"
-            )
-        self.config.drop_probability = max(probability, self._base_drop)
-
     # -- sending -----------------------------------------------------------
 
     def send(
@@ -145,18 +105,40 @@ class SimTransport(Transport):
         behaves like any other pair — the paper makes no locality
         assumption.
         """
-        self.metrics.count_message(size)
+        metrics = self.metrics
+        metrics.count_message(size)
         if src in self._down or dst in self._down:
-            self.metrics.count_drop()
+            metrics.count_drop()
             return
-        if self._cut and self.is_partitioned(src, dst):
-            self.metrics.count_drop()
+        if self._faulted:
+            self._send_faulted(src, dst, payload, size)
             return
-        drop = self.config.drop_probability
+        drop = self._loss
         if drop > 0 and self._rng.random() < drop:
-            self.metrics.count_drop()
+            metrics.count_drop()
             return
         self._deliver_later(Message(src, dst, payload, size))
+
+    def _send_faulted(
+        self, src: ProcessId, dst: ProcessId, payload: Any, size: int
+    ) -> None:
+        """``send`` while a link fault is installed.
+
+        The link faults decide the copies; each copy then takes the
+        channel's own loss draw, at least the drop window's, before its
+        latency draw — the jitter RNG sees the same sequence as on a
+        fault-free send.
+        """
+        window = self._window_drop
+        loss = self._loss
+        drop = max(loss, window)
+        for _copy in range(self._link_copies(src, dst, payload, size, 0.0)):
+            if drop > 0 and self._rng.random() < drop:
+                if window > loss:
+                    self.stats.window_dropped += 1
+                self.metrics.count_drop()
+                continue
+            self._deliver_later(Message(src, dst, payload, size))
 
     def _deliver_later(self, message: Message) -> None:
         # random.uniform's own formula, without its call overhead: the
@@ -192,7 +174,7 @@ class SimTransport(Transport):
         if (
             endpoint is None
             or message.dst in self._down
-            or (self._cut and self.is_partitioned(message.src, message.dst))
+            or (self._cut and self._cut_off(message.src, message.dst))
         ):
             self.metrics.count_drop()
             return

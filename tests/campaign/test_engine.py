@@ -13,6 +13,7 @@ from repro.campaign import (
     broken_config,
     run_campaign,
 )
+from repro.errors import ConfigurationError
 
 #: Short but non-trivial: faults fire, ops abort and crash, GC runs.
 QUICK = CampaignConfig(duration=200.0, ops_per_client=12, clients=2)
@@ -55,6 +56,19 @@ class TestCorrectConfig:
     def test_clock_skew_config_stays_safe(self):
         result = run_campaign(replace(QUICK, seed=2, max_clock_skew=8.0))
         assert result.ok
+
+
+@pytest.mark.parametrize("bad", [
+    {"registers": 0}, {"clients": 0}, {"ops_per_client": 0},
+    {"clients": -2},
+])
+def test_empty_workloads_are_refused(bad):
+    """A campaign that issues no op checks nothing: refused, not a pass;
+    so is a cluster with empty blocks, instead of aborting every op."""
+    with pytest.raises(ConfigurationError, match="must be >= 1"):
+        CampaignConfig(**bad)
+    with pytest.raises(ConfigurationError, match="block_size"):
+        run_campaign(CampaignConfig(block_size=0, seed=1))
 
 
 class TestBrokenConfig:

@@ -21,6 +21,13 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             FabCluster(ClusterConfig(m=5, n=3))
 
+    @pytest.mark.parametrize("bad", [
+        {"m": 0}, {"m": -1}, {"block_size": 0}, {"block_size": -4},
+    ])
+    def test_rejects_empty_stripes(self, bad):
+        with pytest.raises(ConfigurationError):
+            FabCluster(ClusterConfig(**bad))
+
     def test_code_selection(self):
         assert isinstance(FabCluster(ClusterConfig(m=1, n=3)).code, ReplicationCode)
         assert isinstance(FabCluster(ClusterConfig(m=3, n=4)).code, SingleParityCode)
@@ -44,8 +51,9 @@ class TestConstruction:
         config = ClusterConfig(network=network)
         a, b = FabCluster(config), FabCluster(config)
         a.transport.set_drop_probability(0.5)
-        assert a.transport.config.drop_probability == 0.5
-        assert b.transport.config.drop_probability == 0.0
+        assert a.transport._window_drop == 0.5
+        assert b.transport._window_drop == 0.0
+        assert a.transport.config.drop_probability == 0.0
         assert network.drop_probability == 0.0
 
     def test_live_processes(self):

@@ -209,7 +209,6 @@ class TestBlockIndexValidation:
 #: of the other group (generator coefficient 0).
 KIND_GEOMETRY = {
     "reed-solomon": (3, 5),
-    "cauchy": (3, 5),
     "lrc": (4, 7),
     "parity": (3, 4),
     "replication": (1, 3),

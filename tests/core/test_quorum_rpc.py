@@ -10,7 +10,7 @@ from repro.core.coordinator import CoordinatorConfig, QuorumRpc, _PendingCall
 from repro.core.messages import ReadReply, ReadReq
 from repro.sim.kernel import Environment
 from repro.transport.base import Node
-from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
+from repro.transport.chaos import ChaosPolicy, LinkChaos
 from repro.transport.sim import SimTransport
 from tests.conftest import make_cluster, stripe_of
 
@@ -138,10 +138,8 @@ class TestRetransmission:
 
     def test_duplicate_replies_counted_once(self):
         env = Environment()
-        transport = ChaosTransport(
-            SimTransport(env=env),
-            ChaosPolicy(default=LinkChaos(duplicate=0.9)),
-        )
+        transport = SimTransport(env=env)
+        transport.set_chaos(ChaosPolicy(default=LinkChaos(duplicate=0.9)))
         nodes = {
             pid: Node(transport=transport, process_id=pid) for pid in (1, 2, 3)
         }

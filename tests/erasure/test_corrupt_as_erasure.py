@@ -27,7 +27,6 @@ BLOCK_SIZE = 16
 CODES = [
     ("parity", 4, 5),
     ("reed-solomon", 3, 5),
-    ("cauchy", 3, 5),
 ]
 
 

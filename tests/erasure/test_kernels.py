@@ -20,10 +20,11 @@ from repro.erasure.kernels import CROSSOVER_BYTES
 from repro.errors import CodingError
 from tests.erasure import oracle
 
-#: Every registered coder kind at a representative geometry.
+#: Every registered coder kind at a representative geometry, and
+#: Reed-Solomon at the section 5.2 geometry too.
 CODER_GEOMETRIES = [
     ("reed-solomon", 3, 6),
-    ("cauchy", 3, 6),
+    ("reed-solomon", 5, 8),
     ("lrc", 4, 8),
     ("parity", 3, 4),
     ("replication", 1, 3),

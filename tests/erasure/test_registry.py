@@ -33,6 +33,12 @@ class TestMakeCode:
         with pytest.raises(ConfigurationError):
             make_code(2, 4, "fountain")
 
+    def test_one_mds_construction(self):
+        """Reed-Solomon is the one systematic MDS code; the Cauchy
+        variant is gone and naming it lists what is available."""
+        with pytest.raises(ConfigurationError, match="reed-solomon"):
+            make_code(3, 5, "cauchy")
+
     def test_available_codes(self):
         names = available_codes()
         assert "auto" in names

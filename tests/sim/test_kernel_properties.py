@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sim.kernel import Environment
 from repro.sim.network import NetworkConfig
-from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
+from repro.transport.chaos import ChaosPolicy, LinkChaos
 from repro.transport.sim import SimTransport
 
 
@@ -122,15 +122,15 @@ class TestNetworkProperties:
     def test_payloads_never_corrupted(self, seed):
         """Channels may drop or reorder but never corrupt (Section 2)."""
         env = Environment()
-        network = ChaosTransport(
-            SimTransport(
-                env,
-                NetworkConfig(
-                    min_latency=0.1, max_latency=5.0,
-                    drop_probability=0.2, jitter_seed=seed,
-                ),
+        network = SimTransport(
+            env,
+            NetworkConfig(
+                min_latency=0.1, max_latency=5.0,
+                drop_probability=0.2, jitter_seed=seed,
             ),
-            ChaosPolicy(seed=seed, default=LinkChaos(duplicate=0.2)),
+        )
+        network.set_chaos(
+            ChaosPolicy(seed=seed, default=LinkChaos(duplicate=0.2))
         )
         sent = [bytes([i, i ^ 0xFF]) for i in range(40)]
         received = []

@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.kernel import Environment
 from repro.sim.monitor import Metrics
 from repro.sim.network import NetworkConfig
-from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
+from repro.transport.chaos import ChaosPolicy, LinkChaos
 from repro.transport.sim import SimTransport
 
 
@@ -14,6 +14,16 @@ def make_net(**kwargs):
     env = Environment()
     network = SimTransport(env, NetworkConfig(**kwargs), Metrics())
     return env, network
+
+
+class FixedDraw:
+    """A jitter RNG whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
 
 
 class TestConfigValidation:
@@ -126,16 +136,17 @@ class TestLossAndDuplication:
     def test_duplicates(self):
         """Duplication is a chaos link fault layered over the channel."""
         env, network = make_net()
-        chaos = ChaosTransport(
-            network, ChaosPolicy(seed=1, default=LinkChaos(duplicate=0.5))
+        network.set_chaos(
+            ChaosPolicy(seed=1, default=LinkChaos(duplicate=0.5))
         )
         received = []
-        chaos.register(2, received.append)
+        network.register(2, received.append)
         for _ in range(20):
-            chaos.send(1, 2, "x")
+            network.send(1, 2, "x")
         env.run()
-        assert chaos.stats.duplicated > 0
-        assert len(received) == 20 + chaos.stats.duplicated
+        assert network.stats.duplicated > 0
+        assert len(received) == 20 + network.stats.duplicated
+        assert network.metrics.total_messages == len(received)
 
     def test_metrics_count_messages_and_bytes(self):
         env, network = make_net()
@@ -146,10 +157,24 @@ class TestLossAndDuplication:
         assert network.metrics.total_bytes == 42
 
     def test_drop_window_never_goes_below_configured_loss(self):
-        _env, network = make_net(drop_probability=0.2)
-        network.set_drop_probability(0.5)
-        assert network.config.drop_probability == 0.5
-        network.set_drop_probability(0.0)
+        """A send is lost iff the jitter draw falls under ``max(window,
+        configured loss)``; the config itself never changes."""
+        env, network = make_net(drop_probability=0.2)
+        received = []
+        network.register(2, received.append)
+
+        def lost(window, draw):
+            network.set_drop_probability(window)
+            network._rng = FixedDraw(draw)
+            before = len(received)
+            network.send(1, 2, "x")
+            env.run()
+            return len(received) == before
+
+        assert lost(0.5, 0.3)  # the window raises the loss
+        assert not lost(0.0, 0.3)  # closed: back to the configured 0.2
+        assert lost(0.1, 0.15)  # a lower window keeps the 0.2 floor
+        assert not lost(0.1, 0.25)
         assert network.config.drop_probability == 0.2
         with pytest.raises(ConfigurationError):
             network.set_drop_probability(1.0)

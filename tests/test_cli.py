@@ -1,6 +1,9 @@
 """The command-line experiment runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -82,6 +85,17 @@ class TestCli:
      "drop must be in"),
     (["scrub", "--ops", "10", "--trials", "0", "--sample-registers", "20",
       "--out", "r.txt", "--json", "r.json"], "trials must be >= 1"),
+    (["scrub", "--ops", "10", "--sample-registers", "0"],
+     "registers must be >= 1"),
+    (["serve", "--clients", "2", "--ops", "2", "--block-size", "0"],
+     "block_size must be >= 1"),
+    (["table1", "--block-size", "-4"], "block_size must be >= 1"),
+    (["table1", "--m", "0"], "n >= m >= 1"),
+    (["demo", "--m", "0"], "n >= m >= 1"),
+    (["campaign", "--clients", "0", "--json", "r.json"],
+     "clients must be >= 1"),
+    (["campaign", "--ops", "0"], "ops_per_client must be >= 1"),
+    (["campaign", "--registers", "0"], "registers must be >= 1"),
 ])
 def test_bad_domain_arguments_exit_with_one_line(
     capsys, monkeypatch, tmp_path, argv, complaint
@@ -92,6 +106,19 @@ def test_bad_domain_arguments_exit_with_one_line(
     assert err.count("\n") == 1
     assert err.startswith(f"repro {argv[0]}: ") and complaint in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_demo_refuses_f_zero_instead_of_hanging():
+    """With f = 0 the demo's read after crashing brick n would wait for
+    all n bricks forever; it must be refused before anything runs."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "demo", "--n", "3", "--m", "3"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("repro demo: ")
 
 
 @pytest.mark.parametrize("spec", [

@@ -1,21 +1,35 @@
-"""ChaosTransport: seeded fault injection over sim and asyncio inners."""
+"""Link faults on the transport: seeded chaos, cuts and drop windows,
+one implementation on the sim and the asyncio substrate alike."""
+
+import asyncio
 
 import pytest
 
+import repro.transport
+
+from repro.analysis.serve import CHAOS_SESSION_RETRY, SERVE_OP_TIMEOUT
 from repro.core import session as session_module
 from repro.core.session import RetryPolicy
 from repro.core.cluster import ClusterConfig, FabCluster
+from repro.core.coordinator import CoordinatorConfig
 from repro.core.volume import LogicalVolume
 from repro.errors import ConfigurationError
 from repro.sim.network import NetworkConfig
 from repro.campaign.schedule import CampaignSchedule, FaultEvent, apply_schedule
-from repro.transport.chaos import ChaosPolicy, ChaosTransport, LinkChaos
+from repro.transport.aio import AsyncioTransport
+from repro.transport.chaos import ChaosPolicy, LinkChaos
 from repro.transport.sim import SimTransport
+from repro.verify.linearizability import check_strict_linearizability
 from tests.conftest import watch_sends
 
 
+def _chaotic(transport, policy):
+    transport.set_chaos(policy)
+    return transport
+
+
 def _chaos_cluster(policy, m=3, n=5, stripes=4, seed=11):
-    transport = ChaosTransport(SimTransport(), policy)
+    transport = _chaotic(SimTransport(), policy)
     cluster = FabCluster(
         ClusterConfig(m=m, n=n, seed=seed), transport=transport
     )
@@ -57,11 +71,15 @@ def test_policy_validates_probabilities():
     with pytest.raises(ConfigurationError, match="drop"):
         LinkChaos(drop=1.5)
     with pytest.raises(ConfigurationError, match="drop probability"):
-        ChaosTransport(SimTransport()).set_drop_probability(2.0)
+        SimTransport().set_drop_probability(2.0)
+
+
+def test_the_wrapper_is_gone():
+    assert not hasattr(repro.transport, "ChaosTransport")
 
 
 def test_partition_window_cuts_only_across_group():
-    transport = ChaosTransport(SimTransport())
+    transport = SimTransport()
     delivered = []
     for pid in (1, 2, 3, 4):
         transport.register(pid, lambda m: delivered.append((m.src, m.dst)))
@@ -75,17 +93,43 @@ def test_partition_window_cuts_only_across_group():
     assert sorted(delivered) == [(1, 2), (1, 3), (3, 4)]
 
 
-def test_bare_asyncio_transport_refuses_link_faults():
-    from repro.transport.aio import AsyncioTransport
-
+def test_bare_asyncio_transport_takes_link_faults():
+    """A cut on a bare loopback transport loses exactly the crossing
+    sends; healing and closing the window leave no fault installed."""
     transport = AsyncioTransport()
-    for inject in (
-        lambda: transport.partition({1}),
-        transport.heal,
-        lambda: transport.set_drop_probability(0.1),
-    ):
-        with pytest.raises(ConfigurationError, match="ChaosTransport"):
-            inject()
+    delivered = []
+    for pid in (1, 2, 3):
+        transport.register(pid, lambda m: delivered.append((m.src, m.dst)))
+    transport.partition({1})
+    transport.set_drop_probability(0.1)
+    transport.set_drop_probability(0.0)
+    for src, dst in ((1, 2), (2, 3), (1, 1)):
+        transport.send(src, dst, "x")
+    transport.env.run()  # the pump's queue, stepped before start()
+    assert delivered == [(2, 3), (1, 1)]
+    assert transport.stats.partition_dropped == 1
+    transport.heal()
+    assert not transport._faulted
+
+
+@pytest.mark.parametrize("substrate", ["sim", "chaos", "loopback"])
+def test_cut_catches_a_message_in_flight(substrate):
+    """A partition installed after the send but before the delivery
+    loses the message, whichever substrate carries it."""
+    if substrate == "loopback":
+        transport = AsyncioTransport()
+    else:
+        transport = SimTransport()
+        if substrate == "chaos":
+            transport.set_chaos(ChaosPolicy(seed=3))
+    delivered = []
+    for pid in (1, 2):
+        transport.register(pid, delivered.append)
+    transport.send(1, 2, "x")
+    transport.partition({2})
+    transport.env.run()
+    assert delivered == []
+    assert transport.stats.partition_dropped == 1
 
 
 #: One hand-built plan, applied unchanged to both substrates.
@@ -99,22 +143,19 @@ TWO_SUBSTRATE_PLAN = CampaignSchedule(events=[
 ], seed=9)
 
 
-@pytest.mark.parametrize("wrapped", [False, True], ids=["sim", "chaos"])
-def test_one_plan_two_substrates(wrapped):
-    """The same plan through the one applier: every op completes with
-    the right value, and only sends inside [10, 50) hit the partition."""
-    inner = SimTransport()
-    transport = ChaosTransport(inner, ChaosPolicy(seed=9)) if wrapped \
-        else inner
+@pytest.mark.parametrize("chaos", [False, True], ids=["sim", "chaos"])
+def test_one_plan_two_substrates(chaos):
+    """The same plan through the one applier, on a bare sim and on one
+    with a chaos policy: every op completes with the right value, and
+    only sends inside [10, 50) hit the partition."""
+    transport = SimTransport()
+    if chaos:
+        transport.set_chaos(ChaosPolicy(seed=9))
     cluster = FabCluster(ClusterConfig(m=3, n=5, seed=11), transport=transport)
     cut_at = []  # when each partition-dropped send happened
 
     def on_send(src, dst, _payload):
-        if wrapped:
-            cut = transport.stats.partition_dropped > len(cut_at)
-        else:
-            cut = inner.is_partitioned(src, dst)
-        if cut:
+        if transport.is_partitioned(src, dst):
             cut_at.append(cluster.env.now)
 
     watch_sends(transport, on_send)
@@ -127,9 +168,72 @@ def test_one_plan_two_substrates(wrapped):
     }
     assert cut_at and all(10.0 <= t < 50.0 for t in cut_at)
     assert all(node.is_up for node in cluster.nodes.values())
-    if wrapped:
-        assert transport.stats.window_dropped > 0
-        assert transport.stats.partition_dropped == len(cut_at)
+    assert transport.stats.window_dropped > 0
+    # Every cut send is counted, and so is every delivery a cut caught
+    # in flight.
+    assert transport.stats.partition_dropped >= len(cut_at)
+
+
+def test_one_plan_on_a_bare_loopback_transport():
+    """The same plan on a bare wall-clock transport: no wrapper, no
+    refusal.  Every op completes with the value its client wrote, the
+    histories are strictly linearizable, and the cut lost messages."""
+    transport = AsyncioTransport()
+    cluster = FabCluster(
+        ClusterConfig(
+            m=3, n=5, seed=11, transport="asyncio",
+            coordinator=CoordinatorConfig(op_timeout=SERVE_OP_TIMEOUT),
+        ),
+        transport=transport,
+    )
+    volume = LogicalVolume(cluster, num_stripes=4)
+    horizon = max(event.time for event in TWO_SUBSTRATE_PLAN.events)
+
+    async def drive():
+        await transport.start()
+        try:
+            applied = apply_schedule(cluster, TWO_SUBSTRATE_PLAN)
+            sessions = [
+                volume.session(
+                    max_inflight=2, seed=client, retry=CHAOS_SESSION_RETRY
+                )
+                for client in range(4)
+            ]
+            written = {}  # (client, block) -> the last value written
+            for round_index in range(2):
+                for client, session in enumerate(sessions):
+                    block = client + 4 * round_index
+                    data = (f"c{client}r{round_index}.".encode()
+                            * volume.block_size)[:volume.block_size]
+                    session.submit_write(block, data)
+                    written[client, block] = data
+            # Clients own disjoint blocks and keep re-reading them until
+            # the plan's last event has fired.
+            checks = []
+            while True:
+                await asyncio.gather(
+                    *(session.drain_async() for session in sessions)
+                )
+                if transport.now() > horizon:
+                    return applied, sessions, checks
+                for (client, block), data in written.items():
+                    op = sessions[client].submit_read(block)
+                    checks.append((op, data))
+        finally:
+            await transport.stop()
+
+    applied, sessions, checks = asyncio.run(drive())
+    assert sum(applied.values()) == len(TWO_SUBSTRATE_PLAN.events)
+    assert all(op.ok for session in sessions for op in session.ops)
+    assert all(op.value == data for op, data in checks)
+    for session in sessions:
+        per_block = {}
+        for record in session.history():
+            per_block.setdefault(record.block_index, []).append(record)
+        for records in per_block.values():
+            assert check_strict_linearizability(records).ok
+    assert transport.stats.partition_dropped > 0
+    assert all(node.is_up for node in cluster.nodes.values())
 
 
 # -- behaviour on the sim substrate ---------------------------------------
@@ -239,7 +343,7 @@ def test_bit_flip_inside_a_block_field_is_detected():
             return self.bit
 
     policy = ChaosPolicy(seed=1, default=LinkChaos(corrupt=0.5))
-    transport = ChaosTransport(SimTransport(), policy)
+    transport = _chaotic(SimTransport(), policy)
     delivered = []
     transport.register(1, delivered.append)
     transport.register(2, delivered.append)
@@ -248,7 +352,7 @@ def test_bit_flip_inside_a_block_field_is_detected():
         frame = wire.encode_frame(1, 2, request, request.size)
         at = frame.index(block)
         for bit in (at * 8, (at + 31) * 8 + 4, (at + len(block)) * 8 - 1):
-            transport._rng = AimedRng(bit, frame)
+            transport._chaos_rng = AimedRng(bit, frame)
             transport.send(1, 2, request, request.size)
             flips += 1
     transport.run()
@@ -259,27 +363,16 @@ def test_bit_flip_inside_a_block_field_is_detected():
 
 def test_duplicate_and_reorder_are_absorbed():
     """Duplicated and reordered deliveries are protocol no-ops (the
-    reply cache and timestamp order absorb them).  The wrapper
-    duplicates; the inner network's latency window reorders."""
+    reply cache and timestamp order absorb them).  The policy
+    duplicates; the network's latency window reorders."""
     policy = ChaosPolicy(seed=31, default=LinkChaos(duplicate=0.2))
-    inner = SimTransport(config=NetworkConfig(min_latency=1.0, max_latency=4.0))
-    transport = ChaosTransport(inner, policy)
+    transport = _chaotic(
+        SimTransport(config=NetworkConfig(min_latency=1.0, max_latency=4.0)),
+        policy,
+    )
     cluster = FabCluster(ClusterConfig(m=3, n=5, seed=11), transport=transport)
     _run_workload(LogicalVolume(cluster, num_stripes=4))
     assert transport.stats.duplicated > 0
-
-
-def test_chaos_transport_delegates_surface():
-    """The wrapper is a faithful Transport: clock, peer state and
-    metrics adoption all reach the inner substrate."""
-    inner = SimTransport()
-    transport = ChaosTransport(inner, ChaosPolicy())
-    assert transport.env is inner.env
-    assert transport.now() == inner.now()
-    assert transport.peer_state(1) == "up"
-    sink = object()
-    transport.metrics = sink
-    assert inner.metrics is sink
 
 
 def test_session_transport_budget_aborts_cleanly(monkeypatch):
