@@ -36,7 +36,7 @@ def run(gc_enabled, kind):
             expected[j - 1] = bytes([tag]) * B
             assert register.write_block(j, expected[j - 1]) == "OK"
         cluster.run(until=cluster.env.now + 10)  # let GC notices land
-        high_water.append(cluster.gc.high_water_mark(0))
+        high_water.append(cluster.max_log_entries(0))
     footprint = sum(
         node.stable.size_bytes() for node in cluster.nodes.values()
     )

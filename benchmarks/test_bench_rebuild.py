@@ -36,7 +36,7 @@ def run_rebuild(num_registers):
     bytes_before = cluster.metrics.total_bytes
     t_before = cluster.env.now
 
-    report = Rebuilder(cluster, route=1).rebuild(range(num_registers))
+    report = Rebuilder(cluster).rebuild(range(num_registers))
 
     stale_after = len(scrubber.stale_registers(range(num_registers)))
     return {

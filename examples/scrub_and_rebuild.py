@@ -61,7 +61,7 @@ def main() -> None:
           f"(healthy = {cluster.config.n})")
 
     print("\n[4] rebuilding...")
-    report = Rebuilder(cluster, route=1).rebuild(range(STRIPES))
+    report = Rebuilder(cluster).rebuild(range(STRIPES))
     print(f"    repaired={report.repaired} already-current="
           f"{report.already_current} aborted={report.aborted}")
     assert report.success

@@ -58,6 +58,29 @@ __all__ = [
     "to_json",
 ]
 
+#: Every stripe has ``_N`` fragments: ``(3, 5)`` for the daemon runs,
+#: ``(2, 5)`` for the sampling sweep.
+_N = 5
+_RUN_M = 3
+_SWEEP_M = 2
+#: Daemon-run shape: registers (clients touch the first half), block
+#: size, wake-up period and fixed scan budget, client think time, and
+#: the post-workload drain that lets the daemon finish.
+_RUN_REGISTERS = 8
+_RUN_BLOCK_SIZE = 64
+_RUN_SCRUB_INTERVAL = 12.0
+_RUN_SAMPLES_PER_TICK = 2
+_RUN_THINK_TIME = 2.0
+_RUN_DRAIN = 400.0
+#: Interleaved scrub-off / scrub-on slices behind the overhead ratio.
+_OVERHEAD_REPEATS = 8
+#: Sampling-sweep shape: block size, injected corrupt fraction of the
+#: pair space, wake-up period, and the cycle cap per trial.
+_SWEEP_BLOCK_SIZE = 16
+_SWEEP_CORRUPT_FRACTION = 0.01
+_SWEEP_INTERVAL = 20.0
+_SWEEP_MAX_CYCLES = 64
+
 
 @dataclass
 class ScrubRunResult:
@@ -144,14 +167,6 @@ def run_scrub_run(
     corrupt_rate: float = 0.0,
     scrub_enabled: bool = True,
     seed: int = 0,
-    m: int = 3,
-    n: int = 5,
-    registers: int = 8,
-    block_size: int = 64,
-    scrub_interval: float = 12.0,
-    samples_per_tick: int = 2,
-    think_time: float = 2.0,
-    drain: float = 400.0,
 ) -> ScrubRunResult:
     """One mixed read/write workload with corruption and (maybe) scrub.
 
@@ -160,11 +175,14 @@ def run_scrub_run(
     — over *all* registers, while the clients only ever touch the first
     half.  Detection latency is measured for the scrubber's finds.
 
-    ``samples_per_tick`` fixes the daemon's scan budget: at this run's
-    small register counts the confidence-derived budget would clamp to
-    the full pair space every wake-up (sampling only pays at fleet
-    scale — that economics question is :func:`run_sampling_sweep`'s).
+    ``_RUN_SAMPLES_PER_TICK`` fixes the daemon's scan budget: at this
+    run's small register count the confidence-derived budget would
+    clamp to the full pair space every wake-up (sampling only pays at
+    fleet scale — that economics question is
+    :func:`run_sampling_sweep`'s).
     """
+    m, n, registers = _RUN_M, _N, _RUN_REGISTERS
+    block_size = _RUN_BLOCK_SIZE
     result = ScrubRunResult(
         ops=ops, corrupt_rate=corrupt_rate,
         scrub_enabled=scrub_enabled, seed=seed,
@@ -185,8 +203,8 @@ def run_scrub_run(
         cluster,
         registers=range(registers),
         config=ScrubConfig(
-            interval=scrub_interval, samples_per_tick=samples_per_tick,
-            seed=seed,
+            interval=_RUN_SCRUB_INTERVAL,
+            samples_per_tick=_RUN_SAMPLES_PER_TICK, seed=seed,
         ),
     )
     if scrub_enabled:
@@ -237,7 +255,7 @@ def run_scrub_run(
                 and list(stripe) != list(expected)
             ):
                 result.read_mismatches += 1
-        cluster.run(until=cluster.env.now + think_time)
+        cluster.run(until=cluster.env.now + _RUN_THINK_TIME)
     result.wall_seconds = time.perf_counter() - started
     result.cpu_seconds = time.process_time() - cpu_started
     result.ops_per_sec = (
@@ -246,7 +264,7 @@ def run_scrub_run(
 
     # Let the daemon finish sweeping and repairing the cold half.
     if scrub_enabled:
-        cluster.run(until=cluster.env.now + drain)
+        cluster.run(until=cluster.env.now + _RUN_DRAIN)
     daemon.stop()
 
     metrics = cluster.metrics
@@ -273,16 +291,12 @@ def run_scrub_run(
             result.detection_latencies.append(when - times.pop(0))
 
     # Final audit: every register clean on every up brick.
-    for register_id in range(registers):
-        for pid, replica in cluster.replicas.items():
-            node = cluster.nodes[pid]
-            if not node.is_up:
-                continue
-            if register_id in replica.quarantined:
-                result.clean_after = False
-                continue
-            if not node.stable.verify(replica.log_key(register_id)):
-                result.clean_after = False
+    result.clean_after = all(
+        replica.audit(register_id)
+        for register_id in range(registers)
+        for pid, replica in cluster.replicas.items()
+        if cluster.nodes[pid].is_up
+    )
     return result
 
 
@@ -316,8 +330,6 @@ def run_scrub_experiment(
     ops: int = 300,
     corrupt_rates: Sequence[float] = (0.02, 0.08),
     seed: int = 0,
-    repeats: int = 8,
-    **kwargs,
 ) -> ScrubExperiment:
     """Baseline + scrub-on-clean + one corrupting run per rate.
 
@@ -325,18 +337,18 @@ def run_scrub_experiment(
     throughput at these run lengths is dominated by scheduler and
     host-frequency noise (the same deterministic sim work varies 2x
     between runs), so the comparison uses CPU seconds spent in the op
-    loop, and alternates scrub-off / scrub-on slices ``repeats`` times
+    loop, and alternates scrub-off / scrub-on slices ``_OVERHEAD_REPEATS``
+    times
     — the noise shifts on a multi-second timescale, so fine-grained
     alternation lands both sides in the same noise regime.  The
     overhead is the ratio of the summed per-side CPU times.
     """
     cpu_total = {False: 0.0, True: 0.0}
     last = {}
-    for _ in range(max(1, repeats)):
+    for _ in range(_OVERHEAD_REPEATS):
         for enabled in (False, True):
             run = run_scrub_run(
-                ops=ops, corrupt_rate=0.0, scrub_enabled=enabled,
-                seed=seed, **kwargs,
+                ops=ops, corrupt_rate=0.0, scrub_enabled=enabled, seed=seed,
             )
             cpu_total[enabled] += run.cpu_seconds
             last[enabled] = run
@@ -351,7 +363,6 @@ def run_scrub_experiment(
     for rate in corrupt_rates:
         experiment.runs.append(run_scrub_run(
             ops=ops, corrupt_rate=rate, scrub_enabled=True, seed=seed,
-            **kwargs,
         ))
     return experiment
 
@@ -445,25 +456,20 @@ class SamplingSweepResult:
 
 def run_sampling_sweep(
     registers: int = 1000,
-    m: int = 2,
-    n: int = 5,
-    block_size: int = 16,
-    corrupt_fraction: float = 0.01,
     sample_rates: Sequence[float] = (0.05, 0.10, 0.25, 1.0),
     trials: int = 32,
     seed: int = 0,
-    interval: float = 20.0,
     target_confidence: float = 0.95,
-    max_cycles: int = 64,
 ) -> SamplingSweepResult:
     """Detection confidence/latency vs scan budget, at fleet scale.
 
     Builds a real cluster, populates ``registers`` stripes, injects
-    silent bit flips into ``corrupt_fraction`` of the (register, brick)
-    pair space, then for each sample rate runs seeded trials of the
-    scrub sampler's draw-and-verify cycle (the daemon's scan primitive,
-    :meth:`StableStore.verify`, against genuinely corrupted storage —
-    not a set-membership shortcut).  Per trial it records whether the
+    silent bit flips into ``_SWEEP_CORRUPT_FRACTION`` of the (register,
+    brick) pair space, then for each sample rate runs seeded trials of
+    the scrub sampler's draw-and-verify cycle (the daemon's scan order
+    and its copy audit, :meth:`~repro.core.replica.Replica.audit`,
+    against genuinely corrupted storage — not a set-membership
+    shortcut).  Per trial it records whether the
     first cycle detected corruption (the per-cycle confidence the
     :func:`~repro.scrub.sampler.required_samples` math predicts) and
     how many cycles until the first hit (detection latency).
@@ -474,6 +480,8 @@ def run_sampling_sweep(
         ConfigurationError: ``trials < 1`` (no trial, no detection rate)
             or ``registers < 1`` (nothing to sample).
     """
+    m, n, block_size = _SWEEP_M, _N, _SWEEP_BLOCK_SIZE
+    corrupt_fraction, interval = _SWEEP_CORRUPT_FRACTION, _SWEEP_INTERVAL
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if registers < 1:
@@ -513,11 +521,6 @@ def run_sampling_sweep(
             corrupt.add((register_id, pid))
     result.corrupt_pairs = len(corrupt)
 
-    def pair_dirty(register_id: int, pid: int) -> bool:
-        node = cluster.nodes[pid]
-        replica = cluster.replicas[pid]
-        return not node.stable.verify(replica.log_key(register_id))
-
     actual_fraction = len(corrupt) / len(pairs)
     for rate_index, rate in enumerate(sample_rates):
         budget = max(1, round(rate * len(pairs)))
@@ -527,10 +530,14 @@ def run_sampling_sweep(
             sampler = PairSampler(
                 seed=seed * 1_000_003 + rate_index * 10_007 + trial
             )
-            hit_cycle = max_cycles
-            for cycle in range(1, max_cycles + 1):
-                drawn = sampler.draw(pairs, budget)
-                if any(pair_dirty(r, p) for r, p in drawn):
+            hit_cycle = _SWEEP_MAX_CYCLES
+            for cycle in range(1, _SWEEP_MAX_CYCLES + 1):
+                if sampler.lap_done:
+                    sampler.start_lap(pairs)
+                if not all(
+                    cluster.replicas[p].audit(r)
+                    for r, p in sampler.draw(budget)
+                ):
                     hit_cycle = cycle
                     break
             if hit_cycle == 1:

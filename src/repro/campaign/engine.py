@@ -32,6 +32,7 @@ import random
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
 from ..errors import ConfigurationError, StorageError
+from ..quorum.theorems import max_fault_tolerance
 from ..sim.network import NetworkConfig
 from ..types import OpKind
 from ..verify.history import HistoryRecorder
@@ -122,7 +123,8 @@ class CampaignConfig:
 
     @property
     def effective_f(self) -> int:
-        return (self.n - self.m) // 2 if self.f is None else self.f
+        return max_fault_tolerance(self.n, self.m) if self.f is None \
+            else self.f
 
     @property
     def effective_max_down(self) -> int:
@@ -131,8 +133,9 @@ class CampaignConfig:
         # Never schedule more concurrent crashes than a *sound* config
         # could tolerate, even in broken mode — the broken configs fail
         # on intersection, not availability.
-        return max(1, min(self.effective_f, (self.n - self.m) // 2)) \
-            if self.n > self.m else 0
+        if self.n <= self.m:
+            return 0
+        return max(1, min(self.effective_f, max_fault_tolerance(self.n, self.m)))
 
 
 @dataclass
@@ -432,5 +435,5 @@ def broken_config(base: CampaignConfig) -> CampaignConfig:
     ``allow_unsafe_f``.  Used to validate that the campaign's invariant
     checks actually fire.
     """
-    unsafe_f = (base.n - base.m) // 2 + 1
+    unsafe_f = max_fault_tolerance(base.n, base.m) + 1
     return replace(base, f=unsafe_f, allow_unsafe_f=True)

@@ -48,6 +48,7 @@ from typing import Dict, List, Set, Tuple
 
 from ..core.cluster import FabCluster
 from ..errors import CorruptionDetected
+from ..quorum.theorems import max_fault_tolerance
 from ..types import OpStatus
 from ..verify.linearizability import check_strict_linearizability
 
@@ -111,7 +112,7 @@ class CampaignMonitor:
             self._record(
                 "quorum-precondition",
                 f"n={n} < 2f+m={2 * f + m}: Theorem 2 violated, f={f} "
-                f"exceeds floor((n-m)/2)={(n - m) // 2}",
+                f"exceeds floor((n-m)/2)={max_fault_tolerance(n, m)}",
             )
         intersection = 2 * qs.quorum_size - n
         if intersection < m:

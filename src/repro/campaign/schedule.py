@@ -337,6 +337,9 @@ def _arm_send_trigger(node, after: Tuple[str, int], fire) -> None:
 _TORN_WRITE_PROBABILITY = 0.5
 #: Upper bound of a drop window's loss probability.
 _DROP_MAX = 0.2
+#: Ranges a partition's and a drop window's lifetime are drawn from.
+_PARTITION_TIME = (20.0, 50.0)
+_DROP_TIME = (10.0, 30.0)
 
 
 def _within_budget(down, pid: int, corrupted, max_down: int) -> bool:
@@ -359,8 +362,6 @@ def generate_schedule(
     registers: int = 0,
     event_gap: Tuple[float, float] = (10.0, 40.0),
     down_time: Tuple[float, float] = (20.0, 60.0),
-    partition_time: Tuple[float, float] = (20.0, 50.0),
-    drop_time: Tuple[float, float] = (10.0, 30.0),
     max_clock_skew: float = 0.0,
 ) -> CampaignSchedule:
     """Generate a seeded fault schedule for ``n`` bricks.
@@ -385,7 +386,8 @@ def generate_schedule(
     ``_TORN_WRITE_PROBABILITY``) by a ``torn_write`` event at the same
     instant, modelling the in-flight journal append the crash cut off.
     A drop window loses each message with a probability drawn from
-    ``[0.01, _DROP_MAX]``.
+    ``[0.01, _DROP_MAX]``; partitions and drop windows last a time drawn
+    from ``_PARTITION_TIME`` and ``_DROP_TIME``.
     """
     rng = random.Random(seed)
     events: List[FaultEvent] = []
@@ -456,7 +458,7 @@ def generate_schedule(
                 continue
             size = rng.randint(1, max(1, max_down))
             group = tuple(sorted(rng.sample(range(1, n + 1), size)))
-            heal_at = min(duration, now + rng.uniform(*partition_time))
+            heal_at = min(duration, now + rng.uniform(*_PARTITION_TIME))
             events.append(
                 FaultEvent(time=now, kind="partition", targets=group)
             )
@@ -465,7 +467,7 @@ def generate_schedule(
         else:  # drop window
             if now < drop_open_until:
                 continue
-            stop_at = min(duration, now + rng.uniform(*drop_time))
+            stop_at = min(duration, now + rng.uniform(*_DROP_TIME))
             events.append(
                 FaultEvent(
                     time=now, kind="drop_start",

@@ -30,6 +30,7 @@ from .analysis.costs import ls97_costs, our_costs
 from .core.cluster import ClusterConfig, FabCluster
 from .core.rebuild import Rebuilder, Scrubber
 from .errors import ConfigurationError
+from .quorum.theorems import max_fault_tolerance
 from .reliability import (
     BrickParams,
     ErasureCodedSystem,
@@ -124,7 +125,7 @@ def _table1(args: argparse.Namespace) -> int:
 
 
 def _demo(args: argparse.Namespace) -> int:
-    if (args.n - args.m) // 2 < 1:
+    if max_fault_tolerance(args.n, args.m) < 1:
         # The demo crashes brick n; with f = 0 its read would wait for
         # all n bricks forever.
         raise ConfigurationError(

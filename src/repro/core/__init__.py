@@ -13,7 +13,9 @@ Module map (paper section → module):
 * Algorithm 2 + Modify handler     → :mod:`repro.core.replica`
 * Algorithms 1 and 3 (coordinator) → :mod:`repro.core.coordinator`
 * message formats                  → :mod:`repro.core.messages`
-* Section 5.1 garbage collection   → :mod:`repro.core.gc`
+* Section 5.1 garbage collection   → the notice a complete write sends
+  (``Coordinator._send_gc``, with ``CoordinatorConfig.gc_enabled``) and
+  the replica's ``_on_gc`` trim — the only compaction path
 * FAB assembly                     → :mod:`repro.core.cluster`
 * logical volumes                  → :mod:`repro.core.volume`
 * pipelined session engine         → :mod:`repro.core.session`

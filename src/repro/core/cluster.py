@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..erasure.registry import make_code
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, CorruptionDetected
 from ..quorum.system import MajorityMQuorumSystem
 from ..sim.monitor import Metrics
 from ..sim.network import NetworkConfig
@@ -33,7 +33,6 @@ from ..transport import make_transport
 from ..transport.base import Node, Transport
 from ..types import ProcessId
 from .coordinator import Coordinator, CoordinatorConfig
-from .gc import GarbageCollector
 from .register import StorageRegister
 from .replica import Replica
 
@@ -154,7 +153,6 @@ class FabCluster:
             self.nodes[pid] = node
             self.replicas[pid] = replica
             self.coordinators[pid] = coordinator
-        self.gc = GarbageCollector(self.replicas)
 
     # -- accessors -----------------------------------------------------------
 
@@ -192,6 +190,21 @@ class FabCluster:
         for replica in self.replicas.values():
             seen.update(replica.register_ids())
         return sorted(seen)
+
+    def max_log_entries(self, register_id: int) -> int:
+        """Largest log (in entries) any replica holds for a register.
+
+        What the Section 5.1 notice keeps bounded.  Quarantined copies
+        are skipped: a log that failed its checksum cannot be trusted
+        even to count entries.
+        """
+        sizes = []
+        for replica in self.replicas.values():
+            try:
+                sizes.append(len(replica.state(register_id).log))
+            except CorruptionDetected:
+                continue
+        return max(sizes, default=0)
 
     # -- convenience ----------------------------------------------------------
 

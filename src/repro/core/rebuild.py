@@ -1,4 +1,4 @@
-"""Brick scrubbing and rebuild.
+"""Brick scrubbing and rebuild: the one maintenance plane.
 
 The reliability model (Figures 2-3) assumes a failed brick's data is
 re-protected within hours by a *distributed rebuild*: every surviving
@@ -7,19 +7,25 @@ is brought back to full redundancy.  The protocol makes this trivially
 safe — a rebuild is just a recovery (``read-prev-stripe`` +
 ``store-stripe``) per register, pushed to *all* live bricks instead of
 a bare quorum — but the paper never spells out the machinery.  This
-module provides it:
+module provides it, once for every caller:
 
-* :class:`Scrubber` — read-only audit: for each register, collect every
-  replica's newest version and classify bricks as current, stale, or
-  empty.  Used by operators (and tests) to see where redundancy stands.
-* :class:`Rebuilder` — repair: re-run recovery for chosen registers with
-  a full-coverage write-back, so every live brick (in particular a
-  freshly recovered or replaced one) ends up holding its block of the
-  latest value.
+* :class:`Scrubber` — audit: for each register, verify every up
+  brick's stored copy (:meth:`~repro.core.replica.Replica.audit`, the
+  one copy audit) and classify bricks as current, stale, corrupt or
+  empty.
+* :func:`start_repair` — the one repair launch: recovery with a
+  :func:`live_coverage` write-back, coordinated by the first live brick
+  other than the one under repair.  The scrub daemon, the
+  :class:`Rebuilder` and the sharded fleet's ``rebuild_brick`` all
+  launch repairs here.
+* :class:`Rebuilder` — synchronous repair with the one retry rule:
+  up to ``_REPAIR_ATTEMPTS`` launches per register, re-auditing before
+  each, so every live brick (in particular a freshly recovered or
+  replaced one) ends up holding its block of the latest value.
 
-Both run through the ordinary protocol messages, so they are safe under
-concurrent client I/O: a rebuild is linearized like any other write
-(and aborts, harmlessly, if it races a newer client write).
+Repairs run through the ordinary protocol messages, so they are safe
+under concurrent client I/O: a rebuild is linearized like any other
+write (and aborts, harmlessly, if it races a newer client write).
 """
 
 from __future__ import annotations
@@ -27,12 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from ..errors import CorruptionDetected
+from ..errors import StorageError
 from ..timestamps import Timestamp
 from ..types import ABORT, ProcessId
 from .cluster import FabCluster
 
-__all__ = ["ScrubReport", "Scrubber", "RebuildReport", "Rebuilder"]
+__all__ = [
+    "ScrubReport", "Scrubber", "RebuildReport", "Rebuilder", "start_repair",
+]
+
+#: Launches a synchronous repair makes per register before reporting
+#: ``"aborted"`` — each abort means a racing client write won.
+_REPAIR_ATTEMPTS = 3
 
 
 @dataclass
@@ -83,11 +95,14 @@ class ScrubReport:
 
 
 class Scrubber:
-    """Read-only redundancy audit over a cluster's replicas.
+    """Redundancy audit over a cluster's replicas.
 
     The scrubber inspects replica state directly (an operator tool, not
     a protocol participant), so it costs no protocol messages and never
-    perturbs timestamps.
+    perturbs timestamps.  Each copy goes through
+    :meth:`~repro.core.replica.Replica.audit`: a copy whose stored log
+    fails its checksum is quarantined and reported corrupt even when a
+    warm volatile mirror still holds the old value.
     """
 
     def __init__(self, cluster: FabCluster) -> None:
@@ -98,20 +113,17 @@ class Scrubber:
         report = ScrubReport(register_id=register_id)
         versions: Dict[ProcessId, Timestamp] = {}
         for pid, replica in self.cluster.replicas.items():
-            node = self.cluster.nodes[pid]
-            if not node.is_up:
+            if not self.cluster.nodes[pid].is_up:
                 report.down.append(pid)
-                continue
-            if not replica.has_register(register_id):
+            elif not replica.has_register(register_id):
                 # No state at all (blank replacement brick): distinct
                 # from stale, and checked *without* materializing a
                 # phantom RegisterState on the replica.
                 report.empty.append(pid)
-                continue
-            try:
-                versions[pid] = replica.state(register_id).log.max_ts()
-            except CorruptionDetected:
+            elif not replica.audit(register_id):
                 report.corrupt.append(pid)
+            else:
+                versions[pid] = replica.state(register_id).log.max_ts()
         if not versions:
             return report
         report.newest_ts = max(versions.values())
@@ -151,6 +163,31 @@ def live_coverage(cluster: FabCluster):
     return covered
 
 
+def start_repair(
+    cluster: FabCluster, register_id: int, avoid: Optional[ProcessId] = None
+):
+    """Launch one repair of ``register_id``; the spawned process or None.
+
+    The repair is the coordinator's recovery (re-read the latest
+    recoverable version, write it back at a fresh timestamp) with the
+    write-back required to reach every live brick
+    (:func:`live_coverage`).  The first live brick other than ``avoid``
+    (the brick under repair) coordinates; None when no brick can.
+    """
+    live = [pid for pid in cluster.live_processes() if pid != avoid]
+    if not live:
+        return None
+    pid = live[0]
+    generator = cluster.coordinators[pid]._recover(
+        register_id, prefer=live_coverage(cluster)
+    )
+    try:
+        return cluster.nodes[pid].spawn(generator)
+    except StorageError:
+        generator.close()
+        return None
+
+
 @dataclass
 class RebuildReport:
     """Outcome of a rebuild pass."""
@@ -169,56 +206,44 @@ class Rebuilder:
     """Repairs redundancy by recovery-with-full-coverage.
 
     Args:
-        cluster: the cluster to repair.
-        route: the pid of the brick that coordinates rebuild
-            operations; it must be up (pick any survivor).  Defaults to
-            brick 1.
+        cluster: the cluster to repair.  Every repair is coordinated by
+            the first live brick (see :func:`start_repair`).
     """
 
-    def __init__(
-        self, cluster: FabCluster, route: Optional[ProcessId] = None
-    ) -> None:
+    def __init__(self, cluster: FabCluster) -> None:
         self.cluster = cluster
-        self.route = route
         self.scrubber = Scrubber(cluster)
 
-    def rebuild_register(self, register_id: int) -> str:
+    def rebuild_register(
+        self, register_id: int, avoid: Optional[ProcessId] = None
+    ) -> str:
         """Bring every up brick to the newest version of one register.
 
-        Runs the coordinator's recovery (which re-reads the latest
-        recoverable version and writes it back at a fresh timestamp)
-        with the write-back required to reach *every live brick*, not
-        just an m-quorum.  Returns ``"repaired"``, ``"current"`` (no
-        work needed), or ``"aborted"`` (lost a race with a client
-        write; safe to retry).
+        Audits the register, then launches a repair (:func:`start_repair`,
+        coordinated away from ``avoid``) if any up brick is stale,
+        corrupt or empty.  A repair that loses a race with a client
+        write is retried, re-audited first, up to ``_REPAIR_ATTEMPTS``
+        launches in all (the client write already re-protected the data
+        at quorum, so a retry usually finds the register merely stale,
+        not at risk).  Returns ``"repaired"``, ``"current"`` (no work
+        needed), or ``"aborted"`` (every attempt lost its race).
         """
-        report = self.scrubber.scrub_register(register_id)
-        if report.fully_redundant:
-            return "current"
-        coordinator = self.cluster.register(register_id, self.route).coordinator
-        process = coordinator.node.spawn(
-            coordinator._recover(register_id, prefer=live_coverage(self.cluster))
-        )
-        result = self.cluster.transport.run_until_complete(process)
-        return "aborted" if result is ABORT else "repaired"
+        for _attempt in range(_REPAIR_ATTEMPTS):
+            if self.scrubber.scrub_register(register_id).fully_redundant:
+                return "current"
+            process = start_repair(self.cluster, register_id, avoid)
+            if process is None:
+                break
+            if self.cluster.transport.run_until_complete(process) is not ABORT:
+                return "repaired"
+        return "aborted"
 
-    def rebuild(self, register_ids: Iterable[int],
-                retries: int = 2) -> RebuildReport:
-        """Rebuild a set of registers (e.g. everything a dead brick held).
-
-        Races with client writes abort individual registers; those are
-        retried up to ``retries`` times (the client write already
-        re-protected the data at quorum, so a retry usually finds the
-        register merely stale, not at risk).
-        """
+    def rebuild(self, register_ids: Iterable[int]) -> RebuildReport:
+        """Rebuild a set of registers (e.g. everything a dead brick held)."""
         report = RebuildReport()
         for register_id in register_ids:
             report.attempted += 1
-            outcome = "aborted"
-            for _attempt in range(retries + 1):
-                outcome = self.rebuild_register(register_id)
-                if outcome != "aborted":
-                    break
+            outcome = self.rebuild_register(register_id)
             if outcome == "repaired":
                 report.repaired += 1
             elif outcome == "current":

@@ -147,6 +147,29 @@ class Replica:
         """
         self._registers.pop(register_id, None)
 
+    def audit(self, register_id: int) -> bool:
+        """Verify this brick's stored copy of a register; True iff clean.
+
+        The one copy audit every maintenance path shares: it checks the
+        register's log cell on stable storage, never the volatile
+        mirror, which can hide rot indefinitely.  A mismatch drops the
+        mirror and quarantines the register through the standard load
+        path, so the accounting matches a read-triggered detection and
+        the next repair write-back rebuilds the copy.  A register
+        already quarantined is dirty; one the brick never held is
+        clean.  Costs no protocol messages.
+        """
+        if register_id in self.quarantined:
+            return False
+        if self.node.stable.verify(self.log_key(register_id)):
+            return True
+        self.drop_mirror(register_id)
+        try:
+            self.state(register_id)
+        except CorruptionDetected:
+            pass
+        return False
+
     def has_register(self, register_id: int) -> bool:
         """Whether any state exists for the register on this replica.
 
@@ -177,7 +200,7 @@ class Replica:
 
         Covers both the volatile mirror and registers whose state lives
         only in stable storage (e.g. after a crash dropped the mirror) —
-        the public accessor tools like the garbage collector should use
+        the public accessor tools like the scrub daemon should use
         instead of reaching into ``_registers``.
         """
         seen = set(self._registers)
@@ -190,8 +213,7 @@ class Replica:
     def log_key(self, register_id: int) -> str:
         """The stable-store key holding the register's persisted log.
 
-        Scrubbers pass it to ``node.stable.verify`` to ask whether the
-        log on this brick is clean.  (The fault applier in
+        :meth:`audit` verifies this cell.  (The fault applier in
         :mod:`repro.campaign.schedule` sits below this layer and repeats
         the format to damage the same cell.)
         """

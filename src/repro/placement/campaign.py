@@ -35,6 +35,7 @@ from typing import Dict, List
 from ..campaign.engine import CampaignConfig, CampaignResult, run_campaign
 from ..campaign.schedule import CampaignSchedule, FaultEvent, generate_schedule
 from ..errors import ConfigurationError
+from ..quorum.theorems import max_fault_tolerance
 from .groups import PlacementMap
 
 __all__ = [
@@ -182,7 +183,7 @@ def run_sharded_campaign(
         raise ConfigurationError(
             f"need m < group size, got m={config.m}, group size={group_size}"
         )
-    tolerance = (group_size - config.m) // 2
+    tolerance = max_fault_tolerance(group_size, config.m)
     fleet_schedule = generate_schedule(
         seed=config.seed,
         n=config.bricks,

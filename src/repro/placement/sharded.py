@@ -16,15 +16,16 @@ Brick failure handling closes the paper's reliability loop
 2. ``promote_spare`` — a spare assumes the failed brick's slot with a
    factory-fresh (blank) disk; the global id changes, the group-local
    process id does not.
-3. ``rebuild_brick`` — group-local re-protection.  With an LRC group
-   code the fragment path reads only the failed brick's *local parity
-   group* (``local_group_size`` fragments per register, not ``m``), and
-   falls back to the protocol rebuilder (full recovery write-back)
-   whenever the fast path cannot prove itself safe: source fragments
-   disagreeing on version, quarantined or missing state, or a
-   non-reconstructible pattern.  The fallback re-uses
-   :class:`~repro.core.rebuild.Rebuilder`, whose empty-brick audit
-   (see ``ScrubReport.empty``) guarantees a blank replacement is never
+3. ``rebuild_brick`` — group-local re-protection.  Each register first
+   tries the fragment path: with an LRC group code it reads only the
+   failed brick's *local parity group* (``local_group_size`` fragments
+   per register, not ``m``).  Whenever the fast path cannot prove
+   itself safe — source fragments disagreeing on version, a target
+   copy that fails the copy audit, quarantined or missing state, or a
+   non-reconstructible pattern — the register goes to
+   :meth:`~repro.core.rebuild.Rebuilder.rebuild_register`, the one
+   repair launch and retry rule, whose empty-brick audit (see
+   ``ScrubReport.empty``) guarantees a blank replacement is never
    mistaken for redundant.
 """
 
@@ -232,19 +233,17 @@ class ShardedCluster:
     # -- rebuild --------------------------------------------------------
 
     def rebuild_brick(
-        self,
-        brick: int,
-        register_ids: Optional[Iterable[int]] = None,
-        prefer_local: bool = True,
+        self, brick: int, register_ids: Optional[Iterable[int]] = None
     ) -> BrickRebuildReport:
         """Re-protect one brick's registers, group-locally.
 
         Only the brick's placement group participates — the rest of the
-        fleet neither reads nor writes a byte.  With an LRC group code
-        and ``prefer_local``, each register is repaired by reading the
-        failed block's local parity group (at most ``local_group_size``
-        fragments); the protocol rebuilder handles everything the fast
-        path cannot prove safe.
+        fleet neither reads nor writes a byte.  Each register is first
+        repaired by the fragment path (with an LRC group code, reading
+        the failed block's local parity group: at most
+        ``local_group_size`` fragments); the protocol rebuilder,
+        coordinated by another live brick of the group, handles
+        everything the fast path cannot prove safe.
 
         The fragment fast path is an *operator* path, like scrubbing:
         it assumes no client writes race the repair (the protocol
@@ -258,18 +257,14 @@ class ShardedCluster:
             register_ids = cluster.register_ids()
         ids = sorted(set(register_ids))
         report = BrickRebuildReport(brick=brick, group=gid, registers=len(ids))
-        rebuilder = Rebuilder(cluster, route=self._live_route(cluster, lpid))
+        rebuilder = Rebuilder(cluster)
         for register_id in ids:
-            if prefer_local and self._rebuild_fragment_local(
+            if self._rebuild_fragment_local(
                 cluster, lpid, register_id, report
             ):
                 report.local_repairs += 1
                 continue
-            outcome = "aborted"
-            for _attempt in range(3):
-                outcome = rebuilder.rebuild_register(register_id)
-                if outcome != "aborted":
-                    break
+            outcome = rebuilder.rebuild_register(register_id, avoid=lpid)
             if outcome == "repaired":
                 report.protocol_repairs += 1
             elif outcome == "current":
@@ -277,16 +272,6 @@ class ShardedCluster:
             else:
                 report.aborted += 1
         return report
-
-    @staticmethod
-    def _live_route(cluster: FabCluster, avoid: int) -> int:
-        """A live coordinator pid, preferring bricks other than ``avoid``
-        (the brick under repair should not coordinate its own rebuild)."""
-        live = cluster.live_processes()
-        for pid in live:
-            if pid != avoid:
-                return pid
-        return live[0] if live else 1
 
     def _rebuild_fragment_local(
         self,
@@ -304,15 +289,12 @@ class ShardedCluster:
         """
         code = cluster.code
         target = cluster.replicas[lpid]
-        try:
-            if target.has_register(register_id):
-                state = target.state(register_id)
-                target_ts = state.log.max_ts()
-            else:
-                state = None
-                target_ts = None
-        except CorruptionDetected:
-            return False  # quarantined: the protocol repair path owns it
+        state = target_ts = None
+        if target.has_register(register_id):
+            if not target.audit(register_id):
+                return False  # quarantined: the protocol repair path owns it
+            state = target.state(register_id)
+            target_ts = state.log.max_ts()
         available = [
             pid
             for pid in cluster.live_processes()

@@ -14,7 +14,6 @@ systems for verification, and existence checks
 
 from .system import ExplicitQuorumSystem, MajorityMQuorumSystem, MQuorumSystem
 from .theorems import (
-    canonical_f,
     max_fault_tolerance,
     min_processes,
     mquorum_exists,
@@ -28,6 +27,5 @@ __all__ = [
     "mquorum_exists",
     "min_processes",
     "max_fault_tolerance",
-    "canonical_f",
     "verify_quorum_system",
 ]

@@ -18,6 +18,7 @@ from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError, QuorumError
 from ..types import ProcessId
+from .theorems import max_fault_tolerance
 
 __all__ = ["MQuorumSystem", "MajorityMQuorumSystem", "ExplicitQuorumSystem"]
 
@@ -105,7 +106,7 @@ class MajorityMQuorumSystem(MQuorumSystem):
     def __init__(self, n: int, m: int, f: int | None = None,
                  enforce_bound: bool = True) -> None:
         super().__init__(n, m)
-        max_f = (n - m) // 2
+        max_f = max_fault_tolerance(n, m)
         if f is None:
             f = max_f
         if f < 0:

@@ -20,7 +20,6 @@ __all__ = [
     "mquorum_exists",
     "min_processes",
     "max_fault_tolerance",
-    "canonical_f",
     "verify_quorum_system",
     "QuorumSystemReport",
 ]
@@ -47,10 +46,6 @@ def max_fault_tolerance(n: int, m: int) -> int:
     if n < m:
         raise ConfigurationError(f"need n >= m, got n={n}, m={m}")
     return (n - m) // 2
-
-
-#: Alias matching the paper's phrasing "we assume f = floor((n-m)/2)".
-canonical_f = max_fault_tolerance
 
 
 @dataclass

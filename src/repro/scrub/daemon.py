@@ -7,9 +7,9 @@ registers would otherwise sit until enough fragments rot to defeat the
 code.  The scrub daemon closes that gap: a rate-limited background
 process that verifies stored envelope checksums brick by brick and
 repairs any damage it finds by erasure-decoding the surviving fragments
-and writing the stripe back (the coordinator's recovery with the
-rebuilder's :func:`~repro.core.rebuild.live_coverage` write-back, so
-the repaired brick ends up holding its fragment again).
+and writing the stripe back (the one repair launch,
+:func:`~repro.core.rebuild.start_repair`, so the repaired brick ends up
+holding its fragment again).
 
 One scheduler (:mod:`repro.scrub.sampler`).  Each wake-up scans a
 budget of (register, brick) pairs: ``samples_per_tick`` if set, else
@@ -17,24 +17,23 @@ the sample size that detects corruption at the assumed rate with the
 target confidence — independent of fleet size, and clamped to the pair
 space, so a small cluster gets a full pass every wake-up.  The budget
 goes first to a prioritized revisit queue (dirty / quarantined /
-just-repaired registers), then to an aging cursor that visits every
-live pair within a bounded number of wake-ups, then to uniform draws.
-A budget that covers every pair is the exhaustive round-robin sweep.
-A lap of the cursor counts as a completed sweep.  All randomness
-derives from ``ScrubConfig.seed``, so fixed-seed campaigns stay
-deterministic.
+just-repaired registers), then to the next pairs of one seeded
+permutation of the pair space.  The permutation is a *lap*: when it is
+walked, the register set is re-resolved from the cluster and shuffled
+afresh, and the lap counts as a completed sweep.  So registers created
+after :meth:`ScrubDaemon.start` are scrubbed from the next lap on,
+registers that no longer exist stop consuming scan budget, and every
+pair is visited within ``ceil(pairs / budget)`` wake-ups (revisits
+aside).  All randomness derives from ``ScrubConfig.seed``, so
+fixed-seed campaigns stay deterministic.  Repair write-backs flow
+through a budgeted queue (at most ``_MAX_INFLIGHT_REPAIRS`` at once)
+ordered by fragments-lost severity, so a detection burst cannot flood
+the protocol with rebuild traffic.
 
-The register set is re-resolved from the cluster once per pass-worth
-of scan budget (every wake-up when the budget covers the pair space):
-registers created after :meth:`ScrubDaemon.start` are scrubbed, and
-registers that no longer exist stop consuming scan budget.  Repair
-write-backs flow through a budgeted queue (at most
-``_MAX_INFLIGHT_REPAIRS`` at once) ordered by fragments-lost severity,
-so a detection burst cannot flood the protocol with rebuild traffic.
-
-Detection is an *offline* audit — it reads stable storage directly via
-:meth:`StableStore.verify`, costing no protocol messages and never
-perturbing timestamps.  Repair runs through the ordinary protocol, so
+Detection is an *offline* audit — the one copy audit,
+:meth:`~repro.core.replica.Replica.audit`, reads stable storage
+directly, costing no protocol messages and never perturbing
+timestamps.  Repair runs through the ordinary protocol, so
 it is linearized like any client write and safe under concurrent I/O
 (an abort just means a racing client write already re-protected the
 data; the next scan retries).
@@ -49,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import ConfigurationError, CorruptionDetected, StorageError
+from ..errors import ConfigurationError
 from ..types import ABORT, ProcessId
 from ..core.cluster import FabCluster
-from ..core.rebuild import live_coverage
+from ..core.rebuild import start_repair
 from .sampler import PairSampler, RepairQueue, RevisitQueue, required_samples
 
 __all__ = ["ScrubConfig", "ScrubDaemon"]
@@ -122,8 +121,8 @@ class ScrubDaemon:
         cluster: the cluster to scrub (its metrics sink absorbs all
             scrub counters).
         registers: optional register-id filter.  ``None`` (recommended)
-            scrubs every register the cluster holds, re-resolved once
-            per pass-worth of scans; an explicit iterable restricts
+            scrubs every register the cluster holds, re-resolved when
+            each lap starts; an explicit iterable restricts
             scanning to those ids (still intersected with what actually
             exists, so ids never written — or GC'd away — cost no scan
             budget).
@@ -157,11 +156,8 @@ class ScrubDaemon:
         self.repair_aborts = 0
         #: (time, pid, register_id) for every scrub-detected corruption.
         self.detections: List[Tuple[float, int, int]] = []
-        #: The pair space the scheduler draws from, its registers, and
-        #: the scan budget spent since it was resolved.
-        self._snapshot: List[Tuple[int, int]] = []
-        self._snapshot_registers: Set[int] = set()
-        self._since_resolve = 0
+        #: The registers of the sampler's current lap.
+        self._lap_registers: Set[int] = set()
         #: (pid, register_id) -> sim time the daemon first saw it dirty.
         #: Bounded by ``_DETECTED_LIMIT``; marks clear when a
         #: repair lands *or a later scan verifies the pair clean* (a
@@ -234,28 +230,27 @@ class ScrubDaemon:
         )
 
     def _step(self) -> None:
-        """One wake-up: revisits first, then the sampler's draw.
+        """One wake-up: revisits first, then the lap's next pairs.
 
-        A budget covering the whole pair space is a full pass, which
+        A budget covering the whole pair space is a full lap, which
         re-verifies every revisit candidate anyway.
         """
-        if self._since_resolve >= len(self._snapshot):
+        sampler = self._sampler
+        if sampler.lap_done:
             # Resolving walks every brick's store, so it happens once
-            # per pass-worth of budget, not every wake-up.
+            # per lap, not every wake-up.
             registers = self.registers
-            self._snapshot = self._pairs(registers)
-            self._snapshot_registers = set(registers)
-            self._since_resolve = 0
-        pairs = self._snapshot
-        budget = self._budget(len(pairs))
-        self._since_resolve += budget
+            sampler.start_lap(self._pairs(registers))
+            self._lap_registers = set(registers)
+        budget = self._budget(len(sampler.lap))
         scanned = 0
-        if budget < len(pairs):
-            scanned = self._scan_revisits(budget, self._snapshot_registers)
-        laps = self._sampler.laps
-        for register_id, pid in self._sampler.draw(pairs, budget - scanned):
+        if budget < len(sampler.lap):
+            scanned = self._scan_revisits(budget, self._lap_registers)
+        drawn = sampler.draw(budget - scanned)
+        for register_id, pid in drawn:
             self._scan_one(pid, register_id)
-        self.sweeps_completed += self._sampler.laps - laps
+        if drawn and sampler.lap_done:
+            self.sweeps_completed += 1
 
     def _scan_revisits(self, budget: int, live_registers: Set[int]) -> int:
         """Re-verify queued registers; returns the pairs scanned.
@@ -293,29 +288,22 @@ class ScrubDaemon:
         if node is None or not node.is_up:
             return
         self.metrics.count_scrub_scan()
-        if register_id in replica.quarantined:
-            # Client I/O found it first; our job is only the repair.
-            self._mark_dirty(pid, register_id)
-            self._offer_repair(register_id)
-            return
-        if node.stable.verify(replica.log_key(register_id)):
+        # Quarantined already: client I/O found it first, and our job
+        # is only the repair.
+        known = register_id in replica.quarantined
+        if replica.audit(register_id):
             # Clean — possibly repaired by a client write since we last
             # marked it.
             self._detected_at.pop((pid, register_id), None)
             return
-        # The scrubber found latent damage before any client read did.
-        now = self.cluster.transport.now()
-        self.metrics.count_scrub_detection()
-        self.detections.append((now, pid, register_id))
+        if not known:
+            # Latent damage found before any client read did; the audit
+            # has quarantined the copy.
+            self.metrics.count_scrub_detection()
+            self.detections.append(
+                (self.cluster.transport.now(), pid, register_id)
+            )
         self._mark_dirty(pid, register_id)
-        # Route the quarantine transition through the standard client
-        # detection path (drop the mirror, let the load fail) so the
-        # accounting matches a read-triggered detection exactly.
-        replica.drop_mirror(register_id)
-        try:
-            replica.state(register_id)
-        except CorruptionDetected:
-            pass
         self._offer_repair(register_id)
 
     def _mark_dirty(self, pid: ProcessId, register_id: int) -> None:
@@ -360,18 +348,8 @@ class ScrubDaemon:
                 return
 
     def _start_repair(self, register_id: int) -> bool:
-        live = self.cluster.live_processes()
-        if not live:
-            return False
-        pid = live[0]
-        coordinator = self.cluster.coordinators[pid]
-        generator = coordinator._recover(
-            register_id, prefer=live_coverage(self.cluster)
-        )
-        try:
-            process = self.cluster.nodes[pid].spawn(generator)
-        except StorageError:
-            generator.close()
+        process = start_repair(self.cluster, register_id)
+        if process is None:
             return False
         process._add_callback(
             lambda event, r=register_id: self._repair_done(r, event)
@@ -406,7 +384,7 @@ class ScrubDaemon:
     def sweep_now(self) -> int:
         """One full verification pass, right now; returns pairs scanned.
 
-        Scans a fresh snapshot of the current pair space, whatever the
+        Scans the current pair space in register order, whatever the
         budget (the point of the synchronous form is *complete*
         coverage).  Repairs found along the way are *scheduled* (they
         run through the protocol); advance the simulation to let them

@@ -17,12 +17,13 @@ is its inverse (the confidence a given budget buys).
 
 Three scheduling structures turn the math into a scrubber:
 
-* :class:`PairSampler` — seeded uniform draws over the live pair list,
-  with a persistent *aging cursor*: a quarter of every draw is taken
-  round-robin from the cursor, so every live pair is visited within
-  ``ceil(pairs / aging_share)`` cycles even if the uniform draws never
-  land on it.  Pure sampling alone has an unbounded worst case;
-  the cursor bounds it.
+* :class:`PairSampler` — the one scan order: a seeded permutation of the
+  pair space per *lap*, walked a budget of pairs per cycle.  Each cycle
+  is a uniform sample without replacement (so the confidence math
+  holds), and a lap visits every pair exactly once, so with ``P`` pairs
+  and a budget ``b`` every pair is visited within ``ceil(P / b)``
+  cycles.  Pure sampling alone has an unbounded worst case; the lap
+  bounds it.
 * :class:`RevisitQueue` — a max-priority queue of registers that
   deserve attention before cold ones: known-dirty, quarantined, or
   just-repaired (to re-verify the write-back).  Severity-ordered with
@@ -41,7 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 
@@ -55,9 +56,6 @@ __all__ = [
 
 #: A scan target: (register_id, process_id).
 Pair = Tuple[int, int]
-
-#: Share of every draw taken round-robin from the aging cursor.
-_AGING_FRACTION = 0.25
 
 
 def required_samples(
@@ -99,73 +97,41 @@ def detection_confidence(samples: int, corrupt_rate: float) -> float:
 
 
 class PairSampler:
-    """Seeded pair draws: uniform sampling plus an aging cursor.
+    """The scan order: one seeded permutation of the pair space per lap.
 
     Args:
-        seed: RNG seed; equal seeds reproduce identical draw sequences
+        seed: RNG seed; equal seeds reproduce identical scan sequences
             over identical pair lists (the campaign determinism
             property).
 
-    A quarter of every draw (``_AGING_FRACTION``) is taken round-robin
-    from the persistent cursor instead of uniformly.  This is the
-    eventual-coverage guarantee: with a stable pair list of ``P`` pairs
-    and a per-cycle budget ``b``, every pair is visited within
-    ``ceil(P / max(1, b // 4))`` cycles, regardless of how the uniform
-    draws fall.
-
-    ``laps`` counts completed passes over the pair space: one per
-    cumulative cursor advance of one pair-list length, and one per
-    draw whose budget covers every pair.
+    :meth:`start_lap` takes the *current* pair list (callers resolve it
+    once per lap, so growth and deletion are picked up when the next
+    lap starts) and shuffles it; :meth:`draw` walks the permutation.
+    The last draw of a lap may come up short: a lap never spills into
+    the next one, so each lap is exactly one pass.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        #: Lazily initialised to a seeded random phase on the first
-        #: draw: a fixed start would make every sampler scan the same
-        #: prefix first, correlating daemons fleet-wide.  The phase
-        #: shifts, not weakens, the coverage bound.
-        self._cursor: Optional[int] = None
-        self.laps = 0
-        self._lap_progress = 0
+        #: The current lap's pairs, in scan order.
+        self.lap: List[Pair] = []
+        self._walked = 0
 
-    def draw(self, pairs: Sequence[Pair], count: int) -> List[Pair]:
-        """Up to ``count`` distinct pairs to scan this cycle.
+    @property
+    def lap_done(self) -> bool:
+        """True when every pair of the current lap has been drawn."""
+        return self._walked >= len(self.lap)
 
-        ``pairs`` is the *current* live pair list (callers re-resolve it
-        every cycle, so growth and deletion are picked up immediately);
-        it should be in a stable order — sorted — for the cursor's
-        coverage bound to hold.  The aging share comes first, then
-        uniform draws without replacement; duplicates between the two
-        shares are dropped rather than topped up, so ``count`` is an
-        upper bound on scan cost.  A ``count`` covering every pair is a
-        full pass, in cursor order.
-        """
-        total = len(pairs)
-        if total == 0 or count <= 0:
-            return []
-        if self._cursor is None:
-            self._cursor = self._rng.randrange(total)
-        if count >= total:
-            self.laps += 1
-            return [pairs[(self._cursor + i) % total] for i in range(total)]
-        aging = min(count, max(1, int(count * _AGING_FRACTION)))
-        drawn: List[Pair] = []
-        seen: Set[Pair] = set()
-        for offset in range(aging):
-            pair = pairs[(self._cursor + offset) % total]
-            if pair not in seen:
-                seen.add(pair)
-                drawn.append(pair)
-        self._cursor = (self._cursor + aging) % total
-        self._lap_progress += aging
-        self.laps += self._lap_progress // total
-        self._lap_progress %= total
-        uniform = count - aging
-        if uniform > 0:
-            for pair in self._rng.sample(list(pairs), min(uniform, total)):
-                if pair not in seen:
-                    seen.add(pair)
-                    drawn.append(pair)
+    def start_lap(self, pairs: Iterable[Pair]) -> None:
+        """Begin a pass over ``pairs`` in a fresh seeded order."""
+        self.lap = list(pairs)
+        self._rng.shuffle(self.lap)
+        self._walked = 0
+
+    def draw(self, count: int) -> List[Pair]:
+        """The next (up to) ``count`` pairs of the current lap."""
+        drawn = self.lap[self._walked:self._walked + max(0, count)]
+        self._walked += len(drawn)
         return drawn
 
 
@@ -258,6 +224,3 @@ class RepairQueue:
     @property
     def queued(self) -> int:
         return len(self._queue)
-
-    def __iter__(self) -> Iterator[int]:  # pragma: no cover - debug aid
-        return iter(sorted(self._inflight))

@@ -1,4 +1,4 @@
-"""Garbage collection (Section 5.1): online and offline log trimming."""
+"""Garbage collection (Section 5.1): the online notice keeps logs bounded."""
 
 import pytest
 
@@ -11,7 +11,7 @@ class TestOnlineGc:
         register = cluster.register(0)
         for tag in range(10):
             register.write_stripe(stripe_of(3, 32, tag))
-        assert cluster.gc.high_water_mark(0) >= 10
+        assert cluster.max_log_entries(0) >= 10
 
     def test_gc_enabled_keeps_logs_bounded(self):
         cluster = make_cluster(m=3, n=5, gc_enabled=True)
@@ -20,7 +20,7 @@ class TestOnlineGc:
             register.write_stripe(stripe_of(3, 32, tag))
         cluster.run(until=cluster.env.now + 50)  # let async GC notices land
         # Each log holds at most the last complete write + one in flight.
-        assert cluster.gc.high_water_mark(0) <= 3
+        assert cluster.max_log_entries(0) <= 3
 
     def test_gc_preserves_readability(self):
         cluster = make_cluster(m=3, n=5, gc_enabled=True)
@@ -45,7 +45,7 @@ class TestOnlineGc:
             cluster.run(until=cluster.env.now + 10)
             # A complete Modify sends the notice too: a ts-only brick
             # keeps its value entry plus the newest ⊥, nothing older.
-            assert cluster.gc.high_water_mark(0) <= 2
+            assert cluster.max_log_entries(0) <= 2
         assert register.read_stripe() == expected
 
     def test_gc_safe_under_crash(self):
@@ -65,61 +65,22 @@ class TestOnlineGc:
 
 
 class TestOfflineGc:
+    """Offline inspection: the log-size probe and the register set.
+
+    Compaction itself has one path, the Section 5.1 notice above."""
+
     def test_stats(self):
         cluster = make_cluster(m=3, n=5)
         register = cluster.register(0)
         for tag in range(4):
             register.write_stripe(stripe_of(3, 32, tag))
-        stats = cluster.gc.stats(0)
-        assert stats.register_id == 0
-        assert set(stats.entries_per_replica) == {1, 2, 3, 4, 5}
-        assert stats.total_entries == 5 * 5  # LowTS + 4 writes each
-        assert stats.max_entries == 5
-
-    def test_manual_trim(self):
-        cluster = make_cluster(m=3, n=5)
-        register = cluster.register(0)
-        last_stripe = None
-        for tag in range(5):
-            last_stripe = stripe_of(3, 32, tag)
-            register.write_stripe(last_stripe)
-        # The last committed timestamp: max over replica logs.
-        last_ts = max(
-            replica.state(0).log.max_ts()
-            for replica in cluster.replicas.values()
-        )
-        report = cluster.gc.trim(0, last_ts)
-        assert report.total_removed > 0
-        assert report.skipped_down == []
-        assert cluster.gc.high_water_mark(0) == 1
-        assert register.read_stripe() == last_stripe
-
-    def test_trim_skips_down_replicas(self):
-        """Regression: trim must never mutate a crashed replica's state."""
-        cluster = make_cluster(m=3, n=5)
-        register = cluster.register(0)
-        for tag in range(5):
-            register.write_stripe(stripe_of(3, 32, tag))
-        last_ts = max(
-            replica.state(0).log.max_ts()
-            for replica in cluster.replicas.values()
-        )
-        down_pid = 4
-        before = len(cluster.replicas[down_pid].state(0).log)
-        store_count_before = cluster.nodes[down_pid].stable.store_count
-        cluster.crash(down_pid)
-        report = cluster.gc.trim(0, last_ts)
-        assert report.skipped_down == [down_pid]
-        assert down_pid not in report.removed
-        assert report.total_removed > 0  # live replicas still trimmed
-        # The crashed brick's persistent state is untouched while down.
-        assert cluster.nodes[down_pid].stable.store_count == store_count_before
-        cluster.recover(down_pid)
-        assert len(cluster.replicas[down_pid].state(0).log) == before
-        # A later pass (post-recovery) catches the straggler up.
-        catchup = cluster.gc.trim(0, last_ts)
-        assert catchup.skipped_down == []
-        assert catchup.removed[down_pid] > 0
+        assert cluster.max_log_entries(0) == 5  # LowTS + 4 writes
+        assert cluster.max_log_entries(9) == 1  # never written: LowTS
+        # A quarantined copy is not counted; the clean ones still are.
+        cluster.nodes[2].stable.corrupt(cluster.replicas[2].log_key(0))
+        cluster.replicas[2].drop_mirror(0)
+        assert cluster.max_log_entries(0) == 5
+        assert 0 in cluster.replicas[2].quarantined
 
     def test_registers_seen(self):
         cluster = make_cluster(m=3, n=5)
@@ -148,7 +109,7 @@ class TestGcRecoveryInterplay:
         committed = stripe_of(3, 32, tag=1)
         register.write_stripe(committed)
         cluster.run(until=cluster.env.now + 30)  # GC lands: logs hold 1 entry
-        assert cluster.gc.high_water_mark(0) == 1
+        assert cluster.max_log_entries(0) == 1
 
         # Now a partial write with too few blocks must roll back to the
         # GC-trimmed-but-kept committed version, not to nil.
@@ -213,7 +174,7 @@ class TestBlockWriteGcOnLrc:
             assert register.write_block(j, block) == "OK"
             expected[j - 1] = block
         cluster.run(until=cluster.env.now + 10)  # let the notices land
-        assert cluster.gc.high_water_mark(0) <= 2
+        assert cluster.max_log_entries(0) <= 2
         cluster.crash(down)
         for route in range(1, 9):
             if route != down:

@@ -101,7 +101,7 @@ class TestScrubber:
 class TestRebuilder:
     def test_rebuild_restores_full_redundancy(self):
         cluster, newer = cluster_with_stale_brick(registers=3)
-        rebuilder = Rebuilder(cluster, route=1)
+        rebuilder = Rebuilder(cluster)
         report = rebuilder.rebuild(range(3))
         assert report.success
         assert report.repaired == 3
@@ -140,7 +140,7 @@ class TestRebuilder:
             stripes[register_id] = stripe_of(3, 32, tag=register_id)
             cluster.register(register_id).write_stripe(stripes[register_id])
         replace_with_blank_brick(cluster, 4)
-        rebuilder = Rebuilder(cluster, route=1)
+        rebuilder = Rebuilder(cluster)
         assert rebuilder.rebuild_register(0) == "repaired"
         report = rebuilder.rebuild(range(1, 3))
         assert report.repaired == 2 and report.already_current == 0
@@ -180,7 +180,7 @@ class TestRebuilder:
         retransmitted forever.  Coverage is now re-resolved per reply.
         """
         cluster, newer = cluster_with_stale_brick(registers=1)
-        rebuilder = Rebuilder(cluster, route=1)
+        rebuilder = Rebuilder(cluster)
         # Fires between the read phase (replies ~t+2) and the store
         # deliveries (~t+3): brick 5 never sees the write-back.
         cluster.transport.set_timer(2.5, lambda: cluster.crash(5))
@@ -196,7 +196,7 @@ class TestRebuilder:
     def test_crash_during_rebuild_batch(self):
         """A crash mid-batch terminates and later registers still repair."""
         cluster, _ = cluster_with_stale_brick(registers=3)
-        rebuilder = Rebuilder(cluster, route=1)
+        rebuilder = Rebuilder(cluster)
         cluster.transport.set_timer(2.5, lambda: cluster.crash(5))
         report = rebuilder.rebuild(range(3))
         assert report.attempted == 3
@@ -210,7 +210,7 @@ class TestRebuilder:
     def test_rebuild_is_linearization_safe(self):
         """Rebuild concurrent with client writes never loses data."""
         cluster, _ = cluster_with_stale_brick(registers=1)
-        rebuilder = Rebuilder(cluster, route=1)
+        rebuilder = Rebuilder(cluster)
         # Launch a client write concurrently with the rebuild.
         final = stripe_of(3, 32, tag=999)
         write_process = cluster.register(0, route=2).write_stripe_async(final)
@@ -221,3 +221,23 @@ class TestRebuilder:
             assert value == final
         else:
             assert value is not None
+
+
+class TestWarmMirrorCorruption:
+    """Regression: rot under a warm volatile mirror is an erasure.
+
+    The audit once trusted the mirror, so a brick whose stored log had
+    failed its checksum passed as current and no repair ran."""
+
+    def test_corrupt_copy_behind_warm_mirror_is_repaired(self):
+        cluster = make_cluster(m=3, n=5)
+        stripe = stripe_of(3, 32, tag=7)
+        assert cluster.register(0).write_stripe(stripe) == "OK"
+        key = cluster.replicas[2].log_key(0)
+        # The mirror stays warm: nothing drops it.
+        assert cluster.nodes[2].stable.corrupt(key, seed=3)
+        assert Scrubber(cluster).scrub_register(0).corrupt == [2]
+        assert Rebuilder(cluster).rebuild_register(0) == "repaired"
+        assert cluster.nodes[2].stable.verify(key)
+        assert Scrubber(cluster).scrub_register(0).fully_redundant
+        assert cluster.register(0, route=3).read_stripe() == stripe

@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scrub import daemon as daemon_module
-from repro.scrub import sampler as sampler_module
 from repro.scrub import (
     PairSampler,
     RepairQueue,
@@ -69,60 +68,63 @@ class TestConfidenceMath:
 class TestPairSampler:
     PAIRS = [(r, p) for r in range(8) for p in range(1, 6)]
 
+    @staticmethod
+    def walk(sampler, pairs, count, cycles):
+        """``cycles`` draws, starting a lap whenever one is walked."""
+        drawn = []
+        for _ in range(cycles):
+            if sampler.lap_done:
+                sampler.start_lap(pairs)
+            drawn.append(sampler.draw(count))
+        return drawn
+
     def test_fixed_seed_is_deterministic(self):
-        a = PairSampler(seed=42)
-        b = PairSampler(seed=42)
-        for _ in range(10):
-            assert a.draw(self.PAIRS, 7) == b.draw(self.PAIRS, 7)
+        a = self.walk(PairSampler(seed=42), self.PAIRS, 7, 10)
+        b = self.walk(PairSampler(seed=42), self.PAIRS, 7, 10)
+        assert a == b
 
     def test_different_seeds_diverge(self):
-        a = PairSampler(seed=1)
-        b = PairSampler(seed=2)
-        sequences = (
-            [a.draw(self.PAIRS, 7) for _ in range(5)],
-            [b.draw(self.PAIRS, 7) for _ in range(5)],
-        )
-        assert sequences[0] != sequences[1]
+        a = self.walk(PairSampler(seed=1), self.PAIRS, 7, 5)
+        b = self.walk(PairSampler(seed=2), self.PAIRS, 7, 5)
+        assert a != b
 
     def test_count_is_an_upper_bound(self):
-        sampler = PairSampler(seed=0)
-        for _ in range(20):
-            drawn = sampler.draw(self.PAIRS, 7)
+        for drawn in self.walk(PairSampler(seed=0), self.PAIRS, 7, 20):
             assert len(drawn) <= 7
             assert len(set(drawn)) == len(drawn)  # no duplicates
             assert all(pair in self.PAIRS for pair in drawn)
 
-    def test_eventual_coverage_under_aging(self):
-        # The coverage bound: with P pairs, budget b, and aging share
-        # max(1, int(b * 0.25)) per draw, every pair is visited within
-        # ceil(P / share) cycles — no matter where the uniform draws
-        # land.
-        pairs = self.PAIRS  # P = 40
+    def test_eventual_coverage_within_one_lap(self):
+        # The coverage bound: with P pairs and budget b, one lap visits
+        # every pair exactly once in ceil(P / b) cycles.
         budget = 8
-        sampler = PairSampler(seed=9)
-        share = max(1, int(budget * 0.25))  # = 2
-        bound = -(-len(pairs) // share)  # = 20 cycles
-        seen = set()
-        for _ in range(bound):
-            seen.update(sampler.draw(pairs, budget))
-        assert seen == set(pairs)
+        bound = -(-len(self.PAIRS) // budget)  # = 5 cycles
+        drawn = self.walk(PairSampler(seed=9), self.PAIRS, budget, bound)
+        scanned = [pair for step in drawn for pair in step]
+        assert sorted(scanned) == sorted(self.PAIRS)
 
-    def test_laps_count_full_cursor_passes(self, monkeypatch):
-        monkeypatch.setattr(sampler_module, "_AGING_FRACTION", 1.0)
+    def test_each_lap_is_a_fresh_permutation(self):
         sampler = PairSampler(seed=5)
-        seen = set()
-        for _ in range(len(self.PAIRS) // 8):  # 40 pairs, 8 per draw
-            assert sampler.laps == 0
-            seen.update(sampler.draw(self.PAIRS, 8))
-        assert sampler.laps == 1 and seen == set(self.PAIRS)
-        # A budget covering the pair space is one full pass, one lap.
-        assert sorted(sampler.draw(self.PAIRS, 99)) == sorted(self.PAIRS)
-        assert sampler.laps == 2
+        laps = []
+        for _ in range(3):
+            assert sampler.lap_done
+            sampler.start_lap(self.PAIRS)
+            lap = []
+            while not sampler.lap_done:
+                lap.extend(sampler.draw(6))  # 40 pairs: last draw short
+            assert sorted(lap) == sorted(self.PAIRS)
+            laps.append(lap)
+        # Reshuffled when each lap starts, not replayed.
+        assert laps[0] != laps[1] != laps[2]
+        # A lap never spills into the next one.
+        assert sampler.draw(6) == []
 
     def test_empty_inputs(self):
         sampler = PairSampler(seed=0)
-        assert sampler.draw([], 10) == []
-        assert sampler.draw(self.PAIRS, 0) == []
+        sampler.start_lap([])
+        assert sampler.draw(10) == [] and sampler.lap_done
+        sampler.start_lap(self.PAIRS)
+        assert sampler.draw(0) == [] and not sampler.lap_done
 
 
 class TestRevisitQueue:
@@ -175,9 +177,8 @@ class TestRepairQueue:
 class TestLiveRegisterResolution:
     """Regression: registers created after start() must get scrubbed."""
 
-    def test_new_register_is_scrubbed_sweep_mode(self, monkeypatch):
-        # The whole budget from the cursor: a round-robin sweep.
-        monkeypatch.setattr(sampler_module, "_AGING_FRACTION", 1.0)
+    def test_new_register_is_scrubbed_sweep_mode(self):
+        # A small fixed budget: a lap takes several wake-ups.
         cluster, _stripes = populated_cluster()
         daemon = ScrubDaemon(
             cluster, config=ScrubConfig(interval=5.0, samples_per_tick=4),
@@ -220,10 +221,9 @@ class TestLiveRegisterResolution:
         )
         assert brick_is_clean(cluster, 4, new_id)
 
-    def test_sweep_accounting_survives_growth(self, monkeypatch):
-        # Adding registers mid-sweep must not wedge the round-robin:
-        # passes still complete and count.
-        monkeypatch.setattr(sampler_module, "_AGING_FRACTION", 1.0)
+    def test_sweep_accounting_survives_growth(self):
+        # Adding registers mid-lap must not wedge the walk: laps still
+        # complete and count, and the next lap picks the growth up.
         cluster, _stripes = populated_cluster()
         daemon = ScrubDaemon(
             cluster, config=ScrubConfig(interval=5.0, samples_per_tick=3),

@@ -215,3 +215,29 @@ class TestRebuild:
         assert victim in fleet.live_bricks()
         for rid, stripe in stripes.items():
             assert fleet.register(rid).read_stripe() == stripe
+
+    def test_corrupt_target_behind_warm_mirror_is_repaired(self):
+        """Regression: the fragment path audits the target's stored
+        copy, not its warm mirror.  A stale brick whose log rotted under
+        a warm mirror used to take the fast-path append on top of the
+        corrupt journal and stay corrupt; it now goes to the protocol
+        repair, which rewrites it."""
+        fleet, stripes = loaded_fleet(registers=8)
+        victim = fleet.placement.members[3][1]
+        gid, lpid = fleet.slot_of(victim)
+        cluster = fleet.cluster_of_group(gid)
+        fleet.crash_brick(victim)
+        rid = next(
+            r for r in stripes if fleet.placement.group_of_register(r) == gid
+        )
+        stripes[rid] = stripe_of(4, 64, tag=200 + rid)
+        assert fleet.register(rid).write_stripe(stripes[rid]) == "OK"
+        fleet.recover_brick(victim)
+        replica = cluster.replicas[lpid]
+        replica.state(rid)  # warm the mirror, then rot the disk under it
+        assert cluster.nodes[lpid].stable.corrupt(replica.log_key(rid), seed=3)
+        report = fleet.rebuild_brick(victim, [rid])
+        assert report.protocol_repairs == 1 and report.local_repairs == 0
+        assert cluster.nodes[lpid].stable.verify(replica.log_key(rid))
+        assert Scrubber(cluster).scrub_register(rid).fully_redundant
+        assert fleet.register(rid).read_stripe() == stripes[rid]

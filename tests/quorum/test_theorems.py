@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.quorum.system import MajorityMQuorumSystem
+from repro.quorum import theorems
 from repro.quorum.theorems import (
-    canonical_f,
     max_fault_tolerance,
     min_processes,
     mquorum_exists,
@@ -44,8 +44,17 @@ class TestBoundArithmetic:
         assert max_fault_tolerance(n=9, m=5) == 2
         assert max_fault_tolerance(n=5, m=5) == 0
 
-    def test_canonical_f_alias(self):
-        assert canonical_f is max_fault_tolerance
+    def test_one_f_rule(self):
+        # Every default f is this one function; no alias remains.
+        from repro.campaign.engine import CampaignConfig, broken_config
+
+        assert not hasattr(theorems, "canonical_f")
+        for n, m in ((5, 3), (8, 4), (9, 5), (3, 3)):
+            f = max_fault_tolerance(n, m)
+            assert MajorityMQuorumSystem(n, m).f == f
+            config = CampaignConfig(n=n, m=m)
+            assert config.effective_f == f
+            assert broken_config(config).f == f + 1
 
     @given(
         st.integers(min_value=1, max_value=40),

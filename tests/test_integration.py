@@ -68,7 +68,7 @@ class TestSoak:
             again = session.read(block)
             assert again == value  # stability
         # GC kept logs bounded.
-        assert cluster.gc.high_water_mark(0) <= 5
+        assert cluster.max_log_entries(0) <= 5
 
     def test_rebuild_cycle_during_load(self):
         """Brick dies, misses writes, is rebuilt; redundancy restored."""
@@ -80,7 +80,7 @@ class TestSoak:
         cluster.crash(6)
         for block in range(0, volume.num_blocks, 2):
             assert session.write(block, bytes([(block + 7) % 256]) * 128) == "OK"
-        report = Rebuilder(cluster, route=1).rebuild_brick(
+        report = Rebuilder(cluster).rebuild_brick(
             6, range(10)
         )
         assert report.aborted == 0

@@ -1,12 +1,12 @@
-"""The pinned option surface: every settable value on ten public surfaces.
+"""The pinned option surface: every settable value on the public surfaces.
 
 Each independently settable value doubles the configurations tests and
 benchmarks must cover, so a new knob on any of these surfaces shows up
 here as a reviewed edit.  A setting that no shipped caller sets to
 anything but its default belongs in a module constant instead.
 
-The pinned sets below hold 62 values in all; ``RouteOptions``, the
-tenth surface, is gone.
+The first nine surfaces hold 62 values (``RouteOptions``, the tenth,
+is gone); the maintenance and experiment surfaces below them hold 30.
 """
 
 import dataclasses
@@ -16,10 +16,16 @@ import inspect
 import pytest
 
 import repro
-from repro.campaign import CampaignConfig
+from repro.analysis.scrub import (
+    run_sampling_sweep,
+    run_scrub_experiment,
+    run_scrub_run,
+)
+from repro.campaign import CampaignConfig, generate_schedule
+from repro.core.rebuild import Rebuilder
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.session import RetryPolicy
-from repro.placement import ShardedCampaignConfig
+from repro.placement import ShardedCampaignConfig, ShardedCluster
 from repro.scrub import ScrubConfig
 from repro.transport import make_transport
 from repro.transport.aio import AsyncioTransport
@@ -84,6 +90,42 @@ SURFACES = {
     "ChaosPolicy": (
         lambda: _fields(ChaosPolicy),
         {"seed", "default"},
+    ),
+    "generate_schedule": (
+        lambda: _parameters(generate_schedule),
+        {
+            "seed", "n", "duration", "max_down", "crash_weight",
+            "partition_weight", "drop_weight", "corrupt_weight",
+            "registers", "event_gap", "down_time", "max_clock_skew",
+        },
+    ),
+    "Rebuilder": (
+        lambda: _parameters(Rebuilder.__init__),
+        {"cluster"},
+    ),
+    "Rebuilder.rebuild": (
+        lambda: _parameters(Rebuilder.rebuild),
+        {"register_ids"},
+    ),
+    "Rebuilder.rebuild_register": (
+        lambda: _parameters(Rebuilder.rebuild_register),
+        {"register_id", "avoid"},
+    ),
+    "ShardedCluster.rebuild_brick": (
+        lambda: _parameters(ShardedCluster.rebuild_brick),
+        {"brick", "register_ids"},
+    ),
+    "run_scrub_run": (
+        lambda: _parameters(run_scrub_run),
+        {"ops", "corrupt_rate", "scrub_enabled", "seed"},
+    ),
+    "run_scrub_experiment": (
+        lambda: _parameters(run_scrub_experiment),
+        {"ops", "corrupt_rates", "seed"},
+    ),
+    "run_sampling_sweep": (
+        lambda: _parameters(run_sampling_sweep),
+        {"registers", "sample_rates", "trials", "seed", "target_confidence"},
     ),
 }
 
