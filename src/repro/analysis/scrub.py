@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import random
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -310,11 +311,20 @@ class ScrubExperiment:
     #: Median of per-pair (scrub-on / scrub-off) throughput ratios from
     #: interleaved timing pairs; robust to process-level drift.
     throughput_ratio: float = 1.0
+    #: First and third quartile of those per-pair ratios.
+    ratio_q1: float = 1.0
+    ratio_q3: float = 1.0
+    pairs: int = 0
 
     @property
     def overhead_percent(self) -> float:
         """Ops/s cost of scrubbing a corruption-free workload."""
         return 100.0 * (1.0 - self.throughput_ratio)
+
+    @property
+    def overhead_spread(self) -> Tuple[float, float]:
+        """The overhead's q1–q3 over the pairs (low, high) in percent."""
+        return 100.0 * (1.0 - self.ratio_q3), 100.0 * (1.0 - self.ratio_q1)
 
     def to_dict(self) -> Dict:
         return {
@@ -322,6 +332,10 @@ class ScrubExperiment:
             "baseline": self.baseline.to_dict(),
             "scrub_clean": self.scrub_clean.to_dict(),
             "overhead_percent": round(self.overhead_percent, 2),
+            "overhead_q1_q3_percent": [
+                round(value, 2) for value in self.overhead_spread
+            ],
+            "overhead_pairs": self.pairs,
             "runs": [run.to_dict() for run in self.runs],
         }
 
@@ -341,24 +355,27 @@ def run_scrub_experiment(
     times
     — the noise shifts on a multi-second timescale, so fine-grained
     alternation lands both sides in the same noise regime.  The
-    overhead is the ratio of the summed per-side CPU times.
+    overhead is the median of the per-pair CPU ratios (one slow slice
+    moves it by at most one rank), reported with their q1–q3 spread.
     """
-    cpu_total = {False: 0.0, True: 0.0}
+    ratios = []
     last = {}
     for _ in range(_OVERHEAD_REPEATS):
+        cpu = {}
         for enabled in (False, True):
-            run = run_scrub_run(
+            last[enabled] = run_scrub_run(
                 ops=ops, corrupt_rate=0.0, scrub_enabled=enabled, seed=seed,
             )
-            cpu_total[enabled] += run.cpu_seconds
-            last[enabled] = run
+            cpu[enabled] = last[enabled].cpu_seconds
+        ratios.append(cpu[False] / cpu[True] if cpu[True] > 0 else 1.0)
+    q1, _median, q3 = statistics.quantiles(ratios, n=4)
     experiment = ScrubExperiment(
         baseline=last[False],
         scrub_clean=last[True],
-        throughput_ratio=(
-            cpu_total[False] / cpu_total[True]
-            if cpu_total[True] > 0 else 1.0
-        ),
+        throughput_ratio=statistics.median(ratios),
+        ratio_q1=q1,
+        ratio_q3=q3,
+        pairs=len(ratios),
     )
     for rate in corrupt_rates:
         experiment.runs.append(run_scrub_run(
@@ -599,6 +616,7 @@ def render_sampling_report(sweep: SamplingSweepResult) -> str:
 
 def render_report(experiment: ScrubExperiment) -> str:
     """Human-readable experiment summary."""
+    low, high = experiment.overhead_spread
     lines = [
         "Scrub daemon — detection latency, repair throughput, overhead",
         f"workload: {experiment.baseline.ops} ops, seed "
@@ -606,7 +624,8 @@ def render_report(experiment: ScrubExperiment) -> str:
         "registers, clients touch only the active half",
         "",
         f"scrub overhead on clean run: {experiment.overhead_percent:.1f}% "
-        "(CPU time per op, summed over interleaved off/on slices)",
+        f"(median of {experiment.pairs} interleaved off/on CPU-time "
+        f"pairs; q1–q3 {low:.1f}–{high:.1f}%)",
         "",
         f"{'rate':>6} {'inject':>7} {'detect':>7} {'scrubdet':>9} "
         f"{'degraded':>9} {'repairs':>8} {'latency':>8} {'mttr':>7} "

@@ -2,46 +2,44 @@
 
 The protocol layer is written as sim-kernel generators, and that
 machinery is substrate-independent: an :class:`AsyncioTransport` embeds
-its own :class:`~repro.sim.kernel.Environment` and pumps it from an
-asyncio task in *wall* time.  The kernel's virtual clock is clamped to
-the scaled wall clock — one unit is one millisecond, so an event armed
-"8 units out" fires roughly 8 ms later.
+its own :class:`~repro.sim.kernel.Environment` and runs it from asyncio
+loop callbacks in *wall* time.  The kernel's virtual clock is clamped
+to the scaled wall clock — one unit is one millisecond, so an event
+armed "8 units out" fires roughly 8 ms later.
 
-Two delivery modes:
+``loopback`` mode injects messages straight into the shared event queue
+(``repro serve`` hosts a cluster plus thousands of sessions this way).
+In ``tcp`` mode process ``pid`` listens at ``base_port + pid - 1`` and
+messages travel as length-prefixed binary frames
+(:mod:`repro.transport.wire`); a process's message to itself is
+injected as on loopback.  No task runs per event or per frame:
 
-* ``loopback`` — messages are injected straight into the shared event
-  queue (one process, no sockets).  This is what ``repro serve`` uses
-  to host a cluster plus thousands of concurrent sessions.
-* ``tcp`` — every process id gets its own listening socket at
-  ``base_port + pid - 1``; messages between processes travel as
-  length-prefixed binary frames (:mod:`repro.transport.wire`) over
-  per-destination connections with a writer task each.  A process's
-  message to itself (a coordinator to its own brick's replica) is
-  injected into the event queue as on loopback.  Both per-connection
-  loops pay asyncio per socket wakeup, not per frame: the writer sends
-  everything queued in one ``write``, the reader parses every frame one
-  ``read`` completed.
+* **Pump** — one loop handle, :meth:`AsyncioTransport._run_due`, steps
+  up to ``_STEPS_PER_YIELD`` due kernel events and re-arms itself with
+  ``call_soon`` (more is due) or ``call_later`` (the queue head's wall
+  time).  New work only moves that handle forward when it makes the
+  queue head earlier; kicks from inside a batch are no-ops, so at most
+  one handle is ever live.
+* **Reader** — an accepted connection is an asyncio protocol whose
+  ``data_received`` feeds a :class:`~repro.transport.wire.FrameParser`
+  and queues every frame the chunk completed.
+* **Writer** — frames wait in a per-destination list; while the peer
+  is connected, one ``call_soon`` flush per loop iteration writes each
+  destination's frames with a single ``write``.  A supervisor task per
+  destination connects and reconnects with capped exponential backoff
+  and *full jitter* (``uniform(0, min(1 s, 50 ms * 2^attempt))``), so a
+  restarted brick is re-adopted without a thundering herd; one connect
+  attempt is bounded by 2 s, and a connection whose buffer stays above
+  its high-water mark (``pause_writing``) for 2 s is aborted.
 
-The TCP path has a hardened connection lifecycle:
-
-* **Reconnect with backoff**: each destination's writer task is a
-  supervisor loop — a failed connect or a connection lost mid-write is
-  retried with capped exponential backoff and *full jitter*
-  (``delay = uniform(0, min(1 s, 50 ms * 2^attempt))``), so a restarted
-  brick is re-adopted without a thundering herd.  One connect attempt
-  and one blocked drain are each bounded by 2 s.
-* **Bounded outboxes**: per-destination queues hold at most 1024
-  frames; overflow while a peer is unreachable is *dropped and
-  counted* (``outbox_drops``), never silently buffered forever —
-  fire-and-forget semantics with honest accounting.
-* **Peer health**: ``up → suspect → down`` per destination.  The first
-  delivery failure marks a peer suspect; 3 consecutive failed
-  connection attempts mark it down; any successful connect snaps it
-  back to up.  The backoff loop doubles as the probe timer —
-  a down peer keeps being probed at the capped interval while the
-  transport runs.  :meth:`peer_state` exposes the verdict through the
-  :class:`~repro.transport.base.Transport` surface for health-aware
-  routing.
+At most 1024 frames wait per destination: overflow while a peer is
+unreachable or not reading is *dropped and counted* (``outbox_drops``),
+as are an aborted stall's queued frames and the batch that filled its
+buffer.  Peer health walks ``up → suspect → down``: the first failure
+marks a peer suspect, 3 consecutive failed connection attempts mark it
+down, and a successful connect snaps it back to up; the backoff loop
+keeps probing a down peer.  :meth:`peer_state` exposes the verdict for
+health-aware routing.
 
 A died pump (a protocol invariant violation, or a bug) is surfaced
 *promptly*: ``send`` / ``set_timer`` / ``timer`` / ``spawn`` / ``stop``
@@ -49,14 +47,11 @@ raise :class:`~repro.errors.TerminalTransportError` once the pump is
 dead, and ``wait_for`` re-raises the original error — no caller is left
 hanging on a transport that will never make progress again.
 
-Timers use the same tolerances as the sim (retransmit 8 units, grace
-2 units → 8 ms / 2 ms of wall clock): generous on loopback, and the
-replica reply cache absorbs any duplicate deliveries that early
-retransmissions cause.
-
-The synchronous driving entry points (``run`` / ``run_until_complete``)
-raise: wall-clock time cannot be "run"; use ``await start()`` /
-``wait_for`` / ``stop()`` or the ``repro serve`` CLI instead.
+Timers use the sim's tolerances (retransmit 8 units, grace 2 units →
+8 ms / 2 ms of wall clock); the replica reply cache absorbs duplicates
+that early retransmissions cause.  ``run`` / ``run_until_complete``
+raise: use ``await start()`` / ``wait_for`` / ``stop()`` or ``repro
+serve`` instead.
 """
 
 from __future__ import annotations
@@ -65,11 +60,7 @@ import random
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import (
-    ConfigurationError,
-    SimulationError,
-    TerminalTransportError,
-)
+from ..errors import ConfigurationError, SimulationError, TerminalTransportError
 from ..types import ProcessId
 from ..sim.kernel import Environment, Event, Timeout
 from ..sim.network import Message
@@ -79,25 +70,25 @@ from . import wire
 __all__ = ["AsyncioTransport"]
 
 _MODES = ("loopback", "tcp")
-#: How long the pump dozes when the queue is empty and nothing woke it.
-_IDLE_POLL_S = 0.25
-#: Cooperative-yield granularity while draining a busy queue.
+#: Most kernel events one pump callback steps before it lets the loop
+#: run other callbacks (socket reads, client coroutines).
 _STEPS_PER_YIELD = 200
-#: How long ``stop()`` waits for writer tasks to drain before cancelling.
+#: ``_pump_at`` with no pump handle armed, and with one due now.
+_IDLE = float("inf")
+_DUE_NOW = float("-inf")
+#: How long ``stop()`` waits for connections to flush before cancelling.
 _DRAIN_TIMEOUT_S = 2.0
-#: Most bytes one socket wakeup hands the frame parser.
-_READ_CHUNK = 256 * 1024
 #: Kernel time units per wall second: one unit is one millisecond, so
 #: protocol tolerances written in sim units become sane socket timings.
 _TIME_SCALE = 1000.0
-#: Most frames queued per unreachable destination; overflow is dropped
-#: and counted (``outbox_drops``).
+#: Most frames queued per destination and not yet written; overflow is
+#: dropped and counted (``outbox_drops``).
 _OUTBOX_LIMIT = 1024
 #: Reconnect backoff window: the sleep before attempt k is uniform in
 #: ``[0, min(cap, base * 2^(k-1))]`` (full jitter).
 _RECONNECT_BASE_S = 0.05
 _RECONNECT_CAP_S = 1.0
-#: Deadlines on one connect attempt and on draining one blocked write.
+#: Deadlines on one connect attempt and on one paused (full) buffer.
 _CONNECT_TIMEOUT_S = 2.0
 _WRITE_TIMEOUT_S = 2.0
 #: Consecutive failed connection attempts before a suspect peer is down.
@@ -125,6 +116,107 @@ class _Delivery(Event):
         self._value = message
         self.callbacks.append(transport._on_delivery)
         transport.env._queue_event(self)
+
+
+class _FrameReader:
+    """An accepted connection (an asyncio protocol by duck typing, so
+    the sim never imports asyncio): each chunk read is parsed and its
+    frames queued for the pump.  Garbage on the port (an undecodable
+    body, an implausible length) is one counted drop and the end of
+    that connection.
+    """
+
+    __slots__ = ("_owner", "_parser", "_conn")
+
+    def __init__(self, owner: "AsyncioTransport") -> None:
+        self._owner = owner
+        self._parser = wire.FrameParser()
+        self._conn = None
+
+    def connection_made(self, conn) -> None:
+        self._conn = conn
+        self._owner._accepted.add(conn)
+
+    def data_received(self, data: bytes) -> None:
+        owner = self._owner
+        owner._advance_clock()
+        try:
+            for src, dst, payload, size in self._parser.feed(data):
+                _Delivery(owner, Message(src, dst, payload, size))
+        except ConfigurationError:
+            if owner.metrics is not None:
+                owner.metrics.count_drop()
+            self._conn.close()
+        finally:
+            owner._kick()
+
+    def eof_received(self) -> None:
+        return None  # asyncio closes the connection
+
+    def connection_lost(self, _exc: Optional[BaseException]) -> None:
+        self._owner._accepted.discard(self._conn)
+
+
+class _Link:
+    """The sending end of one destination's connection: in ``_links``
+    while it takes writes, out of the flush while paused (a pause past
+    ``_WRITE_TIMEOUT_S`` aborts it); ``lost`` resolves when it is gone.
+    """
+
+    __slots__ = ("_owner", "dst", "conn", "lost", "paused", "batch", "_stall")
+
+    def __init__(self, owner: "AsyncioTransport", dst: ProcessId) -> None:
+        self._owner = owner
+        self.dst = dst
+        self.conn = None
+        self.lost = owner._loop.create_future()
+        self.paused = False
+        #: Frames in the last write (the one that fills a stalled buffer).
+        self.batch = 0
+        self._stall = None
+
+    def connection_made(self, conn) -> None:
+        self.conn = conn
+        self._owner._links[self.dst] = self
+        self._owner._schedule_flush()
+
+    def data_received(self, data: bytes) -> None:
+        pass  # peers never write back on a sending connection
+
+    def eof_received(self) -> None:
+        self._detach()  # queued frames wait for the reconnect
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self._stall = self._owner._loop.call_later(
+            _WRITE_TIMEOUT_S, self._stalled
+        )
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._stall.cancel()
+        self._stall = None
+        self._owner._schedule_flush()
+
+    def _stalled(self) -> None:
+        """The peer stopped reading: abort, and count what is lost."""
+        owner = self._owner
+        self._detach()
+        outbox = owner._outboxes.get(self.dst, [])
+        owner._count_frame_drop(self.dst, len(outbox) + self.batch)
+        outbox.clear()
+        self.conn.abort()
+
+    def _detach(self) -> None:
+        if self._owner._links.get(self.dst) is self:
+            del self._owner._links[self.dst]
+
+    def connection_lost(self, _exc: Optional[BaseException]) -> None:
+        if self._stall is not None:
+            self._stall.cancel()
+        self._detach()
+        if not self.lost.done():  # cancelled with its supervisor
+            self.lost.set_result(None)
 
 
 class AsyncioTransport(Transport):
@@ -159,16 +251,24 @@ class AsyncioTransport(Transport):
         self._endpoints: Dict[ProcessId, Callable[[Any], None]] = {}
         self._running = False
         self._origin: Optional[float] = None
-        self._pump_task = None
+        self._loop = None
+        #: The one live pump handle, and the kernel time it is due at
+        #: (``_IDLE`` with none armed; ``_DUE_NOW`` while one is due now
+        #: or running, and while the transport is stopped or dead).
+        self._pump_handle = None
+        self._pump_at = _DUE_NOW
         self._pump_error: Optional[BaseException] = None
-        self._wake = None  # asyncio.Event, created on the running loop
         #: One asyncio future per pending ``wait_for``; failed on pump
         #: death or ``stop()`` so no waiter outlives the pump.
         self._waiters: set = set()
         self._servers: Dict[ProcessId, Any] = {}
-        self._conn_writers: List[Any] = []
-        self._outboxes: Dict[ProcessId, Any] = {}
+        self._accepted: set = set()  # accepted (reading) connections
+        #: Per destination: frames not yet written, the writable link,
+        #: and its supervisor task; one flush handle serves them all.
+        self._outboxes: Dict[ProcessId, List[bytes]] = {}
+        self._links: Dict[ProcessId, _Link] = {}
         self._writer_tasks: Dict[ProcessId, Any] = {}
+        self._flush_handle = None
         self._backoff_rng = random.Random(_RECONNECT_SEED)
         #: Peer health machine state (tcp mode): pid -> up/suspect/down.
         self._peer_health: Dict[ProcessId, str] = {}
@@ -188,12 +288,9 @@ class AsyncioTransport(Transport):
         return (time.monotonic() - self._origin) * _TIME_SCALE
 
     def _advance_clock(self) -> None:
-        """Raise the kernel clock toward the wall clock.
-
-        Never past the queue head: ``step()`` treats a popped event with
-        ``time < now`` as corruption, and events scheduled between
-        advances must land at or after the clock.  The pump executes any
-        due events before the clock moves over them.
+        """Raise the kernel clock toward the wall clock, never past the
+        queue head: ``step()`` treats a popped event with ``time < now``
+        as corruption, so due events run before the clock moves on.
         """
         wall = self._wall_units()
         if self.env._queue:
@@ -204,13 +301,10 @@ class AsyncioTransport(Transport):
     def now(self) -> float:
         """Scaled wall clock (never behind the kernel clock).
 
-        The kernel clock itself is clamped to the queue head so queued
-        events replay correctly, which makes it stall under backlog;
-        reporting the wall clock here keeps timestamps and latency
-        measurements honest.  Timers still arm relative to the kernel
-        clock, so under backlog they fire no *later* than requested —
-        an early retransmit is harmless (the replica reply cache
-        absorbs duplicates).
+        The kernel clock stalls at the queue head under backlog; the
+        wall clock keeps timestamps and latencies honest.  Timers arm
+        against the kernel clock, so they fire no *later* than asked —
+        an early retransmit is harmless (the reply cache absorbs it).
         """
         self._advance_clock()
         wall = self._wall_units()
@@ -219,13 +313,10 @@ class AsyncioTransport(Transport):
     # -- pump-death surfacing ----------------------------------------------
 
     def _raise_if_pump_dead(self) -> None:
-        """Fail fast once the pump has died.
-
-        A dead pump means no timer will ever fire and no queued message
-        will ever be dispatched; letting callers keep scheduling work
-        against it turns a crash into a silent hang.  Callers sitting
-        in :meth:`wait_for` get the original exception; everyone else
-        gets it chained under a :class:`TerminalTransportError` here.
+        """Fail fast once the pump has died: no timer or queued message
+        would ever run, so scheduling more would turn a crash into a
+        silent hang.  :meth:`wait_for` re-raises the original exception;
+        here it is chained under a :class:`TerminalTransportError`.
         """
         if self._pump_error is not None:
             raise TerminalTransportError(
@@ -246,18 +337,57 @@ class AsyncioTransport(Transport):
     def timer(self, delay: float, value: Any = None) -> Timeout:
         self._raise_if_pump_dead()
         self._advance_clock()
-        timeout = Timeout(self.env, delay, value)
-        self._kick()
-        return timeout
+        return super().timer(delay, value)
 
     def spawn(self, generator):
         self._raise_if_pump_dead()
         self._advance_clock()
         return super().spawn(generator)
 
+    # -- the pump ----------------------------------------------------------
+
     def _kick(self) -> None:
-        if self._wake is not None:
-            self._wake.set()
+        """Move the pump handle forward if the queue head is earlier."""
+        queue = self.env._queue
+        if queue and queue[0][0] < self._pump_at:
+            self._arm()
+
+    def _arm(self) -> None:
+        """Replace the pump handle with one for the queue head."""
+        if self._pump_handle is not None:
+            self._pump_handle.cancel()
+        due = self.env._queue[0][0]
+        delay_s = (due - self._wall_units()) / _TIME_SCALE
+        if delay_s > 0:
+            self._pump_handle = self._loop.call_later(delay_s, self._run_due)
+            self._pump_at = due
+        else:
+            self._pump_handle = self._loop.call_soon(self._run_due)
+            self._pump_at = _DUE_NOW
+
+    def _run_due(self) -> None:
+        """Step the due kernel events, at most a batch, then re-arm once.
+
+        Kicks from inside the batch see ``_DUE_NOW`` and do nothing, so
+        the re-arm at its end leaves exactly one live handle.
+        """
+        self._pump_handle = None
+        self._pump_at = _DUE_NOW
+        env = self.env
+        queue = env._queue
+        try:
+            wall = self._wall_units()
+            for _ in range(_STEPS_PER_YIELD):
+                if not queue or queue[0][0] > wall:
+                    break
+                env.step()
+            self._advance_clock()
+        except Exception as exc:  # surfaced by send/set_timer/stop/wait_for
+            self._pump_error = exc
+            self._fail_waiters(exc)
+            return
+        self._pump_at = _IDLE
+        self._kick()
 
     # -- messaging ---------------------------------------------------------
 
@@ -271,10 +401,8 @@ class AsyncioTransport(Transport):
         self._endpoints[process_id] = deliver
 
     def unregister(self, process_id: ProcessId) -> None:
-        """Detach an endpoint and reap its connection state.
-
-        The peer's outbox (remaining frames counted as drops), writer
-        task, and health record all go with it — a long-lived transport
+        """Detach an endpoint and reap its outbox (remaining frames are
+        counted drops), writer task and health record, so a transport
         that churns endpoints stays bounded.
         """
         self._endpoints.pop(process_id, None)
@@ -282,12 +410,10 @@ class AsyncioTransport(Transport):
         self._peer_health.pop(process_id, None)
         self._peer_failures.pop(process_id, None)
         outbox = self._outboxes.pop(process_id, None)
-        if outbox is not None:
-            while not outbox.empty():
-                if outbox.get_nowait() is not None:
-                    self._count_frame_drop(process_id)
+        if outbox:
+            self._count_frame_drop(process_id, len(outbox))
         task = self._writer_tasks.pop(process_id, None)
-        if task is not None and not task.done():
+        if task is not None:
             task.cancel()
 
     def peer_state(self, process_id: ProcessId) -> str:
@@ -349,29 +475,43 @@ class AsyncioTransport(Transport):
 
     # -- tcp plumbing ------------------------------------------------------
 
-    def _count_frame_drop(self, dst: ProcessId) -> None:
-        """Account one frame that will never reach ``dst``."""
-        self.outbox_drops[dst] = self.outbox_drops.get(dst, 0) + 1
+    def _count_frame_drop(self, dst: ProcessId, frames: int = 1) -> None:
+        """Account ``frames`` frames that will never reach ``dst``."""
+        self.outbox_drops[dst] = self.outbox_drops.get(dst, 0) + frames
         if self.metrics is not None:
-            self.metrics.count_drop()
+            for _ in range(frames):
+                self.metrics.count_drop()
 
     def _enqueue_frame(self, dst: ProcessId, frame: bytes) -> None:
-        import asyncio
-
         outbox = self._outboxes.get(dst)
         if outbox is None:
-            outbox = asyncio.Queue(maxsize=_OUTBOX_LIMIT)
-            self._outboxes[dst] = outbox
-            self._writer_tasks[dst] = asyncio.get_event_loop().create_task(
-                self._write_loop(dst, outbox)
+            outbox = self._outboxes[dst] = []
+            self._writer_tasks[dst] = self._loop.create_task(
+                self._write_loop(dst)
             )
-        try:
-            outbox.put_nowait(frame)
-        except asyncio.QueueFull:
+        if len(outbox) >= _OUTBOX_LIMIT:
             # Fire-and-forget semantics with honest books: an
             # unreachable peer's backlog is bounded, and every frame
             # shed past the bound is a counted drop, not a silent one.
             self._count_frame_drop(dst)
+            return
+        outbox.append(frame)
+        self._schedule_flush()
+
+    def _schedule_flush(self) -> None:
+        if self._flush_handle is None:
+            self._flush_handle = self._loop.call_soon(self._flush)
+
+    def _flush(self) -> None:
+        """Write each writable link's queued frames with one ``write``."""
+        self._flush_handle = None
+        outboxes = self._outboxes
+        for dst, link in self._links.items():
+            outbox = outboxes.get(dst)
+            if outbox and not link.paused:
+                link.batch = len(outbox)
+                link.conn.write(b"".join(outbox))
+                outbox.clear()
 
     # -- peer health machine -----------------------------------------------
 
@@ -407,123 +547,38 @@ class AsyncioTransport(Transport):
         )
         return cap * self._backoff_rng.random()
 
-    async def _write_loop(self, dst: ProcessId, outbox) -> None:
-        """Supervise one destination: connect, drain, reconnect forever.
-
-        The pre-hardening writer died on the first ``ConnectionError``
-        while its outbox silently kept accepting frames; this loop is
-        the fix — the connection is re-established with backoff, each
-        frame lost mid-write is a *counted* drop, and the peer health
-        machine tracks every failure and recovery.  The loop exits only
-        on the stop sentinel, transport shutdown, or cancellation.
+    async def _write_loop(self, dst: ProcessId) -> None:
+        """Supervise one destination until shutdown or cancellation:
+        connect, hold the link until it is lost, reconnect with backoff;
+        the health machine sees every failure and recovery.
         """
         import asyncio
 
         attempt = 0
         while self._running:
-            writer = None
             try:
-                port = self.base_port + dst - 1
-                _reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, port),
+                conn, link = await asyncio.wait_for(
+                    self._loop.create_connection(
+                        lambda: _Link(self, dst),
+                        self.host,
+                        self.base_port + dst - 1,
+                    ),
                     timeout=_CONNECT_TIMEOUT_S,
                 )
-            except asyncio.CancelledError:
-                raise
-            except (ConnectionError, OSError, asyncio.TimeoutError):
+            except (OSError, asyncio.TimeoutError):
                 attempt += 1
                 self._note_peer_failure(dst)
-                try:
-                    await asyncio.sleep(self._backoff_delay(attempt))
-                except asyncio.CancelledError:
-                    raise
+                await asyncio.sleep(self._backoff_delay(attempt))
                 continue
             self._note_peer_up(dst)
-            attempt = 0
             try:
-                if not await self._drain_outbox(dst, outbox, writer):
-                    return
+                await link.lost
             finally:
-                writer.close()
+                conn.close()
+            if not self._running:
+                return
             attempt = 1
             self._note_peer_failure(dst)
-
-    async def _drain_outbox(self, dst: ProcessId, outbox, writer) -> bool:
-        """Write ``outbox`` to one live connection, a batch per wakeup.
-
-        Everything queued goes out in a single ``write``, so asyncio is
-        paid per socket wakeup rather than per frame.  ``drain()`` is
-        always awaited — it is where a lost connection surfaces — but
-        only a write buffer above its high-water mark can block, so only
-        then does it run under the ``_WRITE_TIMEOUT_S`` deadline (a task,
-        a timer and a cancel).  Returns False on the stop sentinel, True
-        when the connection was lost; every frame of the failed batch is
-        a counted drop.
-        """
-        import asyncio
-
-        stream = writer.transport
-        _low, high_water = stream.get_write_buffer_limits()
-        while True:
-            batch = [await outbox.get()]
-            while not outbox.empty():
-                batch.append(outbox.get_nowait())
-            stopping = None in batch
-            if stopping:
-                batch = batch[:batch.index(None)]
-            try:
-                writer.write(b"".join(batch))
-                if stream.get_write_buffer_size() > high_water:
-                    await asyncio.wait_for(
-                        writer.drain(), timeout=_WRITE_TIMEOUT_S
-                    )
-                else:
-                    await writer.drain()
-            except asyncio.CancelledError:
-                raise
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                # The in-flight batch is lost with the connection; the
-                # supervisor loop reconnects.
-                for _frame in batch:
-                    self._count_frame_drop(dst)
-                return True
-            if stopping:
-                return False
-
-    async def _serve_connection(self, reader, writer) -> None:
-        """Deliver one accepted connection's frames, a batch per wakeup.
-
-        One ``read`` per socket wakeup; every frame it completed is
-        queued for the pump, which is kicked once per batch.  Garbage on
-        the port (an undecodable body, an implausible length) is one
-        counted drop and the end of that connection.
-        """
-        self._conn_writers.append(writer)
-        parser = wire.FrameParser()
-        try:
-            while True:
-                try:
-                    chunk = await reader.read(_READ_CHUNK)
-                except ConnectionError:
-                    return
-                if not chunk:
-                    return
-                self._advance_clock()
-                try:
-                    for src, dst, payload, size in parser.feed(chunk):
-                        _Delivery(self, Message(src, dst, payload, size))
-                except ConfigurationError:
-                    if self.metrics is not None:
-                        self.metrics.count_drop()
-                    return
-                finally:
-                    self._kick()
-        finally:
-            try:
-                self._conn_writers.remove(writer)
-            except ValueError:
-                pass
-            writer.close()
 
     # -- per-brick server lifecycle (fault-injection surface) --------------
 
@@ -537,17 +592,14 @@ class AsyncioTransport(Transport):
         import asyncio
 
         if self.mode != "tcp":
-            raise ConfigurationError(
-                "per-brick servers exist only in tcp mode"
-            )
+            raise ConfigurationError("per-brick servers exist only in tcp mode")
         if pid in self._servers:
             return
-        server = await asyncio.start_server(
-            self._serve_connection,
+        self._servers[pid] = await asyncio.get_running_loop().create_server(
+            lambda: _FrameReader(self),
             host=self.host,
             port=self.base_port + pid - 1,
         )
-        self._servers[pid] = server
 
     async def stop_server(self, pid: ProcessId) -> None:
         """Kill brick ``pid``'s listening socket and its accepted conns.
@@ -563,22 +615,21 @@ class AsyncioTransport(Transport):
         if server is None:
             return
         server.close()
-        await server.wait_closed()
         port = self.base_port + pid - 1
-        for writer in list(self._conn_writers):
-            sockname = writer.get_extra_info("sockname")
+        for conn in list(self._accepted):
+            sockname = conn.get_extra_info("sockname")
             if sockname and sockname[1] == port:
-                writer.close()
+                conn.close()
+        await server.wait_closed()
         await asyncio.sleep(0)
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind sockets (tcp mode) and start the event pump.
+        """Bind sockets (tcp mode) and arm the event pump.
 
-        Must run on the loop that will host the workload; asyncio
-        primitives are created here because Python 3.9 binds them to
-        the loop current at construction.
+        Must run on the loop that will host the workload: the pump's
+        handles, the writers and the servers all live on it.
         """
         import asyncio
 
@@ -586,29 +637,22 @@ class AsyncioTransport(Transport):
             return
         if self.mode == "tcp":
             self._check_ports()
-        self._wake = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         self._pump_error = None
         # Align wall time with whatever virtual time already elapsed
         # (e.g. synchronous setup writes before start()).
         self._origin = time.monotonic() - self.env._now / _TIME_SCALE
         if self.mode == "tcp":
             for pid in sorted(self._endpoints):
-                server = await asyncio.start_server(
-                    self._serve_connection,
-                    host=self.host,
-                    port=self.base_port + pid - 1,
-                )
-                self._servers[pid] = server
+                await self.start_server(pid)
         self._running = True
-        self._pump_task = asyncio.get_event_loop().create_task(self._pump())
+        self._pump_at = _IDLE
+        self._kick()
 
     def _check_ports(self) -> None:
-        """Refuse a port range that cannot hold every brick.
-
-        ``base_port`` comes from outside the program (``repro serve
-        --port``).  Port 0 would bind an ephemeral port no writer can
-        reach, and past 65535 ``bind`` raises a raw ``OverflowError``;
-        both are refused before any socket is opened.
+        """Refuse a port range that cannot hold every brick, before any
+        socket opens: port 0 would bind an ephemeral port no writer can
+        reach, and past 65535 ``bind`` raises a raw ``OverflowError``.
         """
         for pid in self._endpoints:
             port = self.base_port + pid - 1
@@ -620,14 +664,12 @@ class AsyncioTransport(Transport):
                 )
 
     async def stop(self) -> None:
-        """Stop the pump, drain writers, and close servers.
+        """Stop the pump, flush and close connections, close servers.
 
-        Writer tasks get :data:`_DRAIN_TIMEOUT_S` to flush their
-        outboxes gracefully; stragglers (e.g. a writer stuck in backoff
-        against a dead peer) are cancelled and their queued frames
-        counted as drops.  If the pump died, the failure is re-raised
-        (as :class:`TerminalTransportError`) *after* cleanup, so a
-        caller that never sat in ``wait_for`` still hears about it.
+        Live links get :data:`_DRAIN_TIMEOUT_S` to send what is queued;
+        unconnected peers' supervisors are cancelled at once, and every
+        frame left is a counted drop.  A pump death is re-raised (as
+        :class:`TerminalTransportError`) *after* cleanup.
         """
         import asyncio
 
@@ -638,77 +680,38 @@ class AsyncioTransport(Transport):
         self._fail_waiters(
             TerminalTransportError("transport stopped while waiting")
         )
-        self._kick()
-        if self._pump_task is not None:
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-            self._pump_task = None
-        for outbox in self._outboxes.values():
-            try:
-                outbox.put_nowait(None)
-            except asyncio.QueueFull:
-                pass  # the writer is saturated; it will be cancelled
-        tasks = [t for t in self._writer_tasks.values() if not t.done()]
-        if tasks:
+        self._pump_at = _DUE_NOW
+        if self._pump_handle is not None:
+            self._pump_handle.cancel()
+            self._pump_handle = None
+        self._flush()
+        for dst, task in self._writer_tasks.items():
+            if dst in self._links:
+                self._links[dst].conn.close()  # queued bytes go out first
+            else:
+                task.cancel()
+        if self._writer_tasks:
             _done, pending = await asyncio.wait(
-                tasks, timeout=_DRAIN_TIMEOUT_S
+                self._writer_tasks.values(), timeout=_DRAIN_TIMEOUT_S
             )
             for task in pending:
                 task.cancel()
-            for task in pending:
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):
-                    pass
+            await asyncio.gather(*pending, return_exceptions=True)
         for dst, outbox in self._outboxes.items():
-            while not outbox.empty():
-                if outbox.get_nowait() is not None:
-                    self._count_frame_drop(dst)
+            if outbox:
+                self._count_frame_drop(dst, len(outbox))
         self._outboxes.clear()
         self._writer_tasks.clear()
-        # Close accepted connections first so their reader coroutines
-        # exit on EOF instead of being cancelled at loop shutdown.
-        for writer in list(self._conn_writers):
-            writer.close()
+        # Close accepted connections first so their servers close
+        # without waiting on them.
+        for conn in list(self._accepted):
+            conn.close()
         await asyncio.sleep(0)
         for server in self._servers.values():
             server.close()
             await server.wait_closed()
         self._servers.clear()
-        self._wake = None
         self._raise_if_pump_dead()
-
-    async def _pump(self) -> None:
-        """Drive the kernel: execute due events, sleep until the next."""
-        import asyncio
-
-        steps = 0
-        try:
-            while self._running:
-                wall = self._wall_units()
-                queue = self.env._queue
-                if queue and queue[0][0] <= wall:
-                    self.env.step()
-                    steps += 1
-                    if steps % _STEPS_PER_YIELD == 0:
-                        await asyncio.sleep(0)
-                    continue
-                self._advance_clock()
-                if queue:
-                    delay_s = (queue[0][0] - wall) / _TIME_SCALE
-                    delay_s = min(max(delay_s, 0.0), _IDLE_POLL_S)
-                else:
-                    delay_s = _IDLE_POLL_S
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay_s)
-                except asyncio.TimeoutError:
-                    pass
-        except BaseException as exc:  # surfaced by send/set_timer/stop/wait_for
-            self._pump_error = exc
-            self._fail_waiters(exc)
 
     def _fail_waiters(self, error: BaseException) -> None:
         """Raise ``error`` in every ``wait_for`` still pending."""
@@ -717,15 +720,11 @@ class AsyncioTransport(Transport):
                 waiter.set_exception(error)
 
     async def wait_for(self, event: Event) -> Any:
-        """Await a kernel event from asyncio code.
-
-        The transport-level twin of ``run_until_complete``: returns the
-        event's value, or raises its failure exception.  Also re-raises
-        any error that killed the pump (a protocol invariant violation
-        aborts the workload instead of hanging it), and raises
-        :class:`TerminalTransportError` if the transport stops first.
-        One asyncio future per wait: the event's kernel callback
-        resolves it, the pump's death or ``stop()`` fails it.
+        """Await a kernel event from asyncio code: its value, or its
+        failure raised.  Also re-raises the error that killed the pump,
+        and raises :class:`TerminalTransportError` if the transport stops
+        first.  One asyncio future per wait: the event's callback
+        resolves it, pump death or ``stop()`` fails it.
         """
         import asyncio
 

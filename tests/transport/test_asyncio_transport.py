@@ -339,3 +339,126 @@ def test_timer_handles_cancel_before_start():
 
     asyncio.run(drive())
     assert fired == ["kept"]
+
+
+def test_pump_keeps_a_single_handle_and_sleeps_when_idle():
+    """A handler that sends during a batch and then arms a timer leaves
+    one pump handle, not one per kick: over the idle window the pump
+    runs once for the batch and once for the timer, and never while
+    nothing is due."""
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport()
+    fired = []
+
+    def handler(message):
+        if message.payload == "go":
+            for _ in range(10):
+                transport.send(2, 1, "echo")
+            transport.set_timer(40.0, lambda: fired.append(True))
+
+    transport.register(1, lambda message: None)
+    transport.register(2, handler)
+    runs = []
+    live_counts = []  # live pump handles, sampled at each scheduling
+    handles = []
+
+    async def drive():
+        loop = asyncio.get_running_loop()
+        await transport.start()
+        run_due = transport._run_due
+
+        def counted_run_due():
+            runs.append(loop.time())
+            # The handle running now is the only one that may be live.
+            live_counts.append(sum(not h.cancelled() for h in handles))
+            handles.clear()
+            run_due()
+
+        transport._run_due = counted_run_due
+
+        def tracked(schedule):
+            def wrapper(*args, **kwargs):
+                handle = schedule(*args, **kwargs)
+                if args[-1] is counted_run_due:
+                    handles.append(handle)
+                    live_counts.append(
+                        sum(not h.cancelled() for h in handles)
+                    )
+                return handle
+            return wrapper
+
+        loop.call_soon = tracked(loop.call_soon)
+        loop.call_later = tracked(loop.call_later)
+        try:
+            transport.send(1, 2, "go")
+            await asyncio.sleep(0.15)
+            settled = len(runs)
+            await asyncio.sleep(0.1)  # nothing queued: no wake at all
+            return settled
+        finally:
+            del loop.call_soon, loop.call_later
+            await transport.stop()
+
+    settled = asyncio.run(drive())
+    assert fired == [True]
+    # The batch, then the timer (a timer handle may fire a hair early
+    # and re-arm once) — not one wake per send.
+    assert 2 <= settled <= 4
+    assert len(runs) == settled
+    assert max(live_counts) == 1
+
+
+def test_tcp_link_batches_an_iteration_and_keeps_send_order(monkeypatch):
+    """Frames sent to one peer within one loop iteration leave in one
+    ``write``; frames queued while the peer's listener is down arrive,
+    in send order, once it is back."""
+    from repro.transport import aio
+
+    monkeypatch.setattr(aio, "_RECONNECT_BASE_S", 0.01)
+    monkeypatch.setattr(aio, "_RECONNECT_CAP_S", 0.02)
+    transport = aio.AsyncioTransport(mode="tcp", base_port=7801)
+    received = []
+    transport.register(1, lambda message: None)
+    transport.register(2, lambda message: received.append(message.payload))
+
+    async def settle(predicate):
+        for _ in range(300):
+            if predicate():
+                return
+            await asyncio.sleep(0.01)
+        raise AssertionError("condition not reached in 3 s")
+
+    async def drive():
+        try:
+            await transport.start()
+        except OSError as error:  # pragma: no cover - sandboxed envs
+            pytest.skip(f"cannot bind TCP ports: {error}")
+        try:
+            transport.send(1, 2, "hello")  # opens the link
+            await settle(lambda: received == ["hello"])
+            conn = transport._links[2].conn
+            writes = []
+            write = conn.write
+            conn.write = lambda data: (writes.append(data), write(data))
+            batch = [f"batch-{index}" for index in range(20)]
+            for payload in batch:
+                transport.send(1, 2, payload)
+            await settle(lambda: len(received) == 1 + len(batch))
+            assert len(writes) == 1
+            assert received[1:] == batch
+
+            await transport.stop_server(2)
+            await settle(lambda: 2 not in transport._links)
+            late = [f"late-{index}" for index in range(10)]
+            for payload in late:
+                transport.send(1, 2, payload)
+                await asyncio.sleep(0)
+            await transport.start_server(2)
+            await settle(lambda: len(received) == 1 + len(batch) + len(late))
+            assert received[1 + len(batch):] == late
+            assert transport.outbox_drops == {}
+        finally:
+            await transport.stop()
+
+    asyncio.run(drive())

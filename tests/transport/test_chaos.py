@@ -2,6 +2,7 @@
 one implementation on the sim and the asyncio substrate alike."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -187,7 +188,7 @@ def test_one_plan_on_a_bare_loopback_transport():
         transport=transport,
     )
     volume = LogicalVolume(cluster, num_stripes=4)
-    horizon = max(event.time for event in TWO_SUBSTRATE_PLAN.events)
+    planned = len(TWO_SUBSTRATE_PLAN.events)
 
     async def drive():
         await transport.start()
@@ -208,13 +209,16 @@ def test_one_plan_on_a_bare_loopback_transport():
                     session.submit_write(block, data)
                     written[client, block] = data
             # Clients own disjoint blocks and keep re-reading them until
-            # the plan's last event has fired.
+            # every event of the plan has been applied (the clock passing
+            # the last event's time does not mean its timer has run).
             checks = []
+            deadline = time.monotonic() + 30.0
             while True:
                 await asyncio.gather(
                     *(session.drain_async() for session in sessions)
                 )
-                if transport.now() > horizon:
+                if (sum(applied.values()) == planned
+                        or time.monotonic() > deadline):
                     return applied, sessions, checks
                 for (client, block), data in written.items():
                     op = sessions[client].submit_read(block)
