@@ -132,10 +132,13 @@ class ReplicaLog:
     def max_below(self, ts: Timestamp) -> Tuple[Timestamp, object]:
         """``max-below(log, ts)``: highest-timestamped non-⊥ value < ``ts``.
 
-        Returns ``(LowTS, None)`` when nothing qualifies (e.g. the GC
-        trimmed everything below ``ts`` away, or ``ts`` is LowTS).
-        O(log n) — a bisection on the value index, with no scan past ⊥
-        placeholders.
+        Returns ``(LowTS, None)`` when nothing qualifies.  That reads
+        ``nil`` only for a log that still holds its ``[LowTS, nil]``
+        entry; a log whose first entry is above LowTS (trimmed, or
+        rebuilt by a repair write-back) cannot vouch for the versions
+        below :meth:`min_ts`, and its caller must treat them as
+        unknown.  O(log n) — a bisection on the value index, with no
+        scan past ⊥ placeholders.
         """
         index = bisect.bisect_left(self._value_keys, ts)
         if index == 0:
@@ -157,6 +160,11 @@ class ReplicaLog:
         if index == 0:
             return LOW_TS
         return self._keys[index - 1]
+
+    def min_ts(self) -> Timestamp:
+        """The lowest timestamp present: LowTS unless the log was trimmed
+        or started over at a repair write-back."""
+        return self._keys[0]
 
     def contains_ts(self, ts: Timestamp) -> bool:
         """True iff an entry with exactly this timestamp exists."""

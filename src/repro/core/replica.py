@@ -375,10 +375,18 @@ class Replica:
         status = req.ts > state.log.max_ts() and req.ts >= state.ord_ts
         lts: Timestamp = LOW_TS
         block = None
+        corrupt = False
         if status:
             state.ord_ts = req.ts
             self._store_ord(req.register_id, state)
-            if req.j == self.i or req.j == ALL:
+        if status and (req.j == self.i or req.j == ALL):
+            # A log that starts above LowTS (trimmed, or rebuilt by a
+            # repair write-back) knows nothing below its first entry:
+            # asked for a version there, it answers as an erasure,
+            # never as nil.
+            first = state.log.min_ts()
+            corrupt = first > LOW_TS and first >= req.max_ts
+            if not corrupt:
                 # The reported timestamp is the newest *version* this
                 # replica reflects below the bound — ⊥ entries count,
                 # because a ⊥ at time t certifies "my block is unchanged
@@ -398,6 +406,7 @@ class Replica:
             status=status,
             lts=lts,
             block=block,
+            corrupt=corrupt,
         )
         self._reply(src, req.request_id, reply)
 

@@ -88,6 +88,23 @@ class TestBrokenConfig:
 
 
 class TestKnownFindings:
+    @pytest.mark.parametrize("seed", [18, 209])
+    def test_scrub_repaired_log_never_reads_nil(self, seed):
+        """RS(3,5) with corrupt faults and scrub on: a scrub repair
+        leaves a log that starts at the repair's timestamp, and a
+        recovery read asking below it must get an erasure, not nil.
+        The schedules are the seeds' own, shrunk by ``shrink_schedule``;
+        before the log floor, both read nil after completed writes."""
+        schedule = CampaignSchedule.from_json(
+            (Path(__file__).parent / "reproducers" / f"seed{seed}.json")
+            .read_text()
+        )
+        config = CampaignConfig(
+            seed=seed, corrupt_weight=1.0, scrub_enabled=True
+        )
+        result = run_campaign(config, schedule=schedule)
+        assert result.ok, [v.detail for v in result.violations]
+
     @pytest.mark.xfail(
         strict=True,
         reason="open finding: seed 8010 reads v35 on register 3 block 1 "
