@@ -13,10 +13,11 @@ A value is a one-byte tag and its body (integers big-endian)::
                        not a 64-bit integer)
     (  tuple           >I count + the items, tagged
 
-This is the stable store's record format and every message field's
-wire form; :mod:`repro.transport.wire` adds messages, lists and
-frozensets through the ``other`` hooks.  Without one, a value outside
-the table is refused with :class:`TypeError` naming its type.
+This is the stable store's record format: ``StableStore`` seals the
+encoded bytes, so a record's size is its encoded length and its CRC is
+over those bytes.  A value outside the table is refused with
+:class:`TypeError` naming its type.  (Messages travel in the fixed
+layouts of :mod:`repro.transport.wire`, not in this form.)
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from .errors import ConfigurationError
 from .timestamps import Timestamp
 from .types import BOTTOM
 
-__all__ = ["encode", "decode", "encode_into", "decode_values"]
-
-Emit = Callable[[bytes], None]
-#: ``other(value, emit)`` emits a value outside the table, or raises.
-EncodeHook = Callable[[Any, Emit], None]
-#: ``other(tag, data, pos) -> (value, end)`` decodes one, or raises.
-DecodeHook = Callable[[int, bytes, int], Tuple[Any, int]]
+__all__ = ["encode", "decode"]
 
 # One struct per tagged body, tag byte included, so a scalar is a
 # single pack on the way out.
@@ -52,24 +47,11 @@ _T_INT, _T_BIGINT, _T_FLOAT, _T_STR, _T_BYTES = b"iIdsb"
 _T_STAMP, _T_LOOSE_STAMP, _T_TUPLE = b"tu("
 
 
-def _refuse(value: Any, emit: Emit) -> None:
-    raise TypeError(
-        "records are immutable atoms or tuples of records, "
-        f"not {type(value).__name__}"
-    )
-
-
-def _unknown(tag: int, data: bytes, pos: int) -> Tuple[Any, int]:
-    raise ConfigurationError(f"unknown value tag {bytes([tag])!r}")
-
-
-def encode_into(
-    values: Iterable, emit: Emit, other: EncodeHook = _refuse
-) -> None:
+def _encode_into(values: Iterable, emit: Callable[[bytes], None]) -> None:
     """Emit the pieces of each value's tagged form, in order.
 
     Dispatch is on the exact type (``bool`` never reads as ``int``, a
-    Timestamp never as a tuple); any other type goes to ``other``.
+    Timestamp never as a tuple).
     """
     for value in values:
         kind = type(value)
@@ -95,10 +77,10 @@ def encode_into(
                 emit(_pack_stamp(b"t", time, process_id, ts_kind))
             except struct.error:
                 emit(b"u")
-                encode_into((time, process_id, ts_kind), emit, other)
+                _encode_into((time, process_id, ts_kind), emit)
         elif kind is tuple:
             emit(_pack_count(b"(", len(value)))
-            encode_into(value, emit, other)
+            _encode_into(value, emit)
         elif kind is str:
             body = value.encode("utf-8", "surrogatepass")
             emit(_pack_count(b"s", len(body)) + body)
@@ -107,20 +89,21 @@ def encode_into(
         elif value is BOTTOM:
             emit(b"_")
         else:
-            other(value, emit)
+            raise TypeError(
+                "records are immutable atoms or tuples of records, "
+                f"not {kind.__name__}"
+            )
 
 
-def encode(value: Any, other: EncodeHook = _refuse) -> List[bytes]:
+def encode(value: Any) -> List[bytes]:
     """The pieces of ``value``'s tagged form (a ``bytes`` leaf is its
     own piece, never copied); join them for its bytes."""
     pieces: List[bytes] = []
-    encode_into((value,), pieces.append, other)
+    _encode_into((value,), pieces.append)
     return pieces
 
 
-def decode_values(
-    data: bytes, pos: int, count: int, other: DecodeHook = _unknown
-) -> Tuple[List, int]:
+def _decode_values(data: bytes, pos: int, count: int) -> Tuple[List, int]:
     """``count`` consecutive tagged values from ``data[pos:]``, and the
     offset where they end."""
     values: List[Any] = []
@@ -152,25 +135,24 @@ def decode_values(
                 body = int.from_bytes(body, "big", signed=True)
             append(body)
         elif tag == _T_TUPLE:
-            items, pos = decode_values(
-                data, pos + 4, _unpack_count(data, pos)[0], other
+            items, pos = _decode_values(
+                data, pos + 4, _unpack_count(data, pos)[0]
             )
             append(tuple(items))
         elif tag == _T_FLOAT:
             append(_unpack_float(data, pos)[0])
             pos += 8
         elif tag == _T_LOOSE_STAMP:
-            fields, pos = decode_values(data, pos, 3, other)
+            fields, pos = _decode_values(data, pos, 3)
             append(Timestamp(*fields))
         elif tag == _T_BOTTOM:
             append(BOTTOM)
         else:
-            value, pos = other(tag, data, pos)
-            append(value)
+            raise ConfigurationError(f"unknown value tag {bytes([tag])!r}")
     return values, pos
 
 
-def decode(data: bytes, pos: int = 0, other: DecodeHook = _unknown) -> Any:
+def decode(data: bytes, pos: int = 0) -> Any:
     """The one value that ``data[pos:]`` holds, to its last byte, with
     ``bytes`` as real ``bytes`` whatever buffer ``data`` is.
 
@@ -179,7 +161,7 @@ def decode(data: bytes, pos: int = 0, other: DecodeHook = _unknown) -> Any:
     """
     data = bytes(data)
     try:
-        (value,), end = decode_values(data, pos, 1, other)
+        (value,), end = _decode_values(data, pos, 1)
     except ConfigurationError:
         raise
     except (struct.error, IndexError, ValueError, TypeError,

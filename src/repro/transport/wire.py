@@ -1,49 +1,37 @@
-"""Wire format for the asyncio transport: one compiled layout per message.
+"""Wire format for the asyncio transport: one fixed layout per message.
 
-A frame is a fixed ``struct`` envelope followed by the payload::
+Only protocol messages travel.  A frame is a fixed ``struct`` envelope,
+then the message::
 
-    >I  length   bytes that follow the length field (envelope rest + payload)
+    >I  length   bytes that follow the length field (envelope rest + message)
     >i  src      sending process id
     >i  dst      destination process id
     >I  size     accounted payload bytes (Table 1 bandwidth)
-    ... payload
-
-A registered message (every class in :mod:`repro.core.messages`) is
-``M``, its ``>I`` class key (the CRC32 of its class name, so the format
-does not depend on registration order), then one ``struct`` over its
-fields, compiled once by :func:`register_wire_type` from their declared
-types::
-
-    escaped   >B (>H, >I, >Q past 8, 16, 32 fields): bit i set means
-              field i rides in the tail and its slot is zeros (a
-              bytes length is -1)
+    >B  tag      ``M``
+    >I  key      the CRC32 of the class name, so the format does not
+                 depend on registration order
     per field, in declaration order:
       int                       >q
       bool                      >?
       Timestamp (or Optional)   >b present, >b kind, >q time, >i process id
       bytes (or Optional)       >i length, -1 for None
       frozenset (of pids)       >Q bitmask of the members
-      any other type            no slot: always in the tail
     then each bytes field's bytes, in field order
-    then the tail: each escaped field's value, tagged (repro.codec)
 
-A value its slot cannot hold exactly — the wrong type (``True`` in an
-int field, a str anywhere), an int past 64 bits, a fractional clock, a
-pid outside 0..63 — escapes into the tail, so every message keeps this
-one form and a builtin value still round-trips exactly (a subclass
-comes back as the builtin it extends).  Encoding a message is one
-``struct`` pack and decoding one ``unpack_from``; the instance is built
-as ``copy`` and ``pickle`` build one (``cls.__new__`` and the field
-dict, no ``__init__``).
+Every class in :mod:`repro.core.messages` is registered at import;
+:func:`register_wire_type` compiles the layout of a dataclass once, from
+its fields' declared types.  Encoding a message is one ``struct`` pack
+and decoding one ``unpack_from``; the instance is built as ``copy`` and
+``pickle`` build one (``cls.__new__`` and the field dict, no
+``__init__``), and every field comes back with the exact type it was
+sent with.
 
-Any other payload is one value of :mod:`repro.codec` (whose tag table
-is also the stable store's record format), plus three kinds only the
-wire carries: ``S`` frozenset and ``L`` list (``>I`` count + the
-members, tagged; a set sorted), and ``M`` a nested registered message
-in the form above.  Every decode failure — unknown tag or class key,
-truncated header, a bytes length past the frame end, trailing bytes, a
-length above the sanity bound — raises
-:class:`~repro.errors.ConfigurationError`.
+Everything else is refused with
+:class:`~repro.errors.ConfigurationError`: on encode, an unregistered
+payload or a value its slot cannot hold (the wrong type, an int past 64
+bits, a fractional clock, a frozenset member outside 0..63); on decode,
+an unknown tag or class key, a truncated header, a bytes length past
+the frame end, trailing bytes and a frame length above the sanity bound.
 """
 
 from __future__ import annotations
@@ -55,7 +43,6 @@ import zlib
 from types import MemberDescriptorType
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
-from ..codec import Emit, decode, decode_values, encode_into
 from ..core import messages as _messages
 from ..errors import ConfigurationError
 from ..timestamps import Timestamp
@@ -69,17 +56,11 @@ __all__ = [
 ]
 
 _LENGTH = struct.Struct(">I")
-_ENVELOPE = struct.Struct(">IiiI")
-#: The envelope fields that follow the length prefix.
-_ROUTE = struct.Struct(">iiI")
-#: The route, then a message's ``M`` tag and class key.
+#: The envelope after the length prefix, then the ``M`` tag and class key.
 _HEAD = struct.Struct(">iiIBI")
 _MAX_FRAME = 64 * 1024 * 1024  # sanity bound; a stripe is ~KBs
 
-_pack_count = struct.Struct(">cI").pack
-_unpack_count = struct.Struct(">I").unpack_from
-
-_T_SET, _T_LIST, _T_MESSAGE = b"SLM"
+_T_MESSAGE = ord("M")
 
 _Frame = Tuple[ProcessId, ProcessId, Any, int]
 
@@ -95,16 +76,11 @@ _KEYS: Dict[int, str] = {}
 
 # -- layouts -----------------------------------------------------------------
 
-_INT, _BOOL, _STAMP, _BLOB, _PIDS, _TAGGED = range(6)
-
-#: The slot format of each field kind (``_TAGGED`` has none).
-_SLOT_FORMATS = {
-    _INT: "q", _BOOL: "?", _STAMP: "bbqi", _BLOB: "i", _PIDS: "Q",
-    _TAGGED: "",
-}
+#: Each field kind is its slot's ``struct`` format.
+_INT, _BOOL, _STAMP, _BLOB, _PIDS = "q", "?", "bbqi", "i", "Q"
 
 
-def _field_kind(hint: Any) -> int:
+def _slot(cls: Type, name: str, hint: Any) -> str:
     if hint is int:
         return _INT
     if hint is bool:
@@ -115,15 +91,20 @@ def _field_kind(hint: Any) -> int:
         return _BLOB
     if hint is frozenset or typing.get_origin(hint) is frozenset:
         return _PIDS
-    return _TAGGED
+    raise ConfigurationError(
+        f"{cls.__name__}.{name}: no wire slot for type {hint!r}"
+    )
 
 
-def _pid_mask(pids: frozenset) -> Optional[int]:
-    """The bitmask of ``pids``, or None if one is not an int in 0..63."""
+def _pid_mask(pids: Any) -> int:
+    """The bitmask of a frozenset of pids in 0..63; -1, which no ``>Q``
+    slot holds, for anything else."""
+    if type(pids) is not frozenset:
+        return -1
     mask = 0
     for pid in pids:
         if type(pid) is not int or not 0 <= pid < 64:
-            return None
+            return -1
         mask |= 1 << pid
     return mask
 
@@ -137,51 +118,37 @@ def _pid_set(mask: int) -> frozenset:
     return frozenset(pids)
 
 
+def _refused(message: Any, src: Any, dst: Any,
+             size: Any) -> ConfigurationError:
+    return ConfigurationError(
+        f"cannot wire-encode {type(message).__name__} ({src} -> {dst}, "
+        f"size {size}): a value outside its slot"
+    )
+
+
 class _Layout:
     """One message class's compiled wire form.
 
     ``encode`` and ``decode`` are generated once, as straight-line code
     over the class's fields (the way :mod:`dataclasses` generates
-    ``__init__``); the escape paths they call are the methods here.
+    ``__init__``).
     """
 
     def __init__(self, cls: Type, key: int) -> None:
-        fields = dataclasses.fields(cls)
-        if len(fields) > 64:
-            raise ConfigurationError(
-                f"wire types have at most 64 fields, {cls.__name__} "
-                f"has {len(fields)}"
-            )
         try:
             hints = typing.get_type_hints(cls)
-        except (NameError, TypeError):
-            # A forward reference that does not resolve: those fields
-            # ride in the tail.
-            hints = {}
+        except (NameError, TypeError) as error:
+            raise ConfigurationError(
+                f"{cls.__name__}'s field types do not resolve: {error}"
+            ) from None
         self.cls = cls
-        self.names = [field.name for field in fields]
-        self.kinds = [_field_kind(hints.get(name)) for name in self.names]
-        count = len(fields)
-        body = (
-            "B" if count <= 8 else "H" if count <= 16
-            else "I" if count <= 32 else "Q"
-        ) + "".join(_SLOT_FORMATS[kind] for kind in self.kinds)
+        self.names = [field.name for field in dataclasses.fields(cls)]
+        self.kinds = [_slot(cls, name, hints.get(name)) for name in self.names]
+        body = "".join(self.kinds)
         #: The whole frame up to the bytes fields' bytes.
         self.frame = struct.Struct(">IiiIBI" + body)
         #: The message's part of it, as it follows ``M`` and the key.
         self.header = struct.Struct(">" + body)
-        # (bit, first pack argument, last + 1, its slot's struct) per
-        # field with a slot, to find the one a failed pack choked on.
-        # The arguments start with length, src, dst, size, the tag,
-        # the key and the mask.
-        self._slots: List[Tuple[int, int, int, struct.Struct]] = []
-        arg = 7
-        for index, kind in enumerate(self.kinds):
-            width = len(_SLOT_FORMATS[kind])
-            if width:
-                self._slots.append((1 << index, arg, arg + width,
-                                    struct.Struct(">" + _SLOT_FORMATS[kind])))
-            arg += width
         namespace = {
             "cls": cls,
             "new": cls.__new__,
@@ -194,9 +161,7 @@ class _Layout:
             "unpack_from": self.header.unpack_from,
             "struct_error": struct.error,
             "ConfigurationError": ConfigurationError,
-            "retry": self._retry,
-            "tail_of": self._tail_of,
-            "untail": self._untail,
+            "refused": _refused,
         }
         exec(self._encoder_source(key) + self._decoder_source(), namespace)
         self.encode: Callable[..., bytes] = namespace["encode"]
@@ -205,77 +170,54 @@ class _Layout:
     # -- code generation ---------------------------------------------------
 
     def _encoder_source(self, key: int) -> str:
-        always = sum(
-            1 << index for index, kind in enumerate(self.kinds)
-            if kind == _TAGGED
-        )
-        lines = [
-            "def encode(message, src, dst, size, force=0):",
-            f"    escaped = force | {always}" if always else
-            "    escaped = force",
-        ]
+        lines = ["def encode(message, src, dst, size):", "    try:"]
         args: List[str] = []
+        exact: List[str] = []
         blobs: List[str] = []
         for index, (name, kind) in enumerate(zip(self.names, self.kinds)):
-            bit, value = 1 << index, f"v{index}"
-            if kind == _TAGGED:
-                continue
-            lines.append(f"    {value} = message.{name}")
+            value = f"v{index}"
+            lines.append(f"        {value} = message.{name}")
             if kind in (_INT, _BOOL):
-                lines += [
-                    f"    if type({value}) is not "
-                    f"{'int' if kind == _INT else 'bool'} or force & {bit}:",
-                    f"        escaped |= {bit}",
-                    f"        {value} = 0",
-                ]
+                exact.append(
+                    f"type({value}) is not {'int' if kind == _INT else 'bool'}"
+                )
                 args.append(value)
             elif kind == _STAMP:
                 slot = [f"p{index}", f"k{index}", f"t{index}", f"i{index}"]
                 lines += [
-                    f"    if type({value}) is Timestamp "
-                    f"and not force & {bit}:",
-                    f"        p{index} = 1",
-                    f"        k{index}, t{index}, i{index} = {value}",
-                    "    else:",
-                    f"        {' = '.join(slot)} = 0",
-                    f"        if {value} is not None:",
-                    f"            escaped |= {bit}",
+                    f"        if type({value}) is Timestamp:",
+                    f"            p{index} = 1",
+                    f"            k{index}, t{index}, i{index} = {value}",
+                    f"        elif {value} is None:",
+                    f"            {' = '.join(slot)} = 0",
+                    "        else:",
+                    "            raise TypeError",
                 ]
                 args += slot
             elif kind == _BLOB:
                 lines += [
-                    f"    if type({value}) is bytes and not force & {bit}:",
-                    f"        n{index} = len({value})",
-                    "    else:",
-                    f"        n{index} = -1",
-                    f"        if {value} is not None:",
-                    f"            escaped |= {bit}",
+                    f"        if type({value}) is bytes:",
+                    f"            n{index} = len({value})",
+                    f"        elif {value} is None:",
+                    f"            n{index} = -1",
+                    "        else:",
+                    "            raise TypeError",
                 ]
                 args.append(f"n{index}")
                 blobs.append(str(index))
             else:  # _PIDS
-                lines += [
-                    f"    m{index} = pid_mask({value}) "
-                    f"if type({value}) is frozenset and not force & {bit} "
-                    "else None",
-                    f"    if m{index} is None:",
-                    f"        escaped |= {bit}",
-                    f"        m{index} = 0",
-                ]
-                args.append(f"m{index}")
-        lines += [
-            "    tail = tail_of(message, escaped) if escaped else b''",
-            f"    length = {self.frame.size - _LENGTH.size} + len(tail)",
-        ]
+                args.append(f"pid_mask({value})")
+        if exact:
+            lines.append(f"        if {' or '.join(exact)}:")
+            lines.append("            raise TypeError")
+        lines.append(f"        length = {self.frame.size - _LENGTH.size}")
         for index in blobs:
-            lines.append(f"    if n{index} > 0: length += n{index}")
+            lines.append(f"        if n{index} > 0: length += n{index}")
         lines += [
-            "    args = (length, src, dst, size, "
-            f"{_T_MESSAGE}, {key}, escaped, {', '.join(args)})",
-            "    try:",
-            "        head = pack(*args)",
-            "    except struct_error:",
-            "        return retry(message, src, dst, size, args)",
+            "        head = pack(length, src, dst, size, "
+            f"{_T_MESSAGE}, {key}{''.join(', ' + arg for arg in args)})",
+            "    except (struct_error, TypeError):",
+            "        raise refused(message, src, dst, size) from None",
         ]
         if blobs:
             lines.append("    pieces = [head]")
@@ -283,17 +225,14 @@ class _Layout:
                 lines.append(
                     f"    if n{index} > 0: pieces.append(v{index})"
                 )
-            lines += [
-                "    if tail: pieces.append(tail)",
-                "    return b''.join(pieces)",
-            ]
+            lines.append("    return b''.join(pieces)")
         else:
-            lines.append("    return head + tail if tail else head")
+            lines.append("    return head")
         return "\n".join(lines) + "\n"
 
     def _decoder_source(self) -> str:
         name = self.cls.__name__
-        unpacked: List[str] = ["escaped"]
+        unpacked: List[str] = []
         lines = [
             "def decode(data, pos, end):",
             f"    stop = pos + {self.header.size}",
@@ -339,17 +278,15 @@ class _Layout:
                     "length past the frame end')",
                     f"        {value} = bytes(data[start:stop])",
                 ]
-            elif kind == _PIDS:
+            else:  # _PIDS
                 unpacked.append(f"m{index}")
                 body.append(f"    {value} = pid_set(m{index})")
-            else:  # _TAGGED: the tail sets it
-                value = "None"
             build.append(f"    fields[{self.names[index]!r}] = {value}")
-        lines.append(f"    ({', '.join(unpacked)},) = unpack_from(data, pos)")
-        lines += body + build + [
-            "    if escaped:",
-            "        stop = untail(data, stop, end, escaped, fields)",
-        ]
+        if unpacked:
+            lines.append(
+                f"    ({', '.join(unpacked)},) = unpack_from(data, pos)"
+            )
+        lines += body + build
         if slotted:
             lines += [
                 "    for name, value in fields.items():",
@@ -357,54 +294,6 @@ class _Layout:
             ]
         lines.append("    return message, stop")
         return "\n".join(lines) + "\n"
-
-    # -- escape paths ------------------------------------------------------
-
-    def _retry(self, message: Any, src: ProcessId, dst: ProcessId,
-               size: int, args: tuple) -> bytes:
-        """The pack failed: escape every slot whose value overflows it."""
-        force = 0
-        for bit, first, last, slot in self._slots:
-            try:
-                slot.pack(*args[first:last])
-            except struct.error:
-                force |= bit
-        if not force:
-            raise ConfigurationError(
-                f"cannot wire-encode envelope ({src}, {dst}, {size})"
-            )
-        return self.encode(message, src, dst, size, force)
-
-    def _tail_of(self, message: Any, escaped: int) -> bytes:
-        """The escaped fields' values, tagged, in field order."""
-        pieces: List[bytes] = []
-        encode_into(
-            [getattr(message, name)
-             for index, name in enumerate(self.names)
-             if escaped >> index & 1],
-            pieces.append,
-            _encode_other,
-        )
-        return b"".join(pieces)
-
-    def _untail(self, data: Any, pos: int, end: int, escaped: int,
-                fields: Dict[str, Any]) -> int:
-        """Decode the tail into ``fields``; the offset where it ends."""
-        if escaped >> len(self.names):
-            raise ConfigurationError(
-                f"malformed wire frame: {self.cls.__name__} escapes "
-                "a field it does not have"
-            )
-        names = [
-            name for index, name in enumerate(self.names)
-            if escaped >> index & 1
-        ]
-        # From real bytes, so a bytes value never comes back as a
-        # slice of the caller's buffer type.
-        tail = bytes(data[pos:end])
-        values, used = decode_values(tail, 0, len(names), _decode_other)
-        fields.update(zip(names, values))
-        return pos + used
 
 
 def _class_key(name: str) -> int:
@@ -415,13 +304,12 @@ def register_wire_type(cls: Type) -> Type:
     """Make a message dataclass encodable/decodable on the wire.
 
     Usable as a decorator.  Compiles the class's layout from its
-    fields' declared types; a field value outside its slot (or of a
-    type with no slot) must itself be wire encodable: a codec value, a
-    frozenset, a list or another registered dataclass.
+    fields' declared types (see the module docstring for the slots).
 
     Raises:
-        ConfigurationError: ``cls`` is not a dataclass, has more than
-            64 fields, or its class key collides with another name's.
+        ConfigurationError: ``cls`` is not a dataclass, its field types
+            do not resolve, one has no slot, or its class key collides
+            with another name's.
     """
     if not dataclasses.is_dataclass(cls) or not isinstance(cls, type):
         raise ConfigurationError(
@@ -447,86 +335,25 @@ for _name in dir(_messages):
         register_wire_type(_obj)
 
 
-# -- tagged values -----------------------------------------------------------
-
-
-def _encode_other(value: Any, emit: Emit) -> None:
-    """The codec's hook for the wire-only kinds, and :func:`_plain`."""
-    kind = type(value)
-    encode = _ENCODERS.get(kind)
-    if encode is not None:
-        # A nested message: its frame without length prefix and route.
-        emit(encode(value, 0, 0, 0)[_ENVELOPE.size:])
-    elif kind is frozenset:
-        emit(_pack_count(b"S", len(value)))
-        encode_into(sorted(value), emit, _encode_other)
-    elif kind is list:
-        emit(_pack_count(b"L", len(value)))
-        encode_into(value, emit, _encode_other)
-    else:
-        encode_into((_plain(value),), emit, _encode_other)
-
-
-def _plain(value: Any) -> Any:
-    """``value`` as the exact builtin it extends, or the refusal."""
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value)
-    if isinstance(value, Timestamp):
-        return Timestamp(value.time, value.process_id, value.kind)
-    for base in (int, float, str, tuple, list, frozenset):
-        if isinstance(value, base):
-            return base(value)
-    name = type(value).__name__
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        raise ConfigurationError(
-            f"{name} is not wire-registered; call register_wire_type"
-        )
-    raise ConfigurationError(f"cannot wire-encode {name}")
-
-
-def _unknown_key(key: int) -> ConfigurationError:
-    return ConfigurationError(
-        f"unknown wire message key {key:#010x}: a malformed frame or "
-        "an unregistered type"
-    )
-
-
-def _decode_other(tag: int, data: bytes, pos: int) -> Tuple[Any, int]:
-    """The codec's hook for the wire-only tags."""
-    if tag == _T_MESSAGE:
-        (key,) = _unpack_count(data, pos)
-        decoder = _DECODERS.get(key)
-        if decoder is None:
-            raise _unknown_key(key)
-        return decoder(data, pos + 4, len(data))
-    if tag == _T_SET or tag == _T_LIST:
-        items, pos = decode_values(
-            data, pos + 4, _unpack_count(data, pos)[0], _decode_other
-        )
-        return (frozenset(items) if tag == _T_SET else items), pos
-    raise ConfigurationError(f"unknown wire tag {bytes([tag])!r}")
-
-
 # -- frames ------------------------------------------------------------------
 
 
 def encode_frame(
     src: ProcessId, dst: ProcessId, payload: Any, size: int = 0
 ) -> bytes:
-    """One message as a length-prefixed frame ready for a socket."""
+    """One message as a length-prefixed frame ready for a socket.
+
+    Raises:
+        ConfigurationError: ``payload`` is not a registered message, or
+            a field (or the envelope) holds a value outside its slot.
+    """
     encode = _ENCODERS.get(type(payload))
-    if encode is not None:
-        return encode(payload, src, dst, size)
-    parts: List[bytes] = [b""]
-    encode_into((payload,), parts.append, _encode_other)
-    length = _ROUTE.size + sum(map(len, parts))
-    try:
-        parts[0] = _ENVELOPE.pack(length, src, dst, size)
-    except struct.error as error:
+    if encode is None:
         raise ConfigurationError(
-            f"cannot wire-encode envelope ({src}, {dst}, {size}): {error}"
-        ) from None
-    return b"".join(parts)
+            f"cannot wire-encode {type(payload).__name__}: not a "
+            "registered message (see register_wire_type)"
+        )
+    return encode(payload, src, dst, size)
 
 
 def decode_frame(data: Any, start: int = 0,
@@ -535,7 +362,7 @@ def decode_frame(data: Any, start: int = 0,
 
     The body is ``data[start:end]`` (the whole of ``data`` by default),
     without the 4-byte length prefix; it is read in place.  Returns
-    ``(src, dst, payload, size)``; ``bytes`` fields come back as real
+    ``(src, dst, message, size)``; ``bytes`` fields come back as real
     ``bytes`` objects whatever buffer type ``data`` is.
 
     Raises:
@@ -543,30 +370,25 @@ def decode_frame(data: Any, start: int = 0,
     """
     if end is None:
         end = len(data)
-    try:
-        if end - start >= _HEAD.size:
-            src, dst, size, tag, key = _HEAD.unpack_from(data, start)
-            if tag == _T_MESSAGE:
-                decoder = _DECODERS.get(key)
-                if decoder is None:
-                    raise _unknown_key(key)
-                message, pos = decoder(data, start + _HEAD.size, end)
-                if pos != end:
-                    raise ConfigurationError(
-                        f"{end - pos} trailing bytes after "
-                        f"{type(message).__name__}"
-                    )
-                return src, dst, message, size
-        if end - start < _ROUTE.size:
-            raise ConfigurationError(
-                f"malformed wire frame: {end - start}-byte body"
-            )
-        src, dst, size = _ROUTE.unpack_from(data, start)
-    except (struct.error, IndexError, ValueError, TypeError,
-            RecursionError) as error:
-        raise ConfigurationError(f"malformed wire frame: {error!r}") from None
-    return src, dst, decode(data[start + _ROUTE.size:end], 0,
-                            _decode_other), size
+    if end - start < _HEAD.size:
+        raise ConfigurationError(
+            f"malformed wire frame: truncated {end - start}-byte header"
+        )
+    src, dst, size, tag, key = _HEAD.unpack_from(data, start)
+    if tag != _T_MESSAGE:
+        raise ConfigurationError(f"unknown wire tag {bytes([tag])!r}")
+    decoder = _DECODERS.get(key)
+    if decoder is None:
+        raise ConfigurationError(
+            f"unknown wire message key {key:#010x}: a malformed frame or "
+            "an unregistered type"
+        )
+    message, pos = decoder(data, start + _HEAD.size, end)
+    if pos != end:
+        raise ConfigurationError(
+            f"{end - pos} trailing bytes after {type(message).__name__}"
+        )
+    return src, dst, message, size
 
 
 class FrameParser:
@@ -583,7 +405,7 @@ class FrameParser:
         self._buffer = bytearray()
 
     def feed(self, chunk: bytes) -> Iterator[_Frame]:
-        """Yield ``(src, dst, payload, size)`` per frame now complete.
+        """Yield ``(src, dst, message, size)`` per frame now complete.
 
         Each frame is decoded in place from the carry-over buffer.
 

@@ -1,4 +1,4 @@
-"""The value codec is the format: wire payload values and stored records."""
+"""The value codec is the stable store's record format."""
 
 import zlib
 
@@ -72,7 +72,7 @@ def test_a_block_is_its_own_piece():
 @pytest.mark.parametrize("data, complaint", [
     (b"", "malformed"),
     (b"?", "unknown value tag"),
-    # A wire-only tag (an empty frozenset) without the wire's hook.
+    # A tag outside the table.
     (b"S\x00\x00\x00\x00", "unknown value tag"),
     (b"NN", "trailing bytes"),
 ])

@@ -7,7 +7,9 @@ import pytest
 
 from repro import api
 from repro.analysis.serve import run_serve
+from repro.core.messages import GcReq
 from repro.errors import ConfigurationError, SimulationError
+from repro.timestamps import LOW_TS
 
 
 def test_loopback_serve_end_to_end():
@@ -112,8 +114,8 @@ def test_outbox_overflow_and_unregister_account_drops(monkeypatch):
             pytest.skip(f"cannot bind TCP ports: {error}")
         try:
             # Peer 9 has no listener: its writer task can never connect.
-            for _ in range(10):
-                transport.send(1, 9, "noise", size=8)
+            for index in range(10):
+                transport.send(1, 9, GcReq(0, index, ts=LOW_TS), size=8)
             # 4 frames queue, 6 overflow the bounded outbox.
             assert transport.outbox_drops[9] == 6
             # Repeated refused connects walk the health machine down.
@@ -435,13 +437,14 @@ def test_tcp_link_batches_an_iteration_and_keeps_send_order(monkeypatch):
         except OSError as error:  # pragma: no cover - sandboxed envs
             pytest.skip(f"cannot bind TCP ports: {error}")
         try:
-            transport.send(1, 2, "hello")  # opens the link
-            await settle(lambda: received == ["hello"])
+            hello = GcReq(0, 0, ts=LOW_TS)
+            transport.send(1, 2, hello)  # opens the link
+            await settle(lambda: received == [hello])
             conn = transport._links[2].conn
             writes = []
             write = conn.write
             conn.write = lambda data: (writes.append(data), write(data))
-            batch = [f"batch-{index}" for index in range(20)]
+            batch = [GcReq(1, index, ts=LOW_TS) for index in range(20)]
             for payload in batch:
                 transport.send(1, 2, payload)
             await settle(lambda: len(received) == 1 + len(batch))
@@ -450,7 +453,7 @@ def test_tcp_link_batches_an_iteration_and_keeps_send_order(monkeypatch):
 
             await transport.stop_server(2)
             await settle(lambda: 2 not in transport._links)
-            late = [f"late-{index}" for index in range(10)]
+            late = [GcReq(2, index, ts=LOW_TS) for index in range(10)]
             for payload in late:
                 transport.send(1, 2, payload)
                 await asyncio.sleep(0)
