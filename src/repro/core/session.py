@@ -636,19 +636,8 @@ class VolumeSession:
                     # register.  Retryable in exactly the abort sense:
                     # a different coordinator — or a scrub repair in
                     # the meantime — can complete the operation.
-                    if op.attempts >= policy.attempts:
-                        op.status = "aborted"
-                        op.value = ABORT
-                        self.stats.aborts_exhausted += 1
-                        self._finish(op)
-                        return
-                    op.retries += 1
-                    self.stats.retries += 1
+                    result = ABORT
                     avoid = pid
-                    wait = delay * (1.0 + _JITTER * self._rng.random())
-                    delay *= _BACKOFF_GROWTH
-                    yield self.transport.timer(wait)
-                    continue
                 if result is not ABORT:
                     self._finalize_ok(op, result)
                     return
