@@ -181,36 +181,6 @@ class Metrics:
         self.sessions.append(stats)
         return stats
 
-    def session_summary(self) -> Dict[str, int]:
-        """Aggregate counters over every session opened on this sink."""
-        totals = {
-            "sessions": len(self.sessions),
-            "ops_submitted": 0,
-            "ops_completed": 0,
-            "ops_failed": 0,
-            "retries": 0,
-            "aborts_exhausted": 0,
-            "failovers": 0,
-            "transport_retries": 0,
-            "timeouts": 0,
-            "coalesced_writes": 0,
-            "peak_inflight": 0,
-        }
-        for stats in self.sessions:
-            totals["ops_submitted"] += stats.ops_submitted
-            totals["ops_completed"] += stats.ops_completed
-            totals["ops_failed"] += stats.ops_failed
-            totals["retries"] += stats.retries
-            totals["aborts_exhausted"] += stats.aborts_exhausted
-            totals["failovers"] += stats.failovers
-            totals["transport_retries"] += stats.transport_retries
-            totals["timeouts"] += stats.timeouts
-            totals["coalesced_writes"] += stats.coalesced_writes
-            totals["peak_inflight"] = max(
-                totals["peak_inflight"], stats.peak_inflight
-            )
-        return totals
-
     # -- counting hooks --------------------------------------------------
 
     def count_retransmission(self) -> None:

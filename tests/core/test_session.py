@@ -322,10 +322,8 @@ def test_session_stats_aggregate_into_metrics():
     volume = open_volume(m=3, n=5, blocks=12, block_size=32, seed=20)
     with volume.session() as session:
         session.submit_write_range(0, payloads_for(volume, 12))
-    summary = volume.cluster.metrics.session_summary()
-    assert summary["sessions"] == 1
-    assert summary["ops_completed"] == session.stats.ops_completed
-    assert summary["peak_inflight"] == session.stats.peak_inflight
+    (stats,) = volume.cluster.metrics.sessions
+    assert stats is session.stats
 
 
 # -- corruption ---------------------------------------------------------------
