@@ -31,6 +31,7 @@ import random
 
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
+from ..erasure.registry import make_code
 from ..errors import ConfigurationError, StorageError
 from ..quorum.theorems import max_fault_tolerance
 from ..sim.network import NetworkConfig
@@ -123,8 +124,7 @@ class CampaignConfig:
 
     @property
     def effective_f(self) -> int:
-        return max_fault_tolerance(self.n, self.m) if self.f is None \
-            else self.f
+        return _tolerance(self) if self.f is None else self.f
 
     @property
     def effective_max_down(self) -> int:
@@ -135,7 +135,12 @@ class CampaignConfig:
         # on intersection, not availability.
         if self.n <= self.m:
             return 0
-        return max(1, min(self.effective_f, max_fault_tolerance(self.n, self.m)))
+        return max(1, min(self.effective_f, _tolerance(self)))
+
+
+def _tolerance(config: CampaignConfig) -> int:
+    """The largest ``f`` the config's code allows."""
+    return max_fault_tolerance(make_code(config.m, config.n, config.code_kind))
 
 
 @dataclass
@@ -428,12 +433,13 @@ def run_campaign(
 
 
 def broken_config(base: CampaignConfig) -> CampaignConfig:
-    """A deliberately unsound variant of ``base``: ``n < 2f + m``.
+    """A deliberately unsound variant of ``base``.
 
-    Raises ``f`` one past the Theorem 2 bound (so quorums of size
-    ``n - f`` intersect in fewer than ``m`` processes) and flips
+    Raises ``f`` one past the code's bound (so two quorums of size
+    ``n - f`` can intersect in a set that does not decode: fewer than
+    ``m`` processes for an MDS code, ``n < 2f + m``) and flips
     ``allow_unsafe_f``.  Used to validate that the campaign's invariant
     checks actually fire.
     """
-    unsafe_f = max_fault_tolerance(base.n, base.m) + 1
+    unsafe_f = _tolerance(base) + 1
     return replace(base, f=unsafe_f, allow_unsafe_f=True)

@@ -108,11 +108,14 @@ class CampaignMonitor:
     def _check_quorum_preconditions(self) -> None:
         qs = self.cluster.quorum_system
         n, m, f = qs.n, qs.m, qs.f
-        if n < 2 * f + m:
+        code = self.cluster.code
+        bound = max_fault_tolerance(code)
+        if f > bound:
             self._record(
                 "quorum-precondition",
-                f"n={n} < 2f+m={2 * f + m}: Theorem 2 violated, f={f} "
-                f"exceeds floor((n-m)/2)={max_fault_tolerance(n, m)}",
+                f"f={f} exceeds floor((d-1)/2)={bound} for {code!r} "
+                f"(d={code.min_distance}): two quorums can meet in a set "
+                "that does not decode",
             )
         intersection = 2 * qs.quorum_size - n
         if intersection < m:

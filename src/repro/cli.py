@@ -30,7 +30,6 @@ from .analysis.costs import ls97_costs, our_costs
 from .core.cluster import ClusterConfig, FabCluster
 from .core.rebuild import Rebuilder, Scrubber
 from .errors import ConfigurationError
-from .quorum.theorems import max_fault_tolerance
 from .reliability import (
     BrickParams,
     ErasureCodedSystem,
@@ -125,16 +124,16 @@ def _table1(args: argparse.Namespace) -> int:
 
 
 def _demo(args: argparse.Namespace) -> int:
-    if max_fault_tolerance(args.n, args.m) < 1:
+    cluster = FabCluster(
+        ClusterConfig(m=args.m, n=args.n, block_size=args.block_size)
+    )
+    if cluster.quorum_system.f < 1:
         # The demo crashes brick n; with f = 0 its read would wait for
         # all n bricks forever.
         raise ConfigurationError(
             f"the demo crashes one brick, which needs f = (n - m) // 2 "
             f">= 1; got n={args.n}, m={args.m}"
         )
-    cluster = FabCluster(
-        ClusterConfig(m=args.m, n=args.n, block_size=args.block_size)
-    )
     register = cluster.register(0)
     stripe = [bytes([65 + i]) * args.block_size for i in range(args.m)]
     print(f"cluster: {cluster}")
@@ -465,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--m", type=int, default=3)
     campaign.add_argument(
         "--f", type=int, default=None,
-        help="tolerated faults; default floor((n-m)/2)",
+        help="tolerated faults; default the code's bound, floor((n-m)/2)",
     )
     campaign.add_argument("--registers", type=int, default=4)
     campaign.add_argument("--clients", type=int, default=3)

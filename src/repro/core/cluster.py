@@ -46,7 +46,9 @@ class ClusterConfig:
     Attributes:
         m / n: erasure-code parameters (m data + n-m parity per stripe).
         block_size: stripe-unit size in bytes.
-        f: tolerated faults; defaults to the maximum ``floor((n-m)/2)``.
+        f: tolerated faults; defaults to the code's maximum
+            (:func:`~repro.quorum.theorems.max_fault_tolerance`:
+            ``floor((n-m)/2)`` for an MDS code, less for an LRC).
         code_kind: erasure-code implementation (see
             :func:`repro.erasure.registry.make_code`).
         network: network behaviour (latency, drops, ...).
@@ -67,10 +69,10 @@ class ClusterConfig:
             real sockets).  The ``network`` simulation knobs apply only
             to ``"sim"``.
         seed: master seed; node-level randomness derives from it.
-        allow_unsafe_f: permit ``f`` beyond the Theorem 2 bound
-            ``floor((n - m) / 2)`` — builds a quorum system whose
-            quorums intersect in fewer than ``m`` processes.  Only for
-            negative testing (the fault campaign's broken-config mode).
+        allow_unsafe_f: permit ``f`` beyond the code's bound — builds a
+            quorum system whose quorums can intersect in a set that
+            does not decode.  Only for negative testing (the fault
+            campaign's broken-config mode).
     """
 
     m: int = 3
@@ -122,7 +124,8 @@ class FabCluster:
         self.env = transport.env
         self.code = make_code(cfg.m, cfg.n, cfg.code_kind)
         self.quorum_system = MajorityMQuorumSystem(
-            cfg.n, cfg.m, cfg.f, enforce_bound=not cfg.allow_unsafe_f
+            cfg.n, cfg.m, cfg.f, enforce_bound=not cfg.allow_unsafe_f,
+            code=self.code,
         )
         self.nodes: Dict[ProcessId, Node] = {}
         self.replicas: Dict[ProcessId, Replica] = {}

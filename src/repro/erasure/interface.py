@@ -65,6 +65,18 @@ class ErasureCode(abc.ABC):
         """Raw-to-logical capacity ratio ``n / m`` (used by Figure 3)."""
         return self._n / self._m
 
+    @property
+    def min_distance(self) -> int:
+        """The code's minimum distance ``d``: every ``d - 1`` erasures
+        leave a decodable stripe, and some ``d`` do not.
+
+        ``n - m + 1`` for an MDS code (the default); a non-MDS code
+        overrides it.  Two quorums of a system tolerating ``f`` faults
+        miss at most ``2f`` blocks between them, so the protocol's bound
+        is ``2f <= d - 1`` (Theorem 2 when ``d = n - m + 1``).
+        """
+        return self._n - self._m + 1
+
     def is_decodable(self, indices: Iterable[int]) -> bool:
         """Whether the blocks at ``indices`` suffice to decode a stripe.
 

@@ -46,6 +46,9 @@ from .reed_solomon import ReedSolomonCode
 
 __all__ = ["LRCCode", "split_parity"]
 
+#: (m, n, local groups, global parities) -> minimum distance.
+_MIN_DISTANCE: Dict[Tuple[int, int, int, int], int] = {}
+
 
 def split_parity(parity_count: int) -> Tuple[int, int]:
     """Default ``(local, global)`` split of a parity budget.
@@ -54,9 +57,10 @@ def split_parity(parity_count: int) -> Tuple[int, int]:
     roughly half the parity budget buys locality, half buys global
     fault tolerance, with the local side winning the odd parity.  The
     split keeps ``local <= global + 2``, which guarantees that any
-    failure pattern within the code's campaign tolerance
-    ``(n - m) // 2`` stays decodable (at most one loss per group is
-    repaired locally; the rest lean on the globals).
+    ``(n - m) // 2`` erasures of one stripe stay decodable (at most one
+    loss per group is repaired locally; the rest lean on the globals).
+    The protocol's fault bound is lower: two quorums must meet in a
+    decodable set (see :attr:`LRCCode.min_distance`).
     """
     if parity_count < 1:
         raise CodingError(f"LRC needs at least one parity block, got {parity_count}")
@@ -258,23 +262,31 @@ class LRCCode(ReedSolomonCode):
         row = self._generator[failed - 1 : failed, :]
         return kernels.matmul(row, data)[0]
 
-    def verify_tolerance(self, failures: int) -> None:
-        """Exhaustively check all ``<= failures`` erasure patterns decode.
-
-        Raises :class:`CodingError` naming the first undecodable
-        pattern.  Exponential in ``n`` — intended for construction-time
-        validation of simulator-scale geometries, not datacenter ones.
-        """
-        all_indices = range(1, self.n + 1)
-        for count in range(1, failures + 1):
-            for lost in itertools.combinations(all_indices, count):
-                survivors = frozenset(set(all_indices) - set(lost))
-                rows = [self._generator[index - 1] for index in survivors]
-                if rank(np.array(rows, dtype=np.uint8)) < self.m:
-                    raise CodingError(
-                        f"LRC(m={self.m}, n={self.n}, L={self._local_groups_count}, "
-                        f"g={self._global_parities}) cannot decode after losing {lost}"
-                    )
+    @property
+    def min_distance(self) -> int:
+        """The fewest erasures that leave the stripe undecodable, found
+        once per geometry by checking the survivors' rank over every
+        erasure pattern.  Exponential in ``n`` — fine for
+        simulator-scale geometries, not datacenter ones."""
+        key = (self.m, self.n, self._local_groups_count, self._global_parities)
+        distance = _MIN_DISTANCE.get(key)
+        if distance is None:
+            blocks = range(1, self.n + 1)
+            distance = next(
+                (
+                    count
+                    for count in range(1, self.n - self.m + 1)
+                    for lost in itertools.combinations(blocks, count)
+                    if rank(np.array(
+                        [self._generator[index - 1]
+                         for index in blocks if index not in lost],
+                        dtype=np.uint8,
+                    )) < self.m
+                ),
+                self.n - self.m + 1,
+            )
+            _MIN_DISTANCE[key] = distance
+        return distance
 
     # -- decode ---------------------------------------------------------
 

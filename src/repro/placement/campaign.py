@@ -34,6 +34,7 @@ from typing import Dict, List
 
 from ..campaign.engine import CampaignConfig, CampaignResult, run_campaign
 from ..campaign.schedule import CampaignSchedule, FaultEvent, generate_schedule
+from ..erasure.registry import make_code
 from ..errors import ConfigurationError
 from ..quorum.theorems import max_fault_tolerance
 from .groups import PlacementMap
@@ -183,7 +184,9 @@ def run_sharded_campaign(
         raise ConfigurationError(
             f"need m < group size, got m={config.m}, group size={group_size}"
         )
-    tolerance = max_fault_tolerance(group_size, config.m)
+    tolerance = max_fault_tolerance(
+        make_code(config.m, group_size, config.code_kind)
+    )
     fleet_schedule = generate_schedule(
         seed=config.seed,
         n=config.bricks,

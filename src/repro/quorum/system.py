@@ -16,6 +16,8 @@ import abc
 import itertools
 from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
+from ..erasure.interface import ErasureCode
+from ..erasure.registry import make_code
 from ..errors import ConfigurationError, QuorumError
 from ..types import ProcessId
 from .theorems import max_fault_tolerance
@@ -88,33 +90,45 @@ class MajorityMQuorumSystem(MQuorumSystem):
 
     With ``f = floor((n - m) / 2)`` (the maximum tolerable by Theorem 2)
     this gives quorums of size ``n - f = ceil((n + m) / 2)``, and any two
-    quorums intersect in at least ``2(n - f) - n >= m`` processes.
+    quorums intersect in at least ``2(n - f) - n >= m`` processes.  For a
+    non-MDS code ``m`` common processes are not enough: the intersection
+    must decode, and the bound is the code's
+    (:func:`~repro.quorum.theorems.max_fault_tolerance`).
 
     Args:
         n: universe size.
         m: required intersection.
-        f: fault tolerance; defaults to the maximum ``floor((n - m) / 2)``.
-        enforce_bound: when False, skip the Theorem 2 ``f <= (n-m)/2``
-            check and build the (unsound) system anyway.  Quorums of
-            size ``n - f`` then intersect in fewer than ``m`` processes,
-            so reads can miss committed writes — exactly the broken
-            configuration the fault-campaign engine uses to validate
-            that its invariant checks actually fire.  Never use outside
-            deliberate negative testing.
+        f: fault tolerance; defaults to the code's maximum.
+        enforce_bound: when False, skip the ``f`` bound check and build
+            the (unsound) system anyway.  Two quorums then can intersect
+            in a set that does not decode (fewer than ``m`` processes,
+            for an MDS code), so reads can miss committed writes —
+            exactly the broken configuration the fault-campaign engine
+            uses to validate that its invariant checks actually fire.
+            Never use outside deliberate negative testing.
+        code: the ``m``-of-``n`` erasure code the quorums serve; defaults
+            to an MDS code, whose bound is Theorem 2's.
     """
 
     def __init__(self, n: int, m: int, f: int | None = None,
-                 enforce_bound: bool = True) -> None:
+                 enforce_bound: bool = True,
+                 code: ErasureCode | None = None) -> None:
         super().__init__(n, m)
-        max_f = max_fault_tolerance(n, m)
+        if code is None:
+            code = make_code(m, n)
+        if (code.m, code.n) != (m, n):
+            raise ConfigurationError(
+                f"code {code!r} does not match n={n}, m={m}"
+            )
+        max_f = max_fault_tolerance(code)
         if f is None:
             f = max_f
         if f < 0:
             raise ConfigurationError(f"f must be >= 0, got {f}")
         if f > max_f and enforce_bound:
             raise ConfigurationError(
-                f"f={f} exceeds the Theorem 2 bound floor((n-m)/2)={max_f} "
-                f"for n={n}, m={m}"
+                f"f={f} exceeds the bound floor((d-1)/2)={max_f} of "
+                f"{code!r} (minimum distance d={code.min_distance})"
             )
         if f >= n:
             raise ConfigurationError(f"f must be < n={n}, got {f}")

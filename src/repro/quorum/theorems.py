@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Tuple
 
+from ..erasure.interface import ErasureCode
 from ..errors import ConfigurationError
 from ..types import ProcessId
 
@@ -41,11 +42,16 @@ def min_processes(m: int, f: int) -> int:
     return 2 * f + m
 
 
-def max_fault_tolerance(n: int, m: int) -> int:
-    """Largest tolerable ``f`` for given ``n`` and ``m``: ``floor((n-m)/2)``."""
-    if n < m:
-        raise ConfigurationError(f"need n >= m, got n={n}, m={m}")
-    return (n - m) // 2
+def max_fault_tolerance(code: ErasureCode) -> int:
+    """Largest tolerable ``f`` for ``code``: ``floor((d - 1) / 2)``.
+
+    A read decodes from the intersection of two quorums of ``n - f``
+    processes, which misses at most ``2f`` blocks; every such erasure
+    pattern is decodable iff ``2f <= d - 1``, ``d`` the code's minimum
+    distance.  For an MDS code ``d = n - m + 1``, which gives Theorem 2's
+    ``floor((n - m) / 2)``; a non-MDS code (an LRC) tolerates less.
+    """
+    return (code.min_distance - 1) // 2
 
 
 @dataclass

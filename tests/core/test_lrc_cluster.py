@@ -49,13 +49,17 @@ class TestLRCCluster:
     def test_degraded_reads_with_brick_down(self):
         """The recover path feeds *all* survivors to decode; the greedy
         LRC plan must handle whatever subset is live."""
-        cluster = lrc_cluster()
+        # LRC(8,14) has minimum distance 5, so it tolerates f = 2 (an
+        # LRC(4,8) tolerates only 1: two of its quorums can meet in an
+        # undecodable set).
+        cluster = lrc_cluster(m=8, n=14)
+        assert cluster.quorum_system.f == 2
         stripes = {}
         for register_id in range(4):
-            stripes[register_id] = stripe_of(4, 32, tag=register_id)
+            stripes[register_id] = stripe_of(8, 32, tag=register_id)
             cluster.register(register_id).write_stripe(stripes[register_id])
-        cluster.crash(3)
-        cluster.crash(6)  # max tolerated: (n - m) // 2 = 2
+        cluster.crash(3)  # a data block
+        cluster.crash(10)  # the parity of another local group
         for register_id, stripe in stripes.items():
             assert (
                 cluster.register(register_id, route=1).read_stripe() == stripe

@@ -77,7 +77,8 @@ class TestConstruction:
 class TestDecode:
     def test_all_tolerated_patterns_decode(self):
         code = LRCCode(4, 8)
-        code.verify_tolerance((code.n - code.m) // 2)
+        # Every 3 erasures decode, and some 4 do not.
+        assert code.min_distance == 4
         stripe = stripe_for(code)
         encoded = code.encode(stripe)
         indices = range(1, code.n + 1)
@@ -91,8 +92,7 @@ class TestDecode:
     def test_intolerant_layout_detected(self):
         # No global parity: two losses in one group are unrecoverable.
         code = LRCCode(4, 6, local_groups=2, global_parities=0)
-        with pytest.raises(CodingError):
-            code.verify_tolerance(2)
+        assert code.min_distance == 2
         stripe = stripe_for(code)
         encoded = code.encode(stripe)
         blocks = {i: encoded[i - 1] for i in (3, 4, 5, 6)}  # lost group 0 data

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.erasure.registry import make_code
 from repro.errors import ConfigurationError
 from repro.quorum.system import MajorityMQuorumSystem
 from repro.quorum import theorems
@@ -39,10 +40,10 @@ class TestBoundArithmetic:
         assert min_processes(m=1, f=2) == 5  # classic majority quorums
 
     def test_max_fault_tolerance(self):
-        assert max_fault_tolerance(n=5, m=3) == 1
-        assert max_fault_tolerance(n=8, m=5) == 1
-        assert max_fault_tolerance(n=9, m=5) == 2
-        assert max_fault_tolerance(n=5, m=5) == 0
+        assert max_fault_tolerance(make_code(3, 5)) == 1
+        assert max_fault_tolerance(make_code(5, 8)) == 1
+        assert max_fault_tolerance(make_code(5, 9)) == 2
+        assert max_fault_tolerance(make_code(5, 5)) == 0
 
     def test_one_f_rule(self):
         # Every default f is this one function; no alias remains.
@@ -50,7 +51,7 @@ class TestBoundArithmetic:
 
         assert not hasattr(theorems, "canonical_f")
         for n, m in ((5, 3), (8, 4), (9, 5), (3, 3)):
-            f = max_fault_tolerance(n, m)
+            f = max_fault_tolerance(make_code(m, n))
             assert MajorityMQuorumSystem(n, m).f == f
             config = CampaignConfig(n=n, m=m)
             assert config.effective_f == f
@@ -73,7 +74,7 @@ class TestBoundArithmetic:
     def test_max_f_is_tight(self, m, n):
         if n < m:
             return
-        f = max_fault_tolerance(n, m)
+        f = max_fault_tolerance(make_code(m, n))
         assert mquorum_exists(n, m, f)
         assert not mquorum_exists(n, m, f + 1)
 
@@ -84,7 +85,7 @@ class TestCanonicalConstructionSatisfiesDefinition:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_exhaustive_small_universes(self, n):
         for m in range(1, n + 1):
-            f = max_fault_tolerance(n, m)
+            f = max_fault_tolerance(make_code(m, n))
             qs = MajorityMQuorumSystem(n=n, m=m, f=f)
             report = verify_quorum_system(n, m, f, qs.quorums())
             assert report.valid, (n, m, f, report.violations)
