@@ -14,15 +14,22 @@ messages travel as length-prefixed binary frames
 (:mod:`repro.transport.wire`); a process's message to itself is
 injected as on loopback.  No task runs per event or per frame:
 
+* **Inbox** — injected messages are appended to one pending
+  :class:`~repro.transport.base.DeliveryBatch`, queued at the kernel's
+  current instant by the first of them and delivered, in global send
+  order, by one kernel step; a message sent while it delivers opens the
+  next inbox.  Crash markers and cuts are re-checked per message.
 * **Pump** — one loop handle, :meth:`AsyncioTransport._run_due`, steps
-  up to ``_STEPS_PER_YIELD`` due kernel events and re-arms itself with
+  up to ``_STEPS_PER_YIELD`` due kernel events (an inbox is one step,
+  however many messages it carries) and re-arms itself with
   ``call_soon`` (more is due) or ``call_later`` (the queue head's wall
   time).  New work only moves that handle forward when it makes the
   queue head earlier; kicks from inside a batch are no-ops, so at most
   one handle is ever live.
 * **Reader** — an accepted connection is an asyncio protocol whose
-  ``data_received`` feeds a :class:`~repro.transport.wire.FrameParser`
-  and queues every frame the chunk completed.
+  ``data_received`` advances the clock once, feeds a
+  :class:`~repro.transport.wire.FrameParser` and appends every frame
+  the chunk completed to the inbox.
 * **Writer** — frames wait in a per-destination list; while the peer
   is connected, one ``call_soon`` flush per loop iteration writes each
   destination's frames with a single ``write``.  A supervisor task per
@@ -64,14 +71,16 @@ from ..errors import ConfigurationError, SimulationError, TerminalTransportError
 from ..types import ProcessId
 from ..sim.kernel import Environment, Event, Timeout
 from ..sim.network import Message
-from .base import TimerHandle, Transport
+from .base import DeliveryBatch, TimerHandle, Transport
 from . import wire
 
 __all__ = ["AsyncioTransport"]
 
 _MODES = ("loopback", "tcp")
 #: Most kernel events one pump callback steps before it lets the loop
-#: run other callbacks (socket reads, client coroutines).
+#: run other callbacks (socket reads, client coroutines).  It bounds
+#: steps, not messages: an inbox step delivers every message sent since
+#: the previous one.
 _STEPS_PER_YIELD = 200
 #: ``_pump_at`` with no pump handle armed, and with one due now.
 _IDLE = float("inf")
@@ -101,27 +110,10 @@ _RECONNECT_SEED = 0
 _PORTS = range(1, 65536)
 
 
-class _Delivery(Event):
-    """One message handed to the pump: the message rides in ``_value``.
-
-    Exactly one heap entry at the current instant, so messages are
-    delivered in send order; a slotted event and a bound callback are
-    all it allocates besides the heap tuple.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, transport: "AsyncioTransport", message: Message) -> None:
-        super().__init__(transport.env)
-        self._value = message
-        self.callbacks.append(transport._on_delivery)
-        transport.env._queue_event(self)
-
-
 class _FrameReader:
     """An accepted connection (an asyncio protocol by duck typing, so
     the sim never imports asyncio): each chunk read is parsed and its
-    frames queued for the pump.  Garbage on the port (an undecodable
+    frames appended to the inbox.  Garbage on the port (an undecodable
     body, an implausible length) is one counted drop and the end of
     that connection.
     """
@@ -142,13 +134,11 @@ class _FrameReader:
         owner._advance_clock()
         try:
             for src, dst, payload, size in self._parser.feed(data):
-                _Delivery(owner, Message(src, dst, payload, size))
+                owner._inject(Message(src, dst, payload, size))
         except ConfigurationError:
             if owner.metrics is not None:
                 owner.metrics.count_drop()
             self._conn.close()
-        finally:
-            owner._kick()
 
     def eof_received(self) -> None:
         return None  # asyncio closes the connection
@@ -258,6 +248,9 @@ class AsyncioTransport(Transport):
         self._pump_handle = None
         self._pump_at = _DUE_NOW
         self._pump_error: Optional[BaseException] = None
+        #: The pending inbox: every message injected since it was
+        #: queued, delivered by one kernel step (None while none waits).
+        self._inbox: Optional[DeliveryBatch] = None
         #: One asyncio future per pending ``wait_for``; failed on pump
         #: death or ``stop()`` so no waiter outlives the pump.
         self._waiters: set = set()
@@ -287,16 +280,19 @@ class AsyncioTransport(Transport):
             return self.env.now
         return (time.monotonic() - self._origin) * _TIME_SCALE
 
-    def _advance_clock(self) -> None:
+    def _advance_clock(self) -> float:
         """Raise the kernel clock toward the wall clock, never past the
         queue head: ``step()`` treats a popped event with ``time < now``
         as corruption, so due events run before the clock moves on.
+        Returns the wall reading it used.
         """
         wall = self._wall_units()
+        now = wall
         if self.env._queue:
-            wall = min(wall, self.env._queue[0][0])
-        if wall > self.env._now:
-            self.env._now = wall
+            now = min(wall, self.env._queue[0][0])
+        if now > self.env._now:
+            self.env._now = now
+        return wall
 
     def now(self) -> float:
         """Scaled wall clock (never behind the kernel clock).
@@ -306,9 +302,9 @@ class AsyncioTransport(Transport):
         against the kernel clock, so they fire no *later* than asked —
         an early retransmit is harmless (the reply cache absorbs it).
         """
-        self._advance_clock()
-        wall = self._wall_units()
-        return wall if wall > self.env._now else self.env.now
+        wall = self._advance_clock()
+        now = self.env._now
+        return wall if wall > now else now
 
     # -- pump-death surfacing ----------------------------------------------
 
@@ -448,17 +444,31 @@ class AsyncioTransport(Transport):
             return
         # Loopback, a process's message to itself (its coordinator and
         # its replica share the host) and pre-start tcp (e.g. setup
-        # writes): inject into the shared queue; the pump dispatches it
-        # next cycle.
+        # writes): append to the inbox; the pump delivers it next cycle.
         message = Message(src, dst, payload, size)
-        self._advance_clock()
-        _Delivery(self, message)
+        self._inject(message)
         if copies == 2:
-            _Delivery(self, message)
-        self._kick()
+            self._inject(message)
 
-    def _on_delivery(self, delivery: _Delivery) -> None:
-        self._deliver(delivery._value)
+    def _inject(self, message: Message) -> None:
+        """Append ``message`` to the inbox, queueing one if none waits.
+
+        The inbox is stamped at the kernel's own clock, which is never
+        advanced here.  Advanced first, the clock could reach the queue
+        head — under backlog an armed retransmit timer — and that timer
+        would then fire ahead of the replies queued in the inbox.
+        """
+        inbox = self._inbox
+        if inbox is None:
+            inbox = self._inbox = DeliveryBatch(self.env, 0.0, self._on_inbox)
+            self._kick()
+        inbox.messages.append(message)
+
+    def _on_inbox(self, inbox: DeliveryBatch) -> None:
+        # Detach before delivering: a handler's sends open a fresh inbox.
+        self._inbox = None
+        for message in inbox.messages:
+            self._deliver(message)
 
     def _deliver(self, message: Message) -> None:
         # Crash markers and cuts may have changed in flight, on the

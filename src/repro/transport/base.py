@@ -83,6 +83,35 @@ class TimerHandle:
             callback()
 
 
+class DeliveryBatch(Event):
+    """Messages that one kernel event delivers, in the order appended.
+
+    The first message creates and schedules the batch ``delay`` units
+    out; later messages just append to it while it waits in the heap,
+    so a fan-out of k messages costs one heap push and one step.  The
+    ``deliver`` callback must detach the batch before delivering: a
+    handler's sends then open a fresh batch instead of appending to the
+    one already firing.  The sim keys its batches by ``(due, dst)``; the
+    asyncio inbox is one unkeyed batch at the current instant.
+    """
+
+    __slots__ = ("key", "messages")
+
+    def __init__(
+        self,
+        env: Environment,
+        delay: float,
+        deliver: Callable[["DeliveryBatch"], None],
+        key: Any = None,
+    ) -> None:
+        super().__init__(env)
+        self.key = key
+        self.messages: List[Any] = []
+        self._value = None
+        env._schedule(self, delay)
+        self.callbacks.append(deliver)
+
+
 class Transport(ABC):
     """The substrate surface the protocol layer is written against.
 

@@ -19,37 +19,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import SimulationError
 from ..types import ProcessId
-from ..sim.kernel import Environment, Event
+from ..sim.kernel import Environment
 from ..sim.monitor import Metrics
 from ..sim.network import Message, NetworkConfig
-from .base import Transport
+from .base import DeliveryBatch, Transport
 
 __all__ = ["SimTransport"]
-
-
-class _DeliverySweep(Event):
-    """All messages bound for one destination at one instant.
-
-    One heap entry per (due-time, destination) batch: the first message
-    creates and schedules the sweep, later same-key sends just append.
-    On a quorum round's reply fan-in this turns n pushes + n pops into
-    one of each, while keeping per-destination delivery order exactly
-    the send order, so any run remains deterministic.
-    """
-
-    __slots__ = ("key", "messages")
-
-    def __init__(self, transport: "SimTransport", key, delay: float) -> None:
-        super().__init__(transport.env)
-        self.key = key
-        self.messages: List[Message] = []
-        self._value = None
-        transport.env._schedule(self, delay)
-        self.callbacks.append(transport._on_sweep)
 
 
 class SimTransport(Transport):
@@ -77,8 +56,11 @@ class SimTransport(Transport):
         self._rng = random.Random(self.config.jitter_seed)
         #: The configured loss: the floor a drop window sits on.
         self._loss = self.config.drop_probability
-        #: Open (due-time, dst) sweep batches; entries leave on firing.
-        self._sweeps: Dict[tuple, _DeliverySweep] = {}
+        #: Open delivery sweeps, one batch per (due-time, dst): on a
+        #: quorum round's reply fan-in n pushes + n pops become one of
+        #: each, and each destination still sees its send order, so any
+        #: run stays deterministic.  Entries leave on firing.
+        self._sweeps: Dict[tuple, DeliveryBatch] = {}
         self._endpoints: Dict[ProcessId, Callable[[Message], None]] = {}
 
     # -- membership --------------------------------------------------------
@@ -151,11 +133,11 @@ class SimTransport(Transport):
         key = (self.env._now + latency, message.dst)
         sweep = self._sweeps.get(key)
         if sweep is None:
-            sweep = _DeliverySweep(self, key, latency)
+            sweep = DeliveryBatch(self.env, latency, self._on_sweep, key)
             self._sweeps[key] = sweep
         sweep.messages.append(message)
 
-    def _on_sweep(self, event: Event) -> None:
+    def _on_sweep(self, event: DeliveryBatch) -> None:
         # Detach before delivering: a handler may send again with zero
         # latency, which must open a fresh sweep, not append to this
         # already-firing one.

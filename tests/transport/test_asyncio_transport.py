@@ -12,6 +12,14 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.timestamps import LOW_TS
 
 
+async def _settle(predicate):
+    for _ in range(300):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("condition not reached in 3 s")
+
+
 def test_loopback_serve_end_to_end():
     """A small serve run completes with zero failed sessions and a
     JSON-serializable verdict."""
@@ -424,13 +432,6 @@ def test_tcp_link_batches_an_iteration_and_keeps_send_order(monkeypatch):
     transport.register(1, lambda message: None)
     transport.register(2, lambda message: received.append(message.payload))
 
-    async def settle(predicate):
-        for _ in range(300):
-            if predicate():
-                return
-            await asyncio.sleep(0.01)
-        raise AssertionError("condition not reached in 3 s")
-
     async def drive():
         try:
             await transport.start()
@@ -439,7 +440,7 @@ def test_tcp_link_batches_an_iteration_and_keeps_send_order(monkeypatch):
         try:
             hello = GcReq(0, 0, ts=LOW_TS)
             transport.send(1, 2, hello)  # opens the link
-            await settle(lambda: received == [hello])
+            await _settle(lambda: received == [hello])
             conn = transport._links[2].conn
             writes = []
             write = conn.write
@@ -447,21 +448,258 @@ def test_tcp_link_batches_an_iteration_and_keeps_send_order(monkeypatch):
             batch = [GcReq(1, index, ts=LOW_TS) for index in range(20)]
             for payload in batch:
                 transport.send(1, 2, payload)
-            await settle(lambda: len(received) == 1 + len(batch))
+            await _settle(lambda: len(received) == 1 + len(batch))
             assert len(writes) == 1
             assert received[1:] == batch
 
             await transport.stop_server(2)
-            await settle(lambda: 2 not in transport._links)
+            await _settle(lambda: 2 not in transport._links)
             late = [GcReq(2, index, ts=LOW_TS) for index in range(10)]
             for payload in late:
                 transport.send(1, 2, payload)
                 await asyncio.sleep(0)
             await transport.start_server(2)
-            await settle(lambda: len(received) == 1 + len(batch) + len(late))
+            await _settle(lambda: len(received) == 1 + len(batch) + len(late))
             assert received[1 + len(batch):] == late
             assert transport.outbox_drops == {}
         finally:
             await transport.stop()
 
     asyncio.run(drive())
+
+
+# -- the inbox: one delivery event per pump step ----------------------------
+
+
+def _inbox_transport(*pids, **kwargs):
+    """A loopback transport whose endpoints append every message they
+    receive to one shared list."""
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport(**kwargs)
+    received = []
+    for pid in pids:
+        transport.register(pid, received.append)
+    return transport, received
+
+
+def test_sends_from_one_step_share_one_inbox_in_send_order():
+    """k loopback sends (self-sends included) made in one step add one
+    heap entry, not k, and arrive in global send order."""
+    transport, received = _inbox_transport(1, 2, 3)
+    env = transport.env
+
+    async def drive():
+        await transport.start()
+        try:
+            pushes, queued = env.events_scheduled, len(env._queue)
+            for index in range(12):
+                transport.send(1 + index % 3, 1 + index % 2, index)
+            assert env.events_scheduled == pushes + 1
+            assert len(env._queue) == queued + 1
+            assert len(transport._inbox.messages) == 12
+            await _settle(lambda: len(received) == 12)
+        finally:
+            await transport.stop()
+
+    asyncio.run(drive())
+    assert [message.payload for message in received] == list(range(12))
+
+
+class _Conn:
+    """The little of an asyncio transport that a frame reader touches."""
+
+    def close(self) -> None:
+        pass
+
+
+def test_frames_of_one_read_chunk_share_one_inbox():
+    """Every frame that one ``data_received`` chunk completes joins one
+    inbox, in frame order."""
+    from repro.transport import aio, wire
+
+    transport, received = _inbox_transport(1, 2)
+    env = transport.env
+    reader = aio._FrameReader(transport)
+    reader.connection_made(_Conn())
+    frames = [GcReq(1, index, ts=LOW_TS) for index in range(5)]
+    pushes = env.events_scheduled
+    reader.data_received(
+        b"".join(wire.encode_frame(1, 2, frame, 8) for frame in frames)
+    )
+    assert env.events_scheduled == pushes + 1
+
+    async def drive():
+        await transport.start()
+        try:
+            await _settle(lambda: len(received) == len(frames))
+        finally:
+            await transport.stop()
+
+    asyncio.run(drive())
+    assert [message.payload for message in received] == frames
+
+
+def test_a_send_made_while_an_inbox_delivers_opens_a_new_one():
+    """The firing inbox is detached before its first delivery: a
+    handler's send opens a fresh inbox, and the rest of the firing one
+    is still delivered first."""
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport()
+    order = []
+    pending_at_handler = []
+    opened = []
+
+    def handler(message):
+        order.append(message.payload)
+        if message.payload == "go":
+            pending_at_handler.append(transport._inbox)
+            transport.send(2, 1, "echo")
+            opened.append(transport._inbox)
+
+    transport.register(1, handler)
+    transport.register(2, handler)
+
+    async def drive():
+        await transport.start()
+        try:
+            transport.send(1, 2, "go")
+            transport.send(1, 2, "after")
+            first = transport._inbox
+            await _settle(lambda: len(order) == 3)
+            return first
+        finally:
+            await transport.stop()
+
+    first = asyncio.run(drive())
+    assert order == ["go", "after", "echo"]
+    assert pending_at_handler == [None]
+    assert opened[0] is not first
+    assert [message.payload for message in opened[0].messages] == ["echo"]
+    assert [message.payload for message in first.messages] == ["go", "after"]
+
+
+def test_crash_marker_or_cut_set_before_the_inbox_fires_drops_those():
+    """A crash marker or a cut that appears after the send but before
+    the inbox fires drops exactly the messages it separates, and each
+    drop is counted."""
+    from repro.sim.monitor import Metrics
+
+    metrics = Metrics()
+    transport, received = _inbox_transport(1, 2, 3, 4, metrics=metrics)
+
+    async def drive():
+        await transport.start()
+        try:
+            transport.send(1, 2, "to the crashed brick")
+            transport.send(1, 3, "across the cut")
+            transport.send(1, 4, "kept")
+            transport.send(4, 1, "kept back")
+            transport.set_down(2, True)
+            transport.partition([3])
+            await _settle(lambda: transport._inbox is None and received)
+        finally:
+            await transport.stop()
+
+    asyncio.run(drive())
+    assert [message.payload for message in received] == ["kept", "kept back"]
+    assert metrics.total_messages == 4
+    assert metrics.dropped_messages == 2
+    assert transport.stats.partition_dropped == 1
+
+
+def test_a_chaos_duplicate_is_delivered_twice():
+    from repro.sim.monitor import Metrics
+    from repro.transport.chaos import ChaosPolicy, LinkChaos
+
+    metrics = Metrics()
+    transport, received = _inbox_transport(1, 2, metrics=metrics)
+    transport.set_chaos(ChaosPolicy(seed=0, default=LinkChaos(duplicate=0.99)))
+
+    async def drive():
+        await transport.start()
+        try:
+            transport.send(1, 2, "twice")
+            assert len(transport._inbox.messages) == 2
+            await _settle(lambda: len(received) == 2)
+            await asyncio.sleep(0.02)
+        finally:
+            await transport.stop()
+
+    asyncio.run(drive())
+    assert [message.payload for message in received] == ["twice", "twice"]
+    assert transport.stats.duplicated == 1
+    assert metrics.total_messages == 2
+
+
+@pytest.mark.parametrize("timer_delay", [8.0, 1e6])
+def test_the_inbox_is_stamped_at_the_kernel_clock(timer_delay):
+    """With the wall clock a minute ahead and an armed timer at the
+    queue head, injecting leaves ``env.now`` where it is and queues the
+    inbox at it: the replies it carries are delivered before the timer
+    fires.  (Stamped at the wall-advanced clock, the inbox would sit at
+    the timer's instant, behind it, and a retransmit timer would fire
+    although its replies were queued.)"""
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport()
+    order = []
+    transport.register(1, lambda message: order.append(message.payload))
+    transport.register(2, lambda message: order.append(message.payload))
+    env = transport.env
+
+    async def drive():
+        await transport.start()
+        try:
+            transport.set_timer(timer_delay, lambda: order.append("timer"))
+            transport._origin -= 60.0  # the wall clock runs 60 s ahead
+            before = env.now
+            assert transport._wall_units() > before + 50_000
+            transport.send(1, 2, "reply")
+            transport.send(2, 1, "another")
+            assert env.now == before
+            assert env._queue[0] == (before, env._queue[0][1], transport._inbox)
+            await _settle(lambda: len(order) >= 2)
+            if timer_delay < 1e3:
+                await _settle(lambda: "timer" in order)
+        finally:
+            await transport.stop()
+
+    asyncio.run(drive())
+    assert order[:2] == ["reply", "another"]
+
+
+def test_now_reads_the_wall_clock_once_and_never_runs_backwards():
+    """Each ``now()`` reads the wall clock once; across pump cycles,
+    sends and timers it never decreases and never lags ``env.now``."""
+    transport, _received = _inbox_transport(1, 2)
+    reads = []
+    wall_units = transport._wall_units
+
+    def counted_wall_units():
+        reads.append(None)
+        return wall_units()
+
+    transport._wall_units = counted_wall_units
+    samples = []
+
+    async def drive():
+        await transport.start()
+        try:
+            for index in range(200):
+                if index % 10 == 0:
+                    transport.send(1, 2, index)
+                    transport.set_timer(0.5, lambda: None)
+                reads.clear()
+                now = transport.now()
+                assert len(reads) == 1
+                samples.append((now, transport.env.now))
+                await asyncio.sleep(0 if index % 3 else 0.001)
+        finally:
+            await transport.stop()
+
+    asyncio.run(drive())
+    times = [now for now, _env_now in samples]
+    assert times == sorted(times)
+    assert all(now >= env_now for now, env_now in samples)
