@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.messages import WriteReq
+from repro.core.messages import OrderReadReq, WriteReq
 from repro.errors import ProtocolInvariantError
 from repro.types import ABORT
-from tests.conftest import block_of, make_cluster, stripe_of
+from tests.conftest import block_of, make_cluster, stripe_of, watch_sends
 
 
 @pytest.fixture
@@ -43,12 +43,25 @@ class TestReadBlocks:
         assert row["messages"] == 10
         assert row["disk_reads"] == 2  # one per requested block
 
-    def test_recovers_when_target_down(self, loaded_cluster):
+    def test_reads_around_a_down_target(self, loaded_cluster):
+        """Brick 2 down and nothing else wrong: a second fast round at
+        {1, 3, 4} decodes both blocks — 4δ, no Order&Read, no Write."""
         cluster, stripe = loaded_cluster
         cluster.crash(2)
+        sent = set()
+        watch_sends(cluster.transport, lambda _s, _d, payload: sent.add(
+            type(payload)
+        ))
         result = cluster.register(0).read_blocks([1, 2])
         assert result == {1: stripe[0], 2: stripe[1]}
-        assert cluster.metrics.summary()["read-blocks/slow"]["count"] == 1
+        summary = cluster.metrics.summary()
+        row = summary["read-blocks/retarget"]
+        assert "read-blocks/slow" not in summary
+        assert row["count"] == 1
+        assert row["latency_delta"] == 4
+        # Two rounds of n requests; the crashed brick answers neither.
+        assert row["messages"] == 2 * (5 + 4)
+        assert not sent & {OrderReadReq, WriteReq}
 
 
 class TestWriteBlocks:
