@@ -40,8 +40,9 @@ GOLDEN_PATH = Path(__file__).with_name("fixed_seed_counters.json")
 REGENERATE = "PYTHONPATH=src python -m tests.golden.record"
 
 QUICK_SEEDS = (0, 1, 2, 3, 4, 5, 11)
-#: 8010 violates linearizability (tests/campaign/reproducers): pinned
-#: here so that a change cannot mask or move the finding unnoticed.
+#: 8010 violated linearizability (tests/campaign/reproducers) until
+#: reads went around silent targets; pinned here so that a change cannot
+#: move it back unnoticed.
 DEFAULT_SEEDS = (0, 1, 8010)
 
 # -- the crash + GC + drop workload ------------------------------------------
