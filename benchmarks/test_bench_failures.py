@@ -45,8 +45,6 @@ def run_environment(name, drop=0.0, crashed=(), churn=False, seed=13):
     summary = cluster.metrics.summary()
     fast = sum(r["count"] for label, r in summary.items()
                if label.endswith("/fast"))
-    slow = sum(r["count"] for label, r in summary.items()
-               if label.endswith("/slow"))
     weighted_latency = sum(
         r["latency_delta"] * r["count"] for r in summary.values()
     )
@@ -55,7 +53,7 @@ def run_environment(name, drop=0.0, crashed=(), churn=False, seed=13):
         "name": name,
         "aborts": stats.aborts,
         "abort_rate": stats.abort_rate,
-        "fast_fraction": fast / (fast + slow) if fast + slow else 0.0,
+        "fast_fraction": fast / count if count else 0.0,
         "mean_latency_delta": weighted_latency / count if count else 0.0,
         "retransmissions": cluster.metrics.dropped_messages,
     }

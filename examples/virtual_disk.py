@@ -84,15 +84,12 @@ def main() -> None:
           f"{session.stats.retries} retries, "
           f"{session.stats.failovers} failovers)")
 
-    fast = sum(
-        row["count"] for label, row in cluster.metrics.summary().items()
-        if label.endswith("/fast")
-    )
-    slow = sum(
-        row["count"] for label, row in cluster.metrics.summary().items()
-        if label.endswith("/slow")
-    )
-    print(f"  fast-path ops      : {fast}, slow-path (recovery) ops: {slow}")
+    paths = {"fast": 0, "retarget": 0, "slow": 0}
+    for label, row in cluster.metrics.summary().items():
+        paths[label.rsplit("/", 1)[1]] += row["count"]
+    print(f"  fast-path ops      : {paths['fast']}, read around a down "
+          f"brick: {paths['retarget']}, slow-path (recovery) ops: "
+          f"{paths['slow']}")
 
 
 if __name__ == "__main__":

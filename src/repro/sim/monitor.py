@@ -23,8 +23,10 @@ class OpMetrics:
 
     Attributes:
         kind: operation label, e.g. ``"read-stripe"``.
-        path: ``"fast"`` or ``"slow"``; set by the coordinator when the
-            operation completes.
+        path: ``"fast"``, ``"slow"`` (the operation recovered or took
+            the overlay write), or ``"retarget"`` (a read that went
+            around a silent target with a second fast round); set by
+            the coordinator.
         messages: protocol messages sent on behalf of the operation
             (requests plus replies, as in Table 1's accounting).
         bytes_sent: total payload bytes moved over the network.
@@ -138,7 +140,10 @@ class Metrics:
         #: Checksum-failed loads detected by replicas (one per register
         #: quarantined, not per retransmitted reply).
         self.checksum_failures = 0
-        #: Reads that succeeded by routing around corrupt fragments.
+        #: Client reads whose recovery routed around corrupt fragments
+        #: (and whose write-back repaired them).  A read that went
+        #: around a crashed or silent brick (``"retarget"`` ops) is not
+        #: one: nothing there was corrupt.
         self.degraded_reads = 0
         #: Registers repaired by the scrub daemon's write-back.
         self.scrub_repairs = 0
