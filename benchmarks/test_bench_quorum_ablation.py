@@ -12,8 +12,8 @@ past f.
 import pytest
 
 from repro import ClusterConfig, FabCluster
-from repro.core.coordinator import CoordinatorConfig
 from repro.sim.network import NetworkConfig
+from repro.types import ABORT
 from tests.conftest import stripe_of
 
 from .conftest import write_artifact
@@ -27,7 +27,6 @@ def run_config(n, f):
             m=M, n=n, f=f, block_size=B,
             network=NetworkConfig(min_latency=0.5, max_latency=2.0,
                                   jitter_seed=1),
-            coordinator=CoordinatorConfig(op_timeout=150.0),
             seed=1,
         )
     )
@@ -40,12 +39,11 @@ def run_config(n, f):
     survives = register.read_stripe() == stripe_of(M, B, tag=1)
     writable = register.write_stripe(stripe_of(M, B, tag=2)) == "OK"
 
-    # One more crash: must abort (op_timeout) rather than return data.
+    # One more crash: must abort (each phase expires after the default
+    # op_timeout) rather than return data.
     blocked = None
     if n - f - 1 >= cluster.quorum_system.quorum_size - 1:
         cluster.crash(n - f)
-        from repro.types import ABORT
-
         blocked = register.read_stripe() is ABORT
     return {
         "n": n,

@@ -19,8 +19,8 @@ seeded :class:`~repro.transport.chaos.ChaosPolicy` on the transport
 on the *wall-clock* path, and an optional timed
 partition is a two-event fault plan applied once the transport runs
 (clients keep re-reading their blocks until the plan's last event), while
-sessions run with a chaos-tolerant retry policy (attempt
-timeouts, generous failover budget).  The run must still finish with
+sessions run with a chaos-tolerant retry policy (more attempts,
+generous failover budget).  The run must still finish with
 **zero failed sessions** and a **strictly linearizable** per-client
 history — losing up to ~10% of messages merely costs latency, because
 retransmission and retry heal every injected fault.  The chaos counters
@@ -51,26 +51,21 @@ from ..verify.linearizability import check_strict_linearizability
 __all__ = ["run_serve"]
 
 #: Chaos-tolerant session policy: attempts sized for sustained ~10%
-#: loss, attempt timeouts so a coordinator stranded in a partition is
-#: abandoned, and a failover budget wide enough to rotate past a
-#: minority group.  An abandoned or aborted attempt may still land and
-#: be rolled forward by a reader, so each retry is a new write of the
-#: same value (Section 4), not a replay of the old one.
+#: loss and a failover budget wide enough to rotate past a minority
+#: group.  A coordinator stranded in a partition needs no attempt
+#: deadline: its phases expire after ``SERVE_OP_TIMEOUT`` and the
+#: attempt returns ⊥.  An aborted attempt may still have landed and be
+#: rolled forward by a reader, so each retry is a new write of the same
+#: value (Section 4), not a replay of the old one.
 CHAOS_SESSION_RETRY = RetryPolicy(
     attempts=12,
     backoff=4.0,
-    attempt_timeout=400.0,
     max_failovers=64,
 )
 
-#: Cap on one coordinator quorum phase, in transport time units (ms).
-#: Serve runs MUST bound phases: when a session abandons an attempt
-#: (attempt timeout, failover), the coordinator-side phase is still
-#: live — with ``op_timeout=None`` (the paper's model) its retransmit
-#: loop would run forever, and under chaos the leaked phases pile up
-#: until retransmission traffic starves the run.  Expiring below the
-#: session's 400 ms attempt timeout turns a stalled phase into a clean
-#: retryable abort first.
+#: Bound on one coordinator quorum phase, in transport time units (ms):
+#: a phase with no quorum expires after 38 retransmission rounds
+#: (304 ms) and its attempt returns a retryable ⊥.
 SERVE_OP_TIMEOUT = 300.0
 
 

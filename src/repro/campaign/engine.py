@@ -76,9 +76,9 @@ class CampaignConfig:
             through random live coordinators, with §5.1 GC on.
         duration: schedule horizon; no fault fires after it.
         drain: extra simulated time after ``duration`` for in-flight
-            operations to finish or time out.
-        op_timeout: coordinator operation timeout, so operations cut off
-            from a quorum abort instead of hanging forever.
+            operations to finish or time out (an operation cut off from
+            a quorum aborts after the default
+            ``CoordinatorConfig.op_timeout``).
         crash_weight / partition_weight / drop_weight / max_down /
         max_clock_skew: fault-mix knobs, passed to
             :func:`~repro.campaign.schedule.generate_schedule`.
@@ -105,7 +105,6 @@ class CampaignConfig:
     ops_per_client: int = 30
     duration: float = 400.0
     drain: float = 150.0
-    op_timeout: float = 120.0
     crash_weight: float = 3.0
     partition_weight: float = 1.0
     drop_weight: float = 1.0
@@ -290,10 +289,7 @@ class _Engine:
                     max_latency=3.0,
                     jitter_seed=config.seed,
                 ),
-                coordinator=CoordinatorConfig(
-                    op_timeout=config.op_timeout,
-                    gc_enabled=True,
-                ),
+                coordinator=CoordinatorConfig(gc_enabled=True),
                 metrics_history_limit=256,
             )
         )

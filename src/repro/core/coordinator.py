@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import ProtocolInvariantError
+from ..errors import ConfigurationError, ProtocolInvariantError
 from ..erasure.interface import ErasureCode
 from ..quorum.system import MajorityMQuorumSystem
 from ..sim.monitor import Metrics
@@ -81,10 +81,13 @@ class CoordinatorConfig:
     fast path's grace window (``_GRACE`` units past quorum) are fixed.
 
     Attributes:
-        op_timeout: overall cap on one quorum phase; ``None`` waits
-            forever (the paper's model).  When set, an expired phase
-            makes the operation abort instead of hanging — useful for
-            experiments that permanently lose a quorum.
+        op_timeout: bound on one quorum phase, counted in retransmission
+            rounds: the phase expires at the first round ``k`` with
+            ``k * _RETRANSMIT_INTERVAL >= op_timeout`` (15 rounds, 120
+            units, by default) and its operation returns ⊥ — the
+            paper's safe outcome — instead of retransmitting forever
+            once fewer than a quorum of bricks can answer.  Must be
+            positive.
         observe_timestamps: adopt timestamps seen in replies into the
             local clock (reduces aborts under clock skew; never affects
             safety).
@@ -101,11 +104,17 @@ class CoordinatorConfig:
             outside that experiment.
     """
 
-    op_timeout: Optional[float] = None
+    op_timeout: float = 120.0
     observe_timestamps: bool = True
     gc_enabled: bool = False
     disable_fast_read: bool = False
     unsafe_one_phase_writes: bool = False
+
+    def __post_init__(self) -> None:
+        if self.op_timeout is None or self.op_timeout <= 0:
+            raise ConfigurationError(
+                f"op_timeout must be positive, got {self.op_timeout!r}"
+            )
 
 
 class _PendingCall:
@@ -138,8 +147,11 @@ class _PendingCall:
         self.complete = self.transport.event()
         self.finished = False
         self.expired = False
+        #: Retransmission rounds fired so far; the phase expires once
+        #: they add up to ``op_timeout``.
+        self.rounds = 0
         self._grace_started = False
-        #: Retransmit / op_timeout / grace timers still armed for this
+        #: Retransmit and grace timers still armed for this
         #: phase; cancelled on completion so the kernel heap stops
         #: pinning the call, its reply map and the request closures.
         self._timers: Dict[str, TimerHandle] = {}
@@ -158,7 +170,8 @@ class _PendingCall:
             node.send(destination, request, size=request.size)
 
     def retransmit(self) -> None:
-        """Retransmit timer: resend to non-responders and re-arm."""
+        """Retransmit timer: resend to non-responders and re-arm, or
+        expire the phase once its rounds add up to ``op_timeout``."""
         rpc = self.rpc
         # Stop when the phase finished, the call was abandoned (the
         # coordinator crashed and its pending table was cleared on
@@ -168,6 +181,10 @@ class _PendingCall:
         if self.finished or rpc._pending.get(self.request_id) is not self:
             return
         if not rpc.node.is_up:
+            return
+        self.rounds += 1
+        if self.rounds * _RETRANSMIT_INTERVAL >= rpc.config.op_timeout:
+            self.expire()
             return
         rpc.node.metrics.count_retransmission()
         self.transmit()
@@ -202,7 +219,7 @@ class _PendingCall:
         self.complete.succeed(dict(self.replies))
 
     def expire(self) -> None:
-        """Give up on the phase (op_timeout).
+        """Give up on the phase (its rounds reached ``op_timeout``).
 
         If a quorum never arrived, the phase is marked expired and the
         caller receives ``None`` — an expired sub-quorum phase must
@@ -275,8 +292,6 @@ class QuorumRpc:
         self._pending[request_id] = call
         call.transmit()
         call.arm("retransmit", _RETRANSMIT_INTERVAL, call.retransmit)
-        if self.config.op_timeout is not None:
-            call.arm("op_timeout", self.config.op_timeout, call.expire)
 
         replies = yield call.complete
         del self._pending[request_id]

@@ -14,8 +14,8 @@ that client — a pipelined I/O engine over one
   large-write fast path, applied automatically;
 * wraps every operation in a :class:`RetryPolicy`: aborts (the
   paper's ⊥) are retried with exponential backoff and deterministic
-  jitter, and a crashed or timed-out coordinator triggers failover to
-  the next live brick;
+  jitter, and a crashed coordinator triggers failover to the next live
+  brick;
 * reports per-session concurrency/retry/abort/failover counters into
   :class:`~repro.sim.monitor.SessionStats`.
 
@@ -29,9 +29,10 @@ A retry is a new operation (the paper's Section 4), not a replay of
 the old one: an aborted ``Write``/``Modify`` may have landed at a
 minority of bricks, and a later reader can roll it forward.  Konwar et
 al.'s SODA likewise states atomicity per write *invocation*.  The
-session nevertheless records one history op spanning all attempts; the
-known consequence is the strict xfail on campaign seed 8010
-(``tests/campaign/test_engine.py``).
+session nevertheless records one history op spanning all attempts.  A
+retried ``Modify`` that lands twice is the known consequence, pinned by
+the strict xfail
+``tests/core/test_coordinator_block.py::TestKnownFindings::test_1a_partial_modify_takes_effect_twice``.
 
 Typical use::
 
@@ -90,20 +91,19 @@ class RetryPolicy:
             Backoff matters: conflicting coordinators that retry in
             lockstep re-collide, while even a small stagger lets one of
             them win.
-        attempt_timeout: cap on a *single* attempt; an attempt that
-            exceeds it is abandoned and the operation fails over to the
-            next live brick.  The abandoned attempt keeps running and
-            may still land after the retry, so it is a concurrent write
-            of the same value, not a no-op.  ``None`` = wait for the
-            attempt forever.
         max_failovers: bound on coordinator rotations per operation
-            (crash- or timeout-driven) before giving up; 0 disables
-            failover, so a crashed coordinator fails the operation.
+            (crash-driven) before giving up; 0 disables failover, so a
+            crashed coordinator fails the operation.
+
+    An attempt is never abandoned: every quorum phase ends by itself
+    within ``CoordinatorConfig.op_timeout``, as ⊥ when no quorum
+    answers.  So a retry starts only once its previous attempt has
+    returned, and a lost quorum ends the op ``"aborted"`` after
+    ``attempts`` tries.
     """
 
     attempts: int = 3
     backoff: float = 5.0
-    attempt_timeout: Optional[float] = None
     max_failovers: int = 16
 
     def __post_init__(self) -> None:
@@ -111,8 +111,6 @@ class RetryPolicy:
             raise ConfigurationError(f"attempts must be >= 1, got {self.attempts}")
         if self.backoff < 0:
             raise ConfigurationError(f"backoff must be >= 0, got {self.backoff}")
-        if self.attempt_timeout is not None and self.attempt_timeout <= 0:
-            raise ConfigurationError("attempt_timeout must be positive when set")
         if self.max_failovers < 0:
             raise ConfigurationError("max_failovers must be >= 0")
 
@@ -228,8 +226,8 @@ class VolumeSession:
             pinned coordinator is preferred while alive; otherwise (and
             with ``None``) the session rotates round-robin over live
             bricks, spreading coordination load as the paper's
-            decentralized design intends.  A crashed or timed-out
-            coordinator always fails over to the next live brick.
+            decentralized design intends.  A crashed coordinator
+            always fails over to the next live brick.
         seed: jitter RNG seed; defaults to a value derived from the
             cluster seed, so identically-seeded runs are bit-identical.
     """
@@ -611,20 +609,7 @@ class VolumeSession:
                 op.coordinator = pid
                 attempt = self._spawn_attempt(op, pid)
                 try:
-                    if policy.attempt_timeout is not None:
-                        timer = self.transport.timer(policy.attempt_timeout)
-                        event, _value = yield self.transport.any_of([attempt, timer])
-                        if event is timer and not attempt.triggered:
-                            # Abandon the slow attempt and fail over.
-                            # It is not cancelled: it may still land,
-                            # after the retry, as a second write.
-                            if not self._note_failover(op):
-                                return
-                            avoid = pid
-                            continue
-                        result = attempt.value
-                    else:
-                        result = yield attempt
+                    result = yield attempt
                 except Interrupt:
                     # Coordinator crashed mid-operation.
                     if not self._note_failover(op):

@@ -68,7 +68,7 @@ class ShardedCampaignConfig:
             sharded.ShardedCluster` routes them.
         ops_per_client: workload inside each group, which runs two
             campaign clients with the campaign's operation mix.
-        duration / drain / op_timeout: schedule horizon and settle time.
+        duration / drain: schedule horizon and settle time.
         crash_weight / partition_weight / drop_weight: fleet fault mix,
             forwarded to the schedule generator.
     """
@@ -85,7 +85,6 @@ class ShardedCampaignConfig:
     ops_per_client: int = 20
     duration: float = 300.0
     drain: float = 150.0
-    op_timeout: float = 120.0
     crash_weight: float = 3.0
     partition_weight: float = 1.0
     drop_weight: float = 1.0
@@ -213,7 +212,6 @@ def run_sharded_campaign(
             ops_per_client=config.ops_per_client,
             duration=config.duration,
             drain=config.drain,
-            op_timeout=config.op_timeout,
         )
         projected = project_schedule(fleet_schedule, placement, gid)
         result.group_results.append(run_campaign(group_config, projected))

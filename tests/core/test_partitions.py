@@ -2,7 +2,8 @@
 
 A partition cannot make the register return stale or conflicting data:
 operations complete only where an m-quorum is reachable; the minority
-side waits (or aborts under op_timeout).  After healing, everything
+side retransmits until its phases expire after ``op_timeout`` and then
+aborts.  After healing, everything
 reconciles through timestamps.
 """
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core import coordinator
 from repro.core.coordinator import CoordinatorConfig, QuorumRpc, _PendingCall
 from repro.core.messages import ReadReply, ReadReq
+from repro.errors import ConfigurationError
 from repro.sim.kernel import Environment
 from repro.transport.base import Node
 from repro.transport.chaos import ChaosPolicy, LinkChaos
@@ -167,6 +168,21 @@ class TestExpiry:
         result = run_call(env, node, rpc)
         assert result is None
 
+    @pytest.mark.parametrize("bad", [None, 0, -1])
+    def test_op_timeout_must_be_positive(self, bad):
+        # No phase may wait forever: there is no "no bound" value.
+        with pytest.raises(ConfigurationError):
+            CoordinatorConfig(op_timeout=bad)
+
+    def test_default_expires_after_fifteen_rounds(self):
+        env, node, rpc, nodes = build_rpc(n=4, quorum=3)
+        nodes[3].crash()
+        nodes[4].crash()
+        start = env.now
+        assert run_call(env, node, rpc) is None
+        assert env.now - start == 15 * coordinator._RETRANSMIT_INTERVAL
+        assert node.metrics.total_retransmissions == 14
+
     def test_op_timeout_ignored_when_quorum_met(self):
         env, node, rpc, _nodes = build_rpc(
             n=4, quorum=3, config=CoordinatorConfig(op_timeout=50.0),
@@ -179,14 +195,11 @@ class TestTimerRelease:
     """A finished phase must not stay reachable through its timers."""
 
     def test_finished_phase_is_freed_before_its_timers_fire(self, monkeypatch):
-        # Retransmit, op_timeout and (via prefer) grace timers all
-        # outlive the phase by far; none may pin the _PendingCall.
+        # Retransmit and (via prefer) grace timers both outlive the
+        # phase by far; neither may pin the _PendingCall.
         monkeypatch.setattr(coordinator, "_RETRANSMIT_INTERVAL", 200.0)
         monkeypatch.setattr(coordinator, "_GRACE", 100.0)
-        env, node, rpc, _nodes = build_rpc(
-            n=4, quorum=3, delays={4: 50.0},
-            config=CoordinatorConfig(op_timeout=300.0),
-        )
+        env, node, rpc, _nodes = build_rpc(n=4, quorum=3, delays={4: 50.0})
         process = node.spawn(
             rpc.call(
                 lambda dst, rid: ReadReq(0, rid, frozenset()),

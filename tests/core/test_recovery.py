@@ -49,9 +49,10 @@ class TestReplicaRecovery:
 
 
 class TestQuorumLoss:
-    def test_operation_blocks_without_quorum(self):
-        """With more than f failures, operations cannot complete —
-        they wait (the paper's model) rather than return wrong data."""
+    def test_operation_aborts_without_quorum(self):
+        """With more than f failures, operations cannot complete — each
+        phase expires after the default ``op_timeout`` (120 units) and
+        the operation ends ⊥ rather than return wrong data or wait."""
         cluster = make_cluster(m=3, n=5)
         register = cluster.register(0)
         stripe = stripe_of(3, 32, tag=1)
@@ -60,7 +61,8 @@ class TestQuorumLoss:
         cluster.crash(5)  # 3 live < quorum size 4
         process = register.read_stripe_async()
         cluster.env.run(until=cluster.env.now + 500)
-        assert not process.triggered  # still waiting, no wrong answer
+        assert process.triggered  # ended: fast read, then recovery expired
+        assert process.value is ABORT  # no value, never a stale one
 
     def test_operation_completes_when_quorum_returns(self):
         cluster = make_cluster(m=3, n=5)

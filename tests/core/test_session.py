@@ -165,7 +165,6 @@ def test_reused_buffer_does_not_rewrite_submitted_writes():
 @pytest.mark.parametrize("field, bad", [
     ("attempts", 0),
     ("backoff", -1),
-    ("attempt_timeout", 0),
     ("max_failovers", -1),
 ])
 def test_retry_policy_rejects_bad_values(field, bad):
@@ -238,6 +237,23 @@ def test_exhausted_retries_surface_abort(monkeypatch):
     assert session.stats.aborts_exhausted == 1
 
 
+def test_read_past_f_ends_aborted():
+    # Two of five bricks down is one past f: no quorum can answer.
+    # Every attempt's phases expire on their own, so the default
+    # session spends its attempts and ends the read ⊥ instead of
+    # running until something kills it.
+    volume = open_volume(m=3, n=5)
+    volume.cluster.crash(4)
+    volume.cluster.crash(5)
+    session = volume.session()
+    op = session.submit_read(0)
+    session.drain()
+    assert op.status == "aborted"
+    assert op.result is ABORT
+    assert op.attempts == 10
+    assert volume.cluster.env.now < 3000
+
+
 # -- failover -----------------------------------------------------------------
 
 
@@ -280,20 +296,6 @@ def test_failover_disabled_surfaces_crash():
     crashed = next(op for op in session.ops if op.status == "crashed")
     with pytest.raises(StorageError, match="failed over 1 times"):
         crashed.result
-
-
-def test_attempt_timeout_triggers_failover():
-    # A crashed pinned coordinator never answers; the attempt timer
-    # abandons it and the op completes elsewhere.
-    volume = open_volume(m=3, n=5, blocks=12, block_size=32, seed=18)
-    crash_then_recover(volume.cluster, 2, at=1.0)
-    retry = RetryPolicy(attempts=5, backoff=2.0, attempt_timeout=50.0)
-    with volume.session(retry=retry, route=2) as session:
-        session.submit_write(0, b"\x05" * 32)
-    (op,) = session.ops
-    assert op.ok
-    assert op.failovers > 0
-    assert op.coordinator != 2
 
 
 # -- determinism --------------------------------------------------------------

@@ -5,7 +5,7 @@ benchmarks must cover, so a new knob on any of these surfaces shows up
 here as a reviewed edit.  A setting that no shipped caller sets to
 anything but its default belongs in a module constant instead.
 
-The first nine surfaces hold 62 values (``RouteOptions``, the tenth,
+The first nine surfaces hold 59 values (``RouteOptions``, the tenth,
 is gone); the maintenance and experiment surfaces below them hold 30.
 """
 
@@ -43,7 +43,7 @@ def _parameters(function) -> set:
 SURFACES = {
     "RetryPolicy": (
         lambda: _fields(RetryPolicy),
-        {"attempts", "backoff", "attempt_timeout", "max_failovers"},
+        {"attempts", "backoff", "max_failovers"},
     ),
     "AsyncioTransport": (
         lambda: _parameters(AsyncioTransport.__init__),
@@ -69,7 +69,7 @@ SURFACES = {
         {
             "m", "n", "f", "allow_unsafe_f", "block_size", "code_kind",
             "seed", "registers", "clients", "ops_per_client", "duration",
-            "drain", "op_timeout", "crash_weight", "partition_weight",
+            "drain", "crash_weight", "partition_weight",
             "drop_weight", "max_down", "max_clock_skew", "corrupt_weight",
             "verify_checksums", "scrub_enabled",
         },
@@ -79,8 +79,7 @@ SURFACES = {
         {
             "bricks", "groups", "spares", "domains", "m", "block_size",
             "code_kind", "seed", "registers", "ops_per_client", "duration",
-            "drain", "op_timeout", "crash_weight", "partition_weight",
-            "drop_weight",
+            "drain", "crash_weight", "partition_weight", "drop_weight",
         },
     ),
     "LinkChaos": (

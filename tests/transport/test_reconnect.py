@@ -24,14 +24,13 @@ from repro.transport import aio
 from repro.transport.aio import AsyncioTransport
 from repro.verify.linearizability import check_strict_linearizability
 
-#: Outage-tolerant session policy: attempt timeouts abandon a
-#: coordinator whose replies are blackholed (the brick whose listener
-#: died can still *send* but never hears back), and the failover
-#: budget rotates to a reachable one.
+#: Outage-tolerant session policy: a coordinator whose replies are
+#: blackholed (the brick whose listener died can still *send* but never
+#: hears back) sees its phases expire and returns ⊥, and the retries
+#: and failover budget move the op to a reachable one.
 OUTAGE_RETRY = RetryPolicy(
     attempts=12,
     backoff=4.0,
-    attempt_timeout=400.0,
     max_failovers=64,
 )
 
