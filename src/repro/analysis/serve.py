@@ -171,10 +171,8 @@ async def _serve(
     failed_sessions = 0
     failed_ops = 0
     total_ops = 0
-    transport_retries = 0
     for session, reads in zip(sessions, expected):
         session_ok = True
-        transport_retries += session.stats.transport_retries
         for op in session.ops:
             total_ops += 1
             if not op.ok:
@@ -191,7 +189,6 @@ async def _serve(
         "enabled": chaos_policy is not None,
         "linearizable": linearizable,
         "blocks_checked": blocks_checked,
-        "transport_retries": transport_retries,
         "reconnects": transport.reconnects,
         "outbox_drops": sum(transport.outbox_drops.values()),
     }

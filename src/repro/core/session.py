@@ -15,7 +15,9 @@ that client — a pipelined I/O engine over one
 * wraps every operation in a :class:`RetryPolicy`: aborts (the
   paper's ⊥) are retried with exponential backoff and deterministic
   jitter, and a crashed coordinator triggers failover to the next live
-  brick;
+  brick.  ``RetryPolicy.attempts`` is the one budget that ends an op:
+  an attempt with no brick up, or with every live brick
+  transport-unreachable, ends ⊥ like any other;
 * reports per-session concurrency/retry/abort/failover counters into
   :class:`~repro.sim.monitor.SessionStats`.
 
@@ -51,12 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    ConfigurationError,
-    CorruptionDetected,
-    StorageError,
-    TerminalTransportError,
-)
+from ..errors import ConfigurationError, CorruptionDetected, StorageError
 from ..sim.kernel import Interrupt, Process
 from ..sim.monitor import SessionStats
 from ..types import ABORT, Block, OpKind, OpStatus, ProcessId
@@ -71,13 +68,6 @@ _BACKOFF_GROWTH = 1.5
 #: ``[backoff, backoff * (1 + _JITTER)]``, so colliding pipelines
 #: de-synchronize.
 _JITTER = 0.5
-#: How many times one operation may be re-routed because the chosen
-#: coordinator's transport peer state is ``"down"`` (connection lost,
-#: reconnect probing in progress) before it gives up with ⊥.  Separate
-#: from ``RetryPolicy.attempts``, because a flapping link can burn
-#: routing attempts far faster than protocol aborts and should not
-#: starve the abort-retry budget.
-_TRANSPORT_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -98,8 +88,10 @@ class RetryPolicy:
     An attempt is never abandoned: every quorum phase ends by itself
     within ``CoordinatorConfig.op_timeout``, as ⊥ when no quorum
     answers.  So a retry starts only once its previous attempt has
-    returned, and a lost quorum ends the op ``"aborted"`` after
-    ``attempts`` tries.
+    returned, and an op that cannot reach a quorum ends ``"aborted"``
+    after ``attempts`` tries, whatever the cause: a lost quorum, every
+    live brick transport-down, or no brick up at all (that attempt is
+    ⊥ without being sent).
     """
 
     attempts: int = 3
@@ -132,7 +124,9 @@ class SessionOp:
         units: matching 1-based in-stripe unit indices.
         payload: data being written (block, tuple of blocks, or None).
         status: ``"pending"`` then one of ``"ok" | "aborted" |
-            "timeout" | "crashed" | "failed"``.
+            "crashed" | "failed"``: ``"aborted"`` once
+            ``RetryPolicy.attempts`` tries ended ⊥, ``"crashed"`` past
+            ``max_failovers``, ``"failed"`` on an internal error.
         value: client-visible result (bytes/list for reads, ``"OK"``
             for writes, :data:`~repro.types.ABORT` on exhausted
             retries).
@@ -401,7 +395,6 @@ class VolumeSession:
         status_map = {
             "ok": OpStatus.OK,
             "aborted": OpStatus.ABORTED,
-            "timeout": OpStatus.ABORTED,
             "crashed": OpStatus.CRASHED,
             "failed": OpStatus.CRASHED,
             "pending": OpStatus.PENDING,
@@ -525,10 +518,10 @@ class VolumeSession:
         unreachable this always finds a quorum-capable route, so a
         killed TCP listener degrades throughput rather than stalling
         the session.  When *every* live brick is transport-down, one is
-        returned anyway — the caller charges it against the
-        ``_TRANSPORT_ATTEMPTS`` budget and backs off, which is what
-        bounds the wait for the reconnect prober.  Returns ``None``
-        only when no brick is up at all.
+        returned anyway: the attempt runs, its phases expire into ⊥, and
+        it is charged to ``RetryPolicy.attempts`` like any other, so the
+        backoff between attempts is the reconnect prober's time to
+        work.  Returns ``None`` only when no brick is up at all.
         """
         live = self.cluster.live_processes()
         if not live:
@@ -547,7 +540,7 @@ class VolumeSession:
             if candidates:
                 break
         else:
-            candidates = live  # all transport-down: caller's budget decides
+            candidates = live  # all transport-down: the attempt ends ⊥
         pid = candidates[self._rr % len(candidates)]
         self._rr += 1
         return pid
@@ -569,60 +562,41 @@ class VolumeSession:
         raise ConfigurationError(f"unknown session op kind {op.kind!r}")
 
     def _run_op(self, op: SessionOp):
-        """Drive one operation to completion: retry, back off, fail over."""
+        """Drive one operation to completion: retry, back off, fail over.
+
+        Every pass is one attempt, sent or not (no brick up), and the op
+        ends ``"aborted"`` once an attempt ends ⊥ with
+        ``RetryPolicy.attempts`` spent; ``max_failovers`` bounds the
+        coordinator crashes it rides out.
+        """
         policy = self.retry
         delay = policy.backoff
         avoid: Optional[ProcessId] = None
-        transport_used = 0
         try:
             while True:
                 pid = self._pick_coordinator(op, avoid=avoid)
                 avoid = None
-                if pid is None:
-                    # Every brick is down: wait for the failure injector
-                    # (or the caller) to recover one.
-                    yield self.transport.timer(max(policy.backoff, 1.0))
-                    continue
-                if self.transport.peer_state(pid) == "down":
-                    # The best available coordinator is transport-
-                    # unreachable (every live brick is).  Charge the
-                    # transport budget — separate from the abort budget,
-                    # so a flapping link cannot starve protocol retries
-                    # — back off, and let the reconnect prober work.
-                    transport_used += 1
-                    self.stats.transport_retries += 1
-                    if transport_used >= _TRANSPORT_ATTEMPTS:
-                        op.status = "timeout"
-                        op.value = ABORT
-                        op.error = StorageError(
-                            f"{op.kind}@r{op.register_id}: no transport-"
-                            f"reachable coordinator after {transport_used} "
-                            "routing attempts"
-                        )
-                        self.stats.timeouts += 1
-                        self._finish(op)
-                        return
-                    avoid = pid
-                    yield self.transport.timer(max(policy.backoff, 1.0))
-                    continue
                 op.attempts += 1
-                op.coordinator = pid
-                attempt = self._spawn_attempt(op, pid)
-                try:
-                    result = yield attempt
-                except Interrupt:
-                    # Coordinator crashed mid-operation.
-                    if not self._note_failover(op):
-                        return
-                    avoid = pid
-                    continue
-                except CorruptionDetected:
-                    # The coordinator tripped over a quarantined local
-                    # register.  Retryable in exactly the abort sense:
-                    # a different coordinator — or a scrub repair in
-                    # the meantime — can complete the operation.
-                    result = ABORT
-                    avoid = pid
+                if pid is None:
+                    result = ABORT  # no brick is up: ⊥ without a spawn
+                else:
+                    op.coordinator = pid
+                    try:
+                        result = yield self._spawn_attempt(op, pid)
+                    except Interrupt:
+                        # Coordinator crashed mid-operation.
+                        if not self._note_failover(op):
+                            return
+                        avoid = pid
+                        continue
+                    except CorruptionDetected:
+                        # The coordinator tripped over a quarantined
+                        # local register.  Retryable in exactly the
+                        # abort sense: a different coordinator — or a
+                        # scrub repair in the meantime — can complete
+                        # the operation.
+                        result = ABORT
+                        avoid = pid
                 if result is not ABORT:
                     self._finalize_ok(op, result)
                     return
@@ -640,15 +614,9 @@ class VolumeSession:
                 wait = delay * (1.0 + _JITTER * self._rng.random())
                 delay *= _BACKOFF_GROWTH
                 yield self.transport.timer(wait)
-        except TerminalTransportError as error:
-            # The substrate itself is gone (pump died / transport
-            # stopped): no retry can succeed, so finalize immediately
-            # instead of burning the backoff schedule.
-            op.status = "failed"
-            op.error = error
-            self.stats.ops_failed += 1
-            self._finish(op, completed=False)
-        except Exception as error:  # defensive: never kill the pump
+        except Exception as error:
+            # Never kill the pump.  A TerminalTransportError (pump died,
+            # transport stopped) lands here too: no retry can succeed.
             op.status = "failed"
             op.error = error
             self.stats.ops_failed += 1

@@ -284,10 +284,12 @@ class LRCSystem(SystemModel):
     multi-failure patterns (:class:`repro.erasure.lrc.LRCCode` is the
     executable counterpart).  The model captures the LRC trade:
 
-    * tolerance: any ``global_parities + 1`` concurrent failures (the
-      standard LRC guarantee — one loss repairs locally, the rest lean
-      on the globals), versus ``n - m`` for Reed-Solomon at the same
-      overhead;
+    * at-rest tolerance: any ``global_parities + 1`` concurrent
+      failures (the standard LRC guarantee — one loss repairs locally,
+      the rest lean on the globals), versus ``n - m`` for Reed-Solomon
+      at the same overhead.  This is the erasures a stripe survives,
+      which is what MTTDL needs; it is not the protocol's f, which is
+      ``quorum.theorems.max_fault_tolerance(code)`` (1 for LRC(4,8));
     * repair: a single failed brick is rebuilt from its local group —
       ``ceil(m / L)`` reads instead of ``m`` — so the repair rate
       scales up by :attr:`repair_speedup` and the window in which a

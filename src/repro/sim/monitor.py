@@ -78,15 +78,13 @@ class SessionStats:
             (including those that exhausted retries and returned ⊥).
         ops_failed: operations that finished with a hard error (e.g.
             coordinator crash with failover disabled).
-        retries: abort-driven re-executions across all operations.
+        retries: re-executions after a ⊥ attempt, across all
+            operations (an attempt with no brick up, or with every live
+            brick transport-down, ends ⊥ too).
         aborts_exhausted: operations that surfaced ⊥ after the retry
-            policy gave up.
-        failovers: coordinator rotations (crash- or timeout-driven).
-        transport_retries: re-routes forced by transport-level
-            unreachability (a chosen coordinator the transport reported
-            ``"down"``), as opposed to protocol aborts.
-        timeouts: operations that gave up because no coordinator was
-            transport-reachable within the re-route budget.
+            policy's ``attempts`` ran out.
+        failovers: coordinator rotations after a coordinator crashed
+            mid-operation.
         coalesced_writes: block writes merged into wider stripe
             operations (each merge of k blocks counts k - 1).
         peak_inflight: maximum simultaneously-running operations.
@@ -100,8 +98,6 @@ class SessionStats:
     retries: int = 0
     aborts_exhausted: int = 0
     failovers: int = 0
-    transport_retries: int = 0
-    timeouts: int = 0
     coalesced_writes: int = 0
     peak_inflight: int = 0
     started_at: float = 0.0

@@ -237,14 +237,18 @@ def test_exhausted_retries_surface_abort(monkeypatch):
     assert session.stats.aborts_exhausted == 1
 
 
-def test_read_past_f_ends_aborted():
+@pytest.mark.parametrize(
+    "crashed", [(4, 5), (1, 2, 3, 4, 5)], ids=["one-past-f", "all-five"]
+)
+def test_read_past_f_ends_aborted(crashed):
     # Two of five bricks down is one past f: no quorum can answer.
     # Every attempt's phases expire on their own, so the default
     # session spends its attempts and ends the read ⊥ instead of
-    # running until something kills it.
+    # running until something kills it.  With every brick down no
+    # attempt is even sent; each still counts, so the read ends too.
     volume = open_volume(m=3, n=5)
-    volume.cluster.crash(4)
-    volume.cluster.crash(5)
+    for pid in crashed:
+        volume.cluster.crash(pid)
     session = volume.session()
     op = session.submit_read(0)
     session.drain()

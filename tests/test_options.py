@@ -5,8 +5,9 @@ benchmarks must cover, so a new knob on any of these surfaces shows up
 here as a reviewed edit.  A setting that no shipped caller sets to
 anything but its default belongs in a module constant instead.
 
-The first nine surfaces hold 59 values (``RouteOptions``, the tenth,
-is gone); the maintenance and experiment surfaces below them hold 30.
+The first twelve surfaces hold 80 values (``RouteOptions``, once
+among them, is gone); the maintenance and experiment surfaces below
+them hold 30.  A session's ``volume`` is its subject, not an option.
 """
 
 import dataclasses
@@ -23,10 +24,12 @@ from repro.analysis.scrub import (
 )
 from repro.campaign import CampaignConfig, generate_schedule
 from repro.core.rebuild import Rebuilder
+from repro.core.cluster import ClusterConfig
 from repro.core.coordinator import CoordinatorConfig
-from repro.core.session import RetryPolicy
+from repro.core.session import RetryPolicy, VolumeSession
 from repro.placement import ShardedCampaignConfig, ShardedCluster
 from repro.scrub import ScrubConfig
+from repro.sim.network import NetworkConfig
 from repro.transport import make_transport
 from repro.transport.aio import AsyncioTransport
 from repro.transport.chaos import ChaosPolicy, LinkChaos
@@ -89,6 +92,22 @@ SURFACES = {
     "ChaosPolicy": (
         lambda: _fields(ChaosPolicy),
         {"seed", "default"},
+    ),
+    "ClusterConfig": (
+        lambda: _fields(ClusterConfig),
+        {
+            "m", "n", "f", "allow_unsafe_f", "block_size", "code_kind",
+            "seed", "coordinator", "network", "transport", "clock_skews",
+            "metrics_history_limit", "verify_checksums",
+        },
+    ),
+    "NetworkConfig": (
+        lambda: _fields(NetworkConfig),
+        {"min_latency", "max_latency", "drop_probability", "jitter_seed"},
+    ),
+    "VolumeSession": (
+        lambda: _parameters(VolumeSession.__init__) - {"volume"},
+        {"max_inflight", "retry", "route", "seed"},
     ),
     "generate_schedule": (
         lambda: _parameters(generate_schedule),

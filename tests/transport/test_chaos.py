@@ -9,7 +9,6 @@ import pytest
 import repro.transport
 
 from repro.analysis.serve import CHAOS_SESSION_RETRY, SERVE_OP_TIMEOUT
-from repro.core import session as session_module
 from repro.core.session import RetryPolicy
 from repro.core.cluster import ClusterConfig, FabCluster
 from repro.core.coordinator import CoordinatorConfig
@@ -379,13 +378,12 @@ def test_duplicate_and_reorder_are_absorbed():
     assert transport.stats.duplicated > 0
 
 
-def test_session_transport_budget_aborts_cleanly(monkeypatch):
-    """When every brick is transport-down, operations burn the separate
-    transport re-route budget and finish with a clean timeout abort
-    instead of hanging."""
+def test_session_transport_budget_aborts_cleanly():
+    """When every brick is transport-down, each attempt runs, its phases
+    expire into ⊥, and the op ends a clean abort after exactly
+    ``retry.attempts`` tries instead of hanging."""
     from repro.types import ABORT
 
-    monkeypatch.setattr(session_module, "_TRANSPORT_ATTEMPTS", 3)
     cluster, volume, transport = _chaos_cluster(ChaosPolicy())
     for pid in list(cluster.nodes):
         transport.set_down(pid, True)
@@ -394,7 +392,7 @@ def test_session_transport_budget_aborts_cleanly(monkeypatch):
     session = volume.session(max_inflight=1, retry=retry)
     op = session.submit_write(0, b"x" * volume.block_size)
     session.drain()
-    assert op.status == "timeout"
+    assert op.status == "aborted"
     assert op.value is ABORT
-    assert session.stats.transport_retries == 3
-    assert session.stats.timeouts == 1
+    assert op.attempts == retry.attempts
+    assert session.stats.aborts_exhausted == 1
