@@ -21,7 +21,7 @@ GROUPS = (2, 4, 8)
 
 
 def run_sweep():
-    return run_placement_bench(groups_list=GROUPS)
+    return run_placement_bench()
 
 
 def test_bench_placement(benchmark):

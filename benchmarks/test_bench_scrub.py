@@ -32,9 +32,6 @@ from .conftest import OUT_DIR, write_artifact
 #: Two corruption rates (per client op), as the acceptance bar requires.
 RATES = (0.05, 0.15)
 OPS = 300
-#: Fleet size for the sampling sweep — the acceptance bar is >= 1k.
-SAMPLE_REGISTERS = 1000
-SAMPLE_TRIALS = 32
 #: The sampled scheduler must reach this per-cycle detection
 #: confidence at no more than MAX_COST_FRACTION of the full sweep.
 TARGET_CONFIDENCE = 0.95
@@ -43,15 +40,9 @@ MAX_COST_FRACTION = 0.25
 
 def run_experiment():
     experiment = scrub_analysis.run_scrub_experiment(
-        ops=OPS, corrupt_rates=RATES, seed=0
+        ops=OPS, corrupt_rates=RATES
     )
-    sampling = scrub_analysis.run_sampling_sweep(
-        registers=SAMPLE_REGISTERS,
-        trials=SAMPLE_TRIALS,
-        seed=0,
-        target_confidence=TARGET_CONFIDENCE,
-    )
-    return experiment, sampling
+    return experiment, scrub_analysis.run_sampling_sweep()
 
 
 def test_bench_scrub(benchmark):

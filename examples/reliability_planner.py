@@ -5,7 +5,10 @@ Answers the question the paper's Section 1.2 answers: *how should I buy
 reliability?*  Prints MTTDL-versus-capacity curves for the five system
 designs of Figure 2, then the overhead-versus-requirement table of
 Figure 3, and finally a small planner: the cheapest configuration for a
-capacity and MTTDL you choose.
+capacity and MTTDL you choose.  It asserts the shape of each: MTTDL
+never rises with capacity, erasure coding needs less overhead than
+replication on the same bricks once replication needs a second copy,
+and every planned configuration meets its target.
 
 Run:  python examples/reliability_planner.py [capacity_tb] [target_years]
 """
@@ -39,10 +42,9 @@ def figure2() -> None:
     header = "capacity TB".ljust(32) + "".join(f"{c:>10}" for c in capacities)
     print(header)
     for name, system in systems:
-        cells = "".join(
-            f"{system.mttdl_years(c):>10.2e}" for c in capacities
-        )
-        print(name.ljust(32) + cells)
+        years = [system.mttdl_years(c) for c in capacities]
+        print(name.ljust(32) + "".join(f"{y:>10.2e}" for y in years))
+        assert all(a >= b for a, b in zip(years, years[1:])), name
     print()
 
 
@@ -57,12 +59,18 @@ def figure3(capacity_tb: float = 256.0) -> None:
         ("E.C.(5,n) / R5", lambda t: cheapest_erasure_code(t, capacity_tb, R5)),
     ]
     print("required years".ljust(20) + "".join(f"{t:>12.0e}" for t in targets))
+    overheads = {}
     for name, solver in series:
-        cells = []
-        for target in targets:
-            point = solver(target)
-            cells.append(f"{point.overhead:>12.2f}" if point else f"{'—':>12}")
-        print(name.ljust(20) + "".join(cells))
+        points = [solver(target) for target in targets]
+        overheads[name] = [p.overhead if p else None for p in points]
+        print(name.ljust(20) + "".join(
+            f"{p.overhead:>12.2f}" if p else f"{'—':>12}" for p in points
+        ))
+    for brick in ("R0", "R5"):
+        pairs = zip(overheads[f"E.C.(5,n) / {brick}"],
+                    overheads[f"replication / {brick}"])
+        # Once replication needs a second copy, coding is cheaper.
+        assert all(e < r for e, r in pairs if e and r and r >= 2), brick
     print()
 
 
@@ -81,6 +89,7 @@ def planner(capacity_tb: float, target_years: float) -> None:
         return
     candidates.sort()
     for overhead, config, point in candidates:
+        assert point.achieved_mttdl_years >= target_years, config
         raw_tb = capacity_tb * overhead
         print(
             f"  {config:16s} overhead={overhead:.2f} "

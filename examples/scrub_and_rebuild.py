@@ -11,6 +11,8 @@ for a distributed rebuild).  This example walks the operational loop:
 4. rebuild — recovery-with-full-coverage per stripe;
 5. verify the margin is back by failing a *different* brick.
 
+Each step asserts what it prints.
+
 Run:  python examples/scrub_and_rebuild.py
 """
 
@@ -45,8 +47,9 @@ def main() -> None:
     print("\n[1] filling the volume...")
     fill(session, "gen1")
     reports = scrubber.scrub(range(STRIPES))
-    print(f"    scrub: {sum(r.fully_redundant for r in reports)}/{STRIPES} "
-          f"stripes fully redundant")
+    redundant = sum(r.fully_redundant for r in reports)
+    print(f"    scrub: {redundant}/{STRIPES} stripes fully redundant")
+    assert redundant == STRIPES
 
     print("\n[2] brick 4 dies; writes continue...")
     cluster.crash(4)
@@ -59,6 +62,7 @@ def main() -> None:
     margins = [scrubber.scrub_register(r).redundancy for r in range(STRIPES)]
     print(f"    redundancy margin per stripe: min={min(margins)} "
           f"(healthy = {cluster.config.n})")
+    assert len(stale) == STRIPES and min(margins) == cluster.config.n - 1
 
     print("\n[4] rebuilding...")
     report = Rebuilder(cluster).rebuild(range(STRIPES))
@@ -67,6 +71,7 @@ def main() -> None:
     assert report.success
     stale = scrubber.stale_registers(range(STRIPES))
     print(f"    stale stripes after rebuild: {len(stale)}")
+    assert not stale
 
     print("\n[5] proving the margin: failing brick 5 instead...")
     cluster.crash(5)
@@ -77,6 +82,7 @@ def main() -> None:
     }
     ok = values == dict(enumerate(payloads(volume, "gen2")))
     print(f"    all {volume.num_blocks} blocks readable with brick 5 down: {ok}")
+    assert ok
     print("\ndone: the rebuilt brick 4 carries the load brick 5 left behind.")
 
 

@@ -7,7 +7,8 @@ example opens a 5-of-8 volume (the paper's favourite code) through the
 :mod:`repro.api` facade, replays a read-mostly synthetic trace against
 it while bricks crash and recover underneath, and reports throughput,
 abort rate, and data integrity — the final readback runs pipelined
-through a :class:`~repro.core.session.VolumeSession`.
+through a :class:`~repro.core.session.VolumeSession`.  It asserts that
+every trace operation ran and that the readback has no mismatch.
 
 Run:  python examples/virtual_disk.py
 """
@@ -61,6 +62,7 @@ def main() -> None:
     print(f"  throughput : {stats.throughput:.3f} ops per time unit")
     print(f"  crashes injected   : {churn['crash']}")
     print(f"  recoveries injected: {churn['recover']}")
+    assert stats.operations == len(trace) and churn["crash"] > 0
 
     # Verify integrity with a pipelined bulk readback: the last write
     # to each block must be visible.  The session keeps many reads in
@@ -83,6 +85,7 @@ def main() -> None:
           f"(pipelined, peak inflight {session.stats.peak_inflight}, "
           f"{session.stats.retries} retries, "
           f"{session.stats.failovers} failovers)")
+    assert mismatches == 0 and all(op.ok for op in session.ops)
 
     paths = {"fast": 0, "retarget": 0, "slow": 0}
     for label, row in cluster.metrics.summary().items():

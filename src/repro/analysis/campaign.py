@@ -86,15 +86,14 @@ class SuiteResult:
 def run_suite(
     config: CampaignConfig,
     seeds: Sequence[int],
-    shrink: bool = True,
-    shrink_max_runs: int = 200,
 ) -> SuiteResult:
     """Run the campaign for every seed; shrink violating schedules.
 
     Args:
         config: base configuration; each run uses it with its own seed.
         seeds: campaign seeds to sweep.
-        shrink: minimize violating schedules to reproducers (ddmin).
+
+    A violating schedule is minimized (ddmin) to a reproducer.
     """
     from dataclasses import replace
 
@@ -103,10 +102,8 @@ def run_suite(
         seeded = replace(config, seed=seed)
         result = run_campaign(seeded)
         outcome = SeedOutcome(result=result)
-        if not result.ok and shrink:
-            outcome.reproducer = shrink_schedule(
-                seeded, result.schedule, max_runs=shrink_max_runs
-            )
+        if not result.ok:
+            outcome.reproducer = shrink_schedule(seeded, result.schedule)
         suite.outcomes.append(outcome)
     return suite
 

@@ -14,7 +14,7 @@ The :class:`~repro.placement.sharded.BrickRebuildReport` counts every
 fragment and byte the rebuild read, so the artifact reports the exact
 read amplification of global repair over local repair per failed brick.
 
-With the default geometry (``m = 4`` of ``group_size = 8``, so the LRC
+With the sweep's geometry (``m = 4`` of ``group_size = 8``, so the LRC
 splits into two local groups of 2 data + 1 XOR parity), local repair
 reads 2 fragments per register versus Reed-Solomon's 4 — a 2.0x
 fragment *and* byte advantage, independent of how many placement groups
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
 from ..placement import ShardedCluster, ShardedConfig
@@ -40,6 +40,17 @@ __all__ = [
     "render_report",
     "to_json",
 ]
+
+#: Sweep shape: placement-group counts, bricks per group (``_M`` data
+#: slots each), hot spares, registers written before the failure,
+#: block size and placement seed.
+_GROUPS = (2, 4, 8)
+_GROUP_SIZE = 8
+_M = 4
+_SPARES = 1
+_REGISTERS = 24
+_BLOCK_SIZE = 64
+_SEED = 0
 
 
 @dataclass
@@ -76,14 +87,14 @@ class PlacementPoint:
     """One topology: both codes rebuilding the same failed brick."""
 
     groups: int
-    bricks: int
-    spares: int
-    group_size: int
-    m: int
     failed_brick: int
     victim_group: int
     lrc: RebuildCost
     rs: RebuildCost
+
+    @property
+    def bricks(self) -> int:
+        return self.groups * _GROUP_SIZE + _SPARES
 
     @property
     def fragment_ratio(self) -> float:
@@ -102,9 +113,9 @@ class PlacementPoint:
         return {
             "groups": self.groups,
             "bricks": self.bricks,
-            "spares": self.spares,
-            "group_size": self.group_size,
-            "m": self.m,
+            "spares": _SPARES,
+            "group_size": _GROUP_SIZE,
+            "m": _M,
             "failed_brick": self.failed_brick,
             "victim_group": self.victim_group,
             "lrc": self.lrc.to_dict(),
@@ -118,11 +129,6 @@ class PlacementPoint:
 class PlacementBenchResult:
     """The full groups sweep."""
 
-    m: int
-    group_size: int
-    registers: int
-    block_size: int
-    seed: int
     points: List[PlacementPoint] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -133,11 +139,11 @@ class PlacementBenchResult:
     def to_dict(self) -> Dict:
         return {
             "benchmark": "placement",
-            "m": self.m,
-            "group_size": self.group_size,
-            "registers": self.registers,
-            "block_size": self.block_size,
-            "seed": self.seed,
+            "m": _M,
+            "group_size": _GROUP_SIZE,
+            "registers": _REGISTERS,
+            "block_size": _BLOCK_SIZE,
+            "seed": _SEED,
             "groups_swept": [p.groups for p in self.points],
             "min_fragment_ratio": round(self.min_fragment_ratio, 3),
             "wall_seconds": round(self.wall_seconds, 3),
@@ -146,35 +152,29 @@ class PlacementBenchResult:
 
 
 def _rebuild_cost(
-    code_kind: str,
-    groups: int,
-    group_size: int,
-    m: int,
-    spares: int,
-    registers: int,
-    block_size: int,
-    seed: int,
-) -> RebuildCost:
+    code_kind: str, groups: int
+) -> Tuple[RebuildCost, int, int]:
     """Load a fleet, kill a data brick, promote a spare, rebuild it.
 
     The victim is the data slot (local pid 1) of whichever group carries
     the most registers — deterministic given the seed, and identical for
     both code kinds because routing depends only on the placement map.
+    Returns the cost, the victim brick and its group.
     """
     cluster = ShardedCluster(ShardedConfig(
-        bricks=groups * group_size + spares,
+        bricks=groups * _GROUP_SIZE + _SPARES,
         groups=groups,
-        spares=spares,
-        m=m,
-        block_size=block_size,
+        spares=_SPARES,
+        m=_M,
+        block_size=_BLOCK_SIZE,
         code_kind=code_kind,
-        seed=seed,
+        seed=_SEED,
     ))
-    for register_id in range(registers):
+    for register_id in range(_REGISTERS):
         register = cluster.register(register_id)
         stripe = [
-            bytes([(register_id * m + index) % 251 or 1]) * block_size
-            for index in range(m)
+            bytes([(register_id * _M + index) % 251 or 1]) * _BLOCK_SIZE
+            for index in range(_M)
         ]
         register.write_stripe(stripe)
     counts = {
@@ -182,10 +182,6 @@ def _rebuild_cost(
         for gid in range(groups)
     }
     victim_group = max(sorted(counts), key=lambda gid: counts[gid])
-    if counts[victim_group] == 0:
-        raise ConfigurationError(
-            "no group carries a register; raise the register count"
-        )
     victim = cluster.brick_at(victim_group, 1)
     cluster.crash_brick(victim)
     spare = cluster.promote_spare(victim)
@@ -205,35 +201,13 @@ def _rebuild_cost(
     return cost, victim, victim_group
 
 
-def run_placement_bench(
-    groups_list: Sequence[int] = (2, 4, 8),
-    group_size: int = 8,
-    m: int = 4,
-    spares: int = 1,
-    registers: int = 24,
-    block_size: int = 64,
-    seed: int = 0,
-) -> PlacementBenchResult:
+def run_placement_bench() -> PlacementBenchResult:
     """Sweep placement-group counts; rebuild one brick under each code."""
-    if not groups_list:
-        raise ConfigurationError("need at least one groups value")
     started = time.perf_counter()
-    result = PlacementBenchResult(
-        m=m,
-        group_size=group_size,
-        registers=registers,
-        block_size=block_size,
-        seed=seed,
-    )
-    for groups in groups_list:
-        lrc, victim, victim_group = _rebuild_cost(
-            "lrc", groups, group_size, m, spares,
-            registers, block_size, seed,
-        )
-        rs, rs_victim, _ = _rebuild_cost(
-            "reed-solomon", groups, group_size, m, spares,
-            registers, block_size, seed,
-        )
+    result = PlacementBenchResult()
+    for groups in _GROUPS:
+        lrc, victim, victim_group = _rebuild_cost("lrc", groups)
+        rs, rs_victim, _ = _rebuild_cost("reed-solomon", groups)
         # Identical topology + routing: both codes must have killed the
         # same brick and rebuilt the same register population.
         if rs_victim != victim or lrc.registers != rs.registers:
@@ -243,10 +217,6 @@ def run_placement_bench(
             )
         result.points.append(PlacementPoint(
             groups=groups,
-            bricks=groups * group_size + spares,
-            spares=spares,
-            group_size=group_size,
-            m=m,
             failed_brick=victim,
             victim_group=victim_group,
             lrc=lrc,
@@ -261,9 +231,8 @@ def render_report(result: PlacementBenchResult) -> str:
     lines = [
         "Placement groups — rebuild cost per failed brick, "
         "LRC-local vs RS-global",
-        f"geometry: m={result.m} of group_size={result.group_size}, "
-        f"{result.registers} registers, {result.block_size} B blocks, "
-        f"seed {result.seed}",
+        f"geometry: m={_M} of group_size={_GROUP_SIZE}, "
+        f"{_REGISTERS} registers, {_BLOCK_SIZE} B blocks, seed {_SEED}",
         "",
         f"{'groups':>7} {'bricks':>7} {'regs':>6} "
         f"{'lrc frags':>10} {'rs frags':>9} "

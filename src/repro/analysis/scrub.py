@@ -75,8 +75,14 @@ _RUN_THINK_TIME = 2.0
 _RUN_DRAIN = 400.0
 #: Interleaved scrub-off / scrub-on slices behind the overhead ratio.
 _OVERHEAD_REPEATS = 8
-#: Sampling-sweep shape: block size, injected corrupt fraction of the
-#: pair space, wake-up period, and the cycle cap per trial.
+#: Sampling-sweep shape: fleet size, scan budgets (fractions of the full
+#: sweep) to measure, seed, per-cycle detection-confidence target, block
+#: size, injected corrupt fraction of the pair space, wake-up period,
+#: and the cycle cap per trial.
+_SWEEP_REGISTERS = 1000
+_SWEEP_SAMPLE_RATES = (0.05, 0.10, 0.25, 1.0)
+_SWEEP_SEED = 0
+_SWEEP_TARGET_CONFIDENCE = 0.95
 _SWEEP_BLOCK_SIZE = 16
 _SWEEP_CORRUPT_FRACTION = 0.01
 _SWEEP_INTERVAL = 20.0
@@ -343,7 +349,6 @@ class ScrubExperiment:
 def run_scrub_experiment(
     ops: int = 300,
     corrupt_rates: Sequence[float] = (0.02, 0.08),
-    seed: int = 0,
 ) -> ScrubExperiment:
     """Baseline + scrub-on-clean + one corrupting run per rate.
 
@@ -364,7 +369,7 @@ def run_scrub_experiment(
         cpu = {}
         for enabled in (False, True):
             last[enabled] = run_scrub_run(
-                ops=ops, corrupt_rate=0.0, scrub_enabled=enabled, seed=seed,
+                ops=ops, corrupt_rate=0.0, scrub_enabled=enabled,
             )
             cpu[enabled] = last[enabled].cpu_seconds
         ratios.append(cpu[False] / cpu[True] if cpu[True] > 0 else 1.0)
@@ -379,7 +384,7 @@ def run_scrub_experiment(
     )
     for rate in corrupt_rates:
         experiment.runs.append(run_scrub_run(
-            ops=ops, corrupt_rate=rate, scrub_enabled=True, seed=seed,
+            ops=ops, corrupt_rate=rate, scrub_enabled=True,
         ))
     return experiment
 
@@ -471,38 +476,33 @@ class SamplingSweepResult:
         }
 
 
-def run_sampling_sweep(
-    registers: int = 1000,
-    sample_rates: Sequence[float] = (0.05, 0.10, 0.25, 1.0),
-    trials: int = 32,
-    seed: int = 0,
-    target_confidence: float = 0.95,
-) -> SamplingSweepResult:
+def run_sampling_sweep(trials: int = 32) -> SamplingSweepResult:
     """Detection confidence/latency vs scan budget, at fleet scale.
 
-    Builds a real cluster, populates ``registers`` stripes, injects
+    Builds a real cluster, populates ``_SWEEP_REGISTERS`` stripes, injects
     silent bit flips into ``_SWEEP_CORRUPT_FRACTION`` of the (register,
-    brick) pair space, then for each sample rate runs seeded trials of
-    the scrub sampler's draw-and-verify cycle (the daemon's scan order
-    and its copy audit, :meth:`~repro.core.replica.Replica.audit`,
-    against genuinely corrupted storage — not a set-membership
-    shortcut).  Per trial it records whether the
-    first cycle detected corruption (the per-cycle confidence the
-    :func:`~repro.scrub.sampler.required_samples` math predicts) and
-    how many cycles until the first hit (detection latency).
+    brick) pair space, then for each of ``_SWEEP_SAMPLE_RATES`` runs
+    ``trials`` seeded trials of the scrub sampler's draw-and-verify
+    cycle (the daemon's scan order and its copy audit,
+    :meth:`~repro.core.replica.Replica.audit`, against genuinely
+    corrupted storage — not a set-membership shortcut).  Per trial it
+    records whether the first cycle detected corruption (the per-cycle
+    confidence the :func:`~repro.scrub.sampler.required_samples` math
+    predicts) and how many cycles until the first hit (detection
+    latency).
 
-    Everything derives from ``seed``; repeated calls are bit-identical.
+    Everything derives from ``_SWEEP_SEED``; repeated calls are
+    bit-identical.
 
     Raises:
-        ConfigurationError: ``trials < 1`` (no trial, no detection rate)
-            or ``registers < 1`` (nothing to sample).
+        ConfigurationError: ``trials < 1`` (no trial, no detection rate).
     """
     m, n, block_size = _SWEEP_M, _N, _SWEEP_BLOCK_SIZE
     corrupt_fraction, interval = _SWEEP_CORRUPT_FRACTION, _SWEEP_INTERVAL
+    registers, seed = _SWEEP_REGISTERS, _SWEEP_SEED
+    target_confidence = _SWEEP_TARGET_CONFIDENCE
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if registers < 1:
-        raise ConfigurationError(f"registers must be >= 1, got {registers}")
     result = SamplingSweepResult(
         registers=registers,
         bricks=n,
@@ -539,7 +539,7 @@ def run_sampling_sweep(
     result.corrupt_pairs = len(corrupt)
 
     actual_fraction = len(corrupt) / len(pairs)
-    for rate_index, rate in enumerate(sample_rates):
+    for rate_index, rate in enumerate(_SWEEP_SAMPLE_RATES):
         budget = max(1, round(rate * len(pairs)))
         detected_first = 0
         cycle_counts: List[int] = []

@@ -68,9 +68,14 @@ CHAOS_SESSION_RETRY = RetryPolicy(
 #: (304 ms) and its attempt returns a retryable ⊥.
 SERVE_OP_TIMEOUT = 300.0
 
+#: Cluster shape, block size and per-session pipeline depth.
+_M, _N = 3, 5
+_BLOCK_SIZE = 64
+_MAX_INFLIGHT = 4
 
-def _client_payload(client: int, op_index: int, block_size: int) -> bytes:
-    return (f"c{client}.{op_index}.".encode() * block_size)[:block_size]
+
+def _client_payload(client: int, op_index: int) -> bytes:
+    return (f"c{client}.{op_index}.".encode() * _BLOCK_SIZE)[:_BLOCK_SIZE]
 
 
 def _verify_linearizable(sessions: Sequence) -> Tuple[bool, int]:
@@ -100,10 +105,6 @@ async def _serve(
     clients: int,
     ops_per_client: int,
     mode: str,
-    m: int,
-    n: int,
-    block_size: int,
-    max_inflight: int,
     base_port: int,
     chaos_policy: Optional[ChaosPolicy],
     plan: Optional[CampaignSchedule],
@@ -113,7 +114,7 @@ async def _serve(
         transport.set_chaos(chaos_policy)
     cluster = FabCluster(
         ClusterConfig(
-            m=m, n=n, block_size=block_size, transport="asyncio",
+            m=_M, n=_N, block_size=_BLOCK_SIZE, transport="asyncio",
             coordinator=CoordinatorConfig(op_timeout=SERVE_OP_TIMEOUT),
         ),
         transport=transport,
@@ -130,16 +131,16 @@ async def _serve(
         written = []
         for client in range(clients):
             session = volume.session(
-                max_inflight=max_inflight, seed=client, retry=retry
+                max_inflight=_MAX_INFLIGHT, seed=client, retry=retry
             )
             reads = []
             last_value = {}
             for op_index in range(ops_per_client):
                 # Walk the client's own stripe units; write first so
                 # every read-back has a known expected value.
-                block = client + ((op_index // 2) % m) * clients
+                block = client + ((op_index // 2) % _M) * clients
                 if op_index % 2 == 0 or block not in last_value:
-                    value = _client_payload(client, op_index, block_size)
+                    value = _client_payload(client, op_index)
                     session.submit_write(block, value)
                     last_value[block] = value
                 else:
@@ -203,10 +204,10 @@ async def _serve(
         "clients": clients,
         "ops_per_client": ops_per_client,
         "total_ops": total_ops,
-        "m": m,
-        "n": n,
-        "block_size": block_size,
-        "max_inflight": max_inflight,
+        "m": _M,
+        "n": _N,
+        "block_size": _BLOCK_SIZE,
+        "max_inflight": _MAX_INFLIGHT,
         "wall_seconds": round(wall, 3),
         "failed_sessions": failed_sessions,
         "failed_ops": failed_ops,
@@ -218,10 +219,6 @@ def run_serve(
     clients: int = 100,
     ops_per_client: int = 4,
     mode: str = "loopback",
-    m: int = 3,
-    n: int = 5,
-    block_size: int = 64,
-    max_inflight: int = 4,
     base_port: int = 7420,
     drop_rate: float = 0.0,
     duplicate_rate: float = 0.0,
@@ -267,10 +264,6 @@ def run_serve(
             clients=clients,
             ops_per_client=ops_per_client,
             mode=mode,
-            m=m,
-            n=n,
-            block_size=block_size,
-            max_inflight=max_inflight,
             base_port=base_port,
             chaos_policy=chaos_policy,
             plan=plan,

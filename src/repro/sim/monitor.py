@@ -37,6 +37,10 @@ class OpMetrics:
             ``2 * round_trips`` in δ units).
         started_at / finished_at: simulated wall-clock bounds.
         aborted: True if the operation returned ⊥.
+
+    The counters are exact only for an operation that ran alone: while
+    operations overlap, every count goes to the one that began last
+    (see :class:`Metrics`).
     """
 
     kind: str
@@ -116,6 +120,14 @@ class Metrics:
     :meth:`count_disk_read`, and :meth:`count_disk_write`; whatever
     operation context is current absorbs the counts in addition to the
     global totals.
+
+    The current context is the operation that began last, so per-op
+    counts are exact only when operations run one at a time.  While
+    operations overlap (a pipelined session, concurrent clients) the
+    totals stay exact but the split between operations does not: four
+    pipelined RS(3,5) stripe writes (80 messages) record 5/5/5/65
+    messages and 0/0/0/8 round trips.  :meth:`summary` rows are Table 1
+    figures only for sequential runs.
 
     Counters are always on and O(1) per event; the *history* of
     per-operation records is what can grow without bound over long

@@ -7,9 +7,13 @@ anything but its default belongs in a module constant instead.
 
 The first twelve surfaces hold 80 values (``RouteOptions``, once
 among them, is gone); the maintenance and experiment surfaces below
-them hold 30.  A session's ``volume`` is its subject, not an option.
+them hold 36.  A session's ``volume`` is its subject, not an option.
+The ``repro`` CLI's flags are pinned per subcommand (24 in all): a flag
+exists only where a shipped caller (CI, the docs, an example or a
+benchmark) passes it.
 """
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -17,11 +21,15 @@ import inspect
 import pytest
 
 import repro
+from repro.analysis.campaign import run_suite
+from repro.analysis.placement import run_placement_bench
 from repro.analysis.scrub import (
     run_sampling_sweep,
     run_scrub_experiment,
     run_scrub_run,
 )
+from repro.analysis.serve import run_serve
+from repro.cli import build_parser
 from repro.campaign import CampaignConfig, generate_schedule
 from repro.core.rebuild import Rebuilder
 from repro.core.cluster import ClusterConfig
@@ -139,12 +147,43 @@ SURFACES = {
     ),
     "run_scrub_experiment": (
         lambda: _parameters(run_scrub_experiment),
-        {"ops", "corrupt_rates", "seed"},
+        {"ops", "corrupt_rates"},
     ),
     "run_sampling_sweep": (
         lambda: _parameters(run_sampling_sweep),
-        {"registers", "sample_rates", "trials", "seed", "target_confidence"},
+        {"trials"},
     ),
+    "run_serve": (
+        lambda: _parameters(run_serve),
+        {
+            "clients", "ops_per_client", "mode", "base_port", "drop_rate",
+            "duplicate_rate", "corrupt_rate", "partition", "chaos_seed",
+        },
+    ),
+    "run_placement_bench": (
+        lambda: _parameters(run_placement_bench),
+        set(),
+    ),
+    "run_suite": (
+        lambda: _parameters(run_suite),
+        {"config", "seeds"},
+    ),
+}
+
+CLI_FLAGS = {
+    "figure2": set(),
+    "figure3": set(),
+    "table1": set(),
+    "scrub": {"--ops", "--corrupt-rate", "--trials", "--out", "--json"},
+    "placement": {"--min-ratio", "--json"},
+    "campaign": {
+        "--seeds", "--duration", "--ops", "--json", "--broken",
+        "--corrupt-weight", "--scrub",
+    },
+    "serve": {
+        "--clients", "--ops", "--json", "--drop-rate", "--duplicate-rate",
+        "--corrupt-rate", "--chaos-seed", "--mode", "--port", "--partition",
+    },
 }
 
 
@@ -152,6 +191,23 @@ SURFACES = {
 def test_settable_names_are_pinned(surface):
     actual, pinned = SURFACES[surface]
     assert actual() == pinned
+
+
+def test_cli_flags_are_pinned():
+    subcommands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    actual = {
+        name: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+        for name, parser in subcommands.items()
+    }
+    assert actual == CLI_FLAGS
+    assert sum(len(flags) for flags in CLI_FLAGS.values()) == 24
 
 
 def test_route_options_are_gone():
