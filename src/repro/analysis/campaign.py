@@ -16,7 +16,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..campaign.engine import CampaignConfig, CampaignResult, run_campaign
+from ..campaign.engine import (
+    CRASH_WEIGHT,
+    DROP_WEIGHT,
+    MAX_CLOCK_SKEW,
+    PARTITION_WEIGHT,
+    CampaignConfig,
+    CampaignResult,
+    run_campaign,
+)
 from ..campaign.shrinker import ShrinkResult, shrink_schedule
 
 __all__ = ["SeedOutcome", "SuiteResult", "run_suite", "render_report", "to_json"]
@@ -68,13 +76,13 @@ class SuiteResult:
                 "clients": cfg.clients,
                 "ops_per_client": cfg.ops_per_client,
                 "duration": cfg.duration,
-                "crash_weight": cfg.crash_weight,
-                "partition_weight": cfg.partition_weight,
-                "drop_weight": cfg.drop_weight,
+                "crash_weight": CRASH_WEIGHT,
+                "partition_weight": PARTITION_WEIGHT,
+                "drop_weight": DROP_WEIGHT,
                 "corrupt_weight": cfg.corrupt_weight,
                 "verify_checksums": cfg.verify_checksums,
                 "scrub_enabled": cfg.scrub_enabled,
-                "max_clock_skew": cfg.max_clock_skew,
+                "max_clock_skew": MAX_CLOCK_SKEW,
             },
             "seeds": [o.result.seed for o in self.outcomes],
             "ok": self.ok,
@@ -116,8 +124,8 @@ def render_report(suite: SuiteResult) -> str:
         + (" (UNSAFE: n < 2f + m)" if cfg.allow_unsafe_f else ""),
         f"{len(suite.outcomes)} seeds × {cfg.clients} clients × "
         f"{cfg.ops_per_client} ops, duration {cfg.duration:g} "
-        f"(mix crash:{cfg.crash_weight:g} part:{cfg.partition_weight:g} "
-        f"drop:{cfg.drop_weight:g} corrupt:{cfg.corrupt_weight:g})"
+        f"(mix crash:{CRASH_WEIGHT:g} part:{PARTITION_WEIGHT:g} "
+        f"drop:{DROP_WEIGHT:g} corrupt:{cfg.corrupt_weight:g})"
         + ("" if cfg.verify_checksums else " [CHECKSUMS OFF]")
         + (" [scrub on]" if cfg.scrub_enabled else ""),
         "",

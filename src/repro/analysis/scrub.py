@@ -363,6 +363,13 @@ def run_scrub_experiment(
     overhead is the median of the per-pair CPU ratios (one slow slice
     moves it by at most one rank), reported with their q1–q3 spread.
     """
+    if ops < 1:
+        raise ConfigurationError(f"ops must be >= 1, got {ops}")
+    for rate in corrupt_rates:
+        if not 0.0 <= rate < 1.0:
+            raise ConfigurationError(
+                f"corrupt rate must be in [0, 1), got {rate}"
+            )
     ratios = []
     last = {}
     for _ in range(_OVERHEAD_REPEATS):

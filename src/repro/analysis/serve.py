@@ -244,13 +244,13 @@ def run_serve(
         raise ConfigurationError(
             f"ops per client must be >= 1, got {ops_per_client}"
         )
-    chaos = drop_rate > 0 or duplicate_rate > 0 \
-        or corrupt_rate > 0 or partition is not None
+    # Built (and so range-checked) whether or not any rate is non-zero.
+    link = LinkChaos(
+        drop=drop_rate, duplicate=duplicate_rate, corrupt=corrupt_rate,
+    )
+    chaos = link != LinkChaos() or partition is not None
     chaos_policy = ChaosPolicy(
-        seed=chaos_seed,
-        default=LinkChaos(
-            drop=drop_rate, duplicate=duplicate_rate, corrupt=corrupt_rate,
-        ),
+        seed=chaos_seed, default=link,
     ) if chaos else None
     plan = None
     if partition is not None:

@@ -57,6 +57,13 @@ _THINK_TIME = 2.0
 _SAMPLE_INTERVAL = 25.0
 #: Wake-up period of the scrub daemon, when it runs.
 _SCRUB_INTERVAL = 20.0
+#: Fault mix passed to :func:`~repro.campaign.schedule.generate_schedule`
+#: (weights of crash, partition and drop faults), and its clock-skew
+#: range (no skew).  A skewed run passes its own schedule.
+CRASH_WEIGHT = 3.0
+PARTITION_WEIGHT = 1.0
+DROP_WEIGHT = 1.0
+MAX_CLOCK_SKEW = 0.0
 
 
 @dataclass(frozen=True)
@@ -79,11 +86,11 @@ class CampaignConfig:
             operations to finish or time out (an operation cut off from
             a quorum aborts after the default
             ``CoordinatorConfig.op_timeout``).
-        crash_weight / partition_weight / drop_weight / max_down /
-        max_clock_skew: fault-mix knobs, passed to
-            :func:`~repro.campaign.schedule.generate_schedule`.
+        max_down: cap on concurrently crashed bricks, passed to
+            :func:`~repro.campaign.schedule.generate_schedule` with the
+            module's fixed crash/partition/drop mix.
         corrupt_weight: weight of silent bit-flip faults in the mix
-            (0 disables corruption injection entirely).
+            (0 disables corruption injection entirely; must be >= 0).
         verify_checksums: verify stable-store CRC envelopes (default).
             ``False`` is the negative mode: injected corruption loads
             as garbage and the read-verification invariant fires.
@@ -105,11 +112,7 @@ class CampaignConfig:
     ops_per_client: int = 30
     duration: float = 400.0
     drain: float = 150.0
-    crash_weight: float = 3.0
-    partition_weight: float = 1.0
-    drop_weight: float = 1.0
     max_down: Optional[int] = None
-    max_clock_skew: float = 0.0
     corrupt_weight: float = 0.0
     verify_checksums: bool = True
     scrub_enabled: bool = False
@@ -120,6 +123,10 @@ class CampaignConfig:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {getattr(self, name)}"
                 )
+        if self.corrupt_weight < 0:
+            raise ConfigurationError(
+                f"corrupt_weight must be >= 0, got {self.corrupt_weight}"
+            )
 
     @property
     def effective_f(self) -> int:
@@ -330,12 +337,12 @@ def run_campaign(
             n=config.n,
             duration=config.duration,
             max_down=config.effective_max_down,
-            crash_weight=config.crash_weight,
-            partition_weight=config.partition_weight,
-            drop_weight=config.drop_weight,
+            crash_weight=CRASH_WEIGHT,
+            partition_weight=PARTITION_WEIGHT,
+            drop_weight=DROP_WEIGHT,
             corrupt_weight=config.corrupt_weight,
             registers=config.registers,
-            max_clock_skew=config.max_clock_skew,
+            max_clock_skew=MAX_CLOCK_SKEW,
         )
     engine = _Engine(config, schedule)
     monitor = CampaignMonitor(engine.cluster)

@@ -9,7 +9,9 @@ sent from one place: the fast read (``_fast_read``), the recovery
 (``_recover``) and the overlay write (``_overlay_write``) serve every
 method that needs them.  A fast read whose only defect is a silent
 target reads once more from ``m`` repliers that decode, instead of
-recovering (:meth:`Coordinator._read_around`).  Spawn them with
+recovering (:meth:`Coordinator._read_around`).  A brick runs at most
+``_MAX_ACTIVE_OPS`` client operations at once; the rest wait, unstarted,
+in arrival order (:func:`_admitted`).  Spawn them with
 ``node.spawn(...)`` so a node crash interrupts them mid-protocol,
 producing exactly the partial operations the paper's recovery path must
 handle.
@@ -32,14 +34,17 @@ a new operation (Section 4), not a replay of the aborted one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError, ProtocolInvariantError
 from ..erasure.interface import ErasureCode
 from ..quorum.system import MajorityMQuorumSystem
+from ..sim.kernel import Event
 from ..sim.monitor import Metrics
 from ..transport.base import Node, TimerHandle
 from ..timestamps import HIGH_TS, LOW_TS, Timestamp, TimestampSource
@@ -71,6 +76,10 @@ _RETRANSMIT_INTERVAL = 8.0
 #: has replied for the preferred (block-carrying) replies: 2x the sim's
 #: default maximum one-way delay.
 _GRACE = 2.0
+#: Client operations one brick coordinates at once; later ones wait in
+#: arrival order until a running one ends.  Equal to ``VolumeSession``'s
+#: default ``max_inflight``, so one default session never waits.
+_MAX_ACTIVE_OPS = 8
 
 
 @dataclass
@@ -230,6 +239,56 @@ class _PendingCall:
         self._finish()
 
 
+class _Admission:
+    """One brick's admission gate for client operations.
+
+    At most ``_MAX_ACTIVE_OPS`` operations hold a slot; the rest wait on
+    an event each, oldest first, and a finishing operation hands its
+    slot straight to the oldest waiter.  The gate is volatile: the
+    coordinator replaces it on recovery, so the slots and places of the
+    operations a crash interrupted go with the old gate.
+    """
+
+    __slots__ = ("active", "waiters")
+
+    def __init__(self) -> None:
+        self.active = 0
+        self.waiters: Deque[Event] = deque()
+
+    def release(self) -> None:
+        """Pass a finished operation's slot on, or free it."""
+        if self.waiters:
+            self.waiters.popleft().succeed()
+        else:
+            self.active -= 1
+
+
+def _admitted(operation):
+    """Run a public client operation once its brick admits it.
+
+    The wait comes before the operation's ``begin_op`` and first phase,
+    so per-operation latencies measure only the protocol, and an
+    operation admitted at once costs no kernel event.  Repairs call
+    ``_recover`` directly and are never gated.
+    """
+
+    @functools.wraps(operation)
+    def gated(self, *args):
+        gate = self._admission
+        if gate.active < _MAX_ACTIVE_OPS:
+            gate.active += 1
+        else:
+            slot = self.transport.event()
+            gate.waiters.append(slot)
+            yield slot
+        try:
+            return (yield from operation(self, *args))
+        finally:
+            gate.release()
+
+    return gated
+
+
 class QuorumRpc:
     """The ``quorum(msg)`` primitive over fair-loss channels.
 
@@ -342,6 +401,11 @@ class Coordinator:
             quorum_size=quorum_system.quorum_size,
             config=self.config,
         )
+        self._admission = _Admission()
+        node.on_recovery(self._reset_admission)
+
+    def _reset_admission(self) -> None:
+        self._admission = _Admission()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -406,6 +470,7 @@ class Coordinator:
     # Algorithm 1 — stripe access
     # ------------------------------------------------------------------
 
+    @_admitted
     def read_stripe(self, register_id: int):
         """``read-stripe()``: returns the stripe (list of m blocks),
         ``None`` for a never-written stripe, or ABORT."""
@@ -526,6 +591,7 @@ class Coordinator:
         timestamps = {reply.val_ts for reply in replies.values()}
         return len(timestamps) == 1
 
+    @_admitted
     def write_stripe(self, register_id: int, stripe: Sequence[Block]):
         """``write-stripe(stripe)``: two-phase write; returns OK or ABORT."""
         op = self.metrics.begin_op("write-stripe", self.transport.now())
@@ -735,6 +801,7 @@ class Coordinator:
                     f"block index {j} outside 1..{self.m}"
                 )
 
+    @_admitted
     def read_block(self, register_id: int, j: int):
         """``read-block(j)``: returns the block, None for nil, or ABORT.
 
@@ -746,6 +813,7 @@ class Coordinator:
         blocks = yield from self._read_blocks(register_id, (j,), "read-block")
         return ABORT if blocks is ABORT else blocks[j]
 
+    @_admitted
     def write_block(self, register_id: int, j: int, block: Block):
         """``write-block(j, b)``: fast Modify path, else the overlay write."""
         self._check_block_indices((j,))
@@ -841,6 +909,7 @@ class Coordinator:
     # can easily be extended to access multiple blocks")
     # ------------------------------------------------------------------
 
+    @_admitted
     def read_blocks(self, register_id: int, js: Sequence[int]):
         """Read several blocks of one stripe in a single operation.
 
@@ -877,6 +946,7 @@ class Coordinator:
         self.metrics.end_op(op, self.transport.now(), aborted=blocks is ABORT)
         return blocks
 
+    @_admitted
     def write_blocks(self, register_id: int, updates: Dict[int, Block]):
         """Write several blocks of one stripe atomically.
 

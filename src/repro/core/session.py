@@ -247,7 +247,10 @@ class VolumeSession:
         self.route = route
         if seed is None:
             seed = (self.cluster.config.seed * 2654435761 + 0x5E5510) % 2**31
-        self._rng = random.Random(seed)
+        self._seed = seed
+        #: Jitter RNG, seeded from ``_seed`` at the first retry: most
+        #: sessions never retry and need not hold its state.
+        self._rng: Optional[random.Random] = None
         self.stats: SessionStats = self.cluster.metrics.begin_session(
             now=self.transport.now()
         )
@@ -611,6 +614,8 @@ class VolumeSession:
                     return
                 op.retries += 1
                 self.stats.retries += 1
+                if self._rng is None:
+                    self._rng = random.Random(self._seed)
                 wait = delay * (1.0 + _JITTER * self._rng.random())
                 delay *= _BACKOFF_GROWTH
                 yield self.transport.timer(wait)

@@ -377,7 +377,9 @@ class Endpoint:
         self.metrics = metrics if metrics is not None else transport.metrics
         self._up = True
         self._handlers: Dict[type, Callable[[ProcessId, Any], None]] = {}
-        self._owned_processes: List[Process] = []
+        #: Live owned coroutines in spawn order (a dict, so reaping one
+        #: is O(1) however many run).
+        self._owned_processes: Dict[Process, None] = {}
         self._crash_count = 0
         self._crash_hooks: List[Callable[[], None]] = []
         self._recovery_hooks: List[Callable[[], None]] = []
@@ -413,7 +415,7 @@ class Endpoint:
         self._up = False
         self._crash_count += 1
         self.transport.set_down(self.process_id, True)
-        owned, self._owned_processes = self._owned_processes, []
+        owned, self._owned_processes = self._owned_processes, {}
         for process in owned:
             process.interrupt("crash")
 
@@ -478,16 +480,14 @@ class Endpoint:
                 f"node {self.process_id} is down; cannot spawn a process"
             )
         process = self.transport.spawn(generator)
-        self._owned_processes.append(process)
+        self._owned_processes[process] = None
         process._add_callback(self._reap)
         return process
 
     def _reap(self, process: Process) -> None:
-        """Completion callback: forget a finished coroutine."""
-        try:
-            self._owned_processes.remove(process)
-        except ValueError:
-            pass  # already dropped by a crash
+        """Completion callback: forget a finished coroutine (a crash may
+        have dropped it already)."""
+        self._owned_processes.pop(process, None)
 
 
 class Node(Endpoint):

@@ -11,6 +11,7 @@ from repro.campaign import (
     CampaignSchedule,
     FaultEvent,
     broken_config,
+    generate_schedule,
     run_campaign,
 )
 from repro.errors import ConfigurationError
@@ -54,7 +55,14 @@ class TestCorrectConfig:
         assert result.ok
 
     def test_clock_skew_config_stays_safe(self):
-        result = run_campaign(replace(QUICK, seed=2, max_clock_skew=8.0))
+        config = replace(QUICK, seed=2)
+        schedule = generate_schedule(
+            seed=config.seed, n=config.n, duration=config.duration,
+            max_down=config.effective_max_down, registers=config.registers,
+            max_clock_skew=8.0,
+        )
+        assert schedule.clock_skews
+        result = run_campaign(config, schedule=schedule)
         assert result.ok
 
 

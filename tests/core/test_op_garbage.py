@@ -6,7 +6,8 @@ garbage is cyclic, full collections have to find it and their cost
 grows with the live heap.  Reference counting alone must free an op's
 quorum phases, timers, messages and session record once it ends, so
 ``gc.collect()`` after the run finds nothing: on the simulator (healthy
-and degraded) and on the asyncio loopback transport.
+and degraded) and on the asyncio loopback transport, also when more ops
+than a brick admits at once wait for it.
 """
 
 import asyncio
@@ -55,12 +56,29 @@ def _run_sim(volume, rng) -> None:
     assert ops and all(op.ok for op in ops)
 
 
+def _submit_deep(volume, rng):
+    """More ops at once than one brick admits: some wait at its gate."""
+    session = volume.session(max_inflight=32, route=1)
+    _submit_mix(session, rng, volume.num_blocks, volume.block_size)
+    return session
+
+
 def test_sim_ops_leave_no_cycles():
     volume = api.open_volume(
         m=4, n=8, block_size=64, stripes=16, stripe_shuffle=False, seed=3
     )
     with collector_off():
         _run_sim(volume, random.Random(11))
+        assert gc.collect() == 0
+
+
+def test_sim_queued_ops_leave_no_cycles():
+    volume = api.open_volume(m=3, n=5, block_size=64, stripes=16, seed=4)
+    with collector_off():
+        session = _submit_deep(volume, random.Random(17))
+        ops = session.drain()
+        assert session.stats.peak_inflight > 8
+        assert all(op.ok and op.coordinator == 1 for op in ops)
         assert gc.collect() == 0
 
 
@@ -71,19 +89,41 @@ async def _run_loopback(volume, rng) -> None:
     assert len(ops) == OPS and all(op.ok for op in ops)
 
 
-def test_loopback_ops_leave_no_cycles():
+def _loopback_volume(seed):
     transport = AsyncioTransport(mode="loopback")
     cluster = FabCluster(
-        ClusterConfig(m=3, n=5, block_size=64, transport="asyncio", seed=5),
+        ClusterConfig(m=3, n=5, block_size=64, transport="asyncio", seed=seed),
         transport=transport,
     )
-    volume = LogicalVolume(cluster, num_stripes=16)
+    return transport, LogicalVolume(cluster, num_stripes=16)
+
+
+def test_loopback_ops_leave_no_cycles():
+    transport, volume = _loopback_volume(5)
 
     async def drive():
         await transport.start()
         try:
             with collector_off():
                 await _run_loopback(volume, random.Random(13))
+                return gc.collect()
+        finally:
+            await transport.stop()
+
+    assert asyncio.run(drive()) == 0
+
+
+def test_loopback_queued_ops_leave_no_cycles():
+    transport, volume = _loopback_volume(6)
+
+    async def drive():
+        await transport.start()
+        try:
+            with collector_off():
+                session = _submit_deep(volume, random.Random(19))
+                ops = await session.drain_async()
+                assert session.stats.peak_inflight > 8
+                assert all(op.ok and op.coordinator == 1 for op in ops)
                 return gc.collect()
         finally:
             await transport.stop()

@@ -364,7 +364,7 @@ class TestProcessOwnership:
 
     def test_owned_processes_stay_bounded(self):
         """The satellite regression: a 10k-op run must not accumulate
-        finished processes — each is reaped on completion, so the list
+        finished processes — each is reaped on completion, so the table
         stays bounded by genuine concurrency, not run length."""
         env, _transport, node = make_node()
 
@@ -376,7 +376,7 @@ class TestProcessOwnership:
                 node.spawn(task())
             assert len(node._owned_processes) == 100  # only this batch
             env.run()
-            assert node._owned_processes == []  # reaped on completion
+            assert node._owned_processes == {}  # reaped on completion
 
     def test_recovery_does_not_revive_processes(self):
         env, _transport, node = make_node()

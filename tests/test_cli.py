@@ -94,6 +94,12 @@ class TestCli:
       "--json", "r.json"], "duplicate must be in"),
     (["serve", "--clients", "2", "--ops", "2", "--corrupt-rate", "1"],
      "corrupt must be in"),
+    (["serve", "--clients", "2", "--ops", "2", "--corrupt-rate", "-0.1"],
+     "corrupt must be in"),
+    (["scrub", "--ops", "0"], "ops must be >= 1"),
+    (["scrub", "--ops", "10", "--corrupt-rate", "1.5"],
+     "corrupt rate must be in"),
+    (["campaign", "--corrupt-weight", "-1"], "corrupt_weight must be >= 0"),
 ])
 def test_bad_domain_arguments_exit_with_one_line(
     capsys, monkeypatch, tmp_path, argv, complaint

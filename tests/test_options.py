@@ -5,7 +5,7 @@ benchmarks must cover, so a new knob on any of these surfaces shows up
 here as a reviewed edit.  A setting that no shipped caller sets to
 anything but its default belongs in a module constant instead.
 
-The first twelve surfaces hold 80 values (``RouteOptions``, once
+The first twelve surfaces hold 76 values (``RouteOptions``, once
 among them, is gone); the maintenance and experiment surfaces below
 them hold 36.  A session's ``volume`` is its subject, not an option.
 The ``repro`` CLI's flags are pinned per subcommand (24 in all): a flag
@@ -80,9 +80,8 @@ SURFACES = {
         {
             "m", "n", "f", "allow_unsafe_f", "block_size", "code_kind",
             "seed", "registers", "clients", "ops_per_client", "duration",
-            "drain", "crash_weight", "partition_weight",
-            "drop_weight", "max_down", "max_clock_skew", "corrupt_weight",
-            "verify_checksums", "scrub_enabled",
+            "drain", "max_down", "corrupt_weight", "verify_checksums",
+            "scrub_enabled",
         },
     ),
     "ShardedCampaignConfig": (
