@@ -80,7 +80,6 @@ class SuiteResult:
                 "partition_weight": PARTITION_WEIGHT,
                 "drop_weight": DROP_WEIGHT,
                 "corrupt_weight": cfg.corrupt_weight,
-                "verify_checksums": cfg.verify_checksums,
                 "scrub_enabled": cfg.scrub_enabled,
                 "max_clock_skew": MAX_CLOCK_SKEW,
             },
@@ -126,7 +125,6 @@ def render_report(suite: SuiteResult) -> str:
         f"{cfg.ops_per_client} ops, duration {cfg.duration:g} "
         f"(mix crash:{CRASH_WEIGHT:g} part:{PARTITION_WEIGHT:g} "
         f"drop:{DROP_WEIGHT:g} corrupt:{cfg.corrupt_weight:g})"
-        + ("" if cfg.verify_checksums else " [CHECKSUMS OFF]")
         + (" [scrub on]" if cfg.scrub_enabled else ""),
         "",
         f"{'seed':>6} {'events':>7} {'ok':>5} {'abort':>6} {'crash':>6} "

@@ -54,6 +54,7 @@ __all__ = [
     "run_scrub_run",
     "run_scrub_experiment",
     "run_sampling_sweep",
+    "check_trials",
     "render_report",
     "render_sampling_report",
     "to_json",
@@ -483,6 +484,14 @@ class SamplingSweepResult:
         }
 
 
+def check_trials(trials: int) -> int:
+    """``trials`` if a sampling sweep can run that many, else raise
+    :class:`ConfigurationError` (no trial, no detection rate)."""
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def run_sampling_sweep(trials: int = 32) -> SamplingSweepResult:
     """Detection confidence/latency vs scan budget, at fleet scale.
 
@@ -508,8 +517,7 @@ def run_sampling_sweep(trials: int = 32) -> SamplingSweepResult:
     corrupt_fraction, interval = _SWEEP_CORRUPT_FRACTION, _SWEEP_INTERVAL
     registers, seed = _SWEEP_REGISTERS, _SWEEP_SEED
     target_confidence = _SWEEP_TARGET_CONFIDENCE
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     result = SamplingSweepResult(
         registers=registers,
         bricks=n,

@@ -30,12 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..core.coordinator import CoordinatorConfig, QuorumRpc
 from ..sim.monitor import Metrics
 from ..sim.network import NetworkConfig
 from ..timestamps import LOW_TS, Timestamp, TimestampSource
 from ..transport.base import Node
 from ..transport.sim import SimTransport
-from ..types import Block, ProcessId
+from ..types import ABORT, Block, ProcessId
 
 __all__ = ["Ls97Cluster", "Ls97Config"]
 
@@ -135,87 +136,67 @@ class _Ls97Replica:
 # -- coordinator ------------------------------------------------------------------
 
 
-class _Ls97Coordinator:
-    """Two-phase read / two-phase write over majority quorums."""
+class _Ls97Rpc(QuorumRpc):
+    """The coordinator's quorum primitive, routing LS97's replies."""
 
-    def __init__(self, node: Node, n: int, ts_source: TimestampSource,
-                 retransmit_interval: float = 8.0) -> None:
+    _REPLY_TYPES = (QueryReply, StoreReply)
+
+
+class _Ls97Coordinator:
+    """Two-phase read / two-phase write over majority quorums.
+
+    Each phase is one :class:`~repro.core.coordinator.QuorumRpc` call:
+    it retransmits to the processes that have not replied and expires
+    after the default ``op_timeout``, so an operation that cannot reach
+    a majority returns ABORT.
+    """
+
+    def __init__(self, node: Node, n: int, ts_source: TimestampSource) -> None:
         self.node = node
         self.env = node.env
-        self.n = n
-        self.majority = n // 2 + 1
         self.ts_source = ts_source
-        self.retransmit_interval = retransmit_interval
-        self._pending: Dict[int, dict] = {}
-        self._next_id = 1
-        node.register_handler(QueryReply, self._on_reply)
-        node.register_handler(StoreReply, self._on_reply)
-        node.on_recovery(self._pending.clear)
-
-    def _on_reply(self, src: ProcessId, reply) -> None:
-        pending = self._pending.get(reply.request_id)
-        if pending is None or pending["done"]:
-            return
-        pending["replies"][src] = reply
-        if len(pending["replies"]) >= self.majority:
-            pending["done"] = True
-            pending["event"].succeed(dict(pending["replies"]))
-
-    def _phase(self, make_request):
-        request_id = self._next_id
-        self._next_id += 1
-        pending = {"replies": {}, "event": self.env.event(), "done": False}
-        self._pending[request_id] = pending
-
-        def transmit() -> None:
-            for dst in range(1, self.n + 1):
-                if dst in pending["replies"]:
-                    continue
-                request = make_request(dst, request_id)
-                self.node.send(dst, request, size=request.size)
-
-        def loop() -> None:
-            if pending["done"] or self._pending.get(request_id) is not pending:
-                return
-            if not self.node.is_up:
-                return
-            transmit()
-            timer = self.env.timeout(self.retransmit_interval)
-            timer._add_callback(lambda _t: loop())
-
-        loop()
-        replies = yield pending["event"]
-        del self._pending[request_id]
-        self.node.metrics.count_round_trip()
-        return replies
+        self.rpc = _Ls97Rpc(
+            node,
+            universe=range(1, n + 1),
+            quorum_size=n // 2 + 1,
+            config=CoordinatorConfig(),
+        )
 
     def read(self, register_id: int):
-        """Two-phase read: query + propagate; returns the value."""
+        """Two-phase read: query + propagate; returns the value or ABORT."""
         op = self.node.metrics.begin_op("ls97-read", self.env.now)
-        replies = yield from self._phase(
+        value = ABORT
+        replies = yield from self.rpc.call(
             lambda dst, rid: QueryReq(register_id, rid, want_value=True)
         )
-        best = max(replies.values(), key=lambda reply: reply.ts)
-        yield from self._phase(
-            lambda dst, rid: StoreReq(register_id, rid, best.ts, best.value)
-        )
-        self.node.metrics.end_op(op, self.env.now)
-        return best.value
+        if replies is not None:
+            best = max(replies.values(), key=lambda reply: reply.ts)
+            stored = yield from self.rpc.call(
+                lambda dst, rid: StoreReq(register_id, rid, best.ts, best.value)
+            )
+            if stored is not None:
+                value = best.value
+        self.node.metrics.end_op(op, self.env.now, aborted=value is ABORT)
+        return value
 
     def write(self, register_id: int, value: Block):
-        """Two-phase write: query timestamps + store; returns OK."""
+        """Two-phase write: query timestamps + store; returns OK or ABORT."""
         op = self.node.metrics.begin_op("ls97-write", self.env.now)
-        replies = yield from self._phase(
+        result = ABORT
+        replies = yield from self.rpc.call(
             lambda dst, rid: QueryReq(register_id, rid, want_value=False)
         )
-        for reply in replies.values():
-            self.ts_source.observe(reply.ts)
-        ts = self.ts_source.new_ts()
-        yield from self._phase(
-            lambda dst, rid: StoreReq(register_id, rid, ts, value)
-        )
-        self.node.metrics.end_op(op, self.env.now)
-        return OK
+        if replies is not None:
+            for reply in replies.values():
+                self.ts_source.observe(reply.ts)
+            ts = self.ts_source.new_ts()
+            stored = yield from self.rpc.call(
+                lambda dst, rid: StoreReq(register_id, rid, ts, value)
+            )
+            if stored is not None:
+                result = OK
+        self.node.metrics.end_op(op, self.env.now, aborted=result is ABORT)
+        return result
 
 
 # -- cluster -----------------------------------------------------------------------

@@ -91,9 +91,6 @@ class CampaignConfig:
             module's fixed crash/partition/drop mix.
         corrupt_weight: weight of silent bit-flip faults in the mix
             (0 disables corruption injection entirely; must be >= 0).
-        verify_checksums: verify stable-store CRC envelopes (default).
-            ``False`` is the negative mode: injected corruption loads
-            as garbage and the read-verification invariant fires.
         scrub_enabled: run the background scrub-and-repair daemon
             during the campaign, verifying checksums every 20 time
             units.  Its sampler is seeded from ``seed``, so campaign
@@ -114,7 +111,6 @@ class CampaignConfig:
     drain: float = 150.0
     max_down: Optional[int] = None
     corrupt_weight: float = 0.0
-    verify_checksums: bool = True
     scrub_enabled: bool = False
 
     def __post_init__(self) -> None:
@@ -288,7 +284,6 @@ class _Engine:
                 allow_unsafe_f=config.allow_unsafe_f,
                 block_size=config.block_size,
                 code_kind=config.code_kind,
-                verify_checksums=config.verify_checksums,
                 seed=config.seed,
                 clock_skews=dict(schedule.clock_skews),
                 network=NetworkConfig(

@@ -27,9 +27,10 @@ log analysis):
    end-to-end verification: every OK read's blocks must be values the
    campaign actually wrote (all written payloads carry a unique seed
    tag), the all-zero block, or nil.  With checksums on, injected
-   corruption is detected and routed around, so this never fires; the
-   ``verify_checksums=False`` escape hatch demonstrates the detector is
-   load-bearing by letting bit-flipped garbage reach clients.
+   corruption is detected and routed around, so this never fires; a
+   store built with ``StableStore(verify_checksums=False)`` demonstrates
+   the detector is load-bearing by letting bit-flipped garbage reach
+   clients.
 
 Injected *corruption* events are faults, not violations: when the
 campaign engine flips a bit it calls :meth:`CampaignMonitor.note_corruption`

@@ -133,6 +133,7 @@ def _table1():
 
 def _scrub(**kwargs):
     from .analysis.scrub import (
+        check_trials,
         render_report,
         render_sampling_report,
         run_sampling_sweep,
@@ -140,7 +141,10 @@ def _scrub(**kwargs):
         to_json,
     )
 
-    sweep = {"trials": kwargs.pop("trials")} if "trials" in kwargs else {}
+    sweep = {}
+    if "trials" in kwargs:
+        # Refuse a bad sweep before the seconds-long daemon experiment.
+        sweep["trials"] = check_trials(kwargs.pop("trials"))
     experiment = run_scrub_experiment(**kwargs)
     sampling = run_sampling_sweep(**sweep)
     report = render_report(experiment) + "\n" + render_sampling_report(sampling)

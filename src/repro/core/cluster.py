@@ -56,10 +56,6 @@ class ClusterConfig:
         clock_skews: per-process clock skew in time units (index by
             process id); missing ids default to zero.  Used by the
             abort-rate ablation.
-        verify_checksums: verify stable-store CRC envelopes on every
-            read (default True).  ``False`` is the escape hatch that
-            lets injected corruption load as garbage — only for
-            demonstrating that the detector is load-bearing.
         metrics_history_limit: cap on retained per-operation metric
             records (None = unlimited); long benchmark runs set a limit
             so metric history stays O(1) in run length.
@@ -84,7 +80,6 @@ class ClusterConfig:
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     clock_skews: Dict[int, float] = field(default_factory=dict)
     transport: str = "sim"
-    verify_checksums: bool = True
     metrics_history_limit: Optional[int] = None
     seed: int = 0
     allow_unsafe_f: bool = False
@@ -136,7 +131,6 @@ class FabCluster:
                 transport=self.transport,
                 process_id=pid,
                 metrics=self.metrics,
-                verify_checksums=cfg.verify_checksums,
             )
             replica = Replica(node, self.code, pid)
             ts_source = TimestampSource(

@@ -12,17 +12,14 @@ with hot-spare promotion and group-local rebuild.
   per group, a spare pool, ``promote_spare``, and ``rebuild_brick``
   whose LRC fragment path reads only the failed brick's local parity
   group.
-* :mod:`repro.placement.campaign` — the fault-campaign harness run
-  over a sharded LRC fleet, proving the online invariants are
-  placement-agnostic.
+
+A group is its own :class:`~repro.core.cluster.FabCluster` with its own
+transport, so no protocol message crosses a group boundary: the fleet's
+correctness is each group's.  ``tests/placement/test_sharded.py`` checks
+that containment, and the plain campaign engine
+(:mod:`repro.campaign`) checks each group's geometry.
 """
 
-from .campaign import (
-    ShardedCampaignConfig,
-    ShardedCampaignResult,
-    project_schedule,
-    run_sharded_campaign,
-)
 from .groups import PlacementMap
 from .sharded import BrickRebuildReport, ShardedCluster, ShardedConfig
 
@@ -31,8 +28,4 @@ __all__ = [
     "ShardedCluster",
     "ShardedConfig",
     "BrickRebuildReport",
-    "ShardedCampaignConfig",
-    "ShardedCampaignResult",
-    "project_schedule",
-    "run_sharded_campaign",
 ]

@@ -220,9 +220,7 @@ class ShardedCluster:
                 f"brick {failed_brick} is up; promotion replaces failed bricks"
             )
         spare = self.spare_pool.pop(0)
-        node.stable = StableStore(
-            verify_checksums=node.stable.verify_checksums
-        )
+        node.stable = StableStore()
         del self._slot_of[failed_brick]
         self._slot_of[spare] = (gid, lpid)
         self._brick_at[(gid, lpid)] = spare

@@ -22,7 +22,6 @@ Layers:
 """
 
 from .kernel import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -39,7 +38,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
     "AnyOf",
     "Interrupt",
     "NetworkConfig",

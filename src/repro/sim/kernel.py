@@ -32,7 +32,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
     "AnyOf",
     "Interrupt",
 ]
@@ -151,57 +150,25 @@ class Timeout(Event):
         env._schedule(self, delay)
 
 
-class _ConditionEvent(Event):
-    """Base for AllOf / AnyOf composite events."""
-
-    __slots__ = ("_events", "_pending")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._pending = 0
-        for event in self._events:
-            self._pending += 1
-            if event.triggered:
-                self.env._call_soon(lambda e=event: self._on_child(e))
-            else:
-                event._add_callback(self._on_child)
-        if not self._events:
-            self.succeed([])
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_ConditionEvent):
-    """Triggers when all child events have triggered.
-
-    Succeeds with the list of child values; fails with the first child
-    exception.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._scheduled:
-            return
-        if not event.ok:
-            event._defused = True
-            self.fail(event.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([e.value for e in self._events])
-
-
-class AnyOf(_ConditionEvent):
+class AnyOf(Event):
     """Triggers when any child event triggers.
 
     Succeeds with the (event, value) pair of the first child; fails if
     the first child to trigger failed.
     """
 
-    __slots__ = ()
+    __slots__ = ("_events",)
+
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
+        super().__init__(env)
+        self._events = list(events)
+        for event in self._events:
+            if event.triggered:
+                self.env._call_soon(lambda e=event: self._on_child(e))
+            else:
+                event._add_callback(self._on_child)
+        if not self._events:
+            self.succeed([])
 
     def _on_child(self, event: Event) -> None:
         if self._scheduled:
@@ -381,10 +348,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a process from a generator; returns the Process event."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event: all children triggered."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event: any child triggered."""

@@ -503,8 +503,6 @@ class Node(Endpoint):
             and network.
         process_id: this node's id in ``1..n``.
         metrics: metric sink; defaults to the transport's.
-        verify_checksums: verify stable-store envelopes on read
-            (default True; False is the corruption escape hatch).
     """
 
     def __init__(
@@ -513,7 +511,6 @@ class Node(Endpoint):
         transport: Transport,
         process_id: ProcessId,
         metrics: Optional[Metrics] = None,
-        verify_checksums: bool = True,
     ) -> None:
         super().__init__(transport, process_id, metrics)
-        self.stable = StableStore(verify_checksums=verify_checksums)
+        self.stable = StableStore()

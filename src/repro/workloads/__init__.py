@@ -5,7 +5,7 @@ claims: real block workloads almost never issue concurrent conflicting
 accesses to the same data, so aborts are rare and the optimistic read
 path dominates.  The authors checked real traces; we provide synthetic
 generators with explicit dials for the properties that matter —
-read/write mix, access skew (uniform / Zipf / sequential), and a
+read/write mix, access skew (uniform / Zipf), and a
 *conflict dial* that schedules deliberately overlapping operations —
 plus a simple trace format and replayer.
 """
@@ -13,11 +13,7 @@ plus a simple trace format and replayer.
 from .generators import (
     AccessPattern,
     ConflictSchedule,
-    HotspotPattern,
-    SequentialPattern,
     UniformPattern,
-    WorkloadConfig,
-    WorkloadGenerator,
     ZipfPattern,
 )
 from .traces import TraceOp, TraceReplayer, synthesize_trace
@@ -26,10 +22,6 @@ __all__ = [
     "AccessPattern",
     "UniformPattern",
     "ZipfPattern",
-    "HotspotPattern",
-    "SequentialPattern",
-    "WorkloadConfig",
-    "WorkloadGenerator",
     "ConflictSchedule",
     "TraceOp",
     "TraceReplayer",

@@ -1,11 +1,11 @@
-"""Workload generators: access patterns, mixes, and conflict schedules."""
+"""Workload generators: access patterns and conflict schedules."""
 
 from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 
@@ -13,10 +13,6 @@ __all__ = [
     "AccessPattern",
     "UniformPattern",
     "ZipfPattern",
-    "HotspotPattern",
-    "SequentialPattern",
-    "WorkloadConfig",
-    "WorkloadGenerator",
     "ConflictSchedule",
 ]
 
@@ -70,102 +66,6 @@ class ZipfPattern(AccessPattern):
         return self._perm[
             rng.choices(range(num_blocks), weights=self._weights, k=1)[0]
         ]
-
-
-class HotspotPattern(AccessPattern):
-    """A fixed hot region absorbing most accesses (OLTP-style).
-
-    Args:
-        hot_fraction: fraction of the address space that is hot.
-        hot_probability: probability an access lands in the hot region.
-    """
-
-    def __init__(self, hot_fraction: float = 0.1,
-                 hot_probability: float = 0.9) -> None:
-        if not 0.0 < hot_fraction <= 1.0:
-            raise ConfigurationError(
-                f"hot_fraction must be in (0, 1], got {hot_fraction}"
-            )
-        if not 0.0 <= hot_probability <= 1.0:
-            raise ConfigurationError(
-                f"hot_probability must be in [0, 1], got {hot_probability}"
-            )
-        self.hot_fraction = hot_fraction
-        self.hot_probability = hot_probability
-
-    def next_block(self, rng: random.Random, num_blocks: int) -> int:
-        hot_size = max(1, int(num_blocks * self.hot_fraction))
-        if rng.random() < self.hot_probability:
-            return rng.randrange(hot_size)
-        if hot_size >= num_blocks:
-            return rng.randrange(num_blocks)
-        return hot_size + rng.randrange(num_blocks - hot_size)
-
-
-class SequentialPattern(AccessPattern):
-    """Strictly sequential scan, wrapping around — streaming workloads."""
-
-    def __init__(self, start: int = 0) -> None:
-        self._next = start
-
-    def next_block(self, rng: random.Random, num_blocks: int) -> int:
-        block = self._next % num_blocks
-        self._next += 1
-        return block
-
-
-@dataclass
-class WorkloadConfig:
-    """A block-workload recipe.
-
-    Attributes:
-        num_blocks: logical address space size.
-        read_fraction: P(an operation is a read).
-        pattern: the access pattern (defaults to uniform).
-        seed: RNG seed.
-    """
-
-    num_blocks: int
-    read_fraction: float = 0.7
-    pattern: AccessPattern = field(default_factory=UniformPattern)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_blocks < 1:
-            raise ConfigurationError("num_blocks must be >= 1")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ConfigurationError("read_fraction must be in [0, 1]")
-
-
-class WorkloadGenerator:
-    """Yields ``(op, block, payload_tag)`` tuples from a recipe.
-
-    ``op`` is ``"read"`` or ``"write"``; ``payload_tag`` is a unique
-    integer for writes (callers turn it into unique block contents,
-    satisfying the checker's unique-value assumption) and ``None`` for
-    reads.
-    """
-
-    def __init__(self, config: WorkloadConfig) -> None:
-        self.config = config
-        self._rng = random.Random(config.seed)
-        self._write_counter = 0
-
-    def __iter__(self) -> Iterator[Tuple[str, int, Optional[int]]]:
-        while True:
-            yield self.next_op()
-
-    def next_op(self) -> Tuple[str, int, Optional[int]]:
-        """Generate the next operation."""
-        block = self.config.pattern.next_block(self._rng, self.config.num_blocks)
-        if self._rng.random() < self.config.read_fraction:
-            return ("read", block, None)
-        self._write_counter += 1
-        return ("write", block, self._write_counter)
-
-    def ops(self, count: int) -> List[Tuple[str, int, Optional[int]]]:
-        """A finite batch of operations."""
-        return [self.next_op() for _ in range(count)]
 
 
 @dataclass

@@ -40,7 +40,7 @@ class TestSuite:
         assert payload["benchmark"] == "campaign"
         assert payload["config"]["m"] == QUICK.m
         assert payload["config"]["n"] == QUICK.n
-        for key in ("corrupt_weight", "verify_checksums", "scrub_enabled"):
+        for key in ("corrupt_weight", "scrub_enabled"):
             assert key in payload["config"]
         result = payload["results"][0]
         for key in (

@@ -1,9 +1,14 @@
 """Corruption faults in the campaign: sound configs survive, the
 escape hatch demonstrates what checksums prevent."""
 
+import functools
 from dataclasses import replace
 
+import pytest
+
+import repro.transport.base
 from repro.campaign import CampaignConfig, run_campaign
+from repro.sim.node import StableStore
 
 #: QUICK plus corruption faults; checksums on (the sound default).
 CORRUPTING = CampaignConfig(
@@ -47,30 +52,37 @@ class TestSoundConfig:
         assert result.corruption["scrub_scans"] > 0
 
 
+#: The corruption-heavy run both escape-hatch tests share.
+ROTTING = replace(CORRUPTING, seed=1, corrupt_weight=4.0)
+
+
+@pytest.fixture
+def checksums_off(monkeypatch):
+    """Every brick built while active gets a store that skips its read
+    check (envelopes are still written)."""
+    monkeypatch.setattr(
+        repro.transport.base, "StableStore",
+        functools.partial(StableStore, verify_checksums=False),
+    )
+    return monkeypatch
+
+
 class TestEscapeHatch:
-    def test_read_verification_catches_served_rot(self):
+    def test_read_verification_catches_served_rot(self, checksums_off):
         # verify_checksums=False turns the store into a liar; the
         # read-verification invariant (and usually linearizability
         # too) must catch garbage reaching a client.
-        config = replace(
-            CORRUPTING, seed=1, corrupt_weight=4.0, verify_checksums=False,
-        )
-        result = run_campaign(config)
+        result = run_campaign(ROTTING)
         assert not result.ok
         invariants = {v.invariant for v in result.violations}
         assert "read-verification" in invariants
 
-    def test_same_schedule_is_clean_with_checksums_on(self):
+    def test_same_schedule_is_clean_with_checksums_on(self, checksums_off):
         # The exact schedule that poisons the unprotected run is
         # harmless with verification enabled.
-        unsound = replace(
-            CORRUPTING, seed=1, corrupt_weight=4.0, verify_checksums=False,
-        )
-        poisoned = run_campaign(unsound)
+        poisoned = run_campaign(ROTTING)
         assert not poisoned.ok
-        protected = run_campaign(
-            replace(unsound, verify_checksums=True),
-            schedule=poisoned.schedule,
-        )
+        checksums_off.undo()
+        protected = run_campaign(ROTTING, schedule=poisoned.schedule)
         assert protected.ok, [v.detail for v in protected.violations]
         assert protected.corruption["checksum_failures"] > 0

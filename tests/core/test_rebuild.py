@@ -32,7 +32,7 @@ def replace_with_blank_brick(cluster, pid):
     """
     node = cluster.nodes[pid]
     cluster.crash(pid)
-    node.stable = StableStore(verify_checksums=node.stable.verify_checksums)
+    node.stable = StableStore()
     cluster.recover(pid)
 
 

@@ -57,7 +57,9 @@ class TestKernelProperties:
 
         def parent():
             children = [env.process(child(i, delays[i])) for i in range(count)]
-            values = yield env.all_of(children)
+            values = []
+            for process in children:
+                values.append((yield process))
             return values
 
         result = env.run_until_complete(env.process(parent()))

@@ -100,6 +100,7 @@ class TestCli:
     (["scrub", "--ops", "10", "--corrupt-rate", "1.5"],
      "corrupt rate must be in"),
     (["campaign", "--corrupt-weight", "-1"], "corrupt_weight must be >= 0"),
+    (["scrub", "--trials", "0"], "trials must be >= 1"),
 ])
 def test_bad_domain_arguments_exit_with_one_line(
     capsys, monkeypatch, tmp_path, argv, complaint
@@ -110,6 +111,16 @@ def test_bad_domain_arguments_exit_with_one_line(
     assert err.count("\n") == 1
     assert err.startswith(f"repro {argv[0]}: ") and complaint in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_trials_are_refused_before_the_daemon_experiment(monkeypatch):
+    import repro.analysis.scrub as scrub
+
+    def never(**_kwargs):
+        raise AssertionError("run_scrub_experiment ran")
+
+    monkeypatch.setattr(scrub, "run_scrub_experiment", never)
+    assert main(["scrub", "--trials", "0"]) == 1
 
 
 def test_only_the_flags_given_reach_the_entry_point(monkeypatch, capsys):

@@ -5,12 +5,12 @@ benchmarks must cover, so a new knob on any of these surfaces shows up
 here as a reviewed edit.  A setting that no shipped caller sets to
 anything but its default belongs in a module constant instead.
 
-The first twelve surfaces hold 76 values (``RouteOptions``, once
-among them, is gone); the maintenance and experiment surfaces below
-them hold 36.  A session's ``volume`` is its subject, not an option.
-The ``repro`` CLI's flags are pinned per subcommand (24 in all): a flag
-exists only where a shipped caller (CI, the docs, an example or a
-benchmark) passes it.
+The first eleven surfaces hold 59 values (``RouteOptions`` and the
+sharded fleet campaign's config, once among them, are gone); the
+maintenance and experiment surfaces below them hold 36.  A session's
+``volume`` is its subject, not an option.  The ``repro`` CLI's flags
+are pinned per subcommand (24 in all): a flag exists only where a
+shipped caller (CI, the docs, an example or a benchmark) passes it.
 """
 
 import argparse
@@ -35,7 +35,7 @@ from repro.core.rebuild import Rebuilder
 from repro.core.cluster import ClusterConfig
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.session import RetryPolicy, VolumeSession
-from repro.placement import ShardedCampaignConfig, ShardedCluster
+from repro.placement import ShardedCluster
 from repro.scrub import ScrubConfig
 from repro.sim.network import NetworkConfig
 from repro.transport import make_transport
@@ -80,16 +80,7 @@ SURFACES = {
         {
             "m", "n", "f", "allow_unsafe_f", "block_size", "code_kind",
             "seed", "registers", "clients", "ops_per_client", "duration",
-            "drain", "max_down", "corrupt_weight", "verify_checksums",
-            "scrub_enabled",
-        },
-    ),
-    "ShardedCampaignConfig": (
-        lambda: _fields(ShardedCampaignConfig),
-        {
-            "bricks", "groups", "spares", "domains", "m", "block_size",
-            "code_kind", "seed", "registers", "ops_per_client", "duration",
-            "drain", "crash_weight", "partition_weight", "drop_weight",
+            "drain", "max_down", "corrupt_weight", "scrub_enabled",
         },
     ),
     "LinkChaos": (
@@ -105,7 +96,7 @@ SURFACES = {
         {
             "m", "n", "f", "allow_unsafe_f", "block_size", "code_kind",
             "seed", "coordinator", "network", "transport", "clock_skews",
-            "metrics_history_limit", "verify_checksums",
+            "metrics_history_limit",
         },
     ),
     "NetworkConfig": (
