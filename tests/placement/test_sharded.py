@@ -55,6 +55,33 @@ class TestSharding:
         for rid, stripe in stripes.items():
             assert fleet.register(rid).read_stripe() == stripe
 
+    def test_whole_group_loss_is_contained(self):
+        """With every brick of one group down, the other groups still
+        read and write: no quorum spans two groups."""
+        fleet, stripes = loaded_fleet(registers=16)
+        pm = fleet.placement
+        for brick in pm.members[1]:
+            fleet.crash_brick(brick)
+        survivors = [rid for rid in stripes if pm.group_of_register(rid) != 1]
+        assert survivors
+        for rid in survivors:
+            assert fleet.register(rid).read_stripe() == stripes[rid]
+            fresh = stripe_of(fleet.config.m, fleet.config.block_size, rid + 50)
+            assert fleet.register(rid).write_stripe(fresh) == "OK"
+            assert fleet.register(rid).read_stripe() == fresh
+
+    def test_traffic_stays_in_the_home_group(self):
+        """Each group has its own transport: a register's ops send
+        messages in its home group only."""
+        fleet, stripes = loaded_fleet(registers=8)
+        for rid, stripe in stripes.items():
+            home = fleet.placement.group_of_register(rid)
+            before = [c.metrics.total_messages for c in fleet.group_clusters]
+            assert fleet.register(rid).read_stripe() == stripe
+            after = [c.metrics.total_messages for c in fleet.group_clusters]
+            moved = [gid for gid in range(len(before)) if after[gid] != before[gid]]
+            assert moved == [home]
+
     def test_rejects_m_not_below_group_size(self):
         with pytest.raises(ConfigurationError):
             ShardedCluster(ShardedConfig(bricks=8, groups=4, m=2))

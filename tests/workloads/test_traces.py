@@ -1,10 +1,13 @@
 """Trace synthesis and replay."""
 
+from collections import Counter
+
 import pytest
 
 from repro import LogicalVolume, VolumeSession
 from repro.errors import ConfigurationError
 from repro.types import ABORT
+from repro.workloads.generators import ZipfPattern
 from repro.workloads.traces import TraceOp, TraceReplayer, synthesize_trace
 from tests.conftest import make_cluster
 
@@ -29,6 +32,37 @@ class TestSynthesis:
         trace = synthesize_trace(200, 10, read_fraction=0.0, seed=4)
         tags = [op.tag for op in trace]
         assert len(set(tags)) == len(tags)
+
+    def test_deterministic_by_seed(self):
+        first = synthesize_trace(100, 16, seed=9)
+        assert synthesize_trace(100, 16, seed=9) == first
+        assert synthesize_trace(100, 16, seed=10) != first
+
+    def test_reads_have_no_tag(self):
+        trace = synthesize_trace(300, 10, read_fraction=0.5, seed=5)
+        assert {op.tag for op in trace if op.op == "read"} == {0}
+        assert all(op.tag > 0 for op in trace if op.op == "write")
+
+    def test_read_fraction_extremes(self):
+        assert {op.op for op in synthesize_trace(100, 8, read_fraction=1.0)} == {
+            "read"
+        }
+        assert {op.op for op in synthesize_trace(100, 8, read_fraction=0.0)} == {
+            "write"
+        }
+
+    def test_pattern_shapes_the_blocks(self):
+        """The access pattern is the only source of skew: a Zipf trace
+        concentrates on fewer blocks than the default uniform one."""
+        def top_share(trace):
+            counts = Counter(op.block for op in trace)
+            return sum(c for _b, c in counts.most_common(5)) / len(trace)
+
+        uniform = synthesize_trace(2000, 50, seed=6)
+        zipf = synthesize_trace(
+            2000, 50, pattern=ZipfPattern(exponent=1.2, seed=0), seed=6
+        )
+        assert top_share(zipf) > 2 * top_share(uniform)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
