@@ -1,4 +1,4 @@
-"""Scrub bench: detection latency, repair throughput, sampling economics.
+"""Scrub bench: detection latency, repair throughput, overhead.
 
 Runs the scrub experiment at two corruption rates plus the paired
 corruption-free baseline/scrub-on runs, and asserts the robustness
@@ -11,15 +11,12 @@ headline numbers:
 * no client read ever returns wrong data while all this is happening;
 * the scrub daemon costs a corruption-free workload < 15% ops/s.
 
-The sampling sweep then measures the scheduler's economics at fleet
-scale (1000 registers), asserting >= 95% per-cycle detection confidence
-at <= 25% of the full-sweep scan cost — and that fixed-seed corruption
-campaigns stay bit-identical with the seeded sampler running.
+It also checks that fixed-seed corruption campaigns stay bit-identical
+with the scrub daemon running.
 
 Artifacts: ``benchmarks/out/scrub_daemon.txt`` (report) and
 ``benchmarks/out/BENCH_scrub.json`` (detection latency and repair
-throughput at each corruption rate, plus the
-detection-latency-vs-sample-rate curves under ``"sampling"``).
+throughput at each corruption rate).
 """
 
 import json
@@ -32,33 +29,17 @@ from .conftest import OUT_DIR, write_artifact
 #: Two corruption rates (per client op), as the acceptance bar requires.
 RATES = (0.05, 0.15)
 OPS = 300
-#: The sampled scheduler must reach this per-cycle detection
-#: confidence at no more than MAX_COST_FRACTION of the full sweep.
-TARGET_CONFIDENCE = 0.95
-MAX_COST_FRACTION = 0.25
 
 
 def run_experiment():
-    experiment = scrub_analysis.run_scrub_experiment(
-        ops=OPS, corrupt_rates=RATES
-    )
-    return experiment, scrub_analysis.run_sampling_sweep()
+    return scrub_analysis.run_scrub_experiment(ops=OPS, corrupt_rates=RATES)
 
 
 def test_bench_scrub(benchmark):
-    experiment, sampling = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
-    write_artifact(
-        "scrub_daemon",
-        scrub_analysis.render_report(experiment)
-        + "\n"
-        + scrub_analysis.render_sampling_report(sampling),
-    )
+    experiment = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    write_artifact("scrub_daemon", scrub_analysis.render_report(experiment))
     json_path = OUT_DIR / "BENCH_scrub.json"
-    json_path.write_text(
-        scrub_analysis.to_json(experiment, sampling=sampling) + "\n"
-    )
+    json_path.write_text(scrub_analysis.to_json(experiment) + "\n")
 
     for run in experiment.runs:
         assert run.injected > 0  # corruption actually happened
@@ -81,39 +62,10 @@ def test_bench_scrub(benchmark):
         assert entry["mean_detection_latency"] > 0
         assert entry["repair_throughput"] > 0
 
-    # -- sampling economics: the detection-latency-vs-sample-rate axes.
-    axes = payload["sampling"]
-    assert axes["registers"] >= 1000
-    assert axes["curves"], "sampling sweep produced no curve points"
-    for point in axes["curves"]:
-        for key in (
-            "sample_rate", "scan_budget", "detection_confidence",
-            "predicted_confidence", "mean_detection_cycles",
-            "mean_detection_latency",
-        ):
-            assert key in point, f"curve point missing {key}"
-    # Headline: >= 95% per-cycle detection confidence at <= 25% of the
-    # full-sweep scan cost.
-    confident_cheap = [
-        point for point in axes["curves"]
-        if point["sample_rate"] <= MAX_COST_FRACTION
-        and point["detection_confidence"] >= TARGET_CONFIDENCE
-    ]
-    assert confident_cheap, (
-        f"no sample rate <= {MAX_COST_FRACTION} reached "
-        f"{TARGET_CONFIDENCE:.0%} detection confidence: {axes['curves']}"
-    )
-    # Latency degrades gracefully: the full sweep is never *faster*
-    # (in cycles) than the confident sampled point.
-    full = max(axes["curves"], key=lambda p: p["sample_rate"])
-    assert min(
-        p["mean_detection_cycles"] for p in confident_cheap
-    ) <= full["mean_detection_cycles"] * 1.5 + 1e-9
 
-
-def test_sampling_campaigns_deterministic():
-    """Fixed-seed corruption campaigns are bit-identical with the seeded
-    scrub sampler running."""
+def test_scrub_campaigns_deterministic():
+    """Fixed-seed corruption campaigns are bit-identical with the scrub
+    daemon running."""
     config = CampaignConfig(
         seed=7,
         registers=6,

@@ -1,6 +1,6 @@
 """Scrub-daemon experiments: detection latency, repair throughput, overhead.
 
-Four questions about the background scrubber, each answered by a
+Three questions about the background scrubber, each answered by a
 seeded, repeatable run:
 
 * **Detection latency** — after a silent bit flip lands in a *cold*
@@ -15,13 +15,6 @@ seeded, repeatable run:
   workload?  The daemon verifies checksums out-of-band (no protocol
   messages), so the answer should be "almost nothing"; the bench
   asserts < 15% ops/s.
-* **Sampling economics** (:func:`run_sampling_sweep`) — at fleet
-  scale, what detection confidence and latency does a sampled scan
-  budget buy compared to the exhaustive sweep?  The sweep scans every
-  (register, brick) pair per cycle — O(fleet); the sampler's budget
-  depends only on the target confidence and assumed corruption rate,
-  so the curves show ≥95% per-cycle confidence at a small fraction of
-  the full-sweep scan cost once registers number in the thousands.
 
 The workload deliberately touches only *half* the registers; corruption
 is injected across *all* of them.  Damage in the active half is usually
@@ -37,57 +30,36 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..campaign.schedule import FaultEvent, apply_event
 from ..core.cluster import ClusterConfig, FabCluster
 from ..core.coordinator import CoordinatorConfig
 from ..errors import ConfigurationError
-from ..scrub.daemon import ScrubConfig, ScrubDaemon
-from ..scrub.sampler import PairSampler, detection_confidence, required_samples
+from ..scrub.daemon import ScrubDaemon
 
 __all__ = [
     "ScrubRunResult",
     "ScrubExperiment",
-    "SamplingCurvePoint",
-    "SamplingSweepResult",
     "run_scrub_run",
     "run_scrub_experiment",
-    "run_sampling_sweep",
-    "check_trials",
     "render_report",
-    "render_sampling_report",
     "to_json",
 ]
 
-#: Every stripe has ``_N`` fragments: ``(3, 5)`` for the daemon runs,
-#: ``(2, 5)`` for the sampling sweep.
+#: Daemon-run shape: an RS(3, 5) stripe per register, registers (clients
+#: touch the first half), block size, wake-up period, client think time,
+#: and the post-workload drain that lets the daemon finish.  A full pass
+#: every 240 time units audits the 40 pairs at one pair per 6 units.
 _N = 5
 _RUN_M = 3
-_SWEEP_M = 2
-#: Daemon-run shape: registers (clients touch the first half), block
-#: size, wake-up period and fixed scan budget, client think time, and
-#: the post-workload drain that lets the daemon finish.
 _RUN_REGISTERS = 8
 _RUN_BLOCK_SIZE = 64
-_RUN_SCRUB_INTERVAL = 12.0
-_RUN_SAMPLES_PER_TICK = 2
+_RUN_SCRUB_INTERVAL = 240.0
 _RUN_THINK_TIME = 2.0
 _RUN_DRAIN = 400.0
 #: Interleaved scrub-off / scrub-on slices behind the overhead ratio.
 _OVERHEAD_REPEATS = 8
-#: Sampling-sweep shape: fleet size, scan budgets (fractions of the full
-#: sweep) to measure, seed, per-cycle detection-confidence target, block
-#: size, injected corrupt fraction of the pair space, wake-up period,
-#: and the cycle cap per trial.
-_SWEEP_REGISTERS = 1000
-_SWEEP_SAMPLE_RATES = (0.05, 0.10, 0.25, 1.0)
-_SWEEP_SEED = 0
-_SWEEP_TARGET_CONFIDENCE = 0.95
-_SWEEP_BLOCK_SIZE = 16
-_SWEEP_CORRUPT_FRACTION = 0.01
-_SWEEP_INTERVAL = 20.0
-_SWEEP_MAX_CYCLES = 64
 
 
 @dataclass
@@ -182,12 +154,6 @@ def run_scrub_run(
     probability, one bit is flipped in a random (brick, register) pair
     — over *all* registers, while the clients only ever touch the first
     half.  Detection latency is measured for the scrubber's finds.
-
-    ``_RUN_SAMPLES_PER_TICK`` fixes the daemon's scan budget: at this
-    run's small register count the confidence-derived budget would
-    clamp to the full pair space every wake-up (sampling only pays at
-    fleet scale — that economics question is
-    :func:`run_sampling_sweep`'s).
     """
     m, n, registers = _RUN_M, _N, _RUN_REGISTERS
     block_size = _RUN_BLOCK_SIZE
@@ -207,14 +173,7 @@ def run_scrub_run(
     #: experiment measures the scrubber, not the code's limits.
     corrupted: Dict[int, List[int]] = {}
     budget = cluster.quorum_system.f
-    daemon = ScrubDaemon(
-        cluster,
-        registers=range(registers),
-        config=ScrubConfig(
-            interval=_RUN_SCRUB_INTERVAL,
-            samples_per_tick=_RUN_SAMPLES_PER_TICK, seed=seed,
-        ),
-    )
+    daemon = ScrubDaemon(cluster, interval=_RUN_SCRUB_INTERVAL)
     if scrub_enabled:
         daemon.start()
 
@@ -397,238 +356,6 @@ def run_scrub_experiment(
     return experiment
 
 
-@dataclass
-class SamplingCurvePoint:
-    """One point on the detection-latency-vs-sample-rate curve."""
-
-    #: Scan budget per cycle as a fraction of the full sweep.
-    sample_rate: float
-    #: Absolute scans per cycle that fraction buys.
-    scan_budget: int
-    trials: int
-    #: Trials whose *first* cycle hit at least one corrupt pair — the
-    #: empirical per-cycle detection confidence.
-    detected_first_cycle: int
-    #: ``1 - (1 - p)^s`` at the injected corrupt fraction.
-    predicted_confidence: float
-    #: Mean cycles until the first corrupt pair was hit.
-    mean_detection_cycles: float
-    #: ``mean_detection_cycles * interval`` — sim-time detection latency.
-    mean_detection_latency: float
-    max_detection_cycles: int
-
-    @property
-    def empirical_confidence(self) -> float:
-        if self.trials == 0:
-            return 0.0
-        return self.detected_first_cycle / self.trials
-
-    def to_dict(self) -> Dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "scan_budget": self.scan_budget,
-            "trials": self.trials,
-            "detected_first_cycle": self.detected_first_cycle,
-            "detection_confidence": round(self.empirical_confidence, 4),
-            "predicted_confidence": round(self.predicted_confidence, 4),
-            "mean_detection_cycles": round(self.mean_detection_cycles, 3),
-            "mean_detection_latency": round(self.mean_detection_latency, 2),
-            "max_detection_cycles": self.max_detection_cycles,
-        }
-
-
-@dataclass
-class SamplingSweepResult:
-    """Sampled-scrub economics at one fleet size.
-
-    Answers: what per-cycle detection confidence and detection latency
-    does each scan budget buy, against real corrupted stable storage?
-    The full sweep is the ``sample_rate=1.0`` point; the headline is
-    the smallest rate whose empirical confidence clears the target.
-    """
-
-    registers: int
-    bricks: int
-    total_pairs: int
-    corrupt_pairs: int
-    corrupt_fraction: float
-    target_confidence: float
-    #: Scans/cycle the confidence math prescribes at the target.
-    required_samples: int
-    interval: float
-    seed: int
-    wall_seconds: float = 0.0
-    points: List[SamplingCurvePoint] = field(default_factory=list)
-
-    def cheapest_confident_rate(self) -> Optional[float]:
-        """Smallest sample rate meeting the confidence target, if any."""
-        for point in sorted(self.points, key=lambda p: p.sample_rate):
-            if point.empirical_confidence >= self.target_confidence:
-                return point.sample_rate
-        return None
-
-    def to_dict(self) -> Dict:
-        return {
-            "registers": self.registers,
-            "bricks": self.bricks,
-            "total_pairs": self.total_pairs,
-            "corrupt_pairs": self.corrupt_pairs,
-            "corrupt_fraction": self.corrupt_fraction,
-            "target_confidence": self.target_confidence,
-            "required_samples": self.required_samples,
-            "interval": self.interval,
-            "seed": self.seed,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "cheapest_confident_rate": self.cheapest_confident_rate(),
-            "curves": [point.to_dict() for point in self.points],
-        }
-
-
-def check_trials(trials: int) -> int:
-    """``trials`` if a sampling sweep can run that many, else raise
-    :class:`ConfigurationError` (no trial, no detection rate)."""
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    return trials
-
-
-def run_sampling_sweep(trials: int = 32) -> SamplingSweepResult:
-    """Detection confidence/latency vs scan budget, at fleet scale.
-
-    Builds a real cluster, populates ``_SWEEP_REGISTERS`` stripes, injects
-    silent bit flips into ``_SWEEP_CORRUPT_FRACTION`` of the (register,
-    brick) pair space, then for each of ``_SWEEP_SAMPLE_RATES`` runs
-    ``trials`` seeded trials of the scrub sampler's draw-and-verify
-    cycle (the daemon's scan order and its copy audit,
-    :meth:`~repro.core.replica.Replica.audit`, against genuinely
-    corrupted storage — not a set-membership shortcut).  Per trial it
-    records whether the first cycle detected corruption (the per-cycle
-    confidence the :func:`~repro.scrub.sampler.required_samples` math
-    predicts) and how many cycles until the first hit (detection
-    latency).
-
-    Everything derives from ``_SWEEP_SEED``; repeated calls are
-    bit-identical.
-
-    Raises:
-        ConfigurationError: ``trials < 1`` (no trial, no detection rate).
-    """
-    m, n, block_size = _SWEEP_M, _N, _SWEEP_BLOCK_SIZE
-    corrupt_fraction, interval = _SWEEP_CORRUPT_FRACTION, _SWEEP_INTERVAL
-    registers, seed = _SWEEP_REGISTERS, _SWEEP_SEED
-    target_confidence = _SWEEP_TARGET_CONFIDENCE
-    check_trials(trials)
-    result = SamplingSweepResult(
-        registers=registers,
-        bricks=n,
-        total_pairs=registers * n,
-        corrupt_pairs=max(1, round(corrupt_fraction * registers * n)),
-        corrupt_fraction=corrupt_fraction,
-        target_confidence=target_confidence,
-        required_samples=required_samples(
-            target_confidence, corrupt_fraction, registers * n
-        ),
-        interval=interval,
-        seed=seed,
-    )
-    started = time.perf_counter()
-    cluster = FabCluster(ClusterConfig(
-        m=m, n=n, block_size=block_size, seed=seed,
-        coordinator=CoordinatorConfig(gc_enabled=True),
-        metrics_history_limit=64,
-    ))
-    for register_id in range(registers):
-        stamp = (f"r{register_id}.".encode() * block_size)[:block_size]
-        cluster.register(register_id).write_stripe([stamp] * m)
-
-    rng = random.Random(seed ^ 0x5A3D1E)
-    pairs = [
-        (register_id, pid)
-        for register_id in range(registers)
-        for pid in range(1, n + 1)
-    ]
-    corrupt: set = set()
-    for register_id, pid in rng.sample(pairs, result.corrupt_pairs):
-        if _corrupt(cluster, pid, register_id, rng.randrange(1 << 16)):
-            corrupt.add((register_id, pid))
-    result.corrupt_pairs = len(corrupt)
-
-    actual_fraction = len(corrupt) / len(pairs)
-    for rate_index, rate in enumerate(_SWEEP_SAMPLE_RATES):
-        budget = max(1, round(rate * len(pairs)))
-        detected_first = 0
-        cycle_counts: List[int] = []
-        for trial in range(trials):
-            sampler = PairSampler(
-                seed=seed * 1_000_003 + rate_index * 10_007 + trial
-            )
-            hit_cycle = _SWEEP_MAX_CYCLES
-            for cycle in range(1, _SWEEP_MAX_CYCLES + 1):
-                if sampler.lap_done:
-                    sampler.start_lap(pairs)
-                if not all(
-                    cluster.replicas[p].audit(r)
-                    for r, p in sampler.draw(budget)
-                ):
-                    hit_cycle = cycle
-                    break
-            if hit_cycle == 1:
-                detected_first += 1
-            cycle_counts.append(hit_cycle)
-        result.points.append(SamplingCurvePoint(
-            sample_rate=rate,
-            scan_budget=budget,
-            trials=trials,
-            detected_first_cycle=detected_first,
-            predicted_confidence=detection_confidence(
-                budget, actual_fraction
-            ),
-            mean_detection_cycles=sum(cycle_counts) / len(cycle_counts),
-            mean_detection_latency=(
-                interval * sum(cycle_counts) / len(cycle_counts)
-            ),
-            max_detection_cycles=max(cycle_counts),
-        ))
-    result.wall_seconds = time.perf_counter() - started
-    return result
-
-
-def render_sampling_report(sweep: SamplingSweepResult) -> str:
-    """Human-readable sampling-economics summary."""
-    lines = [
-        "Sampled scrub — detection confidence/latency vs scan budget",
-        f"fleet: {sweep.registers} registers x {sweep.bricks} bricks = "
-        f"{sweep.total_pairs} pairs; {sweep.corrupt_pairs} corrupt "
-        f"({100 * sweep.corrupt_fraction:g}% assumed), seed {sweep.seed}",
-        f"confidence math: {sweep.required_samples} samples/cycle for "
-        f"{100 * sweep.target_confidence:g}% per-cycle detection "
-        f"({100 * sweep.required_samples / sweep.total_pairs:.1f}% of the "
-        "full sweep)",
-        "",
-        f"{'rate':>6} {'scans':>7} {'conf':>7} {'pred':>7} "
-        f"{'cycles':>7} {'latency':>8}",
-    ]
-    for point in sweep.points:
-        lines.append(
-            f"{point.sample_rate:>6g} {point.scan_budget:>7} "
-            f"{point.empirical_confidence:>7.3f} "
-            f"{point.predicted_confidence:>7.3f} "
-            f"{point.mean_detection_cycles:>7.2f} "
-            f"{point.mean_detection_latency:>8.1f}"
-        )
-    cheapest = sweep.cheapest_confident_rate()
-    lines.append("")
-    lines.append(
-        "conf = fraction of trials detecting corruption in cycle 1; "
-        "latency = mean cycles to first hit x interval"
-    )
-    lines.append(
-        f"cheapest rate at >= {100 * sweep.target_confidence:g}% "
-        f"confidence: {cheapest if cheapest is not None else 'none'}"
-    )
-    return "\n".join(lines) + "\n"
-
-
 def render_report(experiment: ScrubExperiment) -> str:
     """Human-readable experiment summary."""
     low, high = experiment.overhead_spread
@@ -667,11 +394,5 @@ def render_report(experiment: ScrubExperiment) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(
-    experiment: ScrubExperiment,
-    sampling: Optional[SamplingSweepResult] = None,
-) -> str:
-    payload = experiment.to_dict()
-    if sampling is not None:
-        payload["sampling"] = sampling.to_dict()
-    return json.dumps(payload, indent=2)
+def to_json(experiment: ScrubExperiment) -> str:
+    return json.dumps(experiment.to_dict(), indent=2)

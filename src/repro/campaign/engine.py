@@ -92,8 +92,8 @@ class CampaignConfig:
         corrupt_weight: weight of silent bit-flip faults in the mix
             (0 disables corruption injection entirely; must be >= 0).
         scrub_enabled: run the background scrub-and-repair daemon
-            during the campaign, verifying checksums every 20 time
-            units.  Its sampler is seeded from ``seed``, so campaign
+            during the campaign, auditing every (register, brick)
+            pair every 20 time units in a fixed order, so campaign
             determinism and the corruption invariants hold unchanged.
     """
 
@@ -357,14 +357,11 @@ def run_campaign(
     if config.scrub_enabled:
         # Imported here: repro.scrub builds on core.rebuild, and the
         # campaign package should stay importable without it.
-        from ..scrub.daemon import ScrubConfig, ScrubDaemon
+        from ..scrub.daemon import ScrubDaemon
 
         daemon = ScrubDaemon(
             engine.cluster,
-            registers=range(config.registers),
-            config=ScrubConfig(
-                interval=_SCRUB_INTERVAL, seed=config.seed
-            ),
+            interval=_SCRUB_INTERVAL,
             horizon=config.duration + config.drain,
         )
         daemon.start()

@@ -36,7 +36,12 @@ Injected *corruption* events are faults, not violations: when the
 campaign engine flips a bit it calls :meth:`CampaignMonitor.note_corruption`
 so invariants 2 and 3 stand down for that (brick, register) — a
 quarantined register refuses state reads until repaired, and its
-post-repair log legitimately differs from any pre-crash image.
+post-repair log legitimately differs from any pre-crash image.  The
+monitor only observes: it never loads a copy it knows is damaged
+(loading would quarantine it), so the damage stays for a client read
+or the scrub daemon to find.  It checks the pair's stored checksum
+instead, which has no side effects, and resumes once the copy verifies
+clean.
 
 Violations are collected, never raised: a campaign run always completes
 and reports, so the shrinker can re-run reduced schedules mechanically.
@@ -88,6 +93,8 @@ class CampaignMonitor:
         self._ts_marks: Dict[Tuple[int, int], Tuple] = {}
         # pid -> {register_id: (ord_ts, serialized log)} at last crash.
         self._crash_images: Dict[int, Dict[int, Tuple]] = {}
+        # (pid, register_id) corrupted and not yet seen verifying clean.
+        self._unverified: Set[Tuple[int, int]] = set()
         self._check_quorum_preconditions()
         for pid, node in cluster.nodes.items():
             node.on_crash(lambda p=pid: self._snapshot_at_crash(p))
@@ -136,12 +143,30 @@ class CampaignMonitor:
         not the pre-crash image) and the timestamp mark (a repair write
         starts a fresh log; its timestamps are still monotone, but the
         quarantine window makes the register unsampleable meanwhile).
+        The pair is skipped until its stored copy verifies clean.
         """
         self.corruptions_noted += 1
         images = self._crash_images.get(pid)
         if images is not None:
             images.pop(register_id, None)
         self._ts_marks.pop((pid, register_id), None)
+        self._unverified.add((pid, register_id))
+
+    def _damaged(self, pid: int, register_id: int) -> bool:
+        """Whether (brick, register) still holds noted, unrepaired damage.
+
+        Reads the stored checksum only (:meth:`~repro.sim.node.
+        StableStore.verify`), so the copy is neither loaded nor
+        quarantined; a pair that verifies clean is forgotten.
+        """
+        key = (pid, register_id)
+        if key not in self._unverified:
+            return False
+        replica = self.cluster.replicas[pid]
+        if not replica.node.stable.verify(replica.log_key(register_id)):
+            return True
+        self._unverified.discard(key)
+        return False
 
     # -- invariant 2: recovery equivalence ---------------------------------
 
@@ -153,6 +178,8 @@ class CampaignMonitor:
         replica = self.cluster.replicas[pid]
         images = {}
         for register_id in replica.register_ids():
+            if self._unverified and self._damaged(pid, register_id):
+                continue
             try:
                 images[register_id] = self._register_image(pid, register_id)
             except CorruptionDetected:
@@ -165,6 +192,8 @@ class CampaignMonitor:
             return
         self.recoveries_checked += 1
         for register_id, before in images.items():
+            if self._unverified and self._damaged(pid, register_id):
+                continue
             try:
                 after = self._register_image(pid, register_id)
             except CorruptionDetected:
@@ -190,6 +219,8 @@ class CampaignMonitor:
             if not replica.node.is_up:
                 continue
             for register_id in replica.register_ids():
+                if self._unverified and self._damaged(pid, register_id):
+                    continue
                 try:
                     state = replica.state(register_id)
                 except CorruptionDetected:

@@ -132,29 +132,16 @@ def _table1():
 
 
 def _scrub(**kwargs):
-    from .analysis.scrub import (
-        check_trials,
-        render_report,
-        render_sampling_report,
-        run_sampling_sweep,
-        run_scrub_experiment,
-        to_json,
-    )
+    from .analysis.scrub import render_report, run_scrub_experiment, to_json
 
-    sweep = {}
-    if "trials" in kwargs:
-        # Refuse a bad sweep before the seconds-long daemon experiment.
-        sweep["trials"] = check_trials(kwargs.pop("trials"))
     experiment = run_scrub_experiment(**kwargs)
-    sampling = run_sampling_sweep(**sweep)
-    report = render_report(experiment) + "\n" + render_sampling_report(sampling)
     # Success = every corrupting run ended fully repaired and no client
     # read ever returned wrong data.
     healthy = all(
         run.clean_after and run.read_mismatches == 0
         for run in experiment.runs
     )
-    return report, to_json(experiment, sampling=sampling), healthy
+    return render_report(experiment), to_json(experiment), healthy
 
 
 def _placement(min_ratio: Optional[float] = None):
@@ -257,16 +244,13 @@ _COMMANDS = {
     "figure3": ("overhead vs MTTDL", _figure3, ()),
     "table1": ("protocol costs", _table1, ()),
     "scrub": (
-        "scrub-daemon corruption experiment, then the sampling sweep",
+        "scrub-daemon corruption experiment",
         _scrub,
         (
             ("--ops", dict(type=int, help="client ops per daemon run")),
             ("--corrupt-rate", dict(
                 dest="corrupt_rates", type=float, nargs="+",
                 help="per-op corruption probabilities to sweep",
-            )),
-            ("--trials", dict(
-                type=int, help="seeded trials per sample rate",
             )),
             ("--out", dict(help="also write the report to this file")),
             _JSON,

@@ -1,27 +1,11 @@
 """Background scrub-and-repair: auditing checksummed storage for rot.
 
-:mod:`repro.scrub.daemon` holds the daemon and its one scheduler;
-:mod:`repro.scrub.sampler` the sampling math, the lap permutation and
-the queues; :mod:`repro.analysis.scrub` runs the
-detection-latency / repair-throughput experiments the scrub bench and
-CLI report.
+:mod:`repro.scrub.daemon` holds the daemon: each wake-up audits every
+(register, brick) pair and queues repairs for what it finds;
+:mod:`repro.analysis.scrub` runs the detection-latency /
+repair-throughput experiments the scrub bench and CLI report.
 """
 
-from .daemon import ScrubConfig, ScrubDaemon
-from .sampler import (
-    PairSampler,
-    RepairQueue,
-    RevisitQueue,
-    detection_confidence,
-    required_samples,
-)
+from .daemon import ScrubDaemon
 
-__all__ = [
-    "ScrubConfig",
-    "ScrubDaemon",
-    "PairSampler",
-    "RepairQueue",
-    "RevisitQueue",
-    "detection_confidence",
-    "required_samples",
-]
+__all__ = ["ScrubDaemon"]

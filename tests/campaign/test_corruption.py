@@ -50,6 +50,9 @@ class TestSoundConfig:
         )
         assert result.ok
         assert result.corruption["scrub_scans"] > 0
+        # The monitor observes without loading damaged copies, so the
+        # scan, not the monitor, finds what no client read.
+        assert result.corruption["scrub_detections"] > 0
 
 
 #: The corruption-heavy run both escape-hatch tests share.

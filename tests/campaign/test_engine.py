@@ -145,11 +145,14 @@ class TestBrokenConfig:
 class TestKnownFindings:
     @pytest.mark.parametrize("seed", [18, 209])
     def test_scrub_repaired_log_never_reads_nil(self, seed):
-        """RS(3,5) with corrupt faults and scrub on: a scrub repair
-        leaves a log that starts at the repair's timestamp, and a
-        recovery read asking below it must get an erasure, not nil.
-        The schedules are the seeds' own, shrunk by ``shrink_schedule``;
-        before the log floor, both read nil after completed writes."""
+        """RS(3,5) with corrupt faults and scrub on, on the seeds' own
+        schedules shrunk by ``shrink_schedule``: both read nil after
+        completed writes when they were found.  They no longer reach
+        that interleaving even without the log floor (a log that starts
+        above LowTS answers a read below its first entry as an
+        erasure), so they do not guard it; the floor is pinned seed-free
+        by ``tests/core/test_replica.py::TestOrderReadHandler::
+        test_bound_at_or_below_the_log_floor_is_an_erasure``."""
         schedule = CampaignSchedule.from_json(
             (Path(__file__).parent / "reproducers" / f"seed{seed}.json")
             .read_text()

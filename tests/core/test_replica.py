@@ -153,6 +153,27 @@ class TestOrderReadHandler:
         assert reply.lts == ts(2)
         assert reply.block == b"old"
 
+    @pytest.mark.parametrize("bound", [3, 4])
+    def test_bound_at_or_below_the_log_floor_is_an_erasure(self, bound):
+        """A log trimmed to start at ts(4) knows nothing below it: asked
+        for the newest version before ts(bound) <= 4 it answers as an
+        erasure, never as nil at LowTS."""
+        h = Harness()
+        for t in (2, 4):
+            h.send(WriteReq(register_id=0, request_id=t, block=bytes([t]), ts=ts(t)))
+        h.send(GcReq(register_id=0, request_id=50, ts=ts(4)))
+        assert h.replica.state(0).log.min_ts() == ts(4)
+        below = h.send(
+            OrderReadReq(register_id=0, request_id=5, j=ALL, max_ts=ts(bound), ts=ts(9))
+        )
+        assert below.status and below.corrupt
+        assert below.block is None
+        above = h.send(
+            OrderReadReq(register_id=0, request_id=6, j=ALL, max_ts=ts(5), ts=ts(10))
+        )
+        assert not above.corrupt
+        assert (above.lts, above.block) == (ts(4), b"\x04")
+
     def test_j_targeting(self):
         h = Harness(process_index=2)
         h.send(WriteReq(register_id=0, request_id=1, block=b"v", ts=ts(1)))

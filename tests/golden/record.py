@@ -10,7 +10,9 @@ moved::
     PYTHONPATH=src python -m tests.golden.record
 
 which rewrites the file from the checked-out ``src/`` and stamps it
-with ``git rev-parse HEAD``.
+with ``git rev-parse HEAD``, suffixed ``-dirty`` when tracked files
+differ from that commit (the code that produced it is then not the
+commit's).
 
 Values are ints, strings and floats that round-trip through JSON
 exactly.  Anything richer (``bytes`` blocks, timestamps, the abort and
@@ -228,10 +230,16 @@ def run_case(name: str):
     return json.loads(json.dumps(CASES[name]()))
 
 
-def main() -> None:
-    sha = subprocess.check_output(
-        ["git", "rev-parse", "HEAD"], cwd=GOLDEN_PATH.parent, text=True
+def _git(*args: str) -> str:
+    return subprocess.check_output(
+        ["git", *args], cwd=GOLDEN_PATH.parent, text=True
     ).strip()
+
+
+def main() -> None:
+    sha = _git("rev-parse", "HEAD")
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        sha += "-dirty"
     payload = {
         "recorded_from": sha,
         "regenerate": REGENERATE,

@@ -9,17 +9,38 @@ per-message vs swept delivery) that needed both forks alive.
 """
 
 import json
+import re
 
 import pytest
 
+from tests.golden import record
 from tests.golden.record import CASES, GOLDEN_PATH, run_case
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
 def test_golden_names_its_source_and_covers_every_case():
-    assert len(GOLDEN["recorded_from"]) == 40
+    # A commit sha, marked ``-dirty`` when recorded from a tree with
+    # uncommitted changes to tracked files.
+    assert re.fullmatch(r"[0-9a-f]{40}(-dirty)?", GOLDEN["recorded_from"])
     assert sorted(GOLDEN["cases"]) == sorted(CASES)
+
+
+@pytest.mark.parametrize("porcelain, stamp", [
+    ("", "ab" * 20),
+    (" M src/repro/cli.py", "ab" * 20 + "-dirty"),
+])
+def test_record_stamps_an_uncommitted_tree_dirty(
+    monkeypatch, tmp_path, porcelain, stamp
+):
+    answers = {"rev-parse": "ab" * 20, "status": porcelain}
+    monkeypatch.setattr(record, "_git", lambda *args: answers[args[0]])
+    monkeypatch.setattr(record, "CASES", {"one": lambda: {"x": 1}})
+    monkeypatch.setattr(record, "GOLDEN_PATH", tmp_path / "golden.json")
+    record.main()
+    payload = json.loads((tmp_path / "golden.json").read_text())
+    assert payload["recorded_from"] == stamp
+    assert payload["cases"] == {"one": {"x": 1}}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

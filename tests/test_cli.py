@@ -27,12 +27,26 @@ class TestCli:
         assert "read-stripe/fast" in out
 
     def test_scrub(self, capsys):
-        # One daemon experiment, then the sampling sweep; the verdict
-        # holds only if every corrupting run ends repaired.
-        assert main(["scrub", "--ops", "40", "--trials", "1"]) == 0
+        # The verdict holds only if every corrupting run ends repaired.
+        assert main(["scrub", "--ops", "40"]) == 0
         out = capsys.readouterr().out
         assert "client reads returning wrong data across all runs: 0" in out
-        assert "Sampled scrub" in out
+
+    def test_scrub_json_reports_runs_only(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert main(["scrub", "--ops", "40", "--json", "r.json"]) == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert "sampling" not in payload
+        assert payload["runs"]
+        for run in payload["runs"]:
+            assert run["clean_after"] and run["read_mismatches"] == 0
+
+    def test_scrub_refuses_the_trials_flag(self, capsys):
+        # The sampling sweep it sized is gone; argparse rejects it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scrub", "--ops", "10", "--trials", "8"])
+        assert exit_info.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize("min_ratio, code, verdict", [
         ("1.5", 0, "OK"), ("100", 1, "FAIL"),
@@ -85,8 +99,8 @@ class TestCli:
      "clients must be >= 1"),
     (["serve", "--clients", "2", "--ops", "2", "--drop-rate", "1.5"],
      "drop must be in"),
-    (["scrub", "--ops", "10", "--trials", "0",
-      "--out", "r.txt", "--json", "r.json"], "trials must be >= 1"),
+    (["scrub", "--ops", "10", "--corrupt-rate", "-0.1",
+      "--out", "r.txt", "--json", "r.json"], "corrupt rate must be in"),
     (["campaign", "--ops", "0"], "ops_per_client must be >= 1"),
     (["serve", "--clients", "2", "--ops", "0"],
      "ops per client must be >= 1"),
@@ -100,7 +114,6 @@ class TestCli:
     (["scrub", "--ops", "10", "--corrupt-rate", "1.5"],
      "corrupt rate must be in"),
     (["campaign", "--corrupt-weight", "-1"], "corrupt_weight must be >= 0"),
-    (["scrub", "--trials", "0"], "trials must be >= 1"),
 ])
 def test_bad_domain_arguments_exit_with_one_line(
     capsys, monkeypatch, tmp_path, argv, complaint
@@ -111,16 +124,6 @@ def test_bad_domain_arguments_exit_with_one_line(
     assert err.count("\n") == 1
     assert err.startswith(f"repro {argv[0]}: ") and complaint in err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_bad_trials_are_refused_before_the_daemon_experiment(monkeypatch):
-    import repro.analysis.scrub as scrub
-
-    def never(**_kwargs):
-        raise AssertionError("run_scrub_experiment ran")
-
-    monkeypatch.setattr(scrub, "run_scrub_experiment", never)
-    assert main(["scrub", "--trials", "0"]) == 1
 
 
 def test_only_the_flags_given_reach_the_entry_point(monkeypatch, capsys):

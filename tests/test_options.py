@@ -5,12 +5,13 @@ benchmarks must cover, so a new knob on any of these surfaces shows up
 here as a reviewed edit.  A setting that no shipped caller sets to
 anything but its default belongs in a module constant instead.
 
-The first eleven surfaces hold 59 values (``RouteOptions`` and the
-sharded fleet campaign's config, once among them, are gone); the
-maintenance and experiment surfaces below them hold 36.  A session's
-``volume`` is its subject, not an option.  The ``repro`` CLI's flags
-are pinned per subcommand (24 in all): a flag exists only where a
-shipped caller (CI, the docs, an example or a benchmark) passes it.
+The first eleven surfaces hold 57 values (``RouteOptions``, the
+sharded fleet campaign's config and ``ScrubConfig``, once among them,
+are gone); the maintenance and experiment surfaces below them hold 35.
+A session's ``volume`` and the scrub daemon's ``cluster`` are their
+subjects, not options.  The ``repro`` CLI's flags are pinned per
+subcommand (23 in all): a flag exists only where a shipped caller (CI,
+the docs, an example or a benchmark) passes it.
 """
 
 import argparse
@@ -23,11 +24,7 @@ import pytest
 import repro
 from repro.analysis.campaign import run_suite
 from repro.analysis.placement import run_placement_bench
-from repro.analysis.scrub import (
-    run_sampling_sweep,
-    run_scrub_experiment,
-    run_scrub_run,
-)
+from repro.analysis.scrub import run_scrub_experiment, run_scrub_run
 from repro.analysis.serve import run_serve
 from repro.cli import build_parser
 from repro.campaign import CampaignConfig, generate_schedule
@@ -36,7 +33,7 @@ from repro.core.cluster import ClusterConfig
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.session import RetryPolicy, VolumeSession
 from repro.placement import ShardedCluster
-from repro.scrub import ScrubConfig
+from repro.scrub import ScrubDaemon
 from repro.sim.network import NetworkConfig
 from repro.transport import make_transport
 from repro.transport.aio import AsyncioTransport
@@ -71,9 +68,9 @@ SURFACES = {
             "disable_fast_read", "unsafe_one_phase_writes",
         },
     ),
-    "ScrubConfig": (
-        lambda: _fields(ScrubConfig),
-        {"interval", "seed", "target_confidence", "samples_per_tick"},
+    "ScrubDaemon": (
+        lambda: _parameters(ScrubDaemon.__init__) - {"cluster"},
+        {"interval", "horizon"},
     ),
     "CampaignConfig": (
         lambda: _fields(CampaignConfig),
@@ -139,10 +136,6 @@ SURFACES = {
         lambda: _parameters(run_scrub_experiment),
         {"ops", "corrupt_rates"},
     ),
-    "run_sampling_sweep": (
-        lambda: _parameters(run_sampling_sweep),
-        {"trials"},
-    ),
     "run_serve": (
         lambda: _parameters(run_serve),
         {
@@ -164,7 +157,7 @@ CLI_FLAGS = {
     "figure2": set(),
     "figure3": set(),
     "table1": set(),
-    "scrub": {"--ops", "--corrupt-rate", "--trials", "--out", "--json"},
+    "scrub": {"--ops", "--corrupt-rate", "--out", "--json"},
     "placement": {"--min-ratio", "--json"},
     "campaign": {
         "--seeds", "--duration", "--ops", "--json", "--broken",
@@ -197,7 +190,7 @@ def test_cli_flags_are_pinned():
         for name, parser in subcommands.items()
     }
     assert actual == CLI_FLAGS
-    assert sum(len(flags) for flags in CLI_FLAGS.values()) == 24
+    assert sum(len(flags) for flags in CLI_FLAGS.values()) == 23
 
 
 def test_route_options_are_gone():
