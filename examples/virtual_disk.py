@@ -14,7 +14,7 @@ Run:  python examples/virtual_disk.py
 """
 
 from repro import open_volume
-from repro.campaign import apply_schedule, generate_schedule
+from repro.campaign import FaultEvent, apply_schedule, generate_schedule
 from repro.workloads import TraceReplayer, ZipfPattern, synthesize_trace
 
 
@@ -24,7 +24,6 @@ def main() -> None:
         stripes=40,
         block_size=512,
         min_latency=0.5, max_latency=2.0,
-        drop_probability=0.02,
         gc_enabled=True,
         seed=42,
     )
@@ -33,8 +32,9 @@ def main() -> None:
     print(f"cluster: {cluster}  (tolerates f={cluster.quorum_system.f} faults)")
 
     # Background failure churn — a crash-only fault plan: at most f
-    # bricks down at once, so the volume stays available throughout.
-    churn = apply_schedule(cluster, generate_schedule(
+    # bricks down at once, so the volume stays available throughout —
+    # over a lossy network: a 2% drop window open from t = 0.
+    plan = generate_schedule(
         seed=7,
         n=8,
         duration=3000.0,
@@ -43,7 +43,9 @@ def main() -> None:
         drop_weight=0.0,
         event_gap=(10.0, 115.0),
         down_time=(25.0, 75.0),
-    ))
+    )
+    plan.events.insert(0, FaultEvent(0.0, "drop_start", value=0.02))
+    churn = apply_schedule(cluster, plan)
 
     trace = synthesize_trace(
         num_ops=400,

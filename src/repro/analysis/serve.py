@@ -15,10 +15,11 @@ wrote.
 
 **Chaos mode** (any non-zero fault knob, or a partition) installs a
 seeded :class:`~repro.transport.chaos.ChaosPolicy` on the transport
-(``Transport.set_chaos``), which drops / duplicates / corrupts frames
-on the *wall-clock* path, and an optional timed
-partition is a two-event fault plan applied once the transport runs
-(clients keep re-reading their blocks until the plan's last event), while
+(``Transport.set_chaos``), which duplicates / corrupts frames on the
+*wall-clock* path, and a fault plan applied once the transport runs:
+random loss is a drop window opened at t = 0, an optional timed
+partition two more events (clients keep re-reading their blocks until
+the plan's last event).  Meanwhile
 sessions run with a chaos-tolerant retry policy (more attempts,
 generous failover budget).  The run must still finish with
 **zero failed sessions** and a **strictly linearizable** per-client
@@ -45,7 +46,7 @@ from ..core.session import RetryPolicy
 from ..core.volume import LogicalVolume
 from ..errors import ConfigurationError
 from ..transport.aio import AsyncioTransport
-from ..transport.chaos import ChaosPolicy, LinkChaos
+from ..transport.chaos import ChaosPolicy, _check_probability
 from ..verify.linearizability import check_strict_linearizability
 
 __all__ = ["run_serve"]
@@ -231,6 +232,8 @@ def run_serve(
     Any non-zero fault knob (or a ``partition``) installs a seeded
     :class:`~repro.transport.chaos.ChaosPolicy` on the transport and
     runs the sessions with the chaos-tolerant retry policy.
+    ``drop_rate`` is a ``drop_start`` event at t = 0 in the run's fault
+    plan.
     ``partition`` is ``(start_ms, end_ms, group)``: the group is cut off
     from the rest of the cluster for that window (one transport unit is
     one millisecond at the default time scale).  Returns the result
@@ -245,27 +248,27 @@ def run_serve(
             f"ops per client must be >= 1, got {ops_per_client}"
         )
     # Built (and so range-checked) whether or not any rate is non-zero.
-    link = LinkChaos(
-        drop=drop_rate, duplicate=duplicate_rate, corrupt=corrupt_rate,
+    _check_probability("drop", drop_rate)
+    policy = ChaosPolicy(
+        seed=chaos_seed, duplicate=duplicate_rate, corrupt=corrupt_rate,
     )
-    chaos = link != LinkChaos() or partition is not None
-    chaos_policy = ChaosPolicy(
-        seed=chaos_seed, default=link,
-    ) if chaos else None
-    plan = None
+    events = [
+        FaultEvent(time=0.0, kind="drop_start", value=drop_rate)
+    ] if drop_rate else []
     if partition is not None:
         start, end, group = partition
-        plan = CampaignSchedule(events=[
+        events += [
             FaultEvent(time=start, kind="partition", targets=tuple(group)),
             FaultEvent(time=end, kind="heal"),
-        ], seed=chaos_seed)
+        ]
+    chaos = events or policy != ChaosPolicy(seed=chaos_seed)
     return asyncio.run(
         _serve(
             clients=clients,
             ops_per_client=ops_per_client,
             mode=mode,
             base_port=base_port,
-            chaos_policy=chaos_policy,
-            plan=plan,
+            chaos_policy=policy if chaos else None,
+            plan=CampaignSchedule(events, seed=chaos_seed) if events else None,
         )
     )

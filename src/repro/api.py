@@ -10,7 +10,8 @@ call each and routes keyword knobs to wherever they belong
 
     from repro import api
 
-    volume = api.open_volume(m=3, n=5, blocks=48, drop_probability=0.02)
+    volume = api.open_volume(m=3, n=5, blocks=48, max_latency=2.0)
+    volume.cluster.transport.set_drop_probability(0.02)  # 2% loss
     session = volume.session()
     session.write(0, b"x" * 1024)
     assert session.read(0) == b"x" * 1024
@@ -76,9 +77,9 @@ def open_cluster(m: int = 3, n: int = 5, **knobs) -> FabCluster:
         **knobs: any field of :class:`ClusterConfig` (``block_size``,
             ``seed``, ``f``, ``code_kind``, ``clock_skews``,
             ``transport``), :class:`NetworkConfig`
-            (``min_latency``, ``max_latency``, ``drop_probability``,
-            ...), or :class:`CoordinatorConfig` (``gc_enabled``,
-            ``op_timeout``, ...), routed automatically.
+            (``min_latency``, ``max_latency``, ``jitter_seed``), or
+            :class:`CoordinatorConfig` (``gc_enabled``, ``op_timeout``,
+            ...), routed automatically.
 
     ``transport`` selects the substrate — ``"sim"`` (deterministic
     discrete-event kernel, default), ``"asyncio"`` (wall-clock loopback,

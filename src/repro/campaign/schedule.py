@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.replica import register_key
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -49,11 +50,6 @@ KINDS = (
     "corrupt",
     "torn_write",
 )
-
-#: The stable-store key of a register's persisted log, as named by
-#: :meth:`repro.core.replica.Replica.log_key` (store faults land below
-#: the replica and see only nodes).
-_LOG_KEY = "logj:{}"
 
 
 @dataclass(frozen=True)
@@ -245,7 +241,7 @@ def apply_event(
         )
     else:
         pid, register_id = targets
-        store, key = cluster.nodes[pid].stable, _LOG_KEY.format(register_id)
+        store, key = cluster.nodes[pid].stable, register_key(register_id)
         if kind == "corrupt":
             took_effect = store.corrupt(key, int(event.value))
         else:

@@ -318,8 +318,8 @@ _COMMANDS = {
             )),
             ("--drop-rate", dict(
                 type=float,
-                help="per-message drop probability injected at the "
-                     "transport boundary (any fault flag enables chaos mode)",
+                help="per-message drop probability: a drop window open "
+                     "from t = 0 (any fault flag enables chaos mode)",
             )),
             ("--duplicate-rate", dict(
                 type=float, help="per-message duplication probability",

@@ -56,7 +56,21 @@ from .messages import (
     WriteReq,
 )
 
-__all__ = ["Replica", "RegisterState"]
+__all__ = ["Replica", "RegisterState", "register_key"]
+
+#: The stable-store cells of a register: its log journal and ``ord-ts``.
+_CELLS = ("logj", "ordts")
+
+
+def register_key(register_id: int, cell: str = "logj") -> str:
+    """The stable-store key of one of a register's cells.
+
+    The default cell is the persisted log: what :meth:`Replica.audit`
+    verifies and a fault plan's store faults damage (the applier in
+    :mod:`repro.campaign.schedule` sees only nodes, so it names the cell
+    here).  ``"ordts"`` holds ``ord-ts``.
+    """
+    return f"{cell}:{register_id}"
 
 #: Bound on the per-coordinator duplicate-reply cache.
 _REPLY_CACHE_LIMIT = 64
@@ -205,22 +219,18 @@ class Replica:
         """
         seen = set(self._registers)
         for key in self.node.stable.keys():
-            prefix, _, tail = key.partition(":")
-            if prefix in ("logj", "ordts") and tail.isdigit():
+            cell, _, tail = key.partition(":")
+            if cell in _CELLS and tail.isdigit():
                 seen.add(int(tail))
         return sorted(seen)
 
     def log_key(self, register_id: int) -> str:
-        """The stable-store key holding the register's persisted log.
-
-        :meth:`audit` verifies this cell.  (The fault applier in
-        :mod:`repro.campaign.schedule` sits below this layer and repeats
-        the format to damage the same cell.)
-        """
-        return f"logj:{register_id}"
+        """The stable-store key holding the register's persisted log
+        (:func:`register_key`); :meth:`audit` verifies this cell."""
+        return register_key(register_id)
 
     def _ord_key(self, register_id: int) -> str:
-        return f"ordts:{register_id}"
+        return register_key(register_id, "ordts")
 
     def _load(self, register_id: int) -> RegisterState:
         stable = self.node.stable

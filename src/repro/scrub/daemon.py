@@ -16,10 +16,11 @@ brick) pair, in ``(register_id, pid)`` order, over the registers the
 cluster holds at that moment (:meth:`~repro.core.cluster.FabCluster.
 register_ids`).  So a register created after :meth:`ScrubDaemon.start`
 is scrubbed from the next wake-up on, and one that no longer exists
-costs nothing.  The interval is the rate limit.  Repair write-backs
-are admitted first in, first out, at most ``_MAX_INFLIGHT_REPAIRS`` at
-once, so a detection burst cannot flood the protocol with rebuild
-traffic.
+costs nothing.  The interval is the rate limit.  A pass queues the
+damaged registers it finds and, once it has audited every pair,
+admits their repair write-backs first in, first out, at most
+``_MAX_INFLIGHT_REPAIRS`` at once, so a detection burst cannot flood
+the protocol with rebuild traffic.
 
 Detection is an *offline* audit — the one copy audit,
 :meth:`~repro.core.replica.Replica.audit`, reads stable storage
@@ -88,6 +89,8 @@ class ScrubDaemon:
         self.sweeps_completed = 0
         self.repairs_done = 0
         self.repair_aborts = 0
+        #: Repairs not launched: too few clean copies on up bricks.
+        self.unrecoverable = 0
         #: (time, pid, register_id) for every scrub-detected corruption.
         self.detections: List[Tuple[float, int, int]] = []
         #: (pid, register_id) -> sim time the daemon first saw it dirty.
@@ -132,8 +135,10 @@ class ScrubDaemon:
     def sweep_now(self) -> int:
         """One full verification pass, right now; returns pairs scanned.
 
-        Repairs found along the way are *scheduled* (they run through
-        the protocol); advance the simulation to let them complete.
+        Damaged registers found along the way are queued; the pass
+        launches their repairs once it has audited every pair (they
+        run through the protocol); advance the simulation to let them
+        complete.
         """
         register_ids = self.cluster.register_ids()
         for register_id in register_ids:
@@ -182,17 +187,33 @@ class ScrubDaemon:
     def _offer_repair(self, register_id: int) -> None:
         if register_id not in self._inflight and register_id not in self._queued:
             self._queued.append(register_id)
-        self._pump_repairs()
 
     def _pump_repairs(self) -> None:
-        """Admit queued repairs up to the concurrency budget."""
+        """Admit queued repairs up to the concurrency budget.
+
+        A register whose up bricks hold fewer clean copies than a
+        quorum is skipped, not launched: its repair would abort reading
+        the stripe.  It stays dirty, so a later pass re-offers it once
+        enough bricks are back.
+        """
         while self._queued and len(self._inflight) < _MAX_INFLIGHT_REPAIRS:
             register_id = self._queued.popleft()
+            if not self._recoverable(register_id):
+                self.unrecoverable += 1
+                continue
             if not self._start_repair(register_id):
                 # Could not start (no live coordinator, crash race):
                 # stand down — the register stays dirty, so a later
                 # scan re-offers.
                 return
+
+    def _recoverable(self, register_id: int) -> bool:
+        cluster = self.cluster
+        clean = sum(
+            1 for pid in cluster.live_processes()
+            if register_id not in cluster.replicas[pid].quarantined
+        )
+        return clean >= cluster.quorum_system.quorum_size
 
     def _start_repair(self, register_id: int) -> bool:
         process = start_repair(self.cluster, register_id)
@@ -232,6 +253,7 @@ class ScrubDaemon:
             "detections": len(self.detections),
             "repairs_done": self.repairs_done,
             "repair_aborts": self.repair_aborts,
+            "unrecoverable": self.unrecoverable,
             "pending_repairs": len(self._inflight),
             "queued_repairs": len(self._queued),
             "tracked_marks": len(self._detected_at),

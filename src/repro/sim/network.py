@@ -20,18 +20,20 @@ __all__ = ["NetworkConfig", "Message"]
 class NetworkConfig:
     """Tunable network behaviour.
 
+    Random loss is not a network setting: it is a drop window
+    (``Transport.set_drop_probability``, a fault plan's
+    ``drop_start``), on every substrate.
+
     Attributes:
         min_latency / max_latency: one-way delay bounds; each message
             draws uniformly from the range.  ``delta`` — the paper's
             maximum one-way delay — equals ``max_latency``.
-        drop_probability: independent per-message loss probability.
         jitter_seed: seed for the network's private RNG, making runs
             reproducible.
     """
 
     min_latency: float = 1.0
     max_latency: float = 1.0
-    drop_probability: float = 0.0
     jitter_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -39,10 +41,6 @@ class NetworkConfig:
             raise ConfigurationError(
                 f"need 0 <= min_latency <= max_latency, got "
                 f"{self.min_latency}, {self.max_latency}"
-            )
-        if not 0.0 <= self.drop_probability < 1.0:
-            raise ConfigurationError(
-                f"drop_probability must be in [0, 1), got {self.drop_probability}"
             )
 
     @property

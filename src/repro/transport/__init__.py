@@ -14,7 +14,7 @@ The FAB coordinator/replica/session code speaks only the
 
 Every substrate takes the same link faults, defined once on
 :class:`Transport`: crash markers, a fault plan's partitions and drop
-windows, and seeded per-message chaos (drop/duplicate/corrupt) that
+windows, and seeded per-message chaos (duplicate/corrupt) that
 :meth:`Transport.set_chaos` installs from a
 :class:`~repro.transport.chaos.ChaosPolicy`.
 
@@ -29,7 +29,7 @@ from typing import Any
 
 from ..errors import ConfigurationError
 from .base import Endpoint, TimerHandle, Transport
-from .chaos import ChaosPolicy, ChaosStats, LinkChaos
+from .chaos import ChaosPolicy, ChaosStats
 from .sim import SimTransport
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "AsyncioTransport",
     "ChaosPolicy",
     "ChaosStats",
-    "LinkChaos",
     "make_transport",
     "TRANSPORT_KINDS",
 ]
@@ -58,7 +57,7 @@ def make_transport(
     Args:
         kind: one of :data:`TRANSPORT_KINDS`.
         network_config: sim-only :class:`~repro.sim.network.
-            NetworkConfig` (latency window, drops, jitter seed).
+            NetworkConfig` (latency window, jitter seed).
         metrics: metric sink shared with the owning cluster.
 
     A TCP cluster on other than the default host and ports builds its

@@ -432,7 +432,7 @@ class AsyncioTransport(Transport):
         copies = 1
         if self._faulted:
             copies = self._link_copies(
-                src, dst, payload, size, self._window_drop
+                src, dst, payload, size, self._chaos_rng
             )
             if not copies:
                 return

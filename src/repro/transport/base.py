@@ -42,8 +42,7 @@ from ..sim.kernel import AnyOf, Environment, Event, Process, Timeout
 from ..sim.monitor import Metrics
 from ..sim.node import StableStore
 from .chaos import (
-    ChaosPolicy, ChaosStats, LinkChaos, _check_probability,
-    corruption_detected,
+    ChaosPolicy, ChaosStats, _check_probability, corruption_detected,
 )
 
 __all__ = ["Transport", "TimerHandle", "Endpoint", "Node"]
@@ -140,7 +139,6 @@ class Transport(ABC):
         #: Loss probability of an open drop window (0 when closed).
         self._window_drop = 0.0
         #: The seeded per-message faults :meth:`set_chaos` installed.
-        self._link = LinkChaos()
         self._policy: Optional[ChaosPolicy] = None
         self._chaos_rng = random.Random(ChaosPolicy().seed)
         #: True while any cut, drop window or policy is installed: the
@@ -214,16 +212,16 @@ class Transport(ABC):
 
     def set_drop_probability(self, probability: float) -> None:
         """Open (``probability > 0``) or close a drop window; while open,
-        each message is lost with at least ``probability``."""
+        each message is lost with ``probability``.  The one random-loss
+        knob: a fixed loss rate is a window opened at t = 0."""
         _check_probability("drop probability", probability)
         self._window_drop = probability
         self._faults_changed()
 
     def set_chaos(self, policy: ChaosPolicy) -> None:
-        """Install seeded per-message faults (``policy.default``) on
-        every link, drawn from an RNG seeded by ``policy.seed``."""
+        """Install seeded per-message faults (duplication, corruption)
+        on every link, drawn from an RNG seeded by ``policy.seed``."""
         self._policy = policy
-        self._link = policy.default
         self._chaos_rng = random.Random(policy.seed)
         self._faults_changed()
 
@@ -242,38 +240,38 @@ class Transport(ABC):
 
     def _link_copies(
         self, src: ProcessId, dst: ProcessId, payload: Any, size: int,
-        window: float,
+        loss_rng: random.Random,
     ) -> int:
         """How many copies of one send the link faults let through: 0-2.
 
-        A cut kills the send; then the policy RNG draws a drop (at least
-        ``window``, the part of the drop window the substrate does not
-        draw itself), a corruption and a duplicate, in that order.  The
-        substrate has counted the send as a message; a kill counts a
-        drop, and a duplicate counts a second message.
+        A cut kills the send; then ``loss_rng`` (the RNG the substrate
+        draws loss from) draws the drop window, and the policy RNG a
+        corruption and a duplicate, in that order.  The substrate has
+        counted the send as a message; a kill counts a drop, and a
+        duplicate counts a second message.
         """
-        link, rng, stats = self._link, self._chaos_rng, self.stats
+        stats = self.stats
         if self._cut and self._cut_off(src, dst):
             return self._lost()
-        drop = max(link.drop, window)
-        if drop > 0.0 and rng.random() < drop:
-            if window > link.drop:
-                stats.window_dropped += 1
-            else:
-                stats.dropped += 1
+        window = self._window_drop
+        if window > 0.0 and loss_rng.random() < window:
+            stats.dropped += 1
             return self._lost()
-        if (
-            link.corrupt > 0.0 and rng.random() < link.corrupt
-            and corruption_detected(rng, src, dst, payload, size)
-        ):
-            stats.corrupted += 1
-            return self._lost()
-        if link.duplicate > 0.0 and rng.random() < link.duplicate:
-            stats.duplicated += 1
-            stats.forwarded += 2
-            if self.metrics is not None:
-                self.metrics.count_message(size)
-            return 2
+        policy = self._policy
+        if policy is not None:
+            rng = self._chaos_rng
+            if (
+                policy.corrupt > 0.0 and rng.random() < policy.corrupt
+                and corruption_detected(rng, src, dst, payload, size)
+            ):
+                stats.corrupted += 1
+                return self._lost()
+            if policy.duplicate > 0.0 and rng.random() < policy.duplicate:
+                stats.duplicated += 1
+                stats.forwarded += 2
+                if self.metrics is not None:
+                    self.metrics.count_message(size)
+                return 2
         stats.forwarded += 1
         return 1
 

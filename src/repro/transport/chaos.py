@@ -3,7 +3,7 @@
 :meth:`Transport.set_chaos <repro.transport.base.Transport.set_chaos>`
 installs a serializable :class:`ChaosPolicy` on any substrate:
 
-* per-message **drop / duplicate** probabilities,
+* a per-message **duplicate** probability,
 * **bit-flip payload corruption** — the message is wire-encoded, one
   bit is flipped, and a CRC32 over the original frame is checked at the
   delivery boundary.  A single-bit flip always fails the check, so the
@@ -12,8 +12,8 @@ installs a serializable :class:`ChaosPolicy` on any substrate:
   stable store applies to on-disk rot and the fair-loss channel
   model requires (channels never *undetectably* corrupt).
 
-Partitions and drop windows are events of a fault plan, not part of a
-policy.  All randomness derives from ``policy.seed``, so a fixed-seed
+Random loss (a drop window) and partitions are events of a fault plan,
+not part of a policy.  All randomness derives from ``policy.seed``, so a fixed-seed
 chaos run on the sim is bit-identical across repetitions; reordering
 comes from the substrate (the sim's latency draw, the wall clock).
 """
@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict
 
 from ..errors import ConfigurationError
 from ..types import ProcessId
 
 __all__ = [
-    "LinkChaos",
     "ChaosPolicy",
     "ChaosStats",
 ]
@@ -43,53 +42,21 @@ def _check_probability(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class LinkChaos:
-    """Per-message fault probabilities, applied to every link.
-
-    Attributes:
-        drop: independent per-message loss probability.
-        duplicate: probability a forwarded message is forwarded twice.
-        corrupt: probability of a single-bit payload flip.  The flip is
-            always detected by the frame CRC and the message discarded
-            (corrupt-as-erasure), so it behaves as a drop with its own
-            accounting.
-    """
-
-    drop: float = 0.0
-    duplicate: float = 0.0
-    corrupt: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("drop", "duplicate", "corrupt"):
-            _check_probability(name, getattr(self, name))
-
-    def to_dict(self) -> Dict:
-        return {
-            "drop": self.drop,
-            "duplicate": self.duplicate,
-            "corrupt": self.corrupt,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "LinkChaos":
-        return cls(
-            drop=float(data.get("drop", 0.0)),
-            duplicate=float(data.get("duplicate", 0.0)),
-            corrupt=float(data.get("corrupt", 0.0)),
-        )
-
-
-@dataclass
 class ChaosPolicy:
     """A complete, serializable chaos plan for one run.
 
     Attributes:
         seed: seeds the transport's chaos RNG, which draws every
             per-message decision.
-        default: link behaviour for every (src, dst) pair.
+        duplicate: probability a forwarded message is forwarded twice.
+        corrupt: probability of a single-bit payload flip.  The flip is
+            always detected by the frame CRC and the message discarded
+            (corrupt-as-erasure), so it behaves as a drop with its own
+            accounting.
 
-    Timed link faults (partitions, drop windows) are not part of a
-    policy: they are events of a fault plan, applied to the transport.
+    Both apply to every link.  Random loss and partitions are not part
+    of a policy: they are events of a fault plan (a drop window opened
+    at t = 0 is a fixed loss rate), applied to the transport.
 
     A policy round-trips through JSON (:meth:`to_json` /
     :meth:`from_json`), so a chaos run's artifact carries its own
@@ -97,10 +64,19 @@ class ChaosPolicy:
     """
 
     seed: int = 0
-    default: LinkChaos = field(default_factory=LinkChaos)
+    duplicate: float = 0.0
+    corrupt: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("duplicate", "corrupt"):
+            _check_probability(name, getattr(self, name))
 
     def to_dict(self) -> Dict:
-        return {"seed": self.seed, "default": self.default.to_dict()}
+        return {
+            "seed": self.seed,
+            "duplicate": self.duplicate,
+            "corrupt": self.corrupt,
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -109,7 +85,8 @@ class ChaosPolicy:
     def from_dict(cls, data: Dict) -> "ChaosPolicy":
         return cls(
             seed=int(data.get("seed", 0)),
-            default=LinkChaos.from_dict(data.get("default", {})),
+            duplicate=float(data.get("duplicate", 0.0)),
+            corrupt=float(data.get("corrupt", 0.0)),
         )
 
     @classmethod
@@ -130,15 +107,14 @@ class ChaosStats:
     """
 
     __slots__ = (
-        "forwarded", "dropped", "partition_dropped", "window_dropped",
-        "duplicated", "corrupted",
+        "forwarded", "dropped", "partition_dropped", "duplicated",
+        "corrupted",
     )
 
     def __init__(self) -> None:
         self.forwarded = 0
         self.dropped = 0
         self.partition_dropped = 0
-        self.window_dropped = 0
         self.duplicated = 0
         self.corrupted = 0
 
@@ -147,7 +123,6 @@ class ChaosStats:
             "delivered": self.forwarded,
             "dropped": self.dropped,
             "partition_dropped": self.partition_dropped,
-            "window_dropped": self.window_dropped,
             "duplicated": self.duplicated,
             "corrupted": self.corrupted,
         }

@@ -4,11 +4,11 @@ The paper's channel model (Section 2) on the kernel
 :class:`Environment`: channels may reorder or drop messages but never
 (undetectably) corrupt them, and they are fair-lossy — a message
 retransmitted forever to a correct process is delivered infinitely
-often.  Each send draws an independent loss — the configured one, or an
-open drop window's if that is higher — and a uniform latency (which
-yields reordering), both from the jitter RNG; crashed endpoints,
-partitions and a chaos policy (:class:`~repro.transport.base.Transport`)
-lose messages too.
+often.  Each send draws a uniform latency (which yields reordering)
+from the jitter RNG.  Loss is a link fault of
+:class:`~repro.transport.base.Transport`: crashed endpoints,
+partitions, a drop window (whose loss the jitter RNG draws too, before
+the latency) and a chaos policy.
 
 Delivery calls the destination's ``deliver`` hook; a crashed node
 simply loses the message, which is indistinguishable from a drop —
@@ -37,8 +37,7 @@ class SimTransport(Transport):
 
     Args:
         env: event kernel to ride on; a fresh one is created if omitted.
-        config: network behaviour (latency window, loss probability,
-            jitter seed); copied, so the caller's instance and another
+        config: network behaviour (latency window, jitter seed); copied, so the caller's instance and another
             transport built from it stay independent.
         metrics: sink for message/bandwidth counting.
     """
@@ -54,8 +53,6 @@ class SimTransport(Transport):
         self.config = replace(config) if config else NetworkConfig()
         self.metrics = metrics or Metrics()
         self._rng = random.Random(self.config.jitter_seed)
-        #: The configured loss: the floor a drop window sits on.
-        self._loss = self.config.drop_probability
         #: Open delivery sweeps, one batch per (due-time, dst): on a
         #: quorum round's reply fan-in n pushes + n pops become one of
         #: each, and each destination still sees its send order, so any
@@ -93,34 +90,13 @@ class SimTransport(Transport):
             metrics.count_drop()
             return
         if self._faulted:
-            self._send_faulted(src, dst, payload, size)
-            return
-        drop = self._loss
-        if drop > 0 and self._rng.random() < drop:
-            metrics.count_drop()
-            return
+            # The jitter RNG draws a drop window's loss, then latency.
+            copies = self._link_copies(src, dst, payload, size, self._rng)
+            if not copies:
+                return
+            if copies == 2:
+                self._deliver_later(Message(src, dst, payload, size))
         self._deliver_later(Message(src, dst, payload, size))
-
-    def _send_faulted(
-        self, src: ProcessId, dst: ProcessId, payload: Any, size: int
-    ) -> None:
-        """``send`` while a link fault is installed.
-
-        The link faults decide the copies; each copy then takes the
-        channel's own loss draw, at least the drop window's, before its
-        latency draw — the jitter RNG sees the same sequence as on a
-        fault-free send.
-        """
-        window = self._window_drop
-        loss = self._loss
-        drop = max(loss, window)
-        for _copy in range(self._link_copies(src, dst, payload, size, 0.0)):
-            if drop > 0 and self._rng.random() < drop:
-                if window > loss:
-                    self.stats.window_dropped += 1
-                self.metrics.count_drop()
-                continue
-            self._deliver_later(Message(src, dst, payload, size))
 
     def _deliver_later(self, message: Message) -> None:
         # random.uniform's own formula, without its call overhead: the

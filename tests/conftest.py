@@ -21,8 +21,9 @@ def make_cluster(
     code_kind: str = "auto",
     **coordinator_kwargs,
 ) -> FabCluster:
-    """A small cluster with test-friendly defaults."""
-    return FabCluster(
+    """A small cluster with test-friendly defaults; ``drop`` is a loss
+    rate, a drop window open from t = 0."""
+    cluster = FabCluster(
         ClusterConfig(
             m=m,
             n=n,
@@ -32,12 +33,14 @@ def make_cluster(
             network=NetworkConfig(
                 min_latency=min_latency,
                 max_latency=max_latency,
-                drop_probability=drop,
                 jitter_seed=seed,
             ),
             coordinator=CoordinatorConfig(**coordinator_kwargs),
         )
     )
+    if drop:
+        fault(cluster, "drop_start", value=drop)
+    return cluster
 
 
 @pytest.fixture

@@ -25,15 +25,15 @@ def test_knobs_route_to_the_right_config():
         5, 8,
         block_size=256,          # ClusterConfig
         seed=9,                  # ClusterConfig
-        drop_probability=0.25,   # NetworkConfig
         min_latency=0.5,         # NetworkConfig
+        max_latency=2.0,         # NetworkConfig
         gc_enabled=False,        # CoordinatorConfig
     )
     assert cluster.config.m == 5 and cluster.config.n == 8
     assert cluster.config.block_size == 256
     assert cluster.config.seed == 9
-    assert cluster.transport.config.drop_probability == 0.25
     assert cluster.transport.config.min_latency == 0.5
+    assert cluster.transport.config.max_latency == 2.0
     assert cluster.config.coordinator.gc_enabled is False
 
 
@@ -51,7 +51,7 @@ def test_unknown_knob_fails_loudly():
     for removed in (
         "store_mode", "persistence", "delivery_sweeps", "erasure_backend",
         "disk_read_latency", "disk_write_latency", "duplicate_probability",
-        "retransmit_interval", "grace",
+        "retransmit_interval", "grace", "drop_probability",
     ):
         with pytest.raises(ConfigurationError, match=removed):
             open_cluster(**{removed: "anything"})
@@ -59,10 +59,10 @@ def test_unknown_knob_fails_loudly():
 
 def test_split_knobs_routes_every_field_uniquely():
     cluster_kw, network_kw, coordinator_kw = _split_knobs(
-        {"block_size": 1, "drop_probability": 0.1, "gc_enabled": True}
+        {"block_size": 1, "max_latency": 0.1, "gc_enabled": True}
     )
     assert cluster_kw == {"block_size": 1}
-    assert network_kw == {"drop_probability": 0.1}
+    assert network_kw == {"max_latency": 0.1}
     assert coordinator_kw == {"gc_enabled": True}
 
 

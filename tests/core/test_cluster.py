@@ -53,8 +53,7 @@ class TestConstruction:
         a.transport.set_drop_probability(0.5)
         assert a.transport._window_drop == 0.5
         assert b.transport._window_drop == 0.0
-        assert a.transport.config.drop_probability == 0.0
-        assert network.drop_probability == 0.0
+        assert a.transport.config == network == NetworkConfig()
 
     def test_live_processes(self):
         cluster = make_cluster()

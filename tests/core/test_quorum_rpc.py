@@ -11,7 +11,7 @@ from repro.core.messages import ReadReply, ReadReq
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Environment
 from repro.transport.base import Node
-from repro.transport.chaos import ChaosPolicy, LinkChaos
+from repro.transport.chaos import ChaosPolicy
 from repro.transport.sim import SimTransport
 from tests.conftest import make_cluster, stripe_of
 
@@ -140,7 +140,7 @@ class TestRetransmission:
     def test_duplicate_replies_counted_once(self):
         env = Environment()
         transport = SimTransport(env=env)
-        transport.set_chaos(ChaosPolicy(default=LinkChaos(duplicate=0.9)))
+        transport.set_chaos(ChaosPolicy(duplicate=0.9))
         nodes = {
             pid: Node(transport=transport, process_id=pid) for pid in (1, 2, 3)
         }

@@ -330,6 +330,36 @@ class TestScrubDaemon:
         assert cluster.metrics.mean_time_to_repair >= 30.0
         assert daemon.summary()["tracked_marks"] == 0
 
+    def test_unrecoverable_register_launches_no_repair(self):
+        # Two of five RS(3,5) copies corrupt leave 3 clean, one short of
+        # a quorum: a repair could only abort reading the stripe.
+        cluster, _stripes = populated_cluster()
+        corrupt_on(cluster, pid=4, register_id=0)
+        corrupt_on(cluster, pid=5, register_id=0)
+        daemon = ScrubDaemon(cluster)
+        messages = cluster.metrics.total_messages
+        for _pass in range(2):
+            daemon.sweep_now()
+            assert not daemon._inflight and not daemon._queued
+            cluster.run(until=cluster.env.now + 200.0)
+        assert cluster.metrics.total_messages == messages
+        assert daemon.repair_aborts == 0
+        assert daemon.summary()["unrecoverable"] == 2
+        assert daemon.summary()["tracked_marks"] == 2
+
+    def test_skipped_register_is_repaired_once_a_brick_returns(self):
+        cluster, _stripes = populated_cluster()
+        cluster.nodes[5].crash()
+        corrupt_on(cluster, pid=4, register_id=2)
+        daemon = ScrubDaemon(cluster)
+        daemon.sweep_now()
+        assert daemon.unrecoverable == 1 and not daemon._inflight
+        cluster.nodes[5].recover()
+        daemon.sweep_now()
+        cluster.run(until=cluster.env.now + 200.0)
+        assert daemon.repairs_done == 1 and daemon.repair_aborts == 0
+        assert brick_is_clean(cluster, 4, 2)
+
     def test_summary_shape(self):
         cluster, _stripes = populated_cluster()
         daemon = ScrubDaemon(cluster)
@@ -337,7 +367,7 @@ class TestScrubDaemon:
         summary = daemon.summary()
         for key in (
             "sweeps_completed", "detections", "repairs_done",
-            "repair_aborts", "pending_repairs",
+            "repair_aborts", "unrecoverable", "pending_repairs",
         ):
             assert key in summary
 

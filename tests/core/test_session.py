@@ -307,9 +307,8 @@ def test_failover_disabled_surfaces_crash():
 
 def test_identical_seeds_give_identical_histories():
     def run():
-        volume = open_volume(
-            m=3, n=5, blocks=36, block_size=32, seed=19, drop_probability=0.05
-        )
+        volume = open_volume(m=3, n=5, blocks=36, block_size=32, seed=19)
+        volume.cluster.transport.set_drop_probability(0.05)
         data = payloads_for(volume, 24)
         with volume.session(max_inflight=16, seed=3) as session:
             session.submit_write_range(0, data)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sim.kernel import Environment
 from repro.sim.network import NetworkConfig
-from repro.transport.chaos import ChaosPolicy, LinkChaos
+from repro.transport.chaos import ChaosPolicy
 from repro.transport.sim import SimTransport
 
 
@@ -86,9 +86,8 @@ class TestNetworkProperties:
         self, count, drop, seed
     ):
         env = Environment()
-        network = SimTransport(
-            env, NetworkConfig(drop_probability=drop, jitter_seed=seed)
-        )
+        network = SimTransport(env, NetworkConfig(jitter_seed=seed))
+        network.set_drop_probability(drop)
         received = []
         network.register(2, received.append)
         for index in range(count):
@@ -127,13 +126,11 @@ class TestNetworkProperties:
         network = SimTransport(
             env,
             NetworkConfig(
-                min_latency=0.1, max_latency=5.0,
-                drop_probability=0.2, jitter_seed=seed,
+                min_latency=0.1, max_latency=5.0, jitter_seed=seed,
             ),
         )
-        network.set_chaos(
-            ChaosPolicy(seed=seed, default=LinkChaos(duplicate=0.2))
-        )
+        network.set_drop_probability(0.2)
+        network.set_chaos(ChaosPolicy(seed=seed, duplicate=0.2))
         sent = [bytes([i, i ^ 0xFF]) for i in range(40)]
         received = []
         network.register(2, lambda msg: received.append(msg.payload))

@@ -7,26 +7,27 @@ from repro.core.coordinator import CoordinatorConfig
 from repro.core.rebuild import Rebuilder, Scrubber
 from repro.campaign.schedule import apply_schedule, generate_schedule
 from repro.sim.network import NetworkConfig
-from repro.transport.chaos import ChaosPolicy, LinkChaos
+from repro.transport.chaos import ChaosPolicy
 from repro.transport.sim import SimTransport
 from repro.types import ABORT
 from repro.workloads import TraceReplayer, ZipfPattern, synthesize_trace
 
 
 def build_cluster(seed=0, drop=0.0, gc=True):
-    return FabCluster(
+    cluster = FabCluster(
         ClusterConfig(
             m=3,
             n=6,
             block_size=128,
             network=NetworkConfig(
-                min_latency=0.5, max_latency=2.5,
-                drop_probability=drop, jitter_seed=seed,
+                min_latency=0.5, max_latency=2.5, jitter_seed=seed,
             ),
             coordinator=CoordinatorConfig(gc_enabled=gc),
             seed=seed,
         )
     )
+    cluster.transport.set_drop_probability(drop)
+    return cluster
 
 
 class TestSoak:
@@ -97,9 +98,7 @@ class TestSoak:
     def test_duplicating_network(self):
         """Message duplication (at-most-once layer) does not break ops."""
         transport = SimTransport(config=NetworkConfig(jitter_seed=7))
-        transport.set_chaos(
-            ChaosPolicy(seed=7, default=LinkChaos(duplicate=0.5))
-        )
+        transport.set_chaos(ChaosPolicy(seed=7, duplicate=0.5))
         cluster = FabCluster(
             ClusterConfig(m=2, n=4, block_size=64, seed=7),
             transport=transport,

@@ -5,9 +5,10 @@ benchmarks must cover, so a new knob on any of these surfaces shows up
 here as a reviewed edit.  A setting that no shipped caller sets to
 anything but its default belongs in a module constant instead.
 
-The first eleven surfaces hold 57 values (``RouteOptions``, the
-sharded fleet campaign's config and ``ScrubConfig``, once among them,
-are gone); the maintenance and experiment surfaces below them hold 35.
+The first ten surfaces hold 54 values (``RouteOptions``, the
+sharded fleet campaign's config, ``ScrubConfig`` and ``LinkChaos``,
+once among them, are gone; random loss is a drop window, not a
+``NetworkConfig`` field); the maintenance and experiment surfaces below them hold 35.
 A session's ``volume`` and the scrub daemon's ``cluster`` are their
 subjects, not options.  The ``repro`` CLI's flags are pinned per
 subcommand (23 in all): a flag exists only where a shipped caller (CI,
@@ -37,7 +38,7 @@ from repro.scrub import ScrubDaemon
 from repro.sim.network import NetworkConfig
 from repro.transport import make_transport
 from repro.transport.aio import AsyncioTransport
-from repro.transport.chaos import ChaosPolicy, LinkChaos
+from repro.transport.chaos import ChaosPolicy
 
 
 def _fields(config) -> set:
@@ -80,13 +81,9 @@ SURFACES = {
             "drain", "max_down", "corrupt_weight", "scrub_enabled",
         },
     ),
-    "LinkChaos": (
-        lambda: _fields(LinkChaos),
-        {"drop", "duplicate", "corrupt"},
-    ),
     "ChaosPolicy": (
         lambda: _fields(ChaosPolicy),
-        {"seed", "default"},
+        {"seed", "duplicate", "corrupt"},
     ),
     "ClusterConfig": (
         lambda: _fields(ClusterConfig),
@@ -98,7 +95,7 @@ SURFACES = {
     ),
     "NetworkConfig": (
         lambda: _fields(NetworkConfig),
-        {"min_latency", "max_latency", "drop_probability", "jitter_seed"},
+        {"min_latency", "max_latency", "jitter_seed"},
     ),
     "VolumeSession": (
         lambda: _parameters(VolumeSession.__init__) - {"volume"},

@@ -611,11 +611,11 @@ def test_crash_marker_or_cut_set_before_the_inbox_fires_drops_those():
 
 def test_a_chaos_duplicate_is_delivered_twice():
     from repro.sim.monitor import Metrics
-    from repro.transport.chaos import ChaosPolicy, LinkChaos
+    from repro.transport.chaos import ChaosPolicy
 
     metrics = Metrics()
     transport, received = _inbox_transport(1, 2, metrics=metrics)
-    transport.set_chaos(ChaosPolicy(seed=0, default=LinkChaos(duplicate=0.99)))
+    transport.set_chaos(ChaosPolicy(seed=0, duplicate=0.99))
 
     async def drive():
         await transport.start()

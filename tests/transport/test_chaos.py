@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.sim.network import NetworkConfig
 from repro.campaign.schedule import CampaignSchedule, FaultEvent, apply_schedule
 from repro.transport.aio import AsyncioTransport
-from repro.transport.chaos import ChaosPolicy, LinkChaos
+from repro.transport.chaos import ChaosPolicy
 from repro.transport.sim import SimTransport
 from repro.verify.linearizability import check_strict_linearizability
 from tests.conftest import watch_sends
@@ -28,8 +28,9 @@ def _chaotic(transport, policy):
     return transport
 
 
-def _chaos_cluster(policy, m=3, n=5, stripes=4, seed=11):
+def _chaos_cluster(policy, m=3, n=5, stripes=4, seed=11, drop=0.0):
     transport = _chaotic(SimTransport(), policy)
+    transport.set_drop_probability(drop)
     cluster = FabCluster(
         ClusterConfig(m=m, n=n, seed=seed), transport=transport
     )
@@ -60,16 +61,14 @@ def _run_workload(volume, rounds=3):
 
 
 def test_policy_json_round_trip():
-    policy = ChaosPolicy(
-        seed=42, default=LinkChaos(drop=0.05, duplicate=0.1, corrupt=0.1),
-    )
+    policy = ChaosPolicy(seed=42, duplicate=0.1, corrupt=0.1)
     restored = ChaosPolicy.from_json(policy.to_json())
     assert restored == policy
 
 
 def test_policy_validates_probabilities():
-    with pytest.raises(ConfigurationError, match="drop"):
-        LinkChaos(drop=1.5)
+    with pytest.raises(ConfigurationError, match="duplicate"):
+        ChaosPolicy(duplicate=1.5)
     with pytest.raises(ConfigurationError, match="drop probability"):
         SimTransport().set_drop_probability(2.0)
 
@@ -168,7 +167,7 @@ def test_one_plan_two_substrates(chaos):
     }
     assert cut_at and all(10.0 <= t < 50.0 for t in cut_at)
     assert all(node.is_up for node in cluster.nodes.values())
-    assert transport.stats.window_dropped > 0
+    assert transport.stats.dropped > 0
     # Every cut send is counted, and so is every delivery a cut caught
     # in flight.
     assert transport.stats.partition_dropped >= len(cut_at)
@@ -256,11 +255,10 @@ def test_fixed_seed_chaos_run_is_bit_identical():
     identical retry behaviour, and identical chaos counters."""
 
     def one_run():
-        policy = ChaosPolicy(
-            seed=21,
-            default=LinkChaos(drop=0.08, duplicate=0.05, corrupt=0.05),
+        policy = ChaosPolicy(seed=21, duplicate=0.05, corrupt=0.05)
+        _cluster, volume, transport = _chaos_cluster(
+            policy, seed=13, drop=0.08
         )
-        _cluster, volume, transport = _chaos_cluster(policy, seed=13)
         session = _run_workload(volume)
         return (
             transport.stats.to_dict(),
@@ -274,10 +272,26 @@ def test_fixed_seed_chaos_run_is_bit_identical():
 
 def test_drop_rate_heals_via_retransmission():
     """10% loss on every link costs retransmissions, never results."""
-    policy = ChaosPolicy(seed=7, default=LinkChaos(drop=0.10))
-    _cluster, volume, transport = _chaos_cluster(policy)
+    _cluster, volume, transport = _chaos_cluster(ChaosPolicy(seed=7), drop=0.10)
     _run_workload(volume)
     assert transport.stats.dropped > 0
+
+
+@pytest.mark.parametrize("substrate", ["sim", "loopback"])
+def test_window_losses_count_as_dropped(substrate):
+    """A drop window's losses land in the one ``dropped`` counter, on
+    the sim and on a bare loopback transport alike."""
+    transport = SimTransport() if substrate == "sim" else AsyncioTransport()
+    delivered = []
+    for pid in (1, 2):
+        transport.register(pid, delivered.append)
+    transport.set_drop_probability(0.5)
+    for _ in range(200):
+        transport.send(1, 2, "x")
+    transport.env.run()
+    assert 0 < transport.stats.dropped < 200
+    assert len(delivered) == transport.stats.forwarded
+    assert len(delivered) == 200 - transport.stats.dropped
 
 
 def test_partition_window_masked_by_quorum():
@@ -300,14 +314,14 @@ def test_drop_window_elevates_loss_temporarily():
         FaultEvent(time=100.0, kind="drop_stop"),
     ]))
     _run_workload(volume)
-    assert transport.stats.window_dropped > 0
+    assert transport.stats.dropped > 0
 
 
 def test_corruption_is_detected_and_becomes_erasure():
     """Bit-flipped frames always fail the CRC check: they are counted
     and *discarded*, never delivered — so the workload still completes
     with correct values (corrupt-as-erasure)."""
-    policy = ChaosPolicy(seed=29, default=LinkChaos(corrupt=0.15))
+    policy = ChaosPolicy(seed=29, corrupt=0.15)
     _cluster, volume, transport = _chaos_cluster(policy)
     _run_workload(volume)
     assert transport.stats.corrupted > 0
@@ -345,7 +359,7 @@ def test_bit_flip_inside_a_block_field_is_detected():
             assert stop == len(self.frame) * 8
             return self.bit
 
-    policy = ChaosPolicy(seed=1, default=LinkChaos(corrupt=0.5))
+    policy = ChaosPolicy(seed=1, corrupt=0.5)
     transport = _chaotic(SimTransport(), policy)
     delivered = []
     transport.register(1, delivered.append)
@@ -368,7 +382,7 @@ def test_duplicate_and_reorder_are_absorbed():
     """Duplicated and reordered deliveries are protocol no-ops (the
     reply cache and timestamp order absorb them).  The policy
     duplicates; the network's latency window reorders."""
-    policy = ChaosPolicy(seed=31, default=LinkChaos(duplicate=0.2))
+    policy = ChaosPolicy(seed=31, duplicate=0.2)
     transport = _chaotic(
         SimTransport(config=NetworkConfig(min_latency=1.0, max_latency=4.0)),
         policy,
